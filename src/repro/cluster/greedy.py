@@ -16,11 +16,13 @@ exactly.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 from repro.align.extend import PairAligner
 from repro.cluster.manager import ClusterManager
+from repro.cluster.waves import Speculation, by_verdict, next_wave
 from repro.pairs.ondemand import OnDemandPairGenerator
 from repro.pairs.pair import Pair
 
@@ -97,18 +99,23 @@ def greedy_cluster_batched(
     counters: WorkCounters | None = None,
     max_alignments: int | None = None,
 ) -> WorkCounters:
-    """The clustering loop in batch strides (mutates ``manager``).
+    """The clustering loop in conflict-free waves (mutates ``manager``).
 
-    Pulls ``batch_size`` pairs at a time, applies pair selection to the
-    whole batch, aligns the survivors with one
+    Each round chooses up to ``batch_size`` pairs with
+    :func:`~repro.cluster.waves.next_wave`, aligns them with one
     :meth:`~repro.align.extend.PairAligner.align_and_decide_batch` call
-    (vectorised by :class:`~repro.align.batch.BatchPairAligner`), then
-    merges the accepted ones.  Pairs of one batch cannot see each other's
-    merges, so slightly more pairs are aligned than in the one-at-a-time
-    loop — but the final partition is identical, because it is the
-    connected components of the accepted-pair graph and acceptance is a
-    pure per-pair decision (``manager.merge`` already ignores redundant
-    unions).
+    (vectorised by :class:`~repro.align.batch.BatchPairAligner`), merges
+    the accepted ones, and reconsiders the deferred pairs ahead of fresh
+    ones from the stream.  A wave holds no pair that an earlier pair of
+    the same wave could make redundant, so no more pairs are aligned than
+    in the one-at-a-time loop (on the same stream, a subset of them), and
+    the final partition is identical: it is the connected components of
+    the accepted-pair graph, acceptance is a pure per-pair decision, and
+    a pair is dropped unaligned only once its ESTs really share a cluster.
+
+    ``skip_clustered=False`` aligns every pair once, in plain
+    ``batch_size`` strides: with no pair selection there is nothing to
+    defer.
     """
     counters = counters if counters is not None else WorkCounters()
     cells_before = aligner.dp_cells_total
@@ -117,34 +124,44 @@ def greedy_cluster_batched(
         if isinstance(pair_stream, OnDemandPairGenerator)
         else OnDemandPairGenerator(pair_stream)
     )
-    while not generator.exhausted:
-        raw = generator.next_batch(batch_size)
-        if not raw:
+    deferred: deque[Pair] = deque()
+
+    def pull() -> list[Pair]:
+        if deferred:
+            n = min(batch_size, len(deferred))
+            return [deferred.popleft() for _ in range(n)]
+        fresh = generator.next_batch(batch_size)
+        counters.pairs_generated += len(fresh)
+        return fresh
+
+    while True:
+        room = batch_size
+        if max_alignments is not None:
+            room = min(room, max_alignments - counters.pairs_processed)
+        if room <= 0:
             break
-        counters.pairs_generated += len(raw)
+        wave: list[Pair] = []
+        held: list[Pair] = []
         if skip_clustered:
-            co_clustered = manager.same_cluster_batch(raw)
+            for chunk, verdicts in next_wave(Speculation(manager), pull, room):
+                taken, kept, stale = by_verdict(chunk, verdicts)
+                wave += taken
+                held += kept
+                counters.pairs_skipped += len(stale)
         else:
-            co_clustered = [False] * len(raw)
-        batch: list[Pair] = []
-        for pair, skip in zip(raw, co_clustered):
-            if skip:
-                counters.pairs_skipped += 1
-                continue
-            if (
-                max_alignments is not None
-                and counters.pairs_processed + len(batch) >= max_alignments
-            ):
-                counters.pairs_skipped += 1
-                continue
-            batch.append(pair)
-        if not batch:
-            continue
-        results = aligner.align_and_decide_batch(batch)
-        counters.pairs_processed += len(batch)
-        for pair, (result, accepted) in zip(batch, results):
+            chunk = pull()
+            wave, held = chunk[:room], chunk[room:]
+        deferred.extendleft(reversed(held))
+        if not wave:
+            break
+        counters.pairs_processed += len(wave)
+        for pair, (result, accepted) in zip(wave, aligner.align_and_decide_batch(wave)):
             if accepted:
                 counters.pairs_accepted += 1
                 manager.merge(pair, result)
+    # Alignment budget spent: whatever is left is retired unaligned.
+    unaligned = len(deferred) + sum(1 for _ in generator)
+    counters.pairs_generated += unaligned - len(deferred)
+    counters.pairs_skipped += unaligned
     counters.dp_cells += aligner.dp_cells_total - cells_before
     return counters

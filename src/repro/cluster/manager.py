@@ -42,6 +42,10 @@ class ClusterManager:
     def n_clusters(self) -> int:
         return self._uf.n_components
 
+    def find(self, est: int) -> int:
+        """The representative EST of ``est``'s current cluster."""
+        return self._uf.find(est)
+
     def same_cluster(self, est_a: int, est_b: int) -> bool:
         """The master's pair-selection test: a pair whose ESTs already
         share a cluster is dropped without alignment."""

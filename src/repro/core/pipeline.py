@@ -99,10 +99,14 @@ def _causal_stream(
 
     The sequential driver is its own master *and* slave, so each unit is
     master-minted and absorbed in place (reason ``"drain"``, same as the
-    parallel master aligning locally).  The absorbed/pruned split mirrors
-    the consumer's skip-clustered decision at yield time — best-effort
-    for batched aligners, but the unit's balance is exact either way
-    (both buckets settle on the WORKBUF side of the conservation check).
+    parallel master aligning locally).  The absorbed/pruned split is the
+    skip-clustered test at yield time.  That is the consumer's own
+    decision for the one-at-a-time loop, which tests the same cluster
+    state.  The wave loop may defer a pair counted absorbed here and drop
+    it later, once a merge of its wave has made it redundant, so there
+    ``absorbed`` is an upper bound on the pairs aligned (``pruned`` pairs
+    are dropped by both).  The unit's balance is exact either way: both
+    buckets settle on the WORKBUF side of the conservation check.
     """
     mint = UnitMinter(-1)
     it = iter(stream)

@@ -44,7 +44,9 @@ class CostModel:
     #: Master-side cost per result incorporated (a union-find update is a
     #: few dozen instructions; inverse-Ackermann amortised).
     master_result_cost: float = 0.4e-6
-    #: Master-side cost per offered pair (two finds + queue append).
+    #: Master-side cost per offered pair (two finds + queue append), and
+    #: per pair examined while choosing a wave to dispatch (two finds + a
+    #: step in the scratch forest).
     master_pair_cost: float = 0.6e-6
     #: Master-side fixed cost per interaction (MPI unpack + dispatch).
     master_msg_cost: float = 5.0e-6
@@ -118,3 +120,7 @@ class CostModel:
             + n_results * self.master_result_cost
             + n_pairs * self.master_pair_cost
         )
+
+    def dispatch_time(self, n_examined: int) -> float:
+        """Choosing waves over ``n_examined`` WORKBUF and in-flight pairs."""
+        return n_examined * self.master_pair_cost

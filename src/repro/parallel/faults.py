@@ -274,7 +274,9 @@ def drain_workbuf(master, aligner: "PairAligner", *, now: float | None = None) -
 
     ``master`` is a :class:`~repro.parallel.protocol.MasterLogic` or a
     :class:`~repro.parallel.shards.ShardedMaster` (every shard's WORKBUF
-    is drained in shard order; deterministic either way).
+    is drained in shard order; deterministic either way).  The pairs are
+    chosen by the same wave rule as dispatched work
+    (:meth:`~repro.parallel.protocol.MasterLogic.align_locally`).
 
     Dispatch-policy state needs no draining here: the in-flight mirrors
     of every dead slave were already cleared by
@@ -284,44 +286,5 @@ def drain_workbuf(master, aligner: "PairAligner", *, now: float | None = None) -
     only reached once no slave survives to receive another grant.
     """
     shards = getattr(master, "shards", None)
-    if shards is not None:
-        return sum(drain_workbuf(shard.logic, aligner, now=now) for shard in shards)
-    aligned = 0
-    # WORKBUF empties out-of-band here, so drop its latency timestamps
-    # wholesale — there is no dispatch to attribute the dwell time to.
-    master._workbuf_ts.clear()
-    causal = master.causal
-    units = master._workbuf_units if causal is not None else None
-    absorbed: dict[int, int] = {}
-    skipped: dict[int, int] = {}
-    while master.workbuf:
-        pair = master.workbuf.popleft()
-        unit = None
-        if units is not None:
-            unit = units.popleft() if units else -1
-        if master.manager.same_cluster(pair.est_a, pair.est_b):
-            if unit is not None:
-                skipped[unit] = skipped.get(unit, 0) + 1
-            continue
-        if unit is not None:
-            absorbed[unit] = absorbed.get(unit, 0) + 1
-        result, accepted = aligner.align_and_decide(pair)
-        master.stats.results_received += 1
-        aligned += 1
-        if accepted:
-            master.stats.results_accepted += 1
-            master.manager.merge(pair, result)
-            master.stats.merges += 1
-    if causal is not None:
-        t = now if now is not None else 0.0
-        actor = master.causal_actor
-        for unit, n in absorbed.items():
-            if unit >= 0:
-                # Master-side alignment is both the dispatch and the
-                # absorb of these pairs; record the terminal event only.
-                causal.record("absorbed", unit, n, actor=actor, ts=t, reason="drain")
-        for unit, n in skipped.items():
-            if unit >= 0:
-                causal.record("pruned", unit, n, actor=actor, ts=t, reason="drain")
-        master._workbuf_units.clear()
-    return aligned
+    logics = [master] if shards is None else [shard.logic for shard in shards]
+    return sum(logic.align_locally(aligner, now=now) for logic in logics)

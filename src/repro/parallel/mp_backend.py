@@ -938,7 +938,7 @@ def cluster_multiprocessing(
             stats.get(k, _ZERO_STATS).produced for k in range(n_slaves)
         )
         + local_generated,
-        pairs_skipped=agg_stats.pairs_offered - agg_stats.pairs_admitted,
+        pairs_skipped=agg_stats.pairs_skipped,
         pairs_processed=sum(
             stats.get(k, _ZERO_STATS).alignments for k in range(n_slaves)
         )

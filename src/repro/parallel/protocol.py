@@ -52,6 +52,7 @@ from typing import Iterable
 from repro.align.extend import PairAligner
 from repro.align.scoring import AlignmentResult
 from repro.cluster.manager import ClusterManager
+from repro.cluster.waves import DEFER, Speculation, by_verdict, next_wave
 from repro.pairs.ondemand import OnDemandPairGenerator
 from repro.pairs.pair import Pair
 from repro.parallel.dispatch import DispatchPolicy, RequestContext, make_policy
@@ -118,7 +119,19 @@ class MasterStats:
     merges: int = 0
     workbuf_peak: int = 0
     pairs_reassigned: int = 0  # in-flight pairs requeued from lost slaves
-    pairs_pruned: int = 0  # WORKBUF pairs dropped by cross-shard merges
+    #: Admitted pairs dropped from WORKBUF unaligned because their ESTs
+    #: came to share a cluster: after a cross-shard merge, or at dispatch.
+    pairs_pruned: int = 0
+    #: Pairs looked at while choosing waves (WORKBUF candidates plus the
+    #: in-flight pairs seeding the speculation): the master's dispatch
+    #: work, which the simulator charges for.
+    pairs_examined: int = 0
+
+    @property
+    def pairs_skipped(self) -> int:
+        """Offered pairs never aligned: refused admission, or admitted and
+        later dropped from WORKBUF as co-clustered."""
+        return self.pairs_offered - self.pairs_admitted + self.pairs_pruned
 
 
 class MasterLogic:
@@ -186,7 +199,11 @@ class MasterLogic:
         self.causal_shard = causal_shard
         self._workbuf_units: deque[int] = deque()
         self._flight_units: dict[int, deque[tuple[int, ...]]] = {}
-        self._last_units: tuple[int, ...] = ()  # units of the last _take_work
+        # What CLUSTERS would be if every in-flight pair were accepted
+        # (see _next_wave), and the waves chosen since it was last rebuilt.
+        self._speculation = Speculation(self.manager)
+        self._speculation_age = 0
+        self._parked = 0  # head pairs of WORKBUF deferred on it
         self._recovery_mint = None  # lazy UnitMinter for absorb_pairs
 
     # ------------------------------------------------------------------ #
@@ -254,9 +271,9 @@ class MasterLogic:
             self.stats.results_received += 1
             if accepted:
                 self.stats.results_accepted += 1
-                if not self.manager.same_cluster(pair.est_a, pair.est_b):
-                    self.manager.merge(pair, result)
-                    self.stats.merges += 1
+                self._merge(pair, result)
+            else:
+                self._speculation.rejected(pair)
 
         # 2. Selectively admit offered pairs: only if the ESTs are in
         #    different clusters (the P′ selection of §3.3).
@@ -323,40 +340,142 @@ class MasterLogic:
                 )
         return admitted
 
-    def _take_work(self, now: float | None) -> tuple[Pair, ...]:
-        """Pop up to one batchsize of work, observing per-pair WORKBUF
-        dwell time when latency tracing is on.  The popped pairs' unit
-        ids land in ``_last_units`` (empty when causal tracing is off)."""
-        w = min(self.batchsize, len(self.workbuf))
-        work = tuple(self.workbuf.popleft() for _ in range(w))
-        if self.causal is not None:
-            self._last_units = tuple(
-                self._workbuf_units.popleft() if self._workbuf_units else NO_UNIT
-                for _ in range(w)
-            )
+    def _refresh_speculation(self) -> None:
+        """Rebuild the speculation from exactly the batches in flight."""
+        in_flight = [
+            pair
+            for batches in self.in_flight.values()
+            for batch in batches
+            for pair in batch
+        ]
+        self._speculation.restart(in_flight)
+        self._speculation_age = 0
+        self._parked = 0
+        self.stats.pairs_examined += len(in_flight)
+
+    def _next_wave(
+        self, now: float | None, *, exact: bool = False
+    ) -> tuple[tuple[Pair, ...], list[float], tuple[int, ...]]:
+        """Pop the next conflict-free wave (at most one batchsize) off
+        WORKBUF, with its admission stamps and unit ids (empty when the
+        latency store / causal recorder is off).
+
+        The walk is :func:`~repro.cluster.waves.next_wave` from the head of
+        WORKBUF with the batches in flight at the slaves taken as
+        undecided: a pair whose ESTs already share a cluster is dropped
+        and counted in ``pairs_pruned``; a pair that the in-flight batches
+        or earlier pairs of this wave would connect if they were all
+        accepted stays at the head of WORKBUF, order, stamp and unit kept.
+
+        To keep a wave's cost near O(batchsize) whatever is in flight or
+        parked, the speculation is kept between waves — each wave adds its
+        own pairs, :meth:`_merge` mirrors each accepted result — and the
+        first ``_parked`` pairs of WORKBUF, already deferred on it, are
+        passed over: it has only grown since.  Every ``n_slaves`` waves —
+        about once per round of slave messages, the time a batch takes to
+        come back — it is rebuilt from the in-flight batches and all of
+        WORKBUF is walked again.  Until then the link of a rejected pair
+        lingers, which can only defer more, so a caller whose next step
+        rests on a wave being empty asks for ``exact``: an empty wave is
+        then chosen again on a rebuilt speculation, and with nothing in
+        flight it is empty only if WORKBUF ends up empty.
+        """
+        fresh = self._speculation_age >= self.n_slaves
+        if fresh:
+            self._refresh_speculation()
+        wave = self._walk_workbuf(now)
+        if exact and not fresh and not wave[0] and self.workbuf:
+            self._refresh_speculation()
+            wave = self._walk_workbuf(now)
+        self._speculation_age += 1
+        return wave
+
+    def _walk_workbuf(
+        self, now: float | None
+    ) -> tuple[tuple[Pair, ...], list[float], tuple[int, ...]]:
+        """One :func:`next_wave` over WORKBUF past its parked head, with
+        the stamp and unit queues (when in use) kept in step."""
+        parked = self._parked
+        queues = [self.workbuf]
         if self.latency is not None:
+            queues.append(self._workbuf_ts)
+        if self.causal is not None:
+            queues.append(self._workbuf_units)
+        for queue in queues:
+            queue.rotate(-parked)
+        unwalked = len(self.workbuf) - parked
+        pulled: list[list] = [[] for _ in queues]
+
+        def pull() -> list[Pair]:
+            nonlocal unwalked
+            n = min(self.batchsize, unwalked)
+            unwalked -= n
+            for queue, out in zip(queues, pulled):
+                out.extend(queue.popleft() for _ in range(n))
+            return pulled[0][len(pulled[0]) - n :]
+
+        verdicts: list[int] = []
+        for _, marks in next_wave(self._speculation, pull, self.batchsize):
+            verdicts += marks  # only the last chunk's can fall short of it
+        split = [by_verdict(values, verdicts) for values in pulled]
+        for queue, (_, kept, _) in zip(queues, split):
+            queue.extendleft(reversed(kept))
+            queue.rotate(parked)
+        work, _, stale = split[0]
+        self._parked = parked + verdicts.count(DEFER)
+        self.stats.pairs_pruned += len(stale)
+        self.stats.pairs_examined += len(verdicts)
+        stamps = split[1][0] if self.latency is not None else []
+        units: list[int] = []
+        if self.causal is not None:
+            units, _, stale_units = split[-1]
+            self.causal.record_counts(
+                "pruned",
+                stale_units,
+                actor=self.causal_actor,
+                ts=now if now is not None else 0.0,
+                reason="dispatch",
+            )
+        return tuple(work), stamps, tuple(units)
+
+    def _merge(self, pair: Pair, result: AlignmentResult) -> bool:
+        """Apply an accepted result to CLUSTERS, keeping the speculation's
+        view of the two roots joined; True iff it united two clusters."""
+        manager = self.manager
+        root_a, root_b = manager.find(pair.est_a), manager.find(pair.est_b)
+        if root_a == root_b:
+            return False
+        manager.merge(pair, result)
+        self._speculation.link(root_a, root_b)
+        self.stats.merges += 1
+        return True
+
+    def _take_work(
+        self, now: float | None, *, exact: bool = False
+    ) -> tuple[tuple[Pair, ...], tuple[int, ...]]:
+        """The next wave as a work batch for a slave and its unit ids,
+        observing per-pair WORKBUF dwell time when latency tracing is on."""
+        if not self.workbuf:
+            return (), ()
+        work, stamps, units = self._next_wave(now, exact=exact)
+        if stamps:
             t = now if now is not None else 0.0
-            for _ in range(w):
-                if not self._workbuf_ts:
-                    break  # drained out-of-band (degraded recovery)
-                self.latency.observe("queue_master", t - self._workbuf_ts.popleft())
+            for stamp in stamps:
+                self.latency.observe("queue_master", t - stamp)
         self.stats.pairs_dispatched += len(work)
-        return work
+        return work, units
 
     def _reply_for(
         self, slave_id: int, p: int, p_prime: int, now: float | None = None
     ) -> MasterMsg | None:
         # W: up to batchsize pairs of work.
-        work = self._take_work(now)
+        work, units = self._take_work(now)
 
         # E: how many pairs to request next time.
         e = self._compute_request(slave_id, p, p_prime, now)
 
         if work or e > 0:
-            self._note_dispatch(slave_id, work, now)
-            if self.causal is not None:
-                return MasterMsg(work=work, request=e, work_units=self._last_units)
-            return MasterMsg(work=work, request=e)
+            return self._dispatch(slave_id, work, units, e, now)
 
         # Nothing to give and nothing to ask for.
         if self._all_done(slave_id):
@@ -365,31 +484,34 @@ class MasterLogic:
         self.waiting.add(slave_id)
         return None
 
-    def _note_dispatch(
-        self, slave_id: int, work: tuple[Pair, ...], now: float | None = None
-    ) -> None:
-        """Record a (possibly empty) dispatched batch; emptiness matters
-        because receipt bookkeeping relies on strict reply/message
-        alternation per slave."""
+    def _dispatch(
+        self,
+        slave_id: int,
+        work: tuple[Pair, ...],
+        units: tuple[int, ...],
+        request: int,
+        now: float | None,
+    ) -> MasterMsg:
+        """Record a (possibly empty) dispatched batch and build its reply;
+        emptiness matters because receipt bookkeeping relies on strict
+        reply/message alternation per slave."""
         self.in_flight.setdefault(slave_id, deque()).append(work)
         self.policy.note_dispatch(slave_id, len(work))
         if self._track_rtt:
             self._flight_ts.setdefault(slave_id, deque()).append(
                 now if now is not None else 0.0
             )
-        if self.causal is not None:
-            units = self._last_units if work else ()
-            if not work:
-                self._last_units = ()
-            self._flight_units.setdefault(slave_id, deque()).append(units)
-            if units:
-                self.causal.record_counts(
-                    "dispatched",
-                    units,
-                    actor=self.causal_actor,
-                    ts=now if now is not None else 0.0,
-                    slave=slave_id,
-                )
+        if self.causal is None:
+            return MasterMsg(work=work, request=request)
+        self._flight_units.setdefault(slave_id, deque()).append(units)
+        self.causal.record_counts(
+            "dispatched",
+            units,
+            actor=self.causal_actor,
+            ts=now if now is not None else 0.0,
+            slave=slave_id,
+        )
+        return MasterMsg(work=work, request=request, work_units=units)
 
     def _note_stop(self, slave_id: int) -> None:
         self.stopped.add(slave_id)
@@ -443,34 +565,59 @@ class MasterLogic:
     ) -> list[tuple[int, MasterMsg]]:
         """Replies owed to wait-queued slaves, issued when work appeared or
         global termination became decidable.  Call after every
-        :meth:`on_message`."""
+        :meth:`on_message`.
+
+        WORKBUF can hold nothing but pairs deferred behind in-flight
+        batches.  A parked slave holding such a batch (its NEXTWORK) is
+        then sent an empty reply to fetch the results: nobody else can
+        settle it, and they would have to be fetched before its stop
+        anyway.  A parked slave holding none stays parked, not pinged:
+        the batches in the way are with slaves that will report, or with
+        parked ones just elicited.  Each empty reply retires a non-empty
+        in-flight batch, so deferral cannot spin; and when no slave owes
+        a message the wave is chosen ``exact``, so an empty one means
+        real in-flight batches at parked slaves, so it cannot stall.  A
+        slave that still has pairs to offer is asked for them as soon as
+        the request formula allows.
+        """
         replies: list[tuple[int, MasterMsg]] = []
+        blocked = False  # WORKBUF holds only deferred pairs
         for slave_id in sorted(self.waiting):
-            if self.workbuf:
-                self.waiting.discard(slave_id)
-                work = self._take_work(now)
-                self._note_dispatch(slave_id, work, now)
-                if self.causal is not None:
-                    replies.append(
-                        (
-                            slave_id,
-                            MasterMsg(
-                                work=work, request=0, work_units=self._last_units
-                            ),
-                        )
-                    )
-                else:
-                    replies.append((slave_id, MasterMsg(work=work, request=0)))
-            elif len(self.passive) == self.n_slaves:
-                self.waiting.discard(slave_id)
-                if self.pending_results.get(slave_id, False):
-                    # Elicit the final results with an empty work message.
-                    self._note_dispatch(slave_id, (), now)
-                    replies.append((slave_id, MasterMsg(work=(), request=0)))
-                else:
-                    self._note_stop(slave_id)
-                    replies.append((slave_id, MasterMsg(work=(), request=0, stop=True)))
+            work: tuple[Pair, ...] = ()
+            units: tuple[int, ...] = ()
+            if not blocked:
+                # With no message due to settle anything, what happens
+                # next must rest on what is really in flight.
+                work, units = self._take_work(now, exact=not self._reports_due())
+            blocked = not work and bool(self.workbuf)
+            pending = self.pending_results.get(slave_id, False)
+            request = 0 if work else self._compute_request(slave_id, 0, 0, now)
+            if work or request > 0:
+                # ``request > 0``: parked because WORKBUF was too full to
+                # ask for more and all of it deferred; there is room now.
+                reply = self._dispatch(slave_id, work, units, request, now)
+            elif blocked:
+                if not any(self.in_flight.get(slave_id, ())):
+                    continue
+                # The batch it holds may be what the deferred pairs wait
+                # on, and its results have to be fetched once anyway.
+                reply = self._dispatch(slave_id, (), (), 0, now)
+            elif len(self.passive) < self.n_slaves:
+                continue
+            elif pending:
+                # Elicit the final results with an empty work message.
+                reply = self._dispatch(slave_id, (), (), 0, now)
+            else:
+                self._note_stop(slave_id)
+                reply = MasterMsg(work=(), request=0, stop=True)
+            self.waiting.discard(slave_id)
+            replies.append((slave_id, reply))
         return replies
+
+    def _reports_due(self) -> bool:
+        """Does any slave owe the master a message (replied to, not yet
+        heard back from)?"""
+        return len(self.waiting | self.stopped | self.lost) < self.n_slaves
 
     # ------------------------------------------------------------------ #
     # Fault transitions (engine-driven; see repro.parallel.faults).
@@ -497,6 +644,9 @@ class MasterLogic:
         # drain_workbuf on the degraded-recovery path would otherwise
         # double-count the dead slave's pairs in the JBSQ queue-depth view.
         self.policy.note_slave_lost(slave_id)
+        # The requeued pairs are no longer undecided elsewhere: choose the
+        # next wave on a rebuilt speculation, or they would defer themselves.
+        self._speculation_age = self.n_slaves
         requeued = 0
         if self.causal is None:
             for batch in self.in_flight.pop(slave_id, ()):
@@ -565,6 +715,8 @@ class MasterLogic:
         would be dropped at dispatch anyway on the sequential-identity
         argument, so pruning here only saves queue space and alignment
         work.  Returns the number of pairs dropped."""
+        # The foreign unions reached CLUSTERS without passing _merge.
+        self._speculation_age = self.n_slaves
         if not self.workbuf:
             return 0
         redundant = self.manager.same_cluster_batch(list(self.workbuf))
@@ -589,8 +741,42 @@ class MasterLogic:
         self.workbuf = deque(
             pair for pair, skip in zip(self.workbuf, redundant) if not skip
         )
+        self._parked -= sum(redundant[: self._parked])
         self.stats.pairs_pruned += pruned
         return pruned
+
+    def align_locally(self, aligner: PairAligner, *, now: float | None = None) -> int:
+        """Align what is left in WORKBUF in the master itself, wave by
+        wave — the last-resort degraded mode when no slave survives to be
+        sent work.  Returns the number of alignments performed.
+
+        The pairs leave WORKBUF without a dispatch, so their admission
+        stamps are dropped (no dwell time to attribute) and their units
+        record the terminal ``absorbed`` event only.
+        """
+        aligned = 0
+        while self.workbuf:
+            work, _stamps, units = self._next_wave(now, exact=True)
+            if not work:
+                break
+            decisions = aligner.align_and_decide_batch(list(work))
+            for pair, (result, accepted) in zip(work, decisions):
+                self.stats.results_received += 1
+                if accepted:
+                    self.stats.results_accepted += 1
+                    self._merge(pair, result)
+                else:
+                    self._speculation.rejected(pair)
+            if self.causal is not None:
+                self.causal.record_counts(
+                    "absorbed",
+                    units,
+                    actor=self.causal_actor,
+                    ts=now if now is not None else 0.0,
+                    reason="drain",
+                )
+            aligned += len(work)
+        return aligned
 
     def absorb_pairs(self, pairs: Iterable[Pair], *, now: float | None = None) -> int:
         """Admit engine-regenerated pairs (degraded recovery) through the

@@ -298,6 +298,7 @@ class ShardedMaster:
             agg.workbuf_peak += st.workbuf_peak
             agg.pairs_reassigned += st.pairs_reassigned
             agg.pairs_pruned += st.pairs_pruned
+            agg.pairs_examined += st.pairs_examined
         return agg
 
     def shard_states(self) -> list[dict]:

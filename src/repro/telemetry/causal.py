@@ -203,9 +203,10 @@ class UnitLedger:
     absorbed: int = 0  # results returned for dispatched pairs
     absorbed_drain: int = 0  # master-aligned in the final degraded drain
     requeued: int = 0  # pairs readmitted to WORKBUF from a dead slave
-    pruned: int = 0  # all prune reasons (admission / sync / requeue / drain)
+    pruned: int = 0  # all prune reasons below
     pruned_admission: int = 0
     pruned_sync: int = 0
+    pruned_dispatch: int = 0  # found co-clustered when a wave was chosen
     pruned_requeue: int = 0
     pruned_drain: int = 0
     requeue_events: int = 0
@@ -223,6 +224,7 @@ class UnitLedger:
             + self.requeued
             - self.dispatched
             - self.pruned_sync
+            - self.pruned_dispatch
             - self.pruned_drain
             - self.absorbed_drain
         )
@@ -339,6 +341,8 @@ def check_conservation(records: Iterable[dict]) -> ConservationReport:
                 led.pruned_admission += n
             elif reason == "sync":
                 led.pruned_sync += n
+            elif reason == "dispatch":
+                led.pruned_dispatch += n
             elif reason == "requeue":
                 led.pruned_requeue += n
             elif reason == "drain":
@@ -354,7 +358,9 @@ def check_conservation(records: Iterable[dict]) -> ConservationReport:
         #   admitted == absorbed + pruned + in flight.
         total_admitted += led.admitted
         total_absorbed += led.absorbed + led.absorbed_drain
-        total_pruned += led.pruned_sync + led.pruned_requeue + led.pruned_drain
+        total_pruned += (
+            led.pruned_sync + led.pruned_dispatch + led.pruned_requeue + led.pruned_drain
+        )
         name = format_unit(unit)
         if led.dispatched > 0 and led.admitted + led.requeued == 0:
             orphans.append(f"unit {name}: dispatched {led.dispatched} pairs never admitted")
@@ -363,7 +369,7 @@ def check_conservation(records: Iterable[dict]) -> ConservationReport:
             orphans.append(
                 f"unit {name}: WORKBUF balance negative "
                 f"({led.dispatched} dispatched + "
-                f"{led.pruned_sync + led.pruned_drain + led.absorbed_drain} "
+                f"{led.pruned_sync + led.pruned_dispatch + led.pruned_drain + led.absorbed_drain} "
                 f"pruned/drained > {led.admitted} admitted + {led.requeued} requeued)"
             )
         if led.flight_leftover < 0:

@@ -73,9 +73,14 @@ def causal_records(snapshot) -> list[dict]:
 
 
 def event_totals(records: list[dict]) -> dict[str, int]:
+    """Pairs per event, plus ``pruned:<reason>`` per prune reason."""
     totals: dict[str, int] = {}
     for rec in records:
-        totals[rec["event"]] = totals.get(rec["event"], 0) + int(rec["n"])
+        keys = [rec["event"]]
+        if rec["event"] == "pruned":
+            keys.append(f"pruned:{rec.get('reason')}")
+        for key in keys:
+            totals[key] = totals.get(key, 0) + int(rec["n"])
     return totals
 
 
@@ -265,7 +270,15 @@ class TestEngineStreams:
         cons = check_conservation(records)
         assert cons.ok(), cons.lines()
         totals = event_totals(records)
-        assert totals["admitted"] == totals["absorbed"]
+        # Without faults or shards an admitted pair leaves WORKBUF one of
+        # two ways: dispatched (then absorbed) or found co-clustered when
+        # a wave is chosen.
+        assert totals["pruned"] == (
+            totals["pruned:admission"] + totals.get("pruned:dispatch", 0)
+        )
+        assert totals["admitted"] == (
+            totals["dispatched"] + totals.get("pruned:dispatch", 0)
+        )
         assert totals["dispatched"] == totals["absorbed"]
 
     def test_disabled_config_emits_no_causal_records(
@@ -313,9 +326,9 @@ class TestEngineStreams:
         self, small_benchmark, causal_config
     ):
         """Generation is deterministic, asynchrony is not: the engines
-        must agree on total pairs generated and on admitted+pruned (every
-        generated pair meets exactly one of those fates), while the
-        admitted/pruned *split* may differ with real timing."""
+        must agree on total pairs generated and on admitted plus pruned at
+        admission (every offered pair meets exactly one of those fates),
+        while the split may differ with real timing."""
         with hard_deadline():
             sim_tel, mp_tel = Telemetry(), Telemetry()
             sim = run_parallel(
@@ -330,11 +343,13 @@ class TestEngineStreams:
         mp_totals = event_totals(causal_records(mp.telemetry))
         assert sim_totals["generated"] == mp_totals["generated"]
         assert (
-            sim_totals["admitted"] + sim_totals["pruned"]
-            == mp_totals["admitted"] + mp_totals["pruned"]
+            sim_totals["admitted"] + sim_totals["pruned:admission"]
+            == mp_totals["admitted"] + mp_totals["pruned:admission"]
         )
         for totals in (sim_totals, mp_totals):
-            assert totals["admitted"] == totals["absorbed"]
+            assert totals["admitted"] == (
+                totals["absorbed"] + totals.get("pruned:dispatch", 0)
+            )
         for snapshot in (sim.telemetry, mp.telemetry):
             cons = check_conservation(causal_records(snapshot))
             assert cons.ok(), cons.lines()
@@ -569,6 +584,13 @@ class TestFaultedShardedRun:
         assert not validate_records(records)
         cons = check_conservation(records)
         assert cons.ok(), cons.lines()
+
+    def test_analyze_strict_conservation_is_clean(self, faulted_obs_run, capsys):
+        from repro.cli import main
+
+        _, _, obs_dir, _ = faulted_obs_run
+        rc = main(["analyze", str(obs_dir / "trace.jsonl"), "--strict-conservation"])
+        assert rc == 0, capsys.readouterr().out
 
     def test_flight_dump_per_dead_slave(self, faulted_obs_run):
         _, _, obs_dir, _ = faulted_obs_run

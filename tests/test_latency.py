@@ -257,6 +257,56 @@ class TestMasterLogicLatency:
         assert len(logic._workbuf_ts) == len(logic.workbuf)
         assert 0 not in logic._flight_ts
 
+    def test_mirrors_stay_aligned_through_defer_and_drop(self):
+        """Wave dispatch takes pairs out of the middle of WORKBUF: a
+        deferred pair must keep its admission stamp and work unit, a
+        dropped one must settle its unit as pruned at dispatch."""
+        from repro.align.scoring import AlignmentResult, OverlapPattern
+        from repro.telemetry.causal import CausalRecorder, check_conservation
+
+        store, causal = LatencyStore(), CausalRecorder()
+        logic = MasterLogic(
+            10, 2, batchsize=2, workbuf_capacity=100, latency=store, causal=causal
+        )
+        a, b, c, d, e = (
+            _pair(0, 1), Pair(11, 0, 0, 2, 0), _pair(2, 3), _pair(4, 5), _pair(6, 7)
+        )
+
+        def msg(slave_id, pairs, units, results=()):
+            return SlaveMsg(
+                slave_id=slave_id, results=results, pairs=pairs,
+                exhausted=False, has_pending_results=True, pair_units=units,
+            )
+
+        def mirrors():
+            return (
+                list(logic.workbuf), list(logic._workbuf_ts), list(logic._workbuf_units)
+            )
+
+        # b repeats a's ESTs: deferred behind it; d is left when the wave fills.
+        reply = logic.on_message(msg(0, (a, b, c, d), (7, 7, 8, 8)), now=1.0)
+        assert reply.work == (a, c) and reply.work_units == (7, 8)
+        assert mirrors() == ([b, d], [1.0, 1.0], [7, 8])
+        # Slave 1: b still waits on slave 0's batch, d and e go out.
+        reply = logic.on_message(msg(1, (e,), (9,)), now=2.0)
+        assert reply.work == (d, e) and reply.work_units == (8, 9)
+        assert mirrors() == ([b], [1.0], [7])
+        assert store.count("queue_master") == 4
+        assert store.total("queue_master") == pytest.approx(1.0)  # d waited
+        # a is accepted: b is now redundant and dropped at the next dispatch.
+        res = AlignmentResult(20.0, 0, 10, 0, 10, OverlapPattern.A_CONTAINS_B, 0)
+        logic.on_message(msg(0, (), (), results=((a, res, True),)), now=3.0)
+        assert mirrors() == ([], [], [])
+        assert logic.stats.pairs_pruned == 1
+        assert store.count("queue_master") == 4  # a dropped pair never dwelt
+        pruned = [r for r in causal.as_records() if r["event"] == "pruned"]
+        assert [(r["unit"], r["n"], r["reason"]) for r in pruned] == [
+            (7, 1, "dispatch")
+        ]
+        # Unit 7: 2 admitted == 1 dispatched (still in flight) + 1 pruned.
+        ledger = check_conservation(causal.as_records()).ledgers[7]
+        assert ledger.workbuf_leftover == 0 and ledger.flight_leftover == 1
+
 
 # --------------------------------------------------------------------- #
 # cross-engine parity (acceptance: sim and mp stage sets identical)

@@ -6,25 +6,42 @@ supplies, random result flows, random exhaustion points) and asserts the
 protocol always terminates with every slave stopped, every offered pair
 either aligned or provably redundant, and no reply ever lost — the
 properties that guarantee the simulated and real engines cannot deadlock.
+
+Work is dispatched in conflict-free waves, so a pair can be deferred
+behind batches in flight.  The second harness draws pairs from a small
+EST universe (conflicts and stale pairs everywhere) under an
+all-rejecting and a coin-flip aligner — the worst cases for speculation,
+since every pair deferred on the bet "the blocker will be accepted" has
+to be dispatched after all — and asserts deferral never stalls or spins.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterManager, UnionFind
 from repro.parallel.protocol import MasterLogic, MasterMsg, SlaveMsg
 from repro.pairs import Pair
 
 
+def _reject(pair: Pair) -> bool:
+    return False
+
+
 class _ScriptedSlave:
     """A fake slave honouring the wire protocol with a scripted pair
-    supply; alignment always 'succeeds' without merging (results carry
-    accepted=False so cluster state stays inert and every pair must be
+    supply and a scripted verdict per pair (by default every alignment
+    is rejected, so cluster state stays inert and every pair must be
     dispatched)."""
 
-    def __init__(self, slave_id: int, supply: list[Pair], batchsize: int):
+    def __init__(
+        self, slave_id: int, supply: list[Pair], batchsize: int, accept=_reject
+    ):
         self.slave_id = slave_id
         self.supply = list(supply)
         self.batchsize = batchsize
+        self.accept = accept
         self.nextwork: tuple = ()
         self.done = False
         self.results_reported = 0
@@ -44,14 +61,14 @@ class _ScriptedSlave:
         self.nextwork = p2
         return SlaveMsg(
             slave_id=self.slave_id,
-            results=tuple((p, None, False) for p in p1),
+            results=tuple((p, None, self.accept(p)) for p in p1),
             pairs=p3,
             exhausted=not self.supply,
             has_pending_results=bool(p2),
         )
 
     def step(self, reply: MasterMsg) -> SlaveMsg | None:
-        results = tuple((p, None, False) for p in self.nextwork)
+        results = tuple((p, None, self.accept(p)) for p in self.nextwork)
         self.results_reported += len(results)
         if reply.stop:
             assert not self.nextwork, "stopped while holding work"
@@ -76,8 +93,6 @@ class _ScriptedSlave:
 )
 @settings(max_examples=120, deadline=None)
 def test_protocol_always_terminates(n_slaves, supplies, batchsize, seed):
-    import random
-
     rng = random.Random(seed)
     supplies = (supplies * n_slaves)[:n_slaves]
     n_ests = 4000
@@ -132,3 +147,133 @@ def test_protocol_always_terminates(n_slaves, supplies, batchsize, seed):
     assert master.stats.pairs_admitted == master.stats.pairs_offered
     total_results = sum(s.results_reported for s in slaves)
     assert total_results == total_supply
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40),
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=10),
+    st.integers(1, 8),
+)
+@settings(max_examples=100, deadline=None)
+def test_nothing_in_flight_means_work_or_empty_workbuf(queued, merged, batchsize):
+    """The liveness invariant of wave dispatch: with no batch in flight a
+    non-empty WORKBUF yields at least one pair, unless every queued pair
+    had become redundant (then it is left empty and they are counted)."""
+    master = MasterLogic(
+        n_ests=10, n_slaves=2, batchsize=batchsize, workbuf_capacity=64
+    )
+    master.absorb_pairs(
+        Pair(20, 2 * min(a, b), i, 2 * max(a, b), 0)
+        for i, (a, b) in enumerate(queued)
+        if a != b
+    )
+    for a, b in merged:  # unions learned after admission
+        master.manager.seed_union(a, b)
+    depth = len(master.workbuf)
+    work, _units = master._take_work(None)
+    assert work or not master.workbuf
+    assert len(work) <= batchsize
+    assert depth == len(work) + len(master.workbuf) + master.stats.pairs_pruned
+    assert not any(master.manager.same_cluster(p.est_a, p.est_b) for p in work)
+
+
+def _assert_conflict_free(master: MasterLogic, new_batches: list[tuple]) -> None:
+    """A pair just dispatched joins two clusters that the other batches in
+    flight, all accepted, would not already have joined (and that are not
+    one) — unless the master has seen an alignment between those very
+    clusters rejected, the evidence that lets it hedge the bet."""
+    fresh = {pair for batch in new_batches for pair in batch}
+    find = master.manager.find
+    links = UnionFind(master.manager.n_ests)
+    for batches in master.in_flight.values():
+        for batch in batches:
+            for pair in batch:
+                if pair not in fresh:
+                    links.union(find(pair.est_a), find(pair.est_b))
+    for pair in (pair for batch in new_batches for pair in batch):
+        ra, rb = find(pair.est_a), find(pair.est_b)
+        assert ra != rb, f"dispatched {pair.key} inside one cluster"
+        if not links.union(ra, rb):
+            key = (min(ra, rb), max(ra, rb))
+            assert master._speculation._rejections.get(key, 0) > 0, (
+                f"dispatched {pair.key} though in-flight work already covers it"
+            )
+
+
+def _drive(master: MasterLogic, slaves: list[_ScriptedSlave], rng) -> int:
+    """Run the protocol to completion under a random message order,
+    checking the dispatch invariants on every reply.  Returns the number
+    of empty result-eliciting replies the master sent."""
+    elicits = 0
+    inbox: list[SlaveMsg] = [s.bootstrap() for s in slaves]
+    steps = 0
+    while inbox:
+        steps += 1
+        assert steps < 20_000, "protocol did not terminate"
+        msg = inbox.pop(rng.randrange(len(inbox)))
+        reply = master.on_message(msg)
+        followups = list(master.drain_wait_queue())
+        if reply is not None:
+            followups.insert(0, (msg.slave_id, reply))
+        _assert_conflict_free(master, [rep.work for _, rep in followups if rep.work])
+        for slave_id, rep in followups:
+            if not (rep.work or rep.request or rep.stop):
+                # An empty reply exists to fetch results: never a ping.
+                elicits += 1
+                assert slaves[slave_id].nextwork, "pinged a slave holding nothing"
+            out = slaves[slave_id].step(rep)
+            if out is not None:
+                inbox.append(out)
+    return elicits
+
+
+@given(
+    st.integers(1, 5),  # number of slaves
+    st.lists(st.integers(0, 90), min_size=1, max_size=5),  # per-slave supply
+    st.integers(1, 12),  # batchsize
+    st.integers(3, 14),  # EST universe: small = conflicts everywhere
+    st.sampled_from([0.0, 0.5]),  # all-rejecting | coin-flip aligner
+    st.integers(0, 10**6),  # seed: pairs, verdicts, interleaving
+)
+@settings(max_examples=150, deadline=None)
+def test_deferral_never_stalls_or_spins(
+    n_slaves, supplies, batchsize, n_ests, accept_rate, seed
+):
+    rng = random.Random(seed)
+    supplies = (supplies * n_slaves)[:n_slaves]
+    verdicts: dict[Pair, bool] = {}
+    slaves = []
+    for k, count in enumerate(supplies):
+        pairs = []
+        for serial in range(count):
+            a, b = sorted(rng.sample(range(n_ests), 2))
+            pair = Pair(20, 2 * a, serial, 2 * b, k)  # distinct records
+            verdicts[pair] = rng.random() < accept_rate
+            pairs.append(pair)
+        slaves.append(_ScriptedSlave(k, pairs, batchsize, verdicts.__getitem__))
+
+    master = MasterLogic(
+        n_ests=n_ests,
+        n_slaves=len(slaves),
+        batchsize=batchsize,
+        workbuf_capacity=max(4 * batchsize * len(slaves), 64),
+    )
+    _drive(master, slaves, rng)
+
+    assert master.finished()
+    assert all(s.done for s in slaves)
+    assert not master.workbuf
+    assert all(not s.supply for s in slaves), "pairs left unshipped"
+    # Oracle partition: components of the accepted pairs, whichever of
+    # them the protocol chose to align.
+    oracle = ClusterManager(n_ests)
+    for pair, accepted in verdicts.items():
+        if accepted:
+            oracle.seed_union(pair.est_a, pair.est_b)
+    assert master.manager.clusters() == oracle.clusters()
+    # Conservation: an admitted pair is dispatched or pruned, and every
+    # supplied pair is aligned exactly once or skipped.
+    st_ = master.stats
+    assert st_.pairs_admitted == st_.pairs_dispatched + st_.pairs_pruned
+    skipped = st_.pairs_offered - st_.pairs_admitted + st_.pairs_pruned
+    assert sum(s.results_reported for s in slaves) + skipped == len(verdicts)

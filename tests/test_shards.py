@@ -31,6 +31,7 @@ from repro.parallel import (
     simulate_clustering,
 )
 from repro.parallel.partition import BucketAssignment
+from repro.simulate import BenchmarkParams, make_benchmark
 
 
 def _ranges(sizes: list[int]) -> list[tuple[int, int, int]]:
@@ -225,6 +226,14 @@ def sequential_clusters(small_benchmark, small_config):
     return PaceClusterer(small_config).cluster(small_benchmark.collection).clusters
 
 
+@pytest.fixture(scope="module")
+def deep_collection():
+    """Four deeply covered genes: WORKBUF holds pairs long enough for
+    cross-shard merges to prune some."""
+    params = BenchmarkParams.small(n_genes=4, mean_ests_per_gene=30)
+    return make_benchmark(params, rng=3).collection
+
+
 class TestEngineIdentity:
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_sim_matches_sequential(
@@ -322,3 +331,26 @@ class TestEngineIdentity:
         )
         assert res.clusters == sequential_clusters
         assert res.faults.slaves_lost >= 1
+
+    def test_sim_counters_conserve_pairs(self, deep_collection, small_config):
+        """generated == skipped + processed with shards: a pair pruned
+        from WORKBUF (sync or dispatch) was admitted, so it must count as
+        skipped although admission let it in."""
+        rep = simulate_clustering(
+            deep_collection,
+            replace(small_config, shard_sync_interval=1e-4),
+            n_processors=9,
+            master_shards=4,
+        )
+        c = rep.result.counters
+        assert rep.pairs_pruned > 0, "no sync prune: the test exercises nothing"
+        assert c.pairs_generated == c.pairs_skipped + c.pairs_processed
+
+    def test_mp_counters_conserve_pairs(self, deep_collection, small_config):
+        res = cluster_multiprocessing(
+            deep_collection,
+            replace(small_config, master_shards=2, shard_sync_interval=0.01),
+            n_processors=5,
+        )
+        c = res.counters
+        assert c.pairs_generated == c.pairs_skipped + c.pairs_processed
