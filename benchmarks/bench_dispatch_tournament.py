@@ -1,6 +1,6 @@
 """Dispatch-policy tournament on the simulated machine.
 
-Runs every dispatch policy (``paper``, ``jbsq``, ``pace`` — see
+Runs every dispatch policy (``paper``, ``jbsq`` — see
 :mod:`repro.parallel.dispatch`) across a suite of *skewed* workloads
 where work-allocation actually matters:
 
@@ -48,7 +48,7 @@ SCHEMA = "pace-dispatch-tournament/1"
 
 #: The contenders.  ``paper`` stays the reproduction-fidelity default;
 #: the tournament measures what the alternatives buy on skew.
-POLICIES = ("paper", "jbsq:2", "pace")
+POLICIES = ("paper", "jbsq:2")
 
 #: Quantiles of the ``rtt`` (work-unit) latency stage each cell reports.
 RTT_QUANTILES = (("p50", 0.50), ("p99", 0.99), ("p999", 0.999))
@@ -68,7 +68,7 @@ def _params(skew: float, n_genes: int, mean: float) -> BenchmarkParams:
 def workloads(n_slaves: int) -> list[dict]:
     """The skewed suite.  Each entry: name, dataset params, dataset seed,
     and the fleet's cost model."""
-    # One slave at 2x cost: the straggler every pace-aware policy exists
+    # One slave at 2x cost: the straggler queue-aware policies exist
     # for.  Slow rank last so bucket assignment (greedy by size onto
     # rank order) doesn't conflate skew sources.  2x, not higher: setup
     # cost scales with the factor too, and a much slower slave joins so

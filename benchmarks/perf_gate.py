@@ -311,7 +311,7 @@ def run_dispatch(args) -> int:
     # --- makespan: no policy may tank throughput for its tail gains ------
     makespans = {"paper": sim_paper.total_time}
     cluster_drift = []
-    for policy in ("jbsq:2", "pace"):
+    for policy in ("jbsq:2",):
         rep = simulate_clustering(
             col, config, n_processors=n_proc, gst=gst, dispatch_policy=policy
         )

@@ -98,9 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="multiprocessing")
     c.add_argument("--dispatch-policy", default="paper", metavar="POLICY",
                    help="master work-allocation policy: 'paper' (the §3.3 "
-                        "formula, reproduction-faithful default), 'jbsq' / "
-                        "'jbsq:<k>' (bound grants by in-flight batch depth) "
-                        "or 'pace' (shrink grants to straggling slaves)")
+                        "formula, reproduction-faithful default) or 'jbsq' / "
+                        "'jbsq:<k>' (bound grants by in-flight batch depth)")
     c.add_argument("--master-shards", type=int, default=1, metavar="N",
                    help="partition the master into N shards, each owning a "
                         "disjoint slice of the bucket ranges and a subset "

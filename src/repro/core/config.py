@@ -15,7 +15,35 @@ from repro.align.extend import BandPolicy
 from repro.align.scoring import AcceptanceCriteria, ScoringParams
 from repro.util.validation import check_positive
 
-__all__ = ["ClusteringConfig"]
+__all__ = ["ClusteringConfig", "POLICY_NAMES", "parse_policy"]
+
+#: Canonical dispatch-policy names (``jbsq`` also takes a ``jbsq:<k>`` form).
+POLICY_NAMES: tuple[str, ...] = ("paper", "jbsq")
+
+
+def parse_policy(spec: str) -> tuple[str, dict]:
+    """Split a dispatch-policy spec string into ``(name, kwargs)``.
+
+    ``"paper"`` / ``"jbsq"`` select defaults; ``"jbsq:3"`` sets the bound.
+    Raises ``ValueError`` on anything else.  The grammar lives here, with
+    the config field it validates, because :mod:`repro.parallel.dispatch`
+    (which instantiates the policies) may import this module but not the
+    other way round.
+    """
+    name, sep, arg = spec.partition(":")
+    if name not in POLICY_NAMES:
+        raise ValueError(
+            f"unknown dispatch policy {spec!r} (expected one of "
+            f"{POLICY_NAMES} or 'jbsq:<k>')"
+        )
+    if not sep:
+        return name, {}
+    if name != "jbsq" or not arg.isdigit() or int(arg) < 1:
+        raise ValueError(
+            f"bad dispatch policy argument in {spec!r}: only 'jbsq:<k>' "
+            f"with integer k >= 1 takes one"
+        )
+    return name, {"k": int(arg)}
 
 
 @dataclass(frozen=True)
@@ -71,9 +99,8 @@ class ClusteringConfig:
     #: whole-object handoff.
     shared_arenas: bool = True
     #: Master work-allocation policy (:mod:`repro.parallel.dispatch`):
-    #: "paper" (the §3.3 formula, reproduction-faithful default), "jbsq"
-    #: / "jbsq:<k>" (join-bounded-shortest-queue over in-flight batches),
-    #: or "pace" (straggler-aware grant shrinking from rtt quantiles).
+    #: "paper" (the §3.3 formula, reproduction-faithful default) or "jbsq"
+    #: / "jbsq:<k>" (join-bounded-shortest-queue over in-flight batches).
     dispatch_policy: str = "paper"
     #: Number of master shards (:mod:`repro.parallel.shards`).  ``1`` is
     #: the paper's single master; ``N > 1`` partitions bucket ownership,
@@ -127,22 +154,7 @@ class ClusteringConfig:
                 "vectorised generator runs on LCP-interval forests, which the "
                 "tree backend does not build"
             )
-        # The policy-name grammar is duplicated from repro.parallel.dispatch
-        # (importing it here would be circular: repro.parallel pulls in the
-        # engines, which import this module).  parse_policy re-validates at
-        # instantiation time, so the two can never silently diverge.
-        name, _, arg = self.dispatch_policy.partition(":")
-        if name not in ("paper", "jbsq", "pace"):
-            raise ValueError(
-                f"unknown dispatch_policy {self.dispatch_policy!r} "
-                f"(expected 'paper', 'jbsq', 'jbsq:<k>' or 'pace')"
-            )
-        if arg:
-            if name != "jbsq" or not arg.isdigit() or int(arg) < 1:
-                raise ValueError(
-                    f"bad dispatch_policy argument in {self.dispatch_policy!r}: "
-                    f"only 'jbsq:<k>' with integer k >= 1 takes one"
-                )
+        parse_policy(self.dispatch_policy)
 
     @classmethod
     def small_reads(cls, **overrides) -> "ClusteringConfig":

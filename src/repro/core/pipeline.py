@@ -35,7 +35,7 @@ from repro.suffix.gst import NaiveGst, SuffixArrayGst
 from repro.telemetry import Telemetry
 from repro.telemetry.causal import CausalRecorder, UnitMinter
 from repro.telemetry.live import LiveSample, ResourceSampler
-from repro.telemetry.monitor import RunMonitor
+from repro.telemetry.monitor import RunMonitor, monitored_run
 from repro.util.timing import TimingBreakdown
 
 __all__ = ["PaceClusterer"]
@@ -157,12 +157,6 @@ class PaceClusterer:
         cfg = self.config
         tel = telemetry if telemetry is not None else Telemetry(enabled=False)
         timings = TimingBreakdown(registry=tel.registry)
-        owns_monitor = False
-        if monitor is None and cfg.monitor_port is not None:
-            monitor = RunMonitor(
-                port=cfg.monitor_port, interval=cfg.monitor_interval
-            )
-            owns_monitor = True
 
         with tel.span("gst_construction", n_ests=collection.n_ests):
             if cfg.backend == "suffix_array":
@@ -202,18 +196,14 @@ class PaceClusterer:
                 pair_stream, crec, manager, tel.now, cfg.batchsize,
                 cfg.skip_clustered,
             )
-        if monitor is not None:
-            if tel.enabled and not tel.run_id:
-                tel.run_id = monitor.run_id
-            t0 = time.monotonic()
-            monitor.begin_run(1, engine="sequential", clock="wall", origin=t0)
-            if tel.enabled:
-                monitor.attach_registry(tel.registry)
-            pair_stream = self._monitored_stream(
-                pair_stream, generator, manager, monitor, t0
-            )
-
-        with tel.span("alignment"):
+        t0 = time.monotonic()
+        with monitored_run(
+            monitor, cfg, tel, 1, engine="sequential", origin=t0
+        ) as monitor, tel.span("alignment"):
+            if monitor is not None:
+                pair_stream = self._monitored_stream(
+                    pair_stream, generator, manager, monitor, t0
+                )
             if cfg.align_batch:
                 greedy_cluster_batched(
                     pair_stream,
@@ -231,12 +221,10 @@ class PaceClusterer:
                     skip_clustered=cfg.skip_clustered,
                     counters=counters,
                 )
-
-        if monitor is not None:
-            monitor.set_master(merges=len(manager.merges))
-            monitor.finish()
-            if owns_monitor:
-                monitor.close()
+            if monitor is not None:
+                monitor.set_master(
+                    ts=time.monotonic() - t0, merges=len(manager.merges)
+                )
 
         snapshot = None
         if telemetry is not None:
@@ -271,8 +259,7 @@ class PaceClusterer:
         the live stream is alignable with post-run traces)."""
         sampler = ResourceSampler()
         t0 = time.monotonic() if t0 is None else t0
-        forests = getattr(generator, "_forests", None)
-        total_nodes = max(1, sum(f.n_nodes for f in forests)) if forests else 0
+        total_nodes = getattr(generator, "total_nodes", 0)
         last = 0.0
         produced = 0
         for pair in stream:

@@ -161,6 +161,12 @@ class VectorPairGenerator:
 
     # ------------------------------------------------------------------ #
 
+    @property
+    def total_nodes(self) -> int:
+        """Forest nodes this generator owns: ``stats.nodes_processed``
+        over this is its resumable position (live ``gen_position``)."""
+        return sum(f.n_nodes for f in self._forests)
+
     def pairs(self) -> Iterator[Pair]:
         """Canonical pairs in decreasing maximal-substring length.
 
@@ -193,7 +199,7 @@ class VectorPairGenerator:
         stats = self.stats
         tel = self._telemetry
         forests = self._forests
-        n_nodes = sum(f.n_nodes for f in forests)
+        n_nodes = self.total_nodes
         if n_nodes == 0:
             return
         n_strings = gst.collection.n_strings

@@ -108,6 +108,12 @@ class SaPairGenerator:
 
     # ------------------------------------------------------------------ #
 
+    @property
+    def total_nodes(self) -> int:
+        """Forest nodes this generator owns: ``stats.nodes_processed``
+        over this is its resumable position (live ``gen_position``)."""
+        return sum(f.n_nodes for f in self._forests)
+
     def pairs(self) -> Iterator[Pair]:
         """Canonical pairs in decreasing maximal-substring length.
 

@@ -8,11 +8,11 @@ from repro.parallel.cost_model import CostModel
 from repro.parallel.dispatch import (
     JBSQ,
     DispatchPolicy,
-    PaceAware,
     PaperFormula,
     RequestContext,
     make_policy,
 )
+from repro.parallel.engine import EngineCore
 from repro.parallel.faults import (
     FaultInjector,
     FaultPlan,
@@ -28,7 +28,7 @@ from repro.parallel.runtime import run_parallel, simulate_clustering
 from repro.parallel.shards import MasterShard, ShardedMaster, ShardPlan, plan_shards
 from repro.parallel.shm import ArenaDescriptor, ArenaRegistry, leaked_segments
 from repro.parallel.sim_machine import SimulatedMachine, SimulationReport
-from repro.parallel.trace import TraceRecorder, render_timeline, utilisation
+from repro.telemetry.trace import TraceRecorder, render_timeline, utilisation
 
 __all__ = [
     "ArenaDescriptor",
@@ -40,11 +40,11 @@ __all__ = [
     "CostModel",
     "DispatchPolicy",
     "JBSQ",
-    "PaceAware",
     "PaperFormula",
     "RequestContext",
     "make_policy",
     "cluster_multiprocessing",
+    "EngineCore",
     "BucketAssignment",
     "assign_buckets",
     "FaultInjector",

@@ -18,8 +18,7 @@ This module extracts that choice into a seam:
 - :class:`DispatchPolicy` — the interface plus the in-flight mirror
   bookkeeping every policy shares.  :class:`~repro.parallel.protocol.
   MasterLogic` drives the hooks: ``note_dispatch`` when work leaves,
-  ``note_retired`` when its results arrive (with the batch round-trip
-  time when the engine supplies a clock), ``note_slave_lost`` /
+  ``note_retired`` when its results arrive, ``note_slave_lost`` /
   ``note_slave_stopped`` when a slave leaves the protocol;
 - :class:`PaperFormula` — the bitwise-faithful default.  It consults
   nothing but the paper's inputs, so runs under it are byte-identical to
@@ -28,12 +27,7 @@ This module extracts that choice into a seam:
   protocol: the grant shrinks linearly with the slave's in-flight batch
   depth and hits zero at the bound ``k``, keeping per-slave outstanding
   work short the way JBSQ(k) keeps server queues short.  WORKBUF then
-  runs shallower, which is exactly what trims ``queue_master`` dwell;
-- :class:`PaceAware` — straggler-aware shrinking: slaves whose recent
-  batch round-trip p90 lags the fleet get proportionally smaller grants
-  (they stop burning their turnaround on blocking generation), and
-  slaves the live :class:`~repro.telemetry.monitor.RunMonitor` flags as
-  stragglers are clamped to the floor immediately.
+  runs shallower, which is exactly what trims ``queue_master`` dwell.
 
 Safety argument, shared by every policy: the request size only shapes
 *inflow* of new promising pairs.  A zero grant to a slave that holds
@@ -43,7 +37,7 @@ nothing in flight always receives the paper grant under every policy
 shipped here, so pair generation can never be starved to a standstill.
 
 Select a policy with ``ClusteringConfig.dispatch_policy`` / the CLI's
-``--dispatch-policy`` (``paper``, ``jbsq``, ``jbsq:<k>``, ``pace``), or
+``--dispatch-policy`` (``paper``, ``jbsq``, ``jbsq:<k>``), or
 pass a ready instance to :func:`make_policy` consumers.  ``paper`` stays
 the default for reproduction fidelity; see
 ``benchmarks/bench_dispatch_tournament.py`` for the measured trade-offs.
@@ -51,22 +45,19 @@ the default for reproduction fidelity; see
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+
+from repro.core.config import POLICY_NAMES, parse_policy
 
 __all__ = [
     "RequestContext",
     "DispatchPolicy",
     "PaperFormula",
     "JBSQ",
-    "PaceAware",
     "POLICY_NAMES",
     "make_policy",
     "parse_policy",
 ]
-
-#: Canonical policy names (``jbsq`` also accepts a ``jbsq:<k>`` form).
-POLICY_NAMES: tuple[str, ...] = ("paper", "jbsq", "pace")
 
 
 @dataclass(frozen=True)
@@ -97,9 +88,8 @@ class RequestContext:
     in_flight_batches: int
     #: Pairs inside those batches.
     in_flight_pairs: int
-    #: Engine clock at computation time (virtual or wall); ``None`` when
-    #: the engine supplies no clock (latency tracing off, paper policy).
-    now: float | None = None
+    #: Engine clock at computation time (virtual or wall seconds).
+    now: float = 0.0
 
 
 class DispatchPolicy:
@@ -117,10 +107,6 @@ class DispatchPolicy:
 
     #: Human-readable policy identifier (scorecards, snapshots).
     name: str = "abstract"
-    #: Set when the policy consumes batch round-trip times; the master
-    #: then keeps dispatch timestamps (and engines pass a clock) even
-    #: when latency tracing is off.
-    wants_rtt: bool = False
 
     def __init__(self) -> None:
         self._batches: dict[int, int] = {}
@@ -160,12 +146,9 @@ class DispatchPolicy:
         self._batches[slave_id] = self._batches.get(slave_id, 0) + 1
         self._pairs[slave_id] = self._pairs.get(slave_id, 0) + n_pairs
 
-    def note_retired(
-        self, slave_id: int, n_pairs: int, rtt: float | None = None
-    ) -> None:
+    def note_retired(self, slave_id: int, n_pairs: int) -> None:
         """The results of one previously dispatched non-empty batch
-        arrived; ``rtt`` is its dispatch→absorbed round trip when the
-        engine supplies a clock."""
+        arrived."""
         if n_pairs <= 0:
             return
         b = self._batches.get(slave_id, 0) - 1
@@ -189,12 +172,6 @@ class DispatchPolicy:
         """Clean protocol stop: nothing can be outstanding."""
         self._batches.pop(slave_id, None)
         self._pairs.pop(slave_id, None)
-
-    def attach_signals(self, stragglers) -> None:
-        """Attach a zero-argument callable returning the ids of slaves
-        the live monitor currently flags as stragglers.  The base class
-        (and any policy that doesn't read live signals) ignores it, so
-        engines may call this unconditionally."""
 
     # ---- read side ----------------------------------------------------- #
 
@@ -265,136 +242,6 @@ class JBSQ(DispatchPolicy):
         return int(base * (self.k - depth) / self.k)
 
 
-class PaceAware(DispatchPolicy):
-    """Straggler-aware grant shrinking fed by batch round-trip times.
-
-    The master already observes one round trip per non-empty batch
-    (dispatch → results absorbed).  This policy keeps a short window of
-    those per slave; a slave whose rtt p90 lags the fleet median by more
-    than ``lag`` gets its grant scaled by ``fleet_p90 / slave_p90``
-    (floored at ``floor``) — a slow slave is asked to generate less, so
-    its turnaround stops being inflated by blocking generation and the
-    fleet-wide rtt tail thins.  Slaves the live monitor flags as
-    stragglers (stale samples — the same signal the fault deadline keys
-    on) are clamped to the floor immediately, before enough rtt samples
-    accumulate to prove them slow.
-
-    Works on both engines: under the simulator the window holds virtual
-    round trips (deterministic), under mp wall-clock ones.  With fewer
-    than ``min_samples`` observations for a slave, or fewer than two
-    slaves measured, it falls back to the paper formula.
-    """
-
-    name = "pace"
-    wants_rtt = True
-
-    def __init__(
-        self,
-        *,
-        window: int = 32,
-        min_samples: int = 4,
-        lag: float = 1.2,
-        floor: float = 0.25,
-    ) -> None:
-        super().__init__()
-        if not 0.0 < floor <= 1.0:
-            raise ValueError(f"floor must be in (0, 1], got {floor}")
-        if lag < 1.0:
-            raise ValueError(f"lag must be >= 1.0, got {lag}")
-        self.window = window
-        self.min_samples = min_samples
-        self.lag = lag
-        self.floor = floor
-        self._rtts: dict[int, deque[float]] = {}
-        self._signals = None
-
-    def attach_signals(self, stragglers) -> None:
-        """Attach a zero-argument callable returning the ids of slaves
-        the live monitor currently flags as stragglers (e.g.
-        :meth:`~repro.telemetry.monitor.RunMonitor.straggler_ids`)."""
-        self._signals = stragglers
-
-    def note_retired(
-        self, slave_id: int, n_pairs: int, rtt: float | None = None
-    ) -> None:
-        super().note_retired(slave_id, n_pairs, rtt)
-        if n_pairs > 0 and rtt is not None:
-            self._rtts.setdefault(slave_id, deque(maxlen=self.window)).append(
-                max(0.0, rtt)
-            )
-
-    def note_slave_lost(self, slave_id: int) -> None:
-        super().note_slave_lost(slave_id)
-        # A replacement slave re-enters with a fresh bootstrap; judging
-        # it by its dead predecessor's round trips would be unfair both
-        # ways.
-        self._rtts.pop(slave_id, None)
-
-    @staticmethod
-    def _p90(samples: deque[float]) -> float:
-        ordered = sorted(samples)
-        idx = min(len(ordered) - 1, int(0.9 * (len(ordered) - 1) + 0.5))
-        return ordered[idx]
-
-    def pace_factor(self, slave_id: int) -> float:
-        """The grant multiplier for one slave (1.0 = full paper grant)."""
-        if self._signals is not None and slave_id in set(self._signals()):
-            return self.floor
-        mine = self._rtts.get(slave_id)
-        if mine is None or len(mine) < self.min_samples:
-            return 1.0
-        p90s = [
-            self._p90(window)
-            for window in self._rtts.values()
-            if len(window) >= self.min_samples
-        ]
-        if len(p90s) < 2:
-            return 1.0
-        ordered = sorted(p90s)
-        fleet = ordered[len(ordered) // 2]
-        own = self._p90(mine)
-        if fleet <= 0.0 or own <= self.lag * fleet:
-            return 1.0
-        return max(self.floor, fleet / own)
-
-    def request(self, ctx: RequestContext) -> int:
-        base = self.paper_request(ctx)
-        if base <= 0:
-            return base
-        return int(base * self.pace_factor(ctx.slave_id))
-
-    def debug_state(self) -> dict:
-        state = super().debug_state()
-        state["rtt_p90"] = {
-            str(k): self._p90(w)
-            for k, w in self._rtts.items()
-            if len(w) >= self.min_samples
-        }
-        return state
-
-
-def parse_policy(spec: str) -> tuple[str, dict]:
-    """Split a policy spec string into ``(name, kwargs)``.
-
-    ``"paper"`` / ``"jbsq"`` / ``"pace"`` select defaults; ``"jbsq:3"``
-    sets the bound.  Raises ``ValueError`` on anything else.
-    """
-    name, sep, arg = spec.partition(":")
-    if name not in POLICY_NAMES:
-        raise ValueError(
-            f"unknown dispatch policy {spec!r} (expected one of "
-            f"{POLICY_NAMES} or 'jbsq:<k>')"
-        )
-    if not sep:
-        return name, {}
-    if name != "jbsq":
-        raise ValueError(f"policy {name!r} takes no argument, got {spec!r}")
-    try:
-        return name, {"k": int(arg)}
-    except ValueError as exc:
-        raise ValueError(f"bad JBSQ bound in {spec!r}") from exc
-
-
 def make_policy(spec: str | DispatchPolicy) -> DispatchPolicy:
     """Instantiate a dispatch policy from its config spec string.
 
@@ -407,6 +254,4 @@ def make_policy(spec: str | DispatchPolicy) -> DispatchPolicy:
     name, kwargs = parse_policy(spec)
     if name == "paper":
         return PaperFormula()
-    if name == "jbsq":
-        return JBSQ(**kwargs)
-    return PaceAware()
+    return JBSQ(**kwargs)

@@ -36,13 +36,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.pairs.ondemand import OnDemandPairGenerator
-from repro.pairs.batch import VectorPairGenerator
-from repro.pairs.sa_generator import SaPairGenerator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.align.extend import PairAligner
     from repro.parallel.protocol import MasterLogic
-    from repro.suffix.gst import SuffixArrayGst
 
 __all__ = [
     "FaultSpec",
@@ -232,32 +229,18 @@ class FaultTolerance:
 
 
 def reabsorb_ranges(
-    master: "MasterLogic",
-    gst: "SuffixArrayGst",
-    *,
-    psi: int,
-    ranges: list[tuple[int, int]],
-    batch: int = 4096,
-    engine: str = "scalar",
-    forests=None,
-    now: float | None = None,
+    master: "MasterLogic", generator, *, batch: int = 4096, now: float = 0.0
 ) -> tuple[int, int]:
     """Regenerate a lost slave's promising pairs inside the master.
 
-    Pair generation is deterministic over ``ranges``, so this reproduces
-    every pair the dead slave could ever have offered; admission filters
-    out pairs whose ESTs already share a cluster.  ``engine`` selects the
-    same pair-generation engine the lost slave was running (both produce
-    identical streams, so this only affects recovery speed).  ``forests``
-    (vector engine only) reuses already-built flat forests — e.g. the
-    master's shared-arena copies — instead of rebuilding from the LCP
-    array.  Returns ``(produced, admitted)``.
+    ``generator`` is a fresh pair generator over the dead slave's ranges
+    (:func:`~repro.pairs.batch.make_pair_generator`, the same engine the
+    slave ran).  Generation is deterministic over those ranges, so this
+    reproduces every pair the slave could ever have offered; admission
+    filters out pairs whose ESTs already share a cluster.  Returns
+    ``(produced, admitted)``.
     """
-    if engine == "vector":
-        gen = VectorPairGenerator(gst, psi=psi, ranges=ranges, forests=forests)
-    else:
-        gen = SaPairGenerator(gst, psi=psi, ranges=ranges)
-    source = OnDemandPairGenerator(gen.pairs())
+    source = OnDemandPairGenerator(generator.pairs())
     admitted = 0
     while True:
         pairs = source.next_batch(batch)
@@ -267,15 +250,13 @@ def reabsorb_ranges(
     return source.produced, admitted
 
 
-def drain_workbuf(master, aligner: "PairAligner", *, now: float | None = None) -> int:
-    """Align everything left in WORKBUF in the master itself — the
-    last-resort degraded mode when no slave survives.  Returns the number
-    of alignments performed.
-
-    ``master`` is a :class:`~repro.parallel.protocol.MasterLogic` or a
-    :class:`~repro.parallel.shards.ShardedMaster` (every shard's WORKBUF
-    is drained in shard order; deterministic either way).  The pairs are
-    chosen by the same wave rule as dispatched work
+def drain_workbuf(
+    master: "MasterLogic", aligner: "PairAligner", *, now: float = 0.0
+) -> int:
+    """Align everything left in one master's WORKBUF in the master itself
+    — the last-resort degraded mode when no slave survives.  Returns the
+    number of alignments performed.  The pairs are chosen by the same
+    wave rule as dispatched work
     (:meth:`~repro.parallel.protocol.MasterLogic.align_locally`).
 
     Dispatch-policy state needs no draining here: the in-flight mirrors
@@ -285,6 +266,4 @@ def drain_workbuf(master, aligner: "PairAligner", *, now: float | None = None) -
     requeued pairs in queue-depth policies like JBSQ), and this path is
     only reached once no slave survives to receive another grant.
     """
-    shards = getattr(master, "shards", None)
-    logics = [master] if shards is None else [shard.logic for shard in shards]
-    return sum(logic.align_locally(aligner, now=now) for logic in logics)
+    return master.align_locally(aligner, now=now)

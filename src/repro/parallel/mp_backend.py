@@ -17,16 +17,15 @@ survives slave failure.  Detection is three-layered: every pipe
 operation is wrapped against ``EOFError``/``BrokenPipeError``, the
 process sentinel of each slave is polled alongside its pipe, and a
 per-slave deadline flags slaves that owe the master a message but have
-gone silent (hangs).  Recovery is two-staged per
-:class:`~repro.parallel.faults.FaultTolerance`: while the restart budget
-lasts, a dead slave's id is revived by forking a replacement over the
-same bucket ranges (pair generation is deterministic, so the replacement
-reproduces every pair its predecessor could have offered); once the
-budget is spent the master *degrades* — it regenerates the lost slave's
-promising pairs itself and lets the survivors align them, or, with no
-survivor left, finishes the remaining alignments in-process.  Either
-way the run never hangs, never loses an accepted merge, and yields the
-same clusters as the sequential driver (asserted by tests/test_faults).
+gone silent (hangs).  Recovery is the engine core's
+(:meth:`~repro.parallel.engine.EngineCore.slave_lost`); what this file
+adds is the restart: while :class:`~repro.parallel.faults.FaultTolerance`'s
+budget lasts, a dead slave's id is revived by forking a replacement over
+the same bucket ranges after an exponential back-off (pair generation is
+deterministic, so the replacement reproduces every pair its predecessor
+could have offered).  Either way the
+run never hangs, never loses an accepted merge, and yields the same
+clusters as the sequential driver (asserted by tests/test_faults).
 
 The index itself is built once in the master and *published*, not
 shipped: with ``config.shared_arenas`` (the default) every constituent
@@ -48,38 +47,29 @@ import multiprocessing as mp
 import os
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection, wait
 
-from repro.align.batch import make_aligner
-from repro.align.extend import PairAligner
-from repro.cluster.greedy import WorkCounters
 from repro.core.config import ClusteringConfig
-from repro.core.results import ClusteringResult, FaultCounters
-from repro.pairs.ondemand import OnDemandPairGenerator
-from repro.pairs.batch import make_pair_generator
+from repro.core.results import ClusteringResult
 from repro.parallel.arenas import GstArenas, GstBundle, attach_gst
-from repro.parallel.shm import ArenaRegistry
+from repro.parallel.engine import EngineCore, build_slave
 from repro.parallel.faults import (
     FaultInjector,
     FaultPlan,
     FaultTolerance,
     SlaveFailure,
-    drain_workbuf,
-    reabsorb_ranges,
 )
-from repro.parallel.protocol import SlaveLogic
-from repro.parallel.shards import ShardedMaster, plan_shards
-from repro.parallel.trace import TraceEvent, TraceRecorder
+from repro.parallel.shm import ArenaRegistry
 from repro.sequence.collection import EstCollection
 from repro.suffix.gst import SuffixArrayGst
 from repro.telemetry import Telemetry
-from repro.telemetry.causal import CausalRecorder, UnitMinter, format_unit
+from repro.telemetry.causal import CausalRecorder
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.live import MASTER_ID, LiveSample, ResourceSampler
-from repro.telemetry.monitor import RunMonitor
+from repro.telemetry.monitor import RunMonitor, monitored_run
 from repro.telemetry.registry import DEFAULT_BUCKETS
-from repro.util.timing import TimingBreakdown
+from repro.telemetry.trace import TraceEvent
 
 __all__ = ["cluster_multiprocessing"]
 
@@ -108,9 +98,6 @@ class _SlaveStats:
     metrics: dict | None = None
     #: Causal work-unit lifecycle records (``config.causal_tracing``).
     causal_events: tuple[dict, ...] = ()
-
-
-_ZERO_STATS = _SlaveStats(produced=0, alignments=0, dp_cells=0)
 
 
 @dataclass(frozen=True)
@@ -146,7 +133,8 @@ def _slave_worker(
     on slave-side telemetry: this process keeps its own recorder — wall
     offsets directly comparable to the master's, since ``CLOCK_MONOTONIC``
     is machine-wide — and ships everything back inside its final
-    :class:`_SlaveStats`.
+    :class:`_SlaveStats`.  Without it the session is a disabled one whose
+    instruments are no-ops.
 
     ``sample_interval`` (set only when a :class:`RunMonitor` is attached)
     switches on live sampling: at most once per interval, a
@@ -164,18 +152,15 @@ def _slave_worker(
     restart of a deterministic failure.
     """
     injector = FaultInjector(fault_plan, slave_id, incarnation)
-    tel = (
-        Telemetry(origin=telemetry_origin) if telemetry_origin is not None else None
-    )
+    tel = Telemetry(enabled=telemetry_origin is not None, origin=telemetry_origin)
     actor = f"slave{slave_id}"
-    causal_on = config.causal_tracing and tel is not None
-    crec = CausalRecorder() if causal_on else None
+    crec = CausalRecorder() if config.causal_tracing and tel.enabled else None
     flight: FlightRecorder | None = None
     if config.flight_dir is not None:
         flight = FlightRecorder(
             config.flight_dir,
             actor,
-            clock=tel.now if tel is not None else time.monotonic,
+            clock=tel.now if tel.enabled else time.monotonic,
         )
         flight.note("spawned", incarnation=incarnation)
         flight.install_sigterm()
@@ -189,30 +174,17 @@ def _slave_worker(
             gst, forests = attach_gst(source, registry, slave_id)
         else:
             gst, forests = source, None
-        if tel is not None:
-            with tel.span("sort_nodes", actor=actor):
-                generator = make_pair_generator(
-                    gst, config, ranges=ranges, telemetry=tel, forests=forests
-                )
-        else:
-            generator = make_pair_generator(gst, config, ranges=ranges, forests=forests)
-        aligner = make_aligner(gst.collection, config, telemetry=tel)
-        logic = SlaveLogic(
-            slave_id=slave_id,
-            generator=OnDemandPairGenerator(generator.pairs(), telemetry=tel),
-            aligner=aligner,
-            batchsize=config.batchsize,
-            pairbuf_capacity=config.pairbuf_capacity,
-            minter=UnitMinter(slave_id, incarnation) if causal_on else None,
-        )
-
-        def drain_causal() -> None:
-            """Stamp the logic's clock-free causal facts with this
-            process's wall clock (same origin as the master's)."""
-            ts = tel.now()
-            for event, unit, n in logic.drain_causal():
-                crec.record(event, unit, n, actor=actor, ts=ts)
-
+        with tel.span("sort_nodes", actor=actor):
+            slave = build_slave(
+                gst,
+                config,
+                slave_id,
+                ranges,
+                telemetry=tel if tel.enabled else None,
+                forests=forests,
+                incarnation=incarnation,
+            )
+        logic = slave.logic
         if flight is not None:
             # Dump-time snapshot of what this slave was holding.
             flight.state_provider = lambda: {
@@ -225,36 +197,20 @@ def _slave_worker(
             }
         sampler = ResourceSampler() if sample_interval is not None else None
         last_sample = 0.0
-        if sampler is not None:
-            # The resumable position: processed nodes over owned nodes
-            # (both generator engines walk their LCP-interval forests
-            # node-by-node and count, so this is exact and free to read).
-            total_nodes = sum(f.n_nodes for f in generator._forests) or 1
 
         def live_sample() -> LiveSample:
-            return LiveSample(
-                slave_id=slave_id,
-                ts=time.monotonic() - sample_origin,
+            return slave.sample(
+                time.monotonic() - sample_origin,
                 incarnation=incarnation,
                 rss_bytes=sampler.rss_bytes(),
                 cpu_seconds=sampler.cpu_seconds(),
-                pairs_generated=logic.generator.produced,
-                alignments=logic.total_alignments,
-                dp_cells=logic.total_dp_cells,
-                pairbuf_depth=len(logic.pairbuf),
-                gen_position=min(
-                    1.0, generator.stats.nodes_processed / total_nodes
-                ),
-                exhausted=logic.generator.exhausted,
             )
 
-        lat = tel.latency if tel is not None else None
-        t_start = tel.now() if tel is not None else 0.0
+        lat = tel.latency
+        t_start = tel.now()
         out = logic.bootstrap()
-        if crec is not None:
-            drain_causal()
-        if tel is not None:
-            tel.trace.compute(actor, t_start, tel.now(), "bootstrap")
+        slave.stamp_causal(crec, tel.now())
+        tel.trace.compute(actor, t_start, tel.now(), "bootstrap")
         while True:
             if sampler is not None:
                 wall = time.monotonic()
@@ -262,7 +218,7 @@ def _slave_worker(
                     last_sample = wall
                     conn.send(live_sample())
             injector.before_send()
-            if tel is not None:
+            if tel.enabled:
                 tel.trace.send(
                     actor,
                     tel.now(),
@@ -281,12 +237,9 @@ def _slave_worker(
             reply = conn.recv()
             if flight is not None:
                 flight.note("recv", work=len(reply.work))
-            if tel is not None:
-                t_start = tel.now()
-                tel.trace.recv(actor, t_start, "reply from master")
-                tel.observe(
-                    "slave.pairbuf_depth", len(logic.pairbuf), DEFAULT_BUCKETS
-                )
+            t_start = tel.now()
+            tel.trace.recv(actor, t_start, "reply from master")
+            tel.observe("slave.pairbuf_depth", len(logic.pairbuf), DEFAULT_BUCKETS)
             if lat is not None:
                 # One message's pipe time, from the master's stamp to here
                 # (same CLOCK_MONOTONIC origin across fork).
@@ -304,23 +257,20 @@ def _slave_worker(
                     lat.observe("generate", tel.now() - t_aligned)
             else:
                 out = logic.step(reply)
-            if crec is not None:
-                drain_causal()
-            if tel is not None:
-                tel.trace.compute(actor, t_start, tel.now(), "step")
+            slave.stamp_causal(crec, tel.now())
+            tel.trace.compute(actor, t_start, tel.now(), "step")
             if out is None:
                 if sampler is not None:
                     conn.send(live_sample())  # final counters, exhausted flag
-                if tel is not None:
-                    tel.trace.send(actor, tel.now(), "final stats")
+                tel.trace.send(actor, tel.now(), "final stats")
                 conn.send(
                     _SlaveStats(
                         produced=logic.generator.produced,
                         alignments=logic.total_alignments,
                         dp_cells=logic.total_dp_cells,
-                        events=tuple(tel.trace.events) if tel is not None else (),
-                        span_events=tuple(tel.events) if tel is not None else (),
-                        metrics=tel.registry.snapshot() if tel is not None else None,
+                        events=tuple(tel.trace.events),
+                        span_events=tuple(tel.events),
+                        metrics=tel.registry.snapshot() if tel.enabled else None,
                         causal_events=tuple(crec.events) if crec is not None else (),
                     )
                 )
@@ -362,7 +312,6 @@ class _SlaveHandle:
     #: (``None`` while the slave is parked on the wait queue).
     expecting_since: float | None
     restarts: int = 0
-    finished: bool = field(default=False)
 
 
 def cluster_multiprocessing(
@@ -372,15 +321,13 @@ def cluster_multiprocessing(
     n_processors: int = 4,
     faults: FaultPlan | None = None,
     tolerance: FaultTolerance | None = None,
-    trace: TraceRecorder | None = None,
     telemetry: Telemetry | None = None,
     monitor: RunMonitor | None = None,
 ) -> ClusteringResult:
     """Cluster with 1 master process + ``n_processors - 1`` slave processes.
 
     ``faults`` injects deterministic failures (testing); ``tolerance``
-    sets detection timeouts and the restart budget; ``trace`` (optional)
-    records fault/recovery events with wall-clock offsets; ``telemetry``
+    sets detection timeouts and the restart budget; ``telemetry``
     (optional) records the full instrumented run — phase spans, metrics,
     and a send/recv/compute/fault timeline assembled from the master's
     recorder plus the per-slave recorders forwarded over the result pipes
@@ -392,29 +339,18 @@ def cluster_multiprocessing(
         raise ValueError("the parallel machine needs a master and >= 1 slave")
     config = config or ClusteringConfig()
     tolerance = tolerance or FaultTolerance()
-    owns_monitor = False
-    if monitor is None and config.monitor_port is not None:
-        monitor = RunMonitor(
-            port=config.monitor_port, interval=config.monitor_interval
-        )
-        owns_monitor = True
-    tel = telemetry if telemetry is not None else Telemetry(enabled=False)
-    rec = tel.trace if tel.enabled else None
-    causal = CausalRecorder() if (config.causal_tracing and tel.enabled) else None
-    timings = TimingBreakdown(registry=tel.registry)
     n_slaves = n_processors - 1
-    fault_counters = FaultCounters()
+    core = EngineCore(config, n_slaves, telemetry=telemetry)
+    tel = core.tel
+    rec = tel.trace  # drops everything when telemetry is off
+    causal = core.causal
 
     with tel.span("gst_construction", n_ests=collection.n_ests):
         gst = SuffixArrayGst.build(collection)
     with tel.span("partitioning"):
-        ranges = gst.bucket_ranges(config.w)
-        plan = plan_shards(ranges, n_slaves, config.master_shards)
-    n_shards = plan.n_shards
-    ranges_of = [
-        [(lo, hi) for _key, lo, hi in plan.slave_ranges[k]]
-        for k in range(n_slaves)
-    ]
+        core.plan(gst)
+    master = core.master
+    n_shards = master.n_shards
 
     # Publish the built index once; slaves attach by descriptor.  The
     # master owns every segment and unlinks them in the finally below.
@@ -422,105 +358,28 @@ def cluster_multiprocessing(
     if config.shared_arenas:
         with tel.span("arena_setup"):
             shared = GstArenas.create(
-                gst, ranges_of, pair_engine=config.pair_engine, psi=config.psi
+                gst, core.ranges_of, pair_engine=config.pair_engine, psi=config.psi
             )
     slave_source: SuffixArrayGst | GstBundle = (
         shared.bundle if shared is not None else gst
     )
 
     ctx = mp.get_context("fork")
+    # Live sample ts values are offsets from t0; publishing the raw
+    # monotonic origin lets analyze re-align them with the telemetry
+    # trace's own origin.
     t0 = time.monotonic()
-    if monitor is not None:
-        if tel.enabled and not tel.run_id:
-            # One id across the live stream and the post-run trace, so
-            # `pace-est analyze` can join them.
-            tel.run_id = monitor.run_id
-        monitor.begin_run(
-            n_slaves,
-            engine="multiprocessing",
-            clock="wall",
-            # Live sample ts values are offsets from t0; publishing the
-            # raw monotonic origin lets analyze re-align them with the
-            # telemetry trace's own origin.
-            origin=t0,
-            # Flag stragglers well before the fault deadline declares
-            # them dead (sampling pauses with the slave, so staleness is
-            # the same signal the deadline machinery keys on).
-            straggler_after=max(
-                2 * config.monitor_interval, tolerance.slave_timeout / 2
-            ),
-        )
-        if tel.enabled:
-            # Latency quantiles appear as gauges on /metrics.
-            monitor.attach_registry(tel.registry)
-        master_sampler = ResourceSampler()
-        last_master_sample = 0.0
     live: dict[int, _SlaveHandle] = {}
-    all_procs: list[mp.process.BaseProcess] = []
-    all_conns: list[Connection] = []
+    spawned: list[_SlaveHandle] = []  # every incarnation, for the teardown
     stats: dict[int, _SlaveStats] = {}
-    master = ShardedMaster(
-        plan,
-        n_ests=collection.n_ests,
-        batchsize=config.batchsize,
-        workbuf_capacity=config.workbuf_capacity,
-        latency=tel.latency,  # None when telemetry is off
-        policy=config.dispatch_policy,
-        causal=causal,
-    )
     # Wall seconds the coordinator spent inside each shard's state machine
-    # (only accumulated when telemetry is on; feeds busy.shard*.seconds).
+    # (feeds busy.shard*.seconds).
     shard_busy = [0.0] * n_shards
-    last_sync = time.monotonic()
-    lat = tel.latency
-    # Pace-aware policies consume round-trip times even with latency
-    # tracing off, and causal events are stamped with the run clock;
-    # tel.now() is valid on a disabled session.
-    clocked = lat is not None or master.policy.wants_rtt or causal is not None
-    if monitor is not None:
-        # Straggler-aware policies read the monitor's live view.
-        master.policy.attach_signals(getattr(monitor, "straggler_ids", None))
-    # Master-side work done in degraded mode (kept out of MasterStats so
-    # the protocol state machine stays engine-agnostic).
-    local_generated = 0
-    local_aligned = 0
-    local_aligner: PairAligner | None = None
-
-    def master_flight_state() -> dict:
-        """Dump-time snapshot of master custody (flight recorder)."""
-        state = {
-            "workbuf_depth": master.workbuf_depth,
-            "live": sorted(live),
-            "stopped": sorted(master.stopped),
-            "policy": master.policy.debug_state(),
-        }
-        if causal is not None:
-            units: dict[str, list[str]] = {}
-            for shard in master.shards:
-                for sid, batches in shard.logic._flight_units.items():
-                    names = sorted(
-                        {format_unit(u) for batch in batches for u in batch if u >= 0}
-                    )
-                    if names:
-                        units.setdefault(str(sid), []).extend(names)
-            state["in_flight_units"] = units
-        return state
 
     flight: FlightRecorder | None = None
-    if config.flight_dir is not None:
-        flight = FlightRecorder(
-            config.flight_dir,
-            "master",
-            run_id=tel.run_id or (monitor.run_id if monitor is not None else ""),
-            clock=tel.now,  # valid (0-based wall offsets) even when disabled
-            state_provider=master_flight_state,
-        )
 
     def record_fault(actor: str, detail: str) -> None:
-        if trace is not None:
-            trace.fault(actor, time.monotonic() - t0, detail)
-        if rec is not None and rec is not trace:
-            rec.fault(actor, tel.now(), detail)
+        rec.fault(actor, tel.now(), detail)
         if flight is not None:
             # Every fault transition refreshes the on-disk ring: the
             # newest master state is the one a postmortem wants.
@@ -535,13 +394,13 @@ def cluster_multiprocessing(
                 args=(
                     child_conn,
                     slave_source,
-                    ranges_of[slave_id],
+                    core.ranges_of[slave_id],
                     config,
                     slave_id,
                     faults,
                     incarnation,
                     tel.origin if tel.enabled else None,
-                    monitor.interval if monitor is not None else None,
+                    core.monitor.interval if core.monitor is not None else None,
                     t0,
                 ),
                 daemon=True,
@@ -549,20 +408,20 @@ def cluster_multiprocessing(
             _start_process(proc)
         except BaseException:
             # A failed spawn must not leak its pipe: neither end ever
-            # reached the bookkeeping lists the finally block closes.
+            # reached the bookkeeping list the finally block closes.
             parent_conn.close()
             child_conn.close()
             raise
         child_conn.close()
-        all_procs.append(proc)
-        all_conns.append(parent_conn)
-        return _SlaveHandle(
+        handle = _SlaveHandle(
             slave_id=slave_id,
             proc=proc,
             conn=parent_conn,
             expecting_since=time.monotonic(),
             restarts=incarnation,
         )
+        spawned.append(handle)
+        return handle
 
     def reap(handle: _SlaveHandle) -> None:
         try:
@@ -575,39 +434,38 @@ def cluster_multiprocessing(
 
     def send_reply(handle: _SlaveHandle, reply) -> bool:
         """Send a master reply; False means the pipe is already dead."""
-        if lat is not None:
+        if core.lat is not None:
             reply = replace(reply, sent_at=tel.now())
         try:
             handle.conn.send(reply)
         except _PIPE_ERRORS:
             return False
-        if rec is not None:
-            rec.send("master", tel.now(), f"to slave{handle.slave_id}")
+        rec.send("master", tel.now(), f"to slave{handle.slave_id}")
         handle.expecting_since = time.monotonic()
         return True
 
     def flush_wait_queue(deaths: set[int]) -> None:
-        now = tel.now() if clocked else None
-        for waiter_id, waiter_reply in master.drain_wait_queue(now=now):
+        for waiter_id, waiter_reply in master.drain_wait_queue(now=tel.now()):
             handle = live.get(waiter_id)
-            if handle is None:
-                continue
-            if not send_reply(handle, waiter_reply):
+            if handle is not None and not send_reply(handle, waiter_reply):
                 deaths.add(waiter_id)
 
     def handle_msg(handle: _SlaveHandle, msg, deaths: set[int]) -> None:
+        monitor = core.monitor
         if monitor is not None and isinstance(msg, LiveSample):
             # Low-priority sample: absorb without a reply and without
             # touching ``expecting_since`` — a wedged slave that somehow
             # kept sampling must still trip the fault deadline.
             monitor.on_sample(msg)
             return
-        t_recv = tel.now() if rec is not None else 0.0
-        if rec is not None:
-            rec.recv("master", t_recv, f"from slave{handle.slave_id}")
+        t_recv = tel.now()
+        rec.recv("master", t_recv, f"from slave{handle.slave_id}")
         if isinstance(msg, _SlaveStats):
+            # The last word of a cleanly stopped slave: retire its handle.
             stats[handle.slave_id] = msg
-            handle.finished = True
+            del live[handle.slave_id]
+            handle.conn.close()
+            handle.proc.join(timeout=5)
             if monitor is not None:
                 monitor.slave_stopped(handle.slave_id)
             if tel.enabled:
@@ -620,37 +478,22 @@ def cluster_multiprocessing(
                 causal.extend(msg.causal_events)
             return
         if isinstance(msg, _SlaveError):
-            fault_counters.slave_errors += 1
+            core.faults.slave_errors += 1
             record_fault(f"slave{handle.slave_id}", "reported fatal error")
             if monitor is not None:
                 monitor.record_fault("slave_errors")
             raise SlaveFailure(handle.slave_id, msg.traceback)
         handle.expecting_since = None
-        shard = master.shard_for(handle.slave_id)
-        if lat is not None:
-            t_now = tel.now()
-            if msg.sent_at >= 0:
-                lat.observe("transit", t_now - msg.sent_at)
-            reply = master.on_message(msg, now=t_now)
-            lat.observe("absorb", tel.now() - t_now)
-        elif clocked:
-            reply = master.on_message(msg, now=tel.now())
-        else:
-            reply = master.on_message(msg)
-        if rec is not None:
-            t_done = tel.now()
-            rec.compute(
-                "master", t_recv, t_done, f"incorporate slave{handle.slave_id}"
-            )
-            shard_busy[shard.shard_id] += t_done - t_recv
-        tel.observe("master.workbuf_depth", shard.logic.workbuf_depth, DEFAULT_BUCKETS)
-        if reply is not None:
-            if not send_reply(handle, reply):
-                deaths.add(handle.slave_id)
+        reply = core.on_message(msg, t_recv)
+        t_done = tel.now()
+        core.absorbed(handle.slave_id, t_done - t_recv)
+        rec.compute("master", t_recv, t_done, f"incorporate slave{handle.slave_id}")
+        shard_busy[master.shard_of(handle.slave_id)] += t_done - t_recv
+        if reply is not None and not send_reply(handle, reply):
+            deaths.add(handle.slave_id)
         flush_wait_queue(deaths)
 
     def handle_death(slave_id: int, deaths: set[int]) -> None:
-        nonlocal local_generated
         handle = live.pop(slave_id, None)
         if handle is None:
             return
@@ -660,56 +503,44 @@ def cluster_multiprocessing(
             # nothing to recover, its stats default to zero.
             record_fault(f"slave{slave_id}", "exited after stop without stats")
             return
-        fault_counters.slaves_lost += 1
         record_fault(f"slave{slave_id}", "lost (crash or timeout)")
-        requeued = master.slave_lost(
-            slave_id, now=tel.now() if clocked else None
+        revive = handle.restarts < tolerance.max_restarts
+        lost = core.slave_lost(
+            slave_id,
+            tel.now(),
+            revive=revive,
+            # Reuse the already-packed shared forests instead of
+            # rebuilding the lost slave's forests from the LCP array.
+            forests=shared.forests_for(slave_id) if shared is not None else None,
         )
-        fault_counters.pairs_reassigned += requeued
-        if monitor is not None:
-            monitor.slave_lost(slave_id)  # also counts fault.slaves_lost
-            if requeued:
-                monitor.record_fault("pairs_reassigned", requeued)
-        if handle.restarts < tolerance.max_restarts:
+        if revive:
             backoff = tolerance.backoff_for(handle.restarts)
             if backoff > 0:
                 time.sleep(backoff)
-            master.slave_revived(slave_id)
             live[slave_id] = spawn(slave_id, handle.restarts + 1)
-            fault_counters.restarts += 1
-            if monitor is not None:
-                monitor.slave_revived(slave_id)  # also counts fault.restarts
             record_fault(
                 f"slave{slave_id}",
                 f"restarted (incarnation {handle.restarts + 1}, "
-                f"{requeued} pairs requeued)",
+                f"{lost.requeued} pairs requeued)",
             )
         else:
-            # Degrade: regenerate the lost slave's pairs in its owning
-            # shard and let the survivors (or the master itself) align
-            # them — shard ownership of the dead slave's buckets is
-            # handed off to its shard's master, never to another shard.
-            produced, admitted = reabsorb_ranges(
-                master.shard_for(slave_id).logic,
-                gst,
-                psi=config.psi,
-                ranges=ranges_of[slave_id],
-                engine=config.pair_engine,
-                # Reuse the already-packed shared forests instead of
-                # rebuilding the lost slave's forests from the LCP array.
-                forests=shared.forests_for(slave_id) if shared is not None else None,
-                now=tel.now() if clocked else None,
-            )
-            local_generated += produced
-            fault_counters.pairs_reassigned += admitted
-            if monitor is not None and admitted:
-                monitor.record_fault("pairs_reassigned", admitted)
             record_fault(
                 "master",
-                f"degraded recovery of slave{slave_id}: {requeued} in-flight "
-                f"pairs requeued, {admitted}/{produced} regenerated pairs admitted",
+                f"degraded recovery of slave{slave_id}: {lost.requeued} in-flight "
+                f"pairs requeued, {lost.admitted}/{lost.produced} regenerated "
+                f"pairs admitted",
             )
         flush_wait_queue(deaths)
+
+    def bury(deaths: set[int]) -> None:
+        """Recover from every death in ``deaths``, lowest id first; the
+        replies a recovery sends can find further dead pipes, which join
+        the set and are recovered in the same pass."""
+        done: set[int] = set()
+        while deaths - done:
+            k = min(deaths - done)
+            done.add(k)
+            handle_death(k, deaths)
 
     def drain_conn(handle: _SlaveHandle, deaths: set[int], *, first_blocking: bool) -> None:
         """Receive every available message from one slave.
@@ -722,257 +553,183 @@ def cluster_multiprocessing(
             if first_blocking:
                 handle_msg(handle, handle.conn.recv(), deaths)
             while (
-                not handle.finished
-                and handle.slave_id in live
+                handle.slave_id in live
                 and handle.slave_id not in deaths
                 and handle.conn.poll()
             ):
                 handle_msg(handle, handle.conn.recv(), deaths)
         except _PIPE_ERRORS:
             deaths.add(handle.slave_id)
-        if handle.finished:
-            live.pop(handle.slave_id, None)
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            handle.proc.join(timeout=5)
+
+    def run_protocol() -> None:
+        monitor = core.monitor
+        master_sampler = ResourceSampler()
+        last_master_sample = 0.0
+        last_sync = time.monotonic()
+        try:
+            for k in range(n_slaves):
+                live[k] = spawn(k, 0)
+        except BaseException:
+            # Spawning slave k failed: tear down the k-1 already
+            # running slaves (and their pipes) before propagating,
+            # so a partial startup never leaks handles.
+            for handle in live.values():
+                reap(handle)
+            live.clear()
+            raise
+
+        stall_polls = 0
+        # Keep looping until the protocol is finished AND every live
+        # slave has drained (final stats arrive after the stop reply);
+        # with nobody left to talk to, degrade below.
+        while live:
+            ready = wait(
+                [x for h in live.values() for x in (h.conn, h.proc.sentinel)],
+                timeout=tolerance.poll_interval,
+            )
+            deaths: set[int] = set()
+
+            wall = time.monotonic()
+            if monitor is not None and wall - last_master_sample >= monitor.interval:
+                last_master_sample = wall
+                monitor.on_sample(
+                    LiveSample(
+                        slave_id=MASTER_ID,
+                        ts=wall - t0,
+                        rss_bytes=master_sampler.rss_bytes(),
+                        cpu_seconds=master_sampler.cpu_seconds(),
+                    )
+                )
+            core.publish(wall - t0)
+
+            # Cross-shard union exchange on a wall-clock cadence (a
+            # single shard never syncs; the cadence is a pure
+            # latency/throughput knob, never a correctness one).
+            if n_shards > 1 and wall - last_sync >= config.shard_sync_interval:
+                last_sync = wall
+                t_sync = tel.now()
+                per_shard = master.sync(now=t_sync)
+                t_done = tel.now()
+                rec.compute(
+                    "master", t_sync, t_done,
+                    f"shard sync: {sum(a for a, _ in per_shard)} unions, "
+                    f"{sum(p for _, p in per_shard)} pruned",
+                )
+                for j in range(n_shards):
+                    shard_busy[j] += (t_done - t_sync) / n_shards
+                flush_wait_queue(deaths)
+
+            # Pipes first: a dying slave may have flushed final
+            # messages (or a typed error report) before exiting.
+            for k, handle in list(live.items()):
+                if handle.conn in ready and k not in deaths:
+                    drain_conn(handle, deaths, first_blocking=True)
+            for k, handle in list(live.items()):
+                if handle.proc.sentinel in ready and k in live and k not in deaths:
+                    drain_conn(handle, deaths, first_blocking=False)
+                    if k in live:
+                        deaths.add(k)  # process exited without a clean stop
+            # Deadlines: a slave that owes a message and has gone
+            # silent is dead to the protocol even if the OS still
+            # shows a process (hang/livelock).
+            now = time.monotonic()
+            for k, handle in list(live.items()):
+                if k in deaths or handle.expecting_since is None:
+                    continue
+                if now - handle.expecting_since > tolerance.slave_timeout:
+                    record_fault(f"slave{k}", "deadline exceeded")
+                    deaths.add(k)
+            bury(deaths)
+
+            # Stall guard: if nothing is in flight and nobody owes us
+            # a message, only the master could make progress — and it
+            # just declined to.  Raising beats hanging forever.
+            if ready or deaths:
+                stall_polls = 0
+            elif all(h.expecting_since is None for h in live.values()):
+                flush_wait_queue(deaths)
+                bury(deaths)
+                stall_polls += 1
+                if stall_polls > 2:
+                    raise RuntimeError(
+                        "parallel runtime stalled: every slave is parked, "
+                        "WORKBUF is empty, and the protocol cannot finish "
+                        f"({sorted(live)} live, "
+                        f"{sorted(master.stopped)} stopped)"
+                    )
+
+        if master.workbuf_depth:
+            # Only reachable when slaves died with restarts exhausted:
+            # their ranges were reabsorbed into WORKBUF but no slave
+            # survived to align them, so the master finishes the
+            # remaining alignments itself (last-resort degraded mode).
+            t_drain = tel.now()
+            for j in range(n_shards):
+                core.drain_locally(j, t_drain)
+            rec.compute("master", t_drain, tel.now(), "degraded: align locally")
+            record_fault(
+                "master",
+                f"finished degraded: aligned {core.local_aligned} pairs locally",
+            )
+        if not master.finished():  # pragma: no cover - protocol invariant
+            raise RuntimeError("runtime exited before every slave stopped")
+        core.publish(time.monotonic() - t0)
 
     try:
-        with tel.span("alignment"):
-            try:
-                for k in range(n_slaves):
-                    live[k] = spawn(k, 0)
-            except BaseException:
-                # Spawning slave k failed: tear down the k-1 already
-                # running slaves (and their pipes) before propagating,
-                # so a partial startup never leaks handles.
-                for handle in live.values():
-                    reap(handle)
-                live.clear()
-                raise
-
-            stall_polls = 0
-            # Keep looping until the protocol is finished AND every live
-            # slave has drained (final stats arrive after the stop reply).
-            while live or not master.finished():
-                if not live:
-                    break  # nobody left to talk to; degrade below
-
-                by_object: dict[object, tuple[int, str]] = {}
-                for k, handle in live.items():
-                    by_object[handle.conn] = (k, "conn")
-                    by_object[handle.proc.sentinel] = (k, "sentinel")
-                ready = wait(list(by_object), timeout=tolerance.poll_interval)
-                deaths: set[int] = set()
-
-                if monitor is not None:
-                    wall = time.monotonic()
-                    if wall - last_master_sample >= monitor.interval:
-                        last_master_sample = wall
-                        monitor.on_sample(
-                            LiveSample(
-                                slave_id=MASTER_ID,
-                                ts=wall - t0,
-                                rss_bytes=master_sampler.rss_bytes(),
-                                cpu_seconds=master_sampler.cpu_seconds(),
-                            )
-                        )
-                    stats_now = master.stats
-                    monitor.set_master(
-                        ts=wall - t0,
-                        workbuf_depth=master.workbuf_depth,
-                        messages=stats_now.messages,
-                        merges=stats_now.merges,
-                        pairs_dispatched=stats_now.pairs_dispatched,
-                    )
-                    if master.n_shards > 1:
-                        monitor.set_shards(master.shard_states())
-                    monitor.maybe_report(wall - t0)
-
-                # Cross-shard union exchange on a wall-clock cadence (a
-                # single shard never syncs; the cadence is a pure
-                # latency/throughput knob, never a correctness one).
-                if (
-                    n_shards > 1
-                    and time.monotonic() - last_sync >= config.shard_sync_interval
-                ):
-                    last_sync = time.monotonic()
-                    t_sync = tel.now() if rec is not None else 0.0
-                    per_shard = master.sync(now=tel.now() if clocked else None)
-                    if rec is not None:
-                        t_done = tel.now()
-                        applied = sum(a for a, _ in per_shard)
-                        pruned = sum(p for _, p in per_shard)
-                        rec.compute(
-                            "master", t_sync, t_done,
-                            f"shard sync: {applied} unions, {pruned} pruned",
-                        )
-                        for j in range(n_shards):
-                            shard_busy[j] += (t_done - t_sync) / n_shards
-                    flush_wait_queue(deaths)
-
-                # Pipes first: a dying slave may have flushed final
-                # messages (or a typed error report) before exiting.
-                for obj in ready:
-                    k, kind = by_object[obj]
-                    if kind != "conn":
-                        continue
-                    handle = live.get(k)
-                    if handle is None or k in deaths:
-                        continue
-                    drain_conn(handle, deaths, first_blocking=True)
-                for obj in ready:
-                    k, kind = by_object[obj]
-                    if kind != "sentinel":
-                        continue
-                    handle = live.get(k)
-                    if handle is None or k in deaths:
-                        continue
-                    drain_conn(handle, deaths, first_blocking=False)
-                    if k in live and k not in deaths:
-                        deaths.add(k)  # process exited without a clean stop
-                # Deadlines: a slave that owes a message and has gone
-                # silent is dead to the protocol even if the OS still
-                # shows a process (hang/livelock).
-                now = time.monotonic()
-                for k, handle in list(live.items()):
-                    if k in deaths or handle.expecting_since is None:
-                        continue
-                    if now - handle.expecting_since > tolerance.slave_timeout:
-                        record_fault(f"slave{k}", "deadline exceeded")
-                        deaths.add(k)
-                pending_deaths = sorted(deaths)
-                processed: set[int] = set()
-                while pending_deaths:
-                    k = pending_deaths.pop(0)
-                    if k in processed:
-                        continue
-                    processed.add(k)
-                    cascade: set[int] = set()
-                    handle_death(k, cascade)
-                    pending_deaths.extend(sorted(cascade - processed))
-                deaths |= processed
-
-                # Stall guard: if nothing is in flight and nobody owes us
-                # a message, only the master could make progress — and it
-                # just declined to.  Raising beats hanging forever.
-                if ready or deaths:
-                    stall_polls = 0
-                elif all(h.expecting_since is None for h in live.values()):
-                    flush_wait_queue(deaths)
-                    for k in sorted(deaths):
-                        handle_death(k, set())
-                    stall_polls += 1
-                    if stall_polls > 2:
-                        raise RuntimeError(
-                            "parallel runtime stalled: every slave is parked, "
-                            "WORKBUF is empty, and the protocol cannot finish "
-                            f"({sorted(live)} live, "
-                            f"{sorted(master.stopped)} stopped)"
-                        )
-
-            if master.workbuf_depth:
-                # Only reachable when slaves died with restarts exhausted:
-                # their ranges were reabsorbed into WORKBUF but no slave
-                # survived to align them, so the master finishes the
-                # remaining alignments itself (last-resort degraded mode).
-                if local_aligner is None:
-                    local_aligner = make_aligner(collection, config)
-                t_drain = tel.now() if rec is not None else 0.0
-                local_aligned += drain_workbuf(
-                    master, local_aligner, now=tel.now() if clocked else None
-                )
-                if rec is not None:
-                    rec.compute(
-                        "master", t_drain, tel.now(), "degraded: align locally"
-                    )
-                record_fault(
+        with monitored_run(
+            monitor,
+            config,
+            tel,
+            n_slaves,
+            engine="multiprocessing",
+            origin=t0,
+            # Flag stragglers well before the fault deadline declares
+            # them dead (sampling pauses with the slave, so staleness is
+            # the same signal the deadline machinery keys on).
+            straggler_after=tolerance.slave_timeout / 2,
+        ) as core.monitor:
+            if config.flight_dir is not None:
+                flight = FlightRecorder(
+                    config.flight_dir,
                     "master",
-                    f"finished degraded: aligned {local_aligned} pairs locally",
+                    run_id=tel.run_id
+                    or (core.monitor.run_id if core.monitor is not None else ""),
+                    clock=tel.now,  # valid (0-based wall offsets) even when disabled
+                    # Dump-time snapshot of master custody.
+                    state_provider=lambda: {"live": sorted(live), **master.custody()},
                 )
-            if not master.finished():  # pragma: no cover - protocol invariant
-                raise RuntimeError("runtime exited before every slave stopped")
-            if monitor is not None:
-                final_stats = master.stats
-                monitor.set_master(
-                    workbuf_depth=master.workbuf_depth,
-                    messages=final_stats.messages,
-                    merges=final_stats.merges,
-                    pairs_dispatched=final_stats.pairs_dispatched,
-                )
-                if master.n_shards > 1:
-                    monitor.set_shards(master.shard_states())
-                monitor.finish(time.monotonic() - t0)
+            with tel.span("alignment"):
+                run_protocol()
     except BaseException:
         # The coordinator itself is going down: capture what it knew.
         if flight is not None:
             flight.dump("crash", force=True)
         raise
     finally:
-        if monitor is not None and owns_monitor:
-            monitor.close()
-        for conn in all_conns:
+        for handle in spawned:
             try:
-                conn.close()
+                handle.conn.close()
             except OSError:
                 pass
-        for proc in all_procs:
-            proc.join(timeout=10)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
+        for handle in spawned:
+            handle.proc.join(timeout=10)
+            if handle.proc.is_alive():
+                handle.proc.terminate()
+                handle.proc.join(timeout=5)
         # Unlink the shared segments only after every slave is gone;
         # idempotent, and reached on clean completion, slave faults, and
         # KeyboardInterrupt alike.
         if shared is not None:
             shared.dispose()
 
-    # Slaves that never reported final stats (crashes) default to zeroed
-    # stats and are counted explicitly, rather than silently undercounted.
-    fault_counters.incomplete_slaves = n_slaves - len(stats)
-    local_dp_cells = local_aligner.dp_cells_total if local_aligner else 0
-    agg_stats = master.stats
-    counters = WorkCounters(
-        pairs_generated=sum(
-            stats.get(k, _ZERO_STATS).produced for k in range(n_slaves)
-        )
-        + local_generated,
-        pairs_skipped=agg_stats.pairs_skipped,
-        pairs_processed=sum(
-            stats.get(k, _ZERO_STATS).alignments for k in range(n_slaves)
-        )
-        + local_aligned,
-        pairs_accepted=agg_stats.results_accepted,
-        dp_cells=sum(stats.get(k, _ZERO_STATS).dp_cells for k in range(n_slaves))
-        + local_dp_cells,
-    )
-    snapshot = None
-    if telemetry is not None:
-        if causal is not None:
-            # Causal records join the span-event stream; the snapshot
-            # sorts all events onto the one run clock.
-            tel.events.extend(causal.as_records())
-        tel.record_faults(fault_counters)
-        tel.count("messages.exchanged", agg_stats.messages)
-        if n_shards > 1:
-            for j, busy_j in enumerate(shard_busy):
-                tel.set_gauge(f"busy.shard{j}.seconds", busy_j)
-            tel.count("shard.sync_rounds", master.sync_rounds)
-            tel.count("shard.unions_exchanged", master.unions_exchanged)
-            tel.count("shard.pairs_pruned", master.pairs_pruned)
-        snapshot = tel.snapshot(
-            engine="multiprocessing",
-            n_processors=n_processors,
-            clock="wall",
-        )
-    manager = master.combined()
-    return ClusteringResult(
-        n_ests=collection.n_ests,
-        clusters=manager.clusters(),
-        counters=counters,
-        timings=timings,
-        merges=list(manager.merges),
-        faults=fault_counters,
-        telemetry=snapshot,
+    return core.finish(
+        # Slaves that never reported final stats (crashes) count as
+        # incomplete rather than being silently undercounted.
+        ((s.produced, s.alignments, s.dp_cells) for s in stats.values()),
+        incomplete_slaves=n_slaves - len(stats),
+        messages=master.stats.messages,
+        shard_busy=shard_busy,
+        engine="multiprocessing",
+        n_processors=n_processors,
+        clock="wall",
     )

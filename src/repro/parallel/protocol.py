@@ -169,23 +169,19 @@ class MasterLogic:
         # so at most the two newest batches are ever outstanding.
         self.in_flight: dict[int, deque[tuple[Pair, ...]]] = {}
         self.stats = MasterStats()
-        #: Optional :class:`~repro.telemetry.latency.LatencyStore`.  When
-        #: set, the engine passes its clock as ``now=`` on every call and
-        #: the master observes ``queue_master`` (per-pair WORKBUF dwell)
-        #: and ``rtt`` (dispatch → results absorbed, per non-empty batch).
-        #: When ``None`` (the default) no timestamp bookkeeping happens at
-        #: all — the hot path is exactly the pre-latency code.
+        #: Optional :class:`~repro.telemetry.latency.LatencyStore`.  The
+        #: engine passes its clock as ``now=`` on every call; when a store
+        #: is set the master observes ``queue_master`` (per-pair WORKBUF
+        #: dwell) and ``rtt`` (dispatch → results absorbed, per non-empty
+        #: batch).  When ``None`` (the default) no timestamp bookkeeping
+        #: happens at all — the hot path is exactly the pre-latency code.
         self.latency = latency
         #: The work-allocation policy computing each reply's request size
         #: (:mod:`repro.parallel.dispatch`).  The default reproduces the
         #: paper's formula bit for bit.
         self.policy = make_policy(policy)
-        # Dispatch timestamps are kept for the latency store's rtt stage
-        # and for policies (PaceAware) that consume round-trip times even
-        # when latency tracing is off.
-        self._track_rtt = latency is not None or self.policy.wants_rtt
-        # Admission timestamps, aligned element-for-element with
-        # ``workbuf`` / ``in_flight`` while ``latency`` is set.
+        # Admission and dispatch timestamps, aligned element-for-element
+        # with ``workbuf`` / ``in_flight`` while ``latency`` is set.
         self._workbuf_ts: deque[float] = deque()
         self._flight_ts: dict[int, deque[float]] = {}
         #: Optional :class:`~repro.telemetry.causal.CausalRecorder`.  When
@@ -225,13 +221,13 @@ class MasterLogic:
 
     # ------------------------------------------------------------------ #
 
-    def on_message(self, msg: SlaveMsg, *, now: float | None = None) -> MasterMsg | None:
+    def on_message(self, msg: SlaveMsg, *, now: float = 0.0) -> MasterMsg | None:
         """Incorporate one slave message; return the reply, or ``None`` to
         park the slave on the wait queue (reply later via
         :meth:`drain_wait_queue`).
 
-        ``now`` is the engine's clock (wall or virtual) and is only
-        consulted when a latency store is attached.
+        ``now`` is the engine's clock (wall or virtual); it only stamps
+        latency observations and causal events.
         """
         self.stats.messages += 1
         self.pending_results[msg.slave_id] = msg.has_pending_results
@@ -243,16 +239,13 @@ class MasterLogic:
             funits = self._flight_units.get(msg.slave_id) if self.causal else None
             while len(flight) > 1:
                 batch = flight.popleft()
-                rtt = None
                 if fts:
                     sent = fts.popleft()
                     # A retired batch's results are in this message: its
                     # round trip ends here.  Empty batches (result-eliciting
                     # pings) carry no work unit, so they don't observe.
-                    if batch and now is not None:
-                        rtt = now - sent
-                        if self.latency is not None:
-                            self.latency.observe("rtt", rtt)
+                    if batch:
+                        self.latency.observe("rtt", now - sent)
                 if funits:
                     units = funits.popleft()
                     if batch:
@@ -260,11 +253,11 @@ class MasterLogic:
                             "absorbed",
                             units,
                             actor=self.causal_actor,
-                            ts=now if now is not None else 0.0,
+                            ts=now,
                             slave=msg.slave_id,
                         )
                 if batch:
-                    self.policy.note_retired(msg.slave_id, len(batch), rtt)
+                    self.policy.note_retired(msg.slave_id, len(batch))
 
         # 1. Update CLUSTERS from the R results.
         for pair, result, accepted in msg.results:
@@ -301,13 +294,12 @@ class MasterLogic:
 
         return self._reply_for(msg.slave_id, len(msg.pairs), admitted, now)
 
-    def _stamp_admissions(self, n: int, now: float | None) -> None:
+    def _stamp_admissions(self, n: int, now: float) -> None:
         """Extend ``_workbuf_ts`` to mirror ``n`` pairs just appended."""
-        t = now if now is not None else 0.0
-        self._workbuf_ts.extend(t for _ in range(n))
+        self._workbuf_ts.extend(now for _ in range(n))
 
     def _admit_traced(
-        self, pairs: tuple[Pair, ...], units: tuple[int, ...], now: float | None
+        self, pairs: tuple[Pair, ...], units: tuple[int, ...], now: float
     ) -> int:
         """The admission loop with unit mirroring: same filter, plus the
         unit id of every admitted pair lands in ``_workbuf_units`` and
@@ -326,16 +318,15 @@ class MasterLogic:
                 admitted += 1
             else:
                 dropped[unit] = dropped.get(unit, 0) + 1
-        t = now if now is not None else 0.0
         for unit, n in kept.items():
             if unit != NO_UNIT:
                 self.causal.record(
-                    "admitted", unit, n, actor=self.causal_actor, ts=t
+                    "admitted", unit, n, actor=self.causal_actor, ts=now
                 )
         for unit, n in dropped.items():
             if unit != NO_UNIT:
                 self.causal.record(
-                    "pruned", unit, n, actor=self.causal_actor, ts=t,
+                    "pruned", unit, n, actor=self.causal_actor, ts=now,
                     reason="admission",
                 )
         return admitted
@@ -354,7 +345,7 @@ class MasterLogic:
         self.stats.pairs_examined += len(in_flight)
 
     def _next_wave(
-        self, now: float | None, *, exact: bool = False
+        self, now: float, *, exact: bool = False
     ) -> tuple[tuple[Pair, ...], list[float], tuple[int, ...]]:
         """Pop the next conflict-free wave (at most one batchsize) off
         WORKBUF, with its admission stamps and unit ids (empty when the
@@ -391,7 +382,7 @@ class MasterLogic:
         return wave
 
     def _walk_workbuf(
-        self, now: float | None
+        self, now: float
     ) -> tuple[tuple[Pair, ...], list[float], tuple[int, ...]]:
         """One :func:`next_wave` over WORKBUF past its parked head, with
         the stamp and unit queues (when in use) kept in step."""
@@ -433,7 +424,7 @@ class MasterLogic:
                 "pruned",
                 stale_units,
                 actor=self.causal_actor,
-                ts=now if now is not None else 0.0,
+                ts=now,
                 reason="dispatch",
             )
         return tuple(work), stamps, tuple(units)
@@ -451,22 +442,20 @@ class MasterLogic:
         return True
 
     def _take_work(
-        self, now: float | None, *, exact: bool = False
+        self, now: float, *, exact: bool = False
     ) -> tuple[tuple[Pair, ...], tuple[int, ...]]:
         """The next wave as a work batch for a slave and its unit ids,
         observing per-pair WORKBUF dwell time when latency tracing is on."""
         if not self.workbuf:
             return (), ()
         work, stamps, units = self._next_wave(now, exact=exact)
-        if stamps:
-            t = now if now is not None else 0.0
-            for stamp in stamps:
-                self.latency.observe("queue_master", t - stamp)
+        for stamp in stamps:
+            self.latency.observe("queue_master", now - stamp)
         self.stats.pairs_dispatched += len(work)
         return work, units
 
     def _reply_for(
-        self, slave_id: int, p: int, p_prime: int, now: float | None = None
+        self, slave_id: int, p: int, p_prime: int, now: float = 0.0
     ) -> MasterMsg | None:
         # W: up to batchsize pairs of work.
         work, units = self._take_work(now)
@@ -490,17 +479,15 @@ class MasterLogic:
         work: tuple[Pair, ...],
         units: tuple[int, ...],
         request: int,
-        now: float | None,
+        now: float,
     ) -> MasterMsg:
         """Record a (possibly empty) dispatched batch and build its reply;
         emptiness matters because receipt bookkeeping relies on strict
         reply/message alternation per slave."""
         self.in_flight.setdefault(slave_id, deque()).append(work)
         self.policy.note_dispatch(slave_id, len(work))
-        if self._track_rtt:
-            self._flight_ts.setdefault(slave_id, deque()).append(
-                now if now is not None else 0.0
-            )
+        if self.latency is not None:
+            self._flight_ts.setdefault(slave_id, deque()).append(now)
         if self.causal is None:
             return MasterMsg(work=work, request=request)
         self._flight_units.setdefault(slave_id, deque()).append(units)
@@ -508,7 +495,7 @@ class MasterLogic:
             "dispatched",
             units,
             actor=self.causal_actor,
-            ts=now if now is not None else 0.0,
+            ts=now,
             slave=slave_id,
         )
         return MasterMsg(work=work, request=request, work_units=units)
@@ -521,7 +508,7 @@ class MasterLogic:
         self.policy.note_slave_stopped(slave_id)
 
     def _compute_request(
-        self, slave_id: int, p: int, p_prime: int, now: float | None = None
+        self, slave_id: int, p: int, p_prime: int, now: float = 0.0
     ) -> int:
         """Grant size E for this reply, delegated to the dispatch policy.
 
@@ -560,9 +547,7 @@ class MasterLogic:
 
     # ------------------------------------------------------------------ #
 
-    def drain_wait_queue(
-        self, *, now: float | None = None
-    ) -> list[tuple[int, MasterMsg]]:
+    def drain_wait_queue(self, *, now: float = 0.0) -> list[tuple[int, MasterMsg]]:
         """Replies owed to wait-queued slaves, issued when work appeared or
         global termination became decidable.  Call after every
         :meth:`on_message`.
@@ -623,7 +608,7 @@ class MasterLogic:
     # Fault transitions (engine-driven; see repro.parallel.faults).
     # ------------------------------------------------------------------ #
 
-    def slave_lost(self, slave_id: int, *, now: float | None = None) -> int:
+    def slave_lost(self, slave_id: int, *, now: float = 0.0) -> int:
         """Drop a dead slave from the protocol.
 
         The slave leaves the wait queue, stops counting toward
@@ -671,17 +656,16 @@ class MasterLogic:
                         requeued += 1
                     else:
                         dropped[unit] = dropped.get(unit, 0) + 1
-            t = now if now is not None else 0.0
             for unit, n in kept.items():
                 if unit != NO_UNIT:
                     self.causal.record(
-                        "requeued", unit, n, actor=self.causal_actor, ts=t,
+                        "requeued", unit, n, actor=self.causal_actor, ts=now,
                         slave=slave_id,
                     )
             for unit, n in dropped.items():
                 if unit != NO_UNIT:
                     self.causal.record(
-                        "pruned", unit, n, actor=self.causal_actor, ts=t,
+                        "pruned", unit, n, actor=self.causal_actor, ts=now,
                         slave=slave_id, reason="requeue",
                     )
         if self.latency is not None and requeued:
@@ -707,7 +691,7 @@ class MasterLogic:
         # The replacement process starts with nothing in flight.
         self.policy.note_slave_lost(slave_id)
 
-    def prune_workbuf(self, *, now: float | None = None) -> int:
+    def prune_workbuf(self, *, now: float = 0.0) -> int:
         """Drop WORKBUF pairs whose ESTs became co-clustered out-of-band
         (foreign unions absorbed during a cross-shard merge).  Admission
         already filters co-clustered pairs, but a merge learned from
@@ -732,7 +716,7 @@ class MasterLogic:
                 "pruned",
                 (u for u, skip in zip(self._workbuf_units, redundant) if skip),
                 actor=self.causal_actor,
-                ts=now if now is not None else 0.0,
+                ts=now,
                 reason="sync",
             )
             self._workbuf_units = deque(
@@ -745,7 +729,7 @@ class MasterLogic:
         self.stats.pairs_pruned += pruned
         return pruned
 
-    def align_locally(self, aligner: PairAligner, *, now: float | None = None) -> int:
+    def align_locally(self, aligner: PairAligner, *, now: float = 0.0) -> int:
         """Align what is left in WORKBUF in the master itself, wave by
         wave — the last-resort degraded mode when no slave survives to be
         sent work.  Returns the number of alignments performed.
@@ -772,13 +756,13 @@ class MasterLogic:
                     "absorbed",
                     units,
                     actor=self.causal_actor,
-                    ts=now if now is not None else 0.0,
+                    ts=now,
                     reason="drain",
                 )
             aligned += len(work)
         return aligned
 
-    def absorb_pairs(self, pairs: Iterable[Pair], *, now: float | None = None) -> int:
+    def absorb_pairs(self, pairs: Iterable[Pair], *, now: float = 0.0) -> int:
         """Admit engine-regenerated pairs (degraded recovery) through the
         normal selection filter.  Returns the number admitted.
 
@@ -802,9 +786,8 @@ class MasterLogic:
                 self._recovery_mint = UnitMinter(-1, self.causal_shard)
             pairs = tuple(pairs)
             unit = self._recovery_mint()
-            t = now if now is not None else 0.0
             self.causal.record(
-                "generated", unit, len(pairs), actor=self.causal_actor, ts=t,
+                "generated", unit, len(pairs), actor=self.causal_actor, ts=now,
                 reason="recovery",
             )
             admitted = self._admit_traced(pairs, (unit,) * len(pairs), now)

@@ -30,9 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.manager import ClusterManager, MergeRecord
+from repro.cluster.manager import ClusterManager
 from repro.parallel.partition import assign_buckets
 from repro.parallel.protocol import MasterLogic, MasterMsg, MasterStats, SlaveMsg
+from repro.telemetry.causal import format_unit
 
 __all__ = ["ShardPlan", "plan_shards", "MasterShard", "ShardedMaster"]
 
@@ -145,7 +146,7 @@ class MasterShard:
         return edges
 
     def absorb_unions(
-        self, edges: list[tuple[int, int]], *, now: float | None = None
+        self, edges: list[tuple[int, int]], *, now: float = 0.0
     ) -> tuple[int, int]:
         """Apply foreign accepted-pair edges; returns ``(applied, pruned)``."""
         applied = 0
@@ -154,29 +155,6 @@ class MasterShard:
                 applied += 1
         pruned = self.logic.prune_workbuf(now=now) if applied else 0
         return applied, pruned
-
-
-class _PolicyFanout:
-    """Facade over the per-shard dispatch policies, presenting the subset
-    of the policy surface the engines touch on the master object."""
-
-    def __init__(self, shards: list[MasterShard]) -> None:
-        self._shards = shards
-
-    @property
-    def wants_rtt(self) -> bool:
-        return any(s.logic.policy.wants_rtt for s in self._shards)
-
-    def attach_signals(self, stragglers) -> None:
-        for shard in self._shards:
-            shard.logic.policy.attach_signals(stragglers)
-
-    def debug_state(self) -> dict:
-        """Per-shard policy internals (flight-recorder dumps read this)."""
-        return {
-            f"shard{shard.shard_id}": shard.logic.policy.debug_state()
-            for shard in self._shards
-        }
 
 
 class ShardedMaster:
@@ -224,7 +202,6 @@ class ShardedMaster:
             )
             for j in range(plan.n_shards)
         ]
-        self.policy = _PolicyFanout(self.shards)
         self.sync_rounds = 0
         self.unions_exchanged = 0
         self.pairs_pruned = 0
@@ -241,22 +218,14 @@ class ShardedMaster:
     def shard_for(self, slave_id: int) -> MasterShard:
         return self.shards[self.plan.slave_shard[slave_id]]
 
-    def on_message(self, msg: SlaveMsg, *, now: float | None = None) -> MasterMsg | None:
+    def on_message(self, msg: SlaveMsg, *, now: float = 0.0) -> MasterMsg | None:
         return self.shard_for(msg.slave_id).logic.on_message(msg, now=now)
 
-    def drain_wait_queue(
-        self, *, now: float | None = None
-    ) -> list[tuple[int, MasterMsg]]:
+    def drain_wait_queue(self, *, now: float = 0.0) -> list[tuple[int, MasterMsg]]:
         replies: list[tuple[int, MasterMsg]] = []
         for shard in self.shards:
             replies.extend(shard.logic.drain_wait_queue(now=now))
         return replies
-
-    def slave_lost(self, slave_id: int, *, now: float | None = None) -> int:
-        return self.shard_for(slave_id).logic.slave_lost(slave_id, now=now)
-
-    def slave_revived(self, slave_id: int) -> None:
-        self.shard_for(slave_id).logic.slave_revived(slave_id)
 
     def finished(self) -> bool:
         return all(shard.logic.finished() for shard in self.shards)
@@ -301,6 +270,28 @@ class ShardedMaster:
             agg.pairs_examined += st.pairs_examined
         return agg
 
+    def custody(self) -> dict:
+        """What the master holds right now, for flight-recorder dumps:
+        queue depth, stopped slaves, each shard's dispatch-policy view
+        and — under causal tracing — the work units in flight per slave."""
+        units: dict[str, list[str]] = {}
+        for shard in self.shards:
+            for sid, batches in shard.logic._flight_units.items():
+                names = sorted(
+                    {format_unit(u) for batch in batches for u in batch if u >= 0}
+                )
+                if names:
+                    units.setdefault(str(sid), []).extend(names)
+        return {
+            "workbuf_depth": self.workbuf_depth,
+            "stopped": sorted(self.stopped),
+            "policy": {
+                f"shard{shard.shard_id}": shard.logic.policy.debug_state()
+                for shard in self.shards
+            },
+            "in_flight_units": units,
+        }
+
     def shard_states(self) -> list[dict]:
         """Per-shard monitor view: slave liveness, queue depth and the
         dispatch/sync/prune counters.  Plain JSON-serialisable dicts so
@@ -333,7 +324,7 @@ class ShardedMaster:
 
     # ---- cross-shard merge -------------------------------------------- #
 
-    def sync(self, *, now: float | None = None) -> list[tuple[int, int]]:
+    def sync(self, *, now: float = 0.0) -> list[tuple[int, int]]:
         """One all-to-all union exchange; returns per-shard
         ``(applied, pruned)`` so engines can attribute the cost.
 
@@ -385,6 +376,3 @@ class ShardedMaster:
             for rec in shard.logic.manager.merges:
                 combined.merge(rec.pair, rec.result)
         return combined
-
-    def merge_records(self) -> list[MergeRecord]:
-        return list(self.combined().merges)

@@ -76,6 +76,7 @@ from repro.telemetry.live import (
 )
 from repro.telemetry.monitor import (
     RunMonitor,
+    monitored_run,
     render_progress_table,
     render_prometheus,
 )
@@ -117,6 +118,7 @@ __all__ = [
     "ResourceSampler",
     "replay_live_records",
     "RunMonitor",
+    "monitored_run",
     "render_prometheus",
     "render_progress_table",
     "snapshot_records",

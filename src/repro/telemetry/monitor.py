@@ -18,7 +18,8 @@ monitoring is requested (``ClusteringConfig.monitor_port`` /
 Thread model: engine callbacks (``on_sample``, ``record_fault``, …)
 mutate the state under one lock; the HTTP handler renders under the same
 lock.  When ``monitor is None`` nothing here is ever imported on a hot
-path — the engines guard every call site.
+path — the engines guard every call site.  Every engine brackets its run
+with :func:`monitored_run`, which owns the monitor's lifecycle.
 
 Metric naming follows the Prometheus conventions: ``pace_`` prefix,
 ``_total`` suffix on counters, base units in the name (``_bytes``,
@@ -31,6 +32,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import IO
@@ -38,7 +40,12 @@ from typing import IO
 from repro.telemetry.live import LiveRunState, LiveSample
 from repro.util.logging import StructuredLogger, get_logger, new_run_id
 
-__all__ = ["RunMonitor", "render_prometheus", "render_progress_table"]
+__all__ = [
+    "RunMonitor",
+    "monitored_run",
+    "render_prometheus",
+    "render_progress_table",
+]
 
 
 # --------------------------------------------------------------------- #
@@ -516,15 +523,6 @@ class RunMonitor:
             if self.state is not None:
                 self.state.slave_stopped(slave_id)
 
-    def straggler_ids(self) -> tuple[int, ...]:
-        """Slaves currently flagged as stragglers (stale samples), as a
-        thread-safe snapshot.  Pace-aware dispatch policies poll this as
-        their live signal; before :meth:`begin_run` it is empty."""
-        with self._lock:
-            if self.state is None:
-                return ()
-            return tuple(self.state.stragglers())
-
     def finish(self, total_time: float | None = None) -> None:
         """The run completed: pin progress to 1.0, flush a final state
         record and a final status line."""
@@ -608,3 +606,56 @@ class RunMonitor:
             if self.state is None:
                 return {"run_id": self.run_id, "slaves": [], "progress": 0.0}
             return self.state.as_dict()
+
+
+@contextmanager
+def monitored_run(
+    monitor: RunMonitor | None,
+    config,
+    telemetry,
+    n_slaves: int,
+    *,
+    engine: str,
+    clock: str = "wall",
+    origin: float | None = None,
+    straggler_after: float = 30.0,
+):
+    """The monitor's lifecycle around one clustering run, for every engine.
+
+    Borrows ``monitor`` when the caller passed one, else creates (and
+    owns) one when ``config.monitor_port`` is set, else yields ``None``.
+    On entry it shares the monitor's run id with an enabled ``telemetry``
+    session (so the live stream and the post-run trace can be joined),
+    performs the ``begin_run`` handshake and attaches the session's
+    registry (latency quantiles on ``/metrics``).  A clean exit finishes
+    the run at the last clock reading the engine published; an exception
+    skips that, so a dead run is never reported as complete.  An owned
+    monitor is closed either way — its HTTP thread and port must not
+    outlive a run that raised.  Stragglers are flagged after
+    ``max(2 * interval, straggler_after)`` of sample silence.
+    """
+    owned = monitor is None and config.monitor_port is not None
+    if owned:
+        monitor = RunMonitor(
+            port=config.monitor_port, interval=config.monitor_interval
+        )
+    if monitor is None:
+        yield None
+        return
+    try:
+        if telemetry.enabled and not telemetry.run_id:
+            telemetry.run_id = monitor.run_id
+        state = monitor.begin_run(
+            n_slaves,
+            engine=engine,
+            clock=clock,
+            origin=origin,
+            straggler_after=max(2 * monitor.interval, straggler_after),
+        )
+        if telemetry.enabled:
+            monitor.attach_registry(telemetry.registry)
+        yield monitor
+        monitor.finish(state.now)
+    finally:
+        if owned:
+            monitor.close()

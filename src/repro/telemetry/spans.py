@@ -17,9 +17,11 @@ One :class:`Telemetry` object accompanies one clustering run.  It owns
 The **disabled** mode (``Telemetry(enabled=False)``) is the hot-path
 default used when no caller asked for telemetry: spans still accumulate
 phase seconds (results always carry timings, as they did before this
-layer existed) but no events are recorded and the per-item instruments
-(`count`/`observe`/`set_gauge`) become no-ops, keeping the overhead of an
-uninstrumented run indistinguishable from the old ``TimingBreakdown``.
+layer existed) but no events are recorded (the trace recorder is a
+:class:`~repro.telemetry.trace.NullTraceRecorder`) and the per-item
+instruments (`count`/`observe`/`set_gauge`) become no-ops, keeping the
+overhead of an uninstrumented run indistinguishable from the old
+``TimingBreakdown``.
 
 Timestamps are seconds since the session ``origin`` (``time.monotonic``
 based, so recorders in forked slave processes that share the master's
@@ -35,7 +37,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.trace import TraceRecorder
+from repro.telemetry.trace import NullTraceRecorder, TraceRecorder
 
 __all__ = ["Telemetry", "TelemetrySnapshot", "SPAN_PREFIX", "SPAN_SUFFIX"]
 
@@ -93,7 +95,7 @@ class Telemetry:
         #: Shared with the monitor's live stream when both are active, so
         #: post-run traces and live scrapes can be joined on it.
         self.run_id = run_id
-        self.trace = TraceRecorder()
+        self.trace = TraceRecorder() if enabled else NullTraceRecorder()
         self.events: list[dict] = []
         self._stack: list[int] = []
         self._next_id = 0

@@ -22,7 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["TraceEvent", "TraceRecorder", "render_timeline", "utilisation"]
+__all__ = [
+    "TraceEvent",
+    "TraceRecorder",
+    "NullTraceRecorder",
+    "render_timeline",
+    "utilisation",
+]
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,19 @@ class TraceRecorder:
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+class NullTraceRecorder(TraceRecorder):
+    """The recorder of a disabled telemetry session: drops every event,
+    so engine call sites record unconditionally instead of guarding."""
+
+    def send(self, actor: str, at: float, detail: str = "") -> None:
+        pass
+
+    recv = fault = send
+
+    def compute(self, actor: str, start: float, end: float, detail: str = "") -> None:
+        pass
 
 
 def utilisation(trace: TraceRecorder, total_time: float) -> dict[str, float]:

@@ -1,5 +1,5 @@
 """Dispatch-policy seam tests: the paper formula's edge cases through the
-policy interface, JBSQ/PaceAware behaviour, the slave-lost mirror-clearing
+policy interface, JBSQ behaviour, the slave-lost mirror-clearing
 regression, config/CLI plumbing, and cluster-oracle parity on both
 engines."""
 
@@ -14,7 +14,6 @@ from repro.parallel import (
     JBSQ,
     DispatchPolicy,
     MasterLogic,
-    PaceAware,
     PaperFormula,
     RequestContext,
     cluster_multiprocessing,
@@ -64,7 +63,6 @@ class TestPolicyFactory:
         assert make_policy("paper").name == "paper"
         assert make_policy("jbsq").name == "jbsq:2"
         assert make_policy("jbsq:5").name == "jbsq:5"
-        assert make_policy("pace").name == "pace"
 
     def test_instance_passthrough(self):
         pol = JBSQ(k=3)
@@ -243,77 +241,11 @@ class TestSlaveLostMirror:
         assert pol.queue_depth(0) == (0, 0)
 
 
-class TestPaceAware:
-    def _warm(self, pol, rtts):
-        for sid, values in rtts.items():
-            for v in values:
-                pol.note_dispatch(sid, 5)
-                pol.note_retired(sid, 5, v)
-
-    def test_laggard_shrunk_fast_peers_not(self):
-        pol = PaceAware(min_samples=4)
-        self._warm(pol, {
-            0: [1.0] * 6, 1: [1.0] * 6, 2: [1.1] * 6, 3: [5.0] * 6,
-        })
-        assert pol.pace_factor(0) == 1.0
-        assert pol.pace_factor(3) == pytest.approx(max(0.25, 1.0 / 5.0))
-        assert pol.request(_ctx(slave_id=3)) < pol.request(_ctx(slave_id=0))
-
-    def test_too_few_samples_full_grant(self):
-        pol = PaceAware(min_samples=4)
-        self._warm(pol, {0: [1.0] * 6, 3: [9.0] * 3})  # 3 < min_samples
-        assert pol.pace_factor(3) == 1.0
-
-    def test_single_measured_slave_full_grant(self):
-        pol = PaceAware(min_samples=2)
-        self._warm(pol, {0: [5.0] * 4})
-        # No fleet to lag behind.
-        assert pol.pace_factor(0) == 1.0
-
-    def test_monitor_signal_clamps_to_floor(self):
-        pol = PaceAware(floor=0.25)
-        pol.attach_signals(lambda: (2,))
-        assert pol.pace_factor(2) == 0.25
-        assert pol.pace_factor(0) == 1.0
-        assert pol.request(_ctx(slave_id=2)) == 2  # int(10 * 0.25)
-
-    def test_slave_lost_forgets_history(self):
-        pol = PaceAware(min_samples=2)
-        self._warm(pol, {0: [1.0] * 4, 1: [1.0] * 4, 3: [9.0] * 4})
-        assert pol.pace_factor(3) < 1.0
-        pol.note_slave_lost(3)
-        assert pol.pace_factor(3) == 1.0
-
-    def test_wants_rtt_tracks_without_latency_store(self):
-        # A pace master with telemetry OFF must still see round trips.
-        m = MasterLogic(
-            n_ests=60, n_slaves=1, batchsize=3, workbuf_capacity=100,
-            policy=PaceAware(),
-        )
-        assert m._track_rtt
-        pairs = [_mk_pair(2 * k, 2 * k + 1) for k in range(15)]
-        m.on_message(_msg(0, pairs=pairs[:5]), now=0.0)
-        m.on_message(_msg(0, pairs=pairs[5:10]), now=1.0)
-        m.on_message(_msg(0, pairs=pairs[10:]), now=2.5)
-        pol = m.policy
-        assert 0 in pol._rtts and len(pol._rtts[0]) >= 1
-        # Results cover all dispatched batches except the newest, so the
-        # batch dispatched at 0.0 is only confirmed retired by the third
-        # message at 2.5.
-        assert pol._rtts[0][0] == pytest.approx(2.5)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            PaceAware(floor=0.0)
-        with pytest.raises(ValueError):
-            PaceAware(lag=0.9)
-
-
 class TestConfigAndCli:
     def test_config_default_paper(self):
         assert ClusteringConfig().dispatch_policy == "paper"
 
-    @pytest.mark.parametrize("spec", ["paper", "jbsq", "jbsq:3", "pace"])
+    @pytest.mark.parametrize("spec", ["paper", "jbsq", "jbsq:3"])
     def test_config_accepts_valid(self, spec):
         assert ClusteringConfig(dispatch_policy=spec).dispatch_policy == spec
 
@@ -325,12 +257,15 @@ class TestConfigAndCli:
             ClusteringConfig(dispatch_policy=spec)
 
     def test_config_grammar_matches_dispatch(self):
-        # The inline validation in ClusteringConfig (which cannot import
-        # repro.parallel.dispatch — circular) must accept exactly what
-        # parse_policy accepts on the shared cases.
-        for spec in ("paper", "jbsq", "jbsq:7", "pace"):
-            parse_policy(spec)
-            ClusteringConfig(dispatch_policy=spec)
+        # One grammar: the config validates with the very function the
+        # dispatch module re-exports, so the two cannot diverge.
+        from repro.core import config
+
+        assert parse_policy is config.parse_policy
+        for spec in ("paper", "jbsq", "jbsq:7"):
+            assert make_policy(spec).name == make_policy(
+                ClusteringConfig(dispatch_policy=spec).dispatch_policy
+            ).name
 
     def test_cli_flag_parsed(self):
         args = build_parser().parse_args(
@@ -362,7 +297,7 @@ class TestEngineOracle:
 
     def test_sim_all_policies_match_sequential(self, small_bench, small_config):
         seq = PaceClusterer(small_config).cluster(small_bench.collection).clusters
-        for policy in ("paper", "jbsq:2", "pace"):
+        for policy in ("paper", "jbsq:2"):
             rep = simulate_clustering(
                 small_bench.collection,
                 small_config,

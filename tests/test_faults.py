@@ -22,11 +22,11 @@ from repro.parallel import (
     MasterLogic,
     SlaveFailure,
     SlaveMsg,
-    TraceRecorder,
     cluster_multiprocessing,
     run_parallel,
     simulate_clustering,
 )
+from repro.telemetry import Telemetry
 
 #: Generous wall-clock budget per test: recovery involves real forks,
 #: detection polls and (in one test) a deliberate 1 s deadline.
@@ -165,7 +165,7 @@ class TestMultiprocessingRecovery:
         plan = FaultPlan.of(
             FaultSpec(slave_id=0, kind="kill", at_message=0, incarnation=None)
         )
-        trace = TraceRecorder()
+        tel = Telemetry()
         with hard_deadline():
             cluster_multiprocessing(
                 small_benchmark.collection,
@@ -173,9 +173,9 @@ class TestMultiprocessingRecovery:
                 n_processors=3,
                 faults=plan,
                 tolerance=_tolerance(),
-                trace=trace,
+                telemetry=tel,
             )
-        faults = trace.faults()
+        faults = tel.trace.faults()
         assert any("lost" in e.detail for e in faults)
         assert any(e.actor == "master" for e in faults)
 
@@ -278,19 +278,63 @@ class TestSimulatedRecovery:
         plan = FaultPlan.of(
             FaultSpec(slave_id=0, kind="kill", at_message=1, incarnation=None)
         )
-        trace = TraceRecorder()
+        tel = Telemetry()
         machine = SimulatedMachine(
             small_benchmark.collection,
             small_config,
             n_processors=3,
-            trace=trace,
+            telemetry=tel,
             faults=plan,
             tolerance=FaultTolerance(detection_delay=0.001),
         )
         machine.run()
-        kinds = {e.kind for e in trace.events}
+        kinds = {e.kind for e in tel.trace.events}
         assert "fault" in kinds
-        assert any("crashed" in e.detail for e in trace.faults())
+        assert any("crashed" in e.detail for e in tel.trace.faults())
+
+
+class TestEngineParityUnderFaults:
+    def test_same_plan_same_accounting_on_both_engines(
+        self, small_benchmark, small_config, sequential_clusters
+    ):
+        """One FaultPlan, two shards, both engines: the recovery path is
+        the engine core's, so everything that does not depend on timing —
+        who was lost, who never reported, pair conservation, the
+        partition — must come out the same.  (A crashed slave's own
+        counts are left out by both: it never reports.)"""
+        import dataclasses
+
+        cfg = dataclasses.replace(small_config, master_shards=2)
+        plan = FaultPlan.of(
+            FaultSpec(slave_id=1, kind="kill", at_message=0, incarnation=None),
+            FaultSpec(slave_id=2, kind="kill", at_message=0, incarnation=None),
+        )
+        sim = simulate_clustering(
+            small_benchmark.collection,
+            cfg,
+            n_processors=5,
+            faults=plan,
+            tolerance=FaultTolerance(detection_delay=0.001),
+        ).result
+        with hard_deadline():
+            real = cluster_multiprocessing(
+                small_benchmark.collection,
+                cfg,
+                n_processors=5,
+                faults=plan,
+                tolerance=_tolerance(max_restarts=0),
+            )
+        assert sim.clusters == real.clusters == sequential_clusters
+        for field in ("slaves_lost", "restarts", "incomplete_slaves", "slave_errors"):
+            assert getattr(sim.faults, field) == getattr(real.faults, field), field
+        assert sim.faults.slaves_lost == sim.faults.incomplete_slaves == 2
+        for counters in (sim.counters, real.counters):
+            assert counters.pairs_generated == (
+                counters.pairs_skipped + counters.pairs_processed
+            )
+        # Both regenerated the same dead ranges and every survivor
+        # generated its own to the end.
+        assert sim.counters.pairs_generated == real.counters.pairs_generated
 
 
 def _mk_pair(i, j, length=12):

@@ -410,6 +410,65 @@ class TestEngineIntegration:
         assert all(v.samples > 0 for v in st.slaves.values())
 
 
+class TestOwnedMonitorLifecycle:
+    """Regression: an engine that created its own monitor from
+    ``config.monitor_port`` closed it only on success, so a run that
+    raised left the HTTP thread serving and the port bound, and the next
+    run in the process on the same fixed port died with EADDRINUSE."""
+
+    @staticmethod
+    def _free_port() -> int:
+        import socket
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            return sock.getsockname()[1]
+
+    @pytest.mark.parametrize("engine", ["sequential", "simulated"])
+    def test_port_is_free_again_after_a_run_that_raised(
+        self, engine, small_benchmark, small_config, monkeypatch
+    ):
+        import dataclasses
+
+        import repro.core.pipeline
+        import repro.parallel.engine
+
+        cfg = dataclasses.replace(small_config, monitor_port=self._free_port())
+
+        def run():
+            if engine == "sequential":
+                return PaceClusterer(cfg).cluster(small_benchmark.collection)
+            return simulate_clustering(
+                small_benchmark.collection, cfg, n_processors=3
+            ).result
+
+        class Boom(RuntimeError):
+            pass
+
+        def exploding_aligner(*args, **kwargs):
+            class Aligner:
+                dp_cells_total = model_cells_total = 0
+
+                def align_and_decide(self, pair):
+                    raise Boom("aligner failed mid-run")
+
+                def align_and_decide_batch(self, pairs):
+                    raise Boom("aligner failed mid-run")
+
+            return Aligner()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.core.pipeline, "make_aligner", exploding_aligner)
+            patch.setattr(repro.parallel.engine, "make_aligner", exploding_aligner)
+            with pytest.raises(Boom):
+                run()
+        # Same process, same fixed port: must bind, and nobody may still
+        # be serving the dead run there.
+        with pytest.raises((urllib.error.URLError, ConnectionError)):
+            _scrape(cfg.monitor_port, "/healthz")
+        assert run().clusters
+
+
 # --------------------------------------------------------------------- #
 # the acceptance scenario: a lost slave is visible mid-run
 # --------------------------------------------------------------------- #

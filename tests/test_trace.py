@@ -4,17 +4,18 @@ rendering."""
 import pytest
 
 from repro.parallel import SimulatedMachine
-from repro.parallel.trace import TraceEvent, TraceRecorder, render_timeline, utilisation
+from repro.telemetry import Telemetry
+from repro.telemetry.trace import TraceEvent, TraceRecorder, render_timeline, utilisation
 
 
 @pytest.fixture()
 def traced_run(small_benchmark, small_config):
-    trace = TraceRecorder()
+    tel = Telemetry()
     machine = SimulatedMachine(
-        small_benchmark.collection, small_config, n_processors=4, trace=trace
+        small_benchmark.collection, small_config, n_processors=4, telemetry=tel
     )
     report = machine.run()
-    return trace, report
+    return tel.trace, report
 
 
 class TestTraceRecorder:
@@ -80,7 +81,7 @@ class TestSimulatorTracing:
             small_benchmark.collection,
             small_config,
             n_processors=4,
-            trace=TraceRecorder(),
+            telemetry=Telemetry(),
         ).run()
         assert plain.result.clusters == traced.result.clusters
         assert plain.total_time == traced.total_time
