@@ -22,7 +22,8 @@ from repro.align import (
 from repro.cluster import UnionFind
 from repro.pairs import SaPairGenerator, VectorPairGenerator
 from repro.suffix import build_suffix_array
-from repro.suffix.lcp import lcp_from_rank_levels, lcp_kasai
+from repro.suffix.lcp import lcp_from_refinement, lcp_kasai
+from repro.suffix.suffix_array import refine_text
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +62,9 @@ def test_lcp_kasai(benchmark, medium_text):
 
 
 def test_lcp_vectorised(benchmark, medium_text):
-    sa = build_suffix_array(medium_text)
-    ref = lcp_kasai(medium_text, sa.sa)
-    lcp = benchmark(lcp_from_rank_levels, sa)
+    state = refine_text(medium_text)
+    ref = lcp_kasai(medium_text, state.sa)
+    lcp = benchmark(lcp_from_refinement, state)
     assert np.array_equal(lcp, ref)
 
 
@@ -176,3 +177,9 @@ def test_gst_facade_build(benchmark, medium):
         SuffixArrayGst.build, args=(medium.collection,), rounds=1, iterations=1
     )
     assert gst.n_suffix_positions > 0
+
+
+def test_flat_forest_build(benchmark):
+    gst = dataset_gst(30_000)
+    forest = benchmark(gst.flat_forest, min_depth=bench_config().psi)
+    assert forest.n_nodes > 0

@@ -19,9 +19,8 @@ forest construction entirely.  The scalar engine rebuilds its list-based
 ``LcpForest`` locally from the shared LCP view (its per-node Python lists
 cannot live in a segment), which still removes every O(N) pickle.
 
-The doubling ranks (``SuffixArray.rank`` / ``rank_levels``) are master-only
-construction artefacts and are deliberately not shared; the attached
-``SuffixArray`` carries an empty ``rank``.
+The suffix sort's own state (:class:`~repro.suffix.suffix_array.Refinement`)
+is gone by the time an index exists, so there is nothing else to share.
 """
 
 from __future__ import annotations
@@ -204,9 +203,7 @@ def attach_gst(
         collection=collection,
         text=a["text"],
         starts=a["starts"],
-        sa_struct=SuffixArray(
-            text=a["text"], sa=a["sa"], rank=np.empty(0, dtype=np.int64)
-        ),
+        sa_struct=SuffixArray(text=a["text"], sa=a["sa"]),
         lcp=a["lcp"],
         pos_string=a["pos_string"],
         pos_offset=a["pos_offset"],

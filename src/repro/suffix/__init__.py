@@ -19,7 +19,7 @@ from repro.suffix.interval_tree import (
     build_flat_forest,
     build_lcp_forest,
 )
-from repro.suffix.lcp import lcp_array, lcp_kasai
+from repro.suffix.lcp import lcp_kasai
 from repro.suffix.naive_tree import TrieNode, build_bucket_tree, build_gst_forest
 from repro.suffix.suffix_array import SuffixArray, build_suffix_array
 from repro.suffix.ukkonen import UkkonenTree, build_ukkonen
@@ -36,7 +36,6 @@ __all__ = [
     "LcpForest",
     "build_flat_forest",
     "build_lcp_forest",
-    "lcp_array",
     "lcp_kasai",
     "TrieNode",
     "build_bucket_tree",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sequence.collection import EstCollection
-from repro.suffix.suffix_array import SuffixArray
+from repro.suffix.suffix_array import SuffixArray, pack_windows
 
 __all__ = [
     "suffix_window_keys",
@@ -44,18 +44,12 @@ def suffix_window_keys(codes: np.ndarray, w: int) -> np.ndarray:
     """Keys of all length-``w`` windows of one encoded string.
 
     ``keys[o]`` is the base-4 integer of ``codes[o:o+w]``; the result has
-    ``max(0, len - w + 1)`` entries.  Fully vectorised: ``w`` shifted adds.
+    ``max(0, len - w + 1)`` entries.
     """
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
-    codes = np.asarray(codes, dtype=np.int64)
-    n_windows = codes.size - w + 1
-    if n_windows <= 0:
-        return np.empty(0, dtype=np.int64)
-    keys = np.zeros(n_windows, dtype=np.int64)
-    for t in range(w):
-        keys += codes[t : t + n_windows] << (2 * (w - 1 - t))
-    return keys
+    codes = np.asarray(codes)
+    return pack_windows(codes, 2, w)[: max(0, codes.size - w + 1)]
 
 
 def enumerate_bucket_suffixes(
@@ -90,37 +84,21 @@ def sa_bucket_ranges(
     """
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
-    text = sa_struct.text
-    m = text.size
+    # Base-4 window key per position (sentinels read as 0), kept only where
+    # the whole window lies before the position's own sentinel — nowhere,
+    # when the text is shorter than ``w``.
     two_n = collection.n_strings
-    # Window keys over the whole concatenated text.  Sentinel-contaminated
-    # windows are invalidated via a rolling "contains a sentinel" flag.
-    vals = text.astype(np.int64) - two_n  # nucleotides -> 0..3, sentinels -> < 0
-    is_sentinel = vals < 0
-    n_windows = m - w + 1
-    keys = np.zeros(n_windows, dtype=np.int64)
-    bad = np.zeros(n_windows, dtype=bool)
-    clean = np.where(is_sentinel, 0, vals)
-    for t in range(w):
-        keys += clean[t : t + n_windows] << (2 * (w - 1 - t))
-        bad |= is_sentinel[t : t + n_windows]
-
+    keys = pack_windows(np.maximum(sa_struct.text, two_n) - two_n, 2, w)
     sa = sa_struct.sa
-    valid = (sa < n_windows) & ~bad[np.minimum(sa, n_windows - 1)]
-    key_by_rank = np.where(valid, keys[np.minimum(sa, n_windows - 1)], -1)
-
-    ranges: list[tuple[int, int, int]] = []
-    r = 0
-    while r < m:
-        if key_by_rank[r] < 0:
-            r += 1
-            continue
-        key = int(key_by_rank[r])
-        lo = r
-        while r < m and key_by_rank[r] == key:
-            r += 1
-        ranges.append((key, lo, r))
-    return ranges
+    end = np.repeat(starts[1:], np.diff(starts))
+    key_by_rank = np.where(sa + w < end[sa], keys[sa], -1)
+    # A bucket is a maximal run of one valid key.
+    cuts = np.flatnonzero(key_by_rank[1:] != key_by_rank[:-1]) + 1
+    lo = np.concatenate(([0], cuts))
+    hi = np.concatenate((cuts, [sa.size]))
+    key = key_by_rank[lo]
+    keep = key >= 0
+    return list(zip(key[keep].tolist(), lo[keep].tolist(), hi[keep].tolist()))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.sequence.alphabet import LAMBDA
+from repro.sequence.alphabet import LAMBDA, SIGMA
 from repro.sequence.collection import EstCollection
 from repro.suffix.buckets import sa_bucket_ranges
 from repro.suffix.dfs_array import DfsArrayTree, from_trie
@@ -33,9 +33,9 @@ from repro.suffix.interval_tree import (
     build_flat_forest,
     build_lcp_forest,
 )
-from repro.suffix.lcp import lcp_array
+from repro.suffix.lcp import lcp_from_refinement
 from repro.suffix.naive_tree import build_gst_forest
-from repro.suffix.suffix_array import SuffixArray, build_suffix_array
+from repro.suffix.suffix_array import SuffixArray, refine
 
 __all__ = ["SuffixArrayGst", "NaiveGst"]
 
@@ -62,24 +62,27 @@ class SuffixArrayGst:
     @classmethod
     def build(cls, collection: EstCollection) -> "SuffixArrayGst":
         text, starts = collection.sa_text()
-        sa_struct = build_suffix_array(text)
-        lcp = lcp_array(sa_struct)
         m = text.size
-        positions = np.arange(m, dtype=np.int64)
-        pos_string = np.searchsorted(starts[1:], positions, side="right")
-        pos_offset = positions - starts[pos_string]
-        string_len = (starts[pos_string + 1] - starts[pos_string]) - 1
-        suffix_len = string_len - pos_offset
         two_n = collection.n_strings
+        spans = np.diff(starts)  # string length + its sentinel
+        pos_string = np.repeat(np.arange(two_n), spans)
+        pos_offset = np.arange(m) - np.repeat(starts[:-1], spans)
+        suffix_len = np.repeat(spans - 1, spans) - pos_offset
         left_char = np.full(m, LAMBDA, dtype=np.int64)
-        interior = pos_offset > 0
-        left_char[interior] = text[positions[interior] - 1] - two_n
+        interior = np.flatnonzero(pos_offset)
+        left_char[interior] = text[interior - 1] - two_n
+        # Seed symbols: every sentinel 0, nucleotide c -> c + 1; windows
+        # that reach a sentinel are tie-broken by its string's id.  The
+        # sort's state is scratch: only ``sa`` and ``lcp`` outlive it.
+        codes = np.maximum(text - (two_n - 1), 0)
+        state = refine(codes, SIGMA.bit_length(), suffix_len, pos_string)
+        del codes
         return cls(
             collection=collection,
             text=text,
             starts=starts,
-            sa_struct=sa_struct,
-            lcp=lcp,
+            sa_struct=SuffixArray(text=text, sa=state.sa),
+            lcp=lcp_from_refinement(state),
             pos_string=pos_string,
             pos_offset=pos_offset,
             left_char=left_char,

@@ -313,23 +313,23 @@ def build_flat_forest(
     # PSV/NSV by pointer doubling: each round follows the current pointer
     # of the pointed-to position, so unresolved chain lengths double.
     # The invariant (all skipped positions carry values >= the jumper's)
-    # keeps every intermediate stop a sound candidate.  Rounds operate on
-    # the shrinking set of still-unresolved positions only.
+    # keeps every intermediate stop a sound candidate.  Only qualifying
+    # positions are resolved: a chain never jumps past a shallower
+    # position, so every stop short of the answer qualifies itself and
+    # the first position below the threshold ends the chain.
+    qual = np.flatnonzero(val >= min_depth)
     prev = np.arange(-1, n, dtype=np.int64)
-    prev[0] = 0
-    act = np.arange(1, n, dtype=np.int64)
+    act = qual
     while act.size:
         act = act[val[prev[act]] >= val[act]]
         prev[act] = prev[prev[act]]
     nxt = np.arange(1, n + 2, dtype=np.int64)
-    nxt[n] = n
-    act = np.arange(1, n, dtype=np.int64)
+    act = qual
     while act.size:
         act = act[val[nxt[act]] >= val[act]]
         nxt[act] = nxt[nxt[act]]
 
     # One node per unique (PSV, NSV) key among qualifying positions.
-    qual = np.flatnonzero(val >= min_depth)
     key = prev[qual] * (n + 1) + nxt[qual]
     ukey, first = np.unique(key, return_index=True)
     m = ukey.size
@@ -369,11 +369,8 @@ def build_flat_forest(
     # Leaves: each rank attaches to the interval of the deeper of its two
     # adjacent boundary values (when >= threshold); grouped by owner with
     # the stable sort preserving ascending rank within a node.
-    r_all = np.arange(n)
-    dl = val[r_all]
-    dr = val[r_all + 1]
-    attached = np.flatnonzero(np.maximum(dl, dr) >= min_depth)
-    ql = np.where(dl[attached] >= dr[attached], attached, attached + 1)
+    attached = np.flatnonzero(np.maximum(val[:-1], val[1:]) >= min_depth)
+    ql = np.where(val[attached] >= val[attached + 1], attached, attached + 1)
     owner = rank_of[np.searchsorted(ukey, prev[ql] * (n + 1) + nxt[ql])]
     leaves_flat = attached[np.argsort(owner, kind="stable")] + lo
     leaves_offsets = np.concatenate(

@@ -6,23 +6,27 @@ suffix array this is the *enhanced suffix array*: its "LCP intervals" are in
 bijection with the internal nodes of the suffix tree, which is how the
 production pair-generation engine reuses the paper's Algorithm 1 unchanged.
 
-Two implementations:
-
+- :func:`lcp_from_refinement` — the production path: the LCP array read
+  off the state the suffix sort leaves behind
+  (:class:`repro.suffix.suffix_array.Refinement`).  An adjacent pair that
+  the sort separated in round ``s`` agrees on ``width << (s - 1)`` symbols
+  and on fewer than twice that, so only the rank levels *below* ``s - 1``
+  can still extend it: each level is consulted for the pairs still
+  together at it, not for every pair, and what remains below the seed
+  width is one XOR of two packed seed windows.
 - :func:`lcp_kasai` — the linear-time Kasai et al. algorithm.  A tight
-  Python loop; exact, used as the reference and for small inputs.
-- :func:`lcp_from_rank_levels` — vectorised ``O(m log maxlen)`` computation
-  from the prefix-doubling rank levels retained by
-  :func:`repro.suffix.suffix_array.build_suffix_array`; the default for
-  large inputs because every pass is a whole-array numpy operation.
+  Python loop; exact, the reference the production path is tested against.
+- :func:`lcp_naive` — symbol-by-symbol comparison, the reference's
+  reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.suffix.suffix_array import SuffixArray
+from repro.suffix.suffix_array import Refinement
 
-__all__ = ["lcp_kasai", "lcp_from_rank_levels", "lcp_array", "lcp_naive"]
+__all__ = ["lcp_kasai", "lcp_from_refinement", "lcp_naive"]
 
 
 def lcp_kasai(text: np.ndarray, sa: np.ndarray) -> np.ndarray:
@@ -50,50 +54,46 @@ def lcp_kasai(text: np.ndarray, sa: np.ndarray) -> np.ndarray:
     return np.array(lcp, dtype=np.int64)
 
 
-def lcp_pairwise_from_levels(
-    sa_struct: SuffixArray, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Vectorised LCP of arbitrary suffix pairs ``(left[i], right[i])``.
-
-    Walks the doubling rank levels from coarse to fine: whenever the
-    length-k prefixes of the two (advanced) suffixes have equal rank, the
-    LCP grows by k and both positions advance by k.  Unique sentinels
-    guarantee two *distinct* suffixes always differ before the text ends,
-    so the walk terminates within the text.
-    """
-    m = len(sa_struct.text)
-    i = np.asarray(left, dtype=np.int64).copy()
-    j = np.asarray(right, dtype=np.int64).copy()
-    h = np.zeros(i.shape, dtype=np.int64)
-    for k, rank_k in reversed(sa_struct.rank_levels):
-        ok = (i + k <= m) & (j + k <= m)
-        # Positions may reach m exactly when a previous step consumed a
-        # whole suffix; clip the gather, the mask keeps results honest.
-        gi = np.minimum(i, m - 1)
-        gj = np.minimum(j, m - 1)
-        eq = ok & (rank_k[gi] == rank_k[gj]) & (i != j)
-        h[eq] += k
-        i[eq] += k
-        j[eq] += k
-    return h
-
-
-def lcp_from_rank_levels(sa_struct: SuffixArray) -> np.ndarray:
-    """LCP array of adjacent suffix-array entries, fully vectorised."""
-    sa = sa_struct.sa
-    m = len(sa)
+def lcp_from_refinement(ref: Refinement) -> np.ndarray:
+    """LCP array of adjacent suffix-array entries from the sort's state."""
+    sa, split = ref.sa, ref.split
+    m = sa.size
+    # First the symbols matched in whole rank levels, per rank boundary.
     lcp = np.zeros(m, dtype=np.int64)
-    if m > 1:
-        lcp[1:] = lcp_pairwise_from_levels(sa_struct, sa[:-1], sa[1:])
+    # Latest-separated pairs first: the pairs still together at a level
+    # are then a prefix of the working arrays.
+    tied = np.flatnonzero(split > 0)
+    tied = tied[np.argsort(split[tied], kind="stable")[::-1]]
+    n_levels = len(ref.levels)
+    together = np.cumsum(np.bincount(split[tied], minlength=n_levels + 2)[::-1])[::-1]
+    i = sa[tied - 1]
+    j = sa[tied]
+    for s in range(n_levels - 1, -1, -1):
+        # Pairs split in round s + 1 agree on this level by definition;
+        # pairs split later do when their ranks match.
+        n_old, n = int(together[s + 2]), int(together[s + 1])
+        level = ref.levels[s]
+        grow = np.ones(n, dtype=bool)
+        grow[:n_old] = level[i[:n_old]] == level[j[:n_old]]
+        step = grow * (ref.width << s)
+        i[:n] += step
+        j[:n] += step
+    lcp[tied] = j - sa[tied]
+    # Then what is left below the seed width: the leading symbols two seed
+    # windows share — the XOR is below ``2**(bits * q)`` exactly when all
+    # but the last q symbols agree — never past the nearer terminator
+    # (behind one both windows are zero).
+    i = sa[:-1] + lcp[1:]
+    j = sa[1:] + lcp[1:]
+    differ = ref.code[i]
+    differ ^= ref.code[j]
+    cap = ref.reach[i]
+    np.minimum(cap, ref.reach[j], out=cap)
+    del i, j
+    symbol_steps = 1 << (ref.bits * np.arange(ref.width, dtype=np.int64))
+    same = ref.width - np.searchsorted(symbol_steps, differ, side="right")
+    lcp[1:] += np.minimum(same, cap)
     return lcp
-
-
-def lcp_array(sa_struct: SuffixArray) -> np.ndarray:
-    """The default LCP computation: vectorised when rank levels are
-    available, Kasai otherwise."""
-    if sa_struct.rank_levels:
-        return lcp_from_rank_levels(sa_struct)
-    return lcp_kasai(sa_struct.text, sa_struct.sa)
 
 
 def lcp_naive(text: np.ndarray, sa: np.ndarray) -> np.ndarray:

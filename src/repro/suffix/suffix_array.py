@@ -1,109 +1,239 @@
-"""Suffix-array construction by prefix doubling (numpy-vectorised).
+"""Suffix-array construction: one packed seed sort, then active-set refinement.
 
 The paper builds a distributed generalized suffix tree in C.  A literal
 pure-Python suffix tree is far too slow at realistic input sizes, so the
 production engine of this library is built on the *enhanced suffix array*
 equivalence: the suffix array plus its LCP array encode exactly the internal
 nodes of the suffix tree as LCP intervals (see
-:mod:`repro.suffix.interval_tree`).  Construction is the classic
-Manber–Myers prefix-doubling algorithm, executed as ``O(log maxlen)`` rounds
-of numpy radix/argsort work — each round is a single vectorised sort, which
-is what makes this practical in Python.
+:mod:`repro.suffix.interval_tree`).
 
-The input text comes from :meth:`repro.sequence.EstCollection.sa_text`:
-every string is terminated by a unique sentinel smaller than all
-nucleotides, so the suffix order is total and no common prefix crosses a
-string boundary.
+Construction follows the paper's own shape (§3.1: bucket suffixes on a
+fixed-width prefix, then refine only inside buckets) rather than textbook
+Manber–Myers doubling, which re-sorts every suffix in every round:
 
-The intermediate rank arrays of every doubling round are retained
-(:class:`SuffixArray.rank_levels`) because they let us compute the LCP of
-any two suffixes in ``O(log maxlen)`` vectorised steps — see
-:func:`repro.suffix.lcp.lcp_from_rank_levels`.
+1. **Seed.**  Every suffix is keyed by as many leading symbols as one
+   int64 holds (:func:`refine`), and one sort on that key orders all
+   suffixes by their first ``width`` symbols.  Windows are cut after the
+   first terminator and tie-broken by that terminator's id, so the key
+   order is exactly the suffix order wherever a terminator is in reach:
+   terminators are unique and smaller than every symbol, hence two
+   windows that agree up to a terminator are told apart by its id and
+   nothing behind it can matter.
+2. **Refine.**  Larsson–Sadakane doubling restricted to the *active set*:
+   a suffix's rank is the index of its group's first member, and a round
+   with step ``h`` gathers, sorts by ``(rank[p], rank[p + h])`` and
+   re-ranks only the members of groups of size > 1.  A group that has
+   become a singleton is final and is never touched again.  The sorts
+   need not be stable: tied members share a rank, so their relative
+   order inside a round is unobservable, and the final order is total.
+3. **State for the LCP.**  The rank array of every round and the round in
+   which each adjacent pair separated are handed to
+   :func:`repro.suffix.lcp.lcp_from_refinement`; they are build scratch
+   (:class:`Refinement`) and are dropped once the LCP array exists.
+
+:func:`build_suffix_array` (arbitrary integer text) and
+:meth:`repro.suffix.gst.SuffixArrayGst.build` (the sentinel-terminated EST
+text of :meth:`repro.sequence.EstCollection.sa_text`) differ only in the
+symbol codes they feed to :func:`refine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SuffixArray", "build_suffix_array", "suffix_array_naive"]
+__all__ = [
+    "SuffixArray",
+    "Refinement",
+    "pack_windows",
+    "refine",
+    "refine_text",
+    "build_suffix_array",
+    "suffix_array_naive",
+]
+
+#: Bits of an int64 sort key the seed may use.
+_KEY_BITS = 62
 
 
 @dataclass
 class SuffixArray:
-    """A suffix array with the doubling ranks kept for fast LCP queries.
+    """A finished suffix array.
 
     Attributes
     ----------
     text:
-        The int32 text the array was built over.
+        The integer text the array was built over.
     sa:
         ``sa[r]`` is the text position of the ``r``-th smallest suffix.
-    rank:
-        Inverse permutation: ``rank[p]`` is the sort rank of suffix ``p``.
-    rank_levels:
-        List of ``(k, rank_k)`` pairs where ``rank_k[p]`` ranks the length-k
-        prefix of suffix ``p`` (ties allowed).  Sorted by increasing ``k``;
-        the final total-order rank is *not* included.
     """
 
     text: np.ndarray
     sa: np.ndarray
-    rank: np.ndarray
-    rank_levels: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.sa)
 
 
-def build_suffix_array(text: np.ndarray, *, keep_levels: bool = True) -> SuffixArray:
-    """Build the suffix array of ``text`` by prefix doubling.
+@dataclass
+class Refinement:
+    """The state of a finished suffix sort — scratch for the LCP pass.
+
+    ``levels`` and ``code`` carry one entry more than the text has
+    positions: slot ``m`` is the empty suffix past the end, which sorts
+    before everything (rank -1, all-zero window) — where a tied suffix of
+    unterminated text lands when it is advanced by its own length.
+
+    Attributes
+    ----------
+    sa:
+        The suffix array (int64, length ``m``).
+    rank:
+        Final rank per position (int32), the inverse of ``sa``.
+    levels:
+        ``levels[s][p]`` ranks the length-``width << s`` prefix of suffix
+        ``p`` as the index of its group's first member (ties share it).
+    split:
+        ``split[r]`` is the level at which ranks ``r - 1`` and ``r`` first
+        differ: 0 when the seed key separates them, ``s`` when round ``s``
+        does (they still agree on ``levels[s - 1]``).
+    code:
+        The packed seed window per position, ``bits`` per symbol, zero
+        after the first terminator.
+    reach:
+        Symbols between a position and its terminator.
+    """
+
+    sa: np.ndarray
+    rank: np.ndarray
+    levels: list[np.ndarray]
+    split: np.ndarray
+    code: np.ndarray
+    bits: int
+    width: int
+    reach: np.ndarray
+
+
+def pack_windows(codes: np.ndarray, bits: int, width: int) -> np.ndarray:
+    """``packed[p]`` holds ``codes[p : p + width]`` as one integer, first
+    symbol in the highest bits, zeros past the end; ``len(codes) + 1``
+    entries.  Window spans double, and one last step appends the leading
+    part of the window that starts where the doubled span stops."""
+    m = codes.size
+    packed = np.zeros(m + 1, dtype=np.int64)
+    packed[:m] = codes
+    span = 1
+    while span < width:
+        take = min(span, width - span)
+        tail = packed[span:] >> (bits * (span - take))
+        packed <<= bits * take
+        packed[: tail.size] |= tail
+        span += take
+    return packed
+
+
+def refine(
+    codes: np.ndarray, bits: int, reach: np.ndarray, ids: np.ndarray | None = None
+) -> Refinement:
+    """Sort the suffixes of a terminated symbol sequence.
 
     Parameters
     ----------
-    text:
-        1-D integer array; values need not be compact.
-    keep_levels:
-        Keep per-round rank arrays for vectorised LCP computation.  Costs
-        one int32 array of ``len(text)`` per round (~``log2`` of the longest
-        repeat); disable to save memory when only the SA is needed.
+    codes:
+        Symbol code per position: 0 for a terminator, ``1 .. 2**bits - 1``
+        otherwise.  The sequence is read as if one more terminator
+        followed its last position.
+    bits:
+        Bits per symbol code.
+    reach:
+        Non-terminator symbols from each position up to its terminator.
+    ids:
+        Per position, the id of the terminator that ends it; terminators
+        compare by id.  ``None`` when the implicit final terminator is the
+        only one.
     """
-    text = np.ascontiguousarray(text, dtype=np.int64)
+    m = codes.size
+    if m >= 2**31:
+        raise ValueError(f"text of {m} positions does not fit int32 ranks")
+    id_bits = 0 if ids is None else int(ids.max()).bit_length()
+    width = (_KEY_BITS - id_bits) // bits
+    if width < 1:
+        raise ValueError(f"{bits}-bit symbols and {id_bits}-bit ids exceed a sort key")
+
+    # Seed: cut each window after its first terminator, append the id.
+    code = pack_windows(codes, bits, width)
+    short = np.flatnonzero(reach[:m] < width)
+    cut = bits * (width - reach[short])
+    code[short] = (code[short] >> cut) << cut
+    key = code[:m] << id_bits
+    if ids is not None:
+        key[short] |= ids[short]
+    sa = np.argsort(key)
+    key = key[sa]
+    split = np.zeros(m, dtype=np.int8)
+    split[1:][key[1:] == key[:-1]] = -1  # still tied
+    del key
+    heads = np.flatnonzero(split == 0)
+    rank = np.empty(m + 1, dtype=np.int32)
+    rank[sa] = np.repeat(heads, np.diff(heads, append=m))
+    rank[m] = -1
+    tied = split < 0
+    tied[:-1] |= tied[1:]
+    act = np.flatnonzero(tied)
+    del heads, tied
+
+    # Refine: only members of groups of size > 1, by the rank h further on.
+    levels: list[np.ndarray] = []
+    h = width
+    while act.size:
+        levels.append(rank.copy())
+        pos = sa[act]
+        key = (rank[pos].astype(np.int64) << 32) + (rank[pos + h] + 1)
+        order = np.argsort(key)
+        key = key[order]
+        pos = pos[order]
+        sa[act] = pos
+        head = np.ones(act.size + 1, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=head[1:-1])
+        bounds = np.flatnonzero(head)
+        first = act[bounds[:-1]]
+        rank[pos] = np.repeat(first, np.diff(bounds))
+        fresh = first[split[first] < 0]
+        split[fresh] = len(levels)
+        act = act[~(head[:-1] & head[1:])]
+        h *= 2
+    return Refinement(
+        sa=sa,
+        rank=rank[:m],
+        levels=levels,
+        split=split,
+        code=code,
+        bits=bits,
+        width=width,
+        reach=reach,
+    )
+
+
+def refine_text(text: np.ndarray) -> Refinement:
+    """:func:`refine` over arbitrary non-negative integer text: symbols are
+    compacted to ``1 .. sigma`` and the only terminator is the implicit one
+    past the end, so a suffix that is a prefix of another sorts first."""
+    text = np.asarray(text)
     m = text.size
     if m == 0:
         raise ValueError("cannot build a suffix array of empty text")
     if text.min() < 0:
         raise ValueError("text values must be non-negative")
+    symbols, codes = np.unique(text, return_inverse=True)
+    codes = codes.reshape(m) + 1
+    return refine(codes, int(symbols.size).bit_length(), np.arange(m, -1, -1))
 
-    # Round 0: rank by single character (compacted).
-    order = np.argsort(text, kind="stable")
-    sorted_vals = text[order]
-    rank_of_sorted = np.zeros(m, dtype=np.int64)
-    if m > 1:
-        np.cumsum(sorted_vals[1:] != sorted_vals[:-1], out=rank_of_sorted[1:])
-    rank = np.empty(m, dtype=np.int64)
-    rank[order] = rank_of_sorted
 
-    levels: list[tuple[int, np.ndarray]] = []
-    k = 1
-    while rank_of_sorted[-1] != m - 1:
-        if keep_levels:
-            levels.append((k, rank.astype(np.int32)))
-        # Key for sorting pairs (rank[p], rank[p+k]) packed into one int64.
-        # rank < m and the +1 shift keeps "past end" (-1) below every rank.
-        rank2 = np.full(m, -1, dtype=np.int64)
-        rank2[: m - k] = rank[k:]
-        key = rank * (m + 1) + (rank2 + 1)
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        rank_of_sorted = np.zeros(m, dtype=np.int64)
-        np.cumsum(sorted_key[1:] != sorted_key[:-1], out=rank_of_sorted[1:])
-        rank = np.empty(m, dtype=np.int64)
-        rank[order] = rank_of_sorted
-        k *= 2
-
-    return SuffixArray(text=text, sa=order.astype(np.int64), rank=rank, rank_levels=levels)
+def build_suffix_array(text: np.ndarray) -> SuffixArray:
+    """Build the suffix array of ``text`` (1-D, integer, non-negative;
+    values need not be compact)."""
+    return SuffixArray(text=np.asarray(text), sa=refine_text(text).sa)
 
 
 def suffix_array_naive(text: np.ndarray) -> np.ndarray:

@@ -70,6 +70,23 @@ class TestEnumerateBuckets:
             assert len(prefixes) == 1
 
 
+def _ranges_by_rank_loop(gst, w):
+    """Reference for ``sa_bucket_ranges``: one Python step per rank."""
+    ranges = []
+    for r in range(gst.n_suffix_positions):
+        p = int(gst.sa_struct.sa[r])
+        if int(gst.suffix_len[p]) < w:
+            continue
+        key = 0
+        for c in gst.text[p : p + w].tolist():
+            key = 4 * key + c - gst.collection.n_strings
+        if ranges and ranges[-1][0] == key and ranges[-1][2] == r:
+            ranges[-1] = (key, ranges[-1][1], r + 1)
+        else:
+            ranges.append((key, r, r + 1))
+    return ranges
+
+
 class TestSaBucketRanges:
     @given(dna_lists, st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
@@ -77,6 +94,7 @@ class TestSaBucketRanges:
         col = EstCollection.from_strings(seqs)
         gst = SuffixArrayGst.build(col)
         ranges = gst.bucket_ranges(w)
+        assert ranges == _ranges_by_rank_loop(gst, w)
         enum = enumerate_bucket_suffixes(col, w)
         # Same keys, same sizes.
         assert {key: hi - lo for key, lo, hi in ranges} == {
@@ -95,9 +113,17 @@ class TestSaBucketRanges:
     def test_ranges_are_disjoint_and_ordered(self, seqs):
         gst = SuffixArrayGst.build(EstCollection.from_strings(seqs))
         ranges = gst.bucket_ranges(2)
+        assert ranges == _ranges_by_rank_loop(gst, 2)
         for (k1, lo1, hi1), (k2, lo2, hi2) in zip(ranges, ranges[1:]):
             assert hi1 <= lo2
             assert lo1 < hi1 and lo2 < hi2
+
+    def test_no_window_fits(self):
+        # The whole text is shorter than w (this used to size an array
+        # with a negative length), or just no string is long enough.
+        for seqs in (["A"], ["ACG", "TT"]):
+            gst = SuffixArrayGst.build(EstCollection.from_strings(seqs))
+            assert gst.bucket_ranges(8) == []
 
 
 class TestBucketStats:

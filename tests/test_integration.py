@@ -48,6 +48,16 @@ class TestEngineParity:
         mp = cluster_multiprocessing(col, small_config, n_processors=3).clusters
         assert seq_sa == seq_tree == sim == mp
 
+    def test_one_base_corpus_on_every_engine(self):
+        """A text shorter than ``w`` has no bucket at all: the parallel
+        engines must plan an empty partition, not crash computing it."""
+        col = EstCollection.from_strings(["A"])
+        cfg = ClusteringConfig()
+        seq = PaceClusterer(cfg).cluster(col).clusters
+        sim = simulate_clustering(col, cfg, n_processors=3).result.clusters
+        mp = cluster_multiprocessing(col, cfg, n_processors=3).clusters
+        assert seq == sim == mp == [[0]]
+
     @pytest.mark.parametrize("align_batch", [0, 48])
     def test_batched_and_per_pair_cluster_output_identical(
         self, small_benchmark, small_config, align_batch

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.sequence import EstCollection
 from repro.suffix import build_flat_forest, build_lcp_forest, build_suffix_array
-from repro.suffix.lcp import lcp_array
+from repro.suffix.lcp import lcp_kasai
 
 dna_lists = st.lists(st.text(alphabet="ACGT", min_size=1, max_size=25), min_size=1, max_size=4)
 
@@ -15,7 +15,7 @@ dna_lists = st.lists(st.text(alphabet="ACGT", min_size=1, max_size=25), min_size
 def _forest_for(seqs, min_depth=1, lo=0, hi=None):
     text, _ = EstCollection.from_strings(seqs).sa_text()
     sa = build_suffix_array(text)
-    return build_lcp_forest(lcp_array(sa), min_depth=min_depth, lo=lo, hi=hi), sa
+    return build_lcp_forest(lcp_kasai(text, sa.sa), min_depth=min_depth, lo=lo, hi=hi), sa
 
 
 class TestForestStructure:
@@ -49,7 +49,7 @@ class TestForestStructure:
     def test_every_interval_shares_prefix_of_its_depth(self, seqs):
         text, _ = EstCollection.from_strings(seqs).sa_text()
         sa = build_suffix_array(text)
-        forest = build_lcp_forest(lcp_array(sa), min_depth=1)
+        forest = build_lcp_forest(lcp_kasai(text, sa.sa), min_depth=1)
         text_list = text.tolist()
         for nid in range(forest.n_nodes):
             d = int(forest.depth[nid])
@@ -66,7 +66,7 @@ class TestForestStructure:
         # and the neighbours outside share strictly less than d.
         text, _ = EstCollection.from_strings(seqs).sa_text()
         sa = build_suffix_array(text)
-        lcp = lcp_array(sa)
+        lcp = lcp_kasai(text, sa.sa)
         forest = build_lcp_forest(lcp, min_depth=1)
         m = len(lcp)
         for nid in range(forest.n_nodes):
@@ -98,7 +98,7 @@ class TestForestRanges:
         seqs = ["ACGTACGTACGT", "CGTACGTACGAA", "TTACGTACGT"]
         text, _ = EstCollection.from_strings(seqs).sa_text()
         sa = build_suffix_array(text)
-        lcp = lcp_array(sa)
+        lcp = lcp_kasai(text, sa.sa)
         glob = build_lcp_forest(lcp, min_depth=4)
         # Split the rank space at every lcp < 4 boundary: nodes with depth
         # >= 4 never span such boundaries, so per-range forests together
@@ -174,7 +174,7 @@ class TestFlatBuilder:
     def test_matches_stack_builder(self, seqs, min_depth):
         text, _ = EstCollection.from_strings(seqs).sa_text()
         sa = build_suffix_array(text)
-        lcp = lcp_array(sa)
+        lcp = lcp_kasai(text, sa.sa)
         list_forest = build_lcp_forest(lcp, min_depth=min_depth)
         flat_forest = build_flat_forest(lcp, min_depth=min_depth)
         self._assert_same(list_forest, flat_forest)
@@ -185,13 +185,32 @@ class TestFlatBuilder:
     def test_matches_stack_builder_on_ranges(self, seqs, data):
         text, _ = EstCollection.from_strings(seqs).sa_text()
         sa = build_suffix_array(text)
-        lcp = lcp_array(sa)
+        lcp = lcp_kasai(text, sa.sa)
         lo = data.draw(st.integers(0, len(lcp) - 1))
         hi = data.draw(st.integers(lo + 1, len(lcp)))
         self._assert_same(
             build_lcp_forest(lcp, min_depth=2, lo=lo, hi=hi),
             build_flat_forest(lcp, min_depth=2, lo=lo, hi=hi),
         )
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_matches_stack_builder_on_every_subrange(self, seed):
+        # min_depth 3 leaves runs of qualifying positions; trying every
+        # [lo, hi) puts range edges inside those runs (the pointer chains
+        # then start and stop at the -1 range sentinels, not at a shallow
+        # value) and covers ranges with no qualifying position at all
+        # (ranks 9..12 of the hand-written array).
+        if seed is None:
+            lcp = np.array([0, 5, 5, 6, 5, 1, 0, 7, 7, 2, 0, 1, 2, 9], dtype=np.int64)
+        else:
+            lcp = np.random.default_rng(seed).integers(0, 7, size=16)
+            lcp[0] = 0
+        for lo in range(len(lcp)):
+            for hi in range(lo + 1, len(lcp) + 1):
+                self._assert_same(
+                    build_lcp_forest(lcp, min_depth=3, lo=lo, hi=hi),
+                    build_flat_forest(lcp, min_depth=3, lo=lo, hi=hi),
+                )
 
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError, match="min_depth"):
@@ -229,7 +248,7 @@ class TestVectorisedValidate:
     def test_flat_forest_validate_detects_corruption(self):
         text, _ = EstCollection.from_strings(["ACGTACGT", "ACGTAC"]).sa_text()
         sa = build_suffix_array(text)
-        forest = build_flat_forest(lcp_array(sa), min_depth=2)
+        forest = build_flat_forest(lcp_kasai(text, sa.sa), min_depth=2)
         if forest.children_flat.size:
             forest.depth[forest.children_flat[0]] = 0
             with pytest.raises(AssertionError):

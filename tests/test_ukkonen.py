@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.sequence import EstCollection
 from repro.suffix import build_lcp_forest, build_suffix_array
-from repro.suffix.lcp import lcp_array
+from repro.suffix.lcp import lcp_kasai
 from repro.suffix.ukkonen import build_ukkonen
 
 dna_lists = st.lists(st.text(alphabet="ACGT", min_size=1, max_size=25), min_size=1, max_size=3)
@@ -35,7 +35,7 @@ class TestUkkonenStructure:
         text = _text(seqs)
         tree = build_ukkonen(text)
         sa = build_suffix_array(text)
-        forest = build_lcp_forest(lcp_array(sa), min_depth=1)
+        forest = build_lcp_forest(lcp_kasai(text, sa.sa), min_depth=1)
         expect = sorted(
             (int(forest.depth[i]), int(forest.rb[i] - forest.lb[i] + 1))
             for i in range(forest.n_nodes)

@@ -8,6 +8,11 @@ driving random overlapping collections (including reverse-complement
 duplicates) across ψ edge values, mirroring tests/test_batch_align.py.
 """
 
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +211,29 @@ class TestFactory:
         assert isinstance(gen, VectorPairGenerator)
         assert gen.psi == 6
         assert gen.block_size == PAIR_BLOCK_SIZE
+
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_golden_pair_stream_on_the_benchmark_corpus(self, engine):
+        """The whole index (suffix array, LCP, forest) feeds this stream,
+        so any change to how it is built must leave the digest alone.
+        Corpus: ``benchmarks/e2e`` ``deep`` at ``--quick`` size, seed 0;
+        the digest was taken before the index build was rewritten."""
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads  # its dataclasses look themselves up
+        try:
+            spec.loader.exec_module(workloads)
+            records = workloads.make_corpus("deep", 0, quick=True).records
+        finally:
+            del sys.modules[spec.name]
+        gst = SuffixArrayGst.build(EstCollection.from_records(records))
+        cfg = ClusteringConfig.small_reads(pair_engine=engine)
+        pairs = [tuple(p) for p in make_pair_generator(gst, cfg).pairs()]
+        assert len(pairs) == 769
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
+            "cd36941e56490f8f6c4f4b5f25f34bad8e8137ede39a8ece4c6d3fa239065c36"
+        )
 
     def test_config_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="pair_engine"):
