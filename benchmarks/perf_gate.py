@@ -27,7 +27,7 @@ measurements.
 Usage::
 
     python benchmarks/perf_gate.py align --out BENCH_align.json --min-speedup 2.0
-    python benchmarks/perf_gate.py pairs --out BENCH_pairs.json --min-speedup 3.0
+    python benchmarks/perf_gate.py pairs --out BENCH_pairs.json --min-speedup 8.0
     python benchmarks/perf_gate.py startup --out BENCH_startup.json
     python benchmarks/perf_gate.py dispatch --out BENCH_dispatch.json
     python benchmarks/perf_gate.py shard --out BENCH_shard.json
@@ -514,9 +514,9 @@ def main(argv: list[str] | None = None) -> int:
     p_pairs = sub.add_parser("pairs", help="scalar vs vector pair generation")
     p_pairs.add_argument("--out", type=Path, default=None,
                          help="write the measurement JSON here")
-    p_pairs.add_argument("--min-speedup", type=float, default=3.0,
+    p_pairs.add_argument("--min-speedup", type=float, default=8.0,
                          help="fail when vector speedup is below this "
-                              "(default 3.0)")
+                              "(default 8.0)")
     p_pairs.add_argument("--rounds", type=int, default=3,
                          help="timing rounds, best-of (default 3)")
     p_pairs.set_defaults(func=run_pairs)

@@ -100,9 +100,12 @@ class BatchPairAligner(PairAligner):
             self.telemetry.observe(
                 "align.batch_size", len(pairs), ALIGN_BATCH_SIZE_BUCKETS
             )
-        if not self.use_seed_extension or self.engine != "banded":
+        if not self.use_seed_extension or self.engine != "banded" or len(pairs) == 1:
             # Only the banded engine has a group kernel; the full-DP and
-            # kdiff configurations fall back to the per-pair reference.
+            # kdiff configurations fall back to the per-pair reference.  So
+            # does a wave of one pair (the tail of repeatedly rejected
+            # cluster pairs): the group kernel is bit-identical to the
+            # per-pair one and costs ~2.7x as much on a single pair.
             return [self.align_and_decide(pair) for pair in pairs]
 
         arena, offsets = self.collection.arena()

@@ -76,37 +76,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Every default is ClusteringConfig's own, so the CLI runs what the
+    # library runs.
+    dflt = ClusteringConfig()
     c = sub.add_parser("cluster", help="cluster a FASTA file of ESTs")
     c.add_argument("fasta", type=Path, help="input FASTA")
     c.add_argument("-o", "--output", type=Path, help="output TSV (default: stdout)")
-    c.add_argument("--w", type=int, default=8, help="bucket window (default 8)")
-    c.add_argument("--psi", type=int, default=25, help="pair threshold ψ (default 25)")
-    c.add_argument("--batchsize", type=int, default=60)
-    c.add_argument("--align-batch", type=int, default=0, metavar="G",
+    c.add_argument("--w", type=int, default=dflt.w,
+                   help=f"bucket window (default {dflt.w})")
+    c.add_argument("--psi", type=int, default=dflt.psi,
+                   help=f"pair threshold ψ (default {dflt.psi})")
+    c.add_argument("--batchsize", type=int, default=dflt.batchsize)
+    c.add_argument("--align-batch", type=int, default=dflt.align_batch, metavar="G",
                    help="vectorised alignment group size "
-                        "(0 = per-pair reference engine)")
+                        f"(default {dflt.align_batch}; 0 = per-pair engine)")
     c.add_argument("--pair-engine", choices=("scalar", "vector"),
-                   default="scalar",
-                   help="promising-pair generation engine: 'vector' runs "
-                        "the depth-batched numpy engine (identical pair "
-                        "stream, several times faster)")
-    c.add_argument("--min-overlap", type=int, default=40)
-    c.add_argument("--min-ratio", type=float, default=0.85, help="score/ideal acceptance")
+                   default=dflt.pair_engine,
+                   help="promising-pair generation engine "
+                        f"(default {dflt.pair_engine}); '--pair-engine scalar "
+                        "--align-batch 0' is the reference oracle: identical "
+                        "clusters, several times slower")
+    c.add_argument("--min-overlap", type=int, default=dflt.acceptance.min_overlap)
+    c.add_argument("--min-ratio", type=float,
+                   default=dflt.acceptance.min_score_ratio,
+                   help="score/ideal acceptance")
     c.add_argument("--parallel", type=int, default=0, metavar="P",
                    help="use P processors (0 = sequential)")
     c.add_argument("--machine", choices=("simulated", "multiprocessing"),
                    default="multiprocessing")
-    c.add_argument("--dispatch-policy", default="paper", metavar="POLICY",
+    c.add_argument("--dispatch-policy", default=dflt.dispatch_policy,
+                   metavar="POLICY",
                    help="master work-allocation policy: 'paper' (the §3.3 "
                         "formula, reproduction-faithful default) or 'jbsq' / "
                         "'jbsq:<k>' (bound grants by in-flight batch depth)")
-    c.add_argument("--master-shards", type=int, default=1, metavar="N",
+    c.add_argument("--master-shards", type=int, default=dflt.master_shards,
+                   metavar="N",
                    help="partition the master into N shards, each owning a "
                         "disjoint slice of the bucket ranges and a subset "
                         "of the slaves; shards exchange accepted-pair "
                         "unions periodically (1 = classic single master)")
-    c.add_argument("--shard-sync-interval", type=float, default=0.25,
-                   metavar="S",
+    c.add_argument("--shard-sync-interval", type=float,
+                   default=dflt.shard_sync_interval, metavar="S",
                    help="seconds between cross-shard union-log exchanges "
                         "(virtual seconds on the simulated machine)")
     c.add_argument("--clusters-fasta-dir", type=Path,
@@ -122,8 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve live run state over HTTP on 127.0.0.1:PORT "
                         "(/metrics Prometheus text, /healthz, /state JSON; "
                         "0 = OS-assigned)")
-    c.add_argument("--monitor-interval", type=float, default=1.0, metavar="S",
-                   help="live sample interval in seconds (default 1.0)")
+    c.add_argument("--monitor-interval", type=float,
+                   default=dflt.monitor_interval, metavar="S",
+                   help="live sample interval in seconds "
+                        f"(default {dflt.monitor_interval})")
     c.add_argument("--live-out", type=Path, metavar="JSONL",
                    help="stream live progress/resource samples here as "
                         "they happen (replay with 'pace-est monitor')")

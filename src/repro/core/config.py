@@ -67,16 +67,18 @@ class ClusteringConfig:
     #: quality-equivalent at EST error rates, see benchmarks/bench_engines).
     align_engine: str = "banded"
     #: DP group size for the batched alignment engine
-    #: (:class:`repro.align.batch.BatchPairAligner`): extensions are aligned
-    #: in vectorised groups of up to this many.  ``0`` keeps the per-pair
-    #: reference engine.
-    align_batch: int = 0
+    #: (:class:`repro.align.batch.BatchPairAligner`): pairs are chosen in
+    #: conflict-free waves and their extensions aligned in vectorised
+    #: groups of up to this many.  ``0`` selects the per-pair reference
+    #: engine (the oracle, with ``pair_engine="scalar"``).
+    align_batch: int = 64
     #: Promising-pair generation engine over the suffix-array backend:
-    #: "scalar" (:class:`repro.pairs.sa_generator.SaPairGenerator`, the
-    #: reference) or "vector" (:class:`repro.pairs.batch.VectorPairGenerator`,
-    #: depth-batched numpy sweeps over flat lset arenas — identical pair
-    #: stream, several times faster).
-    pair_engine: str = "scalar"
+    #: "vector" (:class:`repro.pairs.batch.VectorPairGenerator`, lsets as
+    #: suffix-array intervals swept in numpy) or "scalar"
+    #: (:class:`repro.pairs.sa_generator.SaPairGenerator`, the reference
+    #: oracle — identical pair stream, several times slower).  The tree
+    #: backend has its own generator and never consults this field.
+    pair_engine: str = "vector"
     scoring: ScoringParams = field(default_factory=ScoringParams)
     acceptance: AcceptanceCriteria = field(default_factory=AcceptanceCriteria)
     band_policy: BandPolicy = field(default_factory=BandPolicy)
@@ -148,12 +150,6 @@ class ClusteringConfig:
             raise ValueError(f"unknown align_engine {self.align_engine!r}")
         if self.pair_engine not in ("scalar", "vector"):
             raise ValueError(f"unknown pair_engine {self.pair_engine!r}")
-        if self.pair_engine == "vector" and self.backend != "suffix_array":
-            raise ValueError(
-                "pair_engine 'vector' requires the suffix_array backend: the "
-                "vectorised generator runs on LCP-interval forests, which the "
-                "tree backend does not build"
-            )
         parse_policy(self.dispatch_policy)
 
     @classmethod

@@ -1,32 +1,36 @@
-"""Vectorised promising-pair generation: Algorithm 1 as depth-batched
-array sweeps over flat lset arenas.
+"""Vectorised promising-pair generation: Algorithm 1 over lsets that are
+suffix-array intervals.
 
 :class:`~repro.pairs.sa_generator.SaPairGenerator` walks the LCP-interval
 forest one node at a time in pure Python — per node it interleaves child
 slots, deduplicates strings through a mark array, and emits cartesian
 products entry by entry.  That traversal, not alignment, is the hot path
 on realistic inputs (tens of thousands of nodes per ten thousand pairs).
-This module re-expresses the identical computation as numpy sweeps, one
-per *string depth*:
+This module computes the identical stream without ever storing an lset
+(docs/ALGORITHMS.md §3.1):
 
-- all nodes of equal depth are independent (children are strictly deeper,
-  so their lsets are already stored), hence one batch;
-- lsets live in a single flat **arena**: one int32 array of suffix-array
-  ranks, each stored node owning a contiguous class-sorted segment
-  described by a start offset and five per-class counts (CSR over the
-  lA..lλ classes of §3.2) — ``list[list[tuple]]`` becomes three small
-  arrays;
-- duplicate-string elimination is a boolean mark array computed per batch
-  from the first occurrence of every (node, string) key — the vectorised
-  form of the paper's global mark array;
-- cartesian products between compatible classes of *different child
-  slots* become ``repeat``/``tile``-style block constructions, and the
+- the occurrence of a string that survives the mark array at node ``v``
+  is its lowest-rank suffix inside ``v``'s interval, so ``lset(v)`` is
+  ``{r in [lb_v, rb_v] : prev(r) < lb_v}`` (``prev(r)`` = the previous
+  rank holding a suffix of the same string), each class in increasing
+  rank — a node copies nothing from its children;
+- at a node whose interval holds no string twice the lset *is* the
+  interval: the per-class sizes of "this child slot" and "all earlier
+  slots" are differences of one prefix-count table over ``left_char[sa]``
+  read at slot boundaries, and the partners of an entry are a contiguous
+  slice of one class-sorted rank array;
+- a node whose interval does repeat a string (poly-A tails, tandem
+  repeats, ψ far below read length — a property of the input, found with
+  one sort of (string, rank) keys) gathers its own interval, drops the
+  ranks with ``prev(r) >= lb_v`` and builds the same two structures over
+  the survivors; both kinds feed one expansion;
+- only (slot, class) groups that have partners are expanded, and the
   discard rules of Lemma 4 (same EST, complemented smaller id) are
   boolean masks over whole blocks;
-- surviving pairs are materialised chunk-by-chunk (``block_size`` at a
-  time), so the stream is still a lazy generator with a suspended frame —
-  :class:`~repro.pairs.ondemand.OnDemandPairGenerator` semantics are
-  unchanged.
+- nodes are taken in chunks of the scalar engine's processing order and
+  pairs are materialised ``block_size`` at a time, so the count tables
+  stay small and the stream is still a lazy generator with a suspended
+  frame (:class:`~repro.pairs.ondemand.OnDemandPairGenerator` unchanged).
 
 The engine is a pure performance layer: for any input it yields the exact
 pair sequence of the scalar generator — same multiset, same order within
@@ -36,7 +40,6 @@ oracle (tests/test_vector_pairs.py, benchmarks/perf_gate.py).
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -69,14 +72,23 @@ PAIR_BLOCK_SIZE = 4096
 #: Histogram bounds for emitted block sizes.
 PAIR_BLOCK_BUCKETS: tuple[float, ...] = (16, 64, 256, 1024, 4096, 16384)
 
+#: Forest nodes per sweep step: bounds the per-step count tables and the
+#: work done before the first pair of a step reaches the consumer.
+CHUNK_NODES = 2048
+
 #: _ALLOWED[ci, cj] — the class-compatibility rule of ProcessInternalNode:
-#: classes pair when their left-extension characters differ, or both are λ.
+#: classes pair when their left-extension characters differ, or both are λ
+#: (a symmetric relation).
 _ALLOWED = (
     (np.arange(N_CLASSES)[:, None] != np.arange(N_CLASSES)[None, :])
     | (np.arange(N_CLASSES)[:, None] == LAMBDA)
-).astype(np.int64)
+).astype(np.int32)
 
 _ZERO = np.zeros(1, dtype=np.int64)
+
+#: Sort keys pack (major << 32 | minor) into one int64; both halves are
+#: suffix-array ranks or node/string counts, far below 2**31 here.
+_LOW32 = (1 << 32) - 1
 
 
 def _ragged_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -99,6 +111,65 @@ def _ragged_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
+def _class_index(cls: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class-sorted view of a sequence of left-extension classes.
+
+    Returns ``(order, counts, base)``: ``order`` lists the positions of
+    ``cls`` by (class, position); ``counts[x, c]`` is the number of
+    class-``c`` positions below ``x``; ``base[c]`` is where class ``c``
+    starts in ``order``.  The class-``c`` positions inside ``[x, y)`` are
+    ``order[base[c] + counts[x, c] : base[c] + counts[y, c]]``.
+    """
+    counts = np.empty((cls.size + 1, N_CLASSES), dtype=np.int32)
+    counts[0] = 0
+    for c in range(N_CLASSES):
+        np.cumsum(cls == c, dtype=np.int32, out=counts[1:, c])
+    order = np.argsort(cls, kind="stable")
+    base = np.concatenate((_ZERO, np.cumsum(counts[-1, :-1], dtype=np.int64)))
+    return order, counts, base
+
+
+def _repeated_strings(
+    gst: SuffixArrayGst, lb: np.ndarray, end: np.ndarray, roots: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Where a forest holds some string twice: ``(prev, repeats)``.
+
+    ``prev[r]`` is the previous rank holding a suffix of ``r``'s string
+    when that rank lies under the same forest root, else -1 (a rank
+    outside the root is below every ``lb`` the filter compares it with);
+    ``None`` when no root repeats a string.  ``repeats[v]`` marks the
+    nodes ``[lb[v], end[v])`` with some ``prev[r] >= lb[v]`` inside.
+    """
+    repeats = np.zeros(lb.size, dtype=bool)
+    # One sort of (string, covered position) keys: neighbours of equal
+    # string are consecutive occurrences in rank order.
+    roots = roots[np.argsort(lb[roots])]
+    r_size = end[roots] - lb[roots]
+    cov = _ragged_ranges(lb[roots], r_size)
+    key = np.sort((gst.pos_string[gst.sa_struct.sa[cov]] << 32) | np.arange(cov.size))
+    at = key & _LOW32
+    root_start = np.repeat(np.cumsum(r_size) - r_size, r_size)
+    hit = np.flatnonzero(
+        (key[1:] >> 32 == key[:-1] >> 32) & (at[:-1] >= root_start[at[1:]])
+    )
+    if hit.size == 0:
+        return None, repeats
+    cur = at[hit + 1]
+    by_rank = np.argsort(cur)
+    dup, dup_prev = cov[cur[by_rank]], cov[at[hit][by_rank]]
+    prev = np.full(gst.sa_struct.sa.size, -1, dtype=np.int64)
+    prev[dup] = dup_prev
+    # A node repeats a string iff the largest prev among the duplicate
+    # ranks it contains reaches its own lb.
+    i0 = np.searchsorted(dup, lb)
+    i1 = np.searchsorted(dup, end)
+    cand = np.flatnonzero(i1 > i0)
+    spans = np.stack((i0[cand], i1[cand]), axis=1).ravel()
+    top = np.maximum.reduceat(np.append(dup_prev, -1), spans)[::2]
+    repeats[cand] = top >= lb[cand]
+    return prev, repeats
+
+
 class VectorPairGenerator:
     """Drop-in vectorised replacement for :class:`SaPairGenerator`.
 
@@ -109,8 +180,7 @@ class VectorPairGenerator:
     Parameters
     ----------
     block_size:
-        Maximum pairs materialised per yielded chunk; bounds the latency
-        before the first pair of a depth batch reaches the consumer.
+        Maximum pairs materialised per yielded chunk.
     telemetry:
         Optional session: ``pairs.nodes`` and ``pairs.raw`` counters are
         flushed when the stream finishes (matching the scalar engine) and
@@ -170,9 +240,9 @@ class VectorPairGenerator:
     def pairs(self) -> Iterator[Pair]:
         """Canonical pairs in decreasing maximal-substring length.
 
-        Single-use, like the scalar engine: the arena segments are
-        consumed as parents absorb their children, so a second call
-        raises instead of silently corrupting ``stats``.
+        Single-use, like the scalar engine: the stream accumulates
+        into ``stats``, so a second call raises instead of silently
+        corrupting the counters.
         """
         if self._consumed:
             raise RuntimeError(REITERATION_ERROR)
@@ -185,246 +255,176 @@ class VectorPairGenerator:
     # ------------------------------------------------------------------ #
 
     def _generate(self) -> Iterator[Pair]:
-        stats = self.stats
-        tel = self._telemetry
         try:
             yield from self._sweep()
         finally:
-            if tel is not None:
-                tel.count("pairs.nodes", stats.nodes_processed)
-                tel.count("pairs.raw", stats.raw_pairs)
+            if self._telemetry is not None:
+                self._telemetry.count("pairs.nodes", self.stats.nodes_processed)
+                self._telemetry.count("pairs.raw", self.stats.raw_pairs)
 
     def _sweep(self) -> Iterator[Pair]:
         gst = self.gst
         stats = self.stats
-        tel = self._telemetry
         forests = self._forests
         n_nodes = self.total_nodes
         if n_nodes == 0:
             return
-        n_strings = gst.collection.n_strings
-        cls_codes = np.arange(N_CLASSES, dtype=np.int64)
-
-        # Per-rank suffix facts, gathered once (rank -> string/offset/char).
         sa = gst.sa_struct.sa
-        rank_string = gst.pos_string[sa].astype(np.int64)
-        rank_offset = gst.pos_offset[sa].astype(np.int64)
-        rank_leftchar = gst.left_char[sa].astype(np.int64)
+        # The lset structures of every node that repeats no string: all
+        # ranks by (class, rank) and per-class prefix counts over them.
+        cls = gst.left_char[sa].astype(np.int8)
+        whole = _class_index(cls)
 
-        # ---- global node + slot tables over all owned forests ----------
-        # Node ids are forest-major concatenation order; slots are the
-        # scalar engine's child/leaf interleave, one row per slot.
-        depth = np.concatenate([f.depth for f in forests]).astype(np.int64)
-        parent = np.empty(n_nodes, dtype=np.int64)
-        owner_parts, lb_parts, leaf_parts, ref_parts = [], [], [], []
-        off = 0
-        for f in forests:
-            n = f.n_nodes
-            parent[off : off + n] = np.where(f.parent >= 0, f.parent + off, -1)
-            cf, co = f.children_flat, f.children_offsets
-            lf, lo_ = f.leaves_flat, f.leaves_offsets
-            owner_parts.append(np.repeat(np.arange(n), np.diff(co)) + off)
-            owner_parts.append(np.repeat(np.arange(n), np.diff(lo_)) + off)
-            lb_parts.append(f.lb[cf])
-            lb_parts.append(lf)
-            leaf_parts.append(np.zeros(cf.size, dtype=bool))
-            leaf_parts.append(np.ones(lf.size, dtype=bool))
-            ref_parts.append(cf + off)
-            ref_parts.append(lf)
-            off += n
-        slot_owner = np.concatenate(owner_parts)
-        slot_lb = np.concatenate(lb_parts).astype(np.int64)
-        slot_is_leaf = np.concatenate(leaf_parts)
-        slot_ref = np.concatenate(ref_parts).astype(np.int64)
-
+        # ---- global node tables over all owned forests -----------------
+        # Node ids are forest-major concatenation order.
+        depth = np.concatenate([f.depth for f in forests])
+        lb = np.concatenate([f.lb for f in forests])
+        end = np.concatenate([f.rb for f in forests]) + 1
+        n_leaves = np.concatenate([np.diff(f.leaves_offsets) for f in forests])
         # Processing order: decreasing depth, stable on (forest, node) —
         # bit-identical to the scalar engine's sorted (-depth, f, nid).
         proc = np.argsort(-depth, kind="stable")
         pos_of = np.empty(n_nodes, dtype=np.int64)
         pos_of[proc] = np.arange(n_nodes)
+        # Child slots — the scalar engine's child/leaf interleave — as one
+        # sorted (owner position, first rank) key each; a slot ends where
+        # the next slot of its node starts.
+        parent = np.empty(n_nodes, dtype=np.int64)
+        keys = []
+        off = 0
+        for f in forests:
+            n = f.n_nodes
+            parent[off : off + n] = np.where(f.parent >= 0, f.parent + off, -1)
+            pos = pos_of[off : off + n] << 32
+            kids = np.repeat(pos, np.diff(f.children_offsets)) | f.lb[f.children_flat]
+            keys += [kids, np.repeat(pos, np.diff(f.leaves_offsets)) | f.leaves_flat]
+            off += n
+        slots = np.sort(np.concatenate(keys))
+        del keys, pos_of
+        is_root = parent < 0
+        prev, repeats = _repeated_strings(gst, lb, end, np.flatnonzero(is_root))
+        # Entries the min-rank filter removed below each node (its
+        # children's ``lost``), pushed up as repeating nodes are swept.
+        lost_below = None if prev is None else np.zeros(n_nodes, dtype=np.int64)
 
-        slot_sort = np.lexsort((slot_lb, pos_of[slot_owner]))
-        slot_owner_pos = pos_of[slot_owner][slot_sort]
-        slot_is_leaf = slot_is_leaf[slot_sort]
-        slot_ref = slot_ref[slot_sort]
-
-        # One batch per distinct depth: nodes of equal depth are contiguous
-        # in processing order and mutually independent.
-        depth_in_order = depth[proc]
-        cuts = np.flatnonzero(np.diff(depth_in_order)) + 1
-        batch_starts = np.concatenate((_ZERO, cuts))
-        batch_ends = np.concatenate((cuts, np.array([n_nodes])))
-        slot_bounds = np.searchsorted(
-            slot_owner_pos, np.concatenate((batch_starts, np.array([n_nodes])))
+        # One step per run of up to CHUNK_NODES nodes of one kind: the
+        # interval formulation needs nothing from a node's children, so
+        # any cut of the processing order is a valid batch.
+        kind = repeats[proc]
+        cuts = np.union1d(
+            np.arange(0, n_nodes, CHUNK_NODES), np.flatnonzero(np.diff(kind)) + 1
         )
-        is_root_pos = parent[proc] < 0
-
-        # ---- the flat lset arena ----------------------------------------
-        # Stored node segments: arena[seg_start[v] : seg_start[v] +
-        # seg_total[v]] holds node v's surviving entries sorted by class,
-        # with per-class counts in seg_counts[v].
-        arena = np.empty(4096, dtype=np.int32)
-        arena_n = 0
-        seg_start = np.zeros(n_nodes, dtype=np.int64)
-        seg_counts = np.zeros((n_nodes, N_CLASSES), dtype=np.int64)
-        seg_total = np.zeros(n_nodes, dtype=np.int64)
+        cuts = np.append(cuts, n_nodes)
+        slot_cuts = np.searchsorted(slots, cuts << 32)
         live = 0
-
-        for bi in range(batch_starts.size):
-            p0, p1 = int(batch_starts[bi]), int(batch_ends[bi])
-            s0, s1 = int(slot_bounds[bi]), int(slot_bounds[bi + 1])
-            d = int(depth_in_order[p0])
-            n_batch = p1 - p0
-            b_nodes = proc[p0:p1]
-            b_is_leaf = slot_is_leaf[s0:s1]
-            b_ref = slot_ref[s0:s1]
-            b_owner_local = slot_owner_pos[s0:s1] - p0
-            n_slots = s1 - s0
-
-            # -- gather every child/leaf entry of the batch, slot-major --
-            slot_len = np.ones(n_slots, dtype=np.int64)
-            child = ~b_is_leaf
-            slot_len[child] = seg_total[b_ref[child]]
-            n_entries = int(slot_len.sum())
-            slot_off = np.concatenate((_ZERO, np.cumsum(slot_len)[:-1]))
-            ranks = np.empty(n_entries, dtype=np.int64)
-            cls = np.empty(n_entries, dtype=np.int64)
-            leaf_rank = b_ref[b_is_leaf]
-            leaf_pos = slot_off[b_is_leaf]
-            ranks[leaf_pos] = leaf_rank
-            cls[leaf_pos] = rank_leftchar[leaf_rank]
-            if child.any():
-                clen = slot_len[child]
-                cref = b_ref[child]
-                cpos = _ragged_ranges(slot_off[child], clen)
-                ranks[cpos] = arena[_ragged_ranges(seg_start[cref], clen)]
-                # Stored segments are class-sorted; expand their per-class
-                # counts back into entry classes.
-                cls[cpos] = np.repeat(
-                    np.tile(cls_codes, cref.size), seg_counts[cref].ravel()
-                )
-            ent_slot = np.repeat(np.arange(n_slots), slot_len)
-            ent_node = b_owner_local[ent_slot]
-            ent_is_leaf = b_is_leaf[ent_slot]
-            strs = rank_string[ranks]
-
-            # -- duplicate-string elimination (the §3.2 mark array) ------
-            # keep marks the first occurrence of every (node, string) key
-            # in slot order; later occurrences are dropped exactly as the
-            # scalar mark array drops them.
-            _, first = np.unique(ent_node * n_strings + strs, return_index=True)
-            keep = np.zeros(n_entries, dtype=bool)
-            keep[first] = True
-
-            kk_rank = ranks[keep]
-            kk_cls = cls[keep]
-            kk_node = ent_node[keep]
-            kk_slot = ent_slot[keep]
-            kk_str = strs[keep]
-            m = kk_rank.size
-
+        for step in range(cuts.size - 1):
+            p0, p1 = int(cuts[step]), int(cuts[step + 1])
+            nodes = proc[p0:p1]
+            key = slots[slot_cuts[step] : slot_cuts[step + 1]]
+            own = (key >> 32) - p0
+            a = key & _LOW32
+            n_lb, n_end = lb[nodes], end[nodes]
+            b = np.append(a[1:], 0)
+            b[np.cumsum(np.bincount(own, minlength=p1 - p0)) - 1] = n_end
+            size = n_end - n_lb
+            if kind[p0]:
+                # -- the min-rank filter over each node's own interval ---
+                ranks = _ragged_ranges(n_lb, size)
+                keep = prev[ranks] < np.repeat(n_lb, size)
+                kept = np.concatenate((_ZERO, np.cumsum(keep)))
+                first = np.cumsum(size) - size
+                lost = size - np.diff(kept[np.append(first, keep.size)])
+                rebase = (first - n_lb)[own]
+                bounds = kept[first[own]], kept[rebase + a], kept[rebase + b]
+                ranks = ranks[keep]
+                order, counts, base = _class_index(cls[ranks])
+                index = ranks[order], counts, base
+                inner = ~is_root[nodes]
+                np.add.at(lost_below, parent[nodes[inner]], lost[inner])
+                killed = lost - lost_below[nodes]
+            else:
+                bounds = n_lb[own], a, b
+                index = whole
+                lost = killed = 0
             # -- lset space accounting (scalar-exact peak tracking) ------
-            # A fresh leaf entry is born (+1); a duplicate arriving from a
-            # child dies (-1); a root's whole lset dies after the node.
-            fresh_leaf = np.bincount(ent_node[keep & ent_is_leaf], minlength=n_batch)
-            dup_child = np.bincount(ent_node[~keep & ~ent_is_leaf], minlength=n_batch)
-            kept_per_node = np.bincount(kk_node, minlength=n_batch)
-            death = np.where(is_root_pos[p0:p1], kept_per_node, 0)
-            live_seq = (
-                live
-                + np.cumsum(fresh_leaf - dup_child)
-                - np.concatenate((_ZERO, np.cumsum(death)[:-1]))
-            )
-            peak = int(live_seq.max())
-            if peak > stats.peak_lset_entries:
-                stats.peak_lset_entries = peak
-            live = int(live_seq[-1]) - int(death[-1])
-            stats.nodes_processed += n_batch
+            # Every directly attached leaf is born (+1); an entry dies
+            # (-1) at the node that first filters it; a root's whole lset
+            # dies after the node, i.e. after its own sample of ``live``.
+            death = np.where(is_root[nodes], size - lost, 0)
+            live_seq = live + np.cumsum(n_leaves[nodes] - killed - death) + death
+            stats.peak_lset_entries = max(stats.peak_lset_entries, int(live_seq.max()))
+            live = int(live_seq[-1] - death[-1])
+            stats.nodes_processed += p1 - p0
             stats._live_entries = live
+            yield from self._expand(index, bounds, depth[nodes][own])
 
-            # -- cartesian products against earlier slots ----------------
-            # Per (node, class) CSR over surviving entries; an entry pairs
-            # with the class-compatible entries of strictly earlier slots
-            # of its node, i.e. a prefix of its (node, class) group.
-            gkey = kk_node * N_CLASSES + kk_cls
-            csr = np.argsort(gkey, kind="stable")
-            gcounts = np.bincount(gkey, minlength=n_batch * N_CLASSES)
-            goff = np.concatenate((_ZERO, np.cumsum(gcounts)))
-            # npart[i, c]: class-c entries of entry i's node from strictly
-            # earlier slots — an exclusive per-class prefix sum evaluated
-            # at each entry's slot start, re-based at its node start
-            # (entries are slot-major, so the difference counts exactly
-            # the same-node earlier-slot entries).
-            prefix = np.zeros((m + 1, N_CLASSES), dtype=np.int64)
-            prefix[np.arange(1, m + 1), kk_cls] = 1
-            np.cumsum(prefix, axis=0, out=prefix)
-            idx = np.arange(m, dtype=np.int64)
-            slot_first = np.where(np.diff(kk_slot, prepend=-1) != 0, idx, 0)
-            np.maximum.accumulate(slot_first, out=slot_first)
-            node_first = np.where(np.diff(kk_node, prepend=-1) != 0, idx, 0)
-            np.maximum.accumulate(node_first, out=node_first)
-            npart = prefix[slot_first] - prefix[node_first]
-            qgid = kk_node[:, None] * N_CLASSES + cls_codes[None, :]
-            lens = npart * _ALLOWED.T[kk_cls]
-            raw = int(lens.sum())
-            stats.raw_pairs += raw
+    def _expand(
+        self,
+        index: tuple[np.ndarray, np.ndarray, np.ndarray],
+        bounds: tuple[np.ndarray, np.ndarray, np.ndarray],
+        slot_depth: np.ndarray,
+    ) -> Iterator[Pair]:
+        """Cartesian products of one step's slots against earlier slots.
 
-            if raw:
-                block_lens = lens.ravel()
-                i_side = np.repeat(np.arange(m), lens.sum(axis=1))
-                within = _ragged_ranges(
-                    np.zeros(block_lens.size, dtype=np.int64), block_lens
-                )
-                j_side = csr[np.repeat(goff[qgid.ravel()], block_lens) + within]
+        ``index`` is a :func:`_class_index` whose ``order`` already holds
+        suffix-array ranks; ``bounds`` are each slot's node start, slot
+        start and slot end in that index's positions.  A class-``cj`` entry
+        of a slot pairs with the class-compatible entries of strictly
+        earlier slots of its node, class by class in rank order — the
+        scalar engine's emission order.
+        """
+        gst = self.gst
+        stats = self.stats
+        tel = self._telemetry
+        pool, counts, base = index
+        lo = counts[bounds[0]]
+        mid = counts[bounds[1]]
+        old = mid - lo  # per class: entries of earlier slots of the node
+        new = counts[bounds[2]] - mid  # per class: entries of this slot
+        partners = old @ _ALLOWED  # at most the node's size: fits int32
+        g_slot, g_cls = np.nonzero((new > 0) & (partners > 0))
+        if g_slot.size == 0:
+            return
+        g_new = new[g_slot, g_cls].astype(np.int64)
+        g_partners = partners[g_slot, g_cls].astype(np.int64)
+        g_raw = g_new * g_partners
+        stats.raw_pairs += int(g_raw.sum())
+        start = base + lo[g_slot]
+        groups = np.arange(g_slot.size)
+        entry_group = np.repeat(groups, g_new)
+        i_side = np.repeat(
+            _ragged_ranges(start[groups, g_cls] + old[g_slot, g_cls], g_new),
+            g_partners[entry_group],
+        )
+        j_side = _ragged_ranges(
+            start[entry_group].ravel(),
+            (old[g_slot] * _ALLOWED[g_cls])[entry_group].ravel().astype(np.int64),
+        )
 
-                # -- Lemma 4 discard rules as block masks ----------------
-                s_old = kk_str[j_side]
-                s_new = kk_str[i_side]
-                valid = (s_old >> 1) != (s_new >> 1)
-                swap = (s_old >> 1) > (s_new >> 1)
-                str_a = np.where(swap, s_new, s_old)
-                valid &= (str_a & 1) == 0
-                if valid.any():
-                    str_b = np.where(swap, s_old, s_new)
-                    o_old = rank_offset[kk_rank[j_side]]
-                    o_new = rank_offset[kk_rank[i_side]]
-                    off_a = np.where(swap, o_new, o_old)
-                    off_b = np.where(swap, o_old, o_new)
-                    va = str_a[valid].tolist()
-                    vb = str_b[valid].tolist()
-                    oa = off_a[valid].tolist()
-                    ob = off_b[valid].tolist()
-                    stats.pairs_generated += len(va)
-                    bs = self.block_size
-                    for c0 in range(0, len(va), bs):
-                        block = list(
-                            map(
-                                Pair,
-                                repeat(d),
-                                va[c0 : c0 + bs],
-                                oa[c0 : c0 + bs],
-                                vb[c0 : c0 + bs],
-                                ob[c0 : c0 + bs],
-                            )
-                        )
-                        if tel is not None:
-                            tel.observe(
-                                "pairs.block_size", len(block), PAIR_BLOCK_BUCKETS
-                            )
-                        yield from block
-
-            # -- store the surviving lsets for the parents ---------------
-            seg = kk_rank[csr].astype(np.int32)
-            need = arena_n + seg.size
-            if need > arena.size:
-                grown = np.empty(max(need, 2 * arena.size), dtype=np.int32)
-                grown[:arena_n] = arena[:arena_n]
-                arena = grown
-            arena[arena_n:need] = seg
-            seg_start[b_nodes] = arena_n + goff[np.arange(n_batch) * N_CLASSES]
-            seg_counts[b_nodes] = gcounts.reshape(n_batch, N_CLASSES)
-            seg_total[b_nodes] = kept_per_node
-            arena_n = need
+        # -- Lemma 4 discard rules as block masks ------------------------
+        p_old = gst.sa_struct.sa[pool[j_side]]
+        p_new = gst.sa_struct.sa[pool[i_side]]
+        s_old = gst.pos_string[p_old]
+        s_new = gst.pos_string[p_new]
+        valid = (s_old >> 1) != (s_new >> 1)
+        swap = (s_old >> 1) > (s_new >> 1)
+        str_a = np.where(swap, s_new, s_old)
+        valid &= (str_a & 1) == 0
+        if not valid.any():
+            return
+        str_b = np.where(swap, s_old, s_new)
+        o_old = gst.pos_offset[p_old]
+        o_new = gst.pos_offset[p_new]
+        off_a = np.where(swap, o_new, o_old)
+        off_b = np.where(swap, o_old, o_new)
+        depth = np.repeat(slot_depth[g_slot], g_raw)
+        cols = [x[valid].tolist() for x in (depth, str_a, off_a, str_b, off_b)]
+        stats.pairs_generated += len(cols[0])
+        for c0 in range(0, len(cols[0]), self.block_size):
+            block = list(map(Pair, *(c[c0 : c0 + self.block_size] for c in cols)))
+            if tel is not None:
+                tel.observe("pairs.block_size", len(block), PAIR_BLOCK_BUCKETS)
+            yield from block
 
 
 def make_pair_generator(

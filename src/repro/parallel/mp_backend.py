@@ -9,8 +9,11 @@ bucket ranges and running pair generation and alignment locally.
 
 This backend demonstrates protocol correctness under true asynchrony and
 real serialization.  Wall-clock *speedup* is the simulator's department:
-this host has a single core, and Python's pickling costs dwarf a 2002
-interconnect — see DESIGN.md §2.
+this host has one or two cores, and Python's pickling costs dwarf a 2002
+interconnect — see DESIGN.md §2.  What the backend does see to is that
+the slaves run side by side when there are cores for it: each moves to a
+CPU of its own at spawn (:func:`_start_on_own_cpu`) instead of waiting
+on its parent's for the kernel to balance load.
 
 Unlike the paper's protocol (which assumes immortal slaves), this runtime
 survives slave failure.  Detection is three-layered: every pipe
@@ -109,6 +112,31 @@ class _SlaveError:
     traceback: str
 
 
+def _start_on_own_cpu(slave_id: int) -> None:
+    """Move this freshly forked slave to a CPU of its own — round-robin
+    over the CPUs it may use — and hand placement back to the scheduler.
+
+    A forked child starts on its parent's CPU and leaves it only when the
+    kernel balances load, which some hosts do late or never: on the
+    2-vCPU benchmark microVM, two CPU-bound children shared one core for
+    their whole life, the other idling, in a varying share of runs — the
+    slaves then run one after the other and ``wall_s`` reads 1.1 s or
+    1.5 s from run to run (EXPERIMENTS.md, "Interval lsets and the default
+    flip", slave placement).  Narrowing the mask to one CPU migrates the
+    process at once; restoring it straight away leaves no pin behind.
+    """
+    if not hasattr(os, "sched_setaffinity"):  # not Linux
+        return
+    allowed = os.sched_getaffinity(0)
+    if len(allowed) < 2:
+        return
+    try:
+        os.sched_setaffinity(0, {sorted(allowed)[slave_id % len(allowed)]})
+        os.sched_setaffinity(0, allowed)
+    except OSError:  # a sandbox that forbids the call: placement is a hint
+        pass
+
+
 def _slave_worker(
     conn: Connection,
     source: SuffixArrayGst | GstBundle,
@@ -151,6 +179,7 @@ def _slave_worker(
     is indistinguishable from a crash and would trigger a pointless
     restart of a deterministic failure.
     """
+    _start_on_own_cpu(slave_id)
     injector = FaultInjector(fault_plan, slave_id, incarnation)
     tel = Telemetry(enabled=telemetry_origin is not None, origin=telemetry_origin)
     actor = f"slave{slave_id}"

@@ -2,7 +2,7 @@
 
 The mp backend used to hand every slave the whole built index — the int8
 sequence arena, the suffix/LCP arrays and (for the vector engine) the
-flat CSR lset arenas — as ordinary process arguments, an O(dataset × p)
+flat CSR forests — as ordinary process arguments, an O(dataset × p)
 serialisation cost under spawn semantics and an O(dataset × p) page-copy
 exposure even under fork.  The paper's model is the opposite: slaves own
 *references* to shared read-only data and receive only index ranges.

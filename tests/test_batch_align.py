@@ -124,7 +124,16 @@ class TestBatchAlignerEquivalence:
         col = EstCollection.from_strings(["ACGTACGTACGT", "GTACGTACGTAA"])
         pair = Pair(8, 0, 2, 2, 0)
         expected = PairAligner(col).align_and_decide(pair)
-        assert BatchPairAligner(col).align_and_decide_batch([pair]) == [expected]
+        tel = Telemetry()
+        bat = BatchPairAligner(col, telemetry=tel)
+        assert bat.align_and_decide_batch([pair]) == [expected]
+        # A wave of one goes through the per-pair kernel (the group kernel
+        # costs ~2.7x on a single pair) and is still observed once per
+        # call and once per extension.
+        assert bat.workspace.grows == 0
+        hists = tel.registry.snapshot()["histograms"]
+        assert hists["align.batch_size"]["count"] == 1
+        assert hists["align.band_width"]["count"] == 2
 
     def test_seed_at_string_edges(self):
         # Seeds flush against either string end make one extension empty —
@@ -187,11 +196,14 @@ class TestTelemetryParity:
 class TestMakeAligner:
     def test_selects_engine_from_config(self):
         col = EstCollection.from_strings(["ACGTACGTAC", "TGCATGCATG"])
-        per_pair = make_aligner(col, ClusteringConfig())
+        per_pair = make_aligner(col, ClusteringConfig(align_batch=0))
         assert type(per_pair) is PairAligner
         batched = make_aligner(col, ClusteringConfig(align_batch=32))
         assert isinstance(batched, BatchPairAligner)
         assert batched.group_size == 32
+        default = make_aligner(col, ClusteringConfig())
+        assert isinstance(default, BatchPairAligner)
+        assert default.group_size == 64
 
     def test_config_rejects_negative_group(self):
         with pytest.raises(ValueError):

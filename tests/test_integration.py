@@ -40,13 +40,17 @@ class TestOrderIndependence:
 class TestEngineParity:
     def test_all_four_engines_agree(self, small_benchmark, small_config):
         col = small_benchmark.collection
+        # The oracle is named, not inherited: library defaults are the
+        # vector pair engine and the batched aligner.
+        oracle = ClusteringConfig.small_reads(pair_engine="scalar", align_batch=0)
+        seq_oracle = PaceClusterer(oracle).cluster(col).clusters
         seq_sa = PaceClusterer(small_config).cluster(col).clusters
         seq_tree = PaceClusterer(
             ClusteringConfig.small_reads(backend="tree")
         ).cluster(col).clusters
         sim = simulate_clustering(col, small_config, n_processors=5).result.clusters
         mp = cluster_multiprocessing(col, small_config, n_processors=3).clusters
-        assert seq_sa == seq_tree == sim == mp
+        assert seq_oracle == seq_sa == seq_tree == sim == mp
 
     def test_one_base_corpus_on_every_engine(self):
         """A text shorter than ``w`` has no bucket at all: the parallel
@@ -65,7 +69,8 @@ class TestEngineParity:
         """The batched aligner is a pure performance layer: byte-identical
         cluster output to the per-pair reference engine."""
         col = small_benchmark.collection
-        reference = PaceClusterer(small_config).cluster(col).clusters
+        oracle = replace(small_config, pair_engine="scalar", align_batch=0)
+        reference = PaceClusterer(oracle).cluster(col).clusters
         cfg = replace(small_config, align_batch=align_batch)
         got = PaceClusterer(cfg).cluster(col).clusters
         assert repr(got).encode() == repr(reference).encode()

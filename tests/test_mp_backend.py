@@ -1,6 +1,7 @@
 """Tests for the real-process (multiprocessing) parallel backend."""
 
 import multiprocessing as mp
+import os
 import time
 
 import pytest
@@ -86,6 +87,29 @@ class TestSpawnFailureTeardown:
             )
         assert mp.active_children() == []
         assert leaked_segments() == []
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="CPU affinity is Linux-only"
+)
+class TestSlavePlacement:
+    """``_start_on_own_cpu`` places a slave once and leaves no pin behind."""
+
+    def test_restores_the_mask(self):
+        allowed = os.sched_getaffinity(0)
+        for slave_id in range(2 * len(allowed)):
+            mp_backend._start_on_own_cpu(slave_id)
+            assert os.sched_getaffinity(0) == allowed
+
+    def test_single_cpu_mask_is_left_alone(self):
+        allowed = os.sched_getaffinity(0)
+        one = {min(allowed)}
+        os.sched_setaffinity(0, one)
+        try:
+            mp_backend._start_on_own_cpu(3)
+            assert os.sched_getaffinity(0) == one
+        finally:
+            os.sched_setaffinity(0, allowed)
 
 
 class TestRunParallelFacade:

@@ -11,6 +11,8 @@ duplicates) across ψ edge values, mirroring tests/test_batch_align.py.
 import hashlib
 import importlib.util
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +27,33 @@ from repro.pairs import (
     VectorPairGenerator,
     make_pair_generator,
 )
-from repro.pairs.batch import PAIR_BLOCK_SIZE
+from repro.pairs.batch import CHUNK_NODES, PAIR_BLOCK_SIZE
 from repro.pairs.sa_generator import REITERATION_ERROR
 from repro.sequence import EstCollection
+from repro.sequence.seq import reverse_complement
 from repro.suffix import SuffixArrayGst
 from repro.telemetry import Telemetry
 
 from test_pair_generation import _random_overlapping_collection
 
 seeds = st.integers(0, 10**6)
+
+
+def _benchmark_gst(corpus: str) -> tuple[SuffixArrayGst, ClusteringConfig]:
+    """Index and base configuration of a ``benchmarks/e2e`` corpus at
+    ``--quick`` size, seed 0."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look themselves up
+    try:
+        spec.loader.exec_module(workloads)
+        records = workloads.make_corpus(corpus, 0, quick=True).records
+        small_reads = workloads.CORPORA[corpus][1]
+    finally:
+        del sys.modules[spec.name]
+    cfg = ClusteringConfig.small_reads() if small_reads else ClusteringConfig()
+    return SuffixArrayGst.build(EstCollection.from_records(records)), cfg
 
 
 def _both_streams(col: EstCollection, psi: int, **vector_kwargs):
@@ -218,30 +238,45 @@ class TestFactory:
         so any change to how it is built must leave the digest alone.
         Corpus: ``benchmarks/e2e`` ``deep`` at ``--quick`` size, seed 0;
         the digest was taken before the index build was rewritten."""
-        path = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("e2e_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = workloads  # its dataclasses look themselves up
-        try:
-            spec.loader.exec_module(workloads)
-            records = workloads.make_corpus("deep", 0, quick=True).records
-        finally:
-            del sys.modules[spec.name]
-        gst = SuffixArrayGst.build(EstCollection.from_records(records))
-        cfg = ClusteringConfig.small_reads(pair_engine=engine)
+        gst, cfg = _benchmark_gst("deep")
+        cfg = replace(cfg, pair_engine=engine)
         pairs = [tuple(p) for p in make_pair_generator(gst, cfg).pairs()]
         assert len(pairs) == 769
         assert hashlib.sha256(repr(pairs).encode()).hexdigest() == (
             "cd36941e56490f8f6c4f4b5f25f34bad8e8137ede39a8ece4c6d3fa239065c36"
         )
 
+    @pytest.mark.parametrize(
+        "corpus, n_pairs, digest",
+        [
+            ("wide", 243, "ee25d624a90fe7a96ef796d1253f78b6f79b6e96625258bf4a4a7798c53fc262"),
+            ("sparse", 163, "4d299be6e187b80c6657926510098f557d223130fe7eabdcb99a32ea1bfce7ff"),
+            ("sim", 480, "b754faa0fcb848e21498a6c3116cb21ac22ca9587a7250e8830c64b212a58ff9"),
+        ],
+    )
+    def test_golden_pair_stream_on_the_other_quick_corpora(
+        self, corpus, n_pairs, digest
+    ):
+        """Pair *order* on the remaining three benchmark corpora, without
+        the scalar engine's run time (digests taken from it)."""
+        gst, cfg = _benchmark_gst(corpus)
+        pairs = [tuple(p) for p in make_pair_generator(gst, cfg).pairs()]
+        assert len(pairs) == n_pairs
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
+
+    def test_fast_engines_are_the_defaults(self):
+        for cfg in (ClusteringConfig(), ClusteringConfig.small_reads()):
+            assert (cfg.pair_engine, cfg.align_batch) == ("vector", 64)
+
     def test_config_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="pair_engine"):
             ClusteringConfig(pair_engine="simd")
 
-    def test_config_rejects_vector_on_tree_backend(self):
-        with pytest.raises(ValueError, match="suffix_array"):
-            ClusteringConfig(backend="tree", pair_engine="vector")
+    def test_tree_backend_ignores_pair_engine(self):
+        """The tree backend has its own generator, so the default
+        ``pair_engine`` must not make ``backend="tree"`` unconstructible."""
+        assert ClusteringConfig(backend="tree").pair_engine == "vector"
+        assert ClusteringConfig(backend="tree", pair_engine="scalar").backend == "tree"
 
 
 class TestPipelineIntegration:
@@ -276,3 +311,125 @@ class TestPipelineIntegration:
             got.extend(source.next_batch(7))
         assert got == reference
         assert source.produced == len(reference)
+
+
+# --- inputs that repeat a string inside one node -------------------------
+
+_RNG = np.random.default_rng(20021)
+_GENOME = _RNG.integers(0, 4, size=150, dtype=np.uint8)
+_UNIT = _RNG.integers(0, 4, size=20, dtype=np.uint8)
+_POLY_A = np.zeros(40, dtype=np.uint8)
+
+
+def _reads(*spans: tuple[int, int]) -> list[np.ndarray]:
+    return [_GENOME[a:b].copy() for a, b in spans]
+
+
+_CLEAN = _reads((0, 70), (30, 100), (60, 130), (85, 150))
+REPEATED_CORPORA = {
+    "poly_a_tails": [np.concatenate((r, _POLY_A)) for r in _CLEAN[:3]],
+    "tandem_repeat": [
+        np.concatenate((_GENOME[:30], _UNIT, _UNIT, _UNIT, _GENOME[30:60])),
+        *_reads((10, 60), (20, 90)),
+    ],
+    "three_identical": [_GENOME[:60].copy() for _ in range(3)] + _reads((30, 100)),
+    "own_reverse_complement": [
+        np.concatenate((_GENOME[:45], reverse_complement(_GENOME[:45]))),
+        *_reads((10, 80), (30, 100)),
+    ],
+    "clean_and_repeated_roots": [
+        *_CLEAN,
+        np.concatenate((_GENOME[100:150], _POLY_A)),
+        np.concatenate((_UNIT, _UNIT, _UNIT, _GENOME[:25])),
+    ],
+}
+
+
+def _root_repeats_a_string(gst: SuffixArrayGst, psi: int) -> list[bool]:
+    """Per forest root: does its interval hold two suffixes of one string?"""
+    forest = gst.flat_forest(min_depth=psi)
+    strings = gst.pos_string[gst.sa_struct.sa]
+    out = []
+    for v in forest.roots().tolist():
+        inside = strings[forest.lb[v] : forest.rb[v] + 1]
+        out.append(np.unique(inside).size < inside.size)
+    return out
+
+
+class TestRepeatedStrings:
+    """Nodes whose interval repeats a string take the min-rank filter
+    (docs/ALGORITHMS.md §3.1); every other test corpus of realistic ψ
+    never reaches it."""
+
+    @pytest.mark.parametrize("psi", [1, 4, 15])
+    @pytest.mark.parametrize("name", sorted(REPEATED_CORPORA))
+    def test_stream_and_stats_match_the_scalar_engine(self, name, psi):
+        gst = SuffixArrayGst.build(EstCollection(REPEATED_CORPORA[name]))
+        n = len(gst.sa_struct.sa)
+        # An empty range among them: forests= covers the non-empty ones.
+        split = [(0, n // 3), (n // 3, n // 3), (n // 3, n - 7), (n - 7, n)]
+        for ranges in (None, split):
+            scalar = SaPairGenerator(gst, psi, ranges=ranges)
+            expected = list(scalar.pairs())
+            assert expected
+            built = VectorPairGenerator(gst, psi, ranges=ranges)
+            forests = [
+                gst.flat_forest(min_depth=psi, lo=lo, hi=hi)
+                for lo, hi in ranges or [(0, n)]
+                if hi > lo
+            ]
+            injected = VectorPairGenerator(gst, psi, ranges=ranges, forests=forests)
+            for vector in (built, injected):
+                assert list(vector.pairs()) == expected
+                assert vector.stats == scalar.stats
+
+    @pytest.mark.parametrize(
+        "name", ["poly_a_tails", "tandem_repeat", "clean_and_repeated_roots"]
+    )
+    def test_the_corpora_do_repeat_strings_at_est_psi(self, name):
+        """Even at ψ = 15 some root holds one string twice — and only
+        some: each forest mixes both kinds of node.  (Identical ESTs and a
+        read that is its own reverse complement are distinct *strings*:
+        they stress multi-string leaves and the same-EST discard.)"""
+        gst = SuffixArrayGst.build(EstCollection(REPEATED_CORPORA[name]))
+        kinds = _root_repeats_a_string(gst, 15)
+        assert any(kinds) and not all(kinds)
+
+    def test_benchmark_corpora_repeat_no_string(self):
+        """The common case at EST ψ: no root of the ``deep`` corpus holds a
+        string twice, so the whole run stays on the prefix-count path."""
+        gst, cfg = _benchmark_gst("deep")
+        assert not any(_root_repeats_a_string(gst, cfg.psi))
+
+
+class TestChunkedSweep:
+    def test_stream_is_lazy_and_blocks_stay_bounded(self):
+        """One on-demand batch must not sweep the whole forest, and every
+        emitted block is observed, none above ``block_size``."""
+        gst, cfg = _benchmark_gst("deep")
+        tel = Telemetry()
+        gen = VectorPairGenerator(gst, cfg.psi, block_size=16, telemetry=tel)
+        assert gen.total_nodes > CHUNK_NODES
+        source = OnDemandPairGenerator(gen.pairs())
+        assert len(source.next_batch(60)) == 60
+        assert 0 < gen.stats.nodes_processed < gen.total_nodes
+        n_pairs = 60 + len(list(source))
+        assert gen.stats.nodes_processed == gen.total_nodes
+        hist = tel.registry.snapshot()["histograms"]["pairs.block_size"]
+        assert hist["sum"] == n_pairs
+        # Bucket 0 is "<= 16": no block exceeded block_size.
+        assert hist["counts"][0] == hist["count"] >= n_pairs / 16
+
+    def test_generator_allocations_stay_below_the_arena_engine(self):
+        """tracemalloc peak of build + drain on the ``deep`` quick corpus.
+        The lset-arena engine this one replaced peaked at 3.39 MB here; an
+        untraced first drain takes numpy's one-time allocations out."""
+        gst, cfg = _benchmark_gst("deep")
+        list(VectorPairGenerator(gst, cfg.psi).pairs())
+        tracemalloc.start()
+        try:
+            list(VectorPairGenerator(gst, cfg.psi).pairs())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
