@@ -183,9 +183,7 @@ def run_startup(args) -> int:
     legacy_bytes = max(
         len(pickle.dumps((gst, ranges_of[k], config))) for k in range(n_slaves)
     )
-    shared = GstArenas.create(
-        gst, ranges_of, pair_engine=config.pair_engine, psi=config.psi
-    )
+    shared = GstArenas.create(gst)
     try:
         shared_bytes = max(
             len(pickle.dumps((shared.bundle, ranges_of[k], config)))
@@ -196,7 +194,8 @@ def run_startup(args) -> int:
         # --- spawn-to-first-result latency ---------------------------------
         # Both paths run the exact slave-startup sequence in-process:
         # deserialise the payload, materialise the gst (attach for the
-        # shared path), build generator + aligner, produce the first
+        # shared path), build generator (with it the forest of the
+        # slave's own ranges, one pass) + aligner, produce the first
         # dispatch batch.  Measured on slave 0 (the largest range set).
         def legacy_start():
             g, r, c = pickle.loads(pickle.dumps((gst, ranges_of[0], config)))
@@ -210,8 +209,8 @@ def run_startup(args) -> int:
             )
             registry = ArenaRegistry()
             try:
-                g, forests = attach_gst(b, registry, 0)
-                gen = make_pair_generator(g, c, ranges=r, forests=forests)
+                g = attach_gst(b, registry)
+                gen = make_pair_generator(g, c, ranges=r)
                 make_aligner(g.collection, c)
                 return OnDemandPairGenerator(gen.pairs()).next_batch(c.batchsize)
             finally:

@@ -256,6 +256,14 @@ def _read_assignments(path: Path) -> dict[str, str]:
     return out
 
 
+def _bad_input(source: object, exc: Exception) -> int:
+    """Report input the run cannot start from — ``source`` is the path or
+    ``"options"`` — as one stderr line; returns the exit status."""
+    cause = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    print(f"pace-est: error: {source}: {cause}", file=sys.stderr)
+    return 2
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.obs_out is not None:
         # One directory, one run id, every sink: the fan-out keeps the
@@ -273,24 +281,33 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             "--causal-trace records ride the telemetry stream: add "
             "--telemetry-out FILE (or use --obs-out DIR)"
         )
-    records = read_fasta(args.fasta)
-    collection = EstCollection.from_records(records)
-    config = ClusteringConfig(
-        w=args.w,
-        psi=args.psi,
-        batchsize=args.batchsize,
-        align_batch=args.align_batch,
-        pair_engine=args.pair_engine,
-        shared_arenas=not args.no_shared_arenas,
-        dispatch_policy=args.dispatch_policy,
-        master_shards=args.master_shards,
-        shard_sync_interval=args.shard_sync_interval,
-        causal_tracing=args.causal_trace,
-        flight_dir=str(args.flight_dir) if args.flight_dir is not None else None,
-        acceptance=AcceptanceCriteria(
-            min_score_ratio=args.min_ratio, min_overlap=args.min_overlap
-        ),
-    )
+    # Bad input is the user's to fix, not a crash: one line and exit 2.
+    # Only loading and config construction are guarded — an exception
+    # raised once the run has its inputs is ours and must propagate.
+    try:
+        records = read_fasta(args.fasta)
+        collection = EstCollection.from_records(records)
+    except (OSError, ValueError) as exc:
+        return _bad_input(args.fasta, exc)
+    try:
+        config = ClusteringConfig(
+            w=args.w,
+            psi=args.psi,
+            batchsize=args.batchsize,
+            align_batch=args.align_batch,
+            pair_engine=args.pair_engine,
+            shared_arenas=not args.no_shared_arenas,
+            dispatch_policy=args.dispatch_policy,
+            master_shards=args.master_shards,
+            shard_sync_interval=args.shard_sync_interval,
+            causal_tracing=args.causal_trace,
+            flight_dir=str(args.flight_dir) if args.flight_dir is not None else None,
+            acceptance=AcceptanceCriteria(
+                min_score_ratio=args.min_ratio, min_overlap=args.min_overlap
+            ),
+        )
+    except ValueError as exc:
+        return _bad_input("options", exc)
     telemetry = Telemetry() if args.telemetry_out else None
     monitor = None
     if args.monitor_port is not None or args.live_out is not None:

@@ -56,8 +56,6 @@ class ClusteringConfig:
     psi: int = 25
     #: Pairs per master→slave work message (Fig. 8 sweeps this).
     batchsize: int = 60
-    #: GST backend: "suffix_array" (production) or "tree" (paper-faithful).
-    backend: str = "suffix_array"
     #: Master-side pair selection: skip pairs already co-clustered.
     skip_clustered: bool = True
     #: Align by banded seed extension (Fig. 5a); False = whole-string DP.
@@ -76,8 +74,7 @@ class ClusteringConfig:
     #: "vector" (:class:`repro.pairs.batch.VectorPairGenerator`, lsets as
     #: suffix-array intervals swept in numpy) or "scalar"
     #: (:class:`repro.pairs.sa_generator.SaPairGenerator`, the reference
-    #: oracle — identical pair stream, several times slower).  The tree
-    #: backend has its own generator and never consults this field.
+    #: oracle — identical pair stream, several times slower).
     pair_engine: str = "vector"
     scoring: ScoringParams = field(default_factory=ScoringParams)
     acceptance: AcceptanceCriteria = field(default_factory=AcceptanceCriteria)
@@ -93,8 +90,8 @@ class ClusteringConfig:
     #: Live monitor sample interval in seconds (per-slave resource/progress
     #: samples and master status lines).  Ignored when monitoring is off.
     monitor_interval: float = 1.0
-    #: Publish the built index (sequence arena, suffix/LCP arrays, per-slave
-    #: flat forests) in named shared-memory segments and have slave
+    #: Publish the built index (sequence arena, suffix/LCP arrays, lookup
+    #: tables) in named shared-memory segments and have slave
     #: processes attach by descriptor instead of receiving copies — makes
     #: per-slave spawn payload O(1) in dataset size.  Only the real
     #: multiprocessing backend consults this; ``False`` restores the legacy
@@ -144,8 +141,6 @@ class ClusteringConfig:
                 f"psi ({self.psi}) must be >= w ({self.w}): buckets split the "
                 f"GST at depth w, so shallower nodes are unavailable"
             )
-        if self.backend not in ("suffix_array", "tree"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if self.align_engine not in ("banded", "kdiff"):
             raise ValueError(f"unknown align_engine {self.align_engine!r}")
         if self.pair_engine not in ("scalar", "vector"):

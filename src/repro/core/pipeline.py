@@ -27,11 +27,10 @@ from repro.cluster.greedy import WorkCounters, greedy_cluster, greedy_cluster_ba
 from repro.cluster.manager import ClusterManager
 from repro.core.config import ClusteringConfig
 from repro.core.results import ClusteringResult
-from repro.pairs.generator import TreePairGenerator
 from repro.pairs.pair import Pair
 from repro.pairs.batch import make_pair_generator
 from repro.sequence.collection import EstCollection
-from repro.suffix.gst import NaiveGst, SuffixArrayGst
+from repro.suffix.gst import SuffixArrayGst
 from repro.telemetry import Telemetry
 from repro.telemetry.causal import CausalRecorder, UnitMinter
 from repro.telemetry.live import LiveSample, ResourceSampler
@@ -159,21 +158,15 @@ class PaceClusterer:
         timings = TimingBreakdown(registry=tel.registry)
 
         with tel.span("gst_construction", n_ests=collection.n_ests):
-            if cfg.backend == "suffix_array":
-                gst = SuffixArrayGst.build(collection)
-            else:
-                gst = NaiveGst.build(collection, w=cfg.w)
+            gst = SuffixArrayGst.build(collection)
 
         # Forest construction + decreasing-depth ordering happen lazily in
         # the generators; constructing the generator here accounts the
         # eager part (forest building) under "sort_nodes", like Table 3.
         with tel.span("sort_nodes"):
-            if cfg.backend == "suffix_array":
-                generator = make_pair_generator(
-                    gst, cfg, telemetry=tel if tel.enabled else None
-                )
-            else:
-                generator = TreePairGenerator(gst, psi=cfg.psi)
+            generator = make_pair_generator(
+                gst, cfg, telemetry=tel if tel.enabled else None
+            )
 
         aligner = make_aligner(
             collection, cfg, telemetry=tel if tel.enabled else None
@@ -253,13 +246,13 @@ class PaceClusterer:
         t0: float | None = None,
     ) -> Iterator[Pair]:
         """Wrap the pair stream so the sequential run samples itself at
-        the monitor's interval (suffix-array generators expose resumable
-        forest positions; the tree generator reports counters only).
-        ``t0`` is the run's sample origin (shared with ``begin_run`` so
-        the live stream is alignable with post-run traces)."""
+        the monitor's interval (the generators expose resumable forest
+        positions).  ``t0`` is the run's sample origin (shared with
+        ``begin_run`` so the live stream is alignable with post-run
+        traces)."""
         sampler = ResourceSampler()
         t0 = time.monotonic() if t0 is None else t0
-        total_nodes = getattr(generator, "total_nodes", 0)
+        total_nodes = generator.total_nodes
         last = 0.0
         produced = 0
         for pair in stream:

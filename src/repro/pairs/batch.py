@@ -9,6 +9,11 @@ on realistic inputs (tens of thousands of nodes per ten thousand pairs).
 This module computes the identical stream without ever storing an lset
 (docs/ALGORITHMS.md §3.1):
 
+- the generator holds one flat forest over all the rank ranges of its
+  owner — every bucket for the sequential engine, a slave's buckets in a
+  parallel run — built in a single pass where it is used (§2.2), so node
+  ids are global and every table below is one array, never a list of
+  per-bucket pieces to be joined;
 - the occurrence of a string that survives the mark array at node ``v``
   is its lowest-rank suffix inside ``v``'s interval, so ``lset(v)`` is
   ``{r in [lb_v, rb_v] : prev(r) < lb_v}`` (``prev(r)`` = the previous
@@ -176,6 +181,10 @@ class VectorPairGenerator:
     Same constructor contract (``gst``, ``psi``, optional bucket
     ``ranges``), same single-use ``pairs()`` stream, same
     :class:`PairGenStats` counters — only the execution strategy differs.
+    It owns one :class:`FlatForest` over all of its ``ranges``
+    (:func:`~repro.suffix.interval_tree.build_flat_forest`), built here,
+    where it is used: by the sequential engine over the whole array, by
+    each slave over its own buckets.
 
     Parameters
     ----------
@@ -186,11 +195,6 @@ class VectorPairGenerator:
         flushed when the stream finishes (matching the scalar engine) and
         every emitted chunk is observed into the ``pairs.block_size``
         histogram.
-    forests:
-        Pre-built :class:`FlatForest` list to use instead of rebuilding
-        from ``gst.lcp`` — the shared-memory path, where slaves attach to
-        forests the master packed once.  Must correspond to the non-empty
-        entries of ``ranges`` in order; ``min_depth`` must equal ``psi``.
     """
 
     def __init__(
@@ -201,7 +205,6 @@ class VectorPairGenerator:
         *,
         block_size: int = PAIR_BLOCK_SIZE,
         telemetry: Telemetry | None = None,
-        forests: list[FlatForest] | None = None,
     ) -> None:
         if psi < 1:
             raise ValueError(f"psi must be >= 1, got {psi}")
@@ -214,20 +217,7 @@ class VectorPairGenerator:
         self.stats = PairGenStats()
         self._telemetry = telemetry
         self._consumed = False
-        self._forests: list[FlatForest] = []
-        if forests is not None:
-            for f in forests:
-                if f.min_depth != psi:
-                    raise ValueError(
-                        f"injected forest has min_depth={f.min_depth}, psi={psi}"
-                    )
-            self._forests = list(forests)
-        elif ranges is None:
-            self._forests.append(gst.flat_forest(min_depth=psi))
-        else:
-            for lo, hi in ranges:
-                if hi > lo:
-                    self._forests.append(gst.flat_forest(min_depth=psi, lo=lo, hi=hi))
+        self._forest: FlatForest = gst.flat_forest(min_depth=psi, ranges=ranges)
 
     # ------------------------------------------------------------------ #
 
@@ -235,7 +225,7 @@ class VectorPairGenerator:
     def total_nodes(self) -> int:
         """Forest nodes this generator owns: ``stats.nodes_processed``
         over this is its resumable position (live ``gen_position``)."""
-        return sum(f.n_nodes for f in self._forests)
+        return self._forest.n_nodes
 
     def pairs(self) -> Iterator[Pair]:
         """Canonical pairs in decreasing maximal-substring length.
@@ -265,8 +255,8 @@ class VectorPairGenerator:
     def _sweep(self) -> Iterator[Pair]:
         gst = self.gst
         stats = self.stats
-        forests = self._forests
-        n_nodes = self.total_nodes
+        forest = self._forest
+        n_nodes = forest.n_nodes
         if n_nodes == 0:
             return
         sa = gst.sa_struct.sa
@@ -275,32 +265,28 @@ class VectorPairGenerator:
         cls = gst.left_char[sa].astype(np.int8)
         whole = _class_index(cls)
 
-        # ---- global node tables over all owned forests -----------------
-        # Node ids are forest-major concatenation order.
-        depth = np.concatenate([f.depth for f in forests])
-        lb = np.concatenate([f.lb for f in forests])
-        end = np.concatenate([f.rb for f in forests]) + 1
-        n_leaves = np.concatenate([np.diff(f.leaves_offsets) for f in forests])
-        # Processing order: decreasing depth, stable on (forest, node) —
+        # ---- node tables ------------------------------------------------
+        # Node ids are range-major (one owner, one forest): the scalar
+        # engine's (forest, node) order over its per-range forests.
+        depth = forest.depth
+        lb = forest.lb
+        end = forest.rb + 1
+        parent = forest.parent
+        n_leaves = np.diff(forest.leaves_offsets)
+        # Processing order: decreasing depth, stable on node id —
         # bit-identical to the scalar engine's sorted (-depth, f, nid).
         proc = np.argsort(-depth, kind="stable")
-        pos_of = np.empty(n_nodes, dtype=np.int64)
-        pos_of[proc] = np.arange(n_nodes)
+        pos = np.empty(n_nodes, dtype=np.int64)
+        pos[proc] = np.arange(n_nodes)
+        pos <<= 32
         # Child slots — the scalar engine's child/leaf interleave — as one
         # sorted (owner position, first rank) key each; a slot ends where
         # the next slot of its node starts.
-        parent = np.empty(n_nodes, dtype=np.int64)
-        keys = []
-        off = 0
-        for f in forests:
-            n = f.n_nodes
-            parent[off : off + n] = np.where(f.parent >= 0, f.parent + off, -1)
-            pos = pos_of[off : off + n] << 32
-            kids = np.repeat(pos, np.diff(f.children_offsets)) | f.lb[f.children_flat]
-            keys += [kids, np.repeat(pos, np.diff(f.leaves_offsets)) | f.leaves_flat]
-            off += n
-        slots = np.sort(np.concatenate(keys))
-        del keys, pos_of
+        kids = np.repeat(pos, np.diff(forest.children_offsets))
+        kids |= lb[forest.children_flat]
+        leaves = np.repeat(pos, n_leaves) | forest.leaves_flat
+        slots = np.sort(np.concatenate((kids, leaves)))
+        del kids, leaves, pos
         is_root = parent < 0
         prev, repeats = _repeated_strings(gst, lb, end, np.flatnonzero(is_root))
         # Entries the min-rank filter removed below each node (its
@@ -433,18 +419,15 @@ def make_pair_generator(
     *,
     ranges: list[tuple[int, int]] | None = None,
     telemetry: Telemetry | None = None,
-    forests: list[FlatForest] | None = None,
 ) -> SaPairGenerator | VectorPairGenerator:
     """Engine selection for suffix-array pair generation.
 
     Mirrors :func:`repro.align.batch.make_aligner`: ``config.pair_engine``
     picks the scalar reference engine or the vectorised one; both yield
-    identical pair streams.  ``forests`` (vector engine only) injects
-    pre-built flat forests — e.g. shared-memory views — in place of a
-    local rebuild.
+    identical pair streams.
     """
     if config.pair_engine == "vector":
         return VectorPairGenerator(
-            gst, psi=config.psi, ranges=ranges, telemetry=telemetry, forests=forests
+            gst, psi=config.psi, ranges=ranges, telemetry=telemetry
         )
     return SaPairGenerator(gst, psi=config.psi, ranges=ranges, telemetry=telemetry)

@@ -5,19 +5,16 @@
 array — the int8 sequence arena and offsets, the suffix-array text, the
 suffix array itself, the LCP array and the per-position lookup tables —
 into named shared-memory segments (one :class:`~repro.parallel.shm
-.ArenaRegistry` owns them all), and for the vector pair engine also packs
-each slave's per-bucket-range :class:`~repro.suffix.interval_tree
-.FlatForest` set into a handful of concatenated arrays
-(:func:`~repro.suffix.interval_tree.concat_flat_forests`).
+.ArenaRegistry` owns them all): ten segments, whatever the slave count.
 
 What crosses the process boundary is a :class:`GstBundle`: descriptors
 only, a few hundred bytes regardless of dataset size.  A slave calls
 :func:`attach_gst` with its own registry and gets back a fully functional
-``SuffixArrayGst`` whose arrays are read-only views of the master's pages
-— plus its pre-built forests for the vector engine, so the slave skips
-forest construction entirely.  The scalar engine rebuilds its list-based
-``LcpForest`` locally from the shared LCP view (its per-node Python lists
-cannot live in a segment), which still removes every O(N) pickle.
+``SuffixArrayGst`` whose arrays are read-only views of the master's
+pages.  The index is all that is shared: every owner of bucket ranges —
+a slave, or the master reabsorbing a lost slave's — builds the interval
+forest of its own ranges from the shared LCP view, where it is used
+(O(N/p) per slave, §3.1 of the paper; DESIGN.md §5c).
 
 The suffix sort's own state (:class:`~repro.suffix.suffix_array.Refinement`)
 is gone by the time an index exists, so there is nothing else to share.
@@ -25,21 +22,14 @@ is gone by the time an index exists, so there is nothing else to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.parallel.shm import ArenaDescriptor, ArenaRegistry
 from repro.sequence.collection import EstCollection
 from repro.suffix.gst import SuffixArrayGst
-from repro.suffix.interval_tree import (
-    FlatForest,
-    concat_flat_forests,
-    split_flat_forests,
-)
 from repro.suffix.suffix_array import SuffixArray
 
-__all__ = ["GstBundle", "GstArenas", "SharedForestSet", "attach_gst"]
+__all__ = ["GstBundle", "GstArenas", "attach_gst"]
 
 #: The arrays of a ``SuffixArrayGst`` that slaves consume, keyed by the
 #: label used in segment names.  ``seq_arena``/``seq_offsets`` reconstruct
@@ -56,41 +46,16 @@ _GST_FIELDS = (
 
 
 @dataclass(frozen=True)
-class SharedForestSet:
-    """Descriptors for one slave's packed flat-forest arrays.
-
-    ``arrays`` keys match :func:`concat_flat_forests` output; ``min_depth``
-    is the ψ the forests were built with (checked against the consumer's
-    psi on attach).
-    """
-
-    arrays: dict[str, ArenaDescriptor]
-    min_depth: int
-
-    @property
-    def nbytes(self) -> int:
-        return sum(d.nbytes for d in self.arrays.values())
-
-
-@dataclass(frozen=True)
 class GstBundle:
-    """The picklable spawn payload: descriptors, never data.
-
-    ``forest_sets[k]`` is slave ``k``'s packed forests (vector engine) or
-    ``None`` (scalar engine rebuilds forests from the shared LCP view).
-    """
+    """The picklable spawn payload: descriptors, never data."""
 
     n_ests: int
     arrays: dict[str, ArenaDescriptor]
-    forest_sets: tuple[SharedForestSet | None, ...]
-    psi: int
 
     @property
     def nbytes(self) -> int:
         """Total shared bytes the bundle points at (not its own size)."""
-        total = sum(d.nbytes for d in self.arrays.values())
-        total += sum(fs.nbytes for fs in self.forest_sets if fs is not None)
-        return total
+        return sum(d.nbytes for d in self.arrays.values())
 
 
 @dataclass
@@ -98,28 +63,25 @@ class GstArenas:
     """Master-side ownership of a run's shared segments.
 
     Create with :meth:`create`; ``bundle`` is what spawn arguments carry;
-    ``forests_for`` hands the *master* zero-copy forests for the degraded
-    reabsorb path; ``dispose`` unlinks everything (idempotent — safe from
-    ``finally`` blocks and fault paths alike).
+    ``dispose`` unlinks everything (idempotent — safe from ``finally``
+    blocks and fault paths alike).
     """
 
     registry: ArenaRegistry
     bundle: GstBundle
-    #: Master-local packed forest arrays per slave (vector engine only) —
-    #: kept so reabsorption after a dead slave reuses the already-built
-    #: forests instead of rebuilding from the LCP array.
-    _packed: list[dict[str, np.ndarray] | None] = field(default_factory=list)
 
     @classmethod
     def create(
         cls,
         gst: SuffixArrayGst,
-        ranges_of: list[list[tuple[int, int]]],
+        # Accepted and ignored: benchmarks/e2e/child.py still passes the
+        # slaves' ranges and these two keywords (ROADMAP item 1).
+        ranges_of: object = None,
         *,
-        pair_engine: str,
-        psi: int,
+        pair_engine: object = None,
+        psi: object = None,
     ) -> "GstArenas":
-        """Publish ``gst`` (and per-slave forests for the vector engine).
+        """Publish ``gst``.
 
         If any segment creation fails partway, everything already created
         is unlinked before the error propagates — a failed publish leaves
@@ -135,48 +97,11 @@ class GstArenas:
             for name in _GST_FIELDS:
                 arrays[name] = registry.create(getattr(gst, name), name)
             arrays["sa"] = registry.create(gst.sa_struct.sa, "sa")
-
-            packed: list[dict[str, np.ndarray] | None] = []
-            forest_sets: list[SharedForestSet | None] = []
-            for k, ranges in enumerate(ranges_of):
-                if pair_engine != "vector":
-                    packed.append(None)
-                    forest_sets.append(None)
-                    continue
-                forests = [
-                    gst.flat_forest(min_depth=psi, lo=lo, hi=hi)
-                    for lo, hi in ranges
-                    if hi > lo
-                ]
-                pack = concat_flat_forests(forests)
-                packed.append(pack)
-                forest_sets.append(
-                    SharedForestSet(
-                        arrays={
-                            fname: registry.create(arr, f"f{k}{fname[:6]}")
-                            for fname, arr in pack.items()
-                        },
-                        min_depth=psi,
-                    )
-                )
-            bundle = GstBundle(
-                n_ests=gst.collection.n_ests,
-                arrays=arrays,
-                forest_sets=tuple(forest_sets),
-                psi=psi,
-            )
+            bundle = GstBundle(n_ests=gst.collection.n_ests, arrays=arrays)
         except BaseException:
             registry.dispose()
             raise
-        return cls(registry=registry, bundle=bundle, _packed=packed)
-
-    def forests_for(self, slave_id: int) -> list[FlatForest] | None:
-        """Zero-copy forests of slave ``slave_id`` for master-side reuse
-        (the degraded reabsorb path); ``None`` for the scalar engine."""
-        pack = self._packed[slave_id]
-        if pack is None:
-            return None
-        return split_flat_forests(pack, self.bundle.psi)
+        return cls(registry=registry, bundle=bundle)
 
     def dispose(self) -> None:
         """Unlink every segment (idempotent)."""
@@ -184,14 +109,17 @@ class GstArenas:
 
 
 def attach_gst(
-    bundle: GstBundle, registry: ArenaRegistry, slave_id: int
-) -> tuple[SuffixArrayGst, list[FlatForest] | None]:
+    bundle: GstBundle,
+    registry: ArenaRegistry,
+    # Accepted and ignored: benchmarks/e2e/child.py still passes a slave
+    # id from when forests were published per slave (ROADMAP item 1).
+    slave_id: object = None,
+) -> SuffixArrayGst:
     """Reconstruct a slave's view of the published GST.
 
-    Every array in the returned ``SuffixArrayGst`` (and every field of the
-    returned forests, when present) is a read-only view of shared memory;
-    nothing is copied.  The caller's ``registry`` tracks the attachments
-    and must be closed when the slave is done.
+    Every array in the returned ``SuffixArrayGst`` is a read-only view of
+    shared memory; nothing is copied.  The caller's ``registry`` tracks
+    the attachments and must be closed when the slave is done.
     """
     a = {name: registry.attach(desc) for name, desc in bundle.arrays.items()}
     collection = EstCollection.from_arena(a["seq_arena"], a["seq_offsets"])
@@ -199,7 +127,7 @@ def attach_gst(
         raise ValueError(
             f"attached arena has {collection.n_ests} ESTs, bundle says {bundle.n_ests}"
         )
-    gst = SuffixArrayGst(
+    return SuffixArrayGst(
         collection=collection,
         text=a["text"],
         starts=a["starts"],
@@ -210,10 +138,3 @@ def attach_gst(
         left_char=a["left_char"],
         suffix_len=a["suffix_len"],
     )
-    fs = bundle.forest_sets[slave_id]
-    if fs is None:
-        return gst, None
-    forest_arrays = {
-        name: registry.attach(desc) for name, desc in fs.arrays.items()
-    }
-    return gst, split_flat_forests(forest_arrays, fs.min_depth)

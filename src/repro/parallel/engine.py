@@ -9,7 +9,10 @@ OS pipes), and that is all each engine file keeps.  The rest is here:
 :func:`build_slave`, the slave factory the simulator calls in-process and
 the mp worker inside its fork, and :class:`EngineCore` — planning and the
 sharded master, the observed master step, the monitor publish, slave-loss
-recovery, the last-resort local drain and result assembly.
+recovery, the last-resort local drain and result assembly.  Whoever owns
+bucket ranges builds their interval forest, once, where it is used: a
+slave in :func:`build_slave`, the master only in :meth:`EngineCore
+.slave_lost` when a slave is lost for good.
 
 The core never reads a clock: every call takes the engine's ``now`` as a
 plain value, so a test can drive it with scripted events under a fake
@@ -88,15 +91,12 @@ def build_slave(
     ranges: list[tuple[int, int]],
     *,
     telemetry: Telemetry | None = None,
-    forests=None,
     incarnation: int = 0,
 ) -> Slave:
-    """Build slave ``slave_id`` over its bucket ``ranges``.  ``telemetry``
-    is an enabled session or ``None``; ``forests`` injects pre-built flat
-    forests (shared-memory views) in place of a local rebuild."""
-    generator = make_pair_generator(
-        gst, config, ranges=ranges, telemetry=telemetry, forests=forests
-    )
+    """Build slave ``slave_id`` over its bucket ``ranges`` — its pair
+    generator builds the interval forest of those ranges here, in the
+    slave.  ``telemetry`` is an enabled session or ``None``."""
+    generator = make_pair_generator(gst, config, ranges=ranges, telemetry=telemetry)
     aligner = make_aligner(gst.collection, config, telemetry=telemetry)
     traced = config.causal_tracing and telemetry is not None
     logic = SlaveLogic(
@@ -232,9 +232,7 @@ class EngineCore:
 
     # ---- recovery ----------------------------------------------------- #
 
-    def slave_lost(
-        self, slave_id: int, now: float, *, revive: bool, forests=None
-    ) -> Recovery:
+    def slave_lost(self, slave_id: int, now: float, *, revive: bool) -> Recovery:
         """Recover from the loss of ``slave_id``, detected at ``now``.
 
         Its unreported in-flight pairs are requeued.  With ``revive`` the
@@ -244,8 +242,8 @@ class EngineCore:
         owning shard — deterministic over its ranges, so nothing
         unreported can be missed, and shard ownership of the dead
         slave's buckets never moves to another shard — for the survivors
-        (or :meth:`drain_locally`) to align.  ``forests`` reuses already
-        built flat forests for that regeneration.
+        (or :meth:`drain_locally`) to align.  That is the one case in
+        which the master builds a forest: the lost slave's, in one pass.
         """
         logic = self.master.shard_for(slave_id).logic
         requeued = logic.slave_lost(slave_id, now=now)
@@ -261,7 +259,7 @@ class EngineCore:
             recovery = Recovery(requeued)
         else:
             generator = make_pair_generator(
-                self.gst, self.config, ranges=self.ranges_of[slave_id], forests=forests
+                self.gst, self.config, ranges=self.ranges_of[slave_id]
             )
             produced, admitted = reabsorb_ranges(logic, generator, now=now)
             self.regenerated += produced

@@ -32,16 +32,18 @@ clusters as the sequential driver (asserted by tests/test_faults).
 
 The index itself is built once in the master and *published*, not
 shipped: with ``config.shared_arenas`` (the default) every constituent
-array — sequence arena, suffix array, LCP, lookup tables, and the
-pre-built per-slave flat forests for the vector engine — lives in named
+array — sequence arena, suffix array, LCP, lookup tables — lives in named
 shared-memory segments (:mod:`repro.parallel.arenas`), and slaves attach
-by descriptor on spawn.  Spawn arguments and restart/re-absorb paths then
-carry only index ranges and descriptors, making per-slave startup payload
-O(1) in dataset size (gated by ``benchmarks/perf_gate.py startup``).  The
-master owns the segments and unlinks them in its ``finally`` block, so
-neither clean completion, slave crashes, nor a KeyboardInterrupt leak
-``/dev/shm`` entries.  With ``shared_arenas=False`` the legacy
-whole-object handoff remains available for comparison.
+by descriptor on spawn; each then builds the interval forest of its own
+bucket ranges from the shared LCP view, side by side with the others,
+inside its ``sort_nodes`` span.  Spawn arguments and restart/re-absorb
+paths then carry only index ranges and descriptors, making per-slave
+startup payload O(1) in dataset size (gated by ``benchmarks/perf_gate.py
+startup``).  The master owns the segments and unlinks them in its
+``finally`` block, so neither clean completion, slave crashes, nor a
+KeyboardInterrupt leak ``/dev/shm`` entries.  With
+``shared_arenas=False`` the legacy whole-object handoff remains
+available for comparison.
 """
 
 from __future__ import annotations
@@ -154,8 +156,7 @@ def _slave_worker(
     ``source`` is either the legacy in-process :class:`SuffixArrayGst`
     (``shared_arenas=False``) or a :class:`GstBundle` of shared-memory
     descriptors: the slave then attaches read-only views of the master's
-    pages — including its pre-built flat forests under the vector engine —
-    instead of deserialising anything.
+    pages instead of deserialising anything.
 
     ``telemetry_origin`` (the master session's monotonic origin) switches
     on slave-side telemetry: this process keeps its own recorder — wall
@@ -200,9 +201,9 @@ def _slave_worker(
     try:
         if isinstance(source, GstBundle):
             registry = ArenaRegistry()
-            gst, forests = attach_gst(source, registry, slave_id)
+            gst = attach_gst(source, registry)
         else:
-            gst, forests = source, None
+            gst = source
         with tel.span("sort_nodes", actor=actor):
             slave = build_slave(
                 gst,
@@ -210,7 +211,6 @@ def _slave_worker(
                 slave_id,
                 ranges,
                 telemetry=tel if tel.enabled else None,
-                forests=forests,
                 incarnation=incarnation,
             )
         logic = slave.logic
@@ -386,9 +386,7 @@ def cluster_multiprocessing(
     shared: GstArenas | None = None
     if config.shared_arenas:
         with tel.span("arena_setup"):
-            shared = GstArenas.create(
-                gst, core.ranges_of, pair_engine=config.pair_engine, psi=config.psi
-            )
+            shared = GstArenas.create(gst)
     slave_source: SuffixArrayGst | GstBundle = (
         shared.bundle if shared is not None else gst
     )
@@ -534,14 +532,7 @@ def cluster_multiprocessing(
             return
         record_fault(f"slave{slave_id}", "lost (crash or timeout)")
         revive = handle.restarts < tolerance.max_restarts
-        lost = core.slave_lost(
-            slave_id,
-            tel.now(),
-            revive=revive,
-            # Reuse the already-packed shared forests instead of
-            # rebuilding the lost slave's forests from the LCP array.
-            forests=shared.forests_for(slave_id) if shared is not None else None,
-        )
+        lost = core.slave_lost(slave_id, tel.now(), revive=revive)
         if revive:
             backoff = tolerance.backoff_for(handle.restarts)
             if backoff > 0:

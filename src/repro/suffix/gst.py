@@ -8,8 +8,8 @@ backends package those facts differently:
 - :class:`SuffixArrayGst` — the production engine.  Builds the suffix array
   and LCP array of the sentinel-terminated concatenation once (vectorised
   numpy), precomputes per-position lookup tables, and materialises LCP
-  forests on demand, either globally or per bucket range (the unit of
-  distribution across processors).
+  forests on demand: one flat forest per owner of bucket ranges (the
+  unit of distribution across processors), the whole array by default.
 - :class:`NaiveGst` — the paper-faithful engine: explicit bucket trees in
   the DFS-array encoding.  Semantically identical output, used for tests,
   demonstrations, and small inputs.
@@ -107,11 +107,13 @@ class SuffixArrayGst:
         return build_lcp_forest(self.lcp, min_depth=min_depth, lo=lo, hi=hi)
 
     def flat_forest(
-        self, min_depth: int, lo: int = 0, hi: int | None = None
+        self, min_depth: int, ranges: list[tuple[int, int]] | None = None
     ) -> FlatForest:
-        """Same forest as :meth:`forest`, built vectorised into flat CSR
-        arrays — the input form of the vectorised pair engine."""
-        return build_flat_forest(self.lcp, min_depth=min_depth, lo=lo, hi=hi)
+        """The forest of an owner of rank ``ranges`` (all ranks by
+        default) in flat CSR arrays, built in one vectorised pass — the
+        input form of the vectorised pair engine.  Equals the per-range
+        :meth:`forest` results concatenated."""
+        return build_flat_forest(self.lcp, min_depth=min_depth, ranges=ranges)
 
     def bucket_ranges(self, w: int) -> list[tuple[int, int, int]]:
         """``(key, lo, hi)`` suffix-array ranges of the ``w``-prefix buckets

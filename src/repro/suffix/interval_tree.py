@@ -15,11 +15,15 @@ never emitted, so their children become forest roots and their lsets are
 implicitly discarded — which is precisely the paper's behaviour at the
 threshold boundary.
 
-The builder also accepts a rank sub-range ``[lo, hi)``, which is how each
-(simulated or real) slave processor builds the forest for only the suffix
-buckets it owns: a bucket keyed on the first ``w`` characters is a
-contiguous suffix-array range, and with ψ ≥ w every qualifying node lies
-entirely inside one bucket.
+A bucket keyed on the first ``w`` characters is a contiguous suffix-array
+range, and with ψ ≥ w every qualifying node lies entirely inside one
+bucket, so an *owner* of buckets — a (simulated or real) slave processor;
+the sequential engine owns them all — needs only the forest over its own
+ranges.  :func:`build_flat_forest` builds that forest in one pass over
+all of an owner's ranges (``ranges=``): one array set per owner, node ids
+range-major, whatever the number of buckets.  :func:`build_lcp_forest`,
+the per-rank stack builder over one ``[lo, hi)`` range, is the reference
+the tests compare it against (and the scalar pair engine's input).
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ __all__ = [
     "FlatForest",
     "build_lcp_forest",
     "build_flat_forest",
-    "concat_flat_forests",
-    "split_flat_forests",
 ]
 
 
@@ -263,10 +265,9 @@ def build_flat_forest(
     lcp: np.ndarray,
     *,
     min_depth: int,
-    lo: int = 0,
-    hi: int | None = None,
+    ranges: list[tuple[int, int]] | None = None,
 ) -> FlatForest:
-    """Vectorised equivalent of :func:`build_lcp_forest`.
+    """Vectorised equivalent of :func:`build_lcp_forest`, one forest per owner.
 
     Produces the identical forest — same node ids (emission order), same
     parent links, same child and leaf ordering — without the per-rank
@@ -290,25 +291,44 @@ def build_flat_forest(
     emission (pop) order is recovered as a sort by ``(rb, -depth)``:
     intervals are popped when the scan first passes their right bound,
     deepest first.
+
+    ``ranges`` lists the suffix-array rank ranges ``[lo, hi)`` the caller
+    owns (``None``: the whole array).  Their ranks are gathered in the
+    order given and swept once with every range edge a break, so the
+    result is the per-range forests concatenated — node ids range-major,
+    parent and child ids global to the one forest — without a build per
+    range (docs/ALGORITHMS.md §2.2).  Empty ranges are skipped; an owner
+    with no non-empty range gets a forest of zero nodes.
     """
     if min_depth < 1:
         raise ValueError(f"min_depth must be >= 1, got {min_depth}")
     lcp = np.asarray(lcp)
-    if hi is None:
-        hi = len(lcp)
-    if not 0 <= lo <= hi <= len(lcp):
-        raise ValueError(f"invalid range [{lo}, {hi}) for lcp of length {len(lcp)}")
-    n = hi - lo
-    if n <= 0:
-        raise ValueError("empty suffix-array range")
+    ranks = None  # position -> rank; None: the identity (whole array)
+    if ranges is not None:
+        spans = np.asarray(ranges, dtype=np.int64).reshape(len(ranges), 2)
+        los, his = spans[:, 0], spans[:, 1]
+        bad = np.flatnonzero((los < 0) | (los > his) | (his > len(lcp)))
+        if bad.size:
+            lo, hi = spans[bad[0]]
+            raise ValueError(f"invalid range [{lo}, {hi}) for lcp of length {len(lcp)}")
+        nonempty = his > los
+        los, lens = los[nonempty], (his - los)[nonempty]
+        starts = np.cumsum(lens) - lens  # position of each range's first rank
+        ranks = np.repeat(los - starts, lens) + np.arange(lens.sum())
+    n = len(lcp) if ranks is None else ranks.size
 
-    # Boundary values: position p in (0, n) separates ranks lo+p-1 and
-    # lo+p; the range edges are depth "-1" sentinels (strictly smaller
-    # than any real LCP), which is what makes every jump chain terminate.
+    # Boundary values: position p in (0, n) separates the suffixes at
+    # positions p-1 and p.  Both ends of every range are depth "-1"
+    # sentinels (strictly smaller than any real LCP): they are what makes
+    # every jump chain terminate, and no interval can span one.  The
+    # values are a private copy — ``lcp`` may be a read-only shared view.
     val = np.empty(n + 1, dtype=np.int64)
+    if ranks is None:
+        val[:n] = lcp
+    else:
+        val[:n] = lcp[ranks]
+        val[starts] = -1
     val[0] = val[n] = -1
-    if n > 1:
-        val[1:n] = lcp[lo + 1 : lo + n]
 
     # PSV/NSV by pointer doubling: each round follows the current pointer
     # of the pointed-to position, so unresolved chain lengths double.
@@ -334,8 +354,8 @@ def build_flat_forest(
     ukey, first = np.unique(key, return_index=True)
     m = ukey.size
     depth_u = val[qual[first]]
-    lb_u = lo + ukey // (n + 1)
-    rb_u = lo + ukey % (n + 1) - 1
+    lb_u = ukey // (n + 1)
+    rb_u = ukey % (n + 1) - 1
     order = np.lexsort((-depth_u, rb_u))  # the stack builder's pop order
     rank_of = np.empty(m, dtype=np.int64)
     rank_of[order] = np.arange(m)
@@ -372,11 +392,13 @@ def build_flat_forest(
     attached = np.flatnonzero(np.maximum(val[:-1], val[1:]) >= min_depth)
     ql = np.where(val[attached] >= val[attached + 1], attached, attached + 1)
     owner = rank_of[np.searchsorted(ukey, prev[ql] * (n + 1) + nxt[ql])]
-    leaves_flat = attached[np.argsort(owner, kind="stable")] + lo
+    leaves_flat = attached[np.argsort(owner, kind="stable")]
     leaves_offsets = np.concatenate(
         (zero, np.cumsum(np.bincount(owner, minlength=m)))
     )
 
+    if ranks is not None:  # positions back to suffix-array ranks
+        lb, rb, leaves_flat = ranks[lb], ranks[rb], ranks[leaves_flat]
     return FlatForest(
         depth=depth,
         lb=lb,
@@ -388,99 +410,6 @@ def build_flat_forest(
         leaves_offsets=leaves_offsets,
         min_depth=min_depth,
     )
-
-
-#: Array fields of :class:`FlatForest` in packing order; the offsets
-#: arrays (``*_offsets``) need the per-forest +1 entry accounted for when
-#: packing/unpacking (each forest contributes ``n_nodes + 1`` entries).
-_PACK_FIELDS = (
-    "depth",
-    "lb",
-    "rb",
-    "parent",
-    "children_flat",
-    "children_offsets",
-    "leaves_flat",
-    "leaves_offsets",
-)
-
-
-def concat_flat_forests(forests: list[FlatForest]) -> dict[str, np.ndarray]:
-    """Pack several :class:`FlatForest` instances into one set of flat arrays.
-
-    This is the shape a forest set takes inside a shared-memory segment:
-    every field concatenated across forests, plus three bounds arrays
-    recording where each forest starts — ``node_bounds`` (cumulative node
-    counts, length ``n_forests + 1``) and ``cflat_bounds`` /
-    ``lflat_bounds`` (cumulative CSR value counts).  All ids stay
-    forest-local, so :func:`split_flat_forests` can rebuild each forest as
-    pure zero-copy slices of the packed arrays.
-    """
-    zero = np.zeros(1, dtype=np.int64)
-    node_counts = np.fromiter(
-        (f.n_nodes for f in forests), dtype=np.int64, count=len(forests)
-    )
-    out: dict[str, np.ndarray] = {
-        "node_bounds": np.concatenate((zero, np.cumsum(node_counts))),
-        "cflat_bounds": np.concatenate(
-            (zero, np.cumsum([len(f.children_flat) for f in forests]))
-        ).astype(np.int64),
-        "lflat_bounds": np.concatenate(
-            (zero, np.cumsum([len(f.leaves_flat) for f in forests]))
-        ).astype(np.int64),
-    }
-    for field_name in _PACK_FIELDS:
-        parts = [np.asarray(getattr(f, field_name)) for f in forests]
-        out[field_name] = (
-            np.concatenate(parts)
-            if parts
-            else np.empty(0, dtype=np.int64)
-        )
-    return out
-
-
-def split_flat_forests(
-    arrays: dict[str, np.ndarray], min_depth: int
-) -> list[FlatForest]:
-    """Rebuild the individual forests packed by :func:`concat_flat_forests`.
-
-    Every field of every returned forest is a slice (view) of the packed
-    arrays — no copies, which is the whole point: when ``arrays`` are
-    shared-memory views, the reconstructed forests read the master's pages
-    directly.
-
-    The only subtlety is the offsets arrays: forest ``f`` with nodes
-    ``[node_bounds[f], node_bounds[f+1])`` owns ``n_nodes + 1`` offset
-    entries, so its slice is shifted by ``f`` extra sentinel entries —
-    ``[node_bounds[f] + f, node_bounds[f+1] + f + 1)`` — and rebased to
-    start at its own ``cflat``/``lflat`` origin.
-    """
-    nb = arrays["node_bounds"]
-    cb = arrays["cflat_bounds"]
-    lb_bounds = arrays["lflat_bounds"]
-    forests: list[FlatForest] = []
-    for f in range(len(nb) - 1):
-        n0, n1 = int(nb[f]), int(nb[f + 1])
-        c0, c1 = int(cb[f]), int(cb[f + 1])
-        l0, l1 = int(lb_bounds[f]), int(lb_bounds[f + 1])
-        coff = arrays["children_offsets"][n0 + f : n1 + f + 1]
-        loff = arrays["leaves_offsets"][n0 + f : n1 + f + 1]
-        # Offsets in the packed arrays are forest-local already (ids were
-        # never rebased), so the slices are usable as-is.
-        forests.append(
-            FlatForest(
-                depth=arrays["depth"][n0:n1],
-                lb=arrays["lb"][n0:n1],
-                rb=arrays["rb"][n0:n1],
-                parent=arrays["parent"][n0:n1],
-                children_flat=arrays["children_flat"][c0:c1],
-                children_offsets=coff,
-                leaves_flat=arrays["leaves_flat"][l0:l1],
-                leaves_offsets=loff,
-                min_depth=min_depth,
-            )
-        )
-    return forests
 
 
 def build_lcp_forest(

@@ -10,9 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ClusteringConfig
+from repro.core import ClusteringConfig, PaceClusterer
+from repro.pairs import TreePairGenerator
 from repro.sequence import EstCollection
 from repro.simulate import BenchmarkParams, ErrorModel, make_benchmark
+from repro.suffix import NaiveGst
 
 
 @pytest.fixture(scope="session")
@@ -41,6 +43,20 @@ def clean_benchmark():
 @pytest.fixture(scope="session")
 def small_config():
     return ClusteringConfig.small_reads()
+
+
+@pytest.fixture(scope="session")
+def tree_engine_run(small_config):
+    """``(collection, clusters)`` of the paper-faithful tree engine — the
+    explicit bucket trees of ``NaiveGst`` under ``TreePairGenerator`` —
+    on a corpus of its own (25 ESTs): it is a pure-Python oracle, ~4 s
+    here against ~30 s on ``small_benchmark``.  Run once per session."""
+    col = make_benchmark(
+        BenchmarkParams.small(n_genes=4, mean_ests_per_gene=6), rng=3
+    ).collection
+    gst = NaiveGst.build(col, w=small_config.w)
+    pairs = TreePairGenerator(gst, psi=small_config.psi).pairs()
+    return col, PaceClusterer(small_config).cluster_pairs(col, pairs).clusters
 
 
 @pytest.fixture(scope="session")

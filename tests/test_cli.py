@@ -105,6 +105,50 @@ class TestClusterCommand:
         assert out_seq.read_text() == out_par.read_text()
 
 
+_GOOD = ">a\n" + "ACGTTGCAAGCTTACGGATC" * 3 + "\n"
+
+
+class TestClusterBadInput:
+    """Input the run cannot start from is answered with one stderr line
+    and exit status 2, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "content, extra, cause",
+        [
+            (None, [], "No such file or directory"),
+            ("ACGT\n" + _GOOD, [], "sequence data before first header at line 1"),
+            (_GOOD + ">b\n>c\nACGT\n", [], "EST 1 is empty"),
+            ("", [], "at least one EST"),
+            (_GOOD, ["--psi", "3", "--w", "8"], "psi (3) must be >= w (8)"),
+        ],
+        ids=["missing_file", "data_before_header", "empty_record", "empty_fasta",
+             "rejected_config"],
+    )
+    def test_one_line_and_exit_2(self, tmp_path, capsys, content, extra, cause):
+        fa = tmp_path / "in.fa"
+        if content is not None:
+            fa.write_text(content)
+        assert main(["cluster", str(fa), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        source = "options" if extra else str(fa)
+        assert line.startswith(f"pace-est: error: {source}: ")
+        assert cause in line and "Traceback" not in line
+
+    def test_errors_after_loading_still_propagate(self, tmp_path, monkeypatch):
+        from repro.core import PaceClusterer
+
+        def boom(self, collection, **kwargs):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(PaceClusterer, "cluster", boom)
+        fa = tmp_path / "in.fa"
+        fa.write_text(_GOOD)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["cluster", str(fa)])
+
+
 class TestEvaluate:
     def test_missing_est_rejected(self, tmp_path):
         a = tmp_path / "a.tsv"

@@ -18,10 +18,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be >= w"):
             ClusteringConfig(w=8, psi=4)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            ClusteringConfig(backend="magic")
-
     def test_positive_params_enforced(self):
         with pytest.raises(ValueError):
             ClusteringConfig(batchsize=0)
@@ -61,14 +57,11 @@ class TestPipeline:
             assert t.get(name) >= 0
         assert t.total > 0
 
-    def test_tree_backend_equivalent_partition(self, clean_benchmark):
-        cfg_sa = ClusteringConfig.small_reads()
-        cfg_tree = ClusteringConfig.small_reads(backend="tree")
-        a = PaceClusterer(cfg_sa).cluster(clean_benchmark.collection)
-        b = PaceClusterer(cfg_tree).cluster(clean_benchmark.collection)
+    def test_tree_backend_equivalent_partition(self, tree_engine_run, small_config):
+        col, tree_clusters = tree_engine_run
         # Same pair set + order-independent merging => identical partitions
         # (both backends emit the same canonical pair set).
-        assert a.clusters == b.clusters
+        assert PaceClusterer(small_config).cluster(col).clusters == tree_clusters
 
     def test_gen_stats_attached(self, small_benchmark, small_config):
         res = PaceClusterer(small_config).cluster(small_benchmark.collection)

@@ -15,7 +15,13 @@ from repro.align import AcceptanceCriteria
 from repro.baselines import allpairs_cluster
 from repro.core import ClusteringConfig, PaceClusterer
 from repro.metrics import assess_clustering
-from repro.parallel import cluster_multiprocessing, simulate_clustering
+from repro.parallel import (
+    FaultPlan,
+    FaultSpec,
+    FaultTolerance,
+    cluster_multiprocessing,
+    simulate_clustering,
+)
 from repro.sequence import EstCollection, reverse_complement
 from repro.simulate import BenchmarkParams, ErrorModel, ReadParams, make_benchmark
 
@@ -38,19 +44,22 @@ class TestOrderIndependence:
 
 
 class TestEngineParity:
-    def test_all_four_engines_agree(self, small_benchmark, small_config):
+    def test_all_four_engines_agree(
+        self, small_benchmark, small_config, tree_engine_run
+    ):
         col = small_benchmark.collection
         # The oracle is named, not inherited: library defaults are the
         # vector pair engine and the batched aligner.
         oracle = ClusteringConfig.small_reads(pair_engine="scalar", align_batch=0)
         seq_oracle = PaceClusterer(oracle).cluster(col).clusters
         seq_sa = PaceClusterer(small_config).cluster(col).clusters
-        seq_tree = PaceClusterer(
-            ClusteringConfig.small_reads(backend="tree")
-        ).cluster(col).clusters
         sim = simulate_clustering(col, small_config, n_processors=5).result.clusters
         mp = cluster_multiprocessing(col, small_config, n_processors=3).clusters
-        assert seq_oracle == seq_sa == seq_tree == sim == mp
+        assert seq_oracle == seq_sa == sim == mp
+        # The fourth engine — explicit bucket trees, pure Python — against
+        # the same oracle on the small corpus it can afford.
+        tree_col, seq_tree = tree_engine_run
+        assert PaceClusterer(oracle).cluster(tree_col).clusters == seq_tree
 
     def test_one_base_corpus_on_every_engine(self):
         """A text shorter than ``w`` has no bucket at all: the parallel
@@ -61,6 +70,18 @@ class TestEngineParity:
         sim = simulate_clustering(col, cfg, n_processors=3).result.clusters
         mp = cluster_multiprocessing(col, cfg, n_processors=3).clusters
         assert seq == sim == mp == [[0]]
+
+    def test_more_slaves_than_buckets(self):
+        """Two 8-base ESTs have two buckets at w = 8: most slaves own no
+        range, hence no forest, and the run is still the sequential one."""
+        col = EstCollection.from_strings(["ACGTTGCA", "ACGTTGCA"])
+        cfg = ClusteringConfig(
+            psi=8, acceptance=AcceptanceCriteria(min_score_ratio=0.8, min_overlap=8)
+        )
+        seq = PaceClusterer(cfg).cluster(col).clusters
+        sim = simulate_clustering(col, cfg, n_processors=8).result.clusters
+        mp = cluster_multiprocessing(col, cfg, n_processors=5).clusters
+        assert seq == sim == mp == [[0, 1]]
 
     @pytest.mark.parametrize("align_batch", [0, 48])
     def test_batched_and_per_pair_cluster_output_identical(
@@ -83,6 +104,53 @@ class TestEngineParity:
         mp = cluster_multiprocessing(col, cfg, n_processors=2).clusters
         assert sim == reference
         assert mp == reference
+
+
+class TestOneForestPerOwner:
+    """Every owner of bucket ranges builds its interval forest in one
+    call, whatever the number of buckets it owns (DESIGN.md §5c)."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        import repro.suffix.gst as gst_module
+
+        calls = []
+        real = gst_module.build_flat_forest
+
+        def counting(lcp, **kwargs):
+            calls.append(kwargs.get("ranges"))
+            return real(lcp, **kwargs)
+
+        monkeypatch.setattr(gst_module, "build_flat_forest", counting)
+        return calls
+
+    def test_sequential_run_builds_once(self, small_benchmark, small_config, builds):
+        PaceClusterer(small_config).cluster(small_benchmark.collection)
+        assert builds == [None]  # the owner of every bucket: the whole array
+
+    def test_each_simulated_slave_builds_once(
+        self, small_benchmark, small_config, builds
+    ):
+        simulate_clustering(small_benchmark.collection, small_config, n_processors=8)
+        assert len(builds) == 7
+        assert all(len(ranges) > 1 for ranges in builds)  # many buckets, one call
+
+    def test_lost_slave_is_rebuilt_in_one_call(
+        self, small_benchmark, small_config, builds
+    ):
+        plan = FaultPlan.of(
+            FaultSpec(slave_id=1, kind="kill", at_message=1, incarnation=None)
+        )
+        rep = simulate_clustering(
+            small_benchmark.collection,
+            small_config,
+            n_processors=8,
+            faults=plan,
+            tolerance=FaultTolerance(detection_delay=0.001),
+        )
+        assert rep.result.faults.slaves_lost == 1
+        assert len(builds) == 7 + 1
+        assert builds[-1] == builds[1]  # the master, over slave 1's ranges
 
 
 class TestErrorRobustness:

@@ -180,18 +180,56 @@ class TestFlatBuilder:
         self._assert_same(list_forest, flat_forest)
         flat_forest.validate()
 
-    @given(dna_lists, st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_matches_stack_builder_on_ranges(self, seqs, data):
+    @staticmethod
+    def _stack_oracle(lcp, min_depth, ranges):
+        """The per-range stack forests concatenated with node-id offsets:
+        what an owner of ``ranges`` held as a list of forests before."""
+        parts = [
+            build_lcp_forest(lcp, min_depth=min_depth, lo=lo, hi=hi)
+            for lo, hi in ranges
+            if hi > lo
+        ]
+        zero = np.zeros(1, dtype=np.int64)
+        out = {name: [zero] for name in ("children_offsets", "leaves_offsets")}
+        nodes = kids = leaves = 0
+        for f in parts:
+            for name in ("depth", "lb", "rb", "leaves_flat"):
+                out.setdefault(name, []).append(getattr(f, name))
+            out.setdefault("parent", []).append(
+                np.where(f.parent >= 0, f.parent + nodes, -1)
+            )
+            out.setdefault("children_flat", []).append(f.children_flat + nodes)
+            out["children_offsets"].append(f.children_offsets[1:] + kids)
+            out["leaves_offsets"].append(f.leaves_offsets[1:] + leaves)
+            nodes += f.n_nodes
+            kids += len(f.children_flat)
+            leaves += len(f.leaves_flat)
+        return {name: np.concatenate(arrays) for name, arrays in out.items()}
+
+    @given(dna_lists, st.sampled_from([1, 3, 6]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_stack_builder_on_ranges(self, seqs, min_depth, data):
+        """One masked pass over an owner's ranges == the per-range stack
+        builds concatenated, all eight arrays (docs/ALGORITHMS.md §2.2)."""
         text, _ = EstCollection.from_strings(seqs).sa_text()
         sa = build_suffix_array(text)
         lcp = lcp_kasai(text, sa.sa)
-        lo = data.draw(st.integers(0, len(lcp) - 1))
-        hi = data.draw(st.integers(lo + 1, len(lcp)))
-        self._assert_same(
-            build_lcp_forest(lcp, min_depth=2, lo=lo, hi=hi),
-            build_flat_forest(lcp, min_depth=2, lo=lo, hi=hi),
-        )
+        n = len(lcp)
+        # A partition by arbitrary cuts (they fall inside nodes), plus an
+        # empty range and a one-rank range, in an arbitrary order: ranges
+        # are independent of each other and taken as given.
+        cuts = sorted(data.draw(st.sets(st.integers(0, n), max_size=6)) | {0, n})
+        ranges = list(zip(cuts, cuts[1:]))
+        empty = data.draw(st.integers(0, n))
+        single = data.draw(st.integers(0, n - 1))
+        ranges += [(empty, empty), (single, single + 1)]
+        ranges = data.draw(st.permutations(ranges))
+        flat = build_flat_forest(lcp, min_depth=min_depth, ranges=ranges)
+        flat.validate()
+        for name, expected in self._stack_oracle(lcp, min_depth, ranges).items():
+            got = getattr(flat, name)
+            assert got.dtype == np.int64, name
+            assert np.array_equal(got, expected), name
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2])
     def test_matches_stack_builder_on_every_subrange(self, seed):
@@ -209,16 +247,36 @@ class TestFlatBuilder:
             for hi in range(lo + 1, len(lcp) + 1):
                 self._assert_same(
                     build_lcp_forest(lcp, min_depth=3, lo=lo, hi=hi),
-                    build_flat_forest(lcp, min_depth=3, lo=lo, hi=hi),
+                    build_flat_forest(lcp, min_depth=3, ranges=[(lo, hi)]),
                 )
 
+    def test_lcp_is_never_written(self):
+        # An attached slave's LCP array is a read-only shared view.
+        lcp = np.array([0, 5, 5, 6, 5, 1, 0, 7, 7, 2], dtype=np.int64)
+        lcp.flags.writeable = False
+        forest = build_flat_forest(lcp, min_depth=3, ranges=[(0, 3), (3, 10)])
+        assert forest.n_nodes and forest.lb.flags.writeable
+
     def test_bad_args_rejected(self):
+        lcp = np.zeros(4, dtype=np.int64)
         with pytest.raises(ValueError, match="min_depth"):
-            build_flat_forest(np.zeros(4, dtype=np.int64), min_depth=0)
+            build_flat_forest(lcp, min_depth=0)
+        with pytest.raises(ValueError, match=r"invalid range \[3, 9\)"):
+            build_flat_forest(lcp, min_depth=1, ranges=[(0, 2), (3, 9)])
         with pytest.raises(ValueError, match="invalid range"):
-            build_flat_forest(np.zeros(4, dtype=np.int64), min_depth=1, lo=3, hi=9)
-        with pytest.raises(ValueError, match="empty"):
-            build_flat_forest(np.zeros(4, dtype=np.int64), min_depth=1, lo=2, hi=2)
+            build_flat_forest(lcp, min_depth=1, ranges=[(2, 1)])
+        with pytest.raises(ValueError, match="invalid range"):
+            build_flat_forest(lcp, min_depth=1, ranges=[(-1, 2)])
+
+    def test_owner_of_nothing_gets_an_empty_forest(self):
+        # Slaves outnumbering buckets own no range: no forest, no error.
+        lcp = np.array([0, 2, 2, 1], dtype=np.int64)
+        for ranges in ([], [(2, 2)], [(0, 0), (4, 4)]):
+            forest = build_flat_forest(lcp, min_depth=1, ranges=ranges)
+            assert forest.n_nodes == 0
+            assert forest.children_offsets.tolist() == [0]
+            assert forest.leaves_offsets.tolist() == [0]
+            forest.validate()
 
 
 class TestVectorisedValidate:

@@ -1,5 +1,5 @@
 """Shared-memory arena tests: registry lifecycle, descriptor round-trips,
-forest packing, and — the part that matters operationally — proof that no
+the fixed segment count, and — the part that matters operationally — proof that no
 ``/dev/shm`` segment survives a run, whether it completed cleanly, lost a
 slave to an injected crash, or was killed by a KeyboardInterrupt in the
 master.  The fault oracle (clusters identical to the sequential driver)
@@ -29,8 +29,8 @@ from repro.parallel import (
     leaked_segments,
 )
 from repro.sequence import EstCollection
+from repro.parallel.shards import plan_shards
 from repro.suffix import SuffixArrayGst
-from repro.suffix.interval_tree import concat_flat_forests, split_flat_forests
 
 HARD_DEADLINE_S = 120
 
@@ -123,7 +123,7 @@ class TestArenaRegistry:
 
 
 # --------------------------------------------------------------------- #
-# descriptor reconstruction: collection, gst, forests
+# descriptor reconstruction: collection, gst
 # --------------------------------------------------------------------- #
 
 
@@ -140,31 +140,26 @@ class TestAttachedGst:
         np.testing.assert_array_equal(text_a, text_b)
         np.testing.assert_array_equal(starts_a, starts_b)
 
-    def test_forest_pack_unpack_round_trip(self, gst):
-        ranges = [(lo, hi) for _k, lo, hi in gst.bucket_ranges(6)]
-        forests = [
-            gst.flat_forest(min_depth=15, lo=lo, hi=hi)
-            for lo, hi in ranges
-            if hi > lo
-        ]
-        packed = concat_flat_forests(forests)
-        rebuilt = split_flat_forests(packed, 15)
-        assert len(rebuilt) == len(forests)
-        for orig, back in zip(forests, rebuilt):
-            assert back.min_depth == orig.min_depth
-            for name in (
-                "depth", "lb", "rb", "parent",
-                "children_flat", "children_offsets",
-                "leaves_flat", "leaves_offsets",
-            ):
-                np.testing.assert_array_equal(
-                    getattr(back, name), getattr(orig, name), err_msg=name
-                )
-            back.validate()
-
-    def test_pack_unpack_empty_forest_list(self):
-        packed = concat_flat_forests([])
-        assert split_flat_forests(packed, 15) == []
+    @pytest.mark.parametrize("n_slaves", [1, 3])
+    def test_ten_segments_whatever_the_slave_count(self, gst, small_config, n_slaves):
+        # The index and nothing else is published.  Called the way
+        # benchmarks/e2e/child.py calls it: the slaves' ranges and the two
+        # keywords are accepted and ignored.
+        plan = plan_shards(gst.bucket_ranges(small_config.w), n_slaves, 1)
+        ranges_of = [[(lo, hi) for _k, lo, hi in owned] for owned in plan.slave_ranges]
+        shared = GstArenas.create(
+            gst, ranges_of, pair_engine="vector", psi=small_config.psi
+        )
+        try:
+            assert len(shared.bundle.arrays) == 10
+            assert shared.registry.n_segments == 10
+            assert len(leaked_segments()) == 10
+            assert shared.bundle.nbytes == sum(
+                d.nbytes for d in shared.bundle.arrays.values()
+            )
+        finally:
+            shared.dispose()
+        assert leaked_segments() == []
 
     @pytest.mark.parametrize("engine", ["scalar", "vector"])
     def test_attached_gst_pairs_match_local(self, gst, small_config, engine):
@@ -172,19 +167,16 @@ class TestAttachedGst:
 
         config = replace(small_config, pair_engine=engine)
         ranges = [(lo, hi) for _k, lo, hi in gst.bucket_ranges(config.w)]
-        shared = GstArenas.create(
-            gst, [ranges], pair_engine=engine, psi=config.psi
-        )
+        shared = GstArenas.create(gst)
         reg = ArenaRegistry()
         try:
-            agst, forests = attach_gst(shared.bundle, reg, 0)
+            agst = attach_gst(shared.bundle, reg)
+            assert not agst.lcp.flags.writeable
             local = list(
                 make_pair_generator(gst, config, ranges=ranges).pairs()
             )
             attached = list(
-                make_pair_generator(
-                    agst, config, ranges=ranges, forests=forests
-                ).pairs()
+                make_pair_generator(agst, config, ranges=ranges).pairs()
             )
             assert attached == local
         finally:
@@ -204,7 +196,7 @@ class TestAttachedGst:
 
         monkeypatch.setattr(ArenaRegistry, "create", explode)
         with pytest.raises(OSError, match="boom"):
-            GstArenas.create(gst, [[]], pair_engine="scalar", psi=15)
+            GstArenas.create(gst)
         assert leaked_segments() == []
 
 
@@ -235,8 +227,8 @@ class TestRunLifecycle:
         self, small_benchmark, small_config, sequential_clusters
     ):
         # Slave 0 dies on every incarnation with no restart budget: the
-        # degraded reabsorb path must reuse the shared forests and the
-        # master must still unlink everything.
+        # degraded reabsorb path builds the lost slave's forest in the
+        # master and the master must still unlink everything.
         plan = FaultPlan.of(
             FaultSpec(slave_id=0, kind="kill", at_message=1, incarnation=None)
         )

@@ -272,12 +272,6 @@ class TestFactory:
         with pytest.raises(ValueError, match="pair_engine"):
             ClusteringConfig(pair_engine="simd")
 
-    def test_tree_backend_ignores_pair_engine(self):
-        """The tree backend has its own generator, so the default
-        ``pair_engine`` must not make ``backend="tree"`` unconstructible."""
-        assert ClusteringConfig(backend="tree").pair_engine == "vector"
-        assert ClusteringConfig(backend="tree", pair_engine="scalar").backend == "tree"
-
 
 class TestPipelineIntegration:
     def test_clusters_identical_across_engines(self):
@@ -366,22 +360,15 @@ class TestRepeatedStrings:
     def test_stream_and_stats_match_the_scalar_engine(self, name, psi):
         gst = SuffixArrayGst.build(EstCollection(REPEATED_CORPORA[name]))
         n = len(gst.sa_struct.sa)
-        # An empty range among them: forests= covers the non-empty ones.
+        # An empty range among them: it is skipped, not an error.
         split = [(0, n // 3), (n // 3, n // 3), (n // 3, n - 7), (n - 7, n)]
         for ranges in (None, split):
             scalar = SaPairGenerator(gst, psi, ranges=ranges)
             expected = list(scalar.pairs())
             assert expected
-            built = VectorPairGenerator(gst, psi, ranges=ranges)
-            forests = [
-                gst.flat_forest(min_depth=psi, lo=lo, hi=hi)
-                for lo, hi in ranges or [(0, n)]
-                if hi > lo
-            ]
-            injected = VectorPairGenerator(gst, psi, ranges=ranges, forests=forests)
-            for vector in (built, injected):
-                assert list(vector.pairs()) == expected
-                assert vector.stats == scalar.stats
+            vector = VectorPairGenerator(gst, psi, ranges=ranges)
+            assert list(vector.pairs()) == expected
+            assert vector.stats == scalar.stats
 
     @pytest.mark.parametrize(
         "name", ["poly_a_tails", "tandem_repeat", "clean_and_repeated_roots"]
