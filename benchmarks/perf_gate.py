@@ -26,7 +26,7 @@ measurements.
 
 Usage::
 
-    python benchmarks/perf_gate.py align --out BENCH_align.json --min-speedup 2.0
+    python benchmarks/perf_gate.py align --out BENCH_align.json --min-speedup 8.0
     python benchmarks/perf_gate.py pairs --out BENCH_pairs.json --min-speedup 8.0
     python benchmarks/perf_gate.py startup --out BENCH_startup.json
     python benchmarks/perf_gate.py dispatch --out BENCH_dispatch.json
@@ -499,9 +499,9 @@ def main(argv: list[str] | None = None) -> int:
     p_align = sub.add_parser("align", help="per-pair vs batched alignment")
     p_align.add_argument("--out", type=Path, default=None,
                          help="write the measurement JSON here")
-    p_align.add_argument("--min-speedup", type=float, default=2.0,
+    p_align.add_argument("--min-speedup", type=float, default=8.0,
                          help="fail when batched speedup is below this "
-                              "(default 2.0)")
+                              "(default 8.0)")
     p_align.add_argument("--pairs", type=int, default=1000,
                          help="promising pairs to align (default 1000)")
     p_align.add_argument("--group-size", type=int, default=64,

@@ -17,6 +17,11 @@ recurrence of Iy (horizontal affine gaps) is vectorised with the classic
 prefix-max trick: ``Iy[j] = open + (j-1)·ext + max_{k<j}(M[k] - k·ext)``.
 ``dp_cells`` reports the number of in-band cells — the work a C
 implementation pays and the measure the banding ablation sweeps.
+
+:func:`extend_overlap` keeps whole ``ly + 1``-wide rows and masks them to
+the band; it is the oracle.  :func:`extend_overlap_group`, the kernel every
+run uses, does the same recurrence for a group of extensions at once and
+stores the band only, indexed by diagonal (docs/ALGORITHMS.md §4.1).
 """
 
 from __future__ import annotations
@@ -159,50 +164,54 @@ def _apply_band(m_row, ix_row, iy_row, i: int, band: int, ly: int) -> None:
 
 class BandedWorkspace:
     """Grow-only scratch buffers shared across :func:`extend_overlap_group`
-    calls.
+    calls, in band shape.
 
     A batch aligner runs the group kernel thousands of times per clustering;
-    each call needs six DP state rows plus padding/scratch planes sized to
-    the group.  The workspace allocates once at the high-water mark and hands
-    out views, so steady-state groups touch no allocator at all.  ``reuses``
-    and ``grows`` feed the ``align.buffer_reuse`` telemetry counter.
+    each call needs nine ``(2B+1, g)`` float arrays, the character-equality
+    mask and the two padded character planes (~0.4 MB for 64 extensions of
+    550 bp at band 33).  The workspace allocates once at the high-water mark
+    and hands out contiguous views, so steady-state groups touch no
+    allocator at all.  ``reuses`` and ``grows`` feed the
+    ``align.buffer_reuse`` telemetry counter.
     """
 
     def __init__(self) -> None:
-        self._g = 0
-        self._lx = 0
-        self._w = 0
-        self._rows: np.ndarray | None = None  # (6, g, w) float64 DP states
-        self._scratch: np.ndarray | None = None  # (4, g, w) float64
-        self._outb: np.ndarray | None = None  # (g, w) bool band mask
-        self._eq: np.ndarray | None = None  # (g, w) bool char equality
-        self._xpad: np.ndarray | None = None  # (g, lx) int8
-        self._ypad: np.ndarray | None = None  # (g, w) int8
+        self._cap = (0, 0, 0)  # cells of one state array, of xpad, of ypad
+        self._state = np.empty((9, 0))  # float64 DP states and scratch
+        self._eq = np.empty(0, dtype=bool)  # char equality
+        self._xpad = np.empty(0, dtype=np.int8)
+        self._ypad = np.empty(0, dtype=np.int8)
         #: Calls served without reallocating / calls that had to grow.
         self.reuses = 0
         self.grows = 0
 
-    def acquire(self, g: int, max_lx: int, max_ly: int) -> bool:
-        """Ensure capacity for a (g, max_lx, max_ly) group.
+    @property
+    def nbytes(self) -> int:
+        """Bytes the workspace holds."""
+        arrays = (self._state, self._eq, self._xpad, self._ypad)
+        return sum(a.nbytes for a in arrays)
 
-        Returns True when the existing buffers were large enough (a reuse),
-        False when they had to grow.
+    def acquire(self, g: int, w: int, max_lx: int, yw: int) -> list[np.ndarray]:
+        """Contiguous views for ``g`` extensions of up to ``max_lx`` rows on
+        ``w`` diagonals: nine ``(w, g)`` float arrays, ``eq`` ``(w, g)``,
+        ``xpad`` ``(max_lx, g)``, ``ypad`` ``(yw, g)``.  Counts a reuse when
+        the buffers were large enough, a grow when they were not.
         """
-        w = max_ly + 1
-        if self._rows is None or g > self._g or max_lx > self._lx or w > self._w:
-            self._g = max(g, self._g)
-            self._lx = max(max_lx, self._lx)
-            self._w = max(w, self._w)
-            self._rows = np.empty((6, self._g, self._w))
-            self._scratch = np.empty((4, self._g, self._w))
-            self._outb = np.empty((self._g, self._w), dtype=bool)
-            self._eq = np.empty((self._g, self._w), dtype=bool)
-            self._xpad = np.empty((self._g, self._lx), dtype=np.int8)
-            self._ypad = np.empty((self._g, self._w), dtype=np.int8)
+        need = (g * w, g * max_lx, g * yw)
+        if any(n > c for n, c in zip(need, self._cap)):
+            self._cap = cap = tuple(max(n, c) for n, c in zip(need, self._cap))
+            self._state = np.empty((9, cap[0]))
+            self._eq = np.empty(cap[0], dtype=bool)
+            self._xpad = np.empty(cap[1], dtype=np.int8)
+            self._ypad = np.empty(cap[2], dtype=np.int8)
             self.grows += 1
-            return False
-        self.reuses += 1
-        return True
+        else:
+            self.reuses += 1
+        views = [row[: g * w].reshape(w, g) for row in self._state]
+        views.append(self._eq[: g * w].reshape(w, g))
+        views.append(self._xpad[: g * max_lx].reshape(max_lx, g))
+        views.append(self._ypad[: g * yw].reshape(yw, g))
+        return views
 
 
 def extend_overlap_group(
@@ -213,16 +222,22 @@ def extend_overlap_group(
     *,
     workspace: BandedWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised :func:`extend_overlap` over a group of extensions.
+    """Vectorised :func:`extend_overlap` over a group of extensions, in band
+    coordinates (docs/ALGORITHMS.md §4.1).
 
-    Runs the identical recurrence for all group members at once, one 2-D
-    numpy sweep per DP row: member ``g`` occupies plane row ``g``, padded to
-    the group maxima with sentinels (``-1`` in x, ``-2`` in y) that never
-    match each other or a real nucleotide code, so padded columns score as
-    mismatches and — because information only flows rightwards/downwards in
-    the recurrence — never contaminate a real cell.  Every floating-point
-    operation is performed in the same order per cell as the scalar kernel,
-    so results are bit-identical (the batch aligner's oracle property).
+    State arrays are ``(2B+1, g)``: member ``k`` is column ``k``, and entry
+    ``d`` of DP row ``i`` is cell ``(i, j = i + d - B)``, ``B`` being the
+    group's largest effective band.  In that frame M reads the previous
+    row's best-of-three on the same diagonal, Ix reads diagonal ``d + 1``
+    and Iy is the prefix-max scan along ``d`` — whole contiguous blocks,
+    sized to the band, not to the strings.  ``x`` is padded with ``-1`` and
+    ``y`` with ``-2`` (``B`` of them in front), sentinels that never match:
+    cells with ``j < 0`` start at -inf and are only ever fed by each other,
+    cells with ``j > ly`` or ``i > lx`` are fed by real cells but —
+    information flows rightwards/downwards only — never feed one.  Every
+    reachable cell sees the scalar kernel's floating-point operations in
+    the same order, so results are bit-identical (the batch aligner's
+    oracle property).
 
     All ``xs[k]``/``ys[k]`` must be non-empty (callers shortcut empty
     extensions to ``ExtensionResult(0.0, 0, 0, 0)`` like the scalar path).
@@ -247,120 +262,107 @@ def extend_overlap_group(
     if lxs.min() == 0 or lys.min() == 0:
         raise ValueError("empty extensions must be filtered before grouping")
     max_lx = int(lxs.max())
-    max_ly = int(lys.max())
-    w = max_ly + 1
+    # A band wider than both strings masks nothing; the clamp keeps the
+    # full-DP ablation arm (band_rate = 1.0) from allocating 2·band + 1.
+    eff = np.minimum(bands, np.maximum(lxs, lys))
+    B = int(eff.max())
+    w = 2 * B + 1
+    yw = max(max_lx, int(lys.max())) + 2 * B
 
     ws = workspace if workspace is not None else BandedWorkspace()
-    ws.acquire(g, max_lx, max_ly)
-
-    xpad = ws._xpad[:g, :max_lx]
+    pb, mg, ix, new_m, t1, t2, new_iy, cand, fin, eq, xpad, ypad = ws.acquire(
+        g, w, max_lx, yw
+    )
     xpad.fill(-1)
-    ypad = ws._ypad[:g, :max_ly]
     ypad.fill(-2)
-    for k in range(g):
-        xpad[k, : lxs[k]] = xs[k]
-        ypad[k, : lys[k]] = ys[k]
+    drains: dict[int, list[int]] = {}  # row -> members whose x ends there
+    for k, (lx, ly) in enumerate(zip(lxs.tolist(), lys.tolist())):
+        xpad[:lx, k] = xs[k]
+        ypad[B : B + ly, k] = ys[k]
+        drains.setdefault(lx, []).append(k)
 
     match, mis = params.match, params.mismatch
     go, ge = params.gap_open, params.gap_extend
-    js = np.arange(w, dtype=np.int64)
-    jge = js * ge  # the scalar kernel's ``js * ge`` term
-    jgo = go + (js[1:] - 1) * ge  # its ``go + (js[1:] - 1) * ge`` term
+    # The scalar kernel's ``js * ge`` and ``go + (js - 1) * ge`` terms over
+    # absolute columns -B … max_lx + B; row i uses the slice starting at i.
+    js = np.arange(-B, max_lx + B + 1, dtype=np.int64)[:, None]
+    jge = js * ge
+    jgo = go + (js - 1) * ge
+    ds = np.arange(w, dtype=np.int64)[:, None]
+    # The only mask left is static: member k's own band inside the group's.
+    outb = np.abs(ds - B) > eff if eff.min() < B else None
 
-    m_row = ws._rows[0, :g, :w]
-    ix_row = ws._rows[1, :g, :w]
-    iy_row = ws._rows[2, :g, :w]
-    new_m = ws._rows[3, :g, :w]
-    new_ix = ws._rows[4, :g, :w]
-    new_iy = ws._rows[5, :g, :w]
-    pb = ws._scratch[0, :g, :w]
-    tmp = ws._scratch[1, :g, :w]
-    run = ws._scratch[2, :g, :w]
-    sub = ws._scratch[3, :g, :max_ly]
-    outb = ws._outb[:g, :w]
-    eq = ws._eq[:g, :max_ly]
+    # Candidate ends in the last column: cell (i, ly_k) lies on diagonal
+    # ly_k + B - i, for the rows i that have it in band.  One flat index
+    # list sorted by row; ``cptr[i]:cptr[i + 1]`` are row i's entries.
+    r0 = np.maximum(lys - eff, 0)
+    cnt = np.maximum(np.minimum(lxs, lys + eff) - r0 + 1, 0)
+    mem = np.repeat(np.arange(g), cnt)
+    crow = np.arange(mem.size) - np.repeat(np.cumsum(cnt) - cnt, cnt) + r0[mem]
+    order = np.argsort(crow, kind="stable")
+    cflat = ((lys[mem] + B - crow) * g + mem)[order]
+    cptr = np.searchsorted(crow[order], np.arange(max_lx + 2)).tolist()
+    cvals = cand.reshape(-1)[: mem.size]
 
-    def band_mask(i: int) -> None:
-        np.greater(np.abs(i - js)[None, :], bands[:, None], out=outb)
+    # Row 0: only leading gaps in x (consuming y) are possible.  ``mg`` is
+    # max(M, Iy), ``pb`` the best of all three states; diagonal 0 of Iy and
+    # diagonal 2B of Ix have no in-band source and stay -inf throughout.
+    mg.fill(NEG_INF)
+    ix.fill(NEG_INF)
+    new_iy.fill(NEG_INF)
+    mg[B] = 0.0
+    mg[B + 1 :] = jgo[B + 1 : w]
+    if outb is not None:
+        np.copyto(mg, NEG_INF, where=outb)
+    pb[...] = mg
+    pb_flat = pb.reshape(-1)
 
-    # Row 0: only leading gaps in x (consuming y) are possible.
-    m_row.fill(NEG_INF)
-    ix_row.fill(NEG_INF)
-    iy_row.fill(NEG_INF)
-    m_row[:, 0] = 0.0
-    iy_row[:, 1:] = jgo
-    band_mask(0)
-    np.copyto(m_row, NEG_INF, where=outb)
-    np.copyto(iy_row, NEG_INF, where=outb)
-
-    ar = np.arange(g)
-    best = np.full(g, NEG_INF)
-    best_i = np.zeros(g, dtype=np.int64)
-    best_j = np.zeros(g, dtype=np.int64)
-
-    def column_candidates(i: int) -> None:
-        # The scalar kernel's per-row last-column (j = ly) check, with the
-        # same strict-> update so tie-breaks resolve identically.
-        sel = (lxs >= i) & (np.abs(i - lys) <= bands)
-        if not sel.any():
-            return
-        col = np.maximum(
-            np.maximum(m_row[ar, lys], ix_row[ar, lys]), iy_row[ar, lys]
-        )
-        upd = sel & (col > best)
-        best[upd] = col[upd]
-        best_i[upd] = i
-        best_j[upd] = lys[upd]
-
-    def final_row_candidates(i: int) -> None:
-        # The scalar kernel's after-loop full-row argmax, run for exactly
-        # the members whose x drains at row i, after that row's column
-        # candidate (matching the scalar check order).
-        idx = np.nonzero(lxs == i)[0]
-        if idx.size == 0:
-            return
-        fin = np.maximum(np.maximum(m_row[idx], ix_row[idx]), iy_row[idx])
-        np.copyto(fin, NEG_INF, where=js[None, :] > lys[idx, None])
-        jb = np.argmax(fin, axis=1)
-        cand = fin[np.arange(idx.size), jb]
-        upd = cand > best[idx]
-        uidx = idx[upd]
-        best[uidx] = cand[upd]
-        best_i[uidx] = i
-        best_j[uidx] = jb[upd]
-
-    column_candidates(0)
-
-    for i in range(1, max_lx + 1):
-        np.equal(xpad[:, i - 1 : i], ypad, out=eq)
-        sub.fill(mis)
-        np.copyto(sub, match, where=eq)
-        np.maximum(m_row, ix_row, out=pb)
-        np.maximum(pb, iy_row, out=pb)
-        new_m.fill(NEG_INF)
-        np.add(pb[:, :-1], sub, out=new_m[:, 1:])
-        np.maximum(m_row, iy_row, out=tmp)
-        tmp += go
-        np.add(ix_row, ge, out=new_ix)
-        np.maximum(new_ix, tmp, out=new_ix)
+    for i in range(1, max_lx + 2):
+        # ``pb`` holds row i - 1: gather its candidate ends, decided below.
+        lo, hi = cptr[i - 1], cptr[i]
+        if hi > lo:
+            np.take(pb_flat, cflat[lo:hi], out=cvals[lo:hi])
+        if done := drains.get(i - 1):
+            fin[:, done] = pb[:, done]
+        if i > max_lx:
+            break
+        np.equal(xpad[i - 1], ypad[i - 1 : i - 1 + w], out=eq)
+        t1.fill(mis)
+        np.copyto(t1, match, where=eq)
+        np.add(pb, t1, out=new_m)
+        np.add(mg[1:], go, out=t1[:-1])
+        np.add(ix[1:], ge, out=t2[:-1])
+        np.maximum(t1[:-1], t2[:-1], out=ix[:-1])
         # Band mask before the horizontal scan so out-of-band cells cannot
-        # feed in-band gap runs (new_iy is all -inf at this point).
-        band_mask(i)
-        np.copyto(new_m, NEG_INF, where=outb)
-        np.copyto(new_ix, NEG_INF, where=outb)
-        np.maximum(new_m, new_ix, out=run)
-        run -= jge
-        np.maximum.accumulate(run, axis=1, out=run)
-        new_iy.fill(NEG_INF)
-        np.add(jgo, run[:, :-1], out=new_iy[:, 1:])
-        np.copyto(new_iy, NEG_INF, where=outb)
+        # feed in-band gap runs.
+        if outb is not None:
+            np.copyto(new_m, NEG_INF, where=outb)
+            np.copyto(ix, NEG_INF, where=outb)
+        np.maximum(new_m, ix, out=t2)
+        np.subtract(t2, jge[i : i + w], out=t1)
+        np.maximum.accumulate(t1, axis=0, out=t1)
+        np.add(jgo[i + 1 : i + w], t1[:-1], out=new_iy[1:])
+        if outb is not None:
+            np.copyto(new_iy, NEG_INF, where=outb)
+        np.maximum(new_m, new_iy, out=mg)
+        np.maximum(t2, new_iy, out=pb)
 
-        m_row, new_m = new_m, m_row
-        ix_row, new_ix = new_ix, ix_row
-        iy_row, new_iy = new_iy, iy_row
-
-        column_candidates(i)
-        final_row_candidates(i)
+    # The scalar kernel's check order: the first maximum down the last
+    # column (its strict > in row order), then the last row's lowest-j
+    # argmax if strictly better.
+    col = new_m  # free after the loop
+    col.fill(NEG_INF)
+    col.reshape(-1)[cflat] = cvals
+    ib = np.argmax(col[::-1], axis=0)  # first maximum is in row ly - B + ib
+    ar = np.arange(g)
+    best = col[2 * B - ib, ar]
+    np.copyto(fin, NEG_INF, where=ds > lys - lxs + B)  # columns j > ly
+    jb = np.argmax(fin, axis=0)
+    last = fin[jb, ar]
+    upd = last > best
+    best = np.where(upd, last, best)
+    best_i = np.where(upd, lxs, lys - B + ib)
+    best_j = np.where(upd, lxs - B + jb, lys)
 
     # A band narrower than |lx - ly| excludes every valid end; mirror the
     # scalar kernel's pessimistic pure-gap fallback.

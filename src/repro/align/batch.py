@@ -12,7 +12,8 @@ allocations per extension, it
 - sorts the extensions by shape so similarly-sized ones land in the same
   group (padding waste stays low);
 - runs each group through :func:`~repro.align.banded.extend_overlap_group`,
-  one 2-D numpy sweep per DP row instead of a Python-level loop per pair;
+  one band-wide numpy sweep per DP row instead of a Python loop per pair
+  (a wave of one pair too: the group kernel is the faster at every size);
 - reuses one grow-only :class:`~repro.align.banded.BandedWorkspace` across
   all groups of the run, so steady state allocates nothing.
 
@@ -100,12 +101,9 @@ class BatchPairAligner(PairAligner):
             self.telemetry.observe(
                 "align.batch_size", len(pairs), ALIGN_BATCH_SIZE_BUCKETS
             )
-        if not self.use_seed_extension or self.engine != "banded" or len(pairs) == 1:
+        if not self.use_seed_extension or self.engine != "banded":
             # Only the banded engine has a group kernel; the full-DP and
-            # kdiff configurations fall back to the per-pair reference.  So
-            # does a wave of one pair (the tail of repeatedly rejected
-            # cluster pairs): the group kernel is bit-identical to the
-            # per-pair one and costs ~2.7x as much on a single pair.
+            # kdiff configurations fall back to the per-pair reference.
             return [self.align_and_decide(pair) for pair in pairs]
 
         arena, offsets = self.collection.arena()

@@ -296,11 +296,14 @@ class VectorPairGenerator:
         # One step per run of up to CHUNK_NODES nodes of one kind: the
         # interval formulation needs nothing from a node's children, so
         # any cut of the processing order is a valid batch.
+        # (A mask, not ``np.union1d``: numpy's set functions import
+        # ``numpy.ma`` on first use — 16 ms and 0.5 MB in the middle of a run.)
         kind = repeats[proc]
-        cuts = np.union1d(
-            np.arange(0, n_nodes, CHUNK_NODES), np.flatnonzero(np.diff(kind)) + 1
-        )
-        cuts = np.append(cuts, n_nodes)
+        cut = np.zeros(n_nodes + 1, dtype=bool)
+        cut[::CHUNK_NODES] = True
+        cut[1:n_nodes] |= np.diff(kind)
+        cut[n_nodes] = True
+        cuts = np.flatnonzero(cut)
         slot_cuts = np.searchsorted(slots, cuts << 32)
         live = 0
         for step in range(cuts.size - 1):

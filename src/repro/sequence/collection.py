@@ -68,8 +68,6 @@ class EstCollection:
                 reverse_complement(est)
             )
         self._buffer.setflags(write=False)
-        #: Lazily materialised signed copy of the buffer (see :meth:`arena`).
-        self._arena: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -98,9 +96,9 @@ class EstCollection:
         The inverse of :meth:`arena`, used by slave processes to wrap
         shared-memory views without copying: ``arena`` (``int8``, the
         concatenated forward+RC strings) is reinterpreted in place as the
-        ``uint8`` string buffer, and becomes the collection's arena as-is.
-        Reverse complements are already interleaved in the buffer, so no
-        re-encoding happens; both views alias the caller's memory.
+        ``uint8`` string buffer.  Reverse complements are already
+        interleaved in the buffer, so no re-encoding happens; the buffer and
+        every later :meth:`arena` view alias the caller's memory.
         """
         arena = np.asarray(arena)
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -121,7 +119,6 @@ class EstCollection:
             raise ValueError(f"{len(self._names)} names for {self._n} ESTs")
         self._offsets = offsets
         self._buffer = arena.view(np.uint8)
-        self._arena = arena
         return self
 
     # ------------------------------------------------------------------ #
@@ -191,17 +188,14 @@ class EstCollection:
     def arena(self) -> tuple[np.ndarray, np.ndarray]:
         """The shared signed encoding arena: ``(buffer, offsets)``.
 
-        ``buffer`` is an ``int8`` copy of the concatenated string buffer
-        (string ``k`` occupies ``buffer[offsets[k]:offsets[k+1]]``),
-        materialised once per collection and read-only.  Nucleotide codes
-        are 0..3, so batch alignment kernels can pad groups with negative
-        sentinels that never compare equal to a real character.
+        ``buffer`` is an ``int8`` view of the concatenated string buffer
+        (string ``k`` occupies ``buffer[offsets[k]:offsets[k+1]]``) — the
+        same memory, no copy, read-only because the buffer is.  Nucleotide
+        codes are 0..3, so both dtypes read the same values and batch
+        alignment kernels can pad groups with negative sentinels that never
+        compare equal to a real character.
         """
-        if self._arena is None:
-            arena = self._buffer.astype(np.int8)
-            arena.setflags(write=False)
-            self._arena = arena
-        return self._arena, self._offsets
+        return self._buffer.view(np.int8), self._offsets
 
     def left_extension(self, k: int, offset: int) -> int:
         """The paper's left-extension character of suffix ``(k, offset)``:

@@ -61,28 +61,37 @@ class SuffixArrayGst:
 
     @classmethod
     def build(cls, collection: EstCollection) -> "SuffixArrayGst":
+        """Sort first, tabulate afterwards: the sort reads only
+        ``suffix_len`` and ``pos_string``, so the other per-position tables
+        are built once its scratch is gone and do not sit through its peak.
+        """
         text, starts = collection.sa_text()
         m = text.size
         two_n = collection.n_strings
         spans = np.diff(starts)  # string length + its sentinel
         pos_string = np.repeat(np.arange(two_n), spans)
-        pos_offset = np.arange(m) - np.repeat(starts[:-1], spans)
-        suffix_len = np.repeat(spans - 1, spans) - pos_offset
-        left_char = np.full(m, LAMBDA, dtype=np.int64)
-        interior = np.flatnonzero(pos_offset)
-        left_char[interior] = text[interior - 1] - two_n
+        suffix_len = np.repeat(starts[1:] - 1, spans)
+        suffix_len -= np.arange(m)
         # Seed symbols: every sentinel 0, nucleotide c -> c + 1; windows
         # that reach a sentinel are tie-broken by its string's id.  The
         # sort's state is scratch: only ``sa`` and ``lcp`` outlive it.
         codes = np.maximum(text - (two_n - 1), 0)
         state = refine(codes, SIGMA.bit_length(), suffix_len, pos_string)
         del codes
+        sa = state.sa
+        lcp = lcp_from_refinement(state)
+        del state
+        pos_offset = np.arange(m)
+        pos_offset -= np.repeat(starts[:-1], spans)
+        left_char = np.full(m, LAMBDA, dtype=np.int64)
+        interior = np.flatnonzero(pos_offset)
+        left_char[interior] = text[interior - 1] - two_n
         return cls(
             collection=collection,
             text=text,
             starts=starts,
-            sa_struct=SuffixArray(text=text, sa=state.sa),
-            lcp=lcp_from_refinement(state),
+            sa_struct=SuffixArray(text=text, sa=sa),
+            lcp=lcp,
             pos_string=pos_string,
             pos_offset=pos_offset,
             left_char=left_char,

@@ -54,7 +54,49 @@ def collection_and_batch(draw):
     return col, pairs
 
 
+#: Non-integer scores: with the integer defaults every partial sum is exact
+#: and a reordered float operation would go unnoticed.
+FRACTIONAL = ScoringParams(match=1.7, mismatch=-2.3, gap_open=-4.1, gap_extend=-1.3)
+
+
+@st.composite
+def extension_group(draw):
+    """``(xs, ys, bands)`` for one kernel call: lengths from 1, bands mixed
+    inside the group from 0 to wider than both strings, ``|lx - ly|`` above
+    the band (the pure-gap fallback).  ``y`` is independent of ``x``, or
+    starts as a copy of it (repeat-rich, so equal scores — the first-maximum
+    and lowest-``j`` tie-breaks — are common), or is ``x`` with a few bases
+    inserted and deleted (so the best path runs through both gap states)."""
+    g = draw(st.integers(1, 6))
+    alphabet = draw(st.sampled_from([1, 2, 4]))
+    codes = st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=24)
+    xs, ys, bands = [], [], []
+    for _ in range(g):
+        x = draw(codes)
+        y = draw(codes)
+        relation = draw(st.sampled_from(["independent", "prefix", "indels"]))
+        if relation == "prefix":
+            y = (x + y)[: len(y)]
+        elif relation == "indels":
+            cut = draw(st.integers(0, len(x)))
+            gap = draw(st.integers(0, 3))
+            y = (x[:cut] + y[:gap] + x[cut + draw(st.integers(0, 3)) :]) or y
+        xs.append(np.array(x, dtype=np.int8))
+        ys.append(np.array(y, dtype=np.int8))
+        bands.append(draw(st.sampled_from([0, 1, 2, 3, 5, 8, 30])))
+    return xs, ys, bands
+
+
 class TestGroupKernel:
+    @settings(deadline=None, max_examples=150)
+    @given(extension_group(), st.sampled_from([FRACTIONAL, ScoringParams()]))
+    def test_bit_identical_to_scalar_kernel(self, group, params):
+        xs, ys, bands = group
+        scores, cx, cy, cells = extend_overlap_group(xs, ys, bands, params)
+        for k in range(len(xs)):
+            got = (float(scores[k]), int(cx[k]), int(cy[k]), int(cells[k]))
+            assert got == tuple(extend_overlap(xs[k], ys[k], params, bands[k]))
+
     def test_matches_scalar_kernel_bitwise(self):
         rng = np.random.default_rng(11)
         params = ScoringParams()
@@ -98,6 +140,12 @@ class TestGroupKernel:
         assert ws.grows == 1 and ws.reuses == 0
         extend_overlap_group([a[:7]], [a[:9]], [5], params, workspace=ws)
         assert ws.grows == 1 and ws.reuses == 1
+        # Band shape: 64 full-length extensions hold well under the 3 MB
+        # the (g, ly + 1) planes took.
+        long = np.resize(a, 550)
+        extend_overlap_group([long] * 64, [long] * 64, [33] * 64, params, workspace=ws)
+        assert ws.grows == 2
+        assert ws.nbytes < 1_000_000
 
 
 class TestBatchAlignerEquivalence:
@@ -127,10 +175,9 @@ class TestBatchAlignerEquivalence:
         tel = Telemetry()
         bat = BatchPairAligner(col, telemetry=tel)
         assert bat.align_and_decide_batch([pair]) == [expected]
-        # A wave of one goes through the per-pair kernel (the group kernel
-        # costs ~2.7x on a single pair) and is still observed once per
-        # call and once per extension.
-        assert bat.workspace.grows == 0
+        # A wave of one goes through the group kernel and its workspace
+        # like any other, observed once per call and once per extension.
+        assert bat.workspace.grows == 1
         hists = tel.registry.snapshot()["histograms"]
         assert hists["align.batch_size"]["count"] == 1
         assert hists["align.band_width"]["count"] == 2

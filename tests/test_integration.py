@@ -6,7 +6,11 @@ errors, strand-invariance, parity between all execution engines, and the
 conservative (UN > OV) quality profile of Table 2.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +155,43 @@ class TestOneForestPerOwner:
         assert rep.result.faults.slaves_lost == 1
         assert len(builds) == 7 + 1
         assert builds[-1] == builds[1]  # the master, over slave 1's ranges
+
+
+#: Clusters 15 overlapping reads of one gene, then reports numpy.ma.
+_NUMPY_MA_PROBE = """
+import sys
+import numpy as np
+from repro.core import ClusteringConfig, PaceClusterer
+from repro.parallel import simulate_clustering
+from repro.sequence import EstCollection
+
+gene = np.random.default_rng(5).integers(0, 4, 400).astype(np.uint8)
+col = EstCollection([gene[s : s + 120] for s in range(0, 281, 20)])
+config = ClusteringConfig.small_reads()
+if sys.argv[1] == "sequential":
+    result = PaceClusterer(config).cluster(col)
+else:
+    result = simulate_clustering(col, config, n_processors=3).result
+assert result.n_clusters == 1 and result.counters.pairs_processed > 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+class TestNoLazyImports:
+    @pytest.mark.parametrize("engine", ["sequential", "simulated"])
+    def test_a_run_does_not_import_numpy_ma(self, engine):
+        """numpy's set functions (``union1d``, plain ``unique``) import
+        ``numpy.ma`` on first use: 16 ms and 0.5 MB of small long-lived
+        blocks allocated mid-run, at the heap's high-water mark.  A fresh
+        interpreter, because any earlier test may have imported it."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run(
+            [sys.executable, "-c", _NUMPY_MA_PROBE, engine],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestErrorRobustness:

@@ -199,6 +199,17 @@ class TestEstCollection:
         with pytest.raises(ValueError):
             col.string(0)[0] = 3
 
+    def test_arena_is_a_view_of_the_buffer(self):
+        col = EstCollection.from_strings(["ACGT", "GGCA"])
+        arena, offsets = col.arena()
+        assert arena.dtype == np.int8
+        assert np.shares_memory(arena, col.string(0))
+        assert not arena.flags.writeable
+        for k in range(col.n_strings):
+            np.testing.assert_array_equal(
+                arena[offsets[k] : offsets[k + 1]], col.string(k)
+            )
+
     @given(st.lists(dna, min_size=1, max_size=4))
     def test_sa_text_sentinels_unique_and_small(self, seqs):
         col = EstCollection.from_strings(seqs)
