@@ -55,6 +55,7 @@ from repro.metrics import assess_clustering
 from repro.parallel import run_parallel
 from repro.sequence import EstCollection, FastaRecord, read_fasta, write_fasta
 from repro.simulate import BenchmarkParams, make_benchmark
+from repro.suffix.gst import check_index_size
 from repro.telemetry import (
     Telemetry,
     export_jsonl,
@@ -287,6 +288,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     try:
         records = read_fasta(args.fasta)
         collection = EstCollection.from_records(records)
+        check_index_size(collection)
     except (OSError, ValueError) as exc:
         return _bad_input(args.fasta, exc)
     try:

@@ -21,9 +21,10 @@ This module computes the identical stream without ever storing an lset
   rank — a node copies nothing from its children;
 - at a node whose interval holds no string twice the lset *is* the
   interval: the per-class sizes of "this child slot" and "all earlier
-  slots" are differences of one prefix-count table over ``left_char[sa]``
-  read at slot boundaries, and the partners of an entry are a contiguous
-  slice of one class-sorted rank array;
+  slots" are differences of one prefix-count table over ``left_char`` of
+  the ranks some root covers (no other rank is ever read), read at slot
+  boundaries shifted into covered positions, and the partners of an
+  entry are a contiguous slice of one class-sorted rank array;
 - a node whose interval does repeat a string (poly-A tails, tandem
   repeats, ψ far below read length — a property of the input, found with
   one sort of (string, rank) keys) gathers its own interval, drops the
@@ -100,7 +101,7 @@ def _ragged_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(s, s + l)`` per (start, length) pair.
 
     The standard cumsum construction; zero-length segments contribute
-    nothing.  Both inputs must be int64 arrays of equal size.
+    nothing.  Both inputs are integer arrays of equal size.
     """
     total = int(lens.sum())
     if total == 0:
@@ -135,34 +136,37 @@ def _class_index(cls: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _repeated_strings(
-    gst: SuffixArrayGst, lb: np.ndarray, end: np.ndarray, roots: np.ndarray
+    strings: np.ndarray,
+    cov: np.ndarray,
+    root_start: np.ndarray,
+    lb: np.ndarray,
+    end: np.ndarray,
+    n_ranks: int,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Where a forest holds some string twice: ``(prev, repeats)``.
 
-    ``prev[r]`` is the previous rank holding a suffix of ``r``'s string
-    when that rank lies under the same forest root, else -1 (a rank
-    outside the root is below every ``lb`` the filter compares it with);
-    ``None`` when no root repeats a string.  ``repeats[v]`` marks the
-    nodes ``[lb[v], end[v])`` with some ``prev[r] >= lb[v]`` inside.
+    ``cov`` lists the ranks under the forest's roots, increasing; per such
+    position ``strings`` is its string, ``root_start`` its root's first
+    position.  ``prev[r]`` is the previous rank holding a suffix of ``r``'s
+    string when that rank lies under the same root, else -1 (a rank outside
+    the root is below every ``lb`` the filter compares it with); ``None``
+    when no root repeats a string.  ``repeats[v]`` marks the nodes
+    ``[lb[v], end[v])`` with some ``prev[r] >= lb[v]`` inside.
     """
     repeats = np.zeros(lb.size, dtype=bool)
     # One sort of (string, covered position) keys: neighbours of equal
     # string are consecutive occurrences in rank order.
-    roots = roots[np.argsort(lb[roots])]
-    r_size = end[roots] - lb[roots]
-    cov = _ragged_ranges(lb[roots], r_size)
-    key = np.sort((gst.pos_string[gst.sa_struct.sa[cov]] << 32) | np.arange(cov.size))
+    key = (strings.astype(np.int64) << 32) | np.arange(cov.size)
+    key.sort()
     at = key & _LOW32
-    root_start = np.repeat(np.cumsum(r_size) - r_size, r_size)
-    hit = np.flatnonzero(
-        (key[1:] >> 32 == key[:-1] >> 32) & (at[:-1] >= root_start[at[1:]])
-    )
+    key >>= 32
+    hit = np.flatnonzero((key[1:] == key[:-1]) & (at[:-1] >= root_start[at[1:]]))
     if hit.size == 0:
         return None, repeats
     cur = at[hit + 1]
     by_rank = np.argsort(cur)
     dup, dup_prev = cov[cur[by_rank]], cov[at[hit][by_rank]]
-    prev = np.full(gst.sa_struct.sa.size, -1, dtype=np.int64)
+    prev = np.full(n_ranks, -1, dtype=np.int32)
     prev[dup] = dup_prev
     # A node repeats a string iff the largest prev among the duplicate
     # ranks it contains reaches its own lb.
@@ -260,11 +264,6 @@ class VectorPairGenerator:
         if n_nodes == 0:
             return
         sa = gst.sa_struct.sa
-        # The lset structures of every node that repeats no string: all
-        # ranks by (class, rank) and per-class prefix counts over them.
-        cls = gst.left_char[sa].astype(np.int8)
-        whole = _class_index(cls)
-
         # ---- node tables ------------------------------------------------
         # Node ids are range-major (one owner, one forest): the scalar
         # engine's (forest, node) order over its per-range forests.
@@ -288,7 +287,24 @@ class VectorPairGenerator:
         slots = np.sort(np.concatenate((kids, leaves)))
         del kids, leaves, pos
         is_root = parent < 0
-        prev, repeats = _repeated_strings(gst, lb, end, np.flatnonzero(is_root))
+        # ``cov``: the ranks some root covers, the only ones a node reads.
+        # A root's ranks are consecutive positions of it, so a rank under
+        # node ``v`` (its root's end included) sits at ``rank - shift[v]``.
+        roots = np.flatnonzero(is_root)
+        roots = roots[np.argsort(lb[roots])]
+        r_size = end[roots] - lb[roots]
+        r_first = np.cumsum(r_size) - r_size
+        cov = _ragged_ranges(lb[roots], r_size)
+        shift = (lb[roots] - r_first)[np.searchsorted(lb[roots], lb, "right") - 1]
+        at = sa[cov]
+        prev, repeats = _repeated_strings(
+            gst.pos_string[at], cov, np.repeat(r_first, r_size), lb, end, sa.size
+        )
+        # The lset structures of every node that repeats no string: covered
+        # ranks by (class, rank), per-class prefix counts over positions.
+        order, counts, base = _class_index(gst.left_char[at])
+        whole = cov[order], counts, base
+        del at, order, cov
         # Entries the min-rank filter removed below each node (its
         # children's ``lost``), pushed up as repeating nodes are swept.
         lost_below = None if prev is None else np.zeros(n_nodes, dtype=np.int64)
@@ -326,13 +342,14 @@ class VectorPairGenerator:
                 rebase = (first - n_lb)[own]
                 bounds = kept[first[own]], kept[rebase + a], kept[rebase + b]
                 ranks = ranks[keep]
-                order, counts, base = _class_index(cls[ranks])
+                order, counts, base = _class_index(gst.left_char[sa[ranks]])
                 index = ranks[order], counts, base
                 inner = ~is_root[nodes]
                 np.add.at(lost_below, parent[nodes[inner]], lost[inner])
                 killed = lost - lost_below[nodes]
             else:
-                bounds = n_lb[own], a, b
+                off = shift[nodes][own]
+                bounds = n_lb[own] - off, a - off, b - off
                 index = whole
                 lost = killed = 0
             # -- lset space accounting (scalar-exact peak tracking) ------

@@ -72,7 +72,7 @@ def enumerate_bucket_suffixes(
 def sa_bucket_ranges(
     sa_struct: SuffixArray,
     collection: EstCollection,
-    starts: np.ndarray,
+    suffix_len: np.ndarray,
     w: int,
 ) -> list[tuple[int, int, int]]:
     """Bucket boundaries in the suffix array.
@@ -85,13 +85,13 @@ def sa_bucket_ranges(
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
     # Base-4 window key per position (sentinels read as 0), kept only where
-    # the whole window lies before the position's own sentinel — nowhere,
-    # when the text is shorter than ``w``.
+    # the whole window lies before the position's own sentinel
+    # (``suffix_len``: symbols up to it) — nowhere, when the text is
+    # shorter than ``w``.
     two_n = collection.n_strings
     keys = pack_windows(np.maximum(sa_struct.text, two_n) - two_n, 2, w)
     sa = sa_struct.sa
-    end = np.repeat(starts[1:], np.diff(starts))
-    key_by_rank = np.where(sa + w < end[sa], keys[sa], -1)
+    key_by_rank = np.where(suffix_len[sa] >= w, keys[sa], -1)
     # A bucket is a maximal run of one valid key.
     cuts = np.flatnonzero(key_by_rank[1:] != key_by_rank[:-1]) + 1
     lo = np.concatenate(([0], cuts))

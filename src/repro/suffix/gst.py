@@ -7,7 +7,8 @@ backends package those facts differently:
 
 - :class:`SuffixArrayGst` — the production engine.  Builds the suffix array
   and LCP array of the sentinel-terminated concatenation once (vectorised
-  numpy), precomputes per-position lookup tables, and materialises LCP
+  numpy) and the per-position lookup tables — every array int32
+  (``left_char`` int8), 25 B per suffix in all — and materialises LCP
   forests on demand: one flat forest per owner of bucket ranges (the
   unit of distribution across processors), the whole array by default.
 - :class:`NaiveGst` — the paper-faithful engine: explicit bucket trees in
@@ -37,7 +38,20 @@ from repro.suffix.lcp import lcp_from_refinement
 from repro.suffix.naive_tree import build_gst_forest
 from repro.suffix.suffix_array import SuffixArray, refine
 
-__all__ = ["SuffixArrayGst", "NaiveGst"]
+__all__ = ["SuffixArrayGst", "NaiveGst", "MAX_POSITIONS", "check_index_size"]
+
+#: Text positions (2N + 2n) an int32 index addresses.
+MAX_POSITIONS = 2**31 - 1
+
+
+def check_index_size(collection: EstCollection) -> None:
+    """Refuse a corpus the 32-bit index cannot address, before allocating."""
+    positions = 2 * collection.total_chars + collection.n_strings
+    if positions > MAX_POSITIONS:
+        raise ValueError(
+            f"corpus has {positions} text positions (2N + 2n); the 32-bit "
+            f"index holds at most {MAX_POSITIONS}"
+        )
 
 
 @dataclass
@@ -65,13 +79,14 @@ class SuffixArrayGst:
         ``suffix_len`` and ``pos_string``, so the other per-position tables
         are built once its scratch is gone and do not sit through its peak.
         """
+        check_index_size(collection)
         text, starts = collection.sa_text()
         m = text.size
         two_n = collection.n_strings
         spans = np.diff(starts)  # string length + its sentinel
-        pos_string = np.repeat(np.arange(two_n), spans)
-        suffix_len = np.repeat(starts[1:] - 1, spans)
-        suffix_len -= np.arange(m)
+        pos_string = np.repeat(np.arange(two_n, dtype=np.int32), spans)
+        suffix_len = np.repeat((starts[1:] - 1).astype(np.int32), spans)
+        suffix_len -= np.arange(m, dtype=np.int32)
         # Seed symbols: every sentinel 0, nucleotide c -> c + 1; windows
         # that reach a sentinel are tie-broken by its string's id.  The
         # sort's state is scratch: only ``sa`` and ``lcp`` outlive it.
@@ -81,11 +96,13 @@ class SuffixArrayGst:
         sa = state.sa
         lcp = lcp_from_refinement(state)
         del state
-        pos_offset = np.arange(m)
-        pos_offset -= np.repeat(starts[:-1], spans)
-        left_char = np.full(m, LAMBDA, dtype=np.int64)
-        interior = np.flatnonzero(pos_offset)
-        left_char[interior] = text[interior - 1] - two_n
+        pos_offset = np.arange(m, dtype=np.int32)
+        pos_offset -= np.repeat(starts[:-1].astype(np.int32), spans)
+        # The character before each position; what precedes a string's first
+        # position is a sentinel (wraps in int8), overwritten with λ.
+        left_char = np.empty(m, dtype=np.int8)
+        np.subtract(text[:-1], two_n, out=left_char[1:], casting="unsafe")
+        left_char[starts[:-1]] = LAMBDA
         return cls(
             collection=collection,
             text=text,
@@ -127,7 +144,7 @@ class SuffixArrayGst:
     def bucket_ranges(self, w: int) -> list[tuple[int, int, int]]:
         """``(key, lo, hi)`` suffix-array ranges of the ``w``-prefix buckets
         — the distribution unit for parallel construction (§3.1)."""
-        return sa_bucket_ranges(self.sa_struct, self.collection, self.starts, w)
+        return sa_bucket_ranges(self.sa_struct, self.collection, self.suffix_len, w)
 
     @property
     def n_suffix_positions(self) -> int:

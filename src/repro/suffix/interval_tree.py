@@ -20,8 +20,8 @@ range, and with ψ ≥ w every qualifying node lies entirely inside one
 bucket, so an *owner* of buckets — a (simulated or real) slave processor;
 the sequential engine owns them all — needs only the forest over its own
 ranges.  :func:`build_flat_forest` builds that forest in one pass over
-all of an owner's ranges (``ranges=``): one array set per owner, node ids
-range-major, whatever the number of buckets.  :func:`build_lcp_forest`,
+all of an owner's ranges (``ranges=``): one set of int32 arrays per owner,
+node ids range-major, whatever the number of buckets.  :func:`build_lcp_forest`,
 the per-rank stack builder over one ``[lo, hi)`` range, is the reference
 the tests compare it against (and the scalar pair engine's input).
 """
@@ -218,9 +218,9 @@ class FlatForest:
     """The same forest as :class:`LcpForest`, held entirely in flat arrays.
 
     Node ids, depths, bounds, parents and the per-node ``children`` /
-    ``leaves`` sequences are bit-identical to the list-based builder's —
-    only the container differs: children and leaves live in concatenated
-    CSR arrays (node ``v`` owns ``flat[offsets[v]:offsets[v + 1]]``).
+    ``leaves`` sequences equal the list-based builder's value for value —
+    only the container differs: int32 throughout, children and leaves in
+    concatenated CSR arrays (node ``v`` owns ``flat[offsets[v]:offsets[v + 1]]``).
     This is the native input of the vectorised pair-generation engine
     (:class:`repro.pairs.batch.VectorPairGenerator`), which never walks
     per-node Python lists.
@@ -314,7 +314,8 @@ def build_flat_forest(
         nonempty = his > los
         los, lens = los[nonempty], (his - los)[nonempty]
         starts = np.cumsum(lens) - lens  # position of each range's first rank
-        ranks = np.repeat(los - starts, lens) + np.arange(lens.sum())
+        ranks = np.repeat((los - starts).astype(np.int32), lens)
+        ranks += np.arange(ranks.size, dtype=np.int32)
     n = len(lcp) if ranks is None else ranks.size
 
     # Boundary values: position p in (0, n) separates the suffixes at
@@ -322,7 +323,7 @@ def build_flat_forest(
     # sentinels (strictly smaller than any real LCP): they are what makes
     # every jump chain terminate, and no interval can span one.  The
     # values are a private copy — ``lcp`` may be a read-only shared view.
-    val = np.empty(n + 1, dtype=np.int64)
+    val = np.empty(n + 1, dtype=np.int32)
     if ranks is None:
         val[:n] = lcp
     else:
@@ -338,52 +339,53 @@ def build_flat_forest(
     # position, so every stop short of the answer qualifies itself and
     # the first position below the threshold ends the chain.
     qual = np.flatnonzero(val >= min_depth)
-    prev = np.arange(-1, n, dtype=np.int64)
+    prev = np.arange(-1, n, dtype=np.int32)
     act = qual
     while act.size:
         act = act[val[prev[act]] >= val[act]]
         prev[act] = prev[prev[act]]
-    nxt = np.arange(1, n + 2, dtype=np.int64)
+    nxt = np.arange(1, n + 2, dtype=np.int32)
     act = qual
     while act.size:
         act = act[val[nxt[act]] >= val[act]]
         nxt[act] = nxt[nxt[act]]
 
+    def node_key(q: np.ndarray) -> np.ndarray:
+        # PSV * (n + 1) + NSV needs 64 bits from n = 46 341 on; an int32
+        # product would wrap without a word.
+        return prev[q].astype(np.int64) * (n + 1) + nxt[q]
+
     # One node per unique (PSV, NSV) key among qualifying positions.
-    key = prev[qual] * (n + 1) + nxt[qual]
-    ukey, first = np.unique(key, return_index=True)
+    ukey, first = np.unique(node_key(qual), return_index=True)
     m = ukey.size
     depth_u = val[qual[first]]
-    lb_u = ukey // (n + 1)
-    rb_u = ukey % (n + 1) - 1
+    lb_u = (ukey // (n + 1)).astype(np.int32)
+    nsv_u = (ukey % (n + 1)).astype(np.int32)
+    rb_u = nsv_u - 1
     order = np.lexsort((-depth_u, rb_u))  # the stack builder's pop order
-    rank_of = np.empty(m, dtype=np.int64)
-    rank_of[order] = np.arange(m)
+    rank_of = np.empty(m, dtype=np.int32)
+    rank_of[order] = np.arange(m, dtype=np.int32)
     depth = depth_u[order]
     lb = lb_u[order]
     rb = rb_u[order]
 
     # Parent: the interval of the deeper bounding position, when it
     # still clears the threshold; forest roots otherwise.
-    bl = val[ukey // (n + 1)]
-    br = val[ukey % (n + 1)]
-    pid_u = np.full(m, -1, dtype=np.int64)
+    bl = val[lb_u]
+    br = val[nsv_u]
+    pid_u = np.full(m, -1, dtype=np.int32)
     haspar = np.flatnonzero(np.maximum(bl, br) >= min_depth)
     if haspar.size:
-        q = np.where(
-            bl[haspar] >= br[haspar],
-            ukey[haspar] // (n + 1),
-            ukey[haspar] % (n + 1),
-        )
-        pid_u[haspar] = rank_of[np.searchsorted(ukey, prev[q] * (n + 1) + nxt[q])]
-    parent = np.empty(m, dtype=np.int64)
+        q = np.where(bl[haspar] >= br[haspar], lb_u[haspar], nsv_u[haspar])
+        pid_u[haspar] = rank_of[np.searchsorted(ukey, node_key(q))]
+    parent = np.empty(m, dtype=np.int32)
     parent[rank_of] = pid_u
 
-    zero = np.zeros(1, dtype=np.int64)
+    zero = np.zeros(1, dtype=np.int32)
     nonroot = np.flatnonzero(parent >= 0)
-    children_flat = nonroot[np.lexsort((lb[nonroot], parent[nonroot]))]
+    children_flat = nonroot[np.lexsort((lb[nonroot], parent[nonroot]))].astype(np.int32)
     children_offsets = np.concatenate(
-        (zero, np.cumsum(np.bincount(parent[nonroot], minlength=m)))
+        (zero, np.cumsum(np.bincount(parent[nonroot], minlength=m), dtype=np.int32))
     )
 
     # Leaves: each rank attaches to the interval of the deeper of its two
@@ -391,10 +393,10 @@ def build_flat_forest(
     # the stable sort preserving ascending rank within a node.
     attached = np.flatnonzero(np.maximum(val[:-1], val[1:]) >= min_depth)
     ql = np.where(val[attached] >= val[attached + 1], attached, attached + 1)
-    owner = rank_of[np.searchsorted(ukey, prev[ql] * (n + 1) + nxt[ql])]
-    leaves_flat = attached[np.argsort(owner, kind="stable")]
+    owner = rank_of[np.searchsorted(ukey, node_key(ql))]
+    leaves_flat = attached[np.argsort(owner, kind="stable")].astype(np.int32)
     leaves_offsets = np.concatenate(
-        (zero, np.cumsum(np.bincount(owner, minlength=m)))
+        (zero, np.cumsum(np.bincount(owner, minlength=m), dtype=np.int32))
     )
 
     if ranks is not None:  # positions back to suffix-array ranks

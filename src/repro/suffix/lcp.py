@@ -13,7 +13,8 @@ production pair-generation engine reuses the paper's Algorithm 1 unchanged.
   and on fewer than twice that, so only the rank levels *below* ``s - 1``
   can still extend it: each level is consulted for the pairs still
   together at it, not for every pair, and what remains below the seed
-  width is one XOR of two packed seed windows.
+  width is one XOR of two packed seed windows, taken a block of rank
+  boundaries at a time.  The result is int32, like the suffix array.
 - :func:`lcp_kasai` — the linear-time Kasai et al. algorithm.  A tight
   Python loop; exact, the reference the production path is tested against.
 - :func:`lcp_naive` — symbol-by-symbol comparison, the reference's
@@ -27,6 +28,9 @@ import numpy as np
 from repro.suffix.suffix_array import Refinement
 
 __all__ = ["lcp_kasai", "lcp_from_refinement", "lcp_naive"]
+
+#: Rank boundaries per step of the below-seed-width pass.
+_TAIL_BLOCK = 1 << 16
 
 
 def lcp_kasai(text: np.ndarray, sa: np.ndarray) -> np.ndarray:
@@ -59,7 +63,7 @@ def lcp_from_refinement(ref: Refinement) -> np.ndarray:
     sa, split = ref.sa, ref.split
     m = sa.size
     # First the symbols matched in whole rank levels, per rank boundary.
-    lcp = np.zeros(m, dtype=np.int64)
+    lcp = np.zeros(m, dtype=np.int32)
     # Latest-separated pairs first: the pairs still together at a level
     # are then a prefix of the working arrays.
     tied = np.flatnonzero(split > 0)
@@ -75,24 +79,24 @@ def lcp_from_refinement(ref: Refinement) -> np.ndarray:
         level = ref.levels[s]
         grow = np.ones(n, dtype=bool)
         grow[:n_old] = level[i[:n_old]] == level[j[:n_old]]
-        step = grow * (ref.width << s)
+        step = grow * np.int32(ref.width << s)
         i[:n] += step
         j[:n] += step
     lcp[tied] = j - sa[tied]
     # Then what is left below the seed width: the leading symbols two seed
     # windows share — the XOR is below ``2**(bits * q)`` exactly when all
     # but the last q symbols agree — never past the nearer terminator
-    # (behind one both windows are zero).
-    i = sa[:-1] + lcp[1:]
-    j = sa[1:] + lcp[1:]
-    differ = ref.code[i]
-    differ ^= ref.code[j]
-    cap = ref.reach[i]
-    np.minimum(cap, ref.reach[j], out=cap)
-    del i, j
+    # (behind one both windows are zero).  A block of rank boundaries at a
+    # time: the int64 windows and their scratch never span the array.
     symbol_steps = 1 << (ref.bits * np.arange(ref.width, dtype=np.int64))
-    same = ref.width - np.searchsorted(symbol_steps, differ, side="right")
-    lcp[1:] += np.minimum(same, cap)
+    for lo in range(1, m, _TAIL_BLOCK):
+        part = lcp[lo : lo + _TAIL_BLOCK]
+        i = sa[lo - 1 : lo - 1 + part.size] + part
+        j = sa[lo : lo + part.size] + part
+        differ = ref.code[i] ^ ref.code[j]
+        cap = np.minimum(ref.reach[i], ref.reach[j])
+        same = ref.width - np.searchsorted(symbol_steps, differ, side="right")
+        part += np.minimum(same, cap)
     return lcp
 
 

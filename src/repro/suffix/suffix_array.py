@@ -88,7 +88,7 @@ class Refinement:
     Attributes
     ----------
     sa:
-        The suffix array (int64, length ``m``).
+        The suffix array (int32, length ``m``).
     rank:
         Final rank per position (int32), the inverse of ``sa``.
     levels:
@@ -169,18 +169,18 @@ def refine(
     key = code[:m] << id_bits
     if ids is not None:
         key[short] |= ids[short]
-    sa = np.argsort(key)
+    sa = np.argsort(key).astype(np.int32)
     key = key[sa]
     split = np.zeros(m, dtype=np.int8)
     split[1:][key[1:] == key[:-1]] = -1  # still tied
     del key
-    heads = np.flatnonzero(split == 0)
+    heads = np.flatnonzero(split == 0).astype(np.int32)
     rank = np.empty(m + 1, dtype=np.int32)
     rank[sa] = np.repeat(heads, np.diff(heads, append=m))
     rank[m] = -1
     tied = split < 0
     tied[:-1] |= tied[1:]
-    act = np.flatnonzero(tied)
+    act = np.flatnonzero(tied).astype(np.int32)
     del heads, tied
 
     # Refine: only members of groups of size > 1, by the rank h further on.

@@ -118,6 +118,16 @@ class TestSaBucketRanges:
             assert hi1 <= lo2
             assert lo1 < hi1 and lo2 < hi2
 
+    @given(dna_lists, st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_window_fits_iff_suffix_is_long_enough(self, seqs, w):
+        """``sa + w < end[sa]`` over a per-position end-of-string table —
+        what the pass used to build, 8 B/suffix — is ``suffix_len[sa] >= w``."""
+        gst = SuffixArrayGst.build(EstCollection.from_strings(seqs))
+        sa = gst.sa_struct.sa
+        end = np.repeat(gst.starts[1:], np.diff(gst.starts))
+        assert np.array_equal(sa + w < end[sa], gst.suffix_len[sa] >= w)
+
     def test_no_window_fits(self):
         # The whole text is shorter than w (this used to size an array
         # with a negative length), or just no string is long enough.

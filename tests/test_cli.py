@@ -136,6 +136,15 @@ class TestClusterBadInput:
         assert line.startswith(f"pace-est: error: {source}: ")
         assert cause in line and "Traceback" not in line
 
+    def test_corpus_past_the_index_limit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("repro.suffix.gst.MAX_POSITIONS", 100)
+        fa = tmp_path / "in.fa"
+        fa.write_text(_GOOD)
+        assert main(["cluster", str(fa)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"pace-est: error: {fa}: corpus has 122 text positions")
+        assert line.endswith("at most 100")
+
     def test_errors_after_loading_still_propagate(self, tmp_path, monkeypatch):
         from repro.core import PaceClusterer
 

@@ -1,5 +1,7 @@
 """Tests for the GST facade layer (SuffixArrayGst / NaiveGst)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.sequence import LAMBDA, EstCollection
 from repro.suffix import NaiveGst, SuffixArrayGst
+from repro.suffix.gst import MAX_POSITIONS, check_index_size
 
 dna_lists = st.lists(st.text(alphabet="ACGT", min_size=1, max_size=25), min_size=1, max_size=4)
 
@@ -66,6 +69,26 @@ class TestSuffixArrayGst:
         ranks = np.arange(gst.n_suffix_positions)
         positions = gst.rank_to_position(ranks)
         assert sorted(positions.tolist()) == list(range(gst.n_suffix_positions))
+
+
+    def test_arrays_are_as_narrow_as_their_values(self):
+        gst = SuffixArrayGst.build(EstCollection.from_strings(["ACGTAC", "GT", "A"]))
+        tables = (gst.sa_struct.sa, gst.lcp, gst.pos_string, gst.pos_offset, gst.suffix_len)
+        assert {t.dtype for t in tables} == {np.dtype(np.int32)}
+        assert gst.left_char.dtype == np.int8
+        for p in range(gst.text.size):  # sentinel positions included
+            s, off = int(gst.pos_string[p]), int(gst.pos_offset[p])
+            assert gst.left_char[p] == gst.collection.left_extension(s, off)
+
+    def test_corpus_past_the_32_bit_index_is_refused(self):
+        """2N + 2n is checked from the collection's sizes alone — a stand-in
+        carries them, nothing of 2 GB is built."""
+        n_strings = 2 * 81_414  # the paper's full set: ~90 M positions, 24x under
+        check_index_size(SimpleNamespace(total_chars=45_000_000, n_strings=n_strings))
+        fits = (MAX_POSITIONS - n_strings) // 2
+        check_index_size(SimpleNamespace(total_chars=fits, n_strings=n_strings))
+        with pytest.raises(ValueError, match=r"2147483648 text positions .* 2147483647"):
+            check_index_size(SimpleNamespace(total_chars=fits + 1, n_strings=n_strings))
 
 
 class TestNaiveGst:

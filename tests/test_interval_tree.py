@@ -228,8 +228,28 @@ class TestFlatBuilder:
         flat.validate()
         for name, expected in self._stack_oracle(lcp, min_depth, ranges).items():
             got = getattr(flat, name)
-            assert got.dtype == np.int64, name
+            assert got.dtype == np.int32, name  # the oracle stays int64
             assert np.array_equal(got, expected), name
+
+    def test_indices_past_32_bit_products(self):
+        """``PSV * (n + 1) + NSV`` leaves int32 from n = 46 341 on: the key
+        is computed in 64 bits although every array it is read from is
+        int32.  The other tier-1 corpora are too small to see a wrap."""
+        rng = np.random.default_rng(0)
+        n = 64_000
+        lcp = rng.integers(0, 3, size=n)
+        for at in rng.integers(0, n - 40, size=2_000).tolist():
+            lcp[at : at + int(rng.integers(2, 40))] += 3  # runs >= min_depth
+        lcp[0] = 0
+        owner = [(30_000, n), (0, 12_000), (12_000, 30_000)]
+        for ranges in (None, owner):
+            flat = build_flat_forest(lcp, min_depth=3, ranges=ranges)
+            oracle = self._stack_oracle(lcp, 3, ranges or [(0, n)])
+            assert flat.n_nodes > 5_000
+            for name, expected in oracle.items():
+                got = getattr(flat, name)
+                assert got.dtype == np.int32, name
+                assert np.array_equal(got, expected), name
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2])
     def test_matches_stack_builder_on_every_subrange(self, seed):

@@ -383,6 +383,29 @@ class TestRepeatedStrings:
         kinds = _root_repeats_a_string(gst, 15)
         assert any(kinds) and not all(kinds)
 
+    def test_ranks_past_32_bit_products(self):
+        """52 000 suffixes, poly-A tailed and tandem-repeat reads among
+        clean ones: the (string << 32 | position) keys, the forest's node
+        keys and the covered-position shift all run on ranks above 46 340,
+        where an int32 product or shift has wrapped (the reads' reverse
+        complements put the repeating roots at the top of the array)."""
+        rng = np.random.default_rng(7)
+        genome = rng.integers(0, 4, size=12_000, dtype=np.uint8)
+        reads = [genome[a : a + 210].copy() for a in rng.integers(0, 11_790, 120)]
+        reads[40:43] = [np.concatenate((r, _POLY_A)) for r in reads[40:43]]
+        reads[80] = np.concatenate((reads[80][:90], _UNIT, _UNIT, _UNIT, reads[80][90:]))
+        gst = SuffixArrayGst.build(EstCollection(reads))
+        assert gst.text.size >= 50_000
+        forest = gst.flat_forest(min_depth=15)
+        repeating = forest.roots()[_root_repeats_a_string(gst, 15)]
+        assert forest.lb[repeating].max() > 46_340
+        scalar = SaPairGenerator(gst, 15)
+        vector = VectorPairGenerator(gst, 15)
+        expected = list(scalar.pairs())
+        assert len(expected) > 200
+        assert list(vector.pairs()) == expected
+        assert vector.stats == scalar.stats
+
     def test_benchmark_corpora_repeat_no_string(self):
         """The common case at EST ψ: no root of the ``deep`` corpus holds a
         string twice, so the whole run stays on the prefix-count path."""
@@ -422,11 +445,12 @@ class TestChunkedSweep:
             tracemalloc.stop()
         assert peak < 3_000_000
 
-    def test_index_build_peak_stays_near_twice_what_it_returns(self):
-        """tracemalloc peak of ``SuffixArrayGst.build`` over the bytes live
-        when it returns, on 300 short reads.  The sort reads two of the five
-        per-position tables; with the other three built after it the ratio
-        is 2.01 here (2.47 when they sat through the sort's peak)."""
+    def test_index_build_stays_within_its_bytes_per_suffix(self):
+        """tracemalloc live and peak bytes of ``SuffixArrayGst.build`` per
+        suffix on 300 short reads.  What it returns is text 4 + ``sa`` 4 +
+        ``lcp`` 4 + three int32 tables 12 + ``left_char`` 1 = 25.1 B/suffix
+        (52.1 when the tables were int64); the peak, 83.6 B/suffix (104.9),
+        is the sort's rank levels sitting under the LCP pass."""
         reads = make_benchmark(
             replace(BenchmarkParams.small(100, 3), expression_skew=0.0), rng=0
         ).reads[:300]
@@ -438,5 +462,26 @@ class TestChunkedSweep:
             live, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert gst.sa_struct.sa.size == gst.text.size
-        assert peak <= 2.1 * live
+        m = gst.text.size
+        assert gst.sa_struct.sa.size == m
+        assert live <= 26 * m
+        assert peak <= 90 * m
+
+    def test_index_to_first_pair_peak_on_the_deep_corpus(self):
+        """tracemalloc peak of build + generator construction + first pair
+        on the ``deep`` quick corpus (18 814 suffixes): 2.17 MB, against
+        3.08 MB with int64 tables and forest and a class index over every
+        rank.  About 1 MB of it is the first chunk's per-slot tables,
+        which do not scale with the corpus."""
+        gst, cfg = _benchmark_gst("deep")
+        col = gst.collection
+        next(VectorPairGenerator(gst, cfg.psi).pairs())
+        del gst
+        tracemalloc.start()
+        try:
+            gst = SuffixArrayGst.build(col)
+            next(VectorPairGenerator(gst, cfg.psi).pairs())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * 3_075_431
