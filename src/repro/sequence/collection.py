@@ -220,18 +220,17 @@ class EstCollection:
         string boundaries.
         """
         two_n = 2 * self._n
-        total = int(self._offsets[-1]) + two_n
-        text = np.empty(total, dtype=np.int32)
-        starts = np.empty(two_n + 1, dtype=np.int64)
-        pos = 0
-        for k in range(two_n):
-            starts[k] = pos
-            seg = self.string(k)
-            text[pos : pos + seg.size] = seg.astype(np.int32) + two_n
-            pos += seg.size
-            text[pos] = k
-            pos += 1
-        starts[two_n] = pos
+        # String k moves up by the k sentinels in front of it.  Whole-array
+        # steps, no per-string temporaries: sentinels go in as ``k - 2n`` so
+        # that one in-place shift lifts them and the nucleotides together.
+        starts = self._offsets + np.arange(two_n + 1)
+        text = np.empty(int(starts[-1]), dtype=np.int32)
+        sentinel = starts[1:] - 1
+        body = np.ones(text.size, dtype=bool)
+        body[sentinel] = False
+        text[body] = self._buffer
+        text[sentinel] = np.arange(-two_n, 0)
+        text += two_n
         return text, starts
 
     # ------------------------------------------------------------------ #

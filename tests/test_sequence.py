@@ -215,6 +215,9 @@ class TestEstCollection:
         col = EstCollection.from_strings(seqs)
         text, starts = col.sa_text()
         two_n = col.n_strings
+        assert text.dtype == np.int32 and starts.dtype == np.int64
+        assert starts[0] == 0 and starts[-1] == text.size
+        assert text.size == 2 * col.total_chars + two_n
         sentinels = [int(text[starts[k + 1] - 1]) for k in range(two_n)]
         assert sentinels == list(range(two_n))  # unique, in order
         for k in range(two_n):
