@@ -12,17 +12,18 @@ allocations per extension, it
 - sorts the extensions by shape so similarly-sized ones land in the same
   group (padding waste stays low);
 - runs each group through :func:`~repro.align.banded.extend_overlap_group`,
-  one band-wide numpy sweep per DP row instead of a Python loop per pair
-  (a wave of one pair too: the group kernel is the faster at every size);
+  one band-wide numpy sweep per DP row (a wave of one pair too), or, for
+  ``engine="kdiff"``, :func:`~repro.align.kdiff.kdiff_extend_group`, one
+  numpy step per edit level over the whole wave;
 - reuses one grow-only :class:`~repro.align.banded.BandedWorkspace` across
   all groups of the run, so steady state allocates nothing.
 
-The group kernel performs bitwise-identical float arithmetic to the scalar
-kernel, so a :class:`BatchPairAligner` returns exactly the
+The group kernels perform bitwise-identical float arithmetic to the scalar
+kernels, so a :class:`BatchPairAligner` returns exactly the
 :class:`~repro.align.scoring.AlignmentResult` the per-pair
 :class:`~repro.align.extend.PairAligner` would — the per-pair engine stays
 in the tree as the reference oracle (tests/test_batch_align.py asserts the
-equivalence property).
+equivalence property).  Only whole-string DP loops over pairs.
 
 :func:`make_aligner` is the one construction point the drivers share: it
 reads :attr:`~repro.core.config.ClusteringConfig.align_batch` and returns
@@ -37,6 +38,7 @@ import numpy as np
 
 from repro.align.banded import BandedWorkspace, extend_overlap_group
 from repro.align.extend import BAND_WIDTH_BUCKETS, BandPolicy, PairAligner
+from repro.align.kdiff import kdiff_extend, kdiff_extend_group
 from repro.align.overlaps import classify_pattern
 from repro.align.scoring import AcceptanceCriteria, AlignmentResult, ScoringParams
 from repro.pairs.pair import Pair
@@ -53,14 +55,23 @@ __all__ = ["BatchPairAligner", "make_aligner", "ALIGN_BATCH_SIZE_BUCKETS"]
 #: default ``batchsize = 60`` work grant, with partial final batches small.
 ALIGN_BATCH_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
+#: kdiff waves under this many extensions go to the per-pair
+#: ``kdiff_extend``: the group kernel pays numpy calls per edit level.  µs
+#: per ``sparse`` extension, group / per-pair: g = 8 141 / 124, 12 113 /
+#: 119, 16 94 / 121 (docs/ALGORITHMS.md §4.2).
+KDIFF_GROUP_MIN = 12
+#: kdiff state is not padded to extension length, so a group is a whole
+#: wave; the cap bounds the score matrix of an oversized grant.
+KDIFF_GROUP_MAX = 256
+
 
 class BatchPairAligner(PairAligner):
     """Vectorised batch aligner, result-identical to :class:`PairAligner`.
 
-    ``group_size`` bounds how many extensions share one 2-D DP sweep; the
-    sweep is padded to the widest member, so groups of shape-sorted
-    extensions keep the padding overhead small while amortising numpy
-    dispatch over the whole group.
+    ``group_size`` bounds how many banded extensions share one 2-D DP
+    sweep (kdiff groups are whole waves); the sweep is padded to the widest
+    member, so groups of shape-sorted extensions keep the padding overhead
+    small while amortising numpy dispatch over the whole group.
     """
 
     def __init__(
@@ -93,7 +104,7 @@ class BatchPairAligner(PairAligner):
     def align_and_decide_batch(
         self, pairs: Sequence[Pair]
     ) -> list[tuple[AlignmentResult, bool]]:
-        """Align a whole batch of promising pairs in grouped 2-D DP sweeps."""
+        """Align a whole batch of promising pairs with the group kernels."""
         pairs = list(pairs)
         if not pairs:
             return []
@@ -101,9 +112,8 @@ class BatchPairAligner(PairAligner):
             self.telemetry.observe(
                 "align.batch_size", len(pairs), ALIGN_BATCH_SIZE_BUCKETS
             )
-        if not self.use_seed_extension or self.engine != "banded":
-            # Only the banded engine has a group kernel; the full-DP and
-            # kdiff configurations fall back to the per-pair reference.
+        if not self.use_seed_extension:
+            # Whole-string DP has no group kernel: the per-pair reference.
             return [self.align_and_decide(pair) for pair in pairs]
 
         arena, offsets = self.collection.arena()
@@ -151,16 +161,24 @@ class BatchPairAligner(PairAligner):
         # mark, letting every later group reuse the buffers.  The slot
         # makes keys unique before the (uncomparable) array elements.
         jobs.sort(key=lambda job: (-job[0], -job[1], job[2]))
+        kdiff = self.engine == "kdiff"
+        size = KDIFF_GROUP_MAX if kdiff else self.group_size
         reuses_before = self.workspace.reuses
-        for start in range(0, len(jobs), self.group_size):
-            chunk = jobs[start : start + self.group_size]
-            scores, cxs, cys, cells = extend_overlap_group(
-                [job[3] for job in chunk],
-                [job[4] for job in chunk],
-                np.fromiter((job[5] for job in chunk), np.int64, count=len(chunk)),
-                params,
-                workspace=self.workspace,
-            )
+        for start in range(0, len(jobs), size):
+            chunk = jobs[start : start + size]
+            if kdiff and len(chunk) < KDIFF_GROUP_MIN:
+                for job in chunk:
+                    ext[job[2]] = kdiff_extend(job[3], job[4], params, job[5])
+                continue
+            xs = [job[3] for job in chunk]
+            ys = [job[4] for job in chunk]
+            bands = np.fromiter((job[5] for job in chunk), np.int64, count=len(chunk))
+            if kdiff:
+                scores, cxs, cys, cells = kdiff_extend_group(xs, ys, bands, params)
+            else:
+                scores, cxs, cys, cells = extend_overlap_group(
+                    xs, ys, bands, params, workspace=self.workspace
+                )
             for t, job in enumerate(chunk):
                 ext[job[2]] = (
                     float(scores[t]),

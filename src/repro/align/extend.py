@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.align.banded import extend_overlap
 from repro.align.full_dp import overlap_align
+from repro.align.kdiff import kdiff_extend
 from repro.align.overlaps import classify_pattern
 from repro.align.scoring import AcceptanceCriteria, AlignmentResult, ScoringParams
 from repro.pairs.pair import Pair
@@ -155,7 +156,6 @@ class PairAligner:
     ) -> AlignmentResult:
         params = self.params
         if self.engine == "kdiff":
-            from repro.align.kdiff import kdiff_extend
 
             def extend(px, py, budget):
                 return kdiff_extend(px, py, params, budget)

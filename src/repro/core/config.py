@@ -67,8 +67,14 @@ class ClusteringConfig:
     #: DP group size for the batched alignment engine
     #: (:class:`repro.align.batch.BatchPairAligner`): pairs are chosen in
     #: conflict-free waves and their extensions aligned in vectorised
-    #: groups of up to this many.  ``0`` selects the per-pair reference
-    #: engine (the oracle, with ``pair_engine="scalar"``).
+    #: groups of up to this many.  The size bounds the banded kernel, whose
+    #: state is padded to the group's longest extension; the kdiff kernel's
+    #: state is (2E + 1) diagonals per edit level, independent of length,
+    #: so it takes a whole wave as one group (measured on ``sparse``:
+    #: whole waves 44 ms against 59 ms in 64-extension chunks) and sends
+    #: waves under ``KDIFF_GROUP_MIN`` extensions to the per-pair kernel,
+    #: which is faster there (repro.align.batch).  ``0`` selects the
+    #: per-pair reference engine (the oracle, with ``pair_engine="scalar"``).
     align_batch: int = 64
     #: Promising-pair generation engine over the suffix-array backend:
     #: "vector" (:class:`repro.pairs.batch.VectorPairGenerator`, lsets as

@@ -9,11 +9,15 @@ that property down, with hypothesis driving random collections, random
 (possibly bogus-seeded) pair batches, and random group sizes.
 """
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.align.batch as batch_module
 from repro.align import (
     BandedWorkspace,
     BatchPairAligner,
@@ -23,6 +27,7 @@ from repro.align import (
     extend_overlap_group,
     make_aligner,
 )
+from repro.align.kdiff import kdiff_extend_group
 from repro.core.config import ClusteringConfig
 from repro.pairs.pair import Pair
 from repro.sequence import EstCollection
@@ -148,15 +153,29 @@ class TestGroupKernel:
         assert ws.nbytes < 1_000_000
 
 
+ENGINES = ["banded", "kdiff"]
+
+
 class TestBatchAlignerEquivalence:
+    @pytest.mark.parametrize("engine", ENGINES)
     @settings(deadline=None, max_examples=60)
-    @given(collection_and_batch(), st.integers(1, 16))
-    def test_identical_to_per_pair_oracle(self, col_and_batch, group_size):
+    @given(
+        collection_and_batch(),
+        st.integers(1, 16),
+        st.sampled_from([1, batch_module.KDIFF_GROUP_MIN]),
+    )
+    def test_identical_to_per_pair_oracle(
+        self, engine, col_and_batch, group_size, kdiff_min
+    ):
+        # ``kdiff_min = 1`` sends every kdiff wave through the group
+        # kernel; the real crossover sends this test's small ones to
+        # kdiff_extend.
         col, pairs = col_and_batch
-        ref = PairAligner(col)
-        bat = BatchPairAligner(col, group_size=group_size)
+        ref = PairAligner(col, engine=engine)
+        bat = BatchPairAligner(col, engine=engine, group_size=group_size)
         expected = [ref.align_and_decide(p) for p in pairs]
-        got = bat.align_and_decide_batch(pairs)
+        with mock.patch.object(batch_module, "KDIFF_GROUP_MIN", kdiff_min):
+            got = bat.align_and_decide_batch(pairs)
         assert got == expected  # scores, spans, patterns, accept/reject
         assert bat.alignments_performed == ref.alignments_performed
         assert bat.dp_cells_total == ref.dp_cells_total
@@ -202,19 +221,34 @@ class TestBatchAlignerEquivalence:
         expected = [PairAligner(col).align_and_decide(p) for p in pairs]
         assert ref.align_and_decide_batch(pairs) == expected
 
-    def test_non_banded_engines_fall_back_to_oracle(self):
+    def test_kdiff_takes_the_group_kernel(self):
+        """kdiff waves go to kdiff_extend_group; only waves under the
+        measured crossover go to the per-pair kdiff_extend."""
+        col = EstCollection.from_strings(["ACGTACGTACGTTGCA", "GTACGTACGTAAGGCT"])
+        pairs = [Pair(8, 0, 2 + k % 4, 2, 1 + k % 3) for k in range(8)]
+        expected = [PairAligner(col, engine="kdiff").align_and_decide(p) for p in pairs]
+        for n, group_calls in ((len(pairs), 1), (batch_module.KDIFF_GROUP_MIN // 2 - 1, 0)):
+            bat = BatchPairAligner(col, engine="kdiff")
+            with mock.patch.object(
+                batch_module, "kdiff_extend_group", wraps=kdiff_extend_group
+            ) as group, mock.patch.object(
+                batch_module, "kdiff_extend", wraps=batch_module.kdiff_extend
+            ) as per_pair:
+                assert bat.align_and_decide_batch(pairs[:n]) == expected[:n]
+            assert group.call_count == group_calls
+            assert per_pair.call_count == (0 if group_calls else 2 * n)
+
+    def test_full_dp_falls_back_to_oracle(self):
         col = EstCollection.from_strings(["ACGTACGTACGT", "GTACGTACGTAA"])
         pairs = [Pair(8, 0, 2, 2, 0)]
-        for kwargs in ({"engine": "kdiff"}, {"use_seed_extension": False}):
-            expected = [PairAligner(col, **kwargs).align_and_decide(p) for p in pairs]
-            assert (
-                BatchPairAligner(col, **kwargs).align_and_decide_batch(pairs)
-                == expected
-            )
+        kwargs = {"use_seed_extension": False}
+        expected = [PairAligner(col, **kwargs).align_and_decide(p) for p in pairs]
+        assert BatchPairAligner(col, **kwargs).align_and_decide_batch(pairs) == expected
 
 
 class TestTelemetryParity:
-    def test_aggregate_metrics_match_per_pair_engine(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_aggregate_metrics_match_per_pair_engine(self, engine):
         rng = np.random.default_rng(3)
         col = EstCollection.from_strings(
             ["".join(rng.choice(list("ACGT"), 70)) for _ in range(4)]
@@ -224,11 +258,15 @@ class TestTelemetryParity:
             for b, strand in ((1, 0), (2, 1), (3, 0), (1, 1))
         ]
         tel_ref, tel_bat = Telemetry(), Telemetry()
+        ref = PairAligner(col, engine=engine, telemetry=tel_ref)
         for p in pairs:
-            PairAligner(col, telemetry=tel_ref).align_and_decide(p)
-        BatchPairAligner(
-            col, telemetry=tel_bat, group_size=2
-        ).align_and_decide_batch(pairs)
+            ref.align_and_decide(p)
+        bat = BatchPairAligner(col, engine=engine, telemetry=tel_bat, group_size=2)
+        with mock.patch.object(batch_module, "KDIFF_GROUP_MIN", 1):
+            bat.align_and_decide_batch(pairs)
+        assert bat.alignments_performed == ref.alignments_performed
+        assert bat.dp_cells_total == ref.dp_cells_total
+        assert bat.model_cells_total == ref.model_cells_total
         ref_counters = tel_ref.registry.snapshot()["counters"]
         bat_counters = tel_bat.registry.snapshot()["counters"]
         for key in ("align.accepted", "align.rejected"):
@@ -237,7 +275,30 @@ class TestTelemetryParity:
         bat_hists = tel_bat.registry.snapshot()["histograms"]
         assert ref_hists["align.band_width"] == bat_hists["align.band_width"]
         assert "align.batch_size" in bat_hists
-        assert bat_counters.get("align.buffer_reuse", 0) >= 1
+        # Only the banded kernel has a workspace to reuse.
+        reused = bat_counters.get("align.buffer_reuse", 0)
+        assert reused >= 1 if engine == "banded" else reused == 0
+
+
+class TestKdiffKernelBytes:
+    def test_state_of_a_full_wave_stays_small(self):
+        """g = 128 full-length extensions at budget 34, every member out
+        of budget: all 35 levels of state are live at the end.  The
+        int32 level blocks hold it under 1.5 MB (an int64 (2E + 1)-row
+        stack took 2.5 MB)."""
+        rng = np.random.default_rng(0)
+        xs = [rng.integers(0, 4, 550).astype(np.int8) for _ in range(128)]
+        ys = [rng.integers(0, 4, 550).astype(np.int8) for _ in range(128)]
+        tracemalloc.start()
+        try:
+            scores, _cx, _cy, cells = kdiff_extend_group(
+                xs, ys, [34] * 128, ScoringParams()
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (cells == 35**2).all() and (scores < 0).all()
+        assert peak <= 1_500_000
 
 
 class TestMakeAligner:

@@ -11,11 +11,15 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.align import AcceptanceCriteria
+import repro.align.batch as batch_module
+import repro.parallel.engine as engine_module
+from repro.align import AcceptanceCriteria, make_aligner
+from repro.align.kdiff import kdiff_extend_group
 from repro.baselines import allpairs_cluster
 from repro.core import ClusteringConfig, PaceClusterer
 from repro.metrics import assess_clustering
@@ -99,6 +103,63 @@ class TestEngineParity:
         cfg = replace(small_config, align_batch=align_batch)
         got = PaceClusterer(cfg).cluster(col).clusters
         assert repr(got).encode() == repr(reference).encode()
+
+    def test_kdiff_group_kernel_on_every_engine(self):
+        """Full-length reads through the k-difference engine: the batched
+        aligner (group kernel) and the per-pair one do the same work on
+        every engine, down to the simulator's virtual clock."""
+        col = make_benchmark(
+            BenchmarkParams(n_genes=5, mean_ests_per_gene=4, expression_skew=0.0),
+            rng=2,
+        ).collection
+        batched = ClusteringConfig(align_engine="kdiff")
+        per_pair = replace(batched, align_batch=0)
+        work = ("pairs_processed", "pairs_accepted", "dp_cells")
+
+        def counters(result):
+            return [getattr(result.counters, k) for k in work]
+
+        with mock.patch.object(
+            batch_module, "kdiff_extend_group", wraps=kdiff_extend_group
+        ) as group:
+            seq = [PaceClusterer(cfg).cluster(col) for cfg in (batched, per_pair)]
+        assert group.call_count >= 1
+        assert seq[0].clusters == seq[1].clusters
+        assert counters(seq[0]) == counters(seq[1])
+
+        sims = []
+        for cfg in (batched, per_pair):
+            aligners = []
+
+            def recording(*args, **kwargs):
+                aligners.append(make_aligner(*args, **kwargs))
+                return aligners[-1]
+
+            with mock.patch.object(
+                engine_module, "make_aligner", recording
+            ), mock.patch.object(
+                batch_module, "kdiff_extend_group", wraps=kdiff_extend_group
+            ) as group:
+                rep = simulate_clustering(col, cfg, n_processors=4)
+            assert (group.call_count >= 1) == bool(cfg.align_batch)
+            sims.append(
+                (
+                    rep.result.clusters,
+                    counters(rep.result),
+                    sum(a.model_cells_total for a in aligners),
+                    rep.total_time,
+                    rep.messages_exchanged,
+                )
+            )
+        assert sims[0] == sims[1]
+        assert sims[0][0] == seq[0].clusters
+
+        mp = [
+            cluster_multiprocessing(col, cfg, n_processors=3)
+            for cfg in (batched, per_pair)
+        ]
+        assert mp[0].clusters == mp[1].clusters == seq[0].clusters
+        assert counters(mp[0]) == counters(mp[1])
 
     def test_parallel_engines_with_batched_aligner(self, small_benchmark, small_config):
         col = small_benchmark.collection

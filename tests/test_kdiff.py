@@ -1,18 +1,162 @@
 """Tests for the greedy k-difference (Landau-Vishkin) extension engine."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.align.kdiff as kdiff_module
 from repro.align import AcceptanceCriteria, PairAligner, ScoringParams, extend_overlap
-from repro.align.kdiff import edit_distance_extension, kdiff_extend, score_ops
+from repro.align.kdiff import kdiff_extend, kdiff_extend_group, score_ops
 from repro.sequence import EstCollection, encode
 
 P = ScoringParams()
+#: Non-integer scores: every running sum rounds, so a reordered or
+#: regrouped addition changes the last bits.
+FRACTIONAL = ScoringParams(match=1.3, mismatch=-2.7, gap_open=-4.1, gap_extend=-1.9)
 codes = st.lists(st.integers(0, 3), min_size=0, max_size=14).map(
     lambda v: np.array(v, dtype=np.uint8)
 )
+
+
+def edit_distance_extension(x: np.ndarray, y: np.ndarray) -> tuple[int, int, int]:
+    """Reference: min edits to align prefixes reaching an end of x or y,
+    by full DP.  Returns ``(edits, consumed_x, consumed_y)``."""
+    x = [int(v) for v in np.asarray(x)]
+    y = [int(v) for v in np.asarray(y)]
+    lx, ly = len(x), len(y)
+    INF = 10**9
+    dp = [[INF] * (ly + 1) for _ in range(lx + 1)]
+    dp[0][0] = 0
+    for i in range(lx + 1):
+        for j in range(ly + 1):
+            v = dp[i][j]
+            if v == INF:
+                continue
+            if i < lx and j < ly:
+                cost = 0 if x[i] == y[j] else 1
+                if v + cost < dp[i + 1][j + 1]:
+                    dp[i + 1][j + 1] = v + cost
+            if i < lx and v + 1 < dp[i + 1][j]:
+                dp[i + 1][j] = v + 1
+            if j < ly and v + 1 < dp[i][j + 1]:
+                dp[i][j + 1] = v + 1
+    best = (INF, 0, 0)
+    for i in range(lx + 1):
+        if dp[i][ly] < best[0]:
+            best = (dp[i][ly], i, ly)
+    for j in range(ly + 1):
+        if dp[lx][j] < best[0]:
+            best = (dp[lx][j], lx, j)
+    return best
+
+
+@st.composite
+def kdiff_group(draw):
+    """``(xs, ys, budgets)`` for one group call: ``x`` of 1–80 symbols and
+    ``y`` identical to it, an indel-rich variant, a short piece of it
+    (``|lx - ly|`` far above the budget) or unrelated (mostly out of
+    budget); budgets 0–30 mixed inside the group."""
+    g = draw(st.integers(1, 8))
+    bases = st.integers(0, 3)
+    xs, ys, budgets = [], [], []
+    for _ in range(g):
+        x = draw(st.lists(bases, min_size=1, max_size=80))
+        relation = draw(st.sampled_from(["same", "indels", "piece", "unrelated"]))
+        if relation == "same":
+            y = list(x)
+        elif relation == "indels":
+            y = list(x)
+            for _ in range(draw(st.integers(1, 6))):
+                at = draw(st.integers(0, len(y)))
+                kind = draw(st.sampled_from(["ins", "del", "sub"]))
+                if kind == "ins":
+                    y[at:at] = draw(st.lists(bases, min_size=1, max_size=3))
+                elif at < len(y):
+                    y[at : at + 1] = [] if kind == "del" else [draw(bases)]
+            y = y or [draw(bases)]
+        elif relation == "piece":
+            start = draw(st.integers(0, len(x) - 1))
+            y = x[start : start + draw(st.integers(1, 4))]
+        else:
+            y = draw(st.lists(bases, min_size=1, max_size=80))
+        xs.append(np.array(x, dtype=np.int8))
+        ys.append(np.array(y, dtype=np.int8))
+        budgets.append(draw(st.integers(0, 30)))
+    return xs, ys, budgets
+
+
+class TestKdiffGroupKernel:
+    @settings(deadline=None, max_examples=200)
+    @given(kdiff_group(), st.sampled_from([P, FRACTIONAL]))
+    def test_identical_to_per_pair_kernel(self, group, params):
+        xs, ys, budgets = group
+        scores, cx, cy, cells = kdiff_extend_group(xs, ys, budgets, params)
+        got = [
+            (float(scores[k]), int(cx[k]), int(cy[k]), int(cells[k]))
+            for k in range(len(xs))
+        ]
+        assert got == [
+            tuple(kdiff_extend(x, y, params, b)) for x, y, b in zip(xs, ys, budgets)
+        ]
+
+    def test_long_slides_and_arena_views(self):
+        """Runs far past the first windows, reversed (left-extension)
+        views of one arena, and a group wider than one wave."""
+        rng = np.random.default_rng(4)
+        arena = rng.integers(0, 4, 40_000).astype(np.int8)
+        xs, ys, budgets = [], [], []
+        for k in range(150):
+            a = arena[k * 260 : k * 260 + 250]
+            b = a.copy()
+            for at in rng.choice(250, size=int(rng.integers(0, 6)), replace=False):
+                b[at] = (b[at] + 1) % 4
+            if k % 2:
+                a, b = a[::-1], b[::-1]
+            xs.append(a)
+            ys.append(b[: int(rng.integers(100, 250))])
+            budgets.append(int(rng.integers(0, 34)))
+        scores, cx, cy, cells = kdiff_extend_group(xs, ys, budgets, FRACTIONAL)
+        for k in range(len(xs)):
+            got = (float(scores[k]), int(cx[k]), int(cy[k]), int(cells[k]))
+            assert got == kdiff_extend(xs[k], ys[k], FRACTIONAL, budgets[k])
+
+    def test_empty_group_and_bad_input(self):
+        scores, cx, cy, cells = kdiff_extend_group([], [], [], P)
+        assert scores.size == cx.size == cy.size == cells.size == 0
+        a = np.array([0, 1], dtype=np.int8)
+        with pytest.raises(ValueError):
+            kdiff_extend_group([a], [a[:0]], [3], P)
+        with pytest.raises(ValueError):
+            kdiff_extend_group([a], [a], [-1], P)
+        with pytest.raises(ValueError):
+            kdiff_extend_group([a, a], [a], [3, 3], P)
+
+
+class TestXInvariant:
+    @settings(deadline=None, max_examples=100)
+    @given(kdiff_group())
+    def test_every_x_is_a_mismatch_and_every_m_a_match(self, group):
+        """The group kernel scores X as ``mismatch`` and slides as
+        ``match`` without reading the strings; this is why it may."""
+        transcripts = []
+
+        def record(ops, params, x, y):
+            transcripts.append((ops, x, y))
+            return score_ops(ops, params, x, y)
+
+        with mock.patch.object(kdiff_module, "score_ops", record):
+            for x, y, budget in zip(*group):
+                kdiff_extend(x, y, P, budget)
+        for ops, x, y in transcripts:
+            i = j = 0
+            for op in ops:
+                if op in "MX":
+                    assert (x[i] == y[j]) == (op == "M")
+                i += op in "MXD"
+                j += op in "MXI"
 
 
 class TestKdiffExtend:
