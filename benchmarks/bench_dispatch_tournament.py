@@ -14,8 +14,9 @@ where work-allocation actually matters:
 Every run executes on the discrete-event simulator, so each cell of the
 scorecard is deterministic: makespan and the p50/p99/p999 of the ``rtt``
 work-unit latency stage are functions of the code alone, which is what
-lets the nightly job diff them against a committed reference with a tight
-threshold (``pace-est diff tests/data/reference_dispatch_trace.jsonl``).
+lets ``tests/test_reference_trace.py`` regenerate one cell's trace through
+:func:`run_tournament` and compare it record for record with
+``tests/data/reference_dispatch_trace.jsonl``.
 
 Clusters are asserted identical across policies on every workload — a
 dispatch policy shapes *when* pairs flow, never *what* the partition is.
@@ -172,7 +173,7 @@ def run_tournament(args) -> tuple[list[dict], list[str], int]:
                 and policy == "paper"
             ):
                 # The committed-reference cell: paper policy on the
-                # heterogeneous fleet (the drift gate's fixed point).
+                # heterogeneous fleet.
                 export_jsonl(snapshot, args.trace_out)
         by_p99 = min(
             cells, key=lambda c: c["rtt_p99"] if c["rtt_p99"] == c["rtt_p99"] else math.inf
@@ -221,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="write one JSON record per cell here")
     parser.add_argument("--trace-out", type=Path, default=None,
                         help="export the paper-policy hetero-workload "
-                             "telemetry trace here (the drift-gate cell)")
+                             "telemetry trace here (the reference cell)")
     args = parser.parse_args(argv)
 
     records, md, failures = run_tournament(args)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.align.extend import BandPolicy
 from repro.align.scoring import AcceptanceCriteria, ScoringParams
+from repro.telemetry.causal import MAX_INCARNATION
 from repro.util.validation import check_positive
 
 __all__ = ["ClusteringConfig", "POLICY_NAMES", "parse_policy"]
@@ -152,6 +153,12 @@ class ClusteringConfig:
         if self.pair_engine not in ("scalar", "vector"):
             raise ValueError(f"unknown pair_engine {self.pair_engine!r}")
         parse_policy(self.dispatch_policy)
+        if self.causal_tracing and self.master_shards > MAX_INCARNATION + 1:
+            raise ValueError(
+                f"causal tracing supports at most {MAX_INCARNATION + 1} master "
+                f"shards (a work-unit id has 8 bits for the shard), got "
+                f"{self.master_shards}"
+            )
 
     @classmethod
     def small_reads(cls, **overrides) -> "ClusteringConfig":

@@ -13,13 +13,11 @@ This module extracts that choice into a seam:
 
 - :class:`RequestContext` — everything the master knows at the moment it
   computes one reply's request size: the slave's offer (``p``/``p_prime``),
-  WORKBUF occupancy, fleet composition, and the per-slave in-flight
-  mirror (non-empty dispatched batches not yet reported back);
-- :class:`DispatchPolicy` — the interface plus the in-flight mirror
-  bookkeeping every policy shares.  :class:`~repro.parallel.protocol.
-  MasterLogic` drives the hooks: ``note_dispatch`` when work leaves,
-  ``note_retired`` when its results arrive, ``note_slave_lost`` /
-  ``note_slave_stopped`` when a slave leaves the protocol;
+  WORKBUF occupancy, fleet composition, and the slave's in-flight depth
+  (non-empty grants not yet reported back, read off the master's own
+  grant records);
+- :class:`DispatchPolicy` — the interface: one stateless
+  :meth:`~DispatchPolicy.request` per reply;
 - :class:`PaperFormula` — the bitwise-faithful default.  It consults
   nothing but the paper's inputs, so runs under it are byte-identical to
   the pre-seam code on either engine;
@@ -93,26 +91,16 @@ class RequestContext:
 
 
 class DispatchPolicy:
-    """Base class: the request computation plus shared mirror bookkeeping.
+    """Base class: subclasses implement :meth:`request`.
 
-    Subclasses implement :meth:`request`.  The in-flight mirror maps
-    ``slave_id -> (batches, pairs)`` of *non-empty* dispatched work not
-    yet reported back; empty batches (result-eliciting pings) carry no
-    work unit and are never counted.  The mirror must be cleared when a
-    slave leaves the protocol — on ``slave_lost`` its unreported batches
-    are requeued into WORKBUF, and counting them as still in flight
-    would double-charge the queue-depth view (see the regression test in
-    ``tests/test_dispatch.py``).
+    Everything a policy may consult arrives in the context.  The
+    in-flight depth in it counts the slave's *non-empty* grants the
+    master still holds; empty ones (result-eliciting pings) carry no work
+    and grants requeued from a lost slave are no longer in flight.
     """
 
     #: Human-readable policy identifier (scorecards, snapshots).
     name: str = "abstract"
-
-    def __init__(self) -> None:
-        self._batches: dict[int, int] = {}
-        self._pairs: dict[int, int] = {}
-
-    # ---- the decision ------------------------------------------------- #
 
     def request(self, ctx: RequestContext) -> int:
         """The number of further pairs to ask this slave for (E ≥ 0)."""
@@ -136,64 +124,11 @@ class DispatchPolicy:
         )
         return max(0, int(e))
 
-    # ---- in-flight mirror hooks (driven by MasterLogic) ---------------- #
-
-    def note_dispatch(self, slave_id: int, n_pairs: int) -> None:
-        """A work batch of ``n_pairs`` left for ``slave_id`` (empty
-        batches are ignored: they elicit results, they are not work)."""
-        if n_pairs <= 0:
-            return
-        self._batches[slave_id] = self._batches.get(slave_id, 0) + 1
-        self._pairs[slave_id] = self._pairs.get(slave_id, 0) + n_pairs
-
-    def note_retired(self, slave_id: int, n_pairs: int) -> None:
-        """The results of one previously dispatched non-empty batch
-        arrived."""
-        if n_pairs <= 0:
-            return
-        b = self._batches.get(slave_id, 0) - 1
-        p = self._pairs.get(slave_id, 0) - n_pairs
-        if b > 0:
-            self._batches[slave_id] = b
-        else:
-            self._batches.pop(slave_id, None)
-        if p > 0:
-            self._pairs[slave_id] = p
-        else:
-            self._pairs.pop(slave_id, None)
-
-    def note_slave_lost(self, slave_id: int) -> None:
-        """The slave left the protocol; its unreported batches were
-        requeued into WORKBUF, so they are no longer in flight."""
-        self._batches.pop(slave_id, None)
-        self._pairs.pop(slave_id, None)
-
-    def note_slave_stopped(self, slave_id: int) -> None:
-        """Clean protocol stop: nothing can be outstanding."""
-        self._batches.pop(slave_id, None)
-        self._pairs.pop(slave_id, None)
-
-    # ---- read side ----------------------------------------------------- #
-
-    def queue_depth(self, slave_id: int) -> tuple[int, int]:
-        """``(batches, pairs)`` currently mirrored in flight."""
-        return self._batches.get(slave_id, 0), self._pairs.get(slave_id, 0)
-
-    def debug_state(self) -> dict:
-        """A JSON-safe snapshot of the policy's live view, embedded in
-        flight-recorder dumps so `pace-est postmortem` can report what
-        the master believed each slave was holding when the run died."""
-        return {
-            "policy": self.name,
-            "in_flight_batches": {str(k): v for k, v in self._batches.items()},
-            "in_flight_pairs": {str(k): v for k, v in self._pairs.items()},
-        }
-
 
 class PaperFormula(DispatchPolicy):
     """The paper's formula, verbatim — the reproduction-fidelity default.
 
-    Ignores the in-flight mirror entirely, so protocol runs under it are
+    Ignores the in-flight depth entirely, so protocol runs under it are
     byte-identical to the pre-policy-seam implementation (asserted by the
     oracle tests and the ``perf_gate.py dispatch`` gate).
     """
@@ -226,7 +161,6 @@ class JBSQ(DispatchPolicy):
     name = "jbsq"
 
     def __init__(self, k: int = 2) -> None:
-        super().__init__()
         if k < 1:
             raise ValueError(f"JBSQ bound k must be >= 1, got {k}")
         self.k = k
@@ -236,7 +170,7 @@ class JBSQ(DispatchPolicy):
         base = self.paper_request(ctx)
         if base <= 0:
             return base
-        depth = self._batches.get(ctx.slave_id, 0)
+        depth = ctx.in_flight_batches
         if depth >= self.k:
             return 0
         return int(base * (self.k - depth) / self.k)

@@ -32,12 +32,13 @@ from repro.core.config import ClusteringConfig
 from repro.core.results import ClusteringResult, FaultCounters
 from repro.pairs.batch import make_pair_generator
 from repro.pairs.ondemand import OnDemandPairGenerator
-from repro.parallel.faults import drain_workbuf, reabsorb_ranges
+from repro.parallel.faults import reabsorb_ranges
 from repro.parallel.protocol import MasterMsg, SlaveLogic, SlaveMsg
 from repro.parallel.shards import ShardedMaster, plan_shards
 from repro.suffix.gst import SuffixArrayGst
 from repro.telemetry import Telemetry
-from repro.telemetry.causal import CausalRecorder, UnitMinter
+from repro.telemetry.causal import NULL_CAUSAL, NULL_MINTER, CausalRecorder, UnitMinter
+from repro.telemetry.latency import NULL_LATENCY
 from repro.telemetry.live import LiveSample
 from repro.telemetry.registry import DEFAULT_BUCKETS
 from repro.util.timing import TimingBreakdown
@@ -75,7 +76,7 @@ class Slave:
             **resources,
         )
 
-    def stamp_causal(self, recorder: CausalRecorder | None, ts: float) -> None:
+    def stamp_causal(self, recorder: CausalRecorder, ts: float) -> None:
         """Stamp the logic's clock-free causal facts with the engine's
         clock (nothing is pending when causal tracing is off)."""
         for event, unit, n in self.logic.drain_causal():
@@ -105,7 +106,7 @@ def build_slave(
         aligner=aligner,
         batchsize=config.batchsize,
         pairbuf_capacity=config.pairbuf_capacity,
-        minter=UnitMinter(slave_id, incarnation) if traced else None,
+        minter=UnitMinter(slave_id, incarnation) if traced else NULL_MINTER,
     )
     return Slave(logic, generator, generator.total_nodes)
 
@@ -142,8 +143,12 @@ class EngineCore:
         #: What instrumented components are handed: the session when it
         #: records, else ``None`` (their own "off" convention).
         self.sink = self.tel if self.tel.enabled else None
-        self.lat = self.tel.latency  # None when telemetry is off
-        self.causal = CausalRecorder() if config.causal_tracing and self.sink else None
+        #: Where latency observations and causal events go: the
+        #: session's store and a recorder, or their disabled forms.
+        self.lat = self.tel.latency if self.tel.enabled else NULL_LATENCY
+        self.causal = (
+            CausalRecorder() if config.causal_tracing and self.sink else NULL_CAUSAL
+        )
         self.faults = FaultCounters()
         #: Set by the engine from :func:`~repro.telemetry.monitor.monitored_run`.
         self.monitor = None
@@ -188,25 +193,19 @@ class EngineCore:
 
     # ---- the master step ---------------------------------------------- #
 
-    def observe(self, stage: str, seconds: float) -> None:
-        """One work-unit latency observation (dropped when telemetry is
-        off): a duration the engine charged or measured on its clock."""
-        if self.lat is not None:
-            self.lat.observe(stage, seconds)
-
     def on_message(self, msg: SlaveMsg, now: float) -> MasterMsg | None:
         """Route one slave message to its shard at engine time ``now``;
         returns the reply, or ``None`` when the slave was parked (wake it
         later through the shard's ``drain_wait_queue``).  A message the
         wire stamped at send time reports its transit here."""
         if msg.sent_at >= 0:
-            self.observe("transit", now - msg.sent_at)
+            self.lat.observe("transit", now - msg.sent_at)
         return self.master.on_message(msg, now=now)
 
     def absorbed(self, slave_id: int, seconds: float) -> None:
         """The engine's duration for the :meth:`on_message` just done on
         ``slave_id``'s shard, observed with the WORKBUF depth it left."""
-        self.observe("absorb", seconds)
+        self.lat.observe("absorb", seconds)
         self.tel.observe(
             "master.workbuf_depth",
             self.master.shard_for(slave_id).logic.workbuf_depth,
@@ -278,8 +277,8 @@ class EngineCore:
                 self.gst.collection, self.config, telemetry=self.sink
             )
         cells_before = self._aligner.model_cells_total
-        aligned = drain_workbuf(
-            self.master.shards[shard_id].logic, self._aligner, now=now
+        aligned = self.master.shards[shard_id].logic.align_locally(
+            self._aligner, now=now
         )
         self.local_aligned += aligned
         return aligned, self._aligner.model_cells_total - cells_before
@@ -330,10 +329,9 @@ class EngineCore:
                 tel.count("shard.pairs_pruned", master.pairs_pruned)
         snapshot = None
         if self._snapshot:
-            if self.causal is not None:
-                # Causal records join the span-event stream; the snapshot
-                # sorts all events onto the one run clock.
-                tel.events.extend(self.causal.as_records())
+            # Causal records join the span-event stream; the snapshot
+            # sorts all events onto the one run clock.
+            tel.events.extend(self.causal.as_records())
             snapshot = tel.snapshot(**meta)
         manager = master.combined()
         return ClusteringResult(

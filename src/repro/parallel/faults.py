@@ -14,10 +14,10 @@ discrete-event simulator (:mod:`repro.parallel.sim_machine`):
   around every protocol send;
 - :class:`FaultTolerance` is the master's recovery policy (detection
   timeout, restart budget, backoff);
-- :func:`reabsorb_ranges` and :func:`drain_workbuf` are the two degraded
-  recovery actions: regenerate a lost slave's promising pairs inside the
-  master, and — when no slave survives — finish the remaining alignments
-  in the master itself.
+- :func:`reabsorb_ranges` is the degraded recovery action: regenerate a
+  lost slave's promising pairs inside the master (when no slave survives,
+  :meth:`~repro.parallel.protocol.MasterLogic.align_locally` finishes the
+  remaining alignments in the master itself).
 
 Recovery is correct because the clustering partition is invariant under
 pair re-delivery: generators are deterministic over their bucket ranges,
@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.pairs.ondemand import OnDemandPairGenerator
+from repro.telemetry.causal import MAX_INCARNATION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.align.extend import PairAligner
     from repro.parallel.protocol import MasterLogic
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "InjectedFault",
     "SlaveFailure",
     "reabsorb_ranges",
-    "drain_workbuf",
 ]
 
 #: Exit code of a slave process killed by an injected fault.
@@ -215,8 +214,12 @@ class FaultTolerance:
             raise ValueError("slave_timeout must be > 0")
         if self.poll_interval <= 0:
             raise ValueError("poll_interval must be > 0")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
+        if not 0 <= self.max_restarts <= MAX_INCARNATION:
+            # A replacement's incarnation tags its work-unit ids.
+            raise ValueError(
+                f"max_restarts must be in [0, {MAX_INCARNATION}], "
+                f"got {self.max_restarts}"
+            )
 
     def backoff_for(self, restarts_so_far: int) -> float:
         """Exponential backoff before forking the next replacement."""
@@ -224,7 +227,7 @@ class FaultTolerance:
 
 
 # --------------------------------------------------------------------- #
-# Degraded recovery actions (shared by mp_backend and sim_machine).
+# Degraded recovery (shared by mp_backend and sim_machine).
 # --------------------------------------------------------------------- #
 
 
@@ -248,22 +251,3 @@ def reabsorb_ranges(
             break
         admitted += master.absorb_pairs(pairs, now=now)
     return source.produced, admitted
-
-
-def drain_workbuf(
-    master: "MasterLogic", aligner: "PairAligner", *, now: float = 0.0
-) -> int:
-    """Align everything left in one master's WORKBUF in the master itself
-    — the last-resort degraded mode when no slave survives.  Returns the
-    number of alignments performed.  The pairs are chosen by the same
-    wave rule as dispatched work
-    (:meth:`~repro.parallel.protocol.MasterLogic.align_locally`).
-
-    Dispatch-policy state needs no draining here: the in-flight mirrors
-    of every dead slave were already cleared by
-    :meth:`~repro.parallel.protocol.MasterLogic.slave_lost` (grants
-    issued just before this drain would otherwise double-count the
-    requeued pairs in queue-depth policies like JBSQ), and this path is
-    only reached once no slave survives to receive another grant.
-    """
-    return master.align_locally(aligner, now=now)

@@ -69,8 +69,9 @@ from repro.parallel.shm import ArenaRegistry
 from repro.sequence.collection import EstCollection
 from repro.suffix.gst import SuffixArrayGst
 from repro.telemetry import Telemetry
-from repro.telemetry.causal import CausalRecorder
+from repro.telemetry.causal import NULL_CAUSAL, CausalRecorder
 from repro.telemetry.flight import FlightRecorder
+from repro.telemetry.latency import NULL_LATENCY
 from repro.telemetry.live import MASTER_ID, LiveSample, ResourceSampler
 from repro.telemetry.monitor import RunMonitor, monitored_run
 from repro.telemetry.registry import DEFAULT_BUCKETS
@@ -184,7 +185,7 @@ def _slave_worker(
     injector = FaultInjector(fault_plan, slave_id, incarnation)
     tel = Telemetry(enabled=telemetry_origin is not None, origin=telemetry_origin)
     actor = f"slave{slave_id}"
-    crec = CausalRecorder() if config.causal_tracing and tel.enabled else None
+    crec = CausalRecorder() if config.causal_tracing and tel.enabled else NULL_CAUSAL
     flight: FlightRecorder | None = None
     if config.flight_dir is not None:
         flight = FlightRecorder(
@@ -235,7 +236,7 @@ def _slave_worker(
                 cpu_seconds=sampler.cpu_seconds(),
             )
 
-        lat = tel.latency
+        lat = tel.latency if tel.enabled else NULL_LATENCY
         t_start = tel.now()
         out = logic.bootstrap()
         slave.stamp_causal(crec, tel.now())
@@ -269,23 +270,20 @@ def _slave_worker(
             t_start = tel.now()
             tel.trace.recv(actor, t_start, "reply from master")
             tel.observe("slave.pairbuf_depth", len(logic.pairbuf), DEFAULT_BUCKETS)
-            if lat is not None:
-                # One message's pipe time, from the master's stamp to here
-                # (same CLOCK_MONOTONIC origin across fork).
-                if reply.sent_at >= 0:
-                    lat.observe("transit", t_start - reply.sent_at)
-                # Split the protocol step so the NEXTWORK alignment and the
-                # blocking PAIRBUF refill report as separate stages.
-                had_nextwork = bool(logic.nextwork)
-                logic.align_pending()
-                t_aligned = tel.now()
-                if had_nextwork:
-                    lat.observe("align", t_aligned - t_start)
-                out = logic.finish_step(reply)
-                if logic.last_costs.pairs_generated_blocking:
-                    lat.observe("generate", tel.now() - t_aligned)
-            else:
-                out = logic.step(reply)
+            # One message's pipe time, from the master's stamp to here
+            # (same CLOCK_MONOTONIC origin across fork).
+            if reply.sent_at >= 0:
+                lat.observe("transit", t_start - reply.sent_at)
+            # Split the protocol step so the NEXTWORK alignment and the
+            # blocking PAIRBUF refill report as separate stages.
+            had_nextwork = bool(logic.nextwork)
+            logic.align_pending()
+            t_aligned = tel.now()
+            if had_nextwork:
+                lat.observe("align", t_aligned - t_start)
+            out = logic.finish_step(reply)
+            if logic.last_costs.pairs_generated_blocking:
+                lat.observe("generate", tel.now() - t_aligned)
             slave.stamp_causal(crec, tel.now())
             tel.trace.compute(actor, t_start, tel.now(), "step")
             if out is None:
@@ -300,7 +298,7 @@ def _slave_worker(
                         events=tuple(tel.trace.events),
                         span_events=tuple(tel.events),
                         metrics=tel.registry.snapshot() if tel.enabled else None,
-                        causal_events=tuple(crec.events) if crec is not None else (),
+                        causal_events=tuple(crec.as_records()),
                     )
                 )
                 conn.close()
@@ -461,7 +459,7 @@ def cluster_multiprocessing(
 
     def send_reply(handle: _SlaveHandle, reply) -> bool:
         """Send a master reply; False means the pipe is already dead."""
-        if core.lat is not None:
+        if tel.enabled:
             reply = replace(reply, sent_at=tel.now())
         try:
             handle.conn.send(reply)
@@ -501,8 +499,7 @@ def cluster_multiprocessing(
                 tel.trace.extend(msg.events)
                 tel.events.extend(msg.span_events)
                 tel.registry.merge_snapshot(msg.metrics)
-            if causal is not None:
-                causal.extend(msg.causal_events)
+            causal.extend(msg.causal_events)
             return
         if isinstance(msg, _SlaveError):
             core.faults.slave_errors += 1

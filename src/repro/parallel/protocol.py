@@ -30,9 +30,21 @@ One pragmatic addition: each slave message carries
 lets the master drain in-flight work before sending ``stop`` without
 guessing bootstrap portion sizes.
 
+Custody: every pair sits in exactly one place, as one record.  A WORKBUF
+entry is ``(pair, unit, since)``; a grant in flight is ``(entries,
+sent_at)``, the entries it took out of WORKBUF; a PAIRBUF entry is
+``(pair, unit)``.  ``unit`` is the pair's causal work-unit id
+(:mod:`repro.telemetry.causal`), ``since`` and ``sent_at`` the engine
+clock at admission and dispatch.  Latency observations go to a
+:class:`~repro.telemetry.latency.LatencyStore` and lifecycle events to a
+:class:`~repro.telemetry.causal.CausalRecorder`, always: an untraced run
+hands in their disabled forms, which drop everything and mint only
+``NO_UNIT``, so the code an untraced run executes is the code a causal
+trace describes.  Unit ids go on the wire only when the run is traced.
+
 Fault extension (not in the paper, which assumes immortal slaves): the
-master tracks the work batches it dispatched to each slave that have not
-yet been reported back (``in_flight``).  :meth:`MasterLogic.slave_lost`
+master tracks the grants it dispatched to each slave that have not yet
+been reported back (``in_flight``).  :meth:`MasterLogic.slave_lost`
 removes a dead slave from the protocol — off the wait queue, counted out
 of ``active_slaves`` and termination — and requeues its unreported
 dispatched pairs into WORKBUF so no accepted merge can be lost.
@@ -45,9 +57,10 @@ pairs through the normal admission filter (degraded recovery; see
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from repro.align.extend import PairAligner
 from repro.align.scoring import AlignmentResult
@@ -56,9 +69,19 @@ from repro.cluster.waves import DEFER, Speculation, by_verdict, next_wave
 from repro.pairs.ondemand import OnDemandPairGenerator
 from repro.pairs.pair import Pair
 from repro.parallel.dispatch import DispatchPolicy, RequestContext, make_policy
-from repro.telemetry.causal import NO_UNIT
+from repro.telemetry.causal import (
+    NO_UNIT,
+    NULL_CAUSAL,
+    NULL_MINTER,
+    CausalRecorder,
+    UnitMinter,
+)
+from repro.telemetry.latency import NULL_LATENCY, LatencyStore
 
 __all__ = ["SlaveMsg", "MasterMsg", "MasterLogic", "SlaveLogic"]
+
+#: A pair in WORKBUF: ``(pair, work unit, time it entered WORKBUF)``.
+Entry = tuple[Pair, int, float]
 
 
 @dataclass(frozen=True)
@@ -144,9 +167,9 @@ class MasterLogic:
         *,
         batchsize: int,
         workbuf_capacity: int,
-        latency=None,
+        latency: LatencyStore = NULL_LATENCY,
         policy: DispatchPolicy | str = "paper",
-        causal=None,
+        causal: CausalRecorder = NULL_CAUSAL,
         causal_actor: str = "master",
         causal_shard: int = 0,
     ) -> None:
@@ -156,51 +179,42 @@ class MasterLogic:
         self.batchsize = batchsize
         self.workbuf_capacity = workbuf_capacity
         self.manager = ClusterManager(n_ests)
-        self.workbuf: deque[Pair] = deque()
+        self.workbuf: deque[Entry] = deque()
         self.passive: set[int] = set()
         self.stopped: set[int] = set()
         self.waiting: set[int] = set()
         self.lost: set[int] = set()
         self.pending_results: dict[int, bool] = {}
-        # Work batches dispatched to each slave and not yet reported back.
-        # Replies and slave messages strictly alternate per slave, and the
-        # results in a message cover the batch from the *previous* reply
-        # (the newest batch is the NEXTWORK the slave is still holding),
-        # so at most the two newest batches are ever outstanding.
-        self.in_flight: dict[int, deque[tuple[Pair, ...]]] = {}
+        # Grants dispatched to each slave and not yet reported back, as
+        # ``(entries, sent_at)``.  Replies and slave messages strictly
+        # alternate per slave, and the results in a message cover the
+        # grant from the *previous* reply (the newest grant is the
+        # NEXTWORK the slave is still holding), so at most the two newest
+        # grants are ever outstanding.
+        self.in_flight: dict[int, deque[tuple[tuple[Entry, ...], float]]] = {}
         self.stats = MasterStats()
-        #: Optional :class:`~repro.telemetry.latency.LatencyStore`.  The
-        #: engine passes its clock as ``now=`` on every call; when a store
-        #: is set the master observes ``queue_master`` (per-pair WORKBUF
-        #: dwell) and ``rtt`` (dispatch → results absorbed, per non-empty
-        #: batch).  When ``None`` (the default) no timestamp bookkeeping
-        #: happens at all — the hot path is exactly the pre-latency code.
+        #: Receives ``queue_master`` (per-pair WORKBUF dwell, admission or
+        #: requeue → dispatch) and ``rtt`` (dispatch → results absorbed,
+        #: per non-empty grant), timed by the ``now=`` the engine passes
+        #: on every call.  The default drops them.
         self.latency = latency
         #: The work-allocation policy computing each reply's request size
         #: (:mod:`repro.parallel.dispatch`).  The default reproduces the
         #: paper's formula bit for bit.
         self.policy = make_policy(policy)
-        # Admission and dispatch timestamps, aligned element-for-element
-        # with ``workbuf`` / ``in_flight`` while ``latency`` is set.
-        self._workbuf_ts: deque[float] = deque()
-        self._flight_ts: dict[int, deque[float]] = {}
-        #: Optional :class:`~repro.telemetry.causal.CausalRecorder`.  When
-        #: set, every pair's work-unit id is mirrored alongside WORKBUF
-        #: and the in-flight batches (the same mirror-deque pattern as
-        #: the latency timestamps) and lifecycle events are recorded at
-        #: each custody transfer.  ``None`` (the default) keeps the hot
-        #: path free of any unit bookkeeping.
+        #: Receives a lifecycle event at each custody transfer, under
+        #: ``causal_actor``.  The default drops them and keeps unit ids
+        #: off the wire.
         self.causal = causal
         self.causal_actor = causal_actor
-        self.causal_shard = causal_shard
-        self._workbuf_units: deque[int] = deque()
-        self._flight_units: dict[int, deque[tuple[int, ...]]] = {}
+        # Units for regenerated pairs (absorb_pairs); the shard index
+        # rides the incarnation bits so shards can never collide.
+        self._recovery_mint = causal.minter(-1, causal_shard)
         # What CLUSTERS would be if every in-flight pair were accepted
         # (see _next_wave), and the waves chosen since it was last rebuilt.
         self._speculation = Speculation(self.manager)
         self._speculation_age = 0
         self._parked = 0  # head pairs of WORKBUF deferred on it
-        self._recovery_mint = None  # lazy UnitMinter for absorb_pairs
 
     # ------------------------------------------------------------------ #
 
@@ -219,6 +233,20 @@ class MasterLogic:
     def finished(self) -> bool:
         return len(self.stopped | self.lost) == self.n_slaves
 
+    def _record(
+        self,
+        event: str,
+        units: Iterable[int],
+        now: float,
+        *,
+        slave: int | None = None,
+        reason: str | None = None,
+    ) -> None:
+        """One ``event`` per distinct unit among ``units`` (one per pair)."""
+        self.causal.record_counts(
+            event, units, actor=self.causal_actor, ts=now, slave=slave, reason=reason
+        )
+
     # ------------------------------------------------------------------ #
 
     def on_message(self, msg: SlaveMsg, *, now: float = 0.0) -> MasterMsg | None:
@@ -231,33 +259,18 @@ class MasterLogic:
         """
         self.stats.messages += 1
         self.pending_results[msg.slave_id] = msg.has_pending_results
-        # The results just received cover every dispatched batch except
-        # the newest one (still held as the slave's NEXTWORK).
-        flight = self.in_flight.get(msg.slave_id)
-        if flight:
-            fts = self._flight_ts.get(msg.slave_id)
-            funits = self._flight_units.get(msg.slave_id) if self.causal else None
-            while len(flight) > 1:
-                batch = flight.popleft()
-                if fts:
-                    sent = fts.popleft()
-                    # A retired batch's results are in this message: its
-                    # round trip ends here.  Empty batches (result-eliciting
-                    # pings) carry no work unit, so they don't observe.
-                    if batch:
-                        self.latency.observe("rtt", now - sent)
-                if funits:
-                    units = funits.popleft()
-                    if batch:
-                        self.causal.record_counts(
-                            "absorbed",
-                            units,
-                            actor=self.causal_actor,
-                            ts=now,
-                            slave=msg.slave_id,
-                        )
-                if batch:
-                    self.policy.note_retired(msg.slave_id, len(batch))
+        # The results just received cover every grant except the newest
+        # one (still held as the slave's NEXTWORK).
+        flight = self.in_flight.get(msg.slave_id, ())
+        while len(flight) > 1:
+            entries, sent_at = flight.popleft()
+            # A retired grant's round trip ends here.  Empty grants
+            # (result-eliciting pings) carry no work unit.
+            if entries:
+                self.latency.observe("rtt", now - sent_at)
+                self._record(
+                    "absorbed", (u for _, u, _ in entries), now, slave=msg.slave_id
+                )
 
         # 1. Update CLUSTERS from the R results.
         for pair, result, accepted in msg.results:
@@ -268,95 +281,76 @@ class MasterLogic:
             else:
                 self._speculation.rejected(pair)
 
-        # 2. Selectively admit offered pairs: only if the ESTs are in
-        #    different clusters (the P′ selection of §3.3).
+        # 2. Selectively admit offered pairs (the P′ selection of §3.3).
         # The E formula keeps inflow below nfree/p per slave, so overflow
         # is at most transient; admission is never refused because a
         # dropped pair could lose a merge witness (capacity is the *target*
         # the request computation steers toward, as in §3.3).
-        admitted = 0
-        if self.causal is None:
-            for pair in msg.pairs:
-                self.stats.pairs_offered += 1
-                if not self.manager.same_cluster(pair.est_a, pair.est_b):
-                    self.workbuf.append(pair)
-                    admitted += 1
-        else:
-            admitted = self._admit_traced(msg.pairs, msg.pair_units, now)
-        if self.latency is not None and admitted:
-            self._stamp_admissions(admitted, now)
+        self.stats.pairs_offered += len(msg.pairs)
+        admitted = self._admit(msg.pairs, msg.pair_units, now)
         self.stats.pairs_admitted += admitted
-        if len(self.workbuf) > self.stats.workbuf_peak:
-            self.stats.workbuf_peak = len(self.workbuf)
 
         if msg.exhausted:
             self.passive.add(msg.slave_id)
 
         return self._reply_for(msg.slave_id, len(msg.pairs), admitted, now)
 
-    def _stamp_admissions(self, n: int, now: float) -> None:
-        """Extend ``_workbuf_ts`` to mirror ``n`` pairs just appended."""
-        self._workbuf_ts.extend(now for _ in range(n))
-
-    def _admit_traced(
-        self, pairs: tuple[Pair, ...], units: tuple[int, ...], now: float
+    def _admit(
+        self,
+        pairs: Sequence[Pair],
+        units: Sequence[int],
+        now: float,
+        *,
+        event: str = "admitted",
+        reason: str = "admission",
+        slave: int | None = None,
     ) -> int:
-        """The admission loop with unit mirroring: same filter, plus the
-        unit id of every admitted pair lands in ``_workbuf_units`` and
-        admitted/pruned counts become causal events."""
+        """Queue the pairs whose ESTs are in different clusters as WORKBUF
+        entries stamped ``now``; record ``event`` for their units and
+        ``pruned`` (``reason``) for the rest's.  Returns how many were
+        queued.  ``units`` runs parallel to ``pairs``; a sender that ships
+        none (an untraced one) has its pairs queued as ``NO_UNIT``."""
         if len(units) != len(pairs):
             units = (NO_UNIT,) * len(pairs)
-        admitted = 0
-        kept: dict[int, int] = {}
-        dropped: dict[int, int] = {}
+        same_cluster = self.manager.same_cluster
+        workbuf = self.workbuf
+        kept: list[int] = []
+        dropped: list[int] = []
         for pair, unit in zip(pairs, units):
-            self.stats.pairs_offered += 1
-            if not self.manager.same_cluster(pair.est_a, pair.est_b):
-                self.workbuf.append(pair)
-                self._workbuf_units.append(unit)
-                kept[unit] = kept.get(unit, 0) + 1
-                admitted += 1
+            if same_cluster(pair.est_a, pair.est_b):
+                dropped.append(unit)
             else:
-                dropped[unit] = dropped.get(unit, 0) + 1
-        for unit, n in kept.items():
-            if unit != NO_UNIT:
-                self.causal.record(
-                    "admitted", unit, n, actor=self.causal_actor, ts=now
-                )
-        for unit, n in dropped.items():
-            if unit != NO_UNIT:
-                self.causal.record(
-                    "pruned", unit, n, actor=self.causal_actor, ts=now,
-                    reason="admission",
-                )
-        return admitted
+                workbuf.append((pair, unit, now))
+                kept.append(unit)
+        self._record(event, kept, now, slave=slave)
+        self._record("pruned", dropped, now, slave=slave, reason=reason)
+        if len(workbuf) > self.stats.workbuf_peak:
+            self.stats.workbuf_peak = len(workbuf)
+        return len(kept)
 
     def _refresh_speculation(self) -> None:
-        """Rebuild the speculation from exactly the batches in flight."""
+        """Rebuild the speculation from exactly the grants in flight."""
         in_flight = [
             pair
-            for batches in self.in_flight.values()
-            for batch in batches
-            for pair in batch
+            for grants in self.in_flight.values()
+            for entries, _ in grants
+            for pair, _, _ in entries
         ]
         self._speculation.restart(in_flight)
         self._speculation_age = 0
         self._parked = 0
         self.stats.pairs_examined += len(in_flight)
 
-    def _next_wave(
-        self, now: float, *, exact: bool = False
-    ) -> tuple[tuple[Pair, ...], list[float], tuple[int, ...]]:
-        """Pop the next conflict-free wave (at most one batchsize) off
-        WORKBUF, with its admission stamps and unit ids (empty when the
-        latency store / causal recorder is off).
+    def _next_wave(self, now: float, *, exact: bool = False) -> tuple[Entry, ...]:
+        """Pop the WORKBUF entries of the next conflict-free wave (at most
+        one batchsize).
 
         The walk is :func:`~repro.cluster.waves.next_wave` from the head of
-        WORKBUF with the batches in flight at the slaves taken as
+        WORKBUF with the grants in flight at the slaves taken as
         undecided: a pair whose ESTs already share a cluster is dropped
-        and counted in ``pairs_pruned``; a pair that the in-flight batches
+        and counted in ``pairs_pruned``; a pair that the in-flight grants
         or earlier pairs of this wave would connect if they were all
-        accepted stays at the head of WORKBUF, order, stamp and unit kept.
+        accepted stays at the head of WORKBUF, entry and order kept.
 
         To keep a wave's cost near O(batchsize) whatever is in flight or
         parked, the speculation is kept between waves — each wave adds its
@@ -364,7 +358,7 @@ class MasterLogic:
         first ``_parked`` pairs of WORKBUF, already deferred on it, are
         passed over: it has only grown since.  Every ``n_slaves`` waves —
         about once per round of slave messages, the time a batch takes to
-        come back — it is rebuilt from the in-flight batches and all of
+        come back — it is rebuilt from the in-flight grants and all of
         WORKBUF is walked again.  Until then the link of a rejected pair
         lingers, which can only defer more, so a caller whose next step
         rests on a wave being empty asks for ``exact``: an empty wave is
@@ -375,59 +369,38 @@ class MasterLogic:
         if fresh:
             self._refresh_speculation()
         wave = self._walk_workbuf(now)
-        if exact and not fresh and not wave[0] and self.workbuf:
+        if exact and not fresh and not wave and self.workbuf:
             self._refresh_speculation()
             wave = self._walk_workbuf(now)
         self._speculation_age += 1
         return wave
 
-    def _walk_workbuf(
-        self, now: float
-    ) -> tuple[tuple[Pair, ...], list[float], tuple[int, ...]]:
-        """One :func:`next_wave` over WORKBUF past its parked head, with
-        the stamp and unit queues (when in use) kept in step."""
-        parked = self._parked
-        queues = [self.workbuf]
-        if self.latency is not None:
-            queues.append(self._workbuf_ts)
-        if self.causal is not None:
-            queues.append(self._workbuf_units)
-        for queue in queues:
-            queue.rotate(-parked)
-        unwalked = len(self.workbuf) - parked
-        pulled: list[list] = [[] for _ in queues]
+    def _walk_workbuf(self, now: float) -> tuple[Entry, ...]:
+        """One :func:`next_wave` over WORKBUF past its parked head."""
+        workbuf, parked = self.workbuf, self._parked
+        workbuf.rotate(-parked)
+        unwalked = len(workbuf) - parked
+        pulled: list[Entry] = []
 
         def pull() -> list[Pair]:
             nonlocal unwalked
             n = min(self.batchsize, unwalked)
             unwalked -= n
-            for queue, out in zip(queues, pulled):
-                out.extend(queue.popleft() for _ in range(n))
-            return pulled[0][len(pulled[0]) - n :]
+            chunk = [workbuf.popleft() for _ in range(n)]
+            pulled.extend(chunk)
+            return [pair for pair, _, _ in chunk]
 
         verdicts: list[int] = []
         for _, marks in next_wave(self._speculation, pull, self.batchsize):
             verdicts += marks  # only the last chunk's can fall short of it
-        split = [by_verdict(values, verdicts) for values in pulled]
-        for queue, (_, kept, _) in zip(queues, split):
-            queue.extendleft(reversed(kept))
-            queue.rotate(parked)
-        work, _, stale = split[0]
+        wave, kept, stale = by_verdict(pulled, verdicts)
+        workbuf.extendleft(reversed(kept))
+        workbuf.rotate(parked)
         self._parked = parked + verdicts.count(DEFER)
         self.stats.pairs_pruned += len(stale)
         self.stats.pairs_examined += len(verdicts)
-        stamps = split[1][0] if self.latency is not None else []
-        units: list[int] = []
-        if self.causal is not None:
-            units, _, stale_units = split[-1]
-            self.causal.record_counts(
-                "pruned",
-                stale_units,
-                actor=self.causal_actor,
-                ts=now,
-                reason="dispatch",
-            )
-        return tuple(work), stamps, tuple(units)
+        self._record("pruned", (u for _, u, _ in stale), now, reason="dispatch")
+        return tuple(wave)
 
     def _merge(self, pair: Pair, result: AlignmentResult) -> bool:
         """Apply an accepted result to CLUSTERS, keeping the speculation's
@@ -441,30 +414,28 @@ class MasterLogic:
         self.stats.merges += 1
         return True
 
-    def _take_work(
-        self, now: float, *, exact: bool = False
-    ) -> tuple[tuple[Pair, ...], tuple[int, ...]]:
-        """The next wave as a work batch for a slave and its unit ids,
-        observing per-pair WORKBUF dwell time when latency tracing is on."""
+    def _take_work(self, now: float, *, exact: bool = False) -> tuple[Entry, ...]:
+        """The next wave as a grant's entries, observing each pair's
+        WORKBUF dwell time."""
         if not self.workbuf:
-            return (), ()
-        work, stamps, units = self._next_wave(now, exact=exact)
-        for stamp in stamps:
-            self.latency.observe("queue_master", now - stamp)
-        self.stats.pairs_dispatched += len(work)
-        return work, units
+            return ()
+        wave = self._next_wave(now, exact=exact)
+        for _, _, since in wave:
+            self.latency.observe("queue_master", now - since)
+        self.stats.pairs_dispatched += len(wave)
+        return wave
 
     def _reply_for(
         self, slave_id: int, p: int, p_prime: int, now: float = 0.0
     ) -> MasterMsg | None:
         # W: up to batchsize pairs of work.
-        work, units = self._take_work(now)
+        work = self._take_work(now)
 
         # E: how many pairs to request next time.
         e = self._compute_request(slave_id, p, p_prime, now)
 
         if work or e > 0:
-            return self._dispatch(slave_id, work, units, e, now)
+            return self._dispatch(slave_id, work, e, now)
 
         # Nothing to give and nothing to ask for.
         if self._all_done(slave_id):
@@ -474,38 +445,29 @@ class MasterLogic:
         return None
 
     def _dispatch(
-        self,
-        slave_id: int,
-        work: tuple[Pair, ...],
-        units: tuple[int, ...],
-        request: int,
-        now: float,
+        self, slave_id: int, entries: tuple[Entry, ...], request: int, now: float
     ) -> MasterMsg:
-        """Record a (possibly empty) dispatched batch and build its reply;
-        emptiness matters because receipt bookkeeping relies on strict
+        """Record a (possibly empty) grant and build its reply; emptiness
+        matters because receipt bookkeeping relies on strict
         reply/message alternation per slave."""
-        self.in_flight.setdefault(slave_id, deque()).append(work)
-        self.policy.note_dispatch(slave_id, len(work))
-        if self.latency is not None:
-            self._flight_ts.setdefault(slave_id, deque()).append(now)
-        if self.causal is None:
-            return MasterMsg(work=work, request=request)
-        self._flight_units.setdefault(slave_id, deque()).append(units)
-        self.causal.record_counts(
-            "dispatched",
-            units,
-            actor=self.causal_actor,
-            ts=now,
-            slave=slave_id,
+        self.in_flight.setdefault(slave_id, deque()).append((entries, now))
+        work, units, _ = zip(*entries) if entries else ((), (), ())
+        self._record("dispatched", units, now, slave=slave_id)
+        return MasterMsg(
+            work=work,
+            request=request,
+            work_units=units if self.causal.enabled else (),
         )
-        return MasterMsg(work=work, request=request, work_units=units)
 
     def _note_stop(self, slave_id: int) -> None:
         self.stopped.add(slave_id)
         self.in_flight.pop(slave_id, None)
-        self._flight_ts.pop(slave_id, None)
-        self._flight_units.pop(slave_id, None)
-        self.policy.note_slave_stopped(slave_id)
+
+    def queue_depth(self, slave_id: int) -> tuple[int, int]:
+        """Non-empty grants in flight at ``slave_id``, and their pairs."""
+        grants = self.in_flight.get(slave_id, ())
+        sizes = [len(entries) for entries, _ in grants if entries]
+        return len(sizes), sum(sizes)
 
     def _compute_request(
         self, slave_id: int, p: int, p_prime: int, now: float = 0.0
@@ -518,7 +480,7 @@ class MasterLogic:
         """
         if slave_id in self.passive:
             return 0
-        batches, pairs = self.policy.queue_depth(slave_id)
+        batches, pairs = self.queue_depth(slave_id)
         ctx = RequestContext(
             slave_id=slave_id,
             p=p,
@@ -553,45 +515,44 @@ class MasterLogic:
         :meth:`on_message`.
 
         WORKBUF can hold nothing but pairs deferred behind in-flight
-        batches.  A parked slave holding such a batch (its NEXTWORK) is
+        grants.  A parked slave holding such a grant (its NEXTWORK) is
         then sent an empty reply to fetch the results: nobody else can
         settle it, and they would have to be fetched before its stop
         anyway.  A parked slave holding none stays parked, not pinged:
-        the batches in the way are with slaves that will report, or with
+        the grants in the way are with slaves that will report, or with
         parked ones just elicited.  Each empty reply retires a non-empty
-        in-flight batch, so deferral cannot spin; and when no slave owes
-        a message the wave is chosen ``exact``, so an empty one means
-        real in-flight batches at parked slaves, so it cannot stall.  A
-        slave that still has pairs to offer is asked for them as soon as
-        the request formula allows.
+        grant, so deferral cannot spin; and when no slave owes a message
+        the wave is chosen ``exact``, so an empty one means real grants in
+        flight at parked slaves, so it cannot stall.  A slave that still
+        has pairs to offer is asked for them as soon as the request
+        formula allows.
         """
         replies: list[tuple[int, MasterMsg]] = []
         blocked = False  # WORKBUF holds only deferred pairs
         for slave_id in sorted(self.waiting):
-            work: tuple[Pair, ...] = ()
-            units: tuple[int, ...] = ()
+            work: tuple[Entry, ...] = ()
             if not blocked:
                 # With no message due to settle anything, what happens
                 # next must rest on what is really in flight.
-                work, units = self._take_work(now, exact=not self._reports_due())
+                work = self._take_work(now, exact=not self._reports_due())
             blocked = not work and bool(self.workbuf)
             pending = self.pending_results.get(slave_id, False)
             request = 0 if work else self._compute_request(slave_id, 0, 0, now)
             if work or request > 0:
                 # ``request > 0``: parked because WORKBUF was too full to
                 # ask for more and all of it deferred; there is room now.
-                reply = self._dispatch(slave_id, work, units, request, now)
+                reply = self._dispatch(slave_id, work, request, now)
             elif blocked:
-                if not any(self.in_flight.get(slave_id, ())):
+                if not any(entries for entries, _ in self.in_flight.get(slave_id, ())):
                     continue
-                # The batch it holds may be what the deferred pairs wait
+                # The grant it holds may be what the deferred pairs wait
                 # on, and its results have to be fetched once anyway.
-                reply = self._dispatch(slave_id, (), (), 0, now)
+                reply = self._dispatch(slave_id, (), 0, now)
             elif len(self.passive) < self.n_slaves:
                 continue
             elif pending:
                 # Elicit the final results with an empty work message.
-                reply = self._dispatch(slave_id, (), (), 0, now)
+                reply = self._dispatch(slave_id, (), 0, now)
             else:
                 self._note_stop(slave_id)
                 reply = MasterMsg(work=(), request=0, stop=True)
@@ -623,58 +584,25 @@ class MasterLogic:
         self.passive.add(slave_id)
         self.waiting.discard(slave_id)
         self.pending_results[slave_id] = False
-        self._flight_ts.pop(slave_id, None)
-        # Clear the policy's in-flight mirror *before* the engine gets a
-        # chance to drain or reabsorb: grants issued just before a
-        # drain_workbuf on the degraded-recovery path would otherwise
-        # double-count the dead slave's pairs in the JBSQ queue-depth view.
-        self.policy.note_slave_lost(slave_id)
         # The requeued pairs are no longer undecided elsewhere: choose the
         # next wave on a rebuilt speculation, or they would defer themselves.
         self._speculation_age = self.n_slaves
-        requeued = 0
-        if self.causal is None:
-            for batch in self.in_flight.pop(slave_id, ()):
-                for pair in batch:
-                    if not self.manager.same_cluster(pair.est_a, pair.est_b):
-                        self.workbuf.append(pair)
-                        requeued += 1
-        else:
-            batches = self.in_flight.pop(slave_id, deque())
-            unit_batches = self._flight_units.pop(slave_id, deque())
-            kept: dict[int, int] = {}
-            dropped: dict[int, int] = {}
-            for i, batch in enumerate(batches):
-                units = unit_batches[i] if i < len(unit_batches) else ()
-                if len(units) != len(batch):
-                    units = (NO_UNIT,) * len(batch)
-                for pair, unit in zip(batch, units):
-                    if not self.manager.same_cluster(pair.est_a, pair.est_b):
-                        self.workbuf.append(pair)
-                        self._workbuf_units.append(unit)
-                        kept[unit] = kept.get(unit, 0) + 1
-                        requeued += 1
-                    else:
-                        dropped[unit] = dropped.get(unit, 0) + 1
-            for unit, n in kept.items():
-                if unit != NO_UNIT:
-                    self.causal.record(
-                        "requeued", unit, n, actor=self.causal_actor, ts=now,
-                        slave=slave_id,
-                    )
-            for unit, n in dropped.items():
-                if unit != NO_UNIT:
-                    self.causal.record(
-                        "pruned", unit, n, actor=self.causal_actor, ts=now,
-                        slave=slave_id, reason="requeue",
-                    )
-        if self.latency is not None and requeued:
-            # Requeued pairs restart the queue clock: their first wait
-            # ended in a dead slave and was never work.
-            self._stamp_admissions(requeued, now)
+        entries = [
+            entry
+            for grant, _ in self.in_flight.pop(slave_id, ())
+            for entry in grant
+        ]
+        # Requeued pairs restart the queue clock: their first wait ended
+        # in a dead slave and was never work.
+        requeued = self._admit(
+            [pair for pair, _, _ in entries],
+            [unit for _, unit, _ in entries],
+            now,
+            event="requeued",
+            reason="requeue",
+            slave=slave_id,
+        )
         self.stats.pairs_reassigned += requeued
-        if len(self.workbuf) > self.stats.workbuf_peak:
-            self.stats.workbuf_peak = len(self.workbuf)
         return requeued
 
     def slave_revived(self, slave_id: int) -> None:
@@ -684,12 +612,9 @@ class MasterLogic:
         self.passive.discard(slave_id)
         self.stopped.discard(slave_id)
         self.waiting.discard(slave_id)
+        # The replacement process starts with nothing in flight.
         self.pending_results.pop(slave_id, None)
         self.in_flight.pop(slave_id, None)
-        self._flight_ts.pop(slave_id, None)
-        self._flight_units.pop(slave_id, None)
-        # The replacement process starts with nothing in flight.
-        self.policy.note_slave_lost(slave_id)
 
     def prune_workbuf(self, *, now: float = 0.0) -> int:
         """Drop WORKBUF pairs whose ESTs became co-clustered out-of-band
@@ -703,27 +628,20 @@ class MasterLogic:
         self._speculation_age = self.n_slaves
         if not self.workbuf:
             return 0
-        redundant = self.manager.same_cluster_batch(list(self.workbuf))
+        redundant = self.manager.same_cluster_batch(
+            [pair for pair, _, _ in self.workbuf]
+        )
         pruned = sum(redundant)
         if not pruned:
             return 0
-        if self.latency is not None and len(self._workbuf_ts) == len(self.workbuf):
-            self._workbuf_ts = deque(
-                ts for ts, skip in zip(self._workbuf_ts, redundant) if not skip
-            )
-        if self.causal is not None and len(self._workbuf_units) == len(self.workbuf):
-            self.causal.record_counts(
-                "pruned",
-                (u for u, skip in zip(self._workbuf_units, redundant) if skip),
-                actor=self.causal_actor,
-                ts=now,
-                reason="sync",
-            )
-            self._workbuf_units = deque(
-                u for u, skip in zip(self._workbuf_units, redundant) if not skip
-            )
+        self._record(
+            "pruned",
+            (unit for (_, unit, _), skip in zip(self.workbuf, redundant) if skip),
+            now,
+            reason="sync",
+        )
         self.workbuf = deque(
-            pair for pair, skip in zip(self.workbuf, redundant) if not skip
+            entry for entry, skip in zip(self.workbuf, redundant) if not skip
         )
         self._parked -= sum(redundant[: self._parked])
         self.stats.pairs_pruned += pruned
@@ -734,16 +652,17 @@ class MasterLogic:
         wave — the last-resort degraded mode when no slave survives to be
         sent work.  Returns the number of alignments performed.
 
-        The pairs leave WORKBUF without a dispatch, so their admission
-        stamps are dropped (no dwell time to attribute) and their units
-        record the terminal ``absorbed`` event only.
+        The pairs leave WORKBUF without a dispatch, so they observe no
+        dwell time and their units record the terminal ``absorbed``
+        event only.
         """
         aligned = 0
         while self.workbuf:
-            work, _stamps, units = self._next_wave(now, exact=True)
-            if not work:
+            wave = self._next_wave(now, exact=True)
+            if not wave:
                 break
-            decisions = aligner.align_and_decide_batch(list(work))
+            work = [pair for pair, _, _ in wave]
+            decisions = aligner.align_and_decide_batch(work)
             for pair, (result, accepted) in zip(work, decisions):
                 self.stats.results_received += 1
                 if accepted:
@@ -751,51 +670,27 @@ class MasterLogic:
                     self._merge(pair, result)
                 else:
                     self._speculation.rejected(pair)
-            if self.causal is not None:
-                self.causal.record_counts(
-                    "absorbed",
-                    units,
-                    actor=self.causal_actor,
-                    ts=now,
-                    reason="drain",
-                )
-            aligned += len(work)
+            self._record("absorbed", (u for _, u, _ in wave), now, reason="drain")
+            aligned += len(wave)
         return aligned
 
     def absorb_pairs(self, pairs: Iterable[Pair], *, now: float = 0.0) -> int:
         """Admit engine-regenerated pairs (degraded recovery) through the
         normal selection filter.  Returns the number admitted.
 
-        Under causal tracing each call mints a fresh master-origin work
-        unit for its batch — the dead slave's ids cannot be recovered,
-        and a distinct recovery unit keeps the conservation ledger exact.
+        Each call mints a fresh master-origin work unit for its batch —
+        the dead slave's ids cannot be recovered, and a distinct recovery
+        unit keeps the conservation ledger exact.
         """
-        if self.causal is None:
-            admitted = 0
-            for pair in pairs:
-                self.stats.pairs_offered += 1
-                if not self.manager.same_cluster(pair.est_a, pair.est_b):
-                    self.workbuf.append(pair)
-                    admitted += 1
-        else:
-            if self._recovery_mint is None:
-                from repro.telemetry.causal import UnitMinter
-
-                # The shard index rides the incarnation bits so recovery
-                # units minted by different shards can never collide.
-                self._recovery_mint = UnitMinter(-1, self.causal_shard)
-            pairs = tuple(pairs)
-            unit = self._recovery_mint()
-            self.causal.record(
-                "generated", unit, len(pairs), actor=self.causal_actor, ts=now,
-                reason="recovery",
-            )
-            admitted = self._admit_traced(pairs, (unit,) * len(pairs), now)
-        if self.latency is not None and admitted:
-            self._stamp_admissions(admitted, now)
+        pairs = tuple(pairs)
+        unit = self._recovery_mint()
+        self.causal.record(
+            "generated", unit, len(pairs), actor=self.causal_actor, ts=now,
+            reason="recovery",
+        )
+        self.stats.pairs_offered += len(pairs)
+        admitted = self._admit(pairs, (unit,) * len(pairs), now)
         self.stats.pairs_admitted += admitted
-        if len(self.workbuf) > self.stats.workbuf_peak:
-            self.stats.workbuf_peak = len(self.workbuf)
         return admitted
 
 
@@ -816,7 +711,11 @@ class SlaveStepCosts:
 
 
 class SlaveLogic:
-    """One slave processor's state machine."""
+    """One slave processor's state machine.
+
+    An interaction is two calls: :meth:`align_pending` right after a
+    send (the engines time it), then :meth:`finish_step` on the reply.
+    """
 
     def __init__(
         self,
@@ -826,31 +725,29 @@ class SlaveLogic:
         *,
         batchsize: int,
         pairbuf_capacity: int,
-        minter=None,
+        minter: UnitMinter = NULL_MINTER,
     ) -> None:
         self.slave_id = slave_id
         self.generator = generator
         self.aligner = aligner
         self.batchsize = batchsize
         self.pairbuf_capacity = pairbuf_capacity
-        self.pairbuf: deque[Pair] = deque()
+        #: PAIRBUF as ``(pair, unit)`` entries.
+        self.pairbuf: deque[tuple[Pair, int]] = deque()
         self.nextwork: tuple[Pair, ...] = ()
+        self._nextwork_units: tuple[int, ...] = ()
         self.done = False
         self.last_costs = SlaveStepCosts()
         self.total_alignments = 0
         self.total_dp_cells = 0
         self._aligned: tuple[tuple[Pair, AlignmentResult, bool], ...] | None = None
         self._align_costs = SlaveStepCosts()
-        #: Optional :class:`~repro.telemetry.causal.UnitMinter`.  When
-        #: set, every generated batch is minted a work-unit id, PAIRBUF
-        #: carries a unit mirror, and lifecycle facts accumulate in
-        #: ``causal_log`` as ``(event, unit, n)`` for the engine to drain
-        #: (:meth:`drain_causal`) and stamp with its own clock.  ``None``
-        #: keeps the slave loop free of unit bookkeeping.
+        #: Mints one work-unit id per generated batch.  Lifecycle facts
+        #: accumulate in ``causal_log`` as ``(event, unit, n)`` for the
+        #: engine to drain (:meth:`drain_causal`) and stamp with its own
+        #: clock; ``NO_UNIT`` facts (the default minter's) are not kept.
         self.minter = minter
         self.causal_log: list[tuple[str, int, int]] = []
-        self._pairbuf_units: deque[int] = deque()
-        self._nextwork_units: tuple[int, ...] = ()
 
     # ------------------------------------------------------------------ #
 
@@ -861,19 +758,24 @@ class SlaveLogic:
         self.causal_log = []
         return out
 
-    def _mint(self, event: str, pairs) -> int:
+    def _log(self, event: str, unit: int, n: int) -> None:
+        if n and unit != NO_UNIT:
+            self.causal_log.append((event, unit, n))
+
+    def _mint(self, pairs: Sequence[Pair]) -> int:
+        """A fresh unit for one generated batch."""
         unit = self.minter()
-        if pairs:
-            self.causal_log.append((event, unit, len(pairs)))
+        self._log("generated", unit, len(pairs))
         return unit
 
-    def _log_aligned(self, units: tuple[int, ...]) -> None:
-        counts: dict[int, int] = {}
-        for u in units:
-            if u != NO_UNIT:
-                counts[u] = counts.get(u, 0) + 1
-        for u, n in counts.items():
-            self.causal_log.append(("aligned", u, n))
+    def _fill(self, fetched: Sequence[Pair]) -> None:
+        """Append a generated batch to PAIRBUF under a fresh unit."""
+        if fetched:
+            self.pairbuf.extend(zip(fetched, repeat(self._mint(fetched))))
+
+    def _wire(self, units: tuple[int, ...]) -> tuple[int, ...]:
+        """``pair_units`` for a message: untraced slaves ship none."""
+        return units if self.minter.enabled else ()
 
     # ------------------------------------------------------------------ #
 
@@ -885,17 +787,11 @@ class SlaveLogic:
         p2 = self.generator.next_batch(self.batchsize)
         p3 = self.generator.next_batch(self.batchsize)
         costs.pairs_generated_blocking += len(p1) + len(p2) + len(p3)
-        units: tuple[int, ...] = ()
-        if self.minter is not None:
-            u1 = self._mint("generated", p1)
-            u2 = self._mint("generated", p2)
-            u3 = self._mint("generated", p3)
-            self._nextwork_units = (u2,) * len(p2)
-            units = (u3,) * len(p3)
-            if p1:
-                self.causal_log.append(("aligned", u1, len(p1)))
+        u1, u2, u3 = self._mint(p1), self._mint(p2), self._mint(p3)
+        self._log("aligned", u1, len(p1))
         results = self._align_batch(p1, costs)
         self.nextwork = tuple(p2)
+        self._nextwork_units = (u2,) * len(p2)
         self.last_costs = costs
         return SlaveMsg(
             slave_id=self.slave_id,
@@ -903,7 +799,7 @@ class SlaveLogic:
             pairs=tuple(p3),
             exhausted=self.generator.exhausted and not self.pairbuf,
             has_pending_results=bool(self.nextwork),
-            pair_units=units,
+            pair_units=self._wire((u3,) * len(p3)),
         )
 
     def align_pending(self) -> SlaveStepCosts:
@@ -915,14 +811,9 @@ class SlaveLogic:
             costs = SlaveStepCosts()
             self._aligned = self._align_batch(list(self.nextwork), costs)
             self._align_costs = costs
-            if self.minter is not None and self._nextwork_units:
-                self._log_aligned(self._nextwork_units)
+            for unit, n in Counter(self._nextwork_units).items():
+                self._log("aligned", unit, n)
         return self._align_costs
-
-    def step(self, reply: MasterMsg) -> SlaveMsg | None:
-        """One full interaction (used by the multiprocessing backend)."""
-        self.align_pending()
-        return self.finish_step(reply)
 
     def finish_step(self, reply: MasterMsg) -> SlaveMsg | None:
         """Act on the master's reply, using the results prepared by
@@ -943,12 +834,11 @@ class SlaveLogic:
             self.last_costs = costs
             return None
         self.nextwork = tuple(reply.work)
-        if self.minter is not None:
-            self._nextwork_units = (
-                reply.work_units
-                if len(reply.work_units) == len(reply.work)
-                else (NO_UNIT,) * len(reply.work)
-            )
+        self._nextwork_units = (
+            reply.work_units
+            if len(reply.work_units) == len(reply.work)
+            else (NO_UNIT,) * len(reply.work)
+        )
 
         # Fill PAIRBUF toward the requested E (blocking generation; idle
         # generation during the wait is modelled by the engine via
@@ -957,27 +847,18 @@ class SlaveLogic:
         if want > len(self.pairbuf):
             fetched = self.generator.next_batch(want - len(self.pairbuf))
             costs.pairs_generated_blocking += len(fetched)
-            self.pairbuf.extend(fetched)
-            if self.minter is not None and fetched:
-                unit = self._mint("generated", fetched)
-                self._pairbuf_units.extend((unit,) * len(fetched))
-        p = min(want, len(self.pairbuf))
-        outgoing = tuple(self.pairbuf.popleft() for _ in range(p))
-        units: tuple[int, ...] = ()
-        if self.minter is not None and p:
-            units = tuple(
-                self._pairbuf_units.popleft() if self._pairbuf_units else NO_UNIT
-                for _ in range(p)
-            )
+            self._fill(fetched)
+        outgoing = [self.pairbuf.popleft() for _ in range(min(want, len(self.pairbuf)))]
+        pairs, units = zip(*outgoing) if outgoing else ((), ())
 
         self.last_costs = costs
         return SlaveMsg(
             slave_id=self.slave_id,
             results=results,
-            pairs=outgoing,
+            pairs=pairs,
             exhausted=self.generator.exhausted and not self.pairbuf,
             has_pending_results=bool(self.nextwork),
-            pair_units=units,
+            pair_units=self._wire(units),
         )
 
     def idle_generate(self, max_pairs: int) -> int:
@@ -988,10 +869,7 @@ class SlaveLogic:
         if budget <= 0:
             return 0
         fetched = self.generator.next_batch(budget)
-        self.pairbuf.extend(fetched)
-        if self.minter is not None and fetched:
-            unit = self._mint("generated", fetched)
-            self._pairbuf_units.extend((unit,) * len(fetched))
+        self._fill(fetched)
         return len(fetched)
 
     # ------------------------------------------------------------------ #

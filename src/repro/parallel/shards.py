@@ -28,12 +28,13 @@ witnessed itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.cluster.manager import ClusterManager
 from repro.parallel.partition import assign_buckets
 from repro.parallel.protocol import MasterLogic, MasterMsg, MasterStats, SlaveMsg
-from repro.telemetry.causal import format_unit
+from repro.telemetry.causal import NULL_CAUSAL, CausalRecorder, format_unit
+from repro.telemetry.latency import NULL_LATENCY, LatencyStore
 
 __all__ = ["ShardPlan", "plan_shards", "MasterShard", "ShardedMaster"]
 
@@ -175,9 +176,9 @@ class ShardedMaster:
         n_ests: int,
         batchsize: int,
         workbuf_capacity: int,
-        latency=None,
+        latency: LatencyStore = NULL_LATENCY,
         policy: str = "paper",
-        causal=None,
+        causal: CausalRecorder = NULL_CAUSAL,
     ) -> None:
         self.plan = plan
         self.n_ests = n_ests
@@ -254,41 +255,46 @@ class ShardedMaster:
     def stats(self) -> MasterStats:
         """Fresh sum of the per-shard stats (``workbuf_peak`` sums too,
         an upper bound on the simultaneous global depth)."""
-        agg = MasterStats()
+        totals = {f.name: 0 for f in fields(MasterStats)}
         for shard in self.shards:
-            st = shard.logic.stats
-            agg.messages += st.messages
-            agg.results_received += st.results_received
-            agg.results_accepted += st.results_accepted
-            agg.pairs_offered += st.pairs_offered
-            agg.pairs_admitted += st.pairs_admitted
-            agg.pairs_dispatched += st.pairs_dispatched
-            agg.merges += st.merges
-            agg.workbuf_peak += st.workbuf_peak
-            agg.pairs_reassigned += st.pairs_reassigned
-            agg.pairs_pruned += st.pairs_pruned
-            agg.pairs_examined += st.pairs_examined
-        return agg
+            for name in totals:
+                totals[name] += getattr(shard.logic.stats, name)
+        return MasterStats(**totals)
 
     def custody(self) -> dict:
         """What the master holds right now, for flight-recorder dumps:
-        queue depth, stopped slaves, each shard's dispatch-policy view
-        and — under causal tracing — the work units in flight per slave."""
+        queue depth, stopped slaves, each shard's dispatch policy with the
+        grants it sees in flight per slave, and — under causal tracing —
+        the work units in flight per slave."""
         units: dict[str, list[str]] = {}
+        policy: dict[str, dict] = {}
         for shard in self.shards:
-            for sid, batches in shard.logic._flight_units.items():
+            logic = shard.logic
+            batches: dict[str, int] = {}
+            pairs: dict[str, int] = {}
+            for sid, grants in logic.in_flight.items():
                 names = sorted(
-                    {format_unit(u) for batch in batches for u in batch if u >= 0}
+                    {
+                        format_unit(unit)
+                        for entries, _ in grants
+                        for _, unit, _ in entries
+                        if unit >= 0
+                    }
                 )
                 if names:
                     units.setdefault(str(sid), []).extend(names)
+                n_batches, n_pairs = logic.queue_depth(sid)
+                if n_batches:
+                    batches[str(sid)], pairs[str(sid)] = n_batches, n_pairs
+            policy[f"shard{shard.shard_id}"] = {
+                "policy": logic.policy.name,
+                "in_flight_batches": batches,
+                "in_flight_pairs": pairs,
+            }
         return {
             "workbuf_depth": self.workbuf_depth,
             "stopped": sorted(self.stopped),
-            "policy": {
-                f"shard{shard.shard_id}": shard.logic.policy.debug_state()
-                for shard in self.shards
-            },
+            "policy": policy,
             "in_flight_units": units,
         }
 

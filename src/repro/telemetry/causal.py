@@ -17,8 +17,12 @@ and `pace-est postmortem` all read the same records.
 
 Unit ids pack ``(origin actor, incarnation, sequence)`` into one int so a
 replacement slave can never collide with its dead predecessor and the
-origin is recoverable from the id alone (:func:`unit_parts`).  The master
-mints its own units for degraded-recovery regeneration (origin ``-1``).
+origin is recoverable from the id alone (:func:`unit_parts`); the
+incarnation has 8 bits (:data:`MAX_INCARNATION`).  The master mints its
+own units for degraded-recovery regeneration (origin ``-1``, the shard
+index as incarnation).  An untraced run takes the same code path with
+:data:`NULL_CAUSAL` and :data:`NULL_MINTER`: every unit is
+:data:`NO_UNIT`, nothing is kept and no id goes on the wire.
 
 Conservation (:func:`check_conservation`) is accounted **master-side**:
 only pairs that enter master custody (admitted into WORKBUF) are
@@ -44,7 +48,11 @@ from typing import Iterable
 __all__ = [
     "CAUSAL_EVENTS",
     "NO_UNIT",
+    "MAX_INCARNATION",
     "UnitMinter",
+    "NULL_MINTER",
+    "NullCausalRecorder",
+    "NULL_CAUSAL",
     "unit_parts",
     "format_unit",
     "CausalRecorder",
@@ -73,6 +81,9 @@ _INC_BITS = 8
 _INC_MASK = (1 << _INC_BITS) - 1
 _SEQ_MASK = (1 << _SEQ_BITS) - 1
 
+#: Largest incarnation: a slave's restart count, a recovery unit's shard.
+MAX_INCARNATION = _INC_MASK
+
 
 class UnitMinter:
     """Mints globally unique unit ids for one ``(origin, incarnation)``.
@@ -82,15 +93,20 @@ class UnitMinter:
     restarted slave's ids disjoint from its predecessor's.
     """
 
+    #: Unit ids go on the wire (:data:`NULL_MINTER` keeps them off).
+    enabled = True
+
     def __init__(self, origin: int, incarnation: int = 0) -> None:
         if origin < -1:
             raise ValueError(f"origin must be >= -1, got {origin}")
-        if incarnation < 0:
-            raise ValueError(f"incarnation must be >= 0, got {incarnation}")
+        if not 0 <= incarnation <= MAX_INCARNATION:
+            raise ValueError(
+                f"incarnation must be in [0, {MAX_INCARNATION}], got {incarnation}"
+            )
         self.origin = origin
         self.incarnation = incarnation
         self._base = ((origin + 1) << (_INC_BITS + _SEQ_BITS)) | (
-            (incarnation & _INC_MASK) << _SEQ_BITS
+            incarnation << _SEQ_BITS
         )
         self._seq = 0
 
@@ -98,6 +114,18 @@ class UnitMinter:
         uid = self._base | (self._seq & _SEQ_MASK)
         self._seq += 1
         return uid
+
+
+class _NullUnitMinter:
+    """An untraced sender's minter: every batch is :data:`NO_UNIT`."""
+
+    enabled = False
+
+    def __call__(self) -> int:
+        return NO_UNIT
+
+
+NULL_MINTER = _NullUnitMinter()
 
 
 def unit_parts(unit: int) -> tuple[int, int, int]:
@@ -131,8 +159,15 @@ class CausalRecorder:
     simulator — so merged streams sort the same way trace events do.
     """
 
+    #: Unit ids go on the wire (:data:`NULL_CAUSAL` keeps them off).
+    enabled = True
+
     def __init__(self) -> None:
         self.events: list[dict] = []
+
+    def minter(self, origin: int, incarnation: int = 0) -> UnitMinter:
+        """A minter for units this side originates."""
+        return UnitMinter(origin, incarnation)
 
     def record(
         self,
@@ -170,8 +205,8 @@ class CausalRecorder:
         reason: str | None = None,
     ) -> None:
         """Record one event per distinct unit in a per-pair unit sequence
-        (e.g. the unit mirror of a dispatched work batch).  ``NO_UNIT``
-        entries (pairs from an untraced sender) are skipped."""
+        (e.g. the units of a dispatched grant).  ``NO_UNIT`` entries
+        (pairs from an untraced sender) are skipped."""
         counts: dict[int, int] = {}
         for u in units:
             if u != NO_UNIT:
@@ -184,6 +219,29 @@ class CausalRecorder:
 
     def as_records(self) -> list[dict]:
         return list(self.events)
+
+
+class NullCausalRecorder(CausalRecorder):
+    """The recorder of an untraced run: keeps nothing and mints only
+    :data:`NO_UNIT`, so call sites record unconditionally instead of
+    guarding."""
+
+    enabled = False
+
+    def minter(self, origin: int, incarnation: int = 0) -> _NullUnitMinter:
+        return NULL_MINTER
+
+    def record(self, *args, **kwargs) -> None:
+        pass
+
+    record_counts = record
+
+    def extend(self, records: Iterable[dict]) -> None:
+        pass
+
+
+#: The one untraced recorder (it never holds an event).
+NULL_CAUSAL = NullCausalRecorder()
 
 
 # --------------------------------------------------------------------- #

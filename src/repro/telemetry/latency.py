@@ -38,23 +38,19 @@ parity test).
 slave-side observations merge into the master via the existing
 ``_SlaveStats`` snapshot path, latency histograms ride the normal JSONL
 ``metric`` records, and ``repro-telemetry/3`` summaries
-(:func:`latency_records`) are derivable from any snapshot.  When
-telemetry is disabled no store exists and no call site executes — the
-engines guard every hop with ``if lat is not None``, the same zero-cost
-pattern the trace recorder uses.
-
-``sample_every=k`` keeps every k-th observation per stage (deterministic,
-counter-based).  The default (1, keep everything) costs <2% wall on the
-30k monitored run (see EXPERIMENTS.md); the knob exists for
-million-batch service deployments where even a histogram increment per
-batch is worth shaving.
+(:func:`latency_records`) are derivable from any snapshot.  The parallel
+engines and the protocol observe unconditionally: an untraced run hands
+them :data:`NULL_LATENCY`, which drops every observation — the pattern
+of :class:`~repro.telemetry.trace.NullTraceRecorder` — so traced and
+untraced runs execute the same code.  Every observation is kept; the
+full store costs <2% wall on the 30k monitored run (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.telemetry.registry import MetricsRegistry, quantile_from_buckets
+from repro.telemetry.registry import MetricsRegistry
 
 __all__ = [
     "STAGES",
@@ -64,6 +60,8 @@ __all__ = [
     "LATENCY_SUFFIX",
     "QUANTILES",
     "LatencyStore",
+    "NullLatencyStore",
+    "NULL_LATENCY",
     "latency_records",
     "store_from_records",
 ]
@@ -122,28 +120,14 @@ class LatencyStore:
     the registry's existing ``merge_snapshot``.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        *,
-        sample_every: int = 1,
-    ) -> None:
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.sample_every = sample_every
-        self._ticks: dict[str, int] = {}
 
     # ---- write path ---------------------------------------------------- #
 
     def observe(self, stage: str, seconds: float) -> None:
         """Record one stage latency (negative clamps to 0 — monotonic
         clocks across forked processes can disagree by nanoseconds)."""
-        if self.sample_every > 1:
-            tick = self._ticks.get(stage, 0)
-            self._ticks[stage] = tick + 1
-            if tick % self.sample_every:
-                return
         self.registry.observe(
             stage_metric(stage), max(0.0, seconds), LATENCY_BUCKETS
         )
@@ -209,6 +193,19 @@ class LatencyStore:
         return store
 
 
+class NullLatencyStore(LatencyStore):
+    """The store of an untraced run: drops every observation, so call
+    sites observe unconditionally instead of guarding."""
+
+    def observe(self, stage: str, seconds: float) -> None:
+        pass
+
+
+#: The disabled store.  It never holds anything, so every untraced
+#: caller shares this one.
+NULL_LATENCY = NullLatencyStore()
+
+
 def latency_records(store: LatencyStore) -> list[dict]:
     """Per-stage ``{"kind": "latency", ...}`` summary records (schema
     ``repro-telemetry/3``): denormalised quantiles so downstream tools
@@ -246,8 +243,3 @@ def store_from_records(records) -> LatencyStore:
     }
     return LatencyStore.from_metrics(metrics)
 
-
-def quantile_of_record(rec: dict, q: float) -> float:
-    """Quantile from a JSONL histogram ``metric`` record (the exact
-    bucket math :meth:`Histogram.quantile` runs on live instruments)."""
-    return quantile_from_buckets(rec["buckets"], rec["counts"], q)

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import PaceClusterer
+from repro.core import ClusteringConfig, PaceClusterer
 from repro.parallel import (
     FaultPlan,
     FaultSpec,
@@ -45,6 +45,7 @@ from repro.telemetry import (
 from repro.telemetry.analyze import conservation_section
 from repro.telemetry.causal import (
     CAUSAL_EVENTS,
+    MAX_INCARNATION,
     REQUEUE_STORM_THRESHOLD,
     unit_parts,
 )
@@ -114,6 +115,23 @@ class TestUnitIds:
             UnitMinter(-2)
         with pytest.raises(ValueError):
             UnitMinter(0, -1)
+        # The incarnation has 8 bits: one more would mint incarnation 0's ids.
+        assert unit_parts(UnitMinter(0, MAX_INCARNATION)()) == (0, 255, 0)
+        with pytest.raises(ValueError, match="incarnation"):
+            UnitMinter(0, MAX_INCARNATION + 1)
+
+    def test_config_rejects_traced_shards_past_the_unit_id(self):
+        # Recovery units carry the shard index as their incarnation.
+        ClusteringConfig(master_shards=MAX_INCARNATION + 1, causal_tracing=True)
+        ClusteringConfig(master_shards=300)  # untraced: no unit ids minted
+        with pytest.raises(ValueError, match="at most 256 master shards"):
+            ClusteringConfig(master_shards=300, causal_tracing=True)
+
+    def test_tolerance_rejects_restarts_past_the_unit_id(self):
+        # A replacement slave mints under its restart count.
+        FaultTolerance(max_restarts=MAX_INCARNATION)
+        with pytest.raises(ValueError, match="max_restarts"):
+            FaultTolerance(max_restarts=1000)
 
 
 # --------------------------------------------------------------------- #

@@ -120,9 +120,13 @@ class TestClusterBadInput:
             (_GOOD + ">b\n>c\nACGT\n", [], "EST 1 is empty"),
             ("", [], "at least one EST"),
             (_GOOD, ["--psi", "3", "--w", "8"], "psi (3) must be >= w (8)"),
+            # Refused before anything is written to the trace path.
+            (_GOOD, ["--master-shards", "300", "--causal-trace",
+                     "--telemetry-out", "never-written.jsonl"],
+             "at most 256 master shards"),
         ],
         ids=["missing_file", "data_before_header", "empty_record", "empty_fasta",
-             "rejected_config"],
+             "rejected_config", "traced_shards_past_unit_ids"],
     )
     def test_one_line_and_exit_2(self, tmp_path, capsys, content, extra, cause):
         fa = tmp_path / "in.fa"

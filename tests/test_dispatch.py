@@ -151,33 +151,48 @@ class TestMasterEdgeCases:
 class TestJBSQ:
     def test_grant_shrinks_with_depth(self):
         pol = JBSQ(k=2)
-        full = pol.request(_ctx())
-        assert full == 10
-        pol.note_dispatch(0, 10)
+        assert pol.request(_ctx()) == 10
         assert pol.request(_ctx(in_flight_batches=1)) == 5
-        pol.note_dispatch(0, 10)
         assert pol.request(_ctx(in_flight_batches=2)) == 0
 
     def test_other_slaves_unaffected(self):
-        pol = JBSQ(k=2)
-        pol.note_dispatch(0, 10)
-        pol.note_dispatch(0, 10)
-        assert pol.request(_ctx(slave_id=1)) == 10
+        m = MasterLogic(
+            n_ests=40, n_slaves=2, batchsize=5, workbuf_capacity=100,
+            policy=JBSQ(k=2),
+        )
+        pairs = [_mk_pair(2 * k, 2 * k + 1) for k in range(10)]
+        m.on_message(_msg(0, pairs=pairs, pending=True))
+        m.on_message(_msg(0, pending=True))
+        assert m.queue_depth(0) == (2, 10)
+        assert m.queue_depth(1) == (0, 0)
+        assert m._compute_request(0, 0, 0) == 0  # k = 2 grants outstanding
+        assert m._compute_request(1, 0, 0) > 0
 
     def test_retirement_restores_grant(self):
-        pol = JBSQ(k=2)
-        pol.note_dispatch(0, 10)
-        pol.note_dispatch(0, 10)
-        pol.note_retired(0, 10)
-        assert pol.request(_ctx()) == 5
-        pol.note_retired(0, 10)
-        assert pol.request(_ctx()) == 10
+        m = MasterLogic(
+            n_ests=40, n_slaves=1, batchsize=5, workbuf_capacity=100,
+            policy=JBSQ(k=2),
+        )
+        pairs = [_mk_pair(2 * k, 2 * k + 1) for k in range(10)]
+        m.on_message(_msg(0, pairs=pairs, pending=True))
+        m.on_message(_msg(0, pending=True))
+        assert m.queue_depth(0) == (2, 10)
+        assert m._compute_request(0, 0, 0) == 0
+        # The next message reports the first grant: one is left in flight.
+        m.on_message(_msg(0, pending=True))
+        assert m.queue_depth(0) == (1, 5)
+        assert m._compute_request(0, 0, 0) > 0
 
     def test_empty_batches_not_counted(self):
-        pol = JBSQ(k=2)
-        pol.note_dispatch(0, 0)  # a result-eliciting ping, not work
-        assert pol.queue_depth(0) == (0, 0)
-        assert pol.request(_ctx()) == 10
+        m = MasterLogic(
+            n_ests=10, n_slaves=1, batchsize=5, workbuf_capacity=50,
+            policy=JBSQ(k=2),
+        )
+        assert m.on_message(_msg(0, exhausted=True, pending=True)) is None
+        ((_, ping),) = m.drain_wait_queue()
+        assert not (ping.work or ping.stop)  # a result-eliciting ping, not work
+        assert len(m.in_flight[0]) == 1
+        assert m.queue_depth(0) == (0, 0)
 
     def test_zero_base_passes_through(self):
         # Stall safety: JBSQ only ever shrinks a positive paper grant; a
@@ -188,8 +203,9 @@ class TestJBSQ:
 
 class TestSlaveLostMirror:
     """Regression: grants issued immediately before a degraded-recovery
-    drain_workbuf double-counted the dead slave's in-flight pairs in the
-    JBSQ queue-depth view.  slave_lost must clear the mirror."""
+    drain once double-counted the dead slave's in-flight pairs in the
+    JBSQ queue-depth view.  The depth is read off the master's grant
+    records, which slave_lost requeues and clears."""
 
     def _master(self, policy):
         m = MasterLogic(
@@ -202,12 +218,11 @@ class TestSlaveLostMirror:
         return m
 
     def test_mirror_cleared_on_slave_lost(self):
-        pol = JBSQ(k=2)
-        m = self._master(pol)
-        assert pol.queue_depth(0) != (0, 0)
+        m = self._master(JBSQ(k=2))
+        assert m.queue_depth(0) != (0, 0)
         requeued = m.slave_lost(0)
         assert requeued > 0  # the in-flight batch went back to WORKBUF
-        assert pol.queue_depth(0) == (0, 0)
+        assert m.queue_depth(0) == (0, 0)
 
     def test_revived_slave_gets_full_grant(self):
         pol = JBSQ(k=2)
@@ -230,15 +245,15 @@ class TestSlaveLostMirror:
         assert reply.request == expected.request
 
     def test_mirror_cleared_on_stop(self):
-        pol = JBSQ(k=2)
         m = MasterLogic(
             n_ests=10, n_slaves=1, batchsize=5, workbuf_capacity=50,
-            policy=pol,
+            policy=JBSQ(k=2),
         )
-        pol.note_dispatch(0, 5)
+        m.on_message(_msg(0, exhausted=True, pending=True))
+        m.drain_wait_queue()  # an empty grant elicits the last results
         r = m.on_message(_msg(0, exhausted=True))
         assert r is not None and r.stop
-        assert pol.queue_depth(0) == (0, 0)
+        assert 0 not in m.in_flight and m.queue_depth(0) == (0, 0)
 
 
 class TestConfigAndCli:

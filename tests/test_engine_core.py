@@ -55,7 +55,9 @@ class _Script:
 
     def _act(self, replies) -> None:
         for k, reply in replies:
-            out = self.slaves[k].logic.step(reply)
+            logic = self.slaves[k].logic
+            logic.align_pending()
+            out = logic.finish_step(reply)
             if out is not None:
                 self.inbox.append(out)
 
@@ -163,7 +165,7 @@ def test_loss_while_holding_work_requeues_it(scripted):
         run.boot(k)
     run.deliver(limit=N_SLAVES)  # every bootstrap answered
     logic = core.master.shard_for(0).logic
-    in_flight = sum(len(batch) for batch in logic.in_flight[0])
+    in_flight = sum(len(entries) for entries, _ in logic.in_flight[0])
     assert in_flight > 0
     lost = core.slave_lost(0, run.now(), revive=True)
     # (On this corpus no merge has made any of them redundant meanwhile.)

@@ -389,7 +389,7 @@ class TestMasterLogicFaultTransitions:
         # Next message reports the batch held before r1's work arrived,
         # so exactly r1's batch (plus any new dispatch) stays in flight.
         r2 = m.on_message(_msg(0, pending=True))
-        outstanding = [p for batch in m.in_flight[0] for p in batch]
+        outstanding = [p for entries, _ in m.in_flight[0] for p, _, _ in entries]
         expected = list(r1.work) + list(r2.work if r2 else ())
         assert outstanding == expected
 

@@ -26,6 +26,7 @@ from repro.telemetry import (
     store_from_records,
     validate_records,
 )
+from repro.telemetry.causal import NO_UNIT
 from repro.telemetry.latency import LATENCY_BUCKETS
 from repro.telemetry.registry import MetricsRegistry
 
@@ -123,16 +124,6 @@ class TestLatencyStore:
         assert store.total("align") == 0.0
         assert math.isnan(store.quantile("align", 0.5))
 
-    def test_sample_every_keeps_every_kth(self):
-        store = LatencyStore(sample_every=10)
-        for _ in range(100):
-            store.observe("align", 0.01)
-        assert store.count("align") == 10
-
-    def test_sample_every_validates(self):
-        with pytest.raises(ValueError):
-            LatencyStore(sample_every=0)
-
     def test_shared_registry_merges_like_slave_stats(self):
         # Slave stores land in separate registries; merging their
         # snapshots into the master registry must merge the histograms
@@ -187,19 +178,6 @@ class TestDisabledTelemetry:
         assert store is not None
         assert tel.latency is store  # cached, not rebuilt per access
 
-    def test_master_logic_skips_all_bookkeeping_without_store(self):
-        logic = MasterLogic(10, 2, batchsize=4, workbuf_capacity=100)
-        msg = SlaveMsg(
-            slave_id=0,
-            results=(),
-            pairs=tuple(_pair(0, i + 1) for i in range(4)),
-            exhausted=False,
-            has_pending_results=True,
-        )
-        logic.on_message(msg)
-        assert not logic._workbuf_ts
-        assert not logic._flight_ts
-
 
 # --------------------------------------------------------------------- #
 # protocol-level stages (queue_master / rtt, engine-independent)
@@ -251,15 +229,21 @@ class TestMasterLogicLatency:
         logic = MasterLogic(
             10, 2, batchsize=2, workbuf_capacity=100, latency=store
         )
-        logic.on_message(self._msg(0, (_pair(0, 1), _pair(0, 2))), now=1.0)
+        a, b = _pair(0, 1), _pair(0, 2)
+        logic.on_message(self._msg(0, (a, b)), now=1.0)
         logic.slave_lost(0, now=5.0)
-        # timestamp mirror stays aligned element-for-element
-        assert len(logic._workbuf_ts) == len(logic.workbuf)
-        assert 0 not in logic._flight_ts
+        # The grant comes back as WORKBUF entries stamped at the requeue.
+        assert list(logic.workbuf) == [(a, NO_UNIT, 5.0), (b, NO_UNIT, 5.0)]
+        assert 0 not in logic.in_flight
+        # Their dwell is measured from the requeue, not the admission.
+        reply = logic.on_message(self._msg(1), now=6.0)
+        assert reply.work == (a, b)
+        assert store.count("queue_master") == 4
+        assert store.total("queue_master") == pytest.approx(2.0)
 
     def test_mirrors_stay_aligned_through_defer_and_drop(self):
         """Wave dispatch takes pairs out of the middle of WORKBUF: a
-        deferred pair must keep its admission stamp and work unit, a
+        deferred entry must keep its admission stamp and work unit, a
         dropped one must settle its unit as pruned at dispatch."""
         from repro.align.scoring import AlignmentResult, OverlapPattern
         from repro.telemetry.causal import CausalRecorder, check_conservation
@@ -278,25 +262,20 @@ class TestMasterLogicLatency:
                 exhausted=False, has_pending_results=True, pair_units=units,
             )
 
-        def mirrors():
-            return (
-                list(logic.workbuf), list(logic._workbuf_ts), list(logic._workbuf_units)
-            )
-
         # b repeats a's ESTs: deferred behind it; d is left when the wave fills.
         reply = logic.on_message(msg(0, (a, b, c, d), (7, 7, 8, 8)), now=1.0)
         assert reply.work == (a, c) and reply.work_units == (7, 8)
-        assert mirrors() == ([b, d], [1.0, 1.0], [7, 8])
+        assert list(logic.workbuf) == [(b, 7, 1.0), (d, 8, 1.0)]
         # Slave 1: b still waits on slave 0's batch, d and e go out.
         reply = logic.on_message(msg(1, (e,), (9,)), now=2.0)
         assert reply.work == (d, e) and reply.work_units == (8, 9)
-        assert mirrors() == ([b], [1.0], [7])
+        assert list(logic.workbuf) == [(b, 7, 1.0)]
         assert store.count("queue_master") == 4
         assert store.total("queue_master") == pytest.approx(1.0)  # d waited
         # a is accepted: b is now redundant and dropped at the next dispatch.
         res = AlignmentResult(20.0, 0, 10, 0, 10, OverlapPattern.A_CONTAINS_B, 0)
         logic.on_message(msg(0, (), (), results=((a, res, True),)), now=3.0)
-        assert mirrors() == ([], [], [])
+        assert not logic.workbuf
         assert logic.stats.pairs_pruned == 1
         assert store.count("queue_master") == 4  # a dropped pair never dwelt
         pruned = [r for r in causal.as_records() if r["event"] == "pruned"]

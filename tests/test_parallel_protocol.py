@@ -160,6 +160,12 @@ class TestMasterLogic:
             MasterLogic(n_ests=5, n_slaves=0, batchsize=5, workbuf_capacity=10)
 
 
+def _step(slave: SlaveLogic, reply: MasterMsg):
+    """One full interaction, as the engines drive it."""
+    slave.align_pending()
+    return slave.finish_step(reply)
+
+
 class TestSlaveLogic:
     def _make(self, n_pairs=300, batchsize=10):
         col = EstCollection.from_strings(
@@ -185,14 +191,14 @@ class TestSlaveLogic:
         slave = self._make(batchsize=2)
         slave.bootstrap()
         held = slave.nextwork
-        out = slave.step(MasterMsg(work=(), request=5))
+        out = _step(slave, MasterMsg(work=(), request=5))
         assert out.n_results == len(held)
         assert slave.nextwork == ()
 
     def test_request_filled_from_generator(self):
         slave = self._make(batchsize=2)
         slave.bootstrap()
-        out = slave.step(MasterMsg(work=(), request=4))
+        out = _step(slave, MasterMsg(work=(), request=4))
         assert out.n_pairs <= 4
         if not slave.generator.exhausted:
             assert out.n_pairs == 4
@@ -202,13 +208,13 @@ class TestSlaveLogic:
         slave.bootstrap()
         if slave.nextwork:
             with pytest.raises(RuntimeError, match="unreported results"):
-                slave.step(MasterMsg(work=(), request=0, stop=True))
+                _step(slave, MasterMsg(work=(), request=0, stop=True))
 
     def test_clean_stop(self):
         slave = self._make(batchsize=2)
         slave.bootstrap()
-        slave.step(MasterMsg(work=(), request=0))  # drains nextwork
-        assert slave.step(MasterMsg(work=(), request=0, stop=True)) is None
+        _step(slave, MasterMsg(work=(), request=0))  # drains nextwork
+        assert _step(slave, MasterMsg(work=(), request=0, stop=True)) is None
         assert slave.done
 
     def test_idle_generate_respects_capacity(self):

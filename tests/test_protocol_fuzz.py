@@ -13,8 +13,13 @@ EST universe (conflicts and stale pairs everywhere) under an
 all-rejecting and a coin-flip aligner — the worst cases for speculation,
 since every pair deferred on the bet "the blocker will be accepted" has
 to be dispatched after all — and asserts deferral never stalls or spins.
+
+Both harnesses run every drawn schedule twice, on a bare master and on
+one recording latency and causal events: the records must change nothing
+the protocol does, and the traced run's work-unit ledger must balance.
 """
 
+import copy
 import random
 
 from hypothesis import given, settings
@@ -23,6 +28,8 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterManager, UnionFind
 from repro.parallel.protocol import MasterLogic, MasterMsg, SlaveMsg
 from repro.pairs import Pair
+from repro.telemetry.causal import CausalRecorder, UnitMinter, check_conservation
+from repro.telemetry.latency import LatencyStore
 
 
 def _reject(pair: Pair) -> bool:
@@ -33,7 +40,8 @@ class _ScriptedSlave:
     """A fake slave honouring the wire protocol with a scripted pair
     supply and a scripted verdict per pair (by default every alignment
     is rejected, so cluster state stays inert and every pair must be
-    dispatched)."""
+    dispatched).  Each batch it ships is stamped with a work unit of its
+    own."""
 
     def __init__(
         self, slave_id: int, supply: list[Pair], batchsize: int, accept=_reject
@@ -42,6 +50,7 @@ class _ScriptedSlave:
         self.supply = list(supply)
         self.batchsize = batchsize
         self.accept = accept
+        self.mint = UnitMinter(slave_id)
         self.nextwork: tuple = ()
         self.done = False
         self.results_reported = 0
@@ -52,6 +61,9 @@ class _ScriptedSlave:
         del self.supply[:k]
         self.pairs_sent += len(out)
         return out
+
+    def _units(self, pairs: tuple) -> tuple:
+        return (self.mint(),) * len(pairs)
 
     def bootstrap(self) -> SlaveMsg:
         p1 = self._take(self.batchsize)
@@ -65,6 +77,7 @@ class _ScriptedSlave:
             pairs=p3,
             exhausted=not self.supply,
             has_pending_results=bool(p2),
+            pair_units=self._units(p3),
         )
 
     def step(self, reply: MasterMsg) -> SlaveMsg | None:
@@ -82,6 +95,7 @@ class _ScriptedSlave:
             pairs=outgoing,
             exhausted=not self.supply,
             has_pending_results=bool(self.nextwork),
+            pair_units=self._units(outgoing),
         )
 
 
@@ -111,28 +125,7 @@ def test_protocol_always_terminates(n_slaves, supplies, batchsize, seed):
         total_supply += len(pairs)
         slaves.append(_ScriptedSlave(k, pairs, batchsize))
 
-    master = MasterLogic(
-        n_ests=n_ests,
-        n_slaves=len(slaves),
-        batchsize=batchsize,
-        workbuf_capacity=max(4 * batchsize * len(slaves), 64),
-    )
-
-    # Message queue with randomised interleaving.
-    inbox: list[SlaveMsg] = [s.bootstrap() for s in slaves]
-    steps = 0
-    while inbox:
-        steps += 1
-        assert steps < 20_000, "protocol did not terminate"
-        msg = inbox.pop(rng.randrange(len(inbox)))
-        reply = master.on_message(msg)
-        followups = list(master.drain_wait_queue())
-        if reply is not None:
-            followups.insert(0, (msg.slave_id, reply))
-        for slave_id, rep in followups:
-            out = slaves[slave_id].step(rep)
-            if out is not None:
-                inbox.append(out)
+    master, slaves, _ = _drive_twice(slaves, batchsize, n_ests, rng)
 
     # Termination: everyone stopped, nothing in flight, no work lost.
     assert master.finished()
@@ -170,7 +163,7 @@ def test_nothing_in_flight_means_work_or_empty_workbuf(queued, merged, batchsize
     for a, b in merged:  # unions learned after admission
         master.manager.seed_union(a, b)
     depth = len(master.workbuf)
-    work, _units = master._take_work(None)
+    work = [pair for pair, _, _ in master._take_work(0.0)]
     assert work or not master.workbuf
     assert len(work) <= batchsize
     assert depth == len(work) + len(master.workbuf) + master.stats.pairs_pruned
@@ -185,9 +178,9 @@ def _assert_conflict_free(master: MasterLogic, new_batches: list[tuple]) -> None
     fresh = {pair for batch in new_batches for pair in batch}
     find = master.manager.find
     links = UnionFind(master.manager.n_ests)
-    for batches in master.in_flight.values():
-        for batch in batches:
-            for pair in batch:
+    for grants in master.in_flight.values():
+        for entries, _ in grants:
+            for pair, _, _ in entries:
                 if pair not in fresh:
                     links.union(find(pair.est_a), find(pair.est_b))
     for pair in (pair for batch in new_batches for pair in batch):
@@ -200,31 +193,61 @@ def _assert_conflict_free(master: MasterLogic, new_batches: list[tuple]) -> None
             )
 
 
-def _drive(master: MasterLogic, slaves: list[_ScriptedSlave], rng) -> int:
+def _drive(master: MasterLogic, slaves: list[_ScriptedSlave], rng) -> list[tuple]:
     """Run the protocol to completion under a random message order,
-    checking the dispatch invariants on every reply.  Returns the number
-    of empty result-eliciting replies the master sent."""
-    elicits = 0
+    checking the dispatch invariants on every reply.  Returns every
+    reply as ``(slave, work, request, stop)``, in the order sent."""
+    sent = []
     inbox: list[SlaveMsg] = [s.bootstrap() for s in slaves]
     steps = 0
     while inbox:
         steps += 1
         assert steps < 20_000, "protocol did not terminate"
         msg = inbox.pop(rng.randrange(len(inbox)))
-        reply = master.on_message(msg)
-        followups = list(master.drain_wait_queue())
+        reply = master.on_message(msg, now=float(steps))
+        followups = list(master.drain_wait_queue(now=float(steps)))
         if reply is not None:
             followups.insert(0, (msg.slave_id, reply))
         _assert_conflict_free(master, [rep.work for _, rep in followups if rep.work])
         for slave_id, rep in followups:
             if not (rep.work or rep.request or rep.stop):
                 # An empty reply exists to fetch results: never a ping.
-                elicits += 1
                 assert slaves[slave_id].nextwork, "pinged a slave holding nothing"
+            sent.append((slave_id, rep.work, rep.request, rep.stop))
             out = slaves[slave_id].step(rep)
             if out is not None:
                 inbox.append(out)
-    return elicits
+    return sent
+
+
+def _drive_twice(slaves: list[_ScriptedSlave], batchsize: int, n_ests: int, rng):
+    """Drive one schedule on a bare master, then again — fresh slaves,
+    same message order — on one with a latency store and a causal
+    recorder.  The records must change nothing: same replies, same
+    stats; and every work unit the traced master took custody of must
+    balance.  Returns the bare run's ``(master, slaves, replies)``."""
+    state = rng.getstate()
+    twins = copy.deepcopy(slaves)
+    runs = []
+    for fleet, telemetry in (
+        (slaves, {}),
+        (twins, {"latency": LatencyStore(), "causal": CausalRecorder()}),
+    ):
+        rng.setstate(state)
+        master = MasterLogic(
+            n_ests=n_ests,
+            n_slaves=len(fleet),
+            batchsize=batchsize,
+            workbuf_capacity=max(4 * batchsize * len(fleet), 64),
+            **telemetry,
+        )
+        runs.append((master, fleet, _drive(master, fleet, rng)))
+    (bare, _, replies), (traced, _, traced_replies) = runs
+    assert traced_replies == replies
+    assert traced.stats == bare.stats
+    report = check_conservation(traced.causal.as_records())
+    assert report.ok(), report.lines()
+    return runs[0]
 
 
 @given(
@@ -252,13 +275,7 @@ def test_deferral_never_stalls_or_spins(
             pairs.append(pair)
         slaves.append(_ScriptedSlave(k, pairs, batchsize, verdicts.__getitem__))
 
-    master = MasterLogic(
-        n_ests=n_ests,
-        n_slaves=len(slaves),
-        batchsize=batchsize,
-        workbuf_capacity=max(4 * batchsize * len(slaves), 64),
-    )
-    _drive(master, slaves, rng)
+    master, slaves, _ = _drive_twice(slaves, batchsize, n_ests, rng)
 
     assert master.finished()
     assert all(s.done for s in slaves)
