@@ -37,6 +37,13 @@ for the Perfetto UI; ``postmortem`` reconstructs a failed run's merged
 timeline from an ``--obs-out`` directory (flight-recorder dumps
 included) and names the work units that were in flight when it died.
 
+Input the run or the trace tools cannot start from — a missing file,
+malformed FASTA, a rejected option, a trace line that is not a JSON
+object or a trace that fails the schema check — is answered with one
+stderr line and exit status 2, never a traceback; status 1 stays the
+answer of the gates (``diff`` regressions, ``analyze
+--strict-conservation``, ``postmortem``).
+
 Diagnostics go through :mod:`repro.util.logging` (structured one-line
 ``key=value`` records on stderr); data output — cluster TSVs, reports,
 tables — still writes plainly to stdout.
@@ -260,9 +267,27 @@ def _read_assignments(path: Path) -> dict[str, str]:
 def _bad_input(source: object, exc: Exception) -> int:
     """Report input the run cannot start from — ``source`` is the path or
     ``"options"`` — as one stderr line; returns the exit status."""
-    cause = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-    print(f"pace-est: error: {source}: {cause}", file=sys.stderr)
+    cause = str(exc.strerror if isinstance(exc, OSError) and exc.strerror else exc)
+    # A cause that names its own source (``path:line: ...``) keeps it.
+    where = "" if cause.startswith(f"{source}:") else f"{source}: "
+    print(f"pace-est: error: {where}{cause}", file=sys.stderr)
     return 2
+
+
+def _read_trace(path: Path) -> list[dict]:
+    """The records of a telemetry JSONL file every trace command reads.
+
+    Raises ``OSError`` when the file cannot be read, and ``ValueError``
+    naming the first problem when a line is not a JSON object or the
+    records fail :func:`validate_records` — the commands answer both with
+    :func:`_bad_input`.
+    """
+    records = load_jsonl(path)
+    problems = validate_records(records)
+    if problems:
+        more = f" (and {len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise ValueError(f"{problems[0]}{more}")
+    return records
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -469,29 +494,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    records = load_jsonl(args.trace)
-    problems = validate_records(records)
-    if problems:
-        for problem in problems:
-            _log.error("schema problem", detail=problem)
-        raise SystemExit(f"{args.trace}: {len(problems)} schema problem(s)")
+    try:
+        records = _read_trace(args.trace)
+    except (OSError, ValueError) as exc:
+        return _bad_input(args.trace, exc)
     print(summarise(records))
     if args.timeline:
-        from repro.telemetry import TraceRecorder, render_timeline
-        from repro.telemetry.trace import TraceEvent
+        from repro.telemetry import render_timeline
 
-        trace = TraceRecorder(
-            events=[
-                TraceEvent(
-                    r["event"], r["actor"], r["ts"], r.get("end", r["ts"]),
-                    r.get("detail", ""),
-                )
-                for r in records
-                if r.get("kind") == "trace"
-            ]
-        )
         print()
-        print(render_timeline(trace, max_events=args.timeline))
+        print(render_timeline(records, max_events=args.timeline))
     return 0
 
 
@@ -499,10 +511,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.telemetry import analyze_trace
     from repro.telemetry.analyze import conservation_section
 
-    records = load_jsonl(args.trace)
-    problems = validate_records(records)
-    for problem in problems:
-        _log.warning("schema problem", detail=problem)
+    try:
+        records = _read_trace(args.trace)
+    except (OSError, ValueError) as exc:
+        return _bad_input(args.trace, exc)
     print(analyze_trace(records))
     if args.strict_conservation:
         _, errors = conservation_section(records)
@@ -519,10 +531,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_perfetto(args: argparse.Namespace) -> int:
     from repro.telemetry import export_chrome_trace
 
-    records = load_jsonl(args.trace)
-    problems = validate_records(records)
-    for problem in problems:
-        _log.warning("schema problem", detail=problem)
+    try:
+        records = _read_trace(args.trace)
+    except (OSError, ValueError) as exc:
+        return _bad_input(args.trace, exc)
     output = args.output
     if output is None:
         output = args.trace.with_suffix(".perfetto.json")
@@ -542,11 +554,13 @@ def _cmd_postmortem(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.telemetry import diff_traces
 
-    report, regressions = diff_traces(
-        load_jsonl(args.baseline),
-        load_jsonl(args.candidate),
-        threshold=args.threshold,
-    )
+    traces = []
+    for path in (args.baseline, args.candidate):
+        try:
+            traces.append(_read_trace(path))
+        except (OSError, ValueError) as exc:
+            return _bad_input(path, exc)
+    report, regressions = diff_traces(*traces, threshold=args.threshold)
     print(report)
     if regressions:
         _log.error(
@@ -580,10 +594,10 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
                 return 0
             time.sleep(args.watch)
             print()
-    records = load_jsonl(Path(args.target))
-    problems = validate_records(records)
-    for problem in problems:
-        _log.warning("schema problem", detail=problem)
+    try:
+        records = _read_trace(Path(args.target))
+    except (OSError, ValueError) as exc:
+        return _bad_input(args.target, exc)
     state = replay_live_records(records)
     print(render_progress_table(state.as_dict()))
     return 0

@@ -32,7 +32,7 @@ from repro.pairs.batch import make_pair_generator
 from repro.sequence.collection import EstCollection
 from repro.suffix.gst import SuffixArrayGst
 from repro.telemetry import Telemetry
-from repro.telemetry.causal import CausalRecorder, UnitMinter
+from repro.telemetry.causal import UnitMinter
 from repro.telemetry.live import LiveSample, ResourceSampler
 from repro.telemetry.monitor import RunMonitor, monitored_run
 from repro.util.timing import TimingBreakdown
@@ -87,14 +87,13 @@ def _timed_pair_stream(
 
 def _causal_stream(
     stream: Iterable[Pair],
-    crec: CausalRecorder,
+    tel: Telemetry,
     manager: ClusterManager,
-    now,
     batchsize: int,
     skip_clustered: bool,
 ) -> Iterator[Pair]:
     """Yield the stream unchanged while minting one work unit per
-    batchsize chunk and recording its lifecycle.
+    batchsize chunk and recording its lifecycle in ``tel``.
 
     The sequential driver is its own master *and* slave, so each unit is
     master-minted and absorbed in place (reason ``"drain"``, same as the
@@ -114,9 +113,9 @@ def _causal_stream(
         if not chunk:
             return
         unit = mint()
-        ts = now()
-        crec.record("generated", unit, len(chunk), actor="master", ts=ts)
-        crec.record("admitted", unit, len(chunk), actor="master", ts=ts)
+        ts = tel.now()
+        tel.record_causal("generated", unit, len(chunk), actor="master", ts=ts)
+        tel.record_causal("admitted", unit, len(chunk), actor="master", ts=ts)
         absorbed = pruned = 0
         for pair in chunk:
             if skip_clustered and manager.same_cluster(pair.est_a, pair.est_b):
@@ -124,11 +123,15 @@ def _causal_stream(
             else:
                 absorbed += 1
             yield pair
-        ts = now()
+        ts = tel.now()
         if absorbed:
-            crec.record("absorbed", unit, absorbed, actor="master", ts=ts, reason="drain")
+            tel.record_causal(
+                "absorbed", unit, absorbed, actor="master", ts=ts, reason="drain"
+            )
         if pruned:
-            crec.record("pruned", unit, pruned, actor="master", ts=ts, reason="drain")
+            tel.record_causal(
+                "pruned", unit, pruned, actor="master", ts=ts, reason="drain"
+            )
 
 
 class PaceClusterer:
@@ -175,19 +178,17 @@ class PaceClusterer:
         counters = WorkCounters()
 
         pair_stream: Iterable[Pair] = generator.pairs()
-        lat = tel.latency
-        if lat is not None:
+        if tel.enabled:
             # Sequential lifecycle = {generate, align}: time batchsize
             # chunks of generation, and alignment via an aligner proxy.
             pair_stream = _timed_pair_stream(
-                pair_stream, lat, tel.now, cfg.batchsize
+                pair_stream, tel.latency, tel.now, cfg.batchsize
             )
-            aligner = _TimedAligner(aligner, lat, tel.now)
-        crec = CausalRecorder() if (cfg.causal_tracing and tel.enabled) else None
-        if crec is not None:
+            aligner = _TimedAligner(aligner, tel.latency, tel.now)
+        tel.causal = cfg.causal_tracing and tel.enabled
+        if tel.causal:
             pair_stream = _causal_stream(
-                pair_stream, crec, manager, tel.now, cfg.batchsize,
-                cfg.skip_clustered,
+                pair_stream, tel, manager, cfg.batchsize, cfg.skip_clustered
             )
         t0 = time.monotonic()
         with monitored_run(
@@ -221,8 +222,6 @@ class PaceClusterer:
 
         snapshot = None
         if telemetry is not None:
-            if crec is not None:
-                tel.events.extend(crec.as_records())
             tel.count("pairs.produced", counters.pairs_generated)
             snapshot = tel.snapshot(engine="sequential", n_processors=1)
         return ClusteringResult(

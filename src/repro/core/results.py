@@ -7,13 +7,13 @@ from dataclasses import dataclass, field
 from repro.cluster.greedy import WorkCounters
 from repro.cluster.manager import MergeRecord
 from repro.pairs.sa_generator import PairGenStats
-from repro.telemetry import TelemetrySnapshot
+from repro.telemetry import TABLE3_ORDER, TelemetrySnapshot
 from repro.util.timing import TimingBreakdown
 
 __all__ = ["ClusteringResult", "FaultCounters", "COMPONENT_ORDER"]
 
 #: Table 3's component columns, in the paper's order.
-COMPONENT_ORDER = ["partitioning", "gst_construction", "sort_nodes", "alignment"]
+COMPONENT_ORDER = list(TABLE3_ORDER)
 
 
 @dataclass

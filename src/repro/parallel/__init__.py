@@ -28,7 +28,7 @@ from repro.parallel.runtime import run_parallel, simulate_clustering
 from repro.parallel.shards import MasterShard, ShardedMaster, ShardPlan, plan_shards
 from repro.parallel.shm import ArenaDescriptor, ArenaRegistry, leaked_segments
 from repro.parallel.sim_machine import SimulatedMachine, SimulationReport
-from repro.telemetry.trace import TraceRecorder, render_timeline, utilisation
+from repro.telemetry.trace import render_timeline, utilisation
 
 __all__ = [
     "ArenaDescriptor",
@@ -64,7 +64,6 @@ __all__ = [
     "ShardPlan",
     "plan_shards",
     "SimulatedMachine",
-    "TraceRecorder",
     "render_timeline",
     "utilisation",
     "SimulationReport",

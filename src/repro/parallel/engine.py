@@ -37,8 +37,7 @@ from repro.parallel.protocol import MasterMsg, SlaveLogic, SlaveMsg
 from repro.parallel.shards import ShardedMaster, plan_shards
 from repro.suffix.gst import SuffixArrayGst
 from repro.telemetry import Telemetry
-from repro.telemetry.causal import NULL_CAUSAL, NULL_MINTER, CausalRecorder, UnitMinter
-from repro.telemetry.latency import NULL_LATENCY
+from repro.telemetry.causal import NULL_MINTER, UnitMinter
 from repro.telemetry.live import LiveSample
 from repro.telemetry.registry import DEFAULT_BUCKETS
 from repro.util.timing import TimingBreakdown
@@ -76,11 +75,12 @@ class Slave:
             **resources,
         )
 
-    def stamp_causal(self, recorder: CausalRecorder, ts: float) -> None:
-        """Stamp the logic's clock-free causal facts with the engine's
-        clock (nothing is pending when causal tracing is off)."""
+    def stamp_causal(self, telemetry: Telemetry, ts: float) -> None:
+        """Record the logic's clock-free causal facts in ``telemetry`` at
+        the engine's clock ``ts`` (nothing is pending when causal tracing
+        is off)."""
         for event, unit, n in self.logic.drain_causal():
-            recorder.record(
+            telemetry.record_causal(
                 event, unit, n, actor=f"slave{self.logic.slave_id}", ts=ts
             )
 
@@ -139,16 +139,14 @@ class EngineCore:
         self.config = config
         self.n_slaves = n_slaves
         self._snapshot = telemetry is not None
+        #: The one recorder of the run's events, disabled when nobody
+        #: asked for telemetry; it keeps causal records only under
+        #: ``config.causal_tracing``.
         self.tel = telemetry if telemetry is not None else Telemetry(enabled=False)
+        self.tel.causal = config.causal_tracing and self.tel.enabled
         #: What instrumented components are handed: the session when it
         #: records, else ``None`` (their own "off" convention).
         self.sink = self.tel if self.tel.enabled else None
-        #: Where latency observations and causal events go: the
-        #: session's store and a recorder, or their disabled forms.
-        self.lat = self.tel.latency if self.tel.enabled else NULL_LATENCY
-        self.causal = (
-            CausalRecorder() if config.causal_tracing and self.sink else NULL_CAUSAL
-        )
         self.faults = FaultCounters()
         #: Set by the engine from :func:`~repro.telemetry.monitor.monitored_run`.
         self.monitor = None
@@ -176,9 +174,8 @@ class EngineCore:
             n_ests=gst.collection.n_ests,
             batchsize=config.batchsize,
             workbuf_capacity=config.workbuf_capacity,
-            latency=self.lat,
+            telemetry=self.tel,
             policy=config.dispatch_policy,
-            causal=self.causal,
         )
 
     def build_slave(self, slave_id: int, *, incarnation: int = 0) -> Slave:
@@ -199,13 +196,13 @@ class EngineCore:
         later through the shard's ``drain_wait_queue``).  A message the
         wire stamped at send time reports its transit here."""
         if msg.sent_at >= 0:
-            self.lat.observe("transit", now - msg.sent_at)
+            self.tel.latency.observe("transit", now - msg.sent_at)
         return self.master.on_message(msg, now=now)
 
     def absorbed(self, slave_id: int, seconds: float) -> None:
         """The engine's duration for the :meth:`on_message` just done on
         ``slave_id``'s shard, observed with the WORKBUF depth it left."""
-        self.lat.observe("absorb", seconds)
+        self.tel.latency.observe("absorb", seconds)
         self.tel.observe(
             "master.workbuf_depth",
             self.master.shard_for(slave_id).logic.workbuf_depth,
@@ -327,12 +324,7 @@ class EngineCore:
                 tel.count("shard.sync_rounds", master.sync_rounds)
                 tel.count("shard.unions_exchanged", master.unions_exchanged)
                 tel.count("shard.pairs_pruned", master.pairs_pruned)
-        snapshot = None
-        if self._snapshot:
-            # Causal records join the span-event stream; the snapshot
-            # sorts all events onto the one run clock.
-            tel.events.extend(self.causal.as_records())
-            snapshot = tel.snapshot(**meta)
+        snapshot = tel.snapshot(**meta) if self._snapshot else None
         manager = master.combined()
         return ClusteringResult(
             n_ests=self.gst.collection.n_ests,

@@ -69,13 +69,10 @@ from repro.parallel.shm import ArenaRegistry
 from repro.sequence.collection import EstCollection
 from repro.suffix.gst import SuffixArrayGst
 from repro.telemetry import Telemetry
-from repro.telemetry.causal import NULL_CAUSAL, CausalRecorder
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.latency import NULL_LATENCY
 from repro.telemetry.live import MASTER_ID, LiveSample, ResourceSampler
 from repro.telemetry.monitor import RunMonitor, monitored_run
 from repro.telemetry.registry import DEFAULT_BUCKETS
-from repro.telemetry.trace import TraceEvent
 
 __all__ = ["cluster_multiprocessing"]
 
@@ -90,20 +87,18 @@ _EXIT_ERROR = 4
 class _SlaveStats:
     """Final per-slave report, sent on the pipe after the protocol stop.
 
-    When telemetry is on it also carries the slave's recorded timeline
-    (``events``), its span event stream (``span_events``) and its metrics
-    registry snapshot (``metrics``) — this is how slave-side telemetry
-    reaches the master without any channel beyond the existing pipes.
+    When telemetry is on it also carries the slave session's event list
+    (``events``: spans, machine events and, under causal tracing, causal
+    records) and its metrics registry snapshot (``metrics``) — this is how
+    slave-side telemetry reaches the master without any channel beyond
+    the existing pipes.
     """
 
     produced: int
     alignments: int
     dp_cells: int
-    events: tuple[TraceEvent, ...] = ()
-    span_events: tuple[dict, ...] = ()
+    events: tuple[dict, ...] = ()
     metrics: dict | None = None
-    #: Causal work-unit lifecycle records (``config.causal_tracing``).
-    causal_events: tuple[dict, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -160,7 +155,7 @@ def _slave_worker(
     pages instead of deserialising anything.
 
     ``telemetry_origin`` (the master session's monotonic origin) switches
-    on slave-side telemetry: this process keeps its own recorder — wall
+    on slave-side telemetry: this process keeps its own session — wall
     offsets directly comparable to the master's, since ``CLOCK_MONOTONIC``
     is machine-wide — and ships everything back inside its final
     :class:`_SlaveStats`.  Without it the session is a disabled one whose
@@ -183,9 +178,12 @@ def _slave_worker(
     """
     _start_on_own_cpu(slave_id)
     injector = FaultInjector(fault_plan, slave_id, incarnation)
-    tel = Telemetry(enabled=telemetry_origin is not None, origin=telemetry_origin)
+    tel = Telemetry(
+        enabled=telemetry_origin is not None,
+        origin=telemetry_origin,
+        causal=config.causal_tracing,
+    )
     actor = f"slave{slave_id}"
-    crec = CausalRecorder() if config.causal_tracing and tel.enabled else NULL_CAUSAL
     flight: FlightRecorder | None = None
     if config.flight_dir is not None:
         flight = FlightRecorder(
@@ -236,11 +234,11 @@ def _slave_worker(
                 cpu_seconds=sampler.cpu_seconds(),
             )
 
-        lat = tel.latency if tel.enabled else NULL_LATENCY
+        lat = tel.latency
         t_start = tel.now()
         out = logic.bootstrap()
-        slave.stamp_causal(crec, tel.now())
-        tel.trace.compute(actor, t_start, tel.now(), "bootstrap")
+        slave.stamp_causal(tel, tel.now())
+        tel.trace("compute", actor, t_start, tel.now(), "bootstrap")
         while True:
             if sampler is not None:
                 wall = time.monotonic()
@@ -249,10 +247,11 @@ def _slave_worker(
                     conn.send(live_sample())
             injector.before_send()
             if tel.enabled:
-                tel.trace.send(
+                tel.trace(
+                    "send",
                     actor,
                     tel.now(),
-                    f"to master: {out.n_results} results, {out.n_pairs} pairs",
+                    detail=f"to master: {out.n_results} results, {out.n_pairs} pairs",
                 )
                 out = replace(out, sent_at=tel.now())
             if flight is not None:
@@ -268,7 +267,7 @@ def _slave_worker(
             if flight is not None:
                 flight.note("recv", work=len(reply.work))
             t_start = tel.now()
-            tel.trace.recv(actor, t_start, "reply from master")
+            tel.trace("recv", actor, t_start, detail="reply from master")
             tel.observe("slave.pairbuf_depth", len(logic.pairbuf), DEFAULT_BUCKETS)
             # One message's pipe time, from the master's stamp to here
             # (same CLOCK_MONOTONIC origin across fork).
@@ -284,21 +283,19 @@ def _slave_worker(
             out = logic.finish_step(reply)
             if logic.last_costs.pairs_generated_blocking:
                 lat.observe("generate", tel.now() - t_aligned)
-            slave.stamp_causal(crec, tel.now())
-            tel.trace.compute(actor, t_start, tel.now(), "step")
+            slave.stamp_causal(tel, tel.now())
+            tel.trace("compute", actor, t_start, tel.now(), "step")
             if out is None:
                 if sampler is not None:
                     conn.send(live_sample())  # final counters, exhausted flag
-                tel.trace.send(actor, tel.now(), "final stats")
+                tel.trace("send", actor, tel.now(), detail="final stats")
                 conn.send(
                     _SlaveStats(
                         produced=logic.generator.produced,
                         alignments=logic.total_alignments,
                         dp_cells=logic.total_dp_cells,
-                        events=tuple(tel.trace.events),
-                        span_events=tuple(tel.events),
+                        events=tuple(tel.events),
                         metrics=tel.registry.snapshot() if tel.enabled else None,
-                        causal_events=tuple(crec.as_records()),
                     )
                 )
                 conn.close()
@@ -357,8 +354,8 @@ def cluster_multiprocessing(
     sets detection timeouts and the restart budget; ``telemetry``
     (optional) records the full instrumented run — phase spans, metrics,
     and a send/recv/compute/fault timeline assembled from the master's
-    recorder plus the per-slave recorders forwarded over the result pipes
-    — and snapshots it onto ``result.telemetry``; ``monitor`` (optional,
+    session plus the per-slave sessions' events forwarded over the result
+    pipes — and snapshots it onto ``result.telemetry``; ``monitor`` (optional,
     or created here when ``config.monitor_port`` is set) streams live
     per-slave progress and resource samples while the run executes.
     """
@@ -368,9 +365,7 @@ def cluster_multiprocessing(
     tolerance = tolerance or FaultTolerance()
     n_slaves = n_processors - 1
     core = EngineCore(config, n_slaves, telemetry=telemetry)
-    tel = core.tel
-    rec = tel.trace  # drops everything when telemetry is off
-    causal = core.causal
+    tel = core.tel  # drops every event when telemetry is off
 
     with tel.span("gst_construction", n_ests=collection.n_ests):
         gst = SuffixArrayGst.build(collection)
@@ -404,7 +399,7 @@ def cluster_multiprocessing(
     flight: FlightRecorder | None = None
 
     def record_fault(actor: str, detail: str) -> None:
-        rec.fault(actor, tel.now(), detail)
+        tel.trace("fault", actor, tel.now(), detail=detail)
         if flight is not None:
             # Every fault transition refreshes the on-disk ring: the
             # newest master state is the one a postmortem wants.
@@ -465,7 +460,7 @@ def cluster_multiprocessing(
             handle.conn.send(reply)
         except _PIPE_ERRORS:
             return False
-        rec.send("master", tel.now(), f"to slave{handle.slave_id}")
+        tel.trace("send", "master", tel.now(), detail=f"to slave{handle.slave_id}")
         handle.expecting_since = time.monotonic()
         return True
 
@@ -484,7 +479,7 @@ def cluster_multiprocessing(
             monitor.on_sample(msg)
             return
         t_recv = tel.now()
-        rec.recv("master", t_recv, f"from slave{handle.slave_id}")
+        tel.trace("recv", "master", t_recv, detail=f"from slave{handle.slave_id}")
         if isinstance(msg, _SlaveStats):
             # The last word of a cleanly stopped slave: retire its handle.
             stats[handle.slave_id] = msg
@@ -495,11 +490,9 @@ def cluster_multiprocessing(
                 monitor.slave_stopped(handle.slave_id)
             if tel.enabled:
                 # The slave's whole recorded run arrives with its final
-                # stats: timeline events, span events, metric snapshot.
-                tel.trace.extend(msg.events)
-                tel.events.extend(msg.span_events)
+                # stats: its event list and its metric snapshot.
+                tel.events.extend(msg.events)
                 tel.registry.merge_snapshot(msg.metrics)
-            causal.extend(msg.causal_events)
             return
         if isinstance(msg, _SlaveError):
             core.faults.slave_errors += 1
@@ -511,7 +504,9 @@ def cluster_multiprocessing(
         reply = core.on_message(msg, t_recv)
         t_done = tel.now()
         core.absorbed(handle.slave_id, t_done - t_recv)
-        rec.compute("master", t_recv, t_done, f"incorporate slave{handle.slave_id}")
+        tel.trace(
+            "compute", "master", t_recv, t_done, f"incorporate slave{handle.slave_id}"
+        )
         shard_busy[master.shard_of(handle.slave_id)] += t_done - t_recv
         if reply is not None and not send_reply(handle, reply):
             deaths.add(handle.slave_id)
@@ -627,8 +622,8 @@ def cluster_multiprocessing(
                 t_sync = tel.now()
                 per_shard = master.sync(now=t_sync)
                 t_done = tel.now()
-                rec.compute(
-                    "master", t_sync, t_done,
+                tel.trace(
+                    "compute", "master", t_sync, t_done,
                     f"shard sync: {sum(a for a, _ in per_shard)} unions, "
                     f"{sum(p for _, p in per_shard)} pruned",
                 )
@@ -683,7 +678,9 @@ def cluster_multiprocessing(
             t_drain = tel.now()
             for j in range(n_shards):
                 core.drain_locally(j, t_drain)
-            rec.compute("master", t_drain, tel.now(), "degraded: align locally")
+            tel.trace(
+                "compute", "master", t_drain, tel.now(), "degraded: align locally"
+            )
             record_fault(
                 "master",
                 f"finished degraded: aligned {core.local_aligned} pairs locally",

@@ -35,12 +35,12 @@ entry is ``(pair, unit, since)``; a grant in flight is ``(entries,
 sent_at)``, the entries it took out of WORKBUF; a PAIRBUF entry is
 ``(pair, unit)``.  ``unit`` is the pair's causal work-unit id
 (:mod:`repro.telemetry.causal`), ``since`` and ``sent_at`` the engine
-clock at admission and dispatch.  Latency observations go to a
-:class:`~repro.telemetry.latency.LatencyStore` and lifecycle events to a
-:class:`~repro.telemetry.causal.CausalRecorder`, always: an untraced run
-hands in their disabled forms, which drop everything and mint only
-``NO_UNIT``, so the code an untraced run executes is the code a causal
-trace describes.  Unit ids go on the wire only when the run is traced.
+clock at admission and dispatch.  Latency observations and lifecycle
+events go to the run's :class:`~repro.telemetry.spans.Telemetry`
+session, always: an untraced run hands in a disabled session, which
+drops everything, and its masters and slaves mint only ``NO_UNIT``, so
+the code an untraced run executes is the code a causal trace describes.
+Unit ids go on the wire only when the run is traced.
 
 Fault extension (not in the paper, which assumes immortal slaves): the
 master tracks the grants it dispatched to each slave that have not yet
@@ -69,14 +69,8 @@ from repro.cluster.waves import DEFER, Speculation, by_verdict, next_wave
 from repro.pairs.ondemand import OnDemandPairGenerator
 from repro.pairs.pair import Pair
 from repro.parallel.dispatch import DispatchPolicy, RequestContext, make_policy
-from repro.telemetry.causal import (
-    NO_UNIT,
-    NULL_CAUSAL,
-    NULL_MINTER,
-    CausalRecorder,
-    UnitMinter,
-)
-from repro.telemetry.latency import NULL_LATENCY, LatencyStore
+from repro.telemetry.causal import NO_UNIT, NULL_MINTER, UnitMinter
+from repro.telemetry.spans import Telemetry
 
 __all__ = ["SlaveMsg", "MasterMsg", "MasterLogic", "SlaveLogic"]
 
@@ -167,9 +161,8 @@ class MasterLogic:
         *,
         batchsize: int,
         workbuf_capacity: int,
-        latency: LatencyStore = NULL_LATENCY,
+        telemetry: Telemetry | None = None,
         policy: DispatchPolicy | str = "paper",
-        causal: CausalRecorder = NULL_CAUSAL,
         causal_actor: str = "master",
         causal_shard: int = 0,
     ) -> None:
@@ -193,23 +186,27 @@ class MasterLogic:
         # grants are ever outstanding.
         self.in_flight: dict[int, deque[tuple[tuple[Entry, ...], float]]] = {}
         self.stats = MasterStats()
-        #: Receives ``queue_master`` (per-pair WORKBUF dwell, admission or
-        #: requeue → dispatch) and ``rtt`` (dispatch → results absorbed,
-        #: per non-empty grant), timed by the ``now=`` the engine passes
-        #: on every call.  The default drops them.
-        self.latency = latency
+        #: The run's session.  Its latency store receives ``queue_master``
+        #: (per-pair WORKBUF dwell, admission or requeue → dispatch) and
+        #: ``rtt`` (dispatch → results absorbed, per non-empty grant),
+        #: timed by the ``now=`` the engine passes on every call; under
+        #: causal tracing it receives a lifecycle record at each custody
+        #: transfer, under ``causal_actor``, and unit ids go on the wire.
+        #: The default, a disabled session, drops them all.
+        if telemetry is None:
+            telemetry = Telemetry(enabled=False)
+        self.telemetry = telemetry
+        self.latency = telemetry.latency
         #: The work-allocation policy computing each reply's request size
         #: (:mod:`repro.parallel.dispatch`).  The default reproduces the
         #: paper's formula bit for bit.
         self.policy = make_policy(policy)
-        #: Receives a lifecycle event at each custody transfer, under
-        #: ``causal_actor``.  The default drops them and keeps unit ids
-        #: off the wire.
-        self.causal = causal
         self.causal_actor = causal_actor
         # Units for regenerated pairs (absorb_pairs); the shard index
         # rides the incarnation bits so shards can never collide.
-        self._recovery_mint = causal.minter(-1, causal_shard)
+        self._recovery_mint = (
+            UnitMinter(-1, causal_shard) if telemetry.causal else NULL_MINTER
+        )
         # What CLUSTERS would be if every in-flight pair were accepted
         # (see _next_wave), and the waves chosen since it was last rebuilt.
         self._speculation = Speculation(self.manager)
@@ -242,10 +239,15 @@ class MasterLogic:
         slave: int | None = None,
         reason: str | None = None,
     ) -> None:
-        """One ``event`` per distinct unit among ``units`` (one per pair)."""
-        self.causal.record_counts(
-            event, units, actor=self.causal_actor, ts=now, slave=slave, reason=reason
-        )
+        """One ``event`` per distinct unit among ``units`` (one per pair);
+        ``NO_UNIT`` pairs (from an untraced sender) are skipped."""
+        tel = self.telemetry
+        if not tel.causal:
+            return
+        for u, n in Counter(u for u in units if u != NO_UNIT).items():
+            tel.record_causal(
+                event, u, n, actor=self.causal_actor, ts=now, slave=slave, reason=reason
+            )
 
     # ------------------------------------------------------------------ #
 
@@ -456,7 +458,7 @@ class MasterLogic:
         return MasterMsg(
             work=work,
             request=request,
-            work_units=units if self.causal.enabled else (),
+            work_units=units if self.telemetry.causal else (),
         )
 
     def _note_stop(self, slave_id: int) -> None:
@@ -684,7 +686,7 @@ class MasterLogic:
         """
         pairs = tuple(pairs)
         unit = self._recovery_mint()
-        self.causal.record(
+        self.telemetry.record_causal(
             "generated", unit, len(pairs), actor=self.causal_actor, ts=now,
             reason="recovery",
         )

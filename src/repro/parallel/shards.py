@@ -33,8 +33,8 @@ from dataclasses import dataclass, fields
 from repro.cluster.manager import ClusterManager
 from repro.parallel.partition import assign_buckets
 from repro.parallel.protocol import MasterLogic, MasterMsg, MasterStats, SlaveMsg
-from repro.telemetry.causal import NULL_CAUSAL, CausalRecorder, format_unit
-from repro.telemetry.latency import NULL_LATENCY, LatencyStore
+from repro.telemetry.causal import format_unit
+from repro.telemetry.spans import Telemetry
 
 __all__ = ["ShardPlan", "plan_shards", "MasterShard", "ShardedMaster"]
 
@@ -176,9 +176,8 @@ class ShardedMaster:
         n_ests: int,
         batchsize: int,
         workbuf_capacity: int,
-        latency: LatencyStore = NULL_LATENCY,
+        telemetry: Telemetry | None = None,
         policy: str = "paper",
-        causal: CausalRecorder = NULL_CAUSAL,
     ) -> None:
         self.plan = plan
         self.n_ests = n_ests
@@ -192,9 +191,8 @@ class ShardedMaster:
                     n_slaves=len(plan.shard_slaves[j]),
                     batchsize=batchsize,
                     workbuf_capacity=workbuf_capacity,
-                    latency=latency,
+                    telemetry=telemetry,
                     policy=policy,
-                    causal=causal,
                     causal_actor=(
                         "master" if plan.n_shards == 1 else f"shard{j}"
                     ),

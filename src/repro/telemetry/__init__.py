@@ -1,12 +1,17 @@
-"""Unified telemetry: spans, metrics registry, machine traces, JSONL sinks.
+"""Unified telemetry: one session per run, its event list, and the readers.
 
 One subsystem instruments the whole pipeline — preprocess → GST
 construction → on-demand pair generation → alignment → cluster merging —
 across all three drivers (sequential, simulated multiprocessor, real
-multiprocessing), replacing the three ad-hoc mechanisms that preceded it
-(``TimingBreakdown`` is now a compatibility shim over the registry, the
-simulator-only trace recorder moved here and gained the mp backend, and
-fault counters are surfaced as ``fault.*`` metrics).
+multiprocessing).  A run's :class:`Telemetry` session is the only
+recorder of its events: phase spans, machine send/recv/compute/fault
+events and causal work-unit records all go into the session's one event
+list as the JSONL records they are written as, while counters, gauges,
+histograms and work-unit latencies go into its metrics registry
+(``TimingBreakdown`` is a view over that registry, and fault counters
+surface as ``fault.*`` metrics).  The report, analysis, export and
+postmortem modules read those records; the live monitor and the crash
+flight recorder keep streams of their own.
 
 Layering: this package depends only on the standard library, so every
 other layer of the system may import it freely.
@@ -49,7 +54,6 @@ from repro.telemetry.registry import (
 )
 from repro.telemetry.analyze import analyze_trace, diff_traces, stage_table
 from repro.telemetry.causal import (
-    CausalRecorder,
     UnitMinter,
     check_conservation,
     format_unit,
@@ -83,20 +87,14 @@ from repro.telemetry.monitor import (
 from repro.telemetry.sinks import (
     ACCEPTED_SCHEMAS,
     SCHEMA_VERSION,
-    TABLE3_ORDER,
     export_jsonl,
     load_jsonl,
     snapshot_records,
     summarise,
     validate_records,
 )
-from repro.telemetry.spans import Telemetry, TelemetrySnapshot
-from repro.telemetry.trace import (
-    TraceEvent,
-    TraceRecorder,
-    render_timeline,
-    utilisation,
-)
+from repro.telemetry.spans import TABLE3_ORDER, Telemetry, TelemetrySnapshot
+from repro.telemetry.trace import render_timeline, utilisation
 
 __all__ = [
     "Counter",
@@ -106,8 +104,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "Telemetry",
     "TelemetrySnapshot",
-    "TraceEvent",
-    "TraceRecorder",
     "render_timeline",
     "utilisation",
     "SCHEMA_VERSION",
@@ -135,7 +131,6 @@ __all__ = [
     "analyze_trace",
     "diff_traces",
     "stage_table",
-    "CausalRecorder",
     "UnitMinter",
     "check_conservation",
     "format_unit",

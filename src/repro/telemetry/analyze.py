@@ -35,6 +35,7 @@ import math
 
 from repro.telemetry.causal import check_conservation
 from repro.telemetry.latency import QUANTILES, STAGES, store_from_records
+from repro.telemetry.trace import busy_times
 
 __all__ = [
     "stage_table",
@@ -101,13 +102,7 @@ def _busy_by_actor(records: list[dict]) -> dict[str, float]:
     """Busy seconds per actor, from ``compute`` trace intervals (mp and
     instrumented slaves) unioned with ``busy.<actor>.seconds`` gauges
     (the simulator's accounting)."""
-    busy: dict[str, float] = {}
-    for rec in records:
-        if rec.get("kind") == "trace" and rec.get("event") == "compute":
-            dur = float(rec.get("end", rec["ts"])) - float(rec["ts"])
-            if dur > 0:
-                actor = rec.get("actor", "?")
-                busy[actor] = busy.get(actor, 0.0) + dur
+    busy = {actor: s for actor, s in busy_times(records).items() if s > 0}
     for rec in records:
         if (
             rec.get("kind") == "metric"

@@ -10,10 +10,14 @@ and cross-shard pruning, and leaves a lifecycle event trail:
 ``generated`` → ``admitted`` → ``dispatched`` → ``aligned`` →
 ``absorbed`` | ``requeued`` | ``pruned``
 
-Events are plain dicts (``kind="causal"``) that merge into the ordinary
-telemetry event stream and the ``repro-telemetry/4`` JSONL schema, so
-`pace-est analyze`, the Perfetto exporter (:mod:`repro.telemetry.export`)
-and `pace-est postmortem` all read the same records.
+Events are plain dicts (``kind="causal"``) that the run's telemetry
+session appends to its one event list as they happen
+(:meth:`~repro.telemetry.spans.Telemetry.record_causal`, kept only when
+the session's ``causal`` flag is set from ``config.causal_tracing``), so
+they are written in the ``repro-telemetry/4`` JSONL schema beside every
+other event, and `pace-est analyze`, the Perfetto exporter
+(:mod:`repro.telemetry.export`) and `pace-est postmortem` all read the
+same records.
 
 Unit ids pack ``(origin actor, incarnation, sequence)`` into one int so a
 replacement slave can never collide with its dead predecessor and the
@@ -21,8 +25,8 @@ origin is recoverable from the id alone (:func:`unit_parts`); the
 incarnation has 8 bits (:data:`MAX_INCARNATION`).  The master mints its
 own units for degraded-recovery regeneration (origin ``-1``, the shard
 index as incarnation).  An untraced run takes the same code path with
-:data:`NULL_CAUSAL` and :data:`NULL_MINTER`: every unit is
-:data:`NO_UNIT`, nothing is kept and no id goes on the wire.
+:data:`NULL_MINTER`: every unit is :data:`NO_UNIT`, the session keeps no
+record and no id goes on the wire.
 
 Conservation (:func:`check_conservation`) is accounted **master-side**:
 only pairs that enter master custody (admitted into WORKBUF) are
@@ -51,11 +55,8 @@ __all__ = [
     "MAX_INCARNATION",
     "UnitMinter",
     "NULL_MINTER",
-    "NullCausalRecorder",
-    "NULL_CAUSAL",
     "unit_parts",
     "format_unit",
-    "CausalRecorder",
     "UnitLedger",
     "ConservationReport",
     "check_conservation",
@@ -147,101 +148,6 @@ def format_unit(unit: int) -> str:
     if origin < 0:
         return f"m:{seq}"
     return f"s{origin}.{inc}:{seq}"
-
-
-class CausalRecorder:
-    """Collects causal lifecycle events as schema-ready records.
-
-    One recorder per process side (the master engine owns one; each mp
-    slave owns one whose events ship home inside the final stats
-    message).  Engines stamp every event with their own clock — wall
-    seconds from the telemetry origin under mp, virtual seconds under the
-    simulator — so merged streams sort the same way trace events do.
-    """
-
-    #: Unit ids go on the wire (:data:`NULL_CAUSAL` keeps them off).
-    enabled = True
-
-    def __init__(self) -> None:
-        self.events: list[dict] = []
-
-    def minter(self, origin: int, incarnation: int = 0) -> UnitMinter:
-        """A minter for units this side originates."""
-        return UnitMinter(origin, incarnation)
-
-    def record(
-        self,
-        event: str,
-        unit: int,
-        n: int,
-        *,
-        actor: str,
-        ts: float,
-        slave: int | None = None,
-        reason: str | None = None,
-    ) -> None:
-        rec: dict = {
-            "kind": "causal",
-            "event": event,
-            "unit": unit,
-            "n": n,
-            "actor": actor,
-            "ts": ts,
-        }
-        if slave is not None:
-            rec["slave"] = slave
-        if reason is not None:
-            rec["reason"] = reason
-        self.events.append(rec)
-
-    def record_counts(
-        self,
-        event: str,
-        units: Iterable[int],
-        *,
-        actor: str,
-        ts: float,
-        slave: int | None = None,
-        reason: str | None = None,
-    ) -> None:
-        """Record one event per distinct unit in a per-pair unit sequence
-        (e.g. the units of a dispatched grant).  ``NO_UNIT`` entries
-        (pairs from an untraced sender) are skipped."""
-        counts: dict[int, int] = {}
-        for u in units:
-            if u != NO_UNIT:
-                counts[u] = counts.get(u, 0) + 1
-        for u, n in counts.items():
-            self.record(event, u, n, actor=actor, ts=ts, slave=slave, reason=reason)
-
-    def extend(self, records: Iterable[dict]) -> None:
-        self.events.extend(records)
-
-    def as_records(self) -> list[dict]:
-        return list(self.events)
-
-
-class NullCausalRecorder(CausalRecorder):
-    """The recorder of an untraced run: keeps nothing and mints only
-    :data:`NO_UNIT`, so call sites record unconditionally instead of
-    guarding."""
-
-    enabled = False
-
-    def minter(self, origin: int, incarnation: int = 0) -> _NullUnitMinter:
-        return NULL_MINTER
-
-    def record(self, *args, **kwargs) -> None:
-        pass
-
-    record_counts = record
-
-    def extend(self, records: Iterable[dict]) -> None:
-        pass
-
-
-#: The one untraced recorder (it never holds an event).
-NULL_CAUSAL = NullCausalRecorder()
 
 
 # --------------------------------------------------------------------- #

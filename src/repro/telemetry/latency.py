@@ -38,12 +38,13 @@ parity test).
 slave-side observations merge into the master via the existing
 ``_SlaveStats`` snapshot path, latency histograms ride the normal JSONL
 ``metric`` records, and ``repro-telemetry/3`` summaries
-(:func:`latency_records`) are derivable from any snapshot.  The parallel
-engines and the protocol observe unconditionally: an untraced run hands
-them :data:`NULL_LATENCY`, which drops every observation — the pattern
-of :class:`~repro.telemetry.trace.NullTraceRecorder` — so traced and
-untraced runs execute the same code.  Every observation is kept; the
-full store costs <2% wall on the 30k monitored run (see EXPERIMENTS.md).
+(:func:`latency_records`) are derivable from any snapshot.  Every run
+reaches its store as :attr:`Telemetry.latency
+<repro.telemetry.spans.Telemetry.latency>`, and the parallel engines and
+the protocol observe unconditionally: a disabled session's store drops
+every observation, so traced and untraced runs execute the same code.
+Every observation is kept; the full store costs <2% wall on the 30k
+monitored run (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ __all__ = [
     "LATENCY_SUFFIX",
     "QUANTILES",
     "LatencyStore",
-    "NullLatencyStore",
-    "NULL_LATENCY",
     "latency_records",
     "store_from_records",
 ]
@@ -117,20 +116,25 @@ class LatencyStore:
     Observations go straight into log-bucketed histograms in ``registry``
     (own registry when none is given), so memory is O(stages × buckets)
     regardless of run length and merging slave stores into the master is
-    the registry's existing ``merge_snapshot``.
+    the registry's existing ``merge_snapshot``.  A store built with
+    ``enabled=False`` (a disabled session's) drops every observation.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+    def __init__(
+        self, registry: MetricsRegistry | None = None, *, enabled: bool = True
+    ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
+        self.enabled = enabled
 
     # ---- write path ---------------------------------------------------- #
 
     def observe(self, stage: str, seconds: float) -> None:
         """Record one stage latency (negative clamps to 0 — monotonic
         clocks across forked processes can disagree by nanoseconds)."""
-        self.registry.observe(
-            stage_metric(stage), max(0.0, seconds), LATENCY_BUCKETS
-        )
+        if self.enabled:
+            self.registry.observe(
+                stage_metric(stage), max(0.0, seconds), LATENCY_BUCKETS
+            )
 
     # ---- read path ----------------------------------------------------- #
 
@@ -191,19 +195,6 @@ class LatencyStore:
             h.count = int(rec["count"])
             h.sum = float(rec["sum"])
         return store
-
-
-class NullLatencyStore(LatencyStore):
-    """The store of an untraced run: drops every observation, so call
-    sites observe unconditionally instead of guarding."""
-
-    def observe(self, stage: str, seconds: float) -> None:
-        pass
-
-
-#: The disabled store.  It never holds anything, so every untraced
-#: caller shares this one.
-NULL_LATENCY = NullLatencyStore()
 
 
 def latency_records(store: LatencyStore) -> list[dict]:

@@ -44,12 +44,17 @@ from typing import IO, Iterable
 
 from repro.telemetry.causal import CAUSAL_EVENTS
 from repro.telemetry.latency import LatencyStore, latency_records
-from repro.telemetry.spans import SPAN_PREFIX, SPAN_SUFFIX, TelemetrySnapshot
+from repro.telemetry.spans import (
+    SPAN_PREFIX,
+    TABLE3_ORDER,
+    TelemetrySnapshot,
+    phase_of,
+)
+from repro.telemetry.trace import busy_times
 
 __all__ = [
     "SCHEMA_VERSION",
     "ACCEPTED_SCHEMAS",
-    "TABLE3_ORDER",
     "snapshot_records",
     "export_jsonl",
     "load_jsonl",
@@ -74,11 +79,6 @@ ACCEPTED_SCHEMAS = frozenset(
         "repro-telemetry/4",
     }
 )
-
-#: The paper's Table 3 component columns, in presentation order.  (Kept
-#: in sync with ``repro.core.results.COMPONENT_ORDER``; duplicated here so
-#: the telemetry layer stays importable without the clustering stack.)
-TABLE3_ORDER = ("partitioning", "gst_construction", "sort_nodes", "alignment")
 
 _EVENT_KINDS = frozenset({"span_start", "span_end", "trace", "causal"})
 _TRACE_EVENTS = frozenset({"send", "recv", "compute", "fault"})
@@ -138,12 +138,13 @@ def export_jsonl(snapshot: TelemetrySnapshot, path: Path | str | IO[str]) -> int
 def load_jsonl(path: Path | str, *, tolerant: bool = False) -> list[dict]:
     """Parse a JSONL trace back into records.
 
-    Syntax errors raise with the offending line number, except in
-    ``tolerant`` mode: a run killed mid-write leaves a truncated final
-    line, so a JSON error on the *last* non-empty line is reported as a
-    warning and skipped (anything earlier is real corruption and still
-    raises).  `pace-est postmortem`/`analyze` load tolerantly — they
-    exist precisely for the runs that died messily.
+    Syntax errors raise ``ValueError`` with the offending line number,
+    except in ``tolerant`` mode: a run killed mid-write leaves a truncated
+    final line, so a JSON error on the *last* non-empty line is reported
+    as a warning and skipped (anything earlier is real corruption and
+    still raises).  `pace-est postmortem` loads tolerantly — it exists
+    precisely for the runs that died messily.  A line that parses but is
+    not a JSON object is never a record and always raises.
     """
     lines = [
         (lineno, line.strip())
@@ -153,7 +154,7 @@ def load_jsonl(path: Path | str, *, tolerant: bool = False) -> list[dict]:
     records: list[dict] = []
     for idx, (lineno, line) in enumerate(lines):
         try:
-            records.append(json.loads(line))
+            rec = json.loads(line)
         except json.JSONDecodeError as exc:
             if tolerant and idx == len(lines) - 1:
                 warnings.warn(
@@ -163,6 +164,11 @@ def load_jsonl(path: Path | str, *, tolerant: bool = False) -> list[dict]:
                 )
                 break
             raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise ValueError(
+                f"{path}:{lineno}: not a JSON object: {type(rec).__name__}"
+            )
+        records.append(rec)
     return records
 
 
@@ -171,9 +177,14 @@ def load_jsonl(path: Path | str, *, tolerant: bool = False) -> list[dict]:
 # --------------------------------------------------------------------- #
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float))
+
+
 def validate_records(records: Iterable[dict]) -> list[str]:
     """Schema-check a record stream; returns a list of problems (empty
-    means valid).  This is what the CI smoke job runs on exported traces."""
+    means valid), a field that should hold a number and does not among
+    them.  This is what the CI smoke job runs on exported traces."""
     problems: list[str] = []
     records = list(records)
     if not records:
@@ -208,7 +219,10 @@ def validate_records(records: Iterable[dict]) -> list[str]:
                 )
             live_ts[actor] = ts
             for field in ("rss_bytes", "pairs_generated", "alignments"):
-                if rec.get(field, 0) < 0:
+                value = rec.get(field, 0)
+                if not _number(value):
+                    problems.append(f"record {i}: {field} {value!r} is not a number")
+                elif value < 0:
                     problems.append(f"record {i}: negative {field}")
         elif kind == "live_state":
             ts = rec.get("ts")
@@ -222,7 +236,7 @@ def validate_records(records: Iterable[dict]) -> list[str]:
                 )
             last_state_ts = ts
             progress = rec.get("progress", 0.0)
-            if not 0.0 <= progress <= 1.0:
+            if not _number(progress) or not 0.0 <= progress <= 1.0:
                 problems.append(
                     f"record {i}: progress {progress!r} outside [0, 1]"
                 )
@@ -241,7 +255,10 @@ def validate_records(records: Iterable[dict]) -> list[str]:
                     problems.append(
                         f"record {i}: unknown trace event {rec.get('event')!r}"
                     )
-                if rec.get("end", ts) < ts:
+                end = rec.get("end", ts)
+                if not _number(end):
+                    problems.append(f"record {i}: end {end!r} is not a number")
+                elif end < ts:
                     problems.append(f"record {i}: interval ends before it starts")
                 if not rec.get("actor"):
                     problems.append(f"record {i}: trace event without actor")
@@ -259,16 +276,36 @@ def validate_records(records: Iterable[dict]) -> list[str]:
             else:
                 if not rec.get("name"):
                     problems.append(f"record {i}: span without a name")
-                if kind == "span_end" and rec.get("duration", 0.0) < 0:
+                duration = rec.get("duration", 0.0)
+                if kind == "span_end" and not _number(duration):
+                    problems.append(
+                        f"record {i}: duration {duration!r} is not a number"
+                    )
+                elif kind == "span_end" and duration < 0:
                     problems.append(f"record {i}: negative span duration")
         elif kind == "metric":
             if rec.get("metric") not in _METRIC_KINDS:
                 problems.append(f"record {i}: unknown metric kind {rec.get('metric')!r}")
             elif not rec.get("name"):
                 problems.append(f"record {i}: metric without a name")
-            elif rec["metric"] == "histogram":
+            elif rec["metric"] != "histogram":
+                if not _number(rec.get("value")):
+                    problems.append(
+                        f"record {i}: {rec['metric']} {rec['name']!r} value "
+                        f"{rec.get('value')!r} is not a number"
+                    )
+            else:
                 buckets, counts = rec.get("buckets", []), rec.get("counts", [])
-                if len(counts) != len(buckets) + 1:
+                if not (
+                    isinstance(buckets, list)
+                    and isinstance(counts, list)
+                    and all(map(_number, buckets + counts))
+                ):
+                    problems.append(
+                        f"record {i}: histogram {rec['name']!r} buckets and "
+                        f"counts must be lists of numbers"
+                    )
+                elif len(counts) != len(buckets) + 1:
                     problems.append(
                         f"record {i}: histogram {rec['name']!r} needs "
                         f"len(buckets)+1 counts, got {len(counts)}"
@@ -283,12 +320,18 @@ def validate_records(records: Iterable[dict]) -> list[str]:
             if not stage:
                 problems.append(f"record {i}: latency record without a stage")
                 continue
-            if rec.get("count", 0) <= 0:
+            count, total = rec.get("count", 0), rec.get("sum", 0.0)
+            if not _number(count) or count <= 0:
                 problems.append(
                     f"record {i}: latency stage {stage!r} with count "
                     f"{rec.get('count')!r} (empty stages are omitted)"
                 )
-            if rec.get("sum", 0.0) < 0:
+            if not _number(total):
+                problems.append(
+                    f"record {i}: latency stage {stage!r} sum {total!r} is not "
+                    f"a number"
+                )
+            elif total < 0:
                 problems.append(f"record {i}: latency stage {stage!r} negative sum")
             qs = [rec.get(q) for q in ("p50", "p90", "p99", "p999")]
             if any(not isinstance(q, (int, float)) for q in qs):
@@ -323,20 +366,10 @@ def _phase_times(records: list[dict]) -> dict[str, float]:
     out: dict[str, float] = {}
     for rec in records:
         if rec.get("kind") == "metric" and rec.get("metric") == "counter":
-            name = rec["name"]
-            if name.startswith(SPAN_PREFIX) and name.endswith(SPAN_SUFFIX):
-                out[name[len(SPAN_PREFIX) : -len(SPAN_SUFFIX)]] = rec["value"]
+            phase = phase_of(rec["name"])
+            if phase is not None:
+                out[phase] = rec["value"]
     return out
-
-
-def _busy_times(records: list[dict]) -> dict[str, float]:
-    busy: dict[str, float] = {}
-    for rec in records:
-        if rec.get("kind") == "trace" and rec.get("event") == "compute":
-            busy[rec["actor"]] = busy.get(rec["actor"], 0.0) + (
-                rec.get("end", rec["ts"]) - rec["ts"]
-            )
-    return busy
 
 
 def summarise(records: list[dict]) -> str:
@@ -362,7 +395,7 @@ def summarise(records: list[dict]) -> str:
             lines.append(f"  {name:<{width}s}  {phases[name]:10.4f}")
         lines.append(f"  {'total':<{width}s}  {sum(phases.values()):10.4f}")
 
-    busy = _busy_times(records)
+    busy = busy_times(records)
     if busy:
         lines.append("")
         lines.append("per-actor utilisation (busy fraction of total time):")

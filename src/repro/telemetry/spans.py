@@ -1,33 +1,37 @@
-"""Phase-scoped spans and the per-run :class:`Telemetry` session.
+"""The per-run :class:`Telemetry` session: the one recorder of a run's events.
 
 One :class:`Telemetry` object accompanies one clustering run.  It owns
 
 - a :class:`~repro.telemetry.registry.MetricsRegistry` every layer writes
   into (phase seconds, pair counters, band-width histograms, fault
-  counters),
-- a :class:`~repro.telemetry.trace.TraceRecorder` for the machine-level
-  send/recv/compute/fault timeline, and
-- the structured **span** event stream: ``span(name)`` is a context
-  manager that emits start/end events with nesting (parent ids) and
-  accumulates the duration into the registry counter
-  ``span.<name>.seconds`` — which is exactly what
-  :class:`~repro.util.timing.TimingBreakdown` now reads, so Table 3's
-  component accounting and the telemetry layer can never disagree.
+  counters), with the work-unit :class:`~repro.telemetry.latency.
+  LatencyStore` over it (:attr:`Telemetry.latency`), and
+- the run's one **event list**, :attr:`Telemetry.events`, holding every
+  event as the JSONL record it is written as: ``span(name)`` is a context
+  manager that emits nested start/end records and accumulates the
+  duration into the registry counter ``span.<name>.seconds`` (which is
+  exactly what :class:`~repro.util.timing.TimingBreakdown` reads, so
+  Table 3's component accounting and the telemetry layer can never
+  disagree); :meth:`Telemetry.trace` appends the machine-level
+  send/recv/compute/fault events; :meth:`Telemetry.record_causal` the
+  work-unit lifecycle records of :mod:`repro.telemetry.causal`.
 
 The **disabled** mode (``Telemetry(enabled=False)``) is the hot-path
 default used when no caller asked for telemetry: spans still accumulate
 phase seconds (results always carry timings, as they did before this
-layer existed) but no events are recorded (the trace recorder is a
-:class:`~repro.telemetry.trace.NullTraceRecorder`) and the per-item
-instruments (`count`/`observe`/`set_gauge`) become no-ops, keeping the
-overhead of an uninstrumented run indistinguishable from the old
-``TimingBreakdown``.
+layer existed) but no event is kept, the latency store drops its
+observations and the per-item instruments (`count`/`observe`/`set_gauge`)
+become no-ops, keeping the overhead of an uninstrumented run
+indistinguishable from the old ``TimingBreakdown``.  Causal records are
+kept only when :attr:`Telemetry.causal` is set as well, which the engines
+do from ``config.causal_tracing``.
 
 Timestamps are seconds since the session ``origin`` (``time.monotonic``
-based, so recorders in forked slave processes that share the master's
-origin produce directly comparable offsets).  The simulator does not use
-the wall clock at all: it writes virtual times into the trace and phase
-seconds into the registry, and marks its snapshot ``clock="virtual"``.
+based, so sessions in forked slave processes that share the master's
+origin produce directly comparable offsets, and the master appends their
+events to its own list).  The simulator does not use the wall clock at
+all: it records virtual times and phase seconds, and marks its snapshot
+``clock="virtual"``.
 """
 
 from __future__ import annotations
@@ -36,14 +40,45 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.telemetry.latency import LatencyStore
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.trace import NullTraceRecorder, TraceRecorder
 
-__all__ = ["Telemetry", "TelemetrySnapshot", "SPAN_PREFIX", "SPAN_SUFFIX"]
+__all__ = [
+    "Telemetry",
+    "TelemetrySnapshot",
+    "SPAN_PREFIX",
+    "SPAN_SUFFIX",
+    "TABLE3_ORDER",
+    "phase_metric",
+    "phase_of",
+]
 
 #: Registry counter naming for span durations: ``span.<name>.seconds``.
 SPAN_PREFIX = "span."
 SPAN_SUFFIX = ".seconds"
+
+#: The paper's Table 3 component columns, in presentation order.
+TABLE3_ORDER = ("partitioning", "gst_construction", "sort_nodes", "alignment")
+
+#: Tie order of events at one timestamp: spans, then causal records, then
+#: machine events by interval end.
+_KIND_RANK = {"span_start": 0, "span_end": 0, "causal": 1, "trace": 2}
+
+
+def phase_metric(name: str) -> str:
+    """The registry counter holding phase ``name``'s seconds."""
+    return f"{SPAN_PREFIX}{name}{SPAN_SUFFIX}"
+
+
+def phase_of(metric: str) -> str | None:
+    """The phase a ``span.<name>.seconds`` counter name holds, else ``None``."""
+    if metric.startswith(SPAN_PREFIX) and metric.endswith(SPAN_SUFFIX):
+        return metric[len(SPAN_PREFIX) : -len(SPAN_SUFFIX)]
+    return None
+
+
+def _event_order(rec: dict) -> tuple:
+    return (rec["ts"], _KIND_RANK[rec["kind"]], rec.get("end", 0.0))
 
 
 @dataclass
@@ -51,10 +86,10 @@ class TelemetrySnapshot:
     """Everything one run measured, detached from the live session.
 
     ``meta`` identifies the run (engine, processor count, clock domain,
-    total time); ``events`` is the merged span + trace event stream as
-    JSON-able records sorted by timestamp; ``metrics`` is the registry
-    snapshot.  This is what ``ClusteringResult.telemetry`` carries and
-    what the JSONL sinks serialise.
+    total time); ``events`` is the event list as JSON-able records sorted
+    by timestamp; ``metrics`` is the registry snapshot.  This is what
+    ``ClusteringResult.telemetry`` carries and what the JSONL sinks
+    serialise.
     """
 
     meta: dict = field(default_factory=dict)
@@ -64,11 +99,11 @@ class TelemetrySnapshot:
     def phase_times(self) -> dict[str, float]:
         """Per-phase seconds from the ``span.*.seconds`` counters — one
         Table 3 row, keyed by component name."""
-        out: dict[str, float] = {}
-        for name, value in self.metrics.get("counters", {}).items():
-            if name.startswith(SPAN_PREFIX) and name.endswith(SPAN_SUFFIX):
-                out[name[len(SPAN_PREFIX) : -len(SPAN_SUFFIX)]] = value
-        return out
+        return {
+            phase: value
+            for name, value in self.metrics.get("counters", {}).items()
+            if (phase := phase_of(name)) is not None
+        }
 
     @property
     def total_time(self) -> float:
@@ -85,8 +120,12 @@ class Telemetry:
         origin: float | None = None,
         registry: MetricsRegistry | None = None,
         run_id: str = "",
+        causal: bool = False,
     ) -> None:
         self.enabled = enabled
+        #: Keep causal work-unit records (engines set it from
+        #: ``config.causal_tracing``); a disabled session keeps none.
+        self.causal = causal and enabled
         #: ``time.monotonic()`` value that maps to ts == 0.0.  Forked
         #: slaves are handed the master's origin so their wall-clock
         #: offsets land on the same axis.
@@ -95,24 +134,20 @@ class Telemetry:
         #: Shared with the monitor's live stream when both are active, so
         #: post-run traces and live scrapes can be joined on it.
         self.run_id = run_id
-        self.trace = TraceRecorder() if enabled else NullTraceRecorder()
+        #: The run's events, in the order they were recorded.
         self.events: list[dict] = []
         self._stack: list[int] = []
         self._next_id = 0
-        self._latency = None
+        self._latency: LatencyStore | None = None
 
     @property
-    def latency(self):
-        """The session's work-unit :class:`LatencyStore` when enabled,
-        ``None`` otherwise — call sites guard with ``if lat is not None``
-        so a disabled session leaves hot paths untouched.  Lazy so that a
-        session that never observes latency allocates nothing."""
-        if not self.enabled:
-            return None
+    def latency(self) -> LatencyStore:
+        """The session's work-unit :class:`LatencyStore`, over its
+        registry; a disabled session's drops every observation, so hot
+        paths observe unconditionally.  Lazy so that a session that never
+        observes latency allocates nothing."""
         if self._latency is None:
-            from repro.telemetry.latency import LatencyStore
-
-            self._latency = LatencyStore(self.registry)
+            self._latency = LatencyStore(self.registry, enabled=self.enabled)
         return self._latency
 
     def now(self) -> float:
@@ -147,7 +182,7 @@ class Telemetry:
             yield
         finally:
             end = self.now()
-            self.registry.inc(f"{SPAN_PREFIX}{name}{SPAN_SUFFIX}", end - start)
+            self.registry.inc(phase_metric(name), end - start)
             if self.enabled:
                 self._stack.pop()
                 self.events.append(
@@ -165,7 +200,61 @@ class Telemetry:
     def add_phase(self, name: str, seconds: float) -> None:
         """Account phase time measured externally (the simulator's
         virtual clock charges phases this way)."""
-        self.registry.inc(f"{SPAN_PREFIX}{name}{SPAN_SUFFIX}", seconds)
+        self.registry.inc(phase_metric(name), seconds)
+
+    # ---- events (dropped when disabled) ------------------------------- #
+
+    def trace(
+        self,
+        event: str,
+        actor: str,
+        ts: float,
+        end: float | None = None,
+        detail: str = "",
+    ) -> None:
+        """A machine event: ``event`` ∈ send/recv/compute/fault by
+        ``actor`` ("master", "shard<j>" or "slave<k>") over ``[ts, end]``
+        (``end`` defaults to ``ts``, an instant).  ``fault`` events record
+        slave crashes and the master's recovery actions."""
+        if not self.enabled:
+            return
+        if end is None:
+            end = ts
+        elif end < ts:
+            raise ValueError(f"{event} event of {actor} ends before it starts")
+        rec = {"kind": "trace", "event": event, "actor": actor, "ts": ts, "end": end}
+        if detail:
+            rec["detail"] = detail
+        self.events.append(rec)
+
+    def record_causal(
+        self,
+        event: str,
+        unit: int,
+        n: int,
+        *,
+        actor: str,
+        ts: float,
+        slave: int | None = None,
+        reason: str | None = None,
+    ) -> None:
+        """A work-unit lifecycle record: ``n`` pairs of ``unit`` went
+        through ``event`` at ``actor`` (kept only when :attr:`causal`)."""
+        if not self.causal:
+            return
+        rec: dict = {
+            "kind": "causal",
+            "event": event,
+            "unit": unit,
+            "n": n,
+            "actor": actor,
+            "ts": ts,
+        }
+        if slave is not None:
+            rec["slave"] = slave
+        if reason is not None:
+            rec["reason"] = reason
+        self.events.append(rec)
 
     # ---- point instruments (no-ops when disabled) --------------------- #
 
@@ -201,7 +290,7 @@ class Telemetry:
 
         ``meta`` keys (engine, n_processors, clock, total_time, ...) are
         recorded verbatim; ``clock`` defaults to "wall" and ``total_time``
-        to the session age.
+        to the session age.  Events are sorted onto the one run clock.
         """
         meta.setdefault("clock", "wall")
         if "total_time" not in meta:
@@ -209,9 +298,8 @@ class Telemetry:
         meta.setdefault("origin", self.origin)
         if self.run_id:
             meta.setdefault("run_id", self.run_id)
-        events = list(self.events)
-        events.extend(ev.as_record() for ev in self.trace.ordered())
-        events.sort(key=lambda r: r["ts"])
         return TelemetrySnapshot(
-            meta=meta, events=events, metrics=self.registry.snapshot()
+            meta=meta,
+            events=sorted(self.events, key=_event_order),
+            metrics=self.registry.snapshot(),
         )

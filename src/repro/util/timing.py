@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.spans import SPAN_PREFIX, SPAN_SUFFIX
+from repro.telemetry.spans import phase_metric, phase_of
 
 __all__ = ["Stopwatch", "TimingBreakdown"]
 
@@ -60,17 +60,13 @@ class TimingBreakdown:
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
 
-    @staticmethod
-    def _key(name: str) -> str:
-        return f"{SPAN_PREFIX}{name}{SPAN_SUFFIX}"
-
     @property
     def components(self) -> dict[str, float]:
         """Component -> seconds, in first-recorded order."""
         return {
-            key[len(SPAN_PREFIX) : -len(SPAN_SUFFIX)]: counter.value
+            phase: counter.value
             for key, counter in self.registry.counters.items()
-            if key.startswith(SPAN_PREFIX) and key.endswith(SPAN_SUFFIX)
+            if (phase := phase_of(key)) is not None
         }
 
     @contextmanager
@@ -83,10 +79,10 @@ class TimingBreakdown:
             self.add(name, time.perf_counter() - t0)
 
     def add(self, name: str, seconds: float) -> None:
-        self.registry.inc(self._key(name), seconds)
+        self.registry.inc(phase_metric(name), seconds)
 
     def get(self, name: str) -> float:
-        return self.registry.get(self._key(name))
+        return self.registry.get(phase_metric(name))
 
     @property
     def total(self) -> float:

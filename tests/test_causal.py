@@ -27,7 +27,6 @@ from repro.parallel import (
     simulate_clustering,
 )
 from repro.telemetry import (
-    CausalRecorder,
     FlightRecorder,
     Telemetry,
     UnitMinter,

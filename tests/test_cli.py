@@ -1,5 +1,7 @@
 """Tests for the pace-est command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -160,6 +162,52 @@ class TestClusterBadInput:
         fa.write_text(_GOOD)
         with pytest.raises(ValueError, match="a bug"):
             main(["cluster", str(fa)])
+
+
+_META = '{"kind": "meta", "schema": "repro-telemetry/4"}\n'
+_REFERENCE = Path(__file__).parent / "data" / "reference_trace.jsonl"
+
+
+class TestTraceBadInput:
+    """A trace the tools cannot read is answered like bad cluster input:
+    one stderr line and exit status 2 (status 1 stays the gates')."""
+
+    @pytest.mark.parametrize(
+        "command", ["report", "analyze", "perfetto", "monitor", "diff"]
+    )
+    @pytest.mark.parametrize(
+        "content, cause",
+        [
+            (None, "No such file or directory"),
+            (_META + "[1, 2]\n", ":2: not a JSON object: list"),
+            (
+                _META + '{"kind": "trace", "event": "send", "actor": "master", '
+                '"ts": 1.0, "end": "x"}\n',
+                "record 1: end 'x' is not a number",
+            ),
+            (
+                _META + '{"kind": "metric", "metric": "histogram", "name": "h", '
+                '"buckets": [1.0], "counts": [0, "1"], "count": 1, "sum": 1.0}\n',
+                "record 1: histogram 'h' buckets and counts must be lists of "
+                "numbers",
+            ),
+        ],
+        ids=["missing_file", "non_object_line", "string_end", "string_count"],
+    )
+    def test_one_line_and_exit_2(self, tmp_path, capsys, command, content, cause):
+        trace = tmp_path / "bad.jsonl"
+        if content is not None:
+            trace.write_text(content)
+        # diff names whichever of its two traces is bad: here the candidate.
+        argv = [command, str(_REFERENCE), str(trace)] if command == "diff" else [
+            command, str(trace)
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"pace-est: error: {trace}")
+        assert cause in line and "Traceback" not in line
 
 
 class TestEvaluate:

@@ -169,8 +169,11 @@ class TestLatencyStore:
 
 
 class TestDisabledTelemetry:
-    def test_disabled_session_has_no_store(self):
-        assert Telemetry(enabled=False).latency is None
+    def test_disabled_session_store_drops_observations(self):
+        tel = Telemetry(enabled=False)
+        tel.latency.observe("align", 1.0)
+        assert tel.latency.count("align") == 0
+        assert not tel.registry.histograms
 
     def test_enabled_session_lazily_creates_one(self):
         tel = Telemetry()
@@ -194,9 +197,10 @@ class TestMasterLogicLatency:
         )
 
     def test_queue_master_measures_admission_to_dispatch(self):
-        store = LatencyStore()
+        tel = Telemetry()
+        store = tel.latency
         logic = MasterLogic(
-            10, 1, batchsize=4, workbuf_capacity=100, latency=store
+            10, 1, batchsize=4, workbuf_capacity=100, telemetry=tel
         )
         pairs = tuple(_pair(0, i + 1) for i in range(4))
         # admitted and dispatched in the same reply → dwell 0; the next
@@ -210,9 +214,10 @@ class TestMasterLogicLatency:
         assert store.total("queue_master") >= 0.0
 
     def test_rtt_observed_when_batch_retires(self):
-        store = LatencyStore()
+        tel = Telemetry()
+        store = tel.latency
         logic = MasterLogic(
-            10, 1, batchsize=2, workbuf_capacity=100, latency=store
+            10, 1, batchsize=2, workbuf_capacity=100, telemetry=tel
         )
         logic.on_message(self._msg(0, (_pair(0, 1), _pair(0, 2))), now=1.0)
         logic.on_message(self._msg(0, (_pair(3, 4), _pair(3, 5))), now=2.0)
@@ -225,9 +230,10 @@ class TestMasterLogicLatency:
         assert store.total("rtt") == pytest.approx(3.5)
 
     def test_slave_loss_requeues_and_restamps(self):
-        store = LatencyStore()
+        tel = Telemetry()
+        store = tel.latency
         logic = MasterLogic(
-            10, 2, batchsize=2, workbuf_capacity=100, latency=store
+            10, 2, batchsize=2, workbuf_capacity=100, telemetry=tel
         )
         a, b = _pair(0, 1), _pair(0, 2)
         logic.on_message(self._msg(0, (a, b)), now=1.0)
@@ -246,11 +252,12 @@ class TestMasterLogicLatency:
         deferred entry must keep its admission stamp and work unit, a
         dropped one must settle its unit as pruned at dispatch."""
         from repro.align.scoring import AlignmentResult, OverlapPattern
-        from repro.telemetry.causal import CausalRecorder, check_conservation
+        from repro.telemetry.causal import check_conservation
 
-        store, causal = LatencyStore(), CausalRecorder()
+        tel = Telemetry(causal=True)
+        store = tel.latency
         logic = MasterLogic(
-            10, 2, batchsize=2, workbuf_capacity=100, latency=store, causal=causal
+            10, 2, batchsize=2, workbuf_capacity=100, telemetry=tel
         )
         a, b, c, d, e = (
             _pair(0, 1), Pair(11, 0, 0, 2, 0), _pair(2, 3), _pair(4, 5), _pair(6, 7)
@@ -278,12 +285,12 @@ class TestMasterLogicLatency:
         assert not logic.workbuf
         assert logic.stats.pairs_pruned == 1
         assert store.count("queue_master") == 4  # a dropped pair never dwelt
-        pruned = [r for r in causal.as_records() if r["event"] == "pruned"]
+        pruned = [r for r in tel.events if r["event"] == "pruned"]
         assert [(r["unit"], r["n"], r["reason"]) for r in pruned] == [
             (7, 1, "dispatch")
         ]
         # Unit 7: 2 admitted == 1 dispatched (still in flight) + 1 pruned.
-        ledger = check_conservation(causal.as_records()).ledgers[7]
+        ledger = check_conservation(tel.events).ledgers[7]
         assert ledger.workbuf_leftover == 0 and ledger.flight_leftover == 1
 
 

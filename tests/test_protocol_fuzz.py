@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterManager, UnionFind
 from repro.parallel.protocol import MasterLogic, MasterMsg, SlaveMsg
 from repro.pairs import Pair
-from repro.telemetry.causal import CausalRecorder, UnitMinter, check_conservation
-from repro.telemetry.latency import LatencyStore
+from repro.telemetry import Telemetry
+from repro.telemetry.causal import UnitMinter, check_conservation
 
 
 def _reject(pair: Pair) -> bool:
@@ -222,8 +222,8 @@ def _drive(master: MasterLogic, slaves: list[_ScriptedSlave], rng) -> list[tuple
 
 def _drive_twice(slaves: list[_ScriptedSlave], batchsize: int, n_ests: int, rng):
     """Drive one schedule on a bare master, then again — fresh slaves,
-    same message order — on one with a latency store and a causal
-    recorder.  The records must change nothing: same replies, same
+    same message order — on one recording into a telemetry session with
+    causal tracing on.  The records must change nothing: same replies, same
     stats; and every work unit the traced master took custody of must
     balance.  Returns the bare run's ``(master, slaves, replies)``."""
     state = rng.getstate()
@@ -231,7 +231,7 @@ def _drive_twice(slaves: list[_ScriptedSlave], batchsize: int, n_ests: int, rng)
     runs = []
     for fleet, telemetry in (
         (slaves, {}),
-        (twins, {"latency": LatencyStore(), "causal": CausalRecorder()}),
+        (twins, {"telemetry": Telemetry(causal=True)}),
     ):
         rng.setstate(state)
         master = MasterLogic(
@@ -245,7 +245,7 @@ def _drive_twice(slaves: list[_ScriptedSlave], batchsize: int, n_ests: int, rng)
     (bare, _, replies), (traced, _, traced_replies) = runs
     assert traced_replies == replies
     assert traced.stats == bare.stats
-    report = check_conservation(traced.causal.as_records())
+    report = check_conservation(traced.telemetry.events)
     assert report.ok(), report.lines()
     return runs[0]
 

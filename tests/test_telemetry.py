@@ -172,7 +172,7 @@ class TestSpans:
         tel = Telemetry()
         with tel.span("alignment"):
             pass
-        tel.trace.compute("slave0", 0.0, 1.0, "work")
+        tel.trace("compute", "slave0", 0.0, 1.0, "work")
         snap = tel.snapshot(engine="test", n_processors=2)
         assert snap.meta["clock"] == "wall"
         assert snap.meta["total_time"] >= 0.0
@@ -207,8 +207,8 @@ def _sample_snapshot():
     tel.count("pairs.produced", 7)
     tel.observe("pairs.batch_size", 3, (1, 5, 10))
     tel.set_gauge("machine.load_imbalance", 0.1)
-    tel.trace.compute("master", 0.0, 0.25, "incorporate")
-    tel.trace.compute("slave0", 0.0, 0.75, "align")
+    tel.trace("compute", "master", 0.0, 0.25, "incorporate")
+    tel.trace("compute", "slave0", 0.0, 0.75, "align")
     tel.registry.inc("fault.crashes_detected", 1)
     return tel.snapshot(engine="test", n_processors=2, total_time=1.0)
 
@@ -262,6 +262,18 @@ class TestSinks:
             {"kind": "trace", "event": "teleport", "actor": "master", "ts": 99.0}
         ]
         assert any("unknown trace event" in p for p in validate_records(weird))
+        # Fields that must be numbers and are not: problems, not TypeErrors.
+        typed = records + [
+            {"kind": "trace", "event": "send", "actor": "master", "ts": 99.0,
+             "end": "x"},
+            {"kind": "metric", "metric": "histogram", "name": "h",
+             "buckets": [1.0], "counts": [0, "1"], "count": 1, "sum": 1.0},
+            {"kind": "metric", "metric": "gauge", "name": "g", "value": "1"},
+        ]
+        found = validate_records(typed)
+        assert any("end 'x' is not a number" in p for p in found)
+        assert any("lists of numbers" in p for p in found)
+        assert any("value '1' is not a number" in p for p in found)
 
     def test_summarise_reconstructs_measurements(self):
         text = summarise(snapshot_records(_sample_snapshot()))
@@ -275,7 +287,7 @@ class TestSinks:
 
     def test_summarise_zero_total_time(self):
         tel = Telemetry()
-        tel.trace.compute("master", 0.0, 0.0, "nothing")
+        tel.trace("compute", "master", 0.0, 0.0, "nothing")
         text = summarise(snapshot_records(tel.snapshot(total_time=0.0)))
         assert "0.00%" in text  # no ZeroDivisionError
 
@@ -494,6 +506,5 @@ class TestCliReport:
 
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "metric", "metric": "counter", "name": "x", "value": 1}\n')
-        with pytest.raises(SystemExit):
-            main(["report", str(path)])
+        assert main(["report", str(path)]) == 2
         assert "expected a meta" in capsys.readouterr().err
