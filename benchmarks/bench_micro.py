@@ -21,9 +21,10 @@ from repro.align import (
 )
 from repro.cluster import UnionFind
 from repro.pairs import SaPairGenerator, VectorPairGenerator
+from repro.sequence.alphabet import SIGMA
 from repro.suffix import build_suffix_array
-from repro.suffix.lcp import lcp_from_refinement, lcp_kasai
-from repro.suffix.suffix_array import refine_text
+from repro.suffix.lcp import lcp_first_mismatch, lcp_kasai
+from repro.suffix.suffix_array import refine
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +62,22 @@ def test_lcp_kasai(benchmark, medium_text):
     assert len(lcp) == len(medium_text)
 
 
-def test_lcp_vectorised(benchmark, medium_text):
-    state = refine_text(medium_text)
-    ref = lcp_kasai(medium_text, state.sa)
-    lcp = benchmark(lcp_from_refinement, state)
-    assert np.array_equal(lcp, ref)
+def test_lcp_vectorised(benchmark, medium):
+    """The LCP pass of ``SuffixArrayGst.build`` on its own inputs: one-byte
+    symbol codes (every sentinel 0), ``suffix_len`` as the reach, and the
+    sort's separation rounds."""
+    gst = dataset_gst(30_000)
+    codes = np.maximum(gst.text - (gst.collection.n_strings - 1), 0).astype(np.uint8)
+    state = refine(codes, SIGMA.bit_length(), gst.suffix_len, gst.pos_string)
+    lcp = benchmark(
+        lcp_first_mismatch,
+        codes,
+        gst.suffix_len,
+        state.sa,
+        state.split,
+        state.width,
+    )
+    assert np.array_equal(lcp, gst.lcp)
 
 
 def test_pair_generation_throughput(benchmark, medium):

@@ -92,90 +92,122 @@ _ALLOWED = (
 
 _ZERO = np.zeros(1, dtype=np.int64)
 
+#: A class-count table stores exact counts every ``2**_CKPT_BITS`` rows
+#: and uint16 counts in between (:func:`_class_index`).
+_CKPT_BITS = 16
+
 #: Sort keys pack (major << 32 | minor) into one int64; both halves are
 #: suffix-array ranks or node/string counts, far below 2**31 here.
 _LOW32 = (1 << 32) - 1
 
 
 def _ragged_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(s, s + l)`` per (start, length) pair.
+    """Concatenated ``arange(s, s + l)`` per (start, length) pair, in the
+    dtype of ``starts``.
 
     The standard cumsum construction; zero-length segments contribute
     nothing.  Both inputs are integer arrays of equal size.
     """
     total = int(lens.sum())
     if total == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=starts.dtype)
     nz = lens > 0
     if not nz.all():
         starts, lens = starts[nz], lens[nz]
     ends = np.cumsum(lens)
-    out = np.ones(total, dtype=np.int64)
+    out = np.ones(total, dtype=starts.dtype)
     out[0] = starts[0]
     if lens.size > 1:
         out[ends[:-1]] = starts[1:] - starts[:-1] - lens[:-1] + 1
-    return np.cumsum(out)
+    return np.cumsum(out, out=out)
 
 
-def _class_index(cls: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _class_index(cls: np.ndarray) -> tuple[np.ndarray, tuple, np.ndarray]:
     """Class-sorted view of a sequence of left-extension classes.
 
     Returns ``(order, counts, base)``: ``order`` lists the positions of
-    ``cls`` by (class, position); ``counts[x, c]`` is the number of
-    class-``c`` positions below ``x``; ``base[c]`` is where class ``c``
-    starts in ``order``.  The class-``c`` positions inside ``[x, y)`` are
-    ``order[base[c] + counts[x, c] : base[c] + counts[y, c]]``.
+    ``cls`` by (class, position); ``counts`` answers "class-``c``
+    positions below ``x``" through :func:`_count_rows`; ``base[c]`` is
+    where class ``c`` starts in ``order``.  The class-``c`` positions
+    inside ``[x, y)`` are ``order[base[c] + C[x, c] : base[c] + C[y, c]]``.
+
+    ``counts`` is ``(checkpoints, within)``: exact int32 counts at every
+    ``2**_CKPT_BITS``-th row and uint16 counts since the row's checkpoint,
+    10 bytes per position where one int32 table is 20.
     """
-    counts = np.empty((cls.size + 1, N_CLASSES), dtype=np.int32)
-    counts[0] = 0
+    n = cls.size
+    within = np.empty((n + 1, N_CLASSES), dtype=np.uint16)
+    checkpoints = np.empty(((n >> _CKPT_BITS) + 1, N_CLASSES), dtype=np.int32)
+    seen = np.zeros(N_CLASSES, dtype=np.int32)
+    order = np.empty(n, dtype=np.int32)
+    for b, lo in enumerate(range(0, n + 1, 1 << _CKPT_BITS)):
+        hi = lo + (1 << _CKPT_BITS)  # rows [lo, hi) count cls[lo : row]
+        checkpoints[b] = seen
+        within[lo] = 0
+        for c in range(N_CLASSES):
+            np.cumsum(cls[lo : hi - 1] == c, dtype=np.uint16, out=within[lo + 1 : hi, c])
+        seen += np.bincount(cls[lo:hi], minlength=N_CLASSES).astype(np.int32)
+    base = np.concatenate((_ZERO, np.cumsum(seen[:-1], dtype=np.int64)))
     for c in range(N_CLASSES):
-        np.cumsum(cls == c, dtype=np.int32, out=counts[1:, c])
-    order = np.argsort(cls, kind="stable")
-    base = np.concatenate((_ZERO, np.cumsum(counts[-1, :-1], dtype=np.int64)))
-    return order, counts, base
+        order[base[c] : base[c] + seen[c]] = np.flatnonzero(cls == c)
+    return order, (checkpoints, within), base
+
+
+def _count_rows(counts: tuple, x: np.ndarray) -> np.ndarray:
+    """Rows ``x`` of a :func:`_class_index` count table: per class, the
+    positions below ``x`` (int32, shape ``(x.size, N_CLASSES)``)."""
+    checkpoints, within = counts
+    # ``take`` along axis 0 gathers whole rows several times faster than
+    # fancy indexing does.
+    return checkpoints.take(x >> _CKPT_BITS, axis=0) + within.take(x, axis=0)
 
 
 def _repeated_strings(
-    strings: np.ndarray,
-    cov: np.ndarray,
+    string_of: np.ndarray,
+    at: np.ndarray,
     root_start: np.ndarray,
-    lb: np.ndarray,
-    end: np.ndarray,
-    n_ranks: int,
+    first: np.ndarray,
+    stop: np.ndarray,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Where a forest holds some string twice: ``(prev, repeats)``.
 
-    ``cov`` lists the ranks under the forest's roots, increasing; per such
-    position ``strings`` is its string, ``root_start`` its root's first
-    position.  ``prev[r]`` is the previous rank holding a suffix of ``r``'s
-    string when that rank lies under the same root, else -1 (a rank outside
-    the root is below every ``lb`` the filter compares it with); ``None``
-    when no root repeats a string.  ``repeats[v]`` marks the nodes
-    ``[lb[v], end[v])`` with some ``prev[r] >= lb[v]`` inside.
+    Positions are those of the ranks under the forest's roots, in rank
+    order; per position ``at`` is its suffix's text position (whose string
+    ``string_of`` gives) and ``root_start`` its root's first position.
+    ``prev[q]`` is the previous position holding a suffix of ``q``'s
+    string when that position lies under the same root, else -1 (a
+    position outside the root is below every node start the filter
+    compares it with); ``None`` when no root repeats a string.
+    ``repeats[v]`` marks the nodes, positions ``[first[v], stop[v])``,
+    with some ``prev[q] >= first[v]`` inside.
     """
-    repeats = np.zeros(lb.size, dtype=bool)
-    # One sort of (string, covered position) keys: neighbours of equal
-    # string are consecutive occurrences in rank order.
-    key = (strings.astype(np.int64) << 32) | np.arange(cov.size)
+    repeats = np.zeros(first.size, dtype=bool)
+    # One sort of (string, position) keys: neighbours of equal string are
+    # consecutive occurrences in rank order.
+    key = string_of[at].astype(np.int64)
+    key <<= 32
+    key |= np.arange(key.size, dtype=np.int32)
     key.sort()
-    at = key & _LOW32
+    at = key.astype(np.int32)  # the low half: the position
     key >>= 32
-    hit = np.flatnonzero((key[1:] == key[:-1]) & (at[:-1] >= root_start[at[1:]]))
+    same = key[1:] == key[:-1]
+    del key
+    hit = np.flatnonzero(same & (at[:-1] >= root_start[at[1:]]))
     if hit.size == 0:
         return None, repeats
-    cur = at[hit + 1]
-    by_rank = np.argsort(cur)
-    dup, dup_prev = cov[cur[by_rank]], cov[at[hit][by_rank]]
-    prev = np.full(n_ranks, -1, dtype=np.int32)
+    dup = at[hit + 1]
+    by_pos = np.argsort(dup)
+    dup, dup_prev = dup[by_pos], at[hit][by_pos]
+    prev = np.full(at.size, -1, dtype=np.int32)
     prev[dup] = dup_prev
     # A node repeats a string iff the largest prev among the duplicate
-    # ranks it contains reaches its own lb.
-    i0 = np.searchsorted(dup, lb)
-    i1 = np.searchsorted(dup, end)
+    # positions it contains reaches its own first position.
+    i0 = np.searchsorted(dup, first)
+    i1 = np.searchsorted(dup, stop)
     cand = np.flatnonzero(i1 > i0)
     spans = np.stack((i0[cand], i1[cand]), axis=1).ravel()
     top = np.maximum.reduceat(np.append(dup_prev, -1), spans)[::2]
-    repeats[cand] = top >= lb[cand]
+    repeats[cand] = top >= first[cand]
     return prev, repeats
 
 
@@ -274,7 +306,7 @@ class VectorPairGenerator:
         n_leaves = np.diff(forest.leaves_offsets)
         # Processing order: decreasing depth, stable on node id —
         # bit-identical to the scalar engine's sorted (-depth, f, nid).
-        proc = np.argsort(-depth, kind="stable")
+        proc = np.argsort(-depth, kind="stable").astype(np.int32)
         pos = np.empty(n_nodes, dtype=np.int64)
         pos[proc] = np.arange(n_nodes)
         pos <<= 32
@@ -292,14 +324,18 @@ class VectorPairGenerator:
         # node ``v`` (its root's end included) sits at ``rank - shift[v]``.
         roots = np.flatnonzero(is_root)
         roots = roots[np.argsort(lb[roots])]
-        r_size = end[roots] - lb[roots]
-        r_first = np.cumsum(r_size) - r_size
-        cov = _ragged_ranges(lb[roots], r_size)
-        shift = (lb[roots] - r_first)[np.searchsorted(lb[roots], lb, "right") - 1]
+        r_lb = lb[roots]
+        r_size = end[roots] - r_lb
+        r_first = np.cumsum(r_size, dtype=np.int32) - r_size
+        cov = _ragged_ranges(r_lb, r_size)
+        shift = (r_lb - r_first)[np.searchsorted(r_lb, lb, "right") - 1]
+        root_start = np.repeat(r_first, r_size)
+        del roots, r_lb, r_size, r_first
         at = sa[cov]
         prev, repeats = _repeated_strings(
-            gst.pos_string[at], cov, np.repeat(r_first, r_size), lb, end, sa.size
+            gst.pos_string, at, root_start, lb - shift, end - shift
         )
+        del root_start
         # The lset structures of every node that repeats no string: covered
         # ranks by (class, rank), per-class prefix counts over positions.
         order, counts, base = _class_index(gst.left_char[at])
@@ -335,7 +371,8 @@ class VectorPairGenerator:
             if kind[p0]:
                 # -- the min-rank filter over each node's own interval ---
                 ranks = _ragged_ranges(n_lb, size)
-                keep = prev[ranks] < np.repeat(n_lb, size)
+                off = np.repeat(shift[nodes], size)  # ranks to positions
+                keep = prev[ranks - off] < np.repeat(n_lb, size) - off
                 kept = np.concatenate((_ZERO, np.cumsum(keep)))
                 first = np.cumsum(size) - size
                 lost = size - np.diff(kept[np.append(first, keep.size)])
@@ -383,10 +420,10 @@ class VectorPairGenerator:
         stats = self.stats
         tel = self._telemetry
         pool, counts, base = index
-        lo = counts[bounds[0]]
-        mid = counts[bounds[1]]
+        lo = _count_rows(counts, bounds[0])
+        mid = _count_rows(counts, bounds[1])
         old = mid - lo  # per class: entries of earlier slots of the node
-        new = counts[bounds[2]] - mid  # per class: entries of this slot
+        new = _count_rows(counts, bounds[2]) - mid  # per class: entries of this slot
         partners = old @ _ALLOWED  # at most the node's size: fits int32
         g_slot, g_cls = np.nonzero((new > 0) & (partners > 0))
         if g_slot.size == 0:

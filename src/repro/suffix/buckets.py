@@ -73,6 +73,7 @@ def sa_bucket_ranges(
     sa_struct: SuffixArray,
     collection: EstCollection,
     suffix_len: np.ndarray,
+    lcp: np.ndarray,
     w: int,
 ) -> list[tuple[int, int, int]]:
     """Bucket boundaries in the suffix array.
@@ -84,21 +85,23 @@ def sa_bucket_ranges(
     """
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
-    # Base-4 window key per position (sentinels read as 0), kept only where
-    # the whole window lies before the position's own sentinel
-    # (``suffix_len``: symbols up to it) — nowhere, when the text is
-    # shorter than ``w``.
-    two_n = collection.n_strings
-    keys = pack_windows(np.maximum(sa_struct.text, two_n) - two_n, 2, w)
+    # Adjacent suffixes share their first w characters exactly when their
+    # LCP reaches w, so a bucket boundary is an LCP below w.  A run longer
+    # than one rank holds only suffixes of length >= w (the LCP never
+    # passes a sentinel); a one-rank run is a bucket when its suffix is
+    # that long.
     sa = sa_struct.sa
-    key_by_rank = np.where(suffix_len[sa] >= w, keys[sa], -1)
-    # A bucket is a maximal run of one valid key.
-    cuts = np.flatnonzero(key_by_rank[1:] != key_by_rank[:-1]) + 1
-    lo = np.concatenate(([0], cuts))
-    hi = np.concatenate((cuts, [sa.size]))
-    key = key_by_rank[lo]
-    keep = key >= 0
-    return list(zip(key[keep].tolist(), lo[keep].tolist(), hi[keep].tolist()))
+    lo = np.flatnonzero(lcp < w)
+    hi = np.append(lo[1:], sa.size)
+    pos = sa[lo]
+    keep = suffix_len[pos] >= w
+    lo, hi, pos = lo[keep], hi[keep], pos[keep]
+    # Base-4 key of each bucket's first w characters, read at its head.
+    key = np.zeros(lo.size, dtype=np.int64)
+    for i in range(w):
+        key <<= 2
+        key += sa_struct.text[pos + i] - collection.n_strings
+    return list(zip(key.tolist(), lo.tolist(), hi.tolist()))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ backends package those facts differently:
   (``left_char`` int8), 25 B per suffix in all — and materialises LCP
   forests on demand: one flat forest per owner of bucket ranges (the
   unit of distribution across processors), the whole array by default.
+  What the build holds besides is one byte of symbol codes per position
+  and the sort's final ranks and separation rounds — no per-round rank
+  copy and no packed seed window; bucket ranges are read off the LCP.
 - :class:`NaiveGst` — the paper-faithful engine: explicit bucket trees in
   the DFS-array encoding.  Semantically identical output, used for tests,
   demonstrations, and small inputs.
@@ -34,7 +37,7 @@ from repro.suffix.interval_tree import (
     build_flat_forest,
     build_lcp_forest,
 )
-from repro.suffix.lcp import lcp_from_refinement
+from repro.suffix.lcp import lcp_first_mismatch
 from repro.suffix.naive_tree import build_gst_forest
 from repro.suffix.suffix_array import SuffixArray, refine
 
@@ -87,15 +90,19 @@ class SuffixArrayGst:
         pos_string = np.repeat(np.arange(two_n, dtype=np.int32), spans)
         suffix_len = np.repeat((starts[1:] - 1).astype(np.int32), spans)
         suffix_len -= np.arange(m, dtype=np.int32)
-        # Seed symbols: every sentinel 0, nucleotide c -> c + 1; windows
-        # that reach a sentinel are tie-broken by its string's id.  The
-        # sort's state is scratch: only ``sa`` and ``lcp`` outlive it.
-        codes = np.maximum(text - (two_n - 1), 0)
+        # Seed symbols, one byte each: every sentinel 0 (the in-place
+        # subtraction wraps them; they are then overwritten), nucleotide
+        # c -> c + 1; windows that reach a sentinel are tie-broken by its
+        # string's id.  Of the sort's state only ``sa`` and the separation
+        # rounds reach the LCP pass, and only ``sa`` and ``lcp`` outlive it.
+        codes = np.empty(m, dtype=np.uint8)
+        np.subtract(text, two_n - 1, out=codes, casting="unsafe")
+        codes[starts[1:] - 1] = 0
         state = refine(codes, SIGMA.bit_length(), suffix_len, pos_string)
-        del codes
-        sa = state.sa
-        lcp = lcp_from_refinement(state)
+        sa, split, width = state.sa, state.split, state.width
         del state
+        lcp = lcp_first_mismatch(codes, suffix_len, sa, split, width)
+        del codes, split
         pos_offset = np.arange(m, dtype=np.int32)
         pos_offset -= np.repeat(starts[:-1].astype(np.int32), spans)
         # The character before each position; what precedes a string's first
@@ -144,7 +151,9 @@ class SuffixArrayGst:
     def bucket_ranges(self, w: int) -> list[tuple[int, int, int]]:
         """``(key, lo, hi)`` suffix-array ranges of the ``w``-prefix buckets
         — the distribution unit for parallel construction (§3.1)."""
-        return sa_bucket_ranges(self.sa_struct, self.collection, self.suffix_len, w)
+        return sa_bucket_ranges(
+            self.sa_struct, self.collection, self.suffix_len, self.lcp, w
+        )
 
     @property
     def n_suffix_positions(self) -> int:

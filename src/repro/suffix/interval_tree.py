@@ -279,12 +279,14 @@ def build_flat_forest(
       ``p`` with ``v = lcp[p]`` represents the interval
       ``[PSV(p), NSV(p) - 1]`` of depth ``v``, and all positions of one
       interval share that (PSV, NSV) key — deduplicating the keys
-      enumerates the nodes exactly once;
+      enumerates the nodes exactly once, and labels every qualifying
+      position with its node (``node_at``);
     - the direct parent of an interval ``[lb, rb]`` is the interval
       represented by whichever boundary position (``lb`` or ``rb + 1``)
-      carries the larger LCP value;
+      carries the larger LCP value — one gather from ``node_at``;
     - a suffix-array rank hangs as a direct leaf off the interval
-      represented by the deeper of its two adjacent LCP values.
+      represented by the deeper of its two adjacent LCP values — another
+      gather.
 
     PSV/NSV are computed by pointer doubling — ``O(log n)`` whole-array
     jump rounds instead of a sequential stack — and the stack builder's
@@ -338,7 +340,7 @@ def build_flat_forest(
     # positions are resolved: a chain never jumps past a shallower
     # position, so every stop short of the answer qualifies itself and
     # the first position below the threshold ends the chain.
-    qual = np.flatnonzero(val >= min_depth)
+    qual = np.flatnonzero(val >= min_depth).astype(np.int32)
     prev = np.arange(-1, n, dtype=np.int32)
     act = qual
     while act.size:
@@ -350,36 +352,38 @@ def build_flat_forest(
         act = act[val[nxt[act]] >= val[act]]
         nxt[act] = nxt[nxt[act]]
 
-    def node_key(q: np.ndarray) -> np.ndarray:
-        # PSV * (n + 1) + NSV needs 64 bits from n = 46 341 on; an int32
-        # product would wrap without a word.
-        return prev[q].astype(np.int64) * (n + 1) + nxt[q]
-
-    # One node per unique (PSV, NSV) key among qualifying positions.
-    ukey, first = np.unique(node_key(qual), return_index=True)
-    m = ukey.size
-    depth_u = val[qual[first]]
-    lb_u = (ukey // (n + 1)).astype(np.int32)
-    nsv_u = (ukey % (n + 1)).astype(np.int32)
-    rb_u = nsv_u - 1
-    order = np.lexsort((-depth_u, rb_u))  # the stack builder's pop order
+    # One node per unique (PSV, NSV) key among qualifying positions, and
+    # every qualifying position labelled with its node (``node_at``; -1
+    # below the threshold).  PSV * (n + 1) + NSV needs 64 bits from
+    # n = 46 341 on; an int32 product would wrap without the upcast.
+    key = prev[qual].astype(np.int64)
+    key *= n + 1
+    key += nxt[qual]
+    del prev, nxt
+    nodes, inverse = np.unique(key, return_inverse=True)
+    del key
+    m = nodes.size
+    lb_u = (nodes // (n + 1)).astype(np.int32)
+    nsv_u = (nodes % (n + 1)).astype(np.int32)
+    del nodes
+    depth_u = np.empty(m, dtype=np.int32)  # all positions of a node share it
+    depth_u[inverse] = val[qual]
+    order = np.lexsort((-depth_u, nsv_u))  # the stack builder's pop order
     rank_of = np.empty(m, dtype=np.int32)
     rank_of[order] = np.arange(m, dtype=np.int32)
+    node_at = np.full(n + 1, -1, dtype=np.int32)
+    node_at[qual] = rank_of[inverse]
+    del qual, inverse, rank_of
     depth = depth_u[order]
     lb = lb_u[order]
-    rb = rb_u[order]
+    nsv = nsv_u[order]
+    del depth_u, lb_u, nsv_u, order
 
-    # Parent: the interval of the deeper bounding position, when it
-    # still clears the threshold; forest roots otherwise.
-    bl = val[lb_u]
-    br = val[nsv_u]
-    pid_u = np.full(m, -1, dtype=np.int32)
-    haspar = np.flatnonzero(np.maximum(bl, br) >= min_depth)
-    if haspar.size:
-        q = np.where(bl[haspar] >= br[haspar], lb_u[haspar], nsv_u[haspar])
-        pid_u[haspar] = rank_of[np.searchsorted(ukey, node_key(q))]
-    parent = np.empty(m, dtype=np.int32)
-    parent[rank_of] = pid_u
+    # Parent: the node of the deeper bounding position — a forest root
+    # (-1) when that position is below the threshold.
+    parent = node_at[np.where(val[lb] >= val[nsv], lb, nsv)]
+    rb = nsv - 1
+    del nsv
 
     zero = np.zeros(1, dtype=np.int32)
     nonroot = np.flatnonzero(parent >= 0)
@@ -387,13 +391,16 @@ def build_flat_forest(
     children_offsets = np.concatenate(
         (zero, np.cumsum(np.bincount(parent[nonroot], minlength=m), dtype=np.int32))
     )
+    del nonroot
 
-    # Leaves: each rank attaches to the interval of the deeper of its two
-    # adjacent boundary values (when >= threshold); grouped by owner with
-    # the stable sort preserving ascending rank within a node.
-    attached = np.flatnonzero(np.maximum(val[:-1], val[1:]) >= min_depth)
-    ql = np.where(val[attached] >= val[attached + 1], attached, attached + 1)
-    owner = rank_of[np.searchsorted(ukey, node_key(ql))]
+    # Leaves: each rank attaches to the node of the deeper of its two
+    # adjacent boundary positions (none when that one is below the
+    # threshold); grouped by owner with the stable sort preserving
+    # ascending rank within a node.
+    owner = np.where(val[:-1] >= val[1:], node_at[:-1], node_at[1:])
+    del node_at
+    attached = np.flatnonzero(owner >= 0)
+    owner = owner[attached]
     leaves_flat = attached[np.argsort(owner, kind="stable")].astype(np.int32)
     leaves_offsets = np.concatenate(
         (zero, np.cumsum(np.bincount(owner, minlength=m), dtype=np.int32))

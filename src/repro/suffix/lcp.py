@@ -6,15 +6,14 @@ suffix array this is the *enhanced suffix array*: its "LCP intervals" are in
 bijection with the internal nodes of the suffix tree, which is how the
 production pair-generation engine reuses the paper's Algorithm 1 unchanged.
 
-- :func:`lcp_from_refinement` — the production path: the LCP array read
-  off the state the suffix sort leaves behind
-  (:class:`repro.suffix.suffix_array.Refinement`).  An adjacent pair that
-  the sort separated in round ``s`` agrees on ``width << (s - 1)`` symbols
-  and on fewer than twice that, so only the rank levels *below* ``s - 1``
-  can still extend it: each level is consulted for the pairs still
-  together at it, not for every pair, and what remains below the seed
-  width is one XOR of two packed seed windows, taken a block of rank
-  boundaries at a time.  The result is int32, like the suffix array.
+- :func:`lcp_first_mismatch` — the production path: the LCP array from
+  the suffix sort's separation rounds
+  (:class:`repro.suffix.suffix_array.Refinement`) plus a first-mismatch
+  query over the symbol codes.  A pair the sort separated in round ``s``
+  shares ``width << (s - 1)`` symbols, so the query starts there (at 0
+  for a pair the seed separated) and compares eight symbols per word; it
+  runs a block of rank boundaries at a time and keeps no rank array of
+  any round.  The result is int32, like the suffix array.
 - :func:`lcp_kasai` — the linear-time Kasai et al. algorithm.  A tight
   Python loop; exact, the reference the production path is tested against.
 - :func:`lcp_naive` — symbol-by-symbol comparison, the reference's
@@ -25,12 +24,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.suffix.suffix_array import Refinement
+__all__ = ["lcp_kasai", "lcp_first_mismatch", "lcp_naive"]
 
-__all__ = ["lcp_kasai", "lcp_from_refinement", "lcp_naive"]
+#: Rank boundaries per step of the first-mismatch pass.
+_BLOCK = 1 << 15
 
-#: Rank boundaries per step of the below-seed-width pass.
-_TAIL_BLOCK = 1 << 16
+#: Bytes compared per pair in its first look and in each later one.  One
+#: 16-byte look settles most adjacent pairs of a DNA suffix array: their
+#: prefixes end within 16 symbols of what the split round guarantees.
+_FIRST, _LATER = 16, 64
 
 
 def lcp_kasai(text: np.ndarray, sa: np.ndarray) -> np.ndarray:
@@ -58,46 +60,85 @@ def lcp_kasai(text: np.ndarray, sa: np.ndarray) -> np.ndarray:
     return np.array(lcp, dtype=np.int64)
 
 
-def lcp_from_refinement(ref: Refinement) -> np.ndarray:
-    """LCP array of adjacent suffix-array entries from the sort's state."""
-    sa, split = ref.sa, ref.split
+def lcp_first_mismatch(
+    codes: np.ndarray,
+    reach: np.ndarray,
+    sa: np.ndarray,
+    split: np.ndarray,
+    width: int,
+) -> np.ndarray:
+    """LCP array of adjacent suffix-array entries.
+
+    ``codes`` are the symbols the sort compared (non-negative; only their
+    equality is read), ``reach`` the symbols from each position up to its
+    terminator, and ``sa``, ``split`` and ``width`` the sort's
+    :class:`~repro.suffix.suffix_array.Refinement`.  No common prefix
+    passes the nearer terminator, so each result is capped at the smaller
+    ``reach`` of the pair: past it the codes may agree (every sentinel of
+    the EST text is code 0) without being the same symbol.
+    """
     m = sa.size
-    # First the symbols matched in whole rank levels, per rank boundary.
     lcp = np.zeros(m, dtype=np.int32)
-    # Latest-separated pairs first: the pairs still together at a level
-    # are then a prefix of the working arrays.
-    tied = np.flatnonzero(split > 0)
-    tied = tied[np.argsort(split[tied], kind="stable")[::-1]]
-    n_levels = len(ref.levels)
-    together = np.cumsum(np.bincount(split[tied], minlength=n_levels + 2)[::-1])[::-1]
-    i = sa[tied - 1]
-    j = sa[tied]
-    for s in range(n_levels - 1, -1, -1):
-        # Pairs split in round s + 1 agree on this level by definition;
-        # pairs split later do when their ranks match.
-        n_old, n = int(together[s + 2]), int(together[s + 1])
-        level = ref.levels[s]
-        grow = np.ones(n, dtype=bool)
-        grow[:n_old] = level[i[:n_old]] == level[j[:n_old]]
-        step = grow * np.int32(ref.width << s)
-        i[:n] += step
-        j[:n] += step
-    lcp[tied] = j - sa[tied]
-    # Then what is left below the seed width: the leading symbols two seed
-    # windows share — the XOR is below ``2**(bits * q)`` exactly when all
-    # but the last q symbols agree — never past the nearer terminator
-    # (behind one both windows are zero).  A block of rank boundaries at a
-    # time: the int64 windows and their scratch never span the array.
-    symbol_steps = 1 << (ref.bits * np.arange(ref.width, dtype=np.int64))
-    for lo in range(1, m, _TAIL_BLOCK):
-        part = lcp[lo : lo + _TAIL_BLOCK]
-        i = sa[lo - 1 : lo - 1 + part.size] + part
-        j = sa[lo : lo + part.size] + part
-        differ = ref.code[i] ^ ref.code[j]
-        cap = np.minimum(ref.reach[i], ref.reach[j])
-        same = ref.width - np.searchsorted(symbol_steps, differ, side="right")
-        part += np.minimum(same, cap)
+    # One copy of the codes at the narrowest unsigned width, padded so that
+    # a window of ``_LATER`` bytes starts at every position up to ``m``.
+    sym = np.min_scalar_type(int(codes.max(initial=0)))
+    size = sym.itemsize
+    buf = np.zeros(m + _LATER // size, dtype=sym)
+    buf[:m] = codes[:m]
+    first, later = (
+        np.ndarray((m + 1,), f"V{b}", buf, strides=(size,)) for b in (_FIRST, _LATER)
+    )
+    # Symbols a pair separated in round s shares: width << (s - 1), 0 at
+    # the seed.
+    shared = np.zeros(int(split.max(initial=0)) + 1, dtype=np.int64)
+    shared[1:] = width << np.arange(shared.size - 1)
+    for lo in range(1, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        i, j = sa[lo - 1 : hi - 1], sa[lo:hi]
+        cap = np.minimum(reach[i], reach[j])
+        done = shared[split[lo:hi]]
+        run = _equal_run(first, i, j, done, size)
+        done += run
+        # Pairs equal over the whole first window and short of their cap go
+        # on, a later window at a time.  Going on, a pair starts short of
+        # its cap, hence before the end of the text.
+        todo = np.flatnonzero((run == _FIRST // size) & (done < cap))
+        while todo.size:
+            run = _equal_run(later, i[todo], j[todo], done[todo], size)
+            done[todo] += run
+            todo = todo[(run == _LATER // size) & (done[todo] < cap[todo])]
+        lcp[lo:hi] = np.minimum(done, cap)
     return lcp
+
+
+def _equal_run(
+    windows: np.ndarray, x: np.ndarray, y: np.ndarray, skip: np.ndarray, size: int
+) -> np.ndarray:
+    """Equal symbols (``size`` bytes each) from each position pair
+    ``x + skip`` / ``y + skip`` on, up to one whole window (``windows``: a
+    fixed-size byte window per position).
+
+    The windows are compared as little-endian int64 words, eight bytes at
+    a time: the first unequal word is picked from the last back, and the
+    lowest set bit of its XOR — ``d & -d``, a power of two that ``frexp``
+    turns into a bit index — names the first unequal byte.
+    """
+    n_words = windows.dtype.itemsize // 8
+    per_word = 8 // size
+    d = windows[x + skip].view("<i8").reshape(-1, n_words)
+    d ^= windows[y + skip].view("<i8").reshape(-1, n_words)
+    word = d[:, -1]
+    before = np.full(word.size, per_word * (n_words - 1), dtype=np.int32)
+    for c in range(n_words - 2, -1, -1):
+        unequal = d[:, c] != 0
+        word = np.where(unequal, d[:, c], word)
+        before = np.where(unequal, per_word * c, before)
+    run = np.frexp(word & -word)[1]
+    run -= 1
+    run >>= 3 + size.bit_length() - 1  # bit -> byte -> symbol
+    run += before
+    run[word == 0] = per_word * n_words
+    return run
 
 
 def lcp_naive(text: np.ndarray, sa: np.ndarray) -> np.ndarray:

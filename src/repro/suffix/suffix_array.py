@@ -26,10 +26,12 @@ Manber–Myers doubling, which re-sorts every suffix in every round:
    become a singleton is final and is never touched again.  The sorts
    need not be stable: tied members share a rank, so their relative
    order inside a round is unobservable, and the final order is total.
-3. **State for the LCP.**  The rank array of every round and the round in
-   which each adjacent pair separated are handed to
-   :func:`repro.suffix.lcp.lcp_from_refinement`; they are build scratch
-   (:class:`Refinement`) and are dropped once the LCP array exists.
+3. **State for the LCP.**  Only the final rank and, per adjacent pair of
+   ranks, the round that separated it (:class:`Refinement`) outlive the
+   sort: no rank array of an earlier round and no seed window is kept.
+   :func:`repro.suffix.lcp.lcp_first_mismatch` turns the round into a
+   lower bound on the pair's common prefix and reads the rest off the
+   symbol codes themselves.
 
 :func:`build_suffix_array` (arbitrary integer text) and
 :meth:`repro.suffix.gst.SuffixArrayGst.build` (the sentinel-terminated EST
@@ -78,12 +80,7 @@ class SuffixArray:
 
 @dataclass
 class Refinement:
-    """The state of a finished suffix sort — scratch for the LCP pass.
-
-    ``levels`` and ``code`` carry one entry more than the text has
-    positions: slot ``m`` is the empty suffix past the end, which sorts
-    before everything (rank -1, all-zero window) — where a tied suffix of
-    unterminated text lands when it is advanced by its own length.
+    """The state of a finished suffix sort.
 
     Attributes
     ----------
@@ -91,28 +88,19 @@ class Refinement:
         The suffix array (int32, length ``m``).
     rank:
         Final rank per position (int32), the inverse of ``sa``.
-    levels:
-        ``levels[s][p]`` ranks the length-``width << s`` prefix of suffix
-        ``p`` as the index of its group's first member (ties share it).
     split:
-        ``split[r]`` is the level at which ranks ``r - 1`` and ``r`` first
-        differ: 0 when the seed key separates them, ``s`` when round ``s``
-        does (they still agree on ``levels[s - 1]``).
-    code:
-        The packed seed window per position, ``bits`` per symbol, zero
-        after the first terminator.
-    reach:
-        Symbols between a position and its terminator.
+        ``split[r]`` is the round in which ranks ``r - 1`` and ``r`` were
+        told apart: 0 when the seed key separates them, ``s`` when round
+        ``s`` does — they then share their first ``width << (s - 1)``
+        symbols and differ within twice that.
+    width:
+        Symbols per seed window.
     """
 
     sa: np.ndarray
     rank: np.ndarray
-    levels: list[np.ndarray]
     split: np.ndarray
-    code: np.ndarray
-    bits: int
     width: int
-    reach: np.ndarray
 
 
 def pack_windows(codes: np.ndarray, bits: int, width: int) -> np.ndarray:
@@ -161,14 +149,16 @@ def refine(
     if width < 1:
         raise ValueError(f"{bits}-bit symbols and {id_bits}-bit ids exceed a sort key")
 
-    # Seed: cut each window after its first terminator, append the id.
-    code = pack_windows(codes, bits, width)
+    # Seed: cut each window after its first terminator, append the id —
+    # in place, so the packed windows are the sort key and die with it.
+    key = pack_windows(codes, bits, width)[:m]
     short = np.flatnonzero(reach[:m] < width)
     cut = bits * (width - reach[short])
-    code[short] = (code[short] >> cut) << cut
-    key = code[:m] << id_bits
+    key[short] = (key[short] >> cut) << cut
+    key <<= id_bits
     if ids is not None:
         key[short] |= ids[short]
+    del short, cut
     sa = np.argsort(key).astype(np.int32)
     key = key[sa]
     split = np.zeros(m, dtype=np.int8)
@@ -184,10 +174,13 @@ def refine(
     del heads, tied
 
     # Refine: only members of groups of size > 1, by the rank h further on.
-    levels: list[np.ndarray] = []
+    # Slot ``m`` of ``rank`` is the empty suffix past the end, which sorts
+    # before everything: where a tied suffix of unterminated text lands
+    # when it is advanced by its own length.
     h = width
+    rounds = 0
     while act.size:
-        levels.append(rank.copy())
+        rounds += 1
         pos = sa[act]
         key = (rank[pos].astype(np.int64) << 32) + (rank[pos + h] + 1)
         order = np.argsort(key)
@@ -200,19 +193,10 @@ def refine(
         first = act[bounds[:-1]]
         rank[pos] = np.repeat(first, np.diff(bounds))
         fresh = first[split[first] < 0]
-        split[fresh] = len(levels)
+        split[fresh] = rounds
         act = act[~(head[:-1] & head[1:])]
         h *= 2
-    return Refinement(
-        sa=sa,
-        rank=rank[:m],
-        levels=levels,
-        split=split,
-        code=code,
-        bits=bits,
-        width=width,
-        reach=reach,
-    )
+    return Refinement(sa=sa, rank=rank[:m], split=split, width=width)
 
 
 def refine_text(text: np.ndarray) -> Refinement:

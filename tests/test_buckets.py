@@ -128,6 +128,20 @@ class TestSaBucketRanges:
         end = np.repeat(gst.starts[1:], np.diff(gst.starts))
         assert np.array_equal(sa + w < end[sa], gst.suffix_len[sa] >= w)
 
+    @given(dna_lists, st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_windows_up_to_and_past_the_longest_suffix(self, seqs, extra):
+        """Buckets come from LCP boundaries (an LCP below w starts one) and
+        the head's length: at w = the longest string only whole strings
+        qualify, one past it nothing does."""
+        gst = SuffixArrayGst.build(EstCollection.from_strings(seqs))
+        w = max(map(len, seqs)) + extra
+        ranges = gst.bucket_ranges(w)
+        assert ranges == _ranges_by_rank_loop(gst, w)
+        # Each EST of length w and its reverse complement: one rank each.
+        longest = sum(len(s) == w for s in seqs)
+        assert sum(hi - lo for _k, lo, hi in ranges) == 2 * longest
+
     def test_no_window_fits(self):
         # The whole text is shorter than w (this used to size an array
         # with a negative length), or just no string is long enough.

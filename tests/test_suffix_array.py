@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.sequence import EstCollection
 from repro.suffix import SuffixArrayGst, build_suffix_array
-from repro.suffix.lcp import lcp_from_refinement, lcp_kasai, lcp_naive
+from repro.suffix.lcp import lcp_first_mismatch, lcp_kasai, lcp_naive
 from repro.suffix.suffix_array import pack_windows, refine_text, suffix_array_naive
 
 dna_lists = st.lists(st.text(alphabet="ACGT", min_size=1, max_size=25), min_size=1, max_size=4)
@@ -20,6 +20,13 @@ int_texts = st.integers(1, 4).flatmap(
 
 def _text_of(seqs):
     return EstCollection.from_strings(seqs).sa_text()[0]
+
+
+def _text_lcp(text, state):
+    """The production LCP over text whose only terminator is past its end:
+    the text is its own code sequence, each suffix reaches the end."""
+    m = len(text)
+    return lcp_first_mismatch(text, m - np.arange(m), state.sa, state.split, state.width)
 
 
 def _assert_index_matches_oracles(seqs):
@@ -35,7 +42,7 @@ def _assert_index_matches_oracles(seqs):
     assert np.array_equal(gst.lcp, expect_lcp)
     state = refine_text(text)
     assert np.array_equal(state.sa, expect_sa)
-    assert np.array_equal(lcp_from_refinement(state), expect_lcp)
+    assert np.array_equal(_text_lcp(text, state), expect_lcp)
 
 
 class TestBuildSuffixArray:
@@ -90,23 +97,19 @@ class TestBuildSuffixArray:
         with pytest.raises(ValueError):
             build_suffix_array(np.array([-1, 0]))
 
-    def test_levels_rank_prefixes(self):
-        # Long repeats, so the refinement really runs several rounds.
-        text = _text_of(["ACGT" * 40 + "AA", "CGTA" * 30])
+    @given(int_texts)
+    @settings(max_examples=60, deadline=None)
+    def test_split_rounds_bound_the_lcp(self, vals):
+        # A pair separated in round s > 0 shares width << (s - 1) symbols
+        # and differs within twice that; one the seed separated, within
+        # the seed width.  The LCP pass starts from this bound.
+        text = np.array(vals, dtype=np.int64)
         state = refine_text(text)
-        assert len(state.levels) >= 2
-        text_list = text.tolist()
-        m = len(text_list)
-        for s, rank_k in enumerate(state.levels):
-            k = state.width << s
-            # Equal rank at level k must mean equal length-k prefixes.
-            by_rank = {}
-            for p in range(m):
-                by_rank.setdefault(int(rank_k[p]), []).append(p)
-            for group in by_rank.values():
-                first = text_list[group[0] : group[0] + k]
-                for p in group[1:]:
-                    assert text_list[p : p + k] == first
+        lcp = lcp_kasai(text, state.sa)[1:]
+        split = state.split[1:].astype(np.int64)
+        low = np.where(split > 0, (state.width << split) >> 1, 0)
+        assert (low <= lcp).all()
+        assert (lcp < np.maximum(state.width << split, state.width)).all()
 
     @given(
         st.lists(st.integers(0, 7), min_size=1, max_size=30),
@@ -135,10 +138,35 @@ class TestLcp:
 
     @given(dna_lists)
     @settings(max_examples=60, deadline=None)
-    def test_rank_level_lcp_matches_kasai(self, seqs):
+    def test_first_mismatch_lcp_matches_kasai(self, seqs):
         text = _text_of(seqs)
         state = refine_text(text)
-        assert np.array_equal(lcp_from_refinement(state), lcp_kasai(text, state.sa))
+        assert np.array_equal(_text_lcp(text, state), lcp_kasai(text, state.sa))
+
+    @given(
+        st.sampled_from([300, 70_000, 2**40]),
+        st.lists(st.integers(0, 3), min_size=1, max_size=60),
+        st.integers(0, 2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_alphabets_wider_than_a_byte(self, sigma, motif, seed):
+        # The codes are copied at the narrowest width that holds them —
+        # uint16, uint32, uint64 here — and compared a word at a time.
+        rng = np.random.default_rng(seed)
+        symbols = rng.integers(0, sigma, size=4, dtype=np.int64)
+        text = np.concatenate((symbols[motif], rng.integers(0, sigma, 30), symbols[motif]))
+        state = refine_text(text)
+        assert np.array_equal(state.sa, suffix_array_naive(text))
+        assert np.array_equal(_text_lcp(text, state), lcp_kasai(text, state.sa))
+
+    def test_long_repeats_take_several_windows(self):
+        # Pairs sharing hundreds of symbols past their split bound go on a
+        # window at a time; the cap stops them at the shorter suffix.
+        seqs = ["A" * 3000, "A" * 2999, "ACGT" * 400, "ACGT" * 399 + "ACG"]
+        col = EstCollection.from_strings(seqs)
+        gst = SuffixArrayGst.build(col)
+        assert np.array_equal(gst.lcp, lcp_kasai(gst.text, gst.sa_struct.sa))
+        assert int(gst.lcp.max()) == 2999
 
     def test_lcp_never_crosses_string_boundary(self):
         # Identical strings: LCP capped at string length by unique sentinels.
@@ -148,7 +176,8 @@ class TestLcp:
 
 class TestIndexAgainstOracles:
     """The production index (seed sort + active-set refinement + LCP from
-    the sort's state) equals the naive suffix sort and Kasai."""
+    the split rounds and a first-mismatch query) equals the naive suffix
+    sort and Kasai."""
 
     @given(dna_lists)
     @settings(max_examples=60, deadline=None)
@@ -161,7 +190,7 @@ class TestIndexAgainstOracles:
         text = np.array(vals, dtype=np.int64)
         state = refine_text(text)
         assert np.array_equal(state.sa, suffix_array_naive(text))
-        assert np.array_equal(lcp_from_refinement(state), lcp_kasai(text, state.sa))
+        assert np.array_equal(_text_lcp(text, state), lcp_kasai(text, state.sa))
 
     @pytest.mark.parametrize(
         "seqs",

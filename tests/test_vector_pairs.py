@@ -449,8 +449,10 @@ class TestChunkedSweep:
         """tracemalloc live and peak bytes of ``SuffixArrayGst.build`` per
         suffix on 300 short reads.  What it returns is text 4 + ``sa`` 4 +
         ``lcp`` 4 + three int32 tables 12 + ``left_char`` 1 = 25.1 B/suffix
-        (52.1 when the tables were int64); the peak, 83.6 B/suffix (104.9),
-        is the sort's rank levels sitting under the LCP pass."""
+        (52.1 when the tables were int64); the peak is 52.8 B/suffix — 83.6
+        while the sort kept a rank array per round for the LCP pass, 104.9
+        with int64 tables.  On 70 000 suffixes a third of it is the LCP
+        pass's fixed per-block scratch."""
         reads = make_benchmark(
             replace(BenchmarkParams.small(100, 3), expression_skew=0.0), rng=0
         ).reads[:300]
@@ -465,11 +467,12 @@ class TestChunkedSweep:
         m = gst.text.size
         assert gst.sa_struct.sa.size == m
         assert live <= 26 * m
-        assert peak <= 90 * m
+        assert peak <= 58 * m
 
     def test_index_to_first_pair_peak_on_the_deep_corpus(self):
         """tracemalloc peak of build + generator construction + first pair
-        on the ``deep`` quick corpus (18 814 suffixes): 2.17 MB, against
+        on the ``deep`` quick corpus (18 814 suffixes): 1.88 MB, against
+        2.17 MB with the sort's rank levels and int32 count tables, and
         3.08 MB with int64 tables and forest and a class index over every
         rank.  About 1 MB of it is the first chunk's per-slot tables,
         which do not scale with the corpus."""
@@ -484,4 +487,41 @@ class TestChunkedSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.75 * 3_075_431
+        assert peak <= 0.67 * 3_075_431
+
+    def test_phase_peaks_on_full_length_reads(self):
+        """tracemalloc peak per suffix of each phase of a sequential run on
+        full-length reads (80 genes × 2 reads of ~550 bp, 215 348
+        suffixes), each over what is live when it starts: index build
+        39.1, forest build 41.4, pair drain 44.7 B/suffix — 65.6 / 61.8 /
+        54.2 while the sort kept rank levels and seed windows, the forest
+        searched int64 node keys and the drain counted classes in one
+        int32 table.  Each phase's peak sits close to the next one's, so
+        each is pinned, with about 10 % headroom: a regression in any
+        becomes the run's peak.  The drain's headroom is 4 %, because the
+        one int32 count table read 47.3 here."""
+        reads = make_benchmark(
+            BenchmarkParams(n_genes=80, mean_ests_per_gene=2, expression_skew=0.0),
+            rng=0,
+        ).reads
+        col = EstCollection([read.codes for read in reads])
+        psi = ClusteringConfig().psi
+        list(VectorPairGenerator(SuffixArrayGst.build(col), psi).pairs())
+        tracemalloc.start()
+        try:
+            gst = SuffixArrayGst.build(col)
+            build = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            gen = VectorPairGenerator(gst, psi)
+            forest = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            for _pair in gen.pairs():
+                pass
+            drain = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = gst.text.size
+        assert m > 200_000
+        assert build <= 43 * m
+        assert forest <= 45.5 * m
+        assert drain <= 46.5 * m
