@@ -156,9 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "absorbed/requeued/pruned) in the telemetry stream; "
                         "requires --telemetry-out (or --obs-out)")
     c.add_argument("--flight-dir", type=Path, metavar="DIR",
-                   help="arm a crash flight recorder in every process: a "
-                        "bounded event ring dumped to DIR/flight-<actor>.json "
-                        "on crash, SIGTERM or fault-tolerance transitions")
+                   help="arm a crash flight recorder in the master and every "
+                        "slave of --machine multiprocessing: the process's "
+                        "newest 256 telemetry events, dumped as JSONL to "
+                        "DIR/flight-<actor>.jsonl on crash, SIGTERM or "
+                        "fault-tolerance transitions")
     c.add_argument("--obs-out", type=Path, metavar="DIR",
                    help="one-stop observability directory: implies "
                         "--telemetry-out DIR/trace.jsonl, --live-out "
@@ -221,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
              "conservation check; exits 1 if the evidence is inconsistent",
     )
     pm.add_argument("directory", type=Path,
-                    help="directory holding the run's *.jsonl streams and "
-                         "flight-*.json dumps")
+                    help="directory holding the run's *.jsonl streams, "
+                         "flight-<actor>.jsonl dumps included")
     pm.add_argument("--tail", type=int, default=25, metavar="N",
                     help="merged-timeline events to show (default 25)")
 

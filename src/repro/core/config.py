@@ -125,10 +125,11 @@ class ClusteringConfig:
     #: the run; off by default so reference traces stay byte-identical.
     causal_tracing: bool = False
     #: Directory for crash flight-recorder dumps
-    #: (:mod:`repro.telemetry.flight`): each process keeps a bounded ring
-    #: of recent protocol events and dumps it there on crash,
-    #: fault-tolerance transitions, or SIGTERM.  ``None`` disables the
-    #: recorders entirely.
+    #: (:mod:`repro.telemetry.flight`).  Only the multiprocessing engine
+    #: arms recorders: its master and every slave dump their telemetry
+    #: session's newest events there on crash, fault-tolerance
+    #: transitions, or SIGTERM; the sequential and simulated engines
+    #: ignore it.  ``None`` disables the recorders entirely.
     flight_dir: str | None = None
 
     def __post_init__(self) -> None:

@@ -19,8 +19,8 @@ clustering see :mod:`repro.core.incremental`.
 from __future__ import annotations
 
 import itertools
-import time
-from typing import Iterable, Iterator
+import math
+from typing import Callable, Iterable, Iterator
 
 from repro.align.batch import make_aligner
 from repro.cluster.greedy import WorkCounters, greedy_cluster, greedy_cluster_batched
@@ -190,13 +190,12 @@ class PaceClusterer:
             pair_stream = _causal_stream(
                 pair_stream, tel, manager, cfg.batchsize, cfg.skip_clustered
             )
-        t0 = time.monotonic()
         with monitored_run(
-            monitor, cfg, tel, 1, engine="sequential", origin=t0
+            monitor, cfg, tel, 1, engine="sequential"
         ) as monitor, tel.span("alignment"):
             if monitor is not None:
                 pair_stream = self._monitored_stream(
-                    pair_stream, generator, manager, monitor, t0
+                    pair_stream, generator, manager, monitor, tel.now
                 )
             if cfg.align_batch:
                 greedy_cluster_batched(
@@ -216,9 +215,7 @@ class PaceClusterer:
                     counters=counters,
                 )
             if monitor is not None:
-                monitor.set_master(
-                    ts=time.monotonic() - t0, merges=len(manager.merges)
-                )
+                monitor.set_master(ts=tel.now(), merges=len(manager.merges))
 
         snapshot = None
         if telemetry is not None:
@@ -242,24 +239,20 @@ class PaceClusterer:
         generator,
         manager: ClusterManager,
         monitor: RunMonitor,
-        t0: float | None = None,
+        now: Callable[[], float],
     ) -> Iterator[Pair]:
         """Wrap the pair stream so the sequential run samples itself at
         the monitor's interval (the generators expose resumable forest
-        positions).  ``t0`` is the run's sample origin (shared with
-        ``begin_run`` so the live stream is alignable with post-run
-        traces)."""
+        positions), stamped by ``now``, the run session's clock."""
         sampler = ResourceSampler()
-        t0 = time.monotonic() if t0 is None else t0
         total_nodes = generator.total_nodes
-        last = 0.0
+        last = -math.inf
         produced = 0
         for pair in stream:
             produced += 1
-            wall = time.monotonic()
-            if wall - last >= monitor.interval:
-                last = wall
-                ts = wall - t0
+            ts = now()
+            if ts - last >= monitor.interval:
+                last = ts
                 monitor.on_sample(
                     LiveSample(
                         slave_id=0,

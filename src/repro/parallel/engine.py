@@ -210,8 +210,8 @@ class EngineCore:
         )
 
     def publish(self, ts: float) -> None:
-        """Mirror the master's accounting into the live monitor at
-        monitor time ``ts``."""
+        """Mirror the master's accounting — its fault counters included —
+        into the live monitor at engine time ``ts``."""
         if self.monitor is None:
             return
         stats = self.master.stats
@@ -221,6 +221,7 @@ class EngineCore:
             messages=stats.messages,
             merges=stats.merges,
             pairs_dispatched=stats.pairs_dispatched,
+            faults={k: v for k, v in self.faults.as_dict().items() if v},
         )
         if self.master.n_shards > 1:
             self.monitor.set_shards(self.master.shard_states())
@@ -246,25 +247,20 @@ class EngineCore:
         self.faults.slaves_lost += 1
         self.faults.pairs_reassigned += requeued
         if self.monitor is not None:
-            self.monitor.slave_lost(slave_id)  # also counts fault.slaves_lost
+            self.monitor.slave_lost(slave_id)
         if revive:
             logic.slave_revived(slave_id)
             self.faults.restarts += 1
             if self.monitor is not None:
-                self.monitor.slave_revived(slave_id)  # counts fault.restarts
-            recovery = Recovery(requeued)
-        else:
-            generator = make_pair_generator(
-                self.gst, self.config, ranges=self.ranges_of[slave_id]
-            )
-            produced, admitted = reabsorb_ranges(logic, generator, now=now)
-            self.regenerated += produced
-            self.faults.pairs_reassigned += admitted
-            recovery = Recovery(requeued, produced, admitted)
-        reassigned = recovery.requeued + recovery.admitted
-        if self.monitor is not None and reassigned:
-            self.monitor.record_fault("pairs_reassigned", reassigned)
-        return recovery
+                self.monitor.slave_revived(slave_id)
+            return Recovery(requeued)
+        generator = make_pair_generator(
+            self.gst, self.config, ranges=self.ranges_of[slave_id]
+        )
+        produced, admitted = reabsorb_ranges(logic, generator, now=now)
+        self.regenerated += produced
+        self.faults.pairs_reassigned += admitted
+        return Recovery(requeued, produced, admitted)
 
     def drain_locally(self, shard_id: int, now: float) -> tuple[int, int]:
         """No slave of ``shard_id`` survives to be sent its WORKBUF: align

@@ -143,9 +143,9 @@ def _slave_worker(
     slave_id: int,
     fault_plan: FaultPlan | None = None,
     incarnation: int = 0,
-    telemetry_origin: float | None = None,
+    origin: float | None = None,
+    traced: bool = False,
     sample_interval: float | None = None,
-    sample_origin: float = 0.0,
 ) -> None:
     """Slave process main: bootstrap, then request/response until stop.
 
@@ -154,12 +154,15 @@ def _slave_worker(
     descriptors: the slave then attaches read-only views of the master's
     pages instead of deserialising anything.
 
-    ``telemetry_origin`` (the master session's monotonic origin) switches
-    on slave-side telemetry: this process keeps its own session — wall
-    offsets directly comparable to the master's, since ``CLOCK_MONOTONIC``
-    is machine-wide — and ships everything back inside its final
-    :class:`_SlaveStats`.  Without it the session is a disabled one whose
-    instruments are no-ops.
+    ``origin`` is the master session's monotonic origin: this process
+    keeps its own session on the run clock — wall offsets directly
+    comparable to the master's, since ``CLOCK_MONOTONIC`` is machine-wide
+    — which stamps everything it records: events, live samples, a flight
+    dump.  ``traced`` switches that session on, and the slave ships its
+    events and metrics back inside its final :class:`_SlaveStats`;
+    otherwise it is a disabled one whose instruments are no-ops (with
+    ``config.flight_dir`` set it still keeps its newest events for the
+    flight recorder).
 
     ``sample_interval`` (set only when a :class:`RunMonitor` is attached)
     switches on live sampling: at most once per interval, a
@@ -178,20 +181,11 @@ def _slave_worker(
     """
     _start_on_own_cpu(slave_id)
     injector = FaultInjector(fault_plan, slave_id, incarnation)
-    tel = Telemetry(
-        enabled=telemetry_origin is not None,
-        origin=telemetry_origin,
-        causal=config.causal_tracing,
-    )
+    tel = Telemetry(enabled=traced, origin=origin, causal=config.causal_tracing)
     actor = f"slave{slave_id}"
     flight: FlightRecorder | None = None
     if config.flight_dir is not None:
-        flight = FlightRecorder(
-            config.flight_dir,
-            actor,
-            clock=tel.now if tel.enabled else time.monotonic,
-        )
-        flight.note("spawned", incarnation=incarnation)
+        flight = FlightRecorder(config.flight_dir, actor, tel)
         flight.install_sigterm()
         # Injected kills call os._exit directly (no except clause fires),
         # so the injector dumps the ring for us on its way out.
@@ -228,7 +222,7 @@ def _slave_worker(
 
         def live_sample() -> LiveSample:
             return slave.sample(
-                time.monotonic() - sample_origin,
+                tel.now(),
                 incarnation=incarnation,
                 rss_bytes=sampler.rss_bytes(),
                 cpu_seconds=sampler.cpu_seconds(),
@@ -246,26 +240,17 @@ def _slave_worker(
                     last_sample = wall
                     conn.send(live_sample())
             injector.before_send()
+            tel.trace(
+                "send",
+                actor,
+                tel.now(),
+                detail=f"to master: {out.n_results} results, {out.n_pairs} pairs",
+            )
             if tel.enabled:
-                tel.trace(
-                    "send",
-                    actor,
-                    tel.now(),
-                    detail=f"to master: {out.n_results} results, {out.n_pairs} pairs",
-                )
                 out = replace(out, sent_at=tel.now())
-            if flight is not None:
-                flight.note(
-                    "send",
-                    msg=injector.msg_index,
-                    results=out.n_results,
-                    pairs=out.n_pairs,
-                )
             conn.send(out)
             injector.after_send()
             reply = conn.recv()
-            if flight is not None:
-                flight.note("recv", work=len(reply.work))
             t_start = tel.now()
             tel.trace("recv", actor, t_start, detail="reply from master")
             tel.observe("slave.pairbuf_depth", len(logic.pairbuf), DEFAULT_BUCKETS)
@@ -294,7 +279,7 @@ def _slave_worker(
                         produced=logic.generator.produced,
                         alignments=logic.total_alignments,
                         dp_cells=logic.total_dp_cells,
-                        events=tuple(tel.events),
+                        events=tuple(tel.events) if tel.enabled else (),
                         metrics=tel.registry.snapshot() if tel.enabled else None,
                     )
                 )
@@ -385,10 +370,6 @@ def cluster_multiprocessing(
     )
 
     ctx = mp.get_context("fork")
-    # Live sample ts values are offsets from t0; publishing the raw
-    # monotonic origin lets analyze re-align them with the telemetry
-    # trace's own origin.
-    t0 = time.monotonic()
     live: dict[int, _SlaveHandle] = {}
     spawned: list[_SlaveHandle] = []  # every incarnation, for the teardown
     stats: dict[int, _SlaveStats] = {}
@@ -401,9 +382,8 @@ def cluster_multiprocessing(
     def record_fault(actor: str, detail: str) -> None:
         tel.trace("fault", actor, tel.now(), detail=detail)
         if flight is not None:
-            # Every fault transition refreshes the on-disk ring: the
+            # Every fault transition refreshes the on-disk dump: the
             # newest master state is the one a postmortem wants.
-            flight.note("fault", actor=actor, detail=detail)
             flight.dump("fault-transition", force=True)
 
     def spawn(slave_id: int, incarnation: int) -> _SlaveHandle:
@@ -419,9 +399,9 @@ def cluster_multiprocessing(
                     slave_id,
                     faults,
                     incarnation,
-                    tel.origin if tel.enabled else None,
+                    tel.origin,
+                    tel.enabled,
                     core.monitor.interval if core.monitor is not None else None,
-                    t0,
                 ),
                 daemon=True,
             )
@@ -497,8 +477,7 @@ def cluster_multiprocessing(
         if isinstance(msg, _SlaveError):
             core.faults.slave_errors += 1
             record_fault(f"slave{handle.slave_id}", "reported fatal error")
-            if monitor is not None:
-                monitor.record_fault("slave_errors")
+            core.publish(t_recv)
             raise SlaveFailure(handle.slave_id, msg.traceback)
         handle.expecting_since = None
         reply = core.on_message(msg, t_recv)
@@ -602,17 +581,18 @@ def cluster_multiprocessing(
             deaths: set[int] = set()
 
             wall = time.monotonic()
+            ts = tel.now()
             if monitor is not None and wall - last_master_sample >= monitor.interval:
                 last_master_sample = wall
                 monitor.on_sample(
                     LiveSample(
                         slave_id=MASTER_ID,
-                        ts=wall - t0,
+                        ts=ts,
                         rss_bytes=master_sampler.rss_bytes(),
                         cpu_seconds=master_sampler.cpu_seconds(),
                     )
                 )
-            core.publish(wall - t0)
+            core.publish(ts)
 
             # Cross-shard union exchange on a wall-clock cadence (a
             # single shard never syncs; the cadence is a pure
@@ -687,7 +667,7 @@ def cluster_multiprocessing(
             )
         if not master.finished():  # pragma: no cover - protocol invariant
             raise RuntimeError("runtime exited before every slave stopped")
-        core.publish(time.monotonic() - t0)
+        core.publish(tel.now())
 
     try:
         with monitored_run(
@@ -696,7 +676,6 @@ def cluster_multiprocessing(
             tel,
             n_slaves,
             engine="multiprocessing",
-            origin=t0,
             # Flag stragglers well before the fault deadline declares
             # them dead (sampling pauses with the slave, so staleness is
             # the same signal the deadline machinery keys on).
@@ -706,9 +685,9 @@ def cluster_multiprocessing(
                 flight = FlightRecorder(
                     config.flight_dir,
                     "master",
+                    tel,
                     run_id=tel.run_id
                     or (core.monitor.run_id if core.monitor is not None else ""),
-                    clock=tel.now,  # valid (0-based wall offsets) even when disabled
                     # Dump-time snapshot of master custody.
                     state_provider=lambda: {"live": sorted(live), **master.custody()},
                 )

@@ -9,9 +9,11 @@ events and causal work-unit records all go into the session's one event
 list as the JSONL records they are written as, while counters, gauges,
 histograms and work-unit latencies go into its metrics registry
 (``TimingBreakdown`` is a view over that registry, and fault counters
-surface as ``fault.*`` metrics).  The report, analysis, export and
-postmortem modules read those records; the live monitor and the crash
-flight recorder keep streams of their own.
+surface as ``fault.*`` metrics).  The session's clock stamps every
+record a process writes: its events, the live monitor's samples, and
+the crash flight recorder's dumps, which are the session's newest
+events.  The report, analysis, export and postmortem modules read those
+records, every stream in the one ``repro-telemetry/4`` schema.
 
 Layering: this package depends only on the standard library, so every
 other layer of the system may import it freely.
@@ -59,11 +61,7 @@ from repro.telemetry.causal import (
     format_unit,
 )
 from repro.telemetry.export import chrome_trace, export_chrome_trace
-from repro.telemetry.flight import (
-    FlightRecorder,
-    load_flight_dumps,
-    merge_flight_events,
-)
+from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.postmortem import build_postmortem, collect_run_sources
 from repro.telemetry.latency import (
     SEQUENTIAL_STAGES,
@@ -137,8 +135,6 @@ __all__ = [
     "chrome_trace",
     "export_chrome_trace",
     "FlightRecorder",
-    "load_flight_dumps",
-    "merge_flight_events",
     "build_postmortem",
     "collect_run_sources",
 ]

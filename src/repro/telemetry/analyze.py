@@ -1,9 +1,8 @@
 """Post-run trace analysis: critical path, imbalance, and run diffing.
 
-Works on loaded ``repro-telemetry`` JSONL records (any accepted schema
-rev — latency summaries are reconstructed from the ``latency.*``
-histograms when the denormalised ``/3`` records are absent), so it can
-compare a run monitored today against a trace committed months ago.
+Works on loaded ``repro-telemetry/4`` JSONL records: the per-stage
+``latency`` summaries every trace carries, its machine events and its
+causal records.
 
 Three questions, three entry points:
 
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 
 from repro.telemetry.causal import check_conservation
-from repro.telemetry.latency import QUANTILES, STAGES, store_from_records
+from repro.telemetry.latency import QUANTILES, STAGES
 from repro.telemetry.trace import busy_times
 
 __all__ = [
@@ -73,12 +72,8 @@ def trace_meta(records: list[dict]) -> dict:
 
 
 def stage_table(records: list[dict]) -> dict[str, dict[str, float]]:
-    """Per-stage ``{count, sum, mean, p50, p90, p99, p999}``.
-
-    Prefers the denormalised ``latency`` records (schema ``/3``); falls
-    back to rebuilding from the ``latency.*`` histograms so pre-``/3``
-    traces analyse identically.
-    """
+    """Per-stage ``{count, sum, mean, p50, p90, p99, p999}``, read off
+    the trace's ``latency`` summary records, in lifecycle order."""
     table: dict[str, dict[str, float]] = {}
     for rec in records:
         if rec.get("kind") == "latency":
@@ -87,12 +82,6 @@ def stage_table(records: list[dict]) -> dict[str, dict[str, float]]:
                 for k in ("count", "sum", "mean", "p50", "p90", "p99", "p999")
                 if k in rec
             }
-    if table:
-        return _in_stage_order(table)
-    return _in_stage_order(store_from_records(records).breakdown())
-
-
-def _in_stage_order(table: dict) -> dict:
     ordered = [s for s in STAGES if s in table]
     ordered += sorted(set(table) - set(STAGES))
     return {s: table[s] for s in ordered}
@@ -189,8 +178,7 @@ def analyze_trace(records: list[dict]) -> str:
 
     table = stage_table(records)
     if not table:
-        lines.append("no work-unit latency data in this trace "
-                     "(run with telemetry enabled on a /3-era build)")
+        lines.append("no work-unit latency data in this trace")
         return "\n".join(lines)
 
     lines.append("")

@@ -1,28 +1,34 @@
-"""Crash flight recorder: a bounded ring of recent protocol events.
+"""Crash flight recorder: dump the tail of a process's telemetry session.
 
 Aggregate telemetry only reaches disk when a run finishes; a slave that
 dies mid-run takes its recent history with it.  Each process (master and
-every mp slave) can therefore keep a :class:`FlightRecorder` — a
-``deque(maxlen=...)`` of its most recent protocol/dispatch/union events —
-and dump it to ``<dir>/flight-<actor>.json`` when something goes wrong:
-an unhandled exception, a fault-tolerance transition, or SIGTERM.
-`pace-est postmortem` merges these dumps with whatever telemetry JSONL
-made it to disk and reconstructs the run's last moments.
+every mp slave) can therefore arm a :class:`FlightRecorder` over its
+:class:`~repro.telemetry.spans.Telemetry` session and dump the session's
+newest :data:`DEFAULT_CAPACITY` events to ``<dir>/flight-<actor>.jsonl``
+when something goes wrong: an unhandled exception, a fault-tolerance
+transition, or SIGTERM.  `pace-est postmortem` merges these dumps with
+whatever telemetry JSONL made it to disk and reconstructs the run's last
+moments.
 
-Recording a note is one ``deque.append`` of a small dict — cheap enough
-to leave on for every monitored run — and nothing at all when no
-recorder is constructed (the disabled path stays instruction-free: call
-sites guard on ``rec is not None``).
+The ring is the session's own: an enabled session keeps every event
+already, and arming a recorder makes a disabled one keep its newest
+events in a bounded deque (:meth:`Telemetry.keep_tail`).  So a dump holds
+the records the run would have written — spans, machine events, causal
+records — stamped by the one run clock.  With no recorder armed, a
+disabled session records nothing.
 
-Dump files are self-describing JSON (schema ``repro-flight/1``)::
+A dump is a ``repro-telemetry/4`` JSONL file like any other stream: a
+``meta`` record ::
 
-    {"schema": "repro-flight/1", "actor": "slave3", "run_id": "...",
-     "reason": "crash", "dumped_at": 12.5, "state": {...}, "events": [...]}
+    {"kind": "meta", "schema": "repro-telemetry/4", "stream": "flight",
+     "actor": "slave3", "run_id": "...", "reason": "crash",
+     "dumped_at": 0.125, "state": {...}}
 
-``state`` is the output of an optional ``state_provider`` callable — the
-engines attach one returning protocol state (in-flight work units,
-dispatch-policy queue depths, message counts) so the dump names exactly
-what the process was holding when it died.
+then the tail records in run-clock order.  ``state`` is the output of an
+optional ``state_provider`` callable — the engines attach one returning
+protocol state (in-flight work units, dispatch-policy queue depths,
+message counts) so the dump names exactly what the process was holding
+when it died.
 """
 
 from __future__ import annotations
@@ -30,69 +36,45 @@ from __future__ import annotations
 import json
 import os
 import signal
-import time
-from collections import deque
-from typing import Callable, Iterable
+from typing import Callable
 
-__all__ = [
-    "FLIGHT_SCHEMA",
-    "FlightRecorder",
-    "load_flight_dumps",
-    "merge_flight_events",
-]
+from repro.telemetry.sinks import SCHEMA_VERSION
+from repro.telemetry.spans import Telemetry
 
-FLIGHT_SCHEMA = "repro-flight/1"
+__all__ = ["DEFAULT_CAPACITY", "FlightRecorder"]
 
-#: Default ring capacity: enough to cover several protocol round trips
-#: per slave without ever holding more than a few hundred small dicts.
+#: Events a dump holds: enough to cover several protocol round trips per
+#: slave without a disabled session ever keeping more than a few hundred
+#: small dicts.
 DEFAULT_CAPACITY = 256
 
 
 class FlightRecorder:
-    """Per-process bounded event ring with dump-on-disaster semantics."""
+    """Dump-on-disaster over one process's telemetry session."""
 
     def __init__(
         self,
         directory: str,
         actor: str,
+        telemetry: Telemetry,
         *,
         run_id: str = "",
-        capacity: int = DEFAULT_CAPACITY,
-        clock: Callable[[], float] = time.time,
         state_provider: Callable[[], dict] | None = None,
     ) -> None:
         self.directory = directory
         self.actor = actor
+        self.telemetry = telemetry
         self.run_id = run_id
-        self.clock = clock
         self.state_provider = state_provider
-        self._ring: deque[dict] = deque(maxlen=capacity)
         self._dumped = False
-
-    # ---- recording ---------------------------------------------------- #
-
-    def note(self, event: str, **detail) -> None:
-        """Append one event to the ring (oldest entries fall off)."""
-        rec = {"ts": self.clock(), "event": event}
-        if detail:
-            rec.update(detail)
-        self._ring.append(rec)
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    @property
-    def events(self) -> list[dict]:
-        return list(self._ring)
-
-    # ---- dumping ------------------------------------------------------ #
+        telemetry.keep_tail(DEFAULT_CAPACITY)
 
     @property
     def path(self) -> str:
-        return os.path.join(self.directory, f"flight-{self.actor}.json")
+        return os.path.join(self.directory, f"flight-{self.actor}.jsonl")
 
     def dump(self, reason: str, *, force: bool = False) -> str | None:
-        """Write the ring to disk; idempotent unless ``force``.
+        """Write the session's tail to disk; idempotent unless ``force``.
 
         The first dump wins (a crash dump should not be overwritten by
         the SIGTERM handler firing during teardown).  Returns the path
@@ -101,25 +83,28 @@ class FlightRecorder:
         """
         if self._dumped and not force:
             return None
-        payload = {
-            "schema": FLIGHT_SCHEMA,
+        tel = self.telemetry
+        meta = {
+            "kind": "meta",
+            "schema": SCHEMA_VERSION,
+            "stream": "flight",
             "actor": self.actor,
             "run_id": self.run_id,
             "reason": reason,
-            "dumped_at": self.clock(),
-            "events": list(self._ring),
+            "dumped_at": tel.now(),
+            "state": {},
         }
         if self.state_provider is not None:
             try:
-                payload["state"] = self.state_provider()
+                meta["state"] = self.state_provider()
             except Exception as exc:  # pragma: no cover - defensive
-                payload["state_error"] = repr(exc)
+                meta["state_error"] = repr(exc)
+        records = [meta, *tel.tail(DEFAULT_CAPACITY)]
         try:
             os.makedirs(self.directory, exist_ok=True)
             tmp = f"{self.path}.tmp.{os.getpid()}"
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, default=str)
-                fh.write("\n")
+                fh.writelines(json.dumps(rec, default=str) + "\n" for rec in records)
             os.replace(tmp, self.path)
         except OSError:
             return None
@@ -136,45 +121,3 @@ class FlightRecorder:
             os._exit(128 + signum)
 
         signal.signal(signal.SIGTERM, _handler)
-
-
-def load_flight_dumps(directory: str) -> list[dict]:
-    """Read every ``flight-*.json`` dump in a run directory, sorted by
-    actor name.  Unreadable or half-written dumps are skipped with a
-    ``load_error`` placeholder entry rather than raised — postmortem
-    tooling must work on exactly the runs that died messily."""
-    dumps: list[dict] = []
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return dumps
-    for name in names:
-        if not (name.startswith("flight-") and name.endswith(".json")):
-            continue
-        path = os.path.join(directory, name)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError) as exc:
-            dumps.append(
-                {"schema": FLIGHT_SCHEMA, "actor": name, "load_error": str(exc)}
-            )
-            continue
-        if isinstance(payload, dict):
-            dumps.append(payload)
-    return dumps
-
-
-def merge_flight_events(dumps: Iterable[dict]) -> list[dict]:
-    """Flatten dump events into one ts-sorted stream, tagging each event
-    with its source actor."""
-    merged: list[dict] = []
-    for dump in dumps:
-        actor = dump.get("actor", "?")
-        for ev in dump.get("events", ()):
-            if isinstance(ev, dict):
-                tagged = dict(ev)
-                tagged.setdefault("actor", actor)
-                merged.append(tagged)
-    merged.sort(key=lambda e: e.get("ts", 0.0))
-    return merged

@@ -37,7 +37,7 @@ parity test).
 :class:`~repro.telemetry.registry.MetricsRegistry` — which means
 slave-side observations merge into the master via the existing
 ``_SlaveStats`` snapshot path, latency histograms ride the normal JSONL
-``metric`` records, and ``repro-telemetry/3`` summaries
+``metric`` records, and the ``latency`` summary records
 (:func:`latency_records`) are derivable from any snapshot.  Every run
 reaches its store as :attr:`Telemetry.latency
 <repro.telemetry.spans.Telemetry.latency>`, and the parallel engines and
@@ -198,9 +198,9 @@ class LatencyStore:
 
 
 def latency_records(store: LatencyStore) -> list[dict]:
-    """Per-stage ``{"kind": "latency", ...}`` summary records (schema
-    ``repro-telemetry/3``): denormalised quantiles so downstream tools
-    need no bucket math.  Empty when nothing was observed."""
+    """Per-stage ``{"kind": "latency", ...}`` summary records:
+    denormalised quantiles so downstream tools need no bucket math.
+    Empty when nothing was observed."""
     records = []
     for stage, rec in store.breakdown().items():
         records.append(
@@ -219,8 +219,7 @@ def latency_records(store: LatencyStore) -> list[dict]:
 def store_from_records(records) -> LatencyStore:
     """Rebuild a :class:`LatencyStore` from loaded JSONL trace records.
 
-    Reads the ``latency.<stage>.seconds`` histogram ``metric`` records, so
-    it works on any schema rev that carries histograms (``/1`` onward) —
+    Reads the ``latency.<stage>.seconds`` histogram ``metric`` records —
     the denormalised ``latency`` summaries are *derived* from these, never
     the source of truth."""
     metrics = {

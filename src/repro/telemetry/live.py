@@ -19,10 +19,12 @@ live monitor that fixes that:
 Everything here is plain data + stdlib; the HTTP endpoint, status lines
 and terminal rendering live in :mod:`repro.telemetry.monitor`.
 
-Live records are JSONL ``{"kind": "live", ...}`` lines (schema
-``repro-telemetry/2``); they stream into ``--live-out`` files and, when a
-full telemetry session is active, into the main event stream, so
-``pace-est monitor`` can replay a finished run from its trace alone.
+Sample timestamps are the run's telemetry clock, ``Telemetry.now()`` of
+the session the engine runs under (virtual seconds in the simulator), and
+the live stream's ``origin`` is that session's, so live records and the
+post-run trace share one time axis.  Live records are JSONL ``{"kind":
+"live", ...}`` lines; they stream into ``--live-out`` files only (the
+run's event list never holds them), which ``pace-est monitor`` replays.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from __future__ import annotations
 import os
 import resource
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "LiveSample",
@@ -121,8 +122,8 @@ class LiveSample:
     Picklable and small: it travels the existing master–slave pipes as a
     low-priority message (the master absorbs it without a reply, so the
     strict reply/message alternation of the §3.3 protocol is untouched).
-    ``ts`` is seconds since the run origin — wall offsets in the
-    multiprocessing backend, virtual time in the simulator.  Counters are
+    ``ts`` is the run's telemetry clock — wall seconds since the session
+    origin, virtual time in the simulator.  Counters are
     cumulative within one incarnation; ``gen_position`` is the resumable
     position of the on-demand pair generator (processed nodes over owned
     nodes, 1.0 once exhausted).
@@ -146,7 +147,7 @@ class LiveSample:
         return "master" if self.slave_id == MASTER_ID else f"slave{self.slave_id}"
 
     def as_record(self) -> dict:
-        """The JSONL ``live`` record (schema ``repro-telemetry/2``)."""
+        """The JSONL ``live`` record."""
         return {
             "kind": "live",
             "actor": self.actor,
@@ -268,11 +269,9 @@ class LiveRunState:
         self.run_id = run_id
         self.engine = engine
         self.clock = clock
-        #: The raw clock value sample ``ts`` offsets are measured from
-        #: (``time.monotonic()`` at run start for wall clocks, 0.0 for the
-        #: simulator).  Published so live scrapes, replayed JSONL and
-        #: post-run traces can be put on one time axis by `pace-est
-        #: analyze`.
+        #: The run's telemetry session origin (``time.monotonic()`` value
+        #: of its ts == 0), the same as the post-run trace's meta
+        #: ``origin``.
         self.origin = origin
         self.n_slaves = n_slaves
         self.straggler_after = straggler_after
@@ -325,6 +324,7 @@ class LiveRunState:
         messages: int | None = None,
         merges: int | None = None,
         pairs_dispatched: int | None = None,
+        faults: dict[str, int] | None = None,
     ) -> None:
         if ts is not None:
             self.now = max(self.now, ts)
@@ -336,24 +336,19 @@ class LiveRunState:
             self.merges = merges
         if pairs_dispatched is not None:
             self.pairs_dispatched = pairs_dispatched
+        if faults is not None:
+            self.fault_counters = dict(faults)
 
     def set_shards(self, shard_states: list[dict]) -> None:
         """Replace the per-shard views (sharded-master engines push the
         whole list each refresh; counters inside are cumulative)."""
         self.shards = list(shard_states)
 
-    def record_fault(self, name: str, amount: int = 1) -> None:
-        self.fault_counters[name] = self.fault_counters.get(name, 0) + amount
-
     def slave_lost(self, slave_id: int) -> None:
-        view = self.slaves.setdefault(slave_id, SlaveView(slave_id))
-        view.lost = True
-        self.record_fault("slaves_lost")
+        self.slaves.setdefault(slave_id, SlaveView(slave_id)).lost = True
 
     def slave_revived(self, slave_id: int) -> None:
-        view = self.slaves.setdefault(slave_id, SlaveView(slave_id))
-        view.lost = False
-        self.record_fault("restarts")
+        self.slaves.setdefault(slave_id, SlaveView(slave_id)).lost = False
 
     def slave_stopped(self, slave_id: int) -> None:
         view = self.slaves.setdefault(slave_id, SlaveView(slave_id))
@@ -440,8 +435,8 @@ class LiveRunState:
 
 def replay_live_records(records: list[dict]) -> LiveRunState:
     """Rebuild a :class:`LiveRunState` from a JSONL record stream (a
-    ``--live-out`` file or a full telemetry trace containing ``live``
-    records) — what ``pace-est monitor <file>`` renders."""
+    ``--live-out`` file, or a trace, whose fault events mark lost
+    slaves) — what ``pace-est monitor <file>`` renders."""
     meta = records[0] if records and records[0].get("kind") == "meta" else {}
     n_slaves = int(meta.get("n_processors", 1)) - 1 if meta else 0
     origin = meta.get("origin")
@@ -463,9 +458,8 @@ def replay_live_records(records: list[dict]) -> LiveRunState:
                 workbuf_depth=rec.get("workbuf_depth"),
                 messages=rec.get("messages"),
                 merges=rec.get("merges"),
+                faults=rec.get("faults"),
             )
-            for name, value in rec.get("faults", {}).items():
-                state.fault_counters[name] = int(value)
             shards = rec.get("shards")
             if shards:
                 state.set_shards(shards)

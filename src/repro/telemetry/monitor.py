@@ -15,7 +15,7 @@ monitoring is requested (``ClusteringConfig.monitor_port`` /
    ``live_state`` master records, replayable by
    :func:`~repro.telemetry.live.replay_live_records`.
 
-Thread model: engine callbacks (``on_sample``, ``record_fault``, …)
+Thread model: engine callbacks (``on_sample``, ``set_master``, …)
 mutate the state under one lock; the HTTP handler renders under the same
 lock.  When ``monitor is None`` nothing here is ever imported on a hot
 path — the engines guard every call site.  Every engine brackets its run
@@ -357,14 +357,6 @@ class RunMonitor:
         self._closed = False
         self._registry = None
 
-    def attach_registry(self, registry) -> None:
-        """Expose a :class:`~repro.telemetry.registry.MetricsRegistry`'s
-        histograms as quantile gauges on ``/metrics`` (the engines attach
-        their telemetry registry so ``latency.*`` stage quantiles are
-        scrapeable mid-run).  Reads race benignly with writer increments:
-        a scrape may see a histogram mid-update, never a torn value."""
-        self._registry = registry
-
     # ---- lifecycle ---------------------------------------------------- #
 
     @property
@@ -379,13 +371,21 @@ class RunMonitor:
         engine: str,
         clock: str = "wall",
         straggler_after: float = 30.0,
-        origin: float | None = None,
+        telemetry=None,
     ) -> LiveRunState:
         """Engine handshake: size the state, open the sinks.  Idempotent
         per monitor (a second run reuses the endpoint with fresh state).
-        ``origin`` is the raw clock value that sample offsets count from;
-        it is published on ``/state`` and in the live meta record so the
-        stream can be time-aligned with post-run traces."""
+
+        ``telemetry`` is the run's session, whose clock stamps the
+        samples: its ``origin`` is published on ``/state`` and in the live
+        meta record, as in the post-run trace's, and an enabled session's
+        registry histograms become quantile gauges on ``/metrics`` (so
+        ``latency.*`` stage quantiles are scrapeable mid-run; reads race
+        benignly with writer increments — a scrape may see a histogram
+        mid-update, never a torn value)."""
+        origin = telemetry.origin if telemetry is not None else None
+        enabled = telemetry is not None and telemetry.enabled
+        self._registry = telemetry.registry if enabled else None
         with self._lock:
             self.state = LiveRunState(
                 n_slaves,
@@ -501,11 +501,6 @@ class RunMonitor:
             if self.state is not None:
                 self.state.set_shards(shard_states)
 
-    def record_fault(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            if self.state is not None:
-                self.state.record_fault(name, amount)
-
     def slave_lost(self, slave_id: int) -> None:
         with self._lock:
             if self.state is not None:
@@ -617,7 +612,6 @@ def monitored_run(
     *,
     engine: str,
     clock: str = "wall",
-    origin: float | None = None,
     straggler_after: float = 30.0,
 ):
     """The monitor's lifecycle around one clustering run, for every engine.
@@ -625,9 +619,9 @@ def monitored_run(
     Borrows ``monitor`` when the caller passed one, else creates (and
     owns) one when ``config.monitor_port`` is set, else yields ``None``.
     On entry it shares the monitor's run id with an enabled ``telemetry``
-    session (so the live stream and the post-run trace can be joined),
-    performs the ``begin_run`` handshake and attaches the session's
-    registry (latency quantiles on ``/metrics``).  A clean exit finishes
+    session (so the live stream and the post-run trace can be joined) and
+    performs the ``begin_run`` handshake with that session, whose origin
+    and clock the live stream shares.  A clean exit finishes
     the run at the last clock reading the engine published; an exception
     skips that, so a dead run is never reported as complete.  An owned
     monitor is closed either way — its HTTP thread and port must not
@@ -649,11 +643,9 @@ def monitored_run(
             n_slaves,
             engine=engine,
             clock=clock,
-            origin=origin,
             straggler_after=max(2 * monitor.interval, straggler_after),
+            telemetry=telemetry,
         )
-        if telemetry.enabled:
-            monitor.attach_registry(telemetry.registry)
         yield monitor
         monitor.finish(state.now)
     finally:

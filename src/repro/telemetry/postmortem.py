@@ -1,18 +1,24 @@
 """Postmortem reconstruction of a failed (or finished) run directory.
 
-`pace-est postmortem <dir>` merges everything a run left behind —
-telemetry/live JSONL (tolerated even when the writer died mid-line,
-see :func:`repro.telemetry.sinks.load_jsonl`) and the per-process
-flight-recorder dumps (:mod:`repro.telemetry.flight`) — into one
-causally-ordered timeline, then reports:
+`pace-est postmortem <dir>` merges everything a run left behind — the
+telemetry trace, the live stream and the per-process flight-recorder
+dumps (:mod:`repro.telemetry.flight`), all JSONL files of one schema,
+each loaded tolerantly (a writer that died mid-line, see
+:func:`repro.telemetry.sinks.load_jsonl`) — into one causally-ordered
+timeline, then reports:
 
 - each actor's last known state (progress counters from live samples,
-  ring-buffer state from flight dumps, whichever is newest);
+  the state a flight dump recorded);
 - which slaves were lost, and which work units were in flight when the
   run ended (from :func:`repro.telemetry.causal.check_conservation`
   with in-flight allowed — in-flight units on a *finished* run are
   still flagged as errors);
 - the merged event tail: the last moments before things went wrong.
+
+Flight dumps (``meta.stream == "flight"``) are kept apart from the run's
+own records: a dump repeats events the trace may also hold, so only the
+timeline sees dumps — one line per event, whichever source it came
+from — and the causal ledgers count the run's records alone.
 
 The module is read-only over the run directory and never raises on
 partial data: a postmortem has to work on exactly the runs that died
@@ -21,11 +27,11 @@ messily.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 
 from repro.telemetry.causal import check_conservation, format_unit
-from repro.telemetry.flight import load_flight_dumps
 from repro.telemetry.live import replay_live_records
 from repro.telemetry.sinks import load_jsonl
 
@@ -40,9 +46,11 @@ class RunSources:
     """Everything readable from one run directory."""
 
     directory: str
+    #: The run's own records (trace and live streams), on the run clock.
     records: list[dict] = field(default_factory=list)
-    flight_dumps: list[dict] = field(default_factory=list)
-    #: ``(filename, record count)`` per JSONL file actually read.
+    #: One record list per flight dump, its ``meta`` record first.
+    flight_dumps: list[list[dict]] = field(default_factory=list)
+    #: ``(filename, record count)`` per run stream actually read.
     jsonl_files: list[tuple[str, int]] = field(default_factory=list)
     #: ``filename: message`` for files that could not be read at all.
     errors: dict[str, str] = field(default_factory=dict)
@@ -56,9 +64,10 @@ class RunSources:
 
 
 def collect_run_sources(directory: str) -> RunSources:
-    """Read every JSONL file and flight dump in ``directory``.
+    """Read every JSONL file in ``directory``: the run's streams and its
+    flight dumps.
 
-    JSONL files are loaded tolerantly (a truncated final line — the
+    Files are loaded tolerantly (a truncated final line — the
     writer died mid-record — is skipped with a warning instead of
     raised); files that are unreadable or broken earlier than their last
     line are reported in ``errors`` and otherwise ignored.
@@ -78,46 +87,53 @@ def collect_run_sources(directory: str) -> RunSources:
         except (OSError, ValueError) as exc:
             src.errors[name] = str(exc)
             continue
-        src.jsonl_files.append((name, len(records)))
-        src.records.extend(records)
+        if records and records[0].get("stream") == "flight":
+            src.flight_dumps.append(records)
+        else:
+            src.jsonl_files.append((name, len(records)))
+            src.records.extend(records)
     # A stable causal order for the merged stream: every record kind in
-    # the /4 schema carries ts on the run clock.
+    # the schema carries ts on the run clock.
     src.records.sort(key=lambda r: float(r.get("ts", 0.0)))
-    src.flight_dumps = load_flight_dumps(directory)
     return src
+
+
+def _describe(rec: dict) -> str | None:
+    """A timeline line's text for a noteworthy record (a message, a
+    fault, a work-unit lifecycle step), else ``None``."""
+    kind, event = rec.get("kind"), rec.get("event")
+    if kind == "causal":
+        extra = f" reason={rec['reason']}" if rec.get("reason") else ""
+        to = f" slave={rec['slave']}" if rec.get("slave") is not None else ""
+        return (
+            f"{event} unit {format_unit(rec.get('unit', -1))} "
+            f"n={rec.get('n', 0)}{to}{extra}"
+        )
+    if kind == "trace" and event == "fault":
+        return f"FAULT {rec.get('detail', '')}"
+    if kind == "trace" and event in ("send", "recv"):
+        return f"{event} {rec.get('detail', '')}".rstrip()
+    return None
 
 
 def _timeline_tail(src: RunSources, tail: int) -> list[str]:
     """The last ``tail`` noteworthy events across all sources, merged on
-    the run clock."""
-    merged: list[tuple[float, str, str]] = []
-    for rec in src.records:
-        kind = rec.get("kind")
-        ts = float(rec.get("ts", 0.0))
-        if kind == "causal":
-            extra = f" reason={rec['reason']}" if rec.get("reason") else ""
-            to = f" slave={rec['slave']}" if rec.get("slave") is not None else ""
-            merged.append(
-                (
-                    ts,
-                    rec.get("actor", "?"),
-                    f"{rec.get('event')} unit {format_unit(rec.get('unit', -1))} "
-                    f"n={rec.get('n', 0)}{to}{extra}",
-                )
-            )
-        elif kind == "trace" and rec.get("event") == "fault":
-            merged.append((ts, rec.get("actor", "?"), f"FAULT {rec.get('detail', '')}"))
-    for dump in src.flight_dumps:
-        actor = dump.get("actor", "?")
-        for ev in dump.get("events", ()):
-            if not isinstance(ev, dict):
-                continue
-            detail = {k: v for k, v in ev.items() if k not in ("ts", "event")}
-            text = f"[flight] {ev.get('event', '?')}"
-            if detail:
-                text += " " + " ".join(f"{k}={v}" for k, v in sorted(detail.items()))
-            merged.append((float(ev.get("ts", 0.0)), actor, text))
-    merged.sort(key=lambda t: t[0])
+    the run clock; a dump's event the run's records already hold (or an
+    earlier dump did) is not repeated."""
+
+    def entries(records):
+        for rec in records:
+            text = _describe(rec)
+            if text is not None:
+                yield float(rec.get("ts", 0.0)), rec.get("actor", "?"), text
+
+    merged = list(entries(src.records))
+    seen = set(merged)
+    for entry in entries(itertools.chain(*src.flight_dumps)):
+        if entry not in seen:
+            seen.add(entry)
+            merged.append(entry)
+    merged.sort(key=lambda e: e[0])
     return [f"  t={ts:10.4f}  {actor:<8} {text}" for ts, actor, text in merged[-tail:]]
 
 
@@ -132,8 +148,9 @@ def build_postmortem(directory: str, *, tail: int = DEFAULT_TAIL) -> tuple[str, 
     src = collect_run_sources(directory)
     meta = src.meta
     lines: list[str] = []
+    dump_metas = [dump[0] for dump in src.flight_dumps]
     run_id = meta.get("run_id") or next(
-        (d.get("run_id") for d in src.flight_dumps if d.get("run_id")), ""
+        (d["run_id"] for d in dump_metas if d.get("run_id")), ""
     )
     lines.append(f"postmortem: {directory}")
     lines.append(
@@ -144,16 +161,12 @@ def build_postmortem(directory: str, *, tail: int = DEFAULT_TAIL) -> tuple[str, 
     lines.append("sources:")
     for name, count in src.jsonl_files:
         lines.append(f"  {name}: {count} records")
-    for dump in src.flight_dumps:
-        actor = dump.get("actor", "?")
-        if "load_error" in dump:
-            lines.append(f"  flight dump {actor}: unreadable ({dump['load_error']})")
-        else:
-            lines.append(
-                f"  flight-{actor}.json: {len(dump.get('events', ()))} events, "
-                f"reason={dump.get('reason', '?')} "
-                f"at t={float(dump.get('dumped_at', 0.0)):.4f}"
-            )
+    for dump, head in zip(src.flight_dumps, dump_metas):
+        lines.append(
+            f"  flight-{head.get('actor', '?')}.jsonl: {len(dump) - 1} events, "
+            f"reason={head.get('reason', '?')} "
+            f"at t={float(head.get('dumped_at', 0.0)):.4f}"
+        )
     for name, err in src.errors.items():
         lines.append(f"  {name}: unreadable ({err})")
     if not src.jsonl_files and not src.flight_dumps:
@@ -162,9 +175,7 @@ def build_postmortem(directory: str, *, tail: int = DEFAULT_TAIL) -> tuple[str, 
 
     finished = bool(meta.get("total_time") is not None)
     state = replay_live_records(src.records)
-    flight_by_actor = {
-        d.get("actor"): d for d in src.flight_dumps if "load_error" not in d
-    }
+    flight_by_actor = {head.get("actor"): head for head in dump_metas}
 
     lines.append("actors:")
     views = [("master", state.master)] + [

@@ -1,28 +1,32 @@
 """Telemetry sinks: JSONL export, schema validation, and the human report.
 
 The on-disk form is JSON Lines — one record per line, first line a
-``meta`` record — so traces stream, concatenate, and grep well.  Record
-kinds (the full schema is documented in DESIGN.md §5b):
+``meta`` record — so traces stream, concatenate, and grep well.  The
+run's trace, the live monitor's ``--live-out`` stream (``stream:
+"live"``) and crash flight dumps (``stream: "flight"``) are all files of
+this one schema.  Record kinds (the full schema is documented in
+DESIGN.md §5b):
 
 - ``meta`` — run identity: schema version, engine, processor count,
-  clock domain ("wall" or "virtual"), total run time;
+  clock domain ("wall" or "virtual"), total run time, ``origin``,
+  ``run_id``;
 - ``span_start`` / ``span_end`` — phase-scoped spans with nesting
   (``id``/``parent``) and, on end, the measured ``duration``;
 - ``trace`` — machine events (``event`` ∈ send/recv/compute/fault) with
   ``ts``/``end`` interval bounds and the owning ``actor``;
 - ``metric`` — final instrument values (``metric`` ∈
   counter/gauge/histogram);
-- ``live`` — a streamed per-actor resource/progress sample (schema /2,
-  written by the run monitor's ``--live-out`` stream; timestamps are
-  monotone *per actor*, not globally, because slaves sample
-  independently and their messages interleave in arrival order);
+- ``live`` — a streamed per-actor resource/progress sample (written by
+  the run monitor's ``--live-out`` stream; timestamps are monotone *per
+  actor*, not globally, because slaves sample independently and their
+  messages interleave in arrival order);
 - ``live_state`` — a streamed master-side aggregate (progress, queue
   depths, fault counters) with a ``finished`` flag on the last one;
-- ``latency`` — a per-stage work-unit latency summary (schema /3):
-  ``stage`` plus count/sum/mean and the p50/p90/p99/p999 quantiles,
-  denormalised from the ``latency.<stage>.seconds`` histograms so
-  downstream tools get tail percentiles without redoing bucket math;
-- ``causal`` — a work-unit lifecycle event (schema /4): ``event`` ∈
+- ``latency`` — a per-stage work-unit latency summary: ``stage`` plus
+  count/sum/mean and the p50/p90/p99/p999 quantiles, denormalised from
+  the ``latency.<stage>.seconds`` histograms so downstream tools get
+  tail percentiles without redoing bucket math;
+- ``causal`` — a work-unit lifecycle event: ``event`` ∈
   generated/admitted/dispatched/aligned/absorbed/requeued/pruned with
   the ``unit`` id, pair count ``n``, ``actor`` and ``ts`` (see
   :mod:`repro.telemetry.causal`; the conservation check balances these).
@@ -64,21 +68,8 @@ __all__ = [
 
 SCHEMA_VERSION = "repro-telemetry/4"
 
-#: Schema revisions this reader accepts.  /1 is the PR 2 post-run trace
-#: format; /2 adds the streamed ``live``/``live_state`` record kinds; /3
-#: adds per-stage ``latency`` summary records (count/sum/mean + ordered
-#: p50 ≤ p90 ≤ p99 ≤ p999) and optional ``origin``/``run_id`` meta keys;
-#: /4 adds ``causal`` work-unit lifecycle records and optional per-shard
-#: fields on ``live_state``.  Every rev is additive, so old files stay
-#: readable.
-ACCEPTED_SCHEMAS = frozenset(
-    {
-        "repro-telemetry/1",
-        "repro-telemetry/2",
-        "repro-telemetry/3",
-        "repro-telemetry/4",
-    }
-)
+#: Schema revisions this reader accepts: the one that is written.
+ACCEPTED_SCHEMAS = frozenset({SCHEMA_VERSION})
 
 _EVENT_KINDS = frozenset({"span_start", "span_end", "trace", "causal"})
 _TRACE_EVENTS = frozenset({"send", "recv", "compute", "fault"})
@@ -117,7 +108,7 @@ def snapshot_records(snapshot: TelemetrySnapshot) -> list[dict]:
                 "sum": rec["sum"],
             }
         )
-    # /3: denormalised per-stage work-unit latency summaries, derived
+    # Denormalised per-stage work-unit latency summaries, derived
     # from the ``latency.*`` histograms above so downstream tools get
     # quantiles without redoing the bucket math.
     records.extend(latency_records(LatencyStore.from_metrics(metrics)))
@@ -195,7 +186,7 @@ def validate_records(records: Iterable[dict]) -> list[str]:
     elif head.get("schema") not in ACCEPTED_SCHEMAS:
         problems.append(
             f"record 0: unknown schema {head.get('schema')!r} "
-            f"(expected one of {sorted(ACCEPTED_SCHEMAS)})"
+            f"(expected {SCHEMA_VERSION!r})"
         )
     last_ts = None
     live_ts: dict[str, float] = {}  # live samples are monotone per actor
@@ -349,11 +340,13 @@ def validate_records(records: Iterable[dict]) -> list[str]:
                 )
         else:
             problems.append(f"record {i}: unknown record kind {kind!r}")
-    # Span start/end pairing by id.
-    started = {r["id"] for r in records if r.get("kind") == "span_start"}
-    ended = {r["id"] for r in records if r.get("kind") == "span_end"}
-    for sid in sorted(started ^ ended):
-        problems.append(f"span id {sid}: unmatched start/end")
+    # Span start/end pairing by id — except in a flight dump, a tail that
+    # cuts spans open at either end.
+    if head.get("stream") != "flight":
+        started = {r["id"] for r in records if r.get("kind") == "span_start"}
+        ended = {r["id"] for r in records if r.get("kind") == "span_end"}
+        for sid in sorted(started ^ ended):
+            problems.append(f"span id {sid}: unmatched start/end")
     return problems
 
 

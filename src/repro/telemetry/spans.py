@@ -24,19 +24,25 @@ observations and the per-item instruments (`count`/`observe`/`set_gauge`)
 become no-ops, keeping the overhead of an uninstrumented run
 indistinguishable from the old ``TimingBreakdown``.  Causal records are
 kept only when :attr:`Telemetry.causal` is set as well, which the engines
-do from ``config.causal_tracing``.
+do from ``config.causal_tracing``.  A crash flight recorder
+(:mod:`repro.telemetry.flight`) arms :meth:`Telemetry.keep_tail`: a
+disabled session then keeps its newest events in a bounded ring, and
+:meth:`Telemetry.tail` is what the recorder dumps, enabled or not.
 
 Timestamps are seconds since the session ``origin`` (``time.monotonic``
 based, so sessions in forked slave processes that share the master's
 origin produce directly comparable offsets, and the master appends their
-events to its own list).  The simulator does not use the wall clock at
-all: it records virtual times and phase seconds, and marks its snapshot
-``clock="virtual"``.
+events to its own list).  Every record a process writes — events, live
+monitor samples, flight dumps — is stamped by :meth:`Telemetry.now`.
+The simulator does not use the wall clock at all: it records virtual
+times and phase seconds, and marks its snapshot ``clock="virtual"``.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -134,8 +140,11 @@ class Telemetry:
         #: Shared with the monitor's live stream when both are active, so
         #: post-run traces and live scrapes can be joined on it.
         self.run_id = run_id
-        #: The run's events, in the order they were recorded.
-        self.events: list[dict] = []
+        #: The run's events, in the order they were recorded: all of them
+        #: when enabled, the newest few once :meth:`keep_tail` armed a
+        #: disabled session, else none.
+        self.events: list[dict] | deque[dict] = []
+        self._recording = enabled
         self._stack: list[int] = []
         self._next_id = 0
         self._latency: LatencyStore | None = None
@@ -154,15 +163,28 @@ class Telemetry:
         """Seconds since the session origin."""
         return time.monotonic() - self.origin
 
+    def keep_tail(self, capacity: int) -> None:
+        """Record events from now on even while disabled, keeping the
+        newest ``capacity`` of them (an enabled session keeps them all)."""
+        if not self._recording:
+            self.events = deque(maxlen=capacity)
+            self._recording = True
+
+    def tail(self, n: int) -> list[dict]:
+        """The newest ``n`` recorded events, sorted onto the run clock."""
+        newest = list(itertools.islice(reversed(self.events), n))
+        return sorted(reversed(newest), key=_event_order)
+
     # ---- spans -------------------------------------------------------- #
 
     @contextmanager
     def span(self, name: str, *, actor: str = "master", **attrs):
         """Time a phase: accumulates ``span.<name>.seconds`` always, and
-        emits nested start/end events when enabled."""
+        emits nested start/end events when recording."""
         start = self.now()
         sid = parent = None
-        if self.enabled:
+        recording = self._recording
+        if recording:
             sid = self._next_id
             self._next_id += 1
             parent = self._stack[-1] if self._stack else None
@@ -183,7 +205,7 @@ class Telemetry:
         finally:
             end = self.now()
             self.registry.inc(phase_metric(name), end - start)
-            if self.enabled:
+            if recording:
                 self._stack.pop()
                 self.events.append(
                     {
@@ -202,7 +224,7 @@ class Telemetry:
         virtual clock charges phases this way)."""
         self.registry.inc(phase_metric(name), seconds)
 
-    # ---- events (dropped when disabled) ------------------------------- #
+    # ---- events (dropped unless recording) ---------------------------- #
 
     def trace(
         self,
@@ -216,7 +238,7 @@ class Telemetry:
         ``actor`` ("master", "shard<j>" or "slave<k>") over ``[ts, end]``
         (``end`` defaults to ``ts``, an instant).  ``fault`` events record
         slave crashes and the master's recovery actions."""
-        if not self.enabled:
+        if not self._recording:
             return
         if end is None:
             end = ts

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import signal
+import time
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -27,18 +28,18 @@ from repro.parallel import (
     simulate_clustering,
 )
 from repro.telemetry import (
+    SCHEMA_VERSION,
     FlightRecorder,
     Telemetry,
     UnitMinter,
     build_postmortem,
     check_conservation,
     chrome_trace,
+    collect_run_sources,
     export_chrome_trace,
     export_jsonl,
     format_unit,
-    load_flight_dumps,
     load_jsonl,
-    merge_flight_events,
     validate_records,
 )
 from repro.telemetry.analyze import conservation_section
@@ -48,6 +49,7 @@ from repro.telemetry.causal import (
     REQUEUE_STORM_THRESHOLD,
     unit_parts,
 )
+from repro.telemetry.flight import DEFAULT_CAPACITY
 
 HARD_DEADLINE_S = 120
 
@@ -458,64 +460,122 @@ class TestChromeTrace:
 # --------------------------------------------------------------------- #
 
 
+def _tail_lines(report: str) -> list[str]:
+    """The timeline-tail lines of a postmortem report."""
+    return report.split("timeline tail")[1].splitlines()[1:]
+
+
 class TestFlightRecorder:
     def test_ring_is_bounded(self, tmp_path):
-        rec = FlightRecorder(str(tmp_path), "slave0", capacity=4)
-        for k in range(10):
-            rec.note("send", k=k)
-        assert len(rec) == 4
-        assert rec.events[0]["k"] == 6
+        tel = Telemetry(enabled=False)
+        rec = FlightRecorder(str(tmp_path), "slave0", tel)
+        for k in range(DEFAULT_CAPACITY + 10):
+            tel.trace("send", "slave0", float(k))
+        assert len(tel.events) == DEFAULT_CAPACITY
+        records = load_jsonl(rec.dump("crash"))
+        assert len(records) == 1 + DEFAULT_CAPACITY
+        assert records[1]["ts"] == 10.0
+
+    def test_enabled_session_dumps_its_newest_events(self, tmp_path):
+        tel = Telemetry()
+        rec = FlightRecorder(str(tmp_path), "master", tel)
+        for k in range(DEFAULT_CAPACITY + 10):
+            tel.trace("recv", "master", float(k))
+        assert len(tel.events) == DEFAULT_CAPACITY + 10  # keeps them all
+        records = load_jsonl(rec.dump("crash"))
+        assert [r["ts"] for r in records[1:]] == [
+            float(k) for k in range(10, DEFAULT_CAPACITY + 10)
+        ]
+
+    def test_disabled_session_without_recorder_keeps_nothing(self):
+        tel = Telemetry(enabled=False)
+        tel.trace("send", "slave0", 1.0)
+        with tel.span("alignment"):
+            pass
+        assert not tel.events
 
     def test_dump_and_load_round_trip(self, tmp_path):
-        clock_value = [1.5]
+        tel = Telemetry(enabled=False)
         rec = FlightRecorder(
-            str(tmp_path), "slave3", run_id="r1",
-            clock=lambda: clock_value[0],
+            str(tmp_path), "slave3", tel, run_id="r1",
             state_provider=lambda: {"pairbuf_depth": 7},
         )
-        rec.note("send", msg=2)
+        with tel.span("sort_nodes", actor="slave3"):
+            tel.trace("send", "slave3", tel.now(), detail="to master")
         path = rec.dump("crash")
-        assert path is not None
-        dumps = load_flight_dumps(str(tmp_path))
-        assert len(dumps) == 1
-        dump = dumps[0]
-        assert dump["schema"] == "repro-flight/1"
-        assert dump["actor"] == "slave3"
-        assert dump["reason"] == "crash"
-        assert dump["state"] == {"pairbuf_depth": 7}
-        assert dump["events"][0]["event"] == "send"
+        assert path == str(tmp_path / "flight-slave3.jsonl")
+        records = load_jsonl(path)
+        assert validate_records(records) == []
+        meta = records[0]
+        assert meta["schema"] == SCHEMA_VERSION
+        assert meta["stream"] == "flight"
+        assert meta["actor"] == "slave3"
+        assert meta["run_id"] == "r1"
+        assert meta["reason"] == "crash"
+        assert meta["state"] == {"pairbuf_depth": 7}
+        assert 0.0 <= records[1]["ts"] <= meta["dumped_at"]
+        assert [r["kind"] for r in records[1:]] == [
+            "span_start", "trace", "span_end"
+        ]
+
+    def test_dump_cuts_spans_open_and_still_validates(self, tmp_path):
+        tel = Telemetry(enabled=False)
+        rec = FlightRecorder(str(tmp_path), "master", tel)
+        with tel.span("alignment"):
+            records = load_jsonl(rec.dump("crash"))
+        assert [r["kind"] for r in records[1:]] == ["span_start"]
+        assert validate_records(records) == []
 
     def test_first_dump_wins_unless_forced(self, tmp_path):
-        rec = FlightRecorder(str(tmp_path), "master")
+        rec = FlightRecorder(str(tmp_path), "master", Telemetry(enabled=False))
         assert rec.dump("crash") is not None
         assert rec.dump("sigterm") is None
-        assert load_flight_dumps(str(tmp_path))[0]["reason"] == "crash"
+        assert load_jsonl(rec.path)[0]["reason"] == "crash"
         assert rec.dump("fault-transition", force=True) is not None
-        assert (
-            load_flight_dumps(str(tmp_path))[0]["reason"] == "fault-transition"
-        )
+        assert load_jsonl(rec.path)[0]["reason"] == "fault-transition"
 
     def test_half_written_dump_is_skipped_not_raised(self, tmp_path):
-        (tmp_path / "flight-slave0.json").write_text('{"actor": "slave0", ')
-        rec = FlightRecorder(str(tmp_path), "slave1")
-        rec.dump("crash")
-        dumps = load_flight_dumps(str(tmp_path))
-        assert len(dumps) == 2
-        assert "load_error" in dumps[0]
-        assert dumps[1]["actor"] == "slave1"
+        (tmp_path / "flight-slave0.jsonl").write_text(
+            '{"kind": "meta", "schema": "repro-telemetry/4", '
+            '"stream": "flight", "actor": "slave0"}\n{"kind": "trace", '
+        )
+        FlightRecorder(str(tmp_path), "slave1", Telemetry(enabled=False)).dump(
+            "crash"
+        )
+        with pytest.warns(UserWarning, match="truncated final line"):
+            src = collect_run_sources(str(tmp_path))
+        assert [dump[0]["actor"] for dump in src.flight_dumps] == [
+            "slave0", "slave1"
+        ]
+        assert not src.records and not src.errors
 
     def test_merge_orders_events_and_tags_actors(self, tmp_path):
-        a = FlightRecorder(str(tmp_path), "slave0", clock=lambda: 2.0)
-        b = FlightRecorder(str(tmp_path), "slave1", clock=lambda: 1.0)
-        a.note("send")
-        b.note("recv")
+        a_tel, b_tel = Telemetry(enabled=False), Telemetry(enabled=False)
+        a = FlightRecorder(str(tmp_path), "slave0", a_tel)
+        b = FlightRecorder(str(tmp_path), "slave1", b_tel)
+        a_tel.trace("send", "slave0", 2.0, detail="to master")
+        b_tel.trace("recv", "slave1", 1.0, detail="reply from master")
         a.dump("crash")
         b.dump("crash")
-        merged = merge_flight_events(load_flight_dumps(str(tmp_path)))
-        assert [e["actor"] for e in merged] == ["slave1", "slave0"]
+        report, _ = build_postmortem(tmp_path)
+        tail = _tail_lines(report)
+        assert len(tail) == 2
+        assert "slave1   recv reply from master" in tail[0]
+        assert "slave0   send to master" in tail[1]
+
+    def test_event_in_trace_and_dump_is_one_timeline_line(self, tmp_path):
+        tel = Telemetry()
+        rec = FlightRecorder(str(tmp_path), "master", tel)
+        tel.trace("fault", "slave0", 0.5, detail="lost (crash or timeout)")
+        rec.dump("fault-transition")
+        export_jsonl(tel.snapshot(total_time=1.0), tmp_path / "trace.jsonl")
+        report, _ = build_postmortem(tmp_path)
+        assert len(_tail_lines(report)) == 1
 
     def test_dump_survives_unwritable_directory(self, tmp_path):
-        rec = FlightRecorder(str(tmp_path / "not" / "a" / "file.txt"), "x")
+        rec = FlightRecorder(
+            str(tmp_path / "not" / "a" / "file.txt"), "x", Telemetry(enabled=False)
+        )
         (tmp_path / "not").write_text("blocked")  # makedirs will fail
         assert rec.dump("crash") is None  # never raises
 
@@ -611,7 +671,11 @@ class TestFaultedShardedRun:
 
     def test_flight_dump_per_dead_slave(self, faulted_obs_run):
         _, _, obs_dir, _ = faulted_obs_run
-        dumps = {d["actor"]: d for d in load_flight_dumps(str(obs_dir))}
+        dumps = {}
+        for path in obs_dir.glob("flight-*.jsonl"):
+            records = load_jsonl(path)
+            assert validate_records(records) == [], path.name
+            dumps[records[0]["actor"]] = records[0]
         assert dumps["slave0"]["reason"] == "injected-kill"
         assert dumps["slave2"]["reason"] == "injected-kill"
         # The master dumped on the fault transition, carrying its view of
@@ -678,6 +742,65 @@ class TestFaultedShardedRun:
     def test_postmortem_empty_directory_fails(self, tmp_path):
         report, ok = build_postmortem(tmp_path / "nothing")
         assert not ok
+
+
+class TestFlightClock:
+    """Regression: with telemetry off, a slave's flight ring was stamped
+    in raw ``time.monotonic()`` and the master's in run offsets, so the
+    postmortem put the master's "lost" before the dead slave's last send.
+    Every dump is now the tail of its session on the master's clock."""
+
+    @pytest.fixture(scope="class")
+    def dumps(self, small_benchmark, small_config, tmp_path_factory):
+        flight_dir = tmp_path_factory.mktemp("flight")
+        config = replace(small_config, flight_dir=str(flight_dir))
+        t0 = time.monotonic()
+        with hard_deadline():
+            cluster_multiprocessing(
+                small_benchmark.collection, config,
+                n_processors=3,
+                faults=FaultPlan.of(
+                    FaultSpec(slave_id=0, kind="kill_after_send", at_message=1)
+                ),
+                tolerance=FaultTolerance(
+                    slave_timeout=15.0, poll_interval=0.05, max_restarts=1
+                ),
+            )
+        wall = time.monotonic() - t0
+        paths = sorted(flight_dir.glob("flight-*"))
+        assert paths, "no flight dumps written"
+        return flight_dir, wall, {
+            p.name.split(".")[0]: load_jsonl(p) for p in paths
+        }
+
+    def test_master_and_dead_slave_dumped(self, dumps):
+        _, _, by_name = dumps
+        assert set(by_name) == {"flight-master", "flight-slave0"}
+        assert by_name["flight-slave0"][0]["reason"] == "injected-kill"
+
+    def test_every_stamp_is_on_the_run_clock(self, dumps):
+        _, wall, by_name = dumps
+        for name, records in by_name.items():
+            assert validate_records(records) == [], name
+            assert 0.0 <= records[0]["dumped_at"] <= wall, name
+            assert len(records) > 1, name
+            for rec in records[1:]:
+                assert 0.0 <= rec["ts"] <= rec.get("end", rec["ts"]) <= wall, (
+                    name, rec
+                )
+
+    def test_postmortem_puts_last_send_before_the_loss(self, dumps):
+        flight_dir, _, _ = dumps
+        report, _ = build_postmortem(flight_dir, tail=10_000)
+        tail = _tail_lines(report)
+        last_send = max(
+            i for i, line in enumerate(tail) if "slave0   send to master" in line
+        )
+        lost = next(
+            i for i, line in enumerate(tail)
+            if "slave0   FAULT lost" in line
+        )
+        assert last_send < lost, "\n".join(tail)
 
 
 # --------------------------------------------------------------------- #

@@ -1,5 +1,6 @@
 """Work-unit latency tracing: quantile math, the store, engine parity,
-schema /3, and the analyze/diff reporters."""
+the latency summary records and the schema, and the analyze/diff
+reporters."""
 
 import json
 import math
@@ -351,7 +352,7 @@ class TestCrossEngineParity:
 
 
 # --------------------------------------------------------------------- #
-# schema /3 round trip
+# latency summary records and the schema
 
 
 def _run_sim_records(small_benchmark, small_config):
@@ -376,12 +377,7 @@ def sim_records(small_benchmark, small_config):
 class TestSchemaV3:
     def test_version_and_acceptance(self):
         assert SCHEMA_VERSION == "repro-telemetry/4"
-        assert ACCEPTED_SCHEMAS == {
-            "repro-telemetry/1",
-            "repro-telemetry/2",
-            "repro-telemetry/3",
-            "repro-telemetry/4",
-        }
+        assert ACCEPTED_SCHEMAS == {"repro-telemetry/4"}
 
     def test_v3_snapshot_validates_and_roundtrips(self, sim_records):
         assert validate_records(sim_records) == []
@@ -396,15 +392,17 @@ class TestSchemaV3:
     def test_v3_meta_carries_origin(self, sim_records):
         assert "origin" in sim_records[0]
 
-    def test_older_revs_still_accepted(self):
-        for rev in ("repro-telemetry/1", "repro-telemetry/2"):
+    def test_older_revs_rejected(self):
+        for rev in ("repro-telemetry/1", "repro-telemetry/2", "repro-telemetry/3"):
             records = [
                 {"kind": "meta", "schema": rev, "engine": "simulated",
                  "total_time": 1.0},
                 {"kind": "metric", "metric": "counter", "name": "x",
                  "value": 1},
             ]
-            assert validate_records(records) == []
+            problems = validate_records(records)
+            assert len(problems) == 1
+            assert "unknown schema" in problems[0] and rev in problems[0]
 
     def test_unordered_quantiles_rejected(self):
         records = [
@@ -451,18 +449,13 @@ class TestAnalyze:
         for stage in STAGES:
             assert stage in text
 
-    def test_stage_table_falls_back_to_histograms(self, reference_records):
-        full = stage_table(reference_records)
+    def test_stage_table_reads_latency_records_only(self, reference_records):
+        assert list(stage_table(reference_records)) == list(STAGES)
         stripped = [
             r for r in reference_records if r.get("kind") != "latency"
         ]
-        rebuilt = stage_table(stripped)
-        assert set(rebuilt) == set(full)
-        for stage in full:
-            assert rebuilt[stage]["count"] == full[stage]["count"]
-            assert rebuilt[stage]["p99"] == pytest.approx(
-                full[stage]["p99"]
-            )
+        assert stage_table(stripped) == {}
+        assert "no work-unit latency data" in analyze_trace(stripped)
 
     def test_store_from_records_matches_table(self, reference_records):
         store = store_from_records(reference_records)

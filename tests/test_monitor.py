@@ -27,8 +27,10 @@ from repro.parallel import (
 from repro.telemetry import (
     LiveRunState,
     LiveSample,
+    SCHEMA_VERSION,
     ResourceSampler,
     RunMonitor,
+    Telemetry,
     render_progress_table,
     render_prometheus,
     replay_live_records,
@@ -139,9 +141,11 @@ class TestLiveRunState:
         st.slave_lost(0)
         assert st.slaves[0].state == "lost"
         assert st.slaves[0].position == 1.0  # cannot produce further work
-        assert st.fault_counters == {"slaves_lost": 1}
         st.slave_revived(0)
         assert st.slaves[0].state == "running"
+        # Fault counters are the engine's account, published whole.
+        assert st.fault_counters == {}
+        st.set_master(faults={"slaves_lost": 1, "restarts": 1})
         assert st.fault_counters == {"slaves_lost": 1, "restarts": 1}
         # A replacement incarnation's sample also clears the flag.
         st.slave_lost(0)
@@ -163,7 +167,7 @@ class TestLiveRunState:
 class TestReplay:
     def test_round_trip_through_records(self):
         meta = {
-            "kind": "meta", "schema": "repro-telemetry/2", "stream": "live",
+            "kind": "meta", "schema": SCHEMA_VERSION, "stream": "live",
             "run_id": "r1", "n_processors": 3, "engine": "multiprocessing",
             "clock": "wall",
         }
@@ -225,8 +229,10 @@ def _busy_state() -> LiveRunState:
     )
     st.update(LiveSample(slave_id=1, ts=2.0, gen_position=0.4))
     st.update(LiveSample(slave_id=-1, ts=2.1, rss_bytes=60 << 20, cpu_seconds=0.3))
-    st.set_master(workbuf_depth=5, messages=40, merges=12, pairs_dispatched=80)
-    st.record_fault("slaves_lost")
+    st.set_master(
+        workbuf_depth=5, messages=40, merges=12, pairs_dispatched=80,
+        faults={"slaves_lost": 1},
+    )
     return st
 
 
@@ -408,6 +414,78 @@ class TestEngineIntegration:
         st = replay_live_records(records)
         assert st.finished
         assert all(v.samples > 0 for v in st.slaves.values())
+
+
+class TestOneClock:
+    """Regression: the live stream kept an origin of its own (where the
+    engine began aligning), so its samples ran behind the trace's clock
+    by the index build.  Both now read the run's telemetry session."""
+
+    @staticmethod
+    def _assert_one_clock(live_text: str, snapshot) -> None:
+        records = [json.loads(line) for line in live_text.splitlines()]
+        assert validate_records(records) == []
+        assert records[0]["origin"] == snapshot.meta["origin"]
+        stamped = [r for r in records if r["kind"] in ("live", "live_state")]
+        assert stamped
+        for rec in stamped:
+            assert 0.0 <= rec["ts"] <= snapshot.total_time, rec
+
+    def test_sequential(self, small_benchmark, small_config):
+        buf = io.StringIO()
+        mon = RunMonitor(live_out=buf, interval=0.001)
+        res = PaceClusterer(small_config).cluster(
+            small_benchmark.collection, telemetry=Telemetry(), monitor=mon
+        )
+        mon.close()
+        self._assert_one_clock(buf.getvalue(), res.telemetry)
+
+    def test_multiprocessing(self, small_benchmark, small_config):
+        buf = io.StringIO()
+        mon = RunMonitor(live_out=buf, interval=0.001)
+        with hard_deadline():
+            res = cluster_multiprocessing(
+                small_benchmark.collection, small_config,
+                n_processors=3, telemetry=Telemetry(), monitor=mon,
+            )
+        mon.close()
+        self._assert_one_clock(buf.getvalue(), res.telemetry)
+
+
+class TestOneFaultAccount:
+    def test_monitor_faults_equal_result_faults(
+        self, small_benchmark, small_config, tmp_path
+    ):
+        """Slave 0 dies after its second send in every incarnation: lost,
+        restarted, lost for good, its ranges regenerated in the master."""
+        live = tmp_path / "live.jsonl"
+        mon = RunMonitor(port=0, live_out=live, interval=0.02)
+        plan = FaultPlan.of(
+            FaultSpec(
+                slave_id=0, kind="kill_after_send", at_message=1, incarnation=None
+            )
+        )
+        with hard_deadline():
+            res = cluster_multiprocessing(
+                small_benchmark.collection, small_config,
+                n_processors=3, faults=plan, monitor=mon,
+                tolerance=FaultTolerance(
+                    slave_timeout=15.0, poll_interval=0.02, max_restarts=1
+                ),
+            )
+        try:
+            final = json.loads(_scrape(mon.port, "/state"))
+        finally:
+            mon.close()
+        records = [json.loads(line) for line in live.read_text().splitlines()]
+        last_state = [r for r in records if r["kind"] == "live_state"][-1]
+        expected = {
+            k: getattr(res.faults, k)
+            for k in ("slaves_lost", "restarts", "pairs_reassigned", "slave_errors")
+        }
+        assert expected["slaves_lost"] == 2 and expected["restarts"] == 1
+        for faults in (final["faults"], last_state["faults"]):
+            assert {k: faults.get(k, 0) for k in expected} == expected
 
 
 class TestOwnedMonitorLifecycle:

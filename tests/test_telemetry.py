@@ -4,6 +4,7 @@ nesting, JSONL round-trips, and sim-vs-mp engine parity."""
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.telemetry import (
     DEFAULT_BUCKETS,
     Histogram,
     MetricsRegistry,
+    SCHEMA_VERSION,
     Telemetry,
     export_jsonl,
     load_jsonl,
@@ -298,7 +300,7 @@ class TestLiveRecordValidation:
     @staticmethod
     def _meta(**over):
         rec = {
-            "kind": "meta", "schema": "repro-telemetry/2", "stream": "live",
+            "kind": "meta", "schema": SCHEMA_VERSION, "stream": "live",
             "run_id": "r", "n_processors": 3, "engine": "multiprocessing",
             "clock": "wall",
         }
@@ -314,10 +316,19 @@ class TestLiveRecordValidation:
         rec.update(over)
         return rec
 
-    def test_old_schema_still_accepted(self):
+    @pytest.mark.parametrize("rev", [1, 2, 3])
+    def test_old_schemas_rejected(self, rev, tmp_path, capsys):
+        from repro.cli import main
+
         recs = snapshot_records(_sample_snapshot())
-        recs[0] = dict(recs[0], schema="repro-telemetry/1")
-        assert validate_records(recs) == []
+        recs[0] = dict(recs[0], schema=f"repro-telemetry/{rev}")
+        problems = validate_records(recs)
+        assert len(problems) == 1 and "unknown schema" in problems[0]
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown schema" in err
 
     def test_valid_live_stream(self):
         recs = [
