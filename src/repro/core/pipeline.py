@@ -33,7 +33,7 @@ from repro.sequence.collection import EstCollection
 from repro.suffix.gst import SuffixArrayGst
 from repro.telemetry import Telemetry
 from repro.telemetry.causal import UnitMinter
-from repro.telemetry.live import LiveSample, ResourceSampler
+from repro.telemetry.live import ResourceSampler, live_record
 from repro.telemetry.monitor import RunMonitor, monitored_run
 from repro.util.timing import TimingBreakdown
 
@@ -215,7 +215,9 @@ class PaceClusterer:
                     counters=counters,
                 )
             if monitor is not None:
-                monitor.set_master(ts=tel.now(), merges=len(manager.merges))
+                monitor.record(
+                    {"kind": "live_state", "ts": tel.now(), "merges": len(manager.merges)}
+                )
 
         snapshot = None
         if telemetry is not None:
@@ -253,10 +255,10 @@ class PaceClusterer:
             ts = now()
             if ts - last >= monitor.interval:
                 last = ts
-                monitor.on_sample(
-                    LiveSample(
-                        slave_id=0,
-                        ts=ts,
+                monitor.record(
+                    live_record(
+                        "slave0",
+                        ts,
                         rss_bytes=sampler.rss_bytes(),
                         cpu_seconds=sampler.cpu_seconds(),
                         pairs_generated=produced,
@@ -270,8 +272,9 @@ class PaceClusterer:
                         ),
                     )
                 )
-                monitor.set_master(ts=ts, merges=len(manager.merges))
-                monitor.maybe_report(ts)
+                monitor.record(
+                    {"kind": "live_state", "ts": ts, "merges": len(manager.merges)}
+                )
             yield pair
 
     # ------------------------------------------------------------------ #

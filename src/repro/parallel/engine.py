@@ -38,7 +38,7 @@ from repro.parallel.shards import ShardedMaster, plan_shards
 from repro.suffix.gst import SuffixArrayGst
 from repro.telemetry import Telemetry
 from repro.telemetry.causal import NULL_MINTER, UnitMinter
-from repro.telemetry.live import LiveSample
+from repro.telemetry.live import live_record
 from repro.telemetry.registry import DEFAULT_BUCKETS
 from repro.util.timing import TimingBreakdown
 
@@ -55,13 +55,13 @@ class Slave:
     #: Forest nodes the generator owns (denominator of its position).
     total_nodes: int
 
-    def sample(self, ts: float, **resources) -> LiveSample:
-        """A live-monitor sample of this slave's progress at ``ts``;
-        ``resources`` are the engine's own readings (cpu, rss, …)."""
+    def sample(self, ts: float, **resources) -> dict:
+        """This slave's ``live`` record at ``ts``; ``resources`` are the
+        engine's own readings (cpu, rss, incarnation, …)."""
         logic = self.logic
-        return LiveSample(
-            slave_id=logic.slave_id,
-            ts=ts,
+        return live_record(
+            f"slave{logic.slave_id}",
+            ts,
             pairs_generated=logic.generator.produced,
             alignments=logic.total_alignments,
             dp_cells=logic.total_dp_cells,
@@ -210,22 +210,28 @@ class EngineCore:
         )
 
     def publish(self, ts: float) -> None:
-        """Mirror the master's accounting — its fault counters included —
-        into the live monitor at engine time ``ts``."""
+        """Hand the live monitor the master's accounting at engine time
+        ``ts`` as one ``live_state`` record: queue depth, message, merge
+        and dispatch counts, the non-zero fault counters, the per-shard
+        views (multi-shard runs), and the lost and stopped slaves."""
         if self.monitor is None:
             return
-        stats = self.master.stats
-        self.monitor.set_master(
-            ts=ts,
-            workbuf_depth=self.master.workbuf_depth,
-            messages=stats.messages,
-            merges=stats.merges,
-            pairs_dispatched=stats.pairs_dispatched,
-            faults={k: v for k, v in self.faults.as_dict().items() if v},
+        master = self.master
+        stats = master.stats
+        self.monitor.record(
+            {
+                "kind": "live_state",
+                "ts": ts,
+                "workbuf_depth": master.workbuf_depth,
+                "messages": stats.messages,
+                "merges": stats.merges,
+                "pairs_dispatched": stats.pairs_dispatched,
+                "faults": {k: v for k, v in self.faults.as_dict().items() if v},
+                **({"shards": master.shard_states()} if master.n_shards > 1 else {}),
+                "lost": sorted(master.lost),
+                "stopped": sorted(master.stopped),
+            }
         )
-        if self.master.n_shards > 1:
-            self.monitor.set_shards(self.master.shard_states())
-        self.monitor.maybe_report(ts)
 
     # ---- recovery ----------------------------------------------------- #
 
@@ -246,13 +252,9 @@ class EngineCore:
         requeued = logic.slave_lost(slave_id, now=now)
         self.faults.slaves_lost += 1
         self.faults.pairs_reassigned += requeued
-        if self.monitor is not None:
-            self.monitor.slave_lost(slave_id)
         if revive:
             logic.slave_revived(slave_id)
             self.faults.restarts += 1
-            if self.monitor is not None:
-                self.monitor.slave_revived(slave_id)
             return Recovery(requeued)
         generator = make_pair_generator(
             self.gst, self.config, ranges=self.ranges_of[slave_id]

@@ -70,7 +70,7 @@ from repro.sequence.collection import EstCollection
 from repro.suffix.gst import SuffixArrayGst
 from repro.telemetry import Telemetry
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.live import MASTER_ID, LiveSample, ResourceSampler
+from repro.telemetry.live import ResourceSampler, live_record
 from repro.telemetry.monitor import RunMonitor, monitored_run
 from repro.telemetry.registry import DEFAULT_BUCKETS
 
@@ -165,13 +165,14 @@ def _slave_worker(
     flight recorder).
 
     ``sample_interval`` (set only when a :class:`RunMonitor` is attached)
-    switches on live sampling: at most once per interval, a
-    :class:`LiveSample` is pushed down the pipe immediately before the
-    next protocol message.  Samples ride the existing pipe as
-    low-priority messages the master absorbs without replying, so the
-    strict reply/message alternation is untouched — and because sampling
-    is inline with the main loop (no thread), a hung slave stops
-    sampling, which is exactly what straggler detection wants to see.
+    switches on live sampling: at most once per interval, the slave's
+    ``live`` record (a plain dict, :func:`~repro.telemetry.live.live_record`)
+    is pushed down the pipe immediately before the next protocol message.
+    Samples ride the existing pipe as low-priority messages the master
+    absorbs without replying, so the strict reply/message alternation is
+    untouched — and because sampling is inline with the main loop (no
+    thread), a hung slave stops sampling, which is exactly what straggler
+    detection wants to see.
     With ``sample_interval=None`` no sampling code runs at all.
 
     Any exception in pair generation or alignment is reported as a typed
@@ -220,7 +221,7 @@ def _slave_worker(
         sampler = ResourceSampler() if sample_interval is not None else None
         last_sample = 0.0
 
-        def live_sample() -> LiveSample:
+        def live_sample() -> dict:
             return slave.sample(
                 tel.now(),
                 incarnation=incarnation,
@@ -451,12 +452,12 @@ def cluster_multiprocessing(
                 deaths.add(waiter_id)
 
     def handle_msg(handle: _SlaveHandle, msg, deaths: set[int]) -> None:
-        monitor = core.monitor
-        if monitor is not None and isinstance(msg, LiveSample):
-            # Low-priority sample: absorb without a reply and without
-            # touching ``expecting_since`` — a wedged slave that somehow
-            # kept sampling must still trip the fault deadline.
-            monitor.on_sample(msg)
+        if isinstance(msg, dict):
+            # A low-priority live record (slaves sample only for a
+            # monitor): absorb it without a reply and without touching
+            # ``expecting_since`` — a wedged slave that somehow kept
+            # sampling must still trip the fault deadline.
+            core.monitor.record(msg)
             return
         t_recv = tel.now()
         tel.trace("recv", "master", t_recv, detail=f"from slave{handle.slave_id}")
@@ -466,8 +467,6 @@ def cluster_multiprocessing(
             del live[handle.slave_id]
             handle.conn.close()
             handle.proc.join(timeout=5)
-            if monitor is not None:
-                monitor.slave_stopped(handle.slave_id)
             if tel.enabled:
                 # The slave's whole recorded run arrives with its final
                 # stats: its event list and its metric snapshot.
@@ -584,10 +583,10 @@ def cluster_multiprocessing(
             ts = tel.now()
             if monitor is not None and wall - last_master_sample >= monitor.interval:
                 last_master_sample = wall
-                monitor.on_sample(
-                    LiveSample(
-                        slave_id=MASTER_ID,
-                        ts=ts,
+                monitor.record(
+                    live_record(
+                        "master",
+                        ts,
                         rss_bytes=master_sampler.rss_bytes(),
                         cpu_seconds=master_sampler.cpu_seconds(),
                     )

@@ -10,7 +10,8 @@ list as the JSONL records they are written as, while counters, gauges,
 histograms and work-unit latencies go into its metrics registry
 (``TimingBreakdown`` is a view over that registry, and fault counters
 surface as ``fault.*`` metrics).  The session's clock stamps every
-record a process writes: its events, the live monitor's samples, and
+record a process writes: its events, the live monitor's ``live`` and
+``live_state`` records (whose fold is the monitor's whole state), and
 the crash flight recorder's dumps, which are the session's newest
 events.  The report, analysis, export and postmortem modules read those
 records, every stream in the one ``repro-telemetry/4`` schema.
@@ -72,8 +73,8 @@ from repro.telemetry.latency import (
 )
 from repro.telemetry.live import (
     LiveRunState,
-    LiveSample,
     ResourceSampler,
+    live_record,
     replay_live_records,
 )
 from repro.telemetry.monitor import (
@@ -107,8 +108,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "ACCEPTED_SCHEMAS",
     "TABLE3_ORDER",
-    "LiveSample",
     "LiveRunState",
+    "live_record",
     "ResourceSampler",
     "replay_live_records",
     "RunMonitor",

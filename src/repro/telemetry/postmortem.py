@@ -174,21 +174,21 @@ def build_postmortem(directory: str, *, tail: int = DEFAULT_TAIL) -> tuple[str, 
         return "\n".join(lines), False
 
     finished = bool(meta.get("total_time") is not None)
-    state = replay_live_records(src.records)
+    state = replay_live_records(src.records).as_dict()
     flight_by_actor = {head.get("actor"): head for head in dump_metas}
 
     lines.append("actors:")
-    views = [("master", state.master)] + [
-        (f"slave{k}", v) for k, v in sorted(state.slaves.items())
+    views = [("master", state["master"])] + [
+        (f"slave{v['slave_id']}", v) for v in state["slaves"]
     ]
     for actor, view in views:
-        parts = [f"state={view.state}"]
-        if view.samples:
-            parts.append(f"last seen t={view.last_ts:.4f}")
-            parts.append(f"aligned={view.alignments}")
-            parts.append(f"generated={view.pairs_generated}")
+        parts = [f"state={view['state']}"]
+        if view["samples"]:
+            parts.append(f"last seen t={view['last_ts']:.4f}")
+            parts.append(f"aligned={view['alignments']}")
+            parts.append(f"generated={view['pairs_generated']}")
             if actor != "master":
-                parts.append(f"inc={view.incarnation}")
+                parts.append(f"inc={view['incarnation']}")
         dump = flight_by_actor.get(actor)
         if dump is not None:
             parts.append(f"flight dump: {dump.get('reason', '?')}")
@@ -199,7 +199,7 @@ def build_postmortem(directory: str, *, tail: int = DEFAULT_TAIL) -> tuple[str, 
                     + " ".join(f"{k}={v}" for k, v in sorted(st.items()))
                 )
         lines.append(f"  {actor:<8} " + " · ".join(parts))
-    lost = sorted(k for k, v in state.slaves.items() if v.lost)
+    lost = [v["slave_id"] for v in state["slaves"] if v["state"] == "lost"]
     if lost:
         lines.append(f"lost slaves: {', '.join(str(k) for k in lost)}")
 

@@ -218,8 +218,9 @@ class TestOneForestPerOwner:
         assert builds[-1] == builds[1]  # the master, over slave 1's ranges
 
 
-#: Clusters 15 overlapping reads of one gene, then reports numpy.ma.
-_NUMPY_MA_PROBE = """
+#: Clusters 15 overlapping reads of one gene, then reports whether the
+#: module named by its second argument was imported.
+_IMPORT_PROBE = """
 import sys
 import numpy as np
 from repro.core import ClusteringConfig, PaceClusterer
@@ -234,7 +235,7 @@ if sys.argv[1] == "sequential":
 else:
     result = simulate_clustering(col, config, n_processors=3).result
 assert result.n_clusters == 1 and result.counters.pairs_processed > 0
-print("numpy.ma" in sys.modules)
+print(sys.argv[2] in sys.modules)
 """
 
 
@@ -245,14 +246,26 @@ class TestNoLazyImports:
         ``numpy.ma`` on first use: 16 ms and 0.5 MB of small long-lived
         blocks allocated mid-run, at the heap's high-water mark.  A fresh
         interpreter, because any earlier test may have imported it."""
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run(
-            [sys.executable, "-c", _NUMPY_MA_PROBE, engine],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert not _imported_by_a_run(engine, "numpy.ma")
+
+    @pytest.mark.parametrize("engine", ["sequential", "simulated"])
+    def test_a_run_does_not_import_http_server(self, engine):
+        """The live monitor's endpoint imports ``http.server`` (~20 ms of
+        a cold ``import repro.core``) only when a port is asked for."""
+        assert not _imported_by_a_run(engine, "http.server")
+
+
+def _imported_by_a_run(engine: str, module: str) -> bool:
+    """Whether a plain run of ``engine`` in a fresh interpreter leaves
+    ``module`` in ``sys.modules``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, engine, module],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip() == "True"
 
 
 class TestErrorRobustness:
