@@ -165,21 +165,21 @@ def test_union_find_throughput(benchmark):
 
 
 def test_union_find_batched_finds(benchmark):
-    """The bulk ``find_many`` path (WORKBUF pruning, batched dispatch
-    filtering): one call resolving many roots with a per-batch cache
-    versus element-at-a-time ``find``."""
+    """The array ``find_many`` (admission, wave selection, WORKBUF
+    pruning): the roots of a block's EST columns in one level-synchronous
+    sweep over the int32 parent array."""
     rng = np.random.default_rng(1)
     n = 50_000
     uf = UnionFind(n)
     for a, b in rng.integers(0, n, size=(n // 2, 2)):
         uf.union(int(a), int(b))
-    queries = [int(x) for x in rng.integers(0, n, size=4 * n)]
+    queries = rng.integers(0, n, size=4 * n).astype(np.int32)
 
     def run():
         return uf.find_many(queries)
 
     roots = benchmark(run)
-    assert roots == [uf.find(x) for x in queries]
+    assert roots.tolist() == [uf.find(x) for x in queries.tolist()]
 
 
 def test_gst_facade_build(benchmark, medium):

@@ -127,10 +127,18 @@ def run_pairs(args) -> int:
     t_vec, vec_out = _measure(
         lambda: list(VectorPairGenerator(gst, psi).pairs()), args.rounds
     )
+    # The block arm: what the clustering loops consume, no Pair records.
+    t_blk, blk_out = _measure(
+        lambda: list(VectorPairGenerator(gst, psi).blocks()), args.rounds
+    )
     # Exact equality — same multiset AND same order, within and across
     # depths.  The vector engine must be a pure performance layer.
     if vec_out != sca_out:
         print("FAIL: vector pair stream differs from the scalar oracle",
+              file=sys.stderr)
+        return 2
+    if [pair for block in blk_out for pair in block] != sca_out:
+        print("FAIL: flattened vector blocks differ from the scalar oracle",
               file=sys.stderr)
         return 2
 
@@ -142,6 +150,8 @@ def run_pairs(args) -> int:
         "n_pairs": len(sca_out),
         "scalar_seconds": round(t_sca, 4),
         "vector_seconds": round(t_vec, 4),
+        "block_seconds": round(t_blk, 4),
+        "block_speedup": round(t_sca / t_blk if t_blk > 0 else float("inf"), 2),
         "speedup": round(speedup, 2),
         "min_speedup": args.min_speedup,
         "env": bench_env(),

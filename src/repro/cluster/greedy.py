@@ -16,17 +16,29 @@ exactly.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
+
+import numpy as np
 
 from repro.align.extend import PairAligner
 from repro.cluster.manager import ClusterManager
-from repro.cluster.waves import Speculation, by_verdict, next_wave
+from repro.cluster.waves import Speculation, by_verdict
 from repro.pairs.ondemand import OnDemandPairGenerator
-from repro.pairs.pair import Pair
+from repro.pairs.pair import EMPTY_BLOCK, Pair, PairBlock
+from repro.telemetry import Telemetry
+from repro.telemetry.causal import NULL_MINTER, UnitMinter
 
-__all__ = ["WorkCounters", "greedy_cluster", "greedy_cluster_batched"]
+__all__ = ["WorkCounters", "greedy_cluster", "greedy_cluster_batched", "SKIP_WINDOW"]
+
+#: Pairs per window of the batched loop's skip test: one root comparison
+#: each.  Larger than a wave costs nothing but the test itself: the walk
+#: stops at the first live pair once the wave is full, and the rest of the
+#: window goes back to the head of the queue.
+SKIP_WINDOW = 512
+
+_NO_UNITS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
@@ -90,7 +102,7 @@ def greedy_cluster(
 
 
 def greedy_cluster_batched(
-    pair_stream: Iterable[Pair],
+    pair_stream: Iterable[PairBlock] | Iterable[Pair] | OnDemandPairGenerator,
     aligner: PairAligner,
     manager: ClusterManager,
     *,
@@ -98,11 +110,13 @@ def greedy_cluster_batched(
     skip_clustered: bool = True,
     counters: WorkCounters | None = None,
     max_alignments: int | None = None,
+    telemetry: Telemetry | None = None,
+    sample: Callable[[int], None] | None = None,
 ) -> WorkCounters:
     """The clustering loop in conflict-free waves (mutates ``manager``).
 
-    Each round chooses up to ``batch_size`` pairs with
-    :func:`~repro.cluster.waves.next_wave`, aligns them with one
+    Each round chooses up to ``batch_size`` pairs by a
+    :class:`~repro.cluster.waves.Speculation` walk, aligns them with one
     :meth:`~repro.align.extend.PairAligner.align_and_decide_batch` call
     (vectorised by :class:`~repro.align.batch.BatchPairAligner`), merges
     the accepted ones, and reconsiders the deferred pairs ahead of fresh
@@ -116,23 +130,53 @@ def greedy_cluster_batched(
     ``skip_clustered=False`` aligns every pair once, in plain
     ``batch_size`` strides: with no pair selection there is nothing to
     defer.
+
+    Pairs move as blocks (the generator's ``blocks()``, or ``Pair``
+    records packed into blocks): the skip test runs on windows of
+    :data:`SKIP_WINDOW` pairs, deferred pairs wait as a block, and a
+    ``Pair`` is built only for a wave member.  The loop observes itself
+    in ``telemetry`` (an enabled session; traced and untraced runs take
+    the same path): ``generate`` latency per window pulled from the
+    stream, ``align`` latency per wave, and under causal tracing each such
+    window is a master-minted work unit whose pairs settle ``absorbed``
+    when aligned and ``pruned`` when dropped, both with reason
+    ``"drain"``.  ``sample(pairs generated)`` runs after every window
+    pulled from the stream (the live monitor's hook).
     """
     counters = counters if counters is not None else WorkCounters()
+    tel = telemetry if telemetry is not None else Telemetry(enabled=False)
+    mint = UnitMinter(-1) if tel.causal else NULL_MINTER
     cells_before = aligner.dp_cells_total
     generator = (
         pair_stream
         if isinstance(pair_stream, OnDemandPairGenerator)
         else OnDemandPairGenerator(pair_stream)
     )
-    deferred: deque[Pair] = deque()
+    window = max(batch_size, SKIP_WINDOW) if skip_clustered else batch_size
+    # Deferred pairs and pulled ones not looked at, in stream order, ahead
+    # of fresh ones; with each pair's work unit.
+    held, held_units = EMPTY_BLOCK, _NO_UNITS
 
-    def pull() -> list[Pair]:
-        if deferred:
-            n = min(batch_size, len(deferred))
-            return [deferred.popleft() for _ in range(n)]
-        fresh = generator.next_batch(batch_size)
-        counters.pairs_generated += len(fresh)
-        return fresh
+    def pull() -> tuple[PairBlock, np.ndarray]:
+        nonlocal held, held_units
+        if len(held):
+            chunk, units = held[:window], held_units[:window]
+            held, held_units = held[window:], held_units[window:]
+            return chunk, units
+        t0 = tel.now()
+        chunk = generator.next_batch(window)
+        n = len(chunk)
+        if not n:
+            return chunk, _NO_UNITS
+        tel.latency.observe("generate", tel.now() - t0)
+        counters.pairs_generated += n
+        unit = mint()
+        ts = tel.now()
+        tel.record_causal("generated", unit, n, actor="master", ts=ts)
+        tel.record_causal("admitted", unit, n, actor="master", ts=ts)
+        if sample is not None:
+            sample(counters.pairs_generated)
+        return chunk, np.full(n, unit, dtype=np.int64)
 
     while True:
         room = batch_size
@@ -140,28 +184,55 @@ def greedy_cluster_batched(
             room = min(room, max_alignments - counters.pairs_processed)
         if room <= 0:
             break
+        speculation = Speculation(manager)
         wave: list[Pair] = []
-        held: list[Pair] = []
-        if skip_clustered:
-            for chunk, verdicts in next_wave(Speculation(manager), pull, room):
-                taken, kept, stale = by_verdict(chunk, verdicts)
-                wave += taken
-                held += kept
-                counters.pairs_skipped += len(stale)
-        else:
-            chunk = pull()
-            wave, held = chunk[:room], chunk[room:]
-        deferred.extendleft(reversed(held))
+        wave_units: list[np.ndarray] = []
+        kept: list[PairBlock] = []
+        kept_units: list[np.ndarray] = []
+        while room > 0:
+            chunk, units = pull()
+            n = len(chunk)
+            if not n:
+                break
+            if skip_clustered:
+                taken, deferred, stale = by_verdict(speculation.classify(chunk, room), n)
+            else:
+                taken = np.arange(min(room, n))
+                deferred, stale = np.arange(room, n), taken[:0]
+            room -= taken.size
+            wave.extend(chunk[taken])
+            wave_units.append(units[taken])
+            kept.append(chunk[deferred])
+            kept_units.append(units[deferred])
+            counters.pairs_skipped += stale.size
+            _settle(tel, "pruned", units[stale])
+        held = PairBlock.concat([*kept, held])
+        held_units = np.concatenate([*kept_units, held_units])
         if not wave:
             break
         counters.pairs_processed += len(wave)
-        for pair, (result, accepted) in zip(wave, aligner.align_and_decide_batch(wave)):
+        t0 = tel.now()
+        decisions = aligner.align_and_decide_batch(wave)
+        tel.latency.observe("align", tel.now() - t0)
+        _settle(tel, "absorbed", np.concatenate(wave_units))
+        for pair, (result, accepted) in zip(wave, decisions):
             if accepted:
                 counters.pairs_accepted += 1
                 manager.merge(pair, result)
     # Alignment budget spent: whatever is left is retired unaligned.
-    unaligned = len(deferred) + sum(1 for _ in generator)
-    counters.pairs_generated += unaligned - len(deferred)
+    _settle(tel, "pruned", held_units)
+    unaligned = len(held) + generator.drain()
+    counters.pairs_generated += unaligned - len(held)
     counters.pairs_skipped += unaligned
     counters.dp_cells += aligner.dp_cells_total - cells_before
     return counters
+
+
+def _settle(tel: Telemetry, event: str, units: np.ndarray) -> None:
+    """Record ``event`` for the pairs of each work unit among ``units``
+    (the sequential driver is its own master and slave: reason
+    ``"drain"``, as for the parallel master aligning locally)."""
+    if tel.causal and units.size:
+        ts = tel.now()
+        for unit, n in Counter(units.tolist()).items():
+            tel.record_causal(event, unit, n, actor="master", ts=ts, reason="drain")

@@ -11,10 +11,13 @@ pairs never need alignment (Fig. 7).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from repro.align.scoring import AlignmentResult
 from repro.cluster.union_find import UnionFind
-from repro.pairs.pair import Pair
+from repro.pairs.pair import Pair, PairBlock, as_block
 
 __all__ = ["MergeRecord", "ClusterManager"]
 
@@ -51,16 +54,20 @@ class ClusterManager:
         share a cluster is dropped without alignment."""
         return self._uf.same(est_a, est_b)
 
-    def same_cluster_batch(self, pairs: list[Pair]) -> list[bool]:
-        """Batched pair-selection test: one flag per pair, True where the
-        pair's ESTs already share a cluster.  A single ``find_many`` over
-        the flattened EST ids replaces the per-pair Python loop."""
-        flat: list[int] = []
-        for pair in pairs:
-            flat.append(pair.est_a)
-            flat.append(pair.est_b)
-        roots = self._uf.find_many(flat)
-        return [roots[i] == roots[i + 1] for i in range(0, len(roots), 2)]
+    def roots(self, ests: np.ndarray) -> np.ndarray:
+        """The representative EST of each of ``ests`` (one ``find_many``)."""
+        return self._uf.find_many(ests)
+
+    def co_clustered(self, block: PairBlock) -> np.ndarray:
+        """The pair-selection test over a block: a mask, True where the
+        pair's ESTs already share a cluster — one root comparison."""
+        n = len(block)
+        roots = self._uf.find_many(np.concatenate((block.est_a, block.est_b)))
+        return roots[:n] == roots[n:]
+
+    def same_cluster_batch(self, pairs: PairBlock | Iterable[Pair]) -> list[bool]:
+        """:meth:`co_clustered` for ``Pair`` records, one flag per pair."""
+        return self.co_clustered(as_block(pairs)).tolist()
 
     def seed_union(self, est_a: int, est_b: int) -> bool:
         """Merge two clusters without a witnessing alignment — used to
@@ -79,7 +86,7 @@ class ClusterManager:
 
     def labels(self) -> list[int]:
         """Cluster label per EST (the representative id)."""
-        return [self._uf.find(i) for i in range(self._uf.n_elements)]
+        return self._uf.labels().tolist()
 
     @property
     def find_count(self) -> int:

@@ -17,14 +17,21 @@ one-at-a-time loop tests it in: a wave never aligns a pair that loop would
 skip (as long as no rejections are reported to the speculation; see
 :class:`Speculation`).  Pairs are dropped only when really co-clustered,
 so the partition stays the connected components of the accepted pairs.
+
+The walk runs on blocks (:class:`~repro.pairs.pair.PairBlock`): the
+already-clustered test is one root comparison over a chunk's EST columns,
+and only the pairs it leaves live reach the Python loop that consults the
+speculation, on the roots already found (docs/ALGORITHMS.md §5.1).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.cluster.manager import ClusterManager
-from repro.pairs.pair import Pair
+from repro.pairs.pair import Pair, PairBlock, as_block
 
 __all__ = ["TAKE", "DEFER", "STALE", "Speculation", "next_wave", "by_verdict"]
 
@@ -56,11 +63,12 @@ class Speculation:
         self._rejections: dict[tuple[int, int], int] = {}
         self._hedged: dict[tuple[int, int], int] = {}
 
-    def restart(self, undecided: Sequence[Pair] = ()) -> None:
+    def restart(self, undecided: PairBlock | Iterable[Pair] = ()) -> None:
         """Forget every link; take ``undecided`` (pairs being aligned
         elsewhere) as the only undecided ones.  Rejections are kept."""
         self._parent.clear()
         self._hedged.clear()
+        undecided = as_block(undecided)
         self.classify(undecided, len(undecided))
 
     def _root(self, x: int) -> int:
@@ -88,37 +96,51 @@ class Speculation:
         ra, rb = self._manager.find(pair.est_a), self._manager.find(pair.est_b)
         return (ra, rb) if ra < rb else (rb, ra)
 
-    def classify(self, pairs: Sequence[Pair], room: int) -> list[int]:
+    def classify(self, pairs: PairBlock | Iterable[Pair], room: int) -> list[int]:
         """Verdicts for ``pairs`` in order, taking at most ``room``; the
         taken pairs become undecided.  Stops at the first live pair after
-        the last one there was room for, so the list may be shorter than
-        ``pairs``: the rest were not looked at."""
-        verdicts = []
-        for pair, stale in zip(pairs, self._manager.same_cluster_batch(pairs)):
-            if stale:
-                verdicts.append(STALE)
-                continue
+        the last one there was room for, so there may be fewer verdicts
+        than ``pairs``: the rest were not looked at.
+
+        The skip test is one root comparison over the whole block; the
+        speculation is consulted, in order, only for the pairs it leaves
+        live, with the cluster roots it found."""
+        block = as_block(pairs)
+        n = len(block)
+        roots = self._manager.roots(np.concatenate((block.est_a, block.est_b)))
+        ra, rb = roots[:n], roots[n:]
+        live = np.flatnonzero(ra != rb)
+        keys = zip(
+            np.minimum(ra[live], rb[live]).tolist(),
+            np.maximum(ra[live], rb[live]).tolist(),
+        )
+        parent, hedged, rejections = self._parent, self._hedged, self._rejections
+        marks: list[int] = []
+        stop = n
+        for i, key in zip(live.tolist(), keys):
             if room == 0:
+                stop = i
                 break
-            key = self._clusters_of(pair)
-            ra, rb = self._root(key[0]), self._root(key[1])
-            if ra != rb:
-                self._parent[ra] = rb
-            elif self._hedged.get(key, 0) < self._rejections.get(key, 0):
-                self._hedged[key] = self._hedged.get(key, 0) + 1
+            ra_, rb_ = self._root(key[0]), self._root(key[1])
+            if ra_ != rb_:
+                parent[ra_] = rb_
+            elif hedged.get(key, 0) < rejections.get(key, 0):
+                hedged[key] = hedged.get(key, 0) + 1
             else:
-                verdicts.append(DEFER)
+                marks.append(DEFER)
                 continue
             room -= 1
-            verdicts.append(TAKE)
-        return verdicts
+            marks.append(TAKE)
+        verdicts = np.full(stop, STALE, dtype=np.int8)
+        verdicts[live[: len(marks)]] = marks
+        return verdicts.tolist()
 
 
 def next_wave(
     speculation: Speculation,
-    pull: Callable[[], Sequence[Pair]],
+    pull: Callable[[], PairBlock],
     room: int,
-) -> Iterator[tuple[Sequence[Pair], list[int]]]:
+) -> Iterator[tuple[PairBlock, list[int]]]:
     """Choose the next wave of at most ``room`` pairs, chunk by chunk.
 
     ``pull()`` hands over the next chunk of candidates in stream order
@@ -133,20 +155,21 @@ def next_wave(
     """
     while room > 0:
         chunk = pull()
-        if not chunk:
+        if not len(chunk):
             return
         verdicts = speculation.classify(chunk, room)
         room -= verdicts.count(TAKE)
         yield chunk, verdicts
 
 
-def by_verdict(values: Sequence, verdicts: Sequence[int]) -> tuple[list, list, list]:
-    """Split a chunk :func:`next_wave` yielded — the pairs, or a sequence
-    kept in step with them — into ``(taken, kept, stale)``; ``kept`` is
-    what goes back to the head of the queue: the deferred, then those not
-    looked at."""
-    out: tuple[list, list, list] = ([], [], [])
-    for value, verdict in zip(values, verdicts):
-        out[verdict].append(value)
-    out[DEFER].extend(values[len(verdicts) :])
-    return out
+def by_verdict(
+    verdicts: list[int], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split the rows of a chunk of ``n`` pairs that :func:`next_wave`
+    yielded with ``verdicts`` into ``(taken, kept, stale)`` row indices;
+    ``kept`` is what goes back to the head of the queue: the deferred,
+    then those not looked at."""
+    marks = np.full(n, DEFER, dtype=np.int8)
+    marks[: len(verdicts)] = verdicts
+    taken, kept, stale = (np.flatnonzero(marks == v) for v in (TAKE, DEFER, STALE))
+    return taken, kept, stale

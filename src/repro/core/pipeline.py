@@ -10,6 +10,9 @@ Instrumentation: every phase runs inside a telemetry span (see
 :meth:`PaceClusterer.cluster` yields a structured event stream plus
 alignment/pair metrics on ``result.telemetry``; without it, a disabled
 session accumulates only the phase seconds the result has always carried.
+The batched loop records its own stages, work units and live samples
+(:func:`~repro.cluster.greedy.greedy_cluster_batched`), so a traced and
+an untraced run execute the same loop.
 
 For multi-processor runs (real or simulated) see
 :mod:`repro.parallel.runtime`; for adding new EST batches to an existing
@@ -18,9 +21,8 @@ clustering see :mod:`repro.core.incremental`.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from repro.align.batch import make_aligner
 from repro.cluster.greedy import WorkCounters, greedy_cluster, greedy_cluster_batched
@@ -32,7 +34,6 @@ from repro.pairs.batch import make_pair_generator
 from repro.sequence.collection import EstCollection
 from repro.suffix.gst import SuffixArrayGst
 from repro.telemetry import Telemetry
-from repro.telemetry.causal import UnitMinter
 from repro.telemetry.live import ResourceSampler, live_record
 from repro.telemetry.monitor import RunMonitor, monitored_run
 from repro.util.timing import TimingBreakdown
@@ -40,98 +41,37 @@ from repro.util.timing import TimingBreakdown
 __all__ = ["PaceClusterer"]
 
 
-class _TimedAligner:
-    """Transparent aligner proxy observing per-batch ``align`` latency.
+def _live_sampler(
+    generator, manager: ClusterManager, monitor: RunMonitor, now: Callable[[], float]
+) -> Callable[[int], None]:
+    """The sequential run's live hook: at most one ``slave0`` record (its
+    resources, pairs generated and the generator's resumable forest
+    position) and one ``live_state`` record per monitor interval, stamped
+    by ``now``, the run session's clock."""
+    sampler = ResourceSampler()
+    total_nodes = generator.total_nodes
+    last = -math.inf
 
-    The sequential driver has no protocol steps to hang stage timings on,
-    so the aligner itself is the measurement point; every other attribute
-    (``dp_cells_total`` etc.) passes straight through."""
-
-    def __init__(self, inner, lat, now) -> None:
-        self._inner = inner
-        self._lat = lat
-        self._now = now
-
-    def align_and_decide_batch(self, pairs):
-        t0 = self._now()
-        out = self._inner.align_and_decide_batch(pairs)
-        if pairs:
-            self._lat.observe("align", self._now() - t0)
-        return out
-
-    def align_and_decide(self, pair):
-        t0 = self._now()
-        out = self._inner.align_and_decide(pair)
-        self._lat.observe("align", self._now() - t0)
-        return out
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-def _timed_pair_stream(
-    stream: Iterable[Pair], lat, now, batchsize: int
-) -> Iterator[Pair]:
-    """Yield the stream unchanged while observing ``generate`` latency per
-    batchsize chunk — timing covers only the upstream pulls, never the
-    consumer's alignment work in between."""
-    it = iter(stream)
-    while True:
-        t0 = now()
-        chunk = list(itertools.islice(it, batchsize))
-        if not chunk:
+    def sample(produced: int) -> None:
+        nonlocal last
+        ts = now()
+        if ts - last < monitor.interval:
             return
-        lat.observe("generate", now() - t0)
-        yield from chunk
-
-
-def _causal_stream(
-    stream: Iterable[Pair],
-    tel: Telemetry,
-    manager: ClusterManager,
-    batchsize: int,
-    skip_clustered: bool,
-) -> Iterator[Pair]:
-    """Yield the stream unchanged while minting one work unit per
-    batchsize chunk and recording its lifecycle in ``tel``.
-
-    The sequential driver is its own master *and* slave, so each unit is
-    master-minted and absorbed in place (reason ``"drain"``, same as the
-    parallel master aligning locally).  The absorbed/pruned split is the
-    skip-clustered test at yield time.  That is the consumer's own
-    decision for the one-at-a-time loop, which tests the same cluster
-    state.  The wave loop may defer a pair counted absorbed here and drop
-    it later, once a merge of its wave has made it redundant, so there
-    ``absorbed`` is an upper bound on the pairs aligned (``pruned`` pairs
-    are dropped by both).  The unit's balance is exact either way: both
-    buckets settle on the WORKBUF side of the conservation check.
-    """
-    mint = UnitMinter(-1)
-    it = iter(stream)
-    while True:
-        chunk = list(itertools.islice(it, batchsize))
-        if not chunk:
-            return
-        unit = mint()
-        ts = tel.now()
-        tel.record_causal("generated", unit, len(chunk), actor="master", ts=ts)
-        tel.record_causal("admitted", unit, len(chunk), actor="master", ts=ts)
-        absorbed = pruned = 0
-        for pair in chunk:
-            if skip_clustered and manager.same_cluster(pair.est_a, pair.est_b):
-                pruned += 1
-            else:
-                absorbed += 1
-            yield pair
-        ts = tel.now()
-        if absorbed:
-            tel.record_causal(
-                "absorbed", unit, absorbed, actor="master", ts=ts, reason="drain"
+        last = ts
+        position = generator.stats.nodes_processed / total_nodes if total_nodes else 0.0
+        monitor.record(
+            live_record(
+                "slave0",
+                ts,
+                rss_bytes=sampler.rss_bytes(),
+                cpu_seconds=sampler.cpu_seconds(),
+                pairs_generated=produced,
+                gen_position=min(1.0, position),
             )
-        if pruned:
-            tel.record_causal(
-                "pruned", unit, pruned, actor="master", ts=ts, reason="drain"
-            )
+        )
+        monitor.record({"kind": "live_state", "ts": ts, "merges": len(manager.merges)})
+
+    return sample
 
 
 class PaceClusterer:
@@ -154,7 +94,9 @@ class PaceClusterer:
         ``monitor`` (or ``config.monitor_port``) attaches a live run
         monitor: the single sequential worker reports as "slave 0", with
         progress read from the pair generator's resumable position, by
-        sampling inside the pair stream at the monitor's interval.
+        sampling as the batched loop pulls pairs, at the monitor's
+        interval.  The per-pair oracle loop (``align_batch=0``) records
+        phase spans only.
         """
         cfg = self.config
         tel = telemetry if telemetry is not None else Telemetry(enabled=False)
@@ -176,39 +118,28 @@ class PaceClusterer:
         )
         manager = ClusterManager(collection.n_ests)
         counters = WorkCounters()
-
-        pair_stream: Iterable[Pair] = generator.pairs()
-        if tel.enabled:
-            # Sequential lifecycle = {generate, align}: time batchsize
-            # chunks of generation, and alignment via an aligner proxy.
-            pair_stream = _timed_pair_stream(
-                pair_stream, tel.latency, tel.now, cfg.batchsize
-            )
-            aligner = _TimedAligner(aligner, tel.latency, tel.now)
         tel.causal = cfg.causal_tracing and tel.enabled
-        if tel.causal:
-            pair_stream = _causal_stream(
-                pair_stream, tel, manager, cfg.batchsize, cfg.skip_clustered
-            )
         with monitored_run(
             monitor, cfg, tel, 1, engine="sequential"
         ) as monitor, tel.span("alignment"):
-            if monitor is not None:
-                pair_stream = self._monitored_stream(
-                    pair_stream, generator, manager, monitor, tel.now
-                )
             if cfg.align_batch:
                 greedy_cluster_batched(
-                    pair_stream,
+                    generator.blocks(),
                     aligner,
                     manager,
                     batch_size=cfg.batchsize,
                     skip_clustered=cfg.skip_clustered,
                     counters=counters,
+                    telemetry=tel,
+                    sample=(
+                        None
+                        if monitor is None
+                        else _live_sampler(generator, manager, monitor, tel.now)
+                    ),
                 )
             else:
                 greedy_cluster(
-                    pair_stream,
+                    generator.pairs(),
                     aligner,
                     manager,
                     skip_clustered=cfg.skip_clustered,
@@ -232,50 +163,6 @@ class PaceClusterer:
             merges=list(manager.merges),
             telemetry=snapshot,
         )
-
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _monitored_stream(
-        stream: Iterable[Pair],
-        generator,
-        manager: ClusterManager,
-        monitor: RunMonitor,
-        now: Callable[[], float],
-    ) -> Iterator[Pair]:
-        """Wrap the pair stream so the sequential run samples itself at
-        the monitor's interval (the generators expose resumable forest
-        positions), stamped by ``now``, the run session's clock."""
-        sampler = ResourceSampler()
-        total_nodes = generator.total_nodes
-        last = -math.inf
-        produced = 0
-        for pair in stream:
-            produced += 1
-            ts = now()
-            if ts - last >= monitor.interval:
-                last = ts
-                monitor.record(
-                    live_record(
-                        "slave0",
-                        ts,
-                        rss_bytes=sampler.rss_bytes(),
-                        cpu_seconds=sampler.cpu_seconds(),
-                        pairs_generated=produced,
-                        gen_position=(
-                            min(
-                                1.0,
-                                generator.stats.nodes_processed / total_nodes,
-                            )
-                            if total_nodes
-                            else 0.0
-                        ),
-                    )
-                )
-                monitor.record(
-                    {"kind": "live_state", "ts": ts, "merges": len(manager.merges)}
-                )
-            yield pair
 
     # ------------------------------------------------------------------ #
 

@@ -34,9 +34,10 @@ This module computes the identical stream without ever storing an lset
   discard rules of Lemma 4 (same EST, complemented smaller id) are
   boolean masks over whole blocks;
 - nodes are taken in chunks of the scalar engine's processing order and
-  pairs are materialised ``block_size`` at a time, so the count tables
-  stay small and the stream is still a lazy generator with a suspended
-  frame (:class:`~repro.pairs.ondemand.OnDemandPairGenerator` unchanged).
+  pairs leave as :class:`~repro.pairs.pair.PairBlock` columns of at most
+  ``block_size`` rows (``blocks()``), so the count tables stay small and
+  the stream is still a lazy generator with a suspended frame; ``pairs()``
+  is the same stream flattened into ``Pair`` records.
 
 The engine is a pure performance layer: for any input it yields the exact
 pair sequence of the scalar generator — same multiset, same order within
@@ -51,7 +52,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from repro.pairs.lsets import N_CLASSES
-from repro.pairs.pair import Pair
+from repro.pairs.pair import Pair, PairBlock, flatten
 from repro.pairs.sa_generator import (
     REITERATION_ERROR,
     PairGenStats,
@@ -263,8 +264,9 @@ class VectorPairGenerator:
         over this is its resumable position (live ``gen_position``)."""
         return self._forest.n_nodes
 
-    def pairs(self) -> Iterator[Pair]:
-        """Canonical pairs in decreasing maximal-substring length.
+    def blocks(self) -> Iterator[PairBlock]:
+        """Canonical pairs in decreasing maximal-substring length, as
+        blocks of at most ``block_size`` pairs.
 
         Single-use, like the scalar engine: the stream accumulates
         into ``stats``, so a second call raises instead of silently
@@ -275,12 +277,16 @@ class VectorPairGenerator:
         self._consumed = True
         return self._generate()
 
+    def pairs(self) -> Iterator[Pair]:
+        """The :meth:`blocks` stream flattened into ``Pair`` records."""
+        return flatten(self.blocks())
+
     def __iter__(self) -> Iterator[Pair]:
         return self.pairs()
 
     # ------------------------------------------------------------------ #
 
-    def _generate(self) -> Iterator[Pair]:
+    def _generate(self) -> Iterator[PairBlock]:
         try:
             yield from self._sweep()
         finally:
@@ -288,7 +294,7 @@ class VectorPairGenerator:
                 self._telemetry.count("pairs.nodes", self.stats.nodes_processed)
                 self._telemetry.count("pairs.raw", self.stats.raw_pairs)
 
-    def _sweep(self) -> Iterator[Pair]:
+    def _sweep(self) -> Iterator[PairBlock]:
         gst = self.gst
         stats = self.stats
         forest = self._forest
@@ -406,7 +412,7 @@ class VectorPairGenerator:
         index: tuple[np.ndarray, np.ndarray, np.ndarray],
         bounds: tuple[np.ndarray, np.ndarray, np.ndarray],
         slot_depth: np.ndarray,
-    ) -> Iterator[Pair]:
+    ) -> Iterator[PairBlock]:
         """Cartesian products of one step's slots against earlier slots.
 
         ``index`` is a :func:`_class_index` whose ``order`` already holds
@@ -461,13 +467,14 @@ class VectorPairGenerator:
         off_a = np.where(swap, o_new, o_old)
         off_b = np.where(swap, o_old, o_new)
         depth = np.repeat(slot_depth[g_slot], g_raw)
-        cols = [x[valid].tolist() for x in (depth, str_a, off_a, str_b, off_b)]
-        stats.pairs_generated += len(cols[0])
-        for c0 in range(0, len(cols[0]), self.block_size):
-            block = list(map(Pair, *(c[c0 : c0 + self.block_size] for c in cols)))
+        cols = np.stack([x[valid] for x in (depth, str_a, off_a, str_b, off_b)])
+        n = cols.shape[1]
+        stats.pairs_generated += n
+        for c0 in range(0, n, self.block_size):
+            block = PairBlock(cols[:, c0 : c0 + self.block_size])
             if tel is not None:
                 tel.observe("pairs.block_size", len(block), PAIR_BLOCK_BUCKETS)
-            yield from block
+            yield block
 
 
 def make_pair_generator(

@@ -13,9 +13,11 @@ likewise dropped: they cannot merge clusters.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Generator, Iterable, Iterator, NamedTuple
 
-__all__ = ["Pair", "canonical_pair"]
+import numpy as np
+
+__all__ = ["Pair", "PairBlock", "EMPTY_BLOCK", "as_block", "flatten", "canonical_pair"]
 
 
 class Pair(NamedTuple):
@@ -53,6 +55,80 @@ class Pair(NamedTuple):
     def key(self) -> tuple[int, int, bool]:
         """Identity of the pair irrespective of the witnessing seed."""
         return (self.est_a, self.est_b, self.complemented)
+
+
+class PairBlock:
+    """Promising pairs as columns: the stream's unit from the generator to
+    union–find (docs/ALGORITHMS.md §3.1, §5.1).
+
+    ``cols`` is a ``(5, n)`` int32 array whose rows are :class:`Pair`'s
+    fields in order — ``length, string_a, offset_a, string_b, offset_b``.
+    Filters and wave selection read the columns; iterating a block yields
+    its rows as :class:`Pair` records, which is where the layers that need
+    one record per pair (the aligner, merge records) get them.  A block
+    pickles as one buffer.
+    """
+
+    __slots__ = ("cols",)
+
+    def __init__(self, cols: np.ndarray) -> None:
+        self.cols = cols
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[Pair]) -> "PairBlock":
+        rows = np.array(list(pairs), dtype=np.int32).reshape(-1, 5)
+        return cls(np.ascontiguousarray(rows.T))
+
+    @classmethod
+    def concat(cls, blocks: Iterable["PairBlock"]) -> "PairBlock":
+        return cls(np.concatenate([b.cols for b in blocks], axis=1))
+
+    def __len__(self) -> int:
+        return self.cols.shape[1]
+
+    def __iter__(self) -> Iterator[Pair]:
+        return map(Pair, *self.cols.tolist())
+
+    def __getitem__(self, rows) -> "PairBlock":
+        """The rows a slice, index array or mask selects, as a block."""
+        return PairBlock(self.cols[:, rows])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairBlock):
+            return NotImplemented
+        return np.array_equal(self.cols, other.cols)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"PairBlock({list(self)!r})"
+
+    @property
+    def est_a(self) -> np.ndarray:
+        return self.cols[1] >> 1
+
+    @property
+    def est_b(self) -> np.ndarray:
+        return self.cols[3] >> 1
+
+
+EMPTY_BLOCK = PairBlock(np.zeros((5, 0), dtype=np.int32))
+
+
+def flatten(chunks: Generator[Iterable[Pair], None, None]) -> Iterator[Pair]:
+    """A generator of pair chunks as one stream of ``Pair`` records;
+    closing the stream closes the generator."""
+    try:
+        for chunk in chunks:
+            yield from chunk
+    finally:
+        chunks.close()
+
+
+def as_block(pairs: PairBlock | Iterable[Pair]) -> PairBlock:
+    """``pairs`` as a block: a block is passed through, ``Pair`` records
+    (the API and oracle form) are packed into one."""
+    return pairs if isinstance(pairs, PairBlock) else PairBlock.from_pairs(pairs)
 
 
 def canonical_pair(

@@ -34,7 +34,7 @@ from typing import Iterator
 
 from repro.sequence.alphabet import LAMBDA
 from repro.pairs.lsets import N_CLASSES
-from repro.pairs.pair import Pair, canonical_pair
+from repro.pairs.pair import Pair, PairBlock, canonical_pair, flatten
 from repro.suffix.gst import SuffixArrayGst
 from repro.suffix.interval_tree import LcpForest
 from repro.telemetry import Telemetry
@@ -120,12 +120,19 @@ class SaPairGenerator:
         Single-use: the stream consumes the lset store, so re-iterating
         would silently double-count ``stats`` — a second call raises.
         """
+        return flatten(self._start())
+
+    def blocks(self) -> Iterator[PairBlock]:
+        """The same stream as one block per node that emits pairs."""
+        return map(PairBlock.from_pairs, self._start())
+
+    def _start(self) -> Iterator[list[Pair]]:
         if self._consumed:
             raise RuntimeError(REITERATION_ERROR)
         self._consumed = True
         return self._generate()
 
-    def _generate(self) -> Iterator[Pair]:
+    def _generate(self) -> Iterator[list[Pair]]:
         gst = self.gst
         # Plain-list views: element access on Python lists is several times
         # faster than numpy scalar indexing, and this loop is pure Python.
@@ -168,12 +175,14 @@ class SaPairGenerator:
         left_char: list[int],
         marks: list[int],
         store: dict[tuple[int, int], list[list[int]]],
-    ) -> Iterator[Pair]:
+    ) -> Iterator[list[Pair]]:
+        """The pairs of each node that emits any, node by node."""
         stats = self.stats
         for uid, (neg_depth, f_idx, nid) in enumerate(order):
             depth = -neg_depth
             forest = self._forests[f_idx]
             stats.nodes_processed += 1
+            emitted: list[Pair] = []
 
             # Child slots in left-to-right (lb) order: child nodes
             # interleaved with directly-attached leaf ranks.
@@ -215,7 +224,7 @@ class SaPairGenerator:
                                     )
                                     if pair is not None:
                                         stats.pairs_generated += 1
-                                        yield pair
+                                        emitted.append(pair)
                         kept[cj].append(slot)
                         stats._live_entries += 1
                 else:
@@ -242,7 +251,7 @@ class SaPairGenerator:
                                         )
                                         if pair is not None:
                                             stats.pairs_generated += 1
-                                            yield pair
+                                            emitted.append(pair)
                             kept[cj].append(r)
                 # Entries of one slot never pair with each other (they share
                 # a deeper common prefix and were handled in the subtree),
@@ -258,6 +267,8 @@ class SaPairGenerator:
             else:
                 # Forest root: the parent's depth is below ψ, lsets die here.
                 stats._live_entries -= sum(len(c) for c in accum)
+            if emitted:
+                yield emitted
 
     def __iter__(self) -> Iterator[Pair]:
         return self.pairs()

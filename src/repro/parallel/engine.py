@@ -102,7 +102,7 @@ def build_slave(
     traced = config.causal_tracing and telemetry is not None
     logic = SlaveLogic(
         slave_id=slave_id,
-        generator=OnDemandPairGenerator(generator.pairs(), telemetry=telemetry),
+        generator=OnDemandPairGenerator(generator.blocks(), telemetry=telemetry),
         aligner=aligner,
         batchsize=config.batchsize,
         pairbuf_capacity=config.pairbuf_capacity,

@@ -243,11 +243,11 @@ def reabsorb_ranges(
     filters out pairs whose ESTs already share a cluster.  Returns
     ``(produced, admitted)``.
     """
-    source = OnDemandPairGenerator(generator.pairs())
+    source = OnDemandPairGenerator(generator.blocks())
     admitted = 0
     while True:
-        pairs = source.next_batch(batch)
-        if not pairs:
+        block = source.next_batch(batch)
+        if not len(block):
             break
-        admitted += master.absorb_pairs(pairs, now=now)
+        admitted += master.absorb_pairs(block, now=now)
     return source.produced, admitted

@@ -30,12 +30,17 @@ One pragmatic addition: each slave message carries
 lets the master drain in-flight work before sending ``stop`` without
 guessing bootstrap portion sizes.
 
-Custody: every pair sits in exactly one place, as one record.  A WORKBUF
-entry is ``(pair, unit, since)``; a grant in flight is ``(entries,
-sent_at)``, the entries it took out of WORKBUF; a PAIRBUF entry is
-``(pair, unit)``.  ``unit`` is the pair's causal work-unit id
+Custody: every pair sits in exactly one place, as a row of one record,
+and pairs move between places as blocks (:class:`~repro.pairs.pair
+.PairBlock`).  WORKBUF is one :class:`Custody` — a block with each row's
+work unit and admission time as columns; a grant in flight is
+``(custody, sent_at)``, the rows it took out of WORKBUF; PAIRBUF is a
+block with its rows' units.  ``unit`` is the pair's causal work-unit id
 (:mod:`repro.telemetry.causal`), ``since`` and ``sent_at`` the engine
-clock at admission and dispatch.  Latency observations and lifecycle
+clock at admission and dispatch.  Admission, the wave walk and pruning
+test whole blocks against CLUSTERS at once; a ``Pair`` record is built
+only where one pair is handled alone — by the aligner, and in the
+results that come back.  Latency observations and lifecycle
 events go to the run's :class:`~repro.telemetry.spans.Telemetry`
 session, always: an untraced run hands in a disabled session, which
 drops everything, and its masters and slaves mint only ``NO_UNIT``, so
@@ -59,23 +64,60 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.align.extend import PairAligner
 from repro.align.scoring import AlignmentResult
 from repro.cluster.manager import ClusterManager
-from repro.cluster.waves import DEFER, Speculation, by_verdict, next_wave
+from repro.cluster.waves import DEFER, STALE, TAKE, Speculation, next_wave
 from repro.pairs.ondemand import OnDemandPairGenerator
-from repro.pairs.pair import Pair
+from repro.pairs.pair import EMPTY_BLOCK, Pair, PairBlock, as_block
 from repro.parallel.dispatch import DispatchPolicy, RequestContext, make_policy
 from repro.telemetry.causal import NO_UNIT, NULL_MINTER, UnitMinter
 from repro.telemetry.spans import Telemetry
 
-__all__ = ["SlaveMsg", "MasterMsg", "MasterLogic", "SlaveLogic"]
+__all__ = ["SlaveMsg", "MasterMsg", "MasterLogic", "SlaveLogic", "Custody"]
 
-#: A pair in WORKBUF: ``(pair, work unit, time it entered WORKBUF)``.
-Entry = tuple[Pair, int, float]
+_NO_UNITS = np.zeros(0, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class Custody:
+    """Pairs in one place of custody, as columns: the block, each row's
+    work unit (int64) and the engine time it entered WORKBUF (float64).
+
+    Iterating yields ``(pair, unit, since)`` per row, for inspection; the
+    protocol only slices and joins records."""
+
+    block: PairBlock
+    units: np.ndarray
+    since: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def __iter__(self) -> Iterator[tuple[Pair, int, float]]:
+        return zip(self.block, self.units.tolist(), self.since.tolist())
+
+    def __getitem__(self, rows) -> "Custody":
+        return Custody(self.block[rows], self.units[rows], self.since[rows])
+
+    @staticmethod
+    def join(parts: Sequence["Custody"]) -> "Custody":
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return NO_CUSTODY
+        return Custody(
+            PairBlock.concat([p.block for p in parts]),
+            np.concatenate([p.units for p in parts]),
+            np.concatenate([p.since for p in parts]),
+        )
+
+
+NO_CUSTODY = Custody(EMPTY_BLOCK, _NO_UNITS, np.zeros(0))
 
 
 @dataclass(frozen=True)
@@ -84,7 +126,9 @@ class SlaveMsg:
 
     slave_id: int
     results: tuple[tuple[Pair, AlignmentResult, bool], ...]
-    pairs: tuple[Pair, ...]
+    #: The P pairs, one block (pickled as one buffer); ``Pair`` records
+    #: are accepted too and packed at admission.
+    pairs: PairBlock | Sequence[Pair]
     exhausted: bool  # generator dry and PAIRBUF empty (a passive slave)
     has_pending_results: bool  # NEXTWORK non-empty at send time
     #: Sender clock at send time (session-origin seconds for the mp
@@ -109,7 +153,7 @@ class SlaveMsg:
 class MasterMsg:
     """Master → slave: W pairs of work + request for E pairs (or stop)."""
 
-    work: tuple[Pair, ...]
+    work: PairBlock | Sequence[Pair]
     request: int
     stop: bool = False
     #: See :attr:`SlaveMsg.sent_at`.
@@ -172,7 +216,7 @@ class MasterLogic:
         self.batchsize = batchsize
         self.workbuf_capacity = workbuf_capacity
         self.manager = ClusterManager(n_ests)
-        self.workbuf: deque[Entry] = deque()
+        self.workbuf: Custody = NO_CUSTODY
         self.passive: set[int] = set()
         self.stopped: set[int] = set()
         self.waiting: set[int] = set()
@@ -184,7 +228,7 @@ class MasterLogic:
         # grant from the *previous* reply (the newest grant is the
         # NEXTWORK the slave is still holding), so at most the two newest
         # grants are ever outstanding.
-        self.in_flight: dict[int, deque[tuple[tuple[Entry, ...], float]]] = {}
+        self.in_flight: dict[int, deque[tuple[Custody, float]]] = {}
         self.stats = MasterStats()
         #: The run's session.  Its latency store receives ``queue_master``
         #: (per-pair WORKBUF dwell, admission or requeue → dispatch) and
@@ -244,6 +288,7 @@ class MasterLogic:
         tel = self.telemetry
         if not tel.causal:
             return
+        units = np.asarray(units).tolist()
         for u, n in Counter(u for u in units if u != NO_UNIT).items():
             tel.record_causal(
                 event, u, n, actor=self.causal_actor, ts=now, slave=slave, reason=reason
@@ -270,9 +315,7 @@ class MasterLogic:
             # (result-eliciting pings) carry no work unit.
             if entries:
                 self.latency.observe("rtt", now - sent_at)
-                self._record(
-                    "absorbed", (u for _, u, _ in entries), now, slave=msg.slave_id
-                )
+                self._record("absorbed", entries.units, now, slave=msg.slave_id)
 
         # 1. Update CLUSTERS from the R results.
         for pair, result, accepted in msg.results:
@@ -288,19 +331,20 @@ class MasterLogic:
         # is at most transient; admission is never refused because a
         # dropped pair could lose a merge witness (capacity is the *target*
         # the request computation steers toward, as in §3.3).
-        self.stats.pairs_offered += len(msg.pairs)
-        admitted = self._admit(msg.pairs, msg.pair_units, now)
+        pairs = as_block(msg.pairs)
+        self.stats.pairs_offered += len(pairs)
+        admitted = self._admit(pairs, msg.pair_units, now)
         self.stats.pairs_admitted += admitted
 
         if msg.exhausted:
             self.passive.add(msg.slave_id)
 
-        return self._reply_for(msg.slave_id, len(msg.pairs), admitted, now)
+        return self._reply_for(msg.slave_id, len(pairs), admitted, now)
 
     def _admit(
         self,
-        pairs: Sequence[Pair],
-        units: Sequence[int],
+        pairs: PairBlock,
+        units: Sequence[int] | np.ndarray,
         now: float,
         *,
         event: str = "admitted",
@@ -308,42 +352,36 @@ class MasterLogic:
         slave: int | None = None,
     ) -> int:
         """Queue the pairs whose ESTs are in different clusters as WORKBUF
-        entries stamped ``now``; record ``event`` for their units and
+        rows stamped ``now``; record ``event`` for their units and
         ``pruned`` (``reason``) for the rest's.  Returns how many were
         queued.  ``units`` runs parallel to ``pairs``; a sender that ships
         none (an untraced one) has its pairs queued as ``NO_UNIT``."""
-        if len(units) != len(pairs):
-            units = (NO_UNIT,) * len(pairs)
-        same_cluster = self.manager.same_cluster
-        workbuf = self.workbuf
-        kept: list[int] = []
-        dropped: list[int] = []
-        for pair, unit in zip(pairs, units):
-            if same_cluster(pair.est_a, pair.est_b):
-                dropped.append(unit)
-            else:
-                workbuf.append((pair, unit, now))
-                kept.append(unit)
-        self._record(event, kept, now, slave=slave)
-        self._record("pruned", dropped, now, slave=slave, reason=reason)
-        if len(workbuf) > self.stats.workbuf_peak:
-            self.stats.workbuf_peak = len(workbuf)
+        n = len(pairs)
+        if len(units) == n:
+            units = np.asarray(units, dtype=np.int64)
+        else:
+            units = np.full(n, NO_UNIT, dtype=np.int64)
+        live = ~self.manager.co_clustered(pairs)
+        kept = Custody(pairs[live], units[live], np.full(int(live.sum()), float(now)))
+        if len(kept):
+            self.workbuf = Custody.join([self.workbuf, kept])
+        self._record(event, kept.units, now, slave=slave)
+        self._record("pruned", units[~live], now, slave=slave, reason=reason)
+        if len(self.workbuf) > self.stats.workbuf_peak:
+            self.stats.workbuf_peak = len(self.workbuf)
         return len(kept)
 
     def _refresh_speculation(self) -> None:
         """Rebuild the speculation from exactly the grants in flight."""
-        in_flight = [
-            pair
-            for grants in self.in_flight.values()
-            for entries, _ in grants
-            for pair, _, _ in entries
-        ]
+        in_flight = Custody.join(
+            [entries for grants in self.in_flight.values() for entries, _ in grants]
+        ).block
         self._speculation.restart(in_flight)
         self._speculation_age = 0
         self._parked = 0
         self.stats.pairs_examined += len(in_flight)
 
-    def _next_wave(self, now: float, *, exact: bool = False) -> tuple[Entry, ...]:
+    def _next_wave(self, now: float, *, exact: bool = False) -> Custody:
         """Pop the WORKBUF entries of the next conflict-free wave (at most
         one batchsize).
 
@@ -377,32 +415,35 @@ class MasterLogic:
         self._speculation_age += 1
         return wave
 
-    def _walk_workbuf(self, now: float) -> tuple[Entry, ...]:
-        """One :func:`next_wave` over WORKBUF past its parked head."""
-        workbuf, parked = self.workbuf, self._parked
-        workbuf.rotate(-parked)
-        unwalked = len(workbuf) - parked
-        pulled: list[Entry] = []
+    def _walk_workbuf(self, now: float) -> Custody:
+        """One :func:`next_wave` over WORKBUF past its parked head; the
+        taken and the stale rows leave WORKBUF, the rest keep their place."""
+        held, parked = self.workbuf, self._parked
+        start = parked
 
-        def pull() -> list[Pair]:
-            nonlocal unwalked
-            n = min(self.batchsize, unwalked)
-            unwalked -= n
-            chunk = [workbuf.popleft() for _ in range(n)]
-            pulled.extend(chunk)
-            return [pair for pair, _, _ in chunk]
+        def pull() -> PairBlock:
+            nonlocal start
+            stop = min(start + self.batchsize, len(held))
+            chunk = held.block[start:stop]
+            start = stop
+            return chunk
 
         verdicts: list[int] = []
         for _, marks in next_wave(self._speculation, pull, self.batchsize):
             verdicts += marks  # only the last chunk's can fall short of it
-        wave, kept, stale = by_verdict(pulled, verdicts)
-        workbuf.extendleft(reversed(kept))
-        workbuf.rotate(parked)
+        marks = np.asarray(verdicts, dtype=np.int8)
+        taken = parked + np.flatnonzero(marks == TAKE)
+        stale = parked + np.flatnonzero(marks == STALE)
+        if taken.size or stale.size:
+            keep = np.ones(len(held), dtype=bool)
+            keep[taken] = False
+            keep[stale] = False
+            self.workbuf = held[keep]
         self._parked = parked + verdicts.count(DEFER)
-        self.stats.pairs_pruned += len(stale)
+        self.stats.pairs_pruned += stale.size
         self.stats.pairs_examined += len(verdicts)
-        self._record("pruned", (u for _, u, _ in stale), now, reason="dispatch")
-        return tuple(wave)
+        self._record("pruned", held.units[stale], now, reason="dispatch")
+        return held[taken]
 
     def _merge(self, pair: Pair, result: AlignmentResult) -> bool:
         """Apply an accepted result to CLUSTERS, keeping the speculation's
@@ -416,13 +457,13 @@ class MasterLogic:
         self.stats.merges += 1
         return True
 
-    def _take_work(self, now: float, *, exact: bool = False) -> tuple[Entry, ...]:
-        """The next wave as a grant's entries, observing each pair's
+    def _take_work(self, now: float, *, exact: bool = False) -> Custody:
+        """The next wave as a grant's rows, observing each pair's
         WORKBUF dwell time."""
         if not self.workbuf:
-            return ()
+            return NO_CUSTODY
         wave = self._next_wave(now, exact=exact)
-        for _, _, since in wave:
+        for since in wave.since.tolist():
             self.latency.observe("queue_master", now - since)
         self.stats.pairs_dispatched += len(wave)
         return wave
@@ -447,18 +488,17 @@ class MasterLogic:
         return None
 
     def _dispatch(
-        self, slave_id: int, entries: tuple[Entry, ...], request: int, now: float
+        self, slave_id: int, grant: Custody, request: int, now: float
     ) -> MasterMsg:
         """Record a (possibly empty) grant and build its reply; emptiness
         matters because receipt bookkeeping relies on strict
         reply/message alternation per slave."""
-        self.in_flight.setdefault(slave_id, deque()).append((entries, now))
-        work, units, _ = zip(*entries) if entries else ((), (), ())
-        self._record("dispatched", units, now, slave=slave_id)
+        self.in_flight.setdefault(slave_id, deque()).append((grant, now))
+        self._record("dispatched", grant.units, now, slave=slave_id)
         return MasterMsg(
-            work=work,
+            work=grant.block,
             request=request,
-            work_units=units if self.telemetry.causal else (),
+            work_units=tuple(grant.units.tolist()) if self.telemetry.causal else (),
         )
 
     def _note_stop(self, slave_id: int) -> None:
@@ -532,7 +572,7 @@ class MasterLogic:
         replies: list[tuple[int, MasterMsg]] = []
         blocked = False  # WORKBUF holds only deferred pairs
         for slave_id in sorted(self.waiting):
-            work: tuple[Entry, ...] = ()
+            work = NO_CUSTODY
             if not blocked:
                 # With no message due to settle anything, what happens
                 # next must rest on what is really in flight.
@@ -549,12 +589,12 @@ class MasterLogic:
                     continue
                 # The grant it holds may be what the deferred pairs wait
                 # on, and its results have to be fetched once anyway.
-                reply = self._dispatch(slave_id, (), 0, now)
+                reply = self._dispatch(slave_id, NO_CUSTODY, 0, now)
             elif len(self.passive) < self.n_slaves:
                 continue
             elif pending:
                 # Elicit the final results with an empty work message.
-                reply = self._dispatch(slave_id, (), 0, now)
+                reply = self._dispatch(slave_id, NO_CUSTODY, 0, now)
             else:
                 self._note_stop(slave_id)
                 reply = MasterMsg(work=(), request=0, stop=True)
@@ -589,16 +629,12 @@ class MasterLogic:
         # The requeued pairs are no longer undecided elsewhere: choose the
         # next wave on a rebuilt speculation, or they would defer themselves.
         self._speculation_age = self.n_slaves
-        entries = [
-            entry
-            for grant, _ in self.in_flight.pop(slave_id, ())
-            for entry in grant
-        ]
+        held = Custody.join([grant for grant, _ in self.in_flight.pop(slave_id, ())])
         # Requeued pairs restart the queue clock: their first wait ended
         # in a dead slave and was never work.
         requeued = self._admit(
-            [pair for pair, _, _ in entries],
-            [unit for _, unit, _ in entries],
+            held.block,
+            held.units,
             now,
             event="requeued",
             reason="requeue",
@@ -628,24 +664,16 @@ class MasterLogic:
         work.  Returns the number of pairs dropped."""
         # The foreign unions reached CLUSTERS without passing _merge.
         self._speculation_age = self.n_slaves
-        if not self.workbuf:
+        held = self.workbuf
+        if not held:
             return 0
-        redundant = self.manager.same_cluster_batch(
-            [pair for pair, _, _ in self.workbuf]
-        )
-        pruned = sum(redundant)
+        redundant = self.manager.co_clustered(held.block)
+        pruned = int(redundant.sum())
         if not pruned:
             return 0
-        self._record(
-            "pruned",
-            (unit for (_, unit, _), skip in zip(self.workbuf, redundant) if skip),
-            now,
-            reason="sync",
-        )
-        self.workbuf = deque(
-            entry for entry, skip in zip(self.workbuf, redundant) if not skip
-        )
-        self._parked -= sum(redundant[: self._parked])
+        self._record("pruned", held.units[redundant], now, reason="sync")
+        self.workbuf = held[~redundant]
+        self._parked -= int(redundant[: self._parked].sum())
         self.stats.pairs_pruned += pruned
         return pruned
 
@@ -663,7 +691,7 @@ class MasterLogic:
             wave = self._next_wave(now, exact=True)
             if not wave:
                 break
-            work = [pair for pair, _, _ in wave]
+            work = list(wave.block)
             decisions = aligner.align_and_decide_batch(work)
             for pair, (result, accepted) in zip(work, decisions):
                 self.stats.results_received += 1
@@ -672,11 +700,13 @@ class MasterLogic:
                     self._merge(pair, result)
                 else:
                     self._speculation.rejected(pair)
-            self._record("absorbed", (u for _, u, _ in wave), now, reason="drain")
+            self._record("absorbed", wave.units, now, reason="drain")
             aligned += len(wave)
         return aligned
 
-    def absorb_pairs(self, pairs: Iterable[Pair], *, now: float = 0.0) -> int:
+    def absorb_pairs(
+        self, pairs: PairBlock | Iterable[Pair], *, now: float = 0.0
+    ) -> int:
         """Admit engine-regenerated pairs (degraded recovery) through the
         normal selection filter.  Returns the number admitted.
 
@@ -684,14 +714,14 @@ class MasterLogic:
         the dead slave's ids cannot be recovered, and a distinct recovery
         unit keeps the conservation ledger exact.
         """
-        pairs = tuple(pairs)
+        pairs = as_block(pairs)
         unit = self._recovery_mint()
         self.telemetry.record_causal(
             "generated", unit, len(pairs), actor=self.causal_actor, ts=now,
             reason="recovery",
         )
         self.stats.pairs_offered += len(pairs)
-        admitted = self._admit(pairs, (unit,) * len(pairs), now)
+        admitted = self._admit(pairs, np.full(len(pairs), unit, dtype=np.int64), now)
         self.stats.pairs_admitted += admitted
         return admitted
 
@@ -734,10 +764,11 @@ class SlaveLogic:
         self.aligner = aligner
         self.batchsize = batchsize
         self.pairbuf_capacity = pairbuf_capacity
-        #: PAIRBUF as ``(pair, unit)`` entries.
-        self.pairbuf: deque[tuple[Pair, int]] = deque()
-        self.nextwork: tuple[Pair, ...] = ()
-        self._nextwork_units: tuple[int, ...] = ()
+        #: PAIRBUF: generated pairs not yet shipped, with each one's unit.
+        self.pairbuf: PairBlock = EMPTY_BLOCK
+        self._pairbuf_units = _NO_UNITS
+        self.nextwork: PairBlock | Sequence[Pair] = EMPTY_BLOCK
+        self._nextwork_units = _NO_UNITS
         self.done = False
         self.last_costs = SlaveStepCosts()
         self.total_alignments = 0
@@ -764,20 +795,22 @@ class SlaveLogic:
         if n and unit != NO_UNIT:
             self.causal_log.append((event, unit, n))
 
-    def _mint(self, pairs: Sequence[Pair]) -> int:
+    def _mint(self, pairs: PairBlock) -> int:
         """A fresh unit for one generated batch."""
         unit = self.minter()
         self._log("generated", unit, len(pairs))
         return unit
 
-    def _fill(self, fetched: Sequence[Pair]) -> None:
+    def _fill(self, fetched: PairBlock) -> None:
         """Append a generated batch to PAIRBUF under a fresh unit."""
-        if fetched:
-            self.pairbuf.extend(zip(fetched, repeat(self._mint(fetched))))
+        if len(fetched):
+            units = np.full(len(fetched), self._mint(fetched), dtype=np.int64)
+            self.pairbuf = PairBlock.concat((self.pairbuf, fetched))
+            self._pairbuf_units = np.concatenate((self._pairbuf_units, units))
 
-    def _wire(self, units: tuple[int, ...]) -> tuple[int, ...]:
+    def _wire(self, units: np.ndarray) -> tuple[int, ...]:
         """``pair_units`` for a message: untraced slaves ship none."""
-        return units if self.minter.enabled else ()
+        return tuple(units.tolist()) if self.minter.enabled else ()
 
     # ------------------------------------------------------------------ #
 
@@ -791,17 +824,17 @@ class SlaveLogic:
         costs.pairs_generated_blocking += len(p1) + len(p2) + len(p3)
         u1, u2, u3 = self._mint(p1), self._mint(p2), self._mint(p3)
         self._log("aligned", u1, len(p1))
-        results = self._align_batch(p1, costs)
-        self.nextwork = tuple(p2)
-        self._nextwork_units = (u2,) * len(p2)
+        results = self._align_batch(list(p1), costs)
+        self.nextwork = p2
+        self._nextwork_units = np.full(len(p2), u2, dtype=np.int64)
         self.last_costs = costs
         return SlaveMsg(
             slave_id=self.slave_id,
             results=results,
-            pairs=tuple(p3),
+            pairs=p3,
             exhausted=self.generator.exhausted and not self.pairbuf,
             has_pending_results=bool(self.nextwork),
-            pair_units=self._wire((u3,) * len(p3)),
+            pair_units=self._wire(np.full(len(p3), u3, dtype=np.int64)),
         )
 
     def align_pending(self) -> SlaveStepCosts:
@@ -813,7 +846,7 @@ class SlaveLogic:
             costs = SlaveStepCosts()
             self._aligned = self._align_batch(list(self.nextwork), costs)
             self._align_costs = costs
-            for unit, n in Counter(self._nextwork_units).items():
+            for unit, n in Counter(self._nextwork_units.tolist()).items():
                 self._log("aligned", unit, n)
         return self._align_costs
 
@@ -835,11 +868,12 @@ class SlaveLogic:
             self.done = True
             self.last_costs = costs
             return None
-        self.nextwork = tuple(reply.work)
+        self.nextwork = reply.work
+        n = len(reply.work)
         self._nextwork_units = (
-            reply.work_units
-            if len(reply.work_units) == len(reply.work)
-            else (NO_UNIT,) * len(reply.work)
+            np.asarray(reply.work_units, dtype=np.int64)
+            if len(reply.work_units) == n
+            else np.full(n, NO_UNIT, dtype=np.int64)
         )
 
         # Fill PAIRBUF toward the requested E (blocking generation; idle
@@ -850,8 +884,9 @@ class SlaveLogic:
             fetched = self.generator.next_batch(want - len(self.pairbuf))
             costs.pairs_generated_blocking += len(fetched)
             self._fill(fetched)
-        outgoing = [self.pairbuf.popleft() for _ in range(min(want, len(self.pairbuf)))]
-        pairs, units = zip(*outgoing) if outgoing else ((), ())
+        k = min(want, len(self.pairbuf))
+        pairs, units = self.pairbuf[:k], self._pairbuf_units[:k]
+        self.pairbuf, self._pairbuf_units = self.pairbuf[k:], self._pairbuf_units[k:]
 
         self.last_costs = costs
         return SlaveMsg(

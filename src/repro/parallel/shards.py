@@ -275,7 +275,7 @@ class ShardedMaster:
                     {
                         format_unit(unit)
                         for entries, _ in grants
-                        for _, unit, _ in entries
+                        for unit in entries.units.tolist()
                         if unit >= 0
                     }
                 )

@@ -53,8 +53,14 @@ class TestAllPairsBaseline:
             allpairs_cluster(small_benchmark.collection, small_config, order="sideways")
 
 
+@pytest.fixture(scope="module")
+def cap3(small_benchmark, small_config):
+    """One full-DP baseline run (~25 s), shared by every assertion on it."""
+    return cap3_like_cluster(small_benchmark.collection, small_config)
+
+
 class TestCap3Like:
-    def test_quality_at_least_pace(self, small_benchmark, small_config):
+    def test_quality_at_least_pace(self, small_benchmark, small_config, cap3):
         """Full-DP scoring can only find overlaps the banded seed
         extension may miss: CC(cap3like) >= CC(pace) - epsilon, matching
         Table 2's 'CAP3 a hair better' profile."""
@@ -65,22 +71,18 @@ class TestCap3Like:
             truth,
             n,
         )
-        cap_q = assess_clustering(
-            cap3_like_cluster(small_benchmark.collection, small_config).result.clusters,
-            truth,
-            n,
-        )
+        cap_q = assess_clustering(cap3.result.clusters, truth, n)
         assert cap_q.cc >= pace_q.cc - 1.0
 
-    def test_quadratically_more_work_than_pace(self, small_benchmark, small_config):
+    def test_quadratically_more_work_than_pace(
+        self, small_benchmark, small_config, cap3
+    ):
         pace = PaceClusterer(small_config).cluster(small_benchmark.collection)
-        cap = cap3_like_cluster(small_benchmark.collection, small_config)
-        assert cap.result.counters.dp_cells > 3 * pace.counters.dp_cells
-        assert cap.result.counters.pairs_processed >= pace.counters.pairs_processed
+        assert cap3.result.counters.dp_cells > 3 * pace.counters.dp_cells
+        assert cap3.result.counters.pairs_processed >= pace.counters.pairs_processed
 
-    def test_buffers_all_candidates(self, small_benchmark, small_config):
-        cap = cap3_like_cluster(small_benchmark.collection, small_config)
-        assert cap.peak_pairs_buffered == cap.result.counters.pairs_generated
+    def test_buffers_all_candidates(self, cap3):
+        assert cap3.peak_pairs_buffered == cap3.result.counters.pairs_generated
 
 
 class TestTable1Models:

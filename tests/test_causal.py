@@ -279,6 +279,30 @@ class TestEngineStreams:
         # Master-minted units only: the sequential driver is its own slave.
         assert all(unit_parts(r["unit"])[0] == -1 for r in records)
 
+    def test_sequential_ledger_counts_what_the_loop_did(self):
+        """On six identical reads every pair is promising but five
+        alignments make one cluster: the ledger's absorbed pairs are the
+        aligned ones and its pruned pairs the skipped ones, exactly."""
+        import numpy as np
+
+        from repro.sequence import EstCollection
+
+        read = np.random.default_rng(6).integers(0, 4, size=300, dtype=np.uint8)
+        col = EstCollection([read.copy() for _ in range(6)])
+        tel = Telemetry()
+        result = PaceClusterer(ClusteringConfig(causal_tracing=True)).cluster(
+            col, telemetry=tel
+        )
+        c = result.counters
+        assert (c.pairs_generated, c.pairs_processed) == (15, 5)
+        records = causal_records(result.telemetry)
+        totals = event_totals(records)
+        assert totals["admitted"] == c.pairs_generated
+        assert totals["absorbed"] == c.pairs_processed
+        assert totals["pruned"] == c.pairs_skipped
+        report = check_conservation(records)
+        assert report.ok(), report.lines()  # strict: nothing in flight
+
     def test_sim_clean_run_balances(self, small_benchmark, causal_config):
         tel = Telemetry()
         report = simulate_clustering(

@@ -64,6 +64,78 @@ class TestUnionFind:
         merges = sum(1 for a, b in edges if uf.union(a, b))
         assert uf.n_components == 31 - merges
 
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.one_of(
+                        st.tuples(st.just("union"), st.integers(0, n - 1), st.integers(0, n - 1)),
+                        st.tuples(st.just("find"), st.integers(0, n - 1)),
+                        st.tuples(
+                            st.just("find_many"),
+                            st.lists(st.integers(0, n - 1), max_size=12),
+                        ),
+                    ),
+                    max_size=80,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_operations_match_a_naive_partition(self, case):
+        """Random interleaved ``union``/``find``/``find_many`` against a
+        set-of-frozensets partition; ``components()`` against the list
+        implementation the int32 array replaced."""
+        n, ops = case
+        uf = UnionFind(n)
+        naive = {x: frozenset([x]) for x in range(n)}
+        for op in ops:
+            if op[0] == "union":
+                _, a, b = op
+                joined = naive[a] is not naive[b]
+                assert uf.union(a, b) == joined
+                if joined:
+                    merged = naive[a] | naive[b]
+                    for x in merged:
+                        naive[x] = merged
+            elif op[0] == "find":
+                root = uf.find(op[1])
+                assert root in naive[op[1]]
+            else:
+                roots = uf.find_many(np.asarray(op[1], dtype=np.int32))
+                assert roots.dtype == np.int32
+                for x, root in zip(op[1], roots.tolist()):
+                    assert root in naive[x] and root == uf.find(x)
+        assert uf.n_components == len(set(naive.values()))
+        assert uf.components() == _list_components(n, ops)
+        assert uf.labels().tolist() == [uf.find(x) for x in range(n)]
+
+    def test_rejects_more_elements_than_int32_holds(self):
+        with pytest.raises(ValueError, match="int32"):
+            UnionFind(2**31)
+
+
+def _list_components(n: int, ops) -> list[list[int]]:
+    """The components the list-based union–find reported: its ``find``
+    per element, grouped, each sorted, ordered by smallest member."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for op in ops:
+        if op[0] == "union":
+            ra, rb = find(op[1]), find(op[2])
+            if ra != rb:
+                parent[rb] = ra
+    groups: dict[int, list[int]] = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+
 
 class TestClusterManager:
     def _fake_merge(self, mgr, i, j):

@@ -145,20 +145,29 @@ class TestBruteForce:
         assert (0, 1, False) not in truth
 
 
+def _ps(lo: int, hi: int) -> list[Pair]:
+    """Distinct pairs ``lo .. hi-1`` (the serial rides in an offset)."""
+    return [Pair(10, 0, i, 2, 0) for i in range(lo, hi)]
+
+
+def _stream(n: int):
+    return iter(_ps(0, n))
+
+
 class TestOnDemand:
     def test_batches_and_exhaustion(self):
-        gen = OnDemandPairGenerator(iter(range(7)))
-        assert gen.next_batch(3) == [0, 1, 2]
+        gen = OnDemandPairGenerator(_stream(7))
+        assert list(gen.next_batch(3)) == _ps(0, 3)
         assert not gen.exhausted
-        assert gen.next_batch(3) == [3, 4, 5]
-        assert gen.next_batch(3) == [6]
+        assert list(gen.next_batch(3)) == _ps(3, 6)
+        assert list(gen.next_batch(3)) == _ps(6, 7)
         assert gen.exhausted
-        assert gen.next_batch(3) == []
+        assert list(gen.next_batch(3)) == []
         assert gen.produced == 7
 
     def test_zero_batch(self):
-        gen = OnDemandPairGenerator(iter([1]))
-        assert gen.next_batch(0) == []
+        gen = OnDemandPairGenerator(_stream(1))
+        assert list(gen.next_batch(0)) == []
         assert not gen.exhausted
 
     def test_negative_batch_rejected(self):
@@ -166,45 +175,66 @@ class TestOnDemand:
             OnDemandPairGenerator(iter([])).next_batch(-1)
 
     def test_iter_drains_remainder(self):
-        gen = OnDemandPairGenerator(iter(range(5)))
+        gen = OnDemandPairGenerator(_stream(5))
         gen.next_batch(2)
-        assert list(gen) == [2, 3, 4]
+        assert list(gen) == _ps(2, 5)
         assert gen.exhausted and gen.produced == 5
 
     def test_state_is_remembered_between_batches(self):
         # The on-demand contract of §2: no pair is recomputed or lost.
-        gen = OnDemandPairGenerator(iter(range(100)))
+        gen = OnDemandPairGenerator(_stream(100))
         seen = []
         for size in (1, 2, 3, 50, 44, 10):
             seen.extend(gen.next_batch(size))
-        assert seen == list(range(100))
+        assert seen == _ps(0, 100)
 
     def test_exhausted_flips_with_the_draining_full_batch(self):
         # A stream of exactly k·m pairs must report exhaustion on the batch
         # that drains it, not on a later empty one — slaves turn passive
         # with that batch (§3.3) instead of paying an extra round trip.
-        gen = OnDemandPairGenerator(iter(range(6)))
-        assert gen.next_batch(3) == [0, 1, 2]
+        gen = OnDemandPairGenerator(_stream(6))
+        assert list(gen.next_batch(3)) == _ps(0, 3)
         assert not gen.exhausted
-        assert gen.next_batch(3) == [3, 4, 5]
+        assert list(gen.next_batch(3)) == _ps(3, 6)
         assert gen.exhausted
-        assert gen.next_batch(3) == []
+        assert list(gen.next_batch(3)) == []
         assert gen.produced == 6
 
     def test_lookahead_pair_is_not_lost(self):
         # The peeked pair must come back at the head of the next batch or
         # via iteration.
-        gen = OnDemandPairGenerator(iter(range(5)))
-        assert gen.next_batch(2) == [0, 1]
-        assert gen.next_batch(2) == [2, 3]
-        assert list(gen) == [4]
+        gen = OnDemandPairGenerator(_stream(5))
+        assert list(gen.next_batch(2)) == _ps(0, 2)
+        assert list(gen.next_batch(2)) == _ps(2, 4)
+        assert list(gen) == _ps(4, 5)
         assert gen.exhausted and gen.produced == 5
+
+    @pytest.mark.parametrize("block_size", [1, 2, 3, 7])
+    def test_block_stream_batches_like_the_pair_stream(self, block_size):
+        # Over blocks the same contract holds, whatever the block cut:
+        # exhausted flips on the draining batch, a full final batch
+        # included, and nothing is lost across block boundaries.
+        from repro.pairs.pair import PairBlock
+
+        pairs = _ps(0, 12)
+        blocks = (
+            PairBlock.from_pairs(pairs[i : i + block_size])
+            for i in range(0, len(pairs), block_size)
+        )
+        gen = OnDemandPairGenerator(blocks)
+        seen = []
+        while not gen.exhausted:
+            batch = gen.next_batch(4)
+            assert len(batch) == 4  # 12 = 3 full batches, the last drains it
+            seen.extend(batch)
+        assert seen == pairs and gen.produced == 12
+        assert len(gen.next_batch(4)) == 0
 
     def test_partial_final_batch_reaches_the_histogram(self):
         from repro.telemetry import Telemetry
 
         tel = Telemetry()
-        gen = OnDemandPairGenerator(iter(range(7)), telemetry=tel)
+        gen = OnDemandPairGenerator(_stream(7), telemetry=tel)
         while not gen.exhausted:
             gen.next_batch(3)
         hist = tel.registry.snapshot()["histograms"]["pairs.batch_size"]
@@ -220,8 +250,8 @@ class TestOnDemand:
 
         n = 2 * DRAIN_FLUSH + 13
         tel = Telemetry()
-        gen = OnDemandPairGenerator(iter(range(n)), telemetry=tel)
-        assert list(gen) == list(range(n))
+        gen = OnDemandPairGenerator(_stream(n), telemetry=tel)
+        assert list(gen) == _ps(0, n)
         assert tel.registry.get("pairs.produced") == n
         hist = tel.registry.snapshot()["histograms"]["pairs.batch_size"]
         assert hist["count"] == 3  # two full chunks + the tail of 13
@@ -233,7 +263,7 @@ class TestOnDemand:
         from repro.telemetry import Telemetry
 
         tel = Telemetry()
-        gen = OnDemandPairGenerator(iter(range(50)), telemetry=tel)
+        gen = OnDemandPairGenerator(_stream(50), telemetry=tel)
         for i, _item in enumerate(gen):
             if i == 9:
                 break
@@ -245,10 +275,10 @@ class TestOnDemand:
         from repro.telemetry import Telemetry
 
         tel_a, tel_b = Telemetry(), Telemetry()
-        a = OnDemandPairGenerator(iter(range(301)), telemetry=tel_a)
+        a = OnDemandPairGenerator(_stream(301), telemetry=tel_a)
         while not a.exhausted:
             a.next_batch(40)
-        b = OnDemandPairGenerator(iter(range(301)), telemetry=tel_b)
+        b = OnDemandPairGenerator(_stream(301), telemetry=tel_b)
         list(b)
         assert (
             tel_a.registry.get("pairs.produced")

@@ -125,7 +125,7 @@ class TestBatchedFinds:
             uf.union(a, b)
         flat = [x for q in queries for x in q]
         roots = uf.find_many(flat)
-        assert roots == [uf.find(x) for x in flat]
+        assert roots.tolist() == [uf.find(x) for x in flat]
 
     @given(
         edges=st.lists(

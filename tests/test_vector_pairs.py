@@ -308,6 +308,83 @@ class TestPipelineIntegration:
         assert source.produced == len(reference)
 
 
+class TestBlockStream:
+    @given(
+        seeds,
+        st.integers(2, 7),
+        st.integers(1, 4),
+        st.sampled_from([1, 7, PAIR_BLOCK_SIZE]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_flattened_blocks_equal_the_scalar_stream(
+        self, seed, n, parts, block_size, rc_duplicates
+    ):
+        """``blocks()`` flattened is the scalar engine's stream element for
+        element — with reverse-complement duplicates, over slave rank
+        partitions — and no block exceeds ``block_size``."""
+        rng = np.random.default_rng(seed)
+        col = _random_overlapping_collection(rng, n)
+        if rc_duplicates:
+            seqs = []
+            for i in range(col.n_ests):
+                seqs += [col.est(i).copy(), (3 - col.est(i))[::-1].copy()]
+            col = EstCollection(seqs)
+        gst = SuffixArrayGst.build(col)
+        hi = len(gst.sa_struct.sa)
+        cuts = sorted({int(c) for c in rng.integers(0, hi + 1, size=parts - 1)})
+        bounds = [0, *cuts, hi]
+        ranges = None if parts == 1 else list(zip(bounds[:-1], bounds[1:]))
+        expected = list(SaPairGenerator(gst, 4, ranges=ranges).pairs())
+        blocks = list(
+            VectorPairGenerator(gst, 4, ranges=ranges, block_size=block_size).blocks()
+        )
+        assert all(0 < len(b) <= block_size for b in blocks)
+        assert [pair for block in blocks for pair in block] == expected
+
+    def test_scalar_blocks_flatten_to_its_pairs(self):
+        rng = np.random.default_rng(5)
+        gst = SuffixArrayGst.build(_random_overlapping_collection(rng, 8))
+        blocks = list(SaPairGenerator(gst, 4).blocks())
+        assert [p for b in blocks for p in b] == list(SaPairGenerator(gst, 4).pairs())
+
+
+class TestPairObjectBudget:
+    """Pairs travel as blocks; a ``Pair`` record is built for a pair that
+    reaches the aligner, not for every pair generated."""
+
+    @pytest.fixture()
+    def constructions(self, monkeypatch):
+        from repro.pairs.pair import Pair
+
+        count = [0]
+        make = Pair.__new__
+
+        def counting(cls, *args, **kwargs):
+            count[0] += 1
+            return make(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Pair, "__new__", staticmethod(counting))
+        return count
+
+    def test_sequential_deep_run(self, constructions):
+        gst, cfg = _benchmark_gst("deep")
+        res = PaceClusterer(cfg).cluster(gst.collection)
+        c = res.counters
+        assert c.pairs_generated > 10 * c.pairs_processed
+        assert 0 < constructions[0] <= c.pairs_processed + len(res.merges)
+
+    def test_two_slave_simulated_run(self, constructions):
+        from repro.parallel import simulate_clustering
+
+        gst, cfg = _benchmark_gst("deep")
+        res = simulate_clustering(gst.collection, cfg, n_processors=3).result
+        c = res.counters
+        budget = c.pairs_processed + len(res.merges) + res.faults.pairs_reassigned
+        assert 0 < constructions[0] <= budget
+        assert constructions[0] < c.pairs_generated / 2
+
+
 # --- inputs that repeat a string inside one node -------------------------
 
 _RNG = np.random.default_rng(20021)
