@@ -63,19 +63,19 @@ def test_lcp_kasai(benchmark, medium_text):
 
 
 def test_lcp_vectorised(benchmark, medium):
-    """The LCP pass of ``SuffixArrayGst.build`` on its own inputs: one-byte
-    symbol codes (every sentinel 0), ``suffix_len`` as the reach, and the
-    sort's separation rounds."""
+    """The LCP pass of ``SuffixArrayGst.build`` on its own inputs: the
+    index's one-byte text (every sentinel 0), suffix lengths as the reach,
+    and the sort's separation rounds."""
     gst = dataset_gst(30_000)
-    codes = np.maximum(gst.text - (gst.collection.n_strings - 1), 0).astype(np.uint8)
-    state = refine(codes, SIGMA.bit_length(), gst.suffix_len, gst.pos_string)
+    state = refine(gst.text, SIGMA.bit_length(), gst.starts)
     lcp = benchmark(
         lcp_first_mismatch,
-        codes,
-        gst.suffix_len,
+        gst.text,
+        gst.suffix_lengths,
         state.sa,
         state.split,
         state.width,
+        gst.lcp.dtype,
     )
     assert np.array_equal(lcp, gst.lcp)
 

@@ -36,6 +36,7 @@ from repro.suffix.gst import SuffixArrayGst
 from repro.telemetry import Telemetry
 from repro.telemetry.live import ResourceSampler, live_record
 from repro.telemetry.monitor import RunMonitor, monitored_run
+from repro.util.heap import release_free_heap
 from repro.util.timing import TimingBreakdown
 
 __all__ = ["PaceClusterer"]
@@ -97,7 +98,21 @@ class PaceClusterer:
         sampling as the batched loop pulls pairs, at the monitor's
         interval.  The per-pair oracle loop (``align_batch=0``) records
         phase spans only.
+
+        The index, generator and aligner are garbage once the run
+        returns; their freed heap goes back to the operating system
+        (:func:`~repro.util.heap.release_free_heap`).
         """
+        result = self._cluster(collection, telemetry, monitor)
+        release_free_heap()
+        return result
+
+    def _cluster(
+        self,
+        collection: EstCollection,
+        telemetry: Telemetry | None,
+        monitor: RunMonitor | None,
+    ) -> ClusteringResult:
         cfg = self.config
         tel = telemetry if telemetry is not None else Telemetry(enabled=False)
         timings = TimingBreakdown(registry=tel.registry)

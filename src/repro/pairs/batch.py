@@ -21,10 +21,11 @@ This module computes the identical stream without ever storing an lset
   rank — a node copies nothing from its children;
 - at a node whose interval holds no string twice the lset *is* the
   interval: the per-class sizes of "this child slot" and "all earlier
-  slots" are differences of one prefix-count table over ``left_char`` of
-  the ranks some root covers (no other rank is ever read), read at slot
-  boundaries shifted into covered positions, and the partners of an
-  entry are a contiguous slice of one class-sorted rank array;
+  slots" are differences of one prefix-count table over the
+  left-extension characters of the ranks some root covers (no other rank
+  is ever read), read at slot boundaries shifted into covered positions,
+  and the partners of an entry are a contiguous slice of one
+  class-sorted rank array;
 - a node whose interval does repeat a string (poly-A tails, tandem
   repeats, ψ far below read length — a property of the input, found with
   one sort of (string, rank) keys) gathers its own interval, drops the
@@ -61,6 +62,7 @@ from repro.pairs.sa_generator import (
 from repro.sequence.alphabet import LAMBDA
 from repro.suffix.gst import SuffixArrayGst
 from repro.suffix.interval_tree import FlatForest
+from repro.suffix.suffix_array import ragged_ranges
 from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # circular at runtime: core.config -> align -> pairs
@@ -100,27 +102,6 @@ _CKPT_BITS = 16
 #: Sort keys pack (major << 32 | minor) into one int64; both halves are
 #: suffix-array ranks or node/string counts, far below 2**31 here.
 _LOW32 = (1 << 32) - 1
-
-
-def _ragged_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(s, s + l)`` per (start, length) pair, in the
-    dtype of ``starts``.
-
-    The standard cumsum construction; zero-length segments contribute
-    nothing.  Both inputs are integer arrays of equal size.
-    """
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(0, dtype=starts.dtype)
-    nz = lens > 0
-    if not nz.all():
-        starts, lens = starts[nz], lens[nz]
-    ends = np.cumsum(lens)
-    out = np.ones(total, dtype=starts.dtype)
-    out[0] = starts[0]
-    if lens.size > 1:
-        out[ends[:-1]] = starts[1:] - starts[:-1] - lens[:-1] + 1
-    return np.cumsum(out, out=out)
 
 
 def _class_index(cls: np.ndarray) -> tuple[np.ndarray, tuple, np.ndarray]:
@@ -301,7 +282,7 @@ class VectorPairGenerator:
         n_nodes = forest.n_nodes
         if n_nodes == 0:
             return
-        sa = gst.sa_struct.sa
+        sa = gst.sa
         # ---- node tables ------------------------------------------------
         # Node ids are range-major (one owner, one forest): the scalar
         # engine's (forest, node) order over its per-range forests.
@@ -333,7 +314,7 @@ class VectorPairGenerator:
         r_lb = lb[roots]
         r_size = end[roots] - r_lb
         r_first = np.cumsum(r_size, dtype=np.int32) - r_size
-        cov = _ragged_ranges(r_lb, r_size)
+        cov = ragged_ranges(r_lb, r_size)
         shift = (r_lb - r_first)[np.searchsorted(r_lb, lb, "right") - 1]
         root_start = np.repeat(r_first, r_size)
         del roots, r_lb, r_size, r_first
@@ -344,7 +325,7 @@ class VectorPairGenerator:
         del root_start
         # The lset structures of every node that repeats no string: covered
         # ranks by (class, rank), per-class prefix counts over positions.
-        order, counts, base = _class_index(gst.left_char[at])
+        order, counts, base = _class_index(gst.left_chars(at))
         whole = cov[order], counts, base
         del at, order, cov
         # Entries the min-rank filter removed below each node (its
@@ -376,7 +357,7 @@ class VectorPairGenerator:
             size = n_end - n_lb
             if kind[p0]:
                 # -- the min-rank filter over each node's own interval ---
-                ranks = _ragged_ranges(n_lb, size)
+                ranks = ragged_ranges(n_lb, size)
                 off = np.repeat(shift[nodes], size)  # ranks to positions
                 keep = prev[ranks - off] < np.repeat(n_lb, size) - off
                 kept = np.concatenate((_ZERO, np.cumsum(keep)))
@@ -385,7 +366,7 @@ class VectorPairGenerator:
                 rebase = (first - n_lb)[own]
                 bounds = kept[first[own]], kept[rebase + a], kept[rebase + b]
                 ranks = ranks[keep]
-                order, counts, base = _class_index(gst.left_char[sa[ranks]])
+                order, counts, base = _class_index(gst.left_chars(sa[ranks]))
                 index = ranks[order], counts, base
                 inner = ~is_root[nodes]
                 np.add.at(lost_below, parent[nodes[inner]], lost[inner])
@@ -442,17 +423,17 @@ class VectorPairGenerator:
         groups = np.arange(g_slot.size)
         entry_group = np.repeat(groups, g_new)
         i_side = np.repeat(
-            _ragged_ranges(start[groups, g_cls] + old[g_slot, g_cls], g_new),
+            ragged_ranges(start[groups, g_cls] + old[g_slot, g_cls], g_new),
             g_partners[entry_group],
         )
-        j_side = _ragged_ranges(
+        j_side = ragged_ranges(
             start[entry_group].ravel(),
             (old[g_slot] * _ALLOWED[g_cls])[entry_group].ravel().astype(np.int64),
         )
 
         # -- Lemma 4 discard rules as block masks ------------------------
-        p_old = gst.sa_struct.sa[pool[j_side]]
-        p_new = gst.sa_struct.sa[pool[i_side]]
+        p_old = gst.sa[pool[j_side]]
+        p_new = gst.sa[pool[i_side]]
         s_old = gst.pos_string[p_old]
         s_new = gst.pos_string[p_new]
         valid = (s_old >> 1) != (s_new >> 1)
@@ -462,8 +443,8 @@ class VectorPairGenerator:
         if not valid.any():
             return
         str_b = np.where(swap, s_old, s_new)
-        o_old = gst.pos_offset[p_old]
-        o_new = gst.pos_offset[p_new]
+        o_old = gst.offsets(p_old, s_old)
+        o_new = gst.offsets(p_new, s_new)
         off_a = np.where(swap, o_new, o_old)
         off_b = np.where(swap, o_old, o_new)
         depth = np.repeat(slot_depth[g_slot], g_raw)

@@ -35,7 +35,7 @@ from typing import Iterator
 from repro.sequence.alphabet import LAMBDA
 from repro.pairs.lsets import N_CLASSES
 from repro.pairs.pair import Pair, PairBlock, canonical_pair, flatten
-from repro.suffix.gst import SuffixArrayGst
+from repro.suffix.gst import LEFT_OF_CODE, SuffixArrayGst
 from repro.suffix.interval_tree import LcpForest
 from repro.telemetry import Telemetry
 
@@ -136,10 +136,10 @@ class SaPairGenerator:
         gst = self.gst
         # Plain-list views: element access on Python lists is several times
         # faster than numpy scalar indexing, and this loop is pure Python.
-        sa = gst.sa_struct.sa.tolist()
+        sa = gst.sa.tolist()
         pos_string = gst.pos_string.tolist()
-        pos_offset = gst.pos_offset.tolist()
-        left_char = gst.left_char.tolist()
+        starts = gst.starts.tolist()
+        text = gst.text.tolist()
         stats = self.stats
 
         # Global processing order: all nodes of all owned forests by
@@ -160,7 +160,7 @@ class SaPairGenerator:
         store: dict[tuple[int, int], list[list[int]]] = {}
 
         try:
-            yield from self._sweep(order, sa, pos_string, pos_offset, left_char, marks, store)
+            yield from self._sweep(order, sa, pos_string, starts, text, marks, store)
         finally:
             if self._telemetry is not None:
                 self._telemetry.count("pairs.nodes", stats.nodes_processed)
@@ -171,13 +171,18 @@ class SaPairGenerator:
         order: list[tuple[int, int, int]],
         sa: list[int],
         pos_string: list[int],
-        pos_offset: list[int],
-        left_char: list[int],
+        starts: list[int],
+        text: list[int],
         marks: list[int],
         store: dict[tuple[int, int], list[list[int]]],
     ) -> Iterator[list[Pair]]:
-        """The pairs of each node that emits any, node by node."""
+        """The pairs of each node that emits any, node by node.
+
+        A suffix's offset is ``p - starts[s]``; its left-extension class is
+        read off the symbol code before it (``text[-1]``, a terminator,
+        for position 0)."""
         stats = self.stats
+        left_of_code = LEFT_OF_CODE.tolist()
         for uid, (neg_depth, f_idx, nid) in enumerate(order):
             depth = -neg_depth
             forest = self._forests[f_idx]
@@ -209,19 +214,15 @@ class SaPairGenerator:
                     s = pos_string[p]
                     if marks[s] != uid:
                         marks[s] = uid
-                        cj = left_char[p]
+                        o = p - starts[s]
+                        cj = left_of_code[text[p - 1]]
                         for ci in range(N_CLASSES):
                             if ci != cj or ci == LAMBDA:
                                 for r1 in accum[ci]:
                                     stats.raw_pairs += 1
                                     p1 = sa[r1]
-                                    pair = canonical_pair(
-                                        depth,
-                                        pos_string[p1],
-                                        pos_offset[p1],
-                                        s,
-                                        pos_offset[p],
-                                    )
+                                    s1 = pos_string[p1]
+                                    pair = canonical_pair(depth, s1, p1 - starts[s1], s, o)
                                     if pair is not None:
                                         stats.pairs_generated += 1
                                         emitted.append(pair)
@@ -237,17 +238,15 @@ class SaPairGenerator:
                                 stats._live_entries -= 1
                                 continue
                             marks[s] = uid
+                            o = p - starts[s]
                             for ci in range(N_CLASSES):
                                 if ci != cj or ci == LAMBDA:
                                     for r1 in accum[ci]:
                                         stats.raw_pairs += 1
                                         p1 = sa[r1]
+                                        s1 = pos_string[p1]
                                         pair = canonical_pair(
-                                            depth,
-                                            pos_string[p1],
-                                            pos_offset[p1],
-                                            s,
-                                            pos_offset[p],
+                                            depth, s1, p1 - starts[s1], s, o
                                         )
                                         if pair is not None:
                                             stats.pairs_generated += 1

@@ -2,10 +2,12 @@
 
 :class:`GstArenas` is the master-side publisher.  Given a fully built
 :class:`~repro.suffix.gst.SuffixArrayGst`, it copies each constituent
-array — the int8 sequence arena and offsets, the suffix-array text, the
-suffix array itself, the LCP array and the per-position lookup tables —
-into named shared-memory segments (one :class:`~repro.parallel.shm
-.ArenaRegistry` owns them all): ten segments, whatever the slave count.
+array — the int8 sequence arena and offsets, the one-byte suffix-array
+text and its string starts, the suffix array itself, the LCP array and
+the position-to-string table — into named shared-memory segments (one
+:class:`~repro.parallel.shm.ArenaRegistry` owns them all): seven
+segments, whatever the slave count.  A suffix's offset, length and
+left-extension character are derived from those where they are read.
 
 What crosses the process boundary is a :class:`GstBundle`: descriptors
 only, a few hundred bytes regardless of dataset size.  A slave calls
@@ -29,22 +31,13 @@ from dataclasses import dataclass
 from repro.parallel.shm import ArenaDescriptor, ArenaRegistry
 from repro.sequence.collection import EstCollection
 from repro.suffix.gst import SuffixArrayGst
-from repro.suffix.suffix_array import SuffixArray
 
 __all__ = ["GstBundle", "GstArenas", "attach_gst"]
 
 #: The arrays of a ``SuffixArrayGst`` that slaves consume, keyed by the
 #: label used in segment names.  ``seq_arena``/``seq_offsets`` reconstruct
 #: the collection; the rest map one-to-one onto gst fields.
-_GST_FIELDS = (
-    "text",
-    "starts",
-    "lcp",
-    "pos_string",
-    "pos_offset",
-    "left_char",
-    "suffix_len",
-)
+_GST_FIELDS = ("text", "starts", "sa", "lcp", "pos_string")
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,6 @@ class GstArenas:
             }
             for name in _GST_FIELDS:
                 arrays[name] = registry.create(getattr(gst, name), name)
-            arrays["sa"] = registry.create(gst.sa_struct.sa, "sa")
             bundle = GstBundle(n_ests=gst.collection.n_ests, arrays=arrays)
         except BaseException:
             registry.dispose()
@@ -130,13 +122,5 @@ def attach_gst(
             f"attached arena has {collection.n_ests} ESTs, bundle says {bundle.n_ests}"
         )
     return SuffixArrayGst(
-        collection=collection,
-        text=a["text"],
-        starts=a["starts"],
-        sa_struct=SuffixArray(text=a["text"], sa=a["sa"]),
-        lcp=a["lcp"],
-        pos_string=a["pos_string"],
-        pos_offset=a["pos_offset"],
-        left_char=a["left_char"],
-        suffix_len=a["suffix_len"],
+        collection=collection, **{name: a[name] for name in _GST_FIELDS}
     )

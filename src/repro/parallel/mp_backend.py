@@ -73,6 +73,7 @@ from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.live import ResourceSampler, live_record
 from repro.telemetry.monitor import RunMonitor, monitored_run
 from repro.telemetry.registry import DEFAULT_BUCKETS
+from repro.util.heap import release_free_heap
 
 __all__ = ["cluster_multiprocessing"]
 
@@ -344,7 +345,32 @@ def cluster_multiprocessing(
     pipes — and snapshots it onto ``result.telemetry``; ``monitor`` (optional,
     or created here when ``config.monitor_port`` is set) streams live
     per-slave progress and resource samples while the run executes.
+    The master's index and protocol state are garbage once the run
+    returns; their freed heap goes back to the operating system.
     """
+    result = _run_master(
+        collection,
+        config,
+        n_processors=n_processors,
+        faults=faults,
+        tolerance=tolerance,
+        telemetry=telemetry,
+        monitor=monitor,
+    )
+    release_free_heap()
+    return result
+
+
+def _run_master(
+    collection: EstCollection,
+    config: ClusteringConfig | None,
+    *,
+    n_processors: int,
+    faults: FaultPlan | None,
+    tolerance: FaultTolerance | None,
+    telemetry: Telemetry | None,
+    monitor: RunMonitor | None,
+) -> ClusteringResult:
     if n_processors < 2:
         raise ValueError("the parallel machine needs a master and >= 1 slave")
     config = config or ClusteringConfig()

@@ -8,12 +8,14 @@ string ``2i+1`` is its reverse complement.
 
 All 2n strings live in one concatenated ``uint8`` numpy buffer with an
 offsets table, so a "string" is a zero-copy view and a "suffix" is just a
-``(string_index, offset)`` pair.  :meth:`EstCollection.sa_text` exposes the
-integer text used by the suffix-array engine, in which every string is
-terminated by a *unique* sentinel smaller than any nucleotide — this is what
-guarantees that no longest-common-prefix computed from the suffix array ever
-crosses a string boundary, so LCP intervals correspond exactly to the
-internal nodes of the generalized suffix tree.
+``(string_index, offset)`` pair.  :meth:`EstCollection.sa_text` exposes an
+integer text in which every string is terminated by a *unique* sentinel
+smaller than any nucleotide — this is what guarantees that no
+longest-common-prefix computed from the suffix array ever crosses a string
+boundary, so LCP intervals correspond exactly to the internal nodes of the
+generalized suffix tree.  The production index sorts the one-byte
+:meth:`EstCollection.sa_codes` instead and breaks ties between its
+(all-zero) terminators by string id.
 """
 
 from __future__ import annotations
@@ -208,8 +210,29 @@ class EstCollection:
     # suffix-array text
     # ------------------------------------------------------------------ #
 
+    def sa_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The one-byte text the production suffix sort reads.
+
+        Returns ``(codes, starts)`` where ``codes`` is ``uint8`` of length
+        ``2N + 2n``: string ``k`` occupies ``starts[k] .. starts[k+1]-2``
+        with nucleotide ``c`` stored as ``c + 1``, followed at
+        ``starts[k+1]-1`` by its terminator, 0.  Terminators are told apart
+        by the string id ``k``, which the sort derives from ``starts``
+        (:func:`repro.suffix.suffix_array.refine`).
+        """
+        starts = self._offsets + np.arange(2 * self._n + 1)
+        codes = np.zeros(int(starts[-1]), dtype=np.uint8)
+        body = np.ones(codes.size, dtype=bool)
+        body[starts[1:] - 1] = False
+        codes[body] = self._buffer
+        del body
+        codes += 1
+        codes[starts[1:] - 1] = 0
+        return codes, starts
+
     def sa_text(self) -> tuple[np.ndarray, np.ndarray]:
-        """The integer text for suffix-array construction.
+        """The unique-sentinel integer text, the input of the reference
+        suffix-tree and LCP builders (naive, Ukkonen, Kasai).
 
         Returns ``(text, starts)`` where ``text`` is ``int32`` of length
         ``2N + 2n``: string ``k`` occupies ``starts[k] .. starts[k+1]-2``
@@ -217,7 +240,9 @@ class EstCollection:
         ``starts[k+1]-1`` by the unique sentinel value ``k``.  Sentinels are
         all smaller than every nucleotide, so a suffix that is a prefix of
         another sorts first, and being unique they stop common prefixes at
-        string boundaries.
+        string boundaries.  The production index reads :meth:`sa_codes`,
+        a quarter of the size, and carries the sentinels' order in
+        ``starts``.
         """
         two_n = 2 * self._n
         # String k moves up by the k sentinels in front of it.  Whole-array

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sequence.collection import EstCollection
-from repro.suffix.suffix_array import SuffixArray, pack_windows
+from repro.suffix.suffix_array import pack_windows
 
 __all__ = [
     "suffix_window_keys",
@@ -70,38 +70,38 @@ def enumerate_bucket_suffixes(
 
 
 def sa_bucket_ranges(
-    sa_struct: SuffixArray,
-    collection: EstCollection,
-    suffix_len: np.ndarray,
-    lcp: np.ndarray,
-    w: int,
+    sa: np.ndarray, text: np.ndarray, lcp: np.ndarray, w: int
 ) -> list[tuple[int, int, int]]:
     """Bucket boundaries in the suffix array.
 
-    Returns a list of ``(key, lo, hi)`` with ``[lo, hi)`` the suffix-array
-    rank range of suffixes of length ≥ w whose first ``w`` characters have
-    integer key ``key``, in increasing rank order.  Ranks of shorter
-    suffixes (including sentinel positions) belong to no bucket.
+    ``text`` holds the sort's symbol codes (every terminator 0, nucleotide
+    ``c`` as ``c + 1``).  Returns a list of ``(key, lo, hi)`` with
+    ``[lo, hi)`` the suffix-array rank range of suffixes of length ≥ w
+    whose first ``w`` characters have integer key ``key``, in increasing
+    rank order.  Ranks of shorter suffixes (including sentinel positions)
+    belong to no bucket.
     """
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
     # Adjacent suffixes share their first w characters exactly when their
     # LCP reaches w, so a bucket boundary is an LCP below w.  A run longer
     # than one rank holds only suffixes of length >= w (the LCP never
-    # passes a sentinel); a one-rank run is a bucket when its suffix is
-    # that long.
-    sa = sa_struct.sa
+    # passes a sentinel); a one-rank run is a bucket when no terminator
+    # falls in its head's first w symbols.  Reads past the end clip to the
+    # last position, a terminator.
     lo = np.flatnonzero(lcp < w)
     hi = np.append(lo[1:], sa.size)
     pos = sa[lo]
-    keep = suffix_len[pos] >= w
-    lo, hi, pos = lo[keep], hi[keep], pos[keep]
     # Base-4 key of each bucket's first w characters, read at its head.
     key = np.zeros(lo.size, dtype=np.int64)
+    keep = np.ones(lo.size, dtype=bool)
     for i in range(w):
+        code = text.take(pos + i, mode="clip")
+        keep &= code != 0
         key <<= 2
-        key += sa_struct.text[pos + i] - collection.n_strings
-    return list(zip(key.tolist(), lo.tolist(), hi.tolist()))
+        key += code
+        key -= 1
+    return list(zip(key[keep].tolist(), lo[keep].tolist(), hi[keep].tolist()))
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,14 @@ backends package those facts differently:
 
 - :class:`SuffixArrayGst` — the production engine.  Builds the suffix array
   and LCP array of the sentinel-terminated concatenation once (vectorised
-  numpy) and the per-position lookup tables — every array int32
-  (``left_char`` int8), 25 B per suffix in all — and materialises LCP
-  forests on demand: one flat forest per owner of bucket ranges (the
-  unit of distribution across processors), the whole array by default.
-  What the build holds besides is one byte of symbol codes per position
-  and the sort's final ranks and separation rounds — no per-round rank
+  numpy) and keeps four arrays per position — the one-byte text of symbol
+  codes, int32 ``sa``, int16 ``lcp`` (int32 once a string reaches 2**15
+  symbols) and int32 ``pos_string``, 11 B per suffix in all — from which
+  a suffix's offset, length and left-extension character are derived
+  where they are read.  It materialises LCP forests on demand: one flat
+  forest per owner of bucket ranges (the unit of distribution across
+  processors), the whole array by default.  What the build holds besides
+  is the sort's final ranks and separation rounds — no per-round rank
   copy and no packed seed window; bucket ranges are read off the LCP.
 - :class:`NaiveGst` — the paper-faithful engine: explicit bucket trees in
   the DFS-array encoding.  Semantically identical output, used for tests,
@@ -39,9 +41,15 @@ from repro.suffix.interval_tree import (
 )
 from repro.suffix.lcp import lcp_first_mismatch
 from repro.suffix.naive_tree import build_gst_forest
-from repro.suffix.suffix_array import SuffixArray, refine
+from repro.suffix.suffix_array import refine
 
-__all__ = ["SuffixArrayGst", "NaiveGst", "MAX_POSITIONS", "check_index_size"]
+__all__ = [
+    "SuffixArrayGst",
+    "NaiveGst",
+    "MAX_POSITIONS",
+    "LEFT_OF_CODE",
+    "check_index_size",
+]
 
 #: Text positions (2N + 2n) an int32 index addresses.
 MAX_POSITIONS = 2**31 - 1
@@ -57,80 +65,117 @@ def check_index_size(collection: EstCollection) -> None:
         )
 
 
+#: Left-extension character by the symbol code of the preceding position:
+#: a terminator (code 0) — what precedes a string's first position — is λ,
+#: nucleotide code c + 1 is c.
+LEFT_OF_CODE = np.array([LAMBDA, *range(SIGMA)], dtype=np.int8)
+
+#: Ranks per step of the blockwise sums over rank ranges.
+_BLOCK = 1 << 16
+
+
+def _suffix_lengths(starts: np.ndarray, pos_string: np.ndarray, positions):
+    return starts[pos_string[positions] + 1] - 1 - positions
+
+
 @dataclass
 class SuffixArrayGst:
     """Enhanced-suffix-array view of the GST of S = {ESTs ∪ reverse complements}.
 
     Build with :meth:`build`; all heavy construction happens there so the
     object itself is cheap to ship between the driver and (simulated)
-    processors.
+    processors.  Per text position it holds ``text`` (one byte: the sort's
+    symbol codes, every terminator 0 and nucleotide c as c + 1), ``sa``,
+    ``lcp`` and ``pos_string``; a suffix's offset, length and
+    left-extension character are arithmetic on ``starts`` and ``text``,
+    gathered at the positions a caller asks for (:meth:`offsets`,
+    :meth:`suffix_lengths`, :meth:`left_chars`).
     """
 
     collection: EstCollection
-    text: np.ndarray
-    starts: np.ndarray
-    sa_struct: SuffixArray
-    lcp: np.ndarray
+    text: np.ndarray  # uint8 symbol code per text position
+    starts: np.ndarray  # string k at starts[k] .. starts[k+1]-2, terminator after
+    sa: np.ndarray  # rank -> text position
+    lcp: np.ndarray  # rank -> common prefix with the previous rank
     pos_string: np.ndarray  # text position -> string index in S
-    pos_offset: np.ndarray  # text position -> offset within its string
-    left_char: np.ndarray  # text position -> left-extension char (λ at offset 0)
-    suffix_len: np.ndarray  # text position -> suffix length (excl. sentinel)
 
     @classmethod
     def build(cls, collection: EstCollection) -> "SuffixArrayGst":
-        """Sort first, tabulate afterwards: the sort reads only
-        ``suffix_len`` and ``pos_string``, so the other per-position tables
-        are built once its scratch is gone and do not sit through its peak.
-        """
+        """Sort, then tabulate: the sort reads the one-byte text and
+        ``starts`` alone, so ``pos_string`` is built once its scratch is
+        gone; the LCP pass reads it for each block's caps."""
         check_index_size(collection)
-        text, starts = collection.sa_text()
-        m = text.size
-        two_n = collection.n_strings
-        spans = np.diff(starts)  # string length + its sentinel
-        pos_string = np.repeat(np.arange(two_n, dtype=np.int32), spans)
-        suffix_len = np.repeat((starts[1:] - 1).astype(np.int32), spans)
-        suffix_len -= np.arange(m, dtype=np.int32)
-        # Seed symbols, one byte each: every sentinel 0 (the in-place
-        # subtraction wraps them; they are then overwritten), nucleotide
-        # c -> c + 1; windows that reach a sentinel are tie-broken by its
-        # string's id.  Of the sort's state only ``sa`` and the separation
-        # rounds reach the LCP pass, and only ``sa`` and ``lcp`` outlive it.
-        codes = np.empty(m, dtype=np.uint8)
-        np.subtract(text, two_n - 1, out=codes, casting="unsafe")
-        codes[starts[1:] - 1] = 0
-        state = refine(codes, SIGMA.bit_length(), suffix_len, pos_string)
+        text, starts = collection.sa_codes()
+        starts = starts.astype(np.int32)
+        state = refine(text, SIGMA.bit_length(), starts)
         sa, split, width = state.sa, state.split, state.width
         del state
-        lcp = lcp_first_mismatch(codes, suffix_len, sa, split, width)
-        del codes, split
-        pos_offset = np.arange(m, dtype=np.int32)
-        pos_offset -= np.repeat(starts[:-1].astype(np.int32), spans)
-        # The character before each position; what precedes a string's first
-        # position is a sentinel (wraps in int8), overwritten with λ.
-        left_char = np.empty(m, dtype=np.int8)
-        np.subtract(text[:-1], two_n, out=left_char[1:], casting="unsafe")
-        left_char[starts[:-1]] = LAMBDA
+        spans = np.diff(starts)  # string length + its sentinel
+        pos_string = np.repeat(np.arange(collection.n_strings, dtype=np.int32), spans)
+        # One length check: every LCP is capped by the longest string.
+        longest = int(spans.max()) - 1
+        lcp = lcp_first_mismatch(
+            text,
+            lambda p: _suffix_lengths(starts, pos_string, p),
+            sa,
+            split,
+            width,
+            np.int16 if longest < 2**15 else np.int32,
+        )
         return cls(
             collection=collection,
             text=text,
             starts=starts,
-            sa_struct=SuffixArray(text=text, sa=sa),
+            sa=sa,
             lcp=lcp,
             pos_string=pos_string,
-            pos_offset=pos_offset,
-            left_char=left_char,
-            suffix_len=suffix_len,
         )
+
+    # -- per-position lookups, gathered where asked (int or array) ---------
+
+    def offsets(self, positions, strings=None):
+        """Offset of each position within its string (``strings``: its
+        ``pos_string``, when the caller already holds it)."""
+        if strings is None:
+            strings = self.pos_string[positions]
+        return positions - self.starts[strings]
+
+    def suffix_lengths(self, positions):
+        """Characters from each position up to its string's terminator."""
+        return _suffix_lengths(self.starts, self.pos_string, positions)
+
+    def left_chars(self, positions):
+        """Left-extension character of each position's suffix: λ at a
+        string's first position, else the character before it.  Position 0
+        reads ``text[-1]``, the last terminator, and is λ like the rest."""
+        return LEFT_OF_CODE[self.text[positions - 1]]
 
     # -- suffix lookups keyed by suffix-array *rank* (what forests store) --
 
     def rank_to_position(self, rank: int | np.ndarray) -> np.ndarray:
-        return self.sa_struct.sa[rank]
+        return self.sa[rank]
 
     def suffix_info(self, rank: int) -> tuple[int, int, int]:
         """``(string, offset, left_extension_char)`` of the suffix at rank."""
-        p = int(self.sa_struct.sa[rank])
-        return int(self.pos_string[p]), int(self.pos_offset[p]), int(self.left_char[p])
+        p = int(self.sa[rank])
+        s = int(self.pos_string[p])
+        return s, p - int(self.starts[s]), int(self.left_chars(p))
+
+    def suffix_chars(self, ranges: list[tuple[int, int]]) -> np.ndarray:
+        """Total length of the suffixes in each rank range ``[lo, hi)``
+        (int64, one entry per range).  One pass over the ranks, a block at
+        a time: each range takes the difference of the block's running
+        sums at its ends clipped to the block."""
+        bounds = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
+        total = np.zeros(len(bounds), dtype=np.int64)
+        m = self.sa.size
+        for b in range(0, m, _BLOCK):
+            e = min(b + _BLOCK, m)
+            run = np.zeros(e - b + 1, dtype=np.int64)
+            np.cumsum(self.suffix_lengths(self.sa[b:e]), out=run[1:])
+            ends = np.clip(bounds, b, e) - b
+            total += run[ends[:, 1]] - run[ends[:, 0]]
+        return total
 
     # -- forest construction ------------------------------------------------
 
@@ -151,9 +196,7 @@ class SuffixArrayGst:
     def bucket_ranges(self, w: int) -> list[tuple[int, int, int]]:
         """``(key, lo, hi)`` suffix-array ranges of the ``w``-prefix buckets
         — the distribution unit for parallel construction (§3.1)."""
-        return sa_bucket_ranges(
-            self.sa_struct, self.collection, self.suffix_len, self.lcp, w
-        )
+        return sa_bucket_ranges(self.sa, self.text, self.lcp, w)
 
     @property
     def n_suffix_positions(self) -> int:

@@ -13,7 +13,9 @@ production pair-generation engine reuses the paper's Algorithm 1 unchanged.
   shares ``width << (s - 1)`` symbols, so the query starts there (at 0
   for a pair the seed separated) and compares eight symbols per word; it
   runs a block of rank boundaries at a time and keeps no rank array of
-  any round.  The result is int32, like the suffix array.
+  any round.  The result is int16 when no string reaches 2**15 symbols
+  (:meth:`repro.suffix.gst.SuffixArrayGst.build` checks the longest),
+  int32 otherwise.
 - :func:`lcp_kasai` — the linear-time Kasai et al. algorithm.  A tight
   Python loop; exact, the reference the production path is tested against.
 - :func:`lcp_naive` — symbol-by-symbol comparison, the reference's
@@ -21,6 +23,8 @@ production pair-generation engine reuses the paper's Algorithm 1 unchanged.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -62,23 +66,26 @@ def lcp_kasai(text: np.ndarray, sa: np.ndarray) -> np.ndarray:
 
 def lcp_first_mismatch(
     codes: np.ndarray,
-    reach: np.ndarray,
+    reach: Callable[[np.ndarray], np.ndarray],
     sa: np.ndarray,
     split: np.ndarray,
     width: int,
+    dtype: type = np.int32,
 ) -> np.ndarray:
-    """LCP array of adjacent suffix-array entries.
+    """LCP array of adjacent suffix-array entries, of ``dtype``.
 
     ``codes`` are the symbols the sort compared (non-negative; only their
-    equality is read), ``reach`` the symbols from each position up to its
-    terminator, and ``sa``, ``split`` and ``width`` the sort's
-    :class:`~repro.suffix.suffix_array.Refinement`.  No common prefix
-    passes the nearer terminator, so each result is capped at the smaller
-    ``reach`` of the pair: past it the codes may agree (every sentinel of
-    the EST text is code 0) without being the same symbol.
+    equality is read), ``reach(p)`` the symbols from each of an array of
+    positions up to its terminator, and ``sa``, ``split`` and ``width`` the
+    sort's :class:`~repro.suffix.suffix_array.Refinement`.  No common
+    prefix passes the nearer terminator, so each result is capped at the
+    smaller ``reach`` of the pair, derived a block of rank boundaries at a
+    time: past it the codes may agree (every sentinel of the EST text is
+    code 0) without being the same symbol.  ``dtype`` must hold the
+    longest reach.
     """
     m = sa.size
-    lcp = np.zeros(m, dtype=np.int32)
+    lcp = np.zeros(m, dtype=dtype)
     # One copy of the codes at the narrowest unsigned width, padded so that
     # a window of ``_LATER`` bytes starts at every position up to ``m``.
     sym = np.min_scalar_type(int(codes.max(initial=0)))
@@ -95,7 +102,7 @@ def lcp_first_mismatch(
     for lo in range(1, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
         i, j = sa[lo - 1 : hi - 1], sa[lo:hi]
-        cap = np.minimum(reach[i], reach[j])
+        cap = np.minimum(reach(i), reach(j))
         done = shared[split[lo:hi]]
         run = _equal_run(first, i, j, done, size)
         done += run

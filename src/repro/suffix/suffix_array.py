@@ -33,10 +33,11 @@ Manber–Myers doubling, which re-sorts every suffix in every round:
    lower bound on the pair's common prefix and reads the rest off the
    symbol codes themselves.
 
-:func:`build_suffix_array` (arbitrary integer text) and
-:meth:`repro.suffix.gst.SuffixArrayGst.build` (the sentinel-terminated EST
-text of :meth:`repro.sequence.EstCollection.sa_text`) differ only in the
-symbol codes they feed to :func:`refine`.
+:func:`build_suffix_array` (arbitrary integer text, one terminator past
+its end) and :meth:`repro.suffix.gst.SuffixArrayGst.build` (the one-byte
+EST codes of :meth:`repro.sequence.EstCollection.sa_codes`, one
+terminator per string) differ only in the symbol codes and segment
+``starts`` they feed to :func:`refine`.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "pack_windows",
     "refine",
     "refine_text",
+    "ragged_ranges",
     "build_suffix_array",
     "suffix_array_naive",
 ]
@@ -121,44 +123,49 @@ def pack_windows(codes: np.ndarray, bits: int, width: int) -> np.ndarray:
     return packed
 
 
-def refine(
-    codes: np.ndarray, bits: int, reach: np.ndarray, ids: np.ndarray | None = None
-) -> Refinement:
+def refine(codes: np.ndarray, bits: int, starts: np.ndarray) -> Refinement:
     """Sort the suffixes of a terminated symbol sequence.
 
     Parameters
     ----------
     codes:
         Symbol code per position: 0 for a terminator, ``1 .. 2**bits - 1``
-        otherwise.  The sequence is read as if one more terminator
-        followed its last position.
+        otherwise.
     bits:
         Bits per symbol code.
-    reach:
-        Non-terminator symbols from each position up to its terminator.
-    ids:
-        Per position, the id of the terminator that ends it; terminators
-        compare by id.  ``None`` when the implicit final terminator is the
-        only one.
+    starts:
+        Segment bounds: segment ``k`` is ``starts[k] .. starts[k+1] - 1``
+        and its last position is its terminator, of id ``k``; terminators
+        compare by id.  The last terminator may be one past the end of
+        ``codes`` (``starts[-1] == len(codes) + 1``), read as if it were
+        there.
     """
     m = codes.size
     if m >= 2**31:
         raise ValueError(f"text of {m} positions does not fit int32 ranks")
-    id_bits = 0 if ids is None else int(ids.max()).bit_length()
+    n_seg = starts.size - 1
+    id_bits = (n_seg - 1).bit_length()
     width = (_KEY_BITS - id_bits) // bits
     if width < 1:
         raise ValueError(f"{bits}-bit symbols and {id_bits}-bit ids exceed a sort key")
 
     # Seed: cut each window after its first terminator, append the id —
     # in place, so the packed windows are the sort key and die with it.
+    # Only the last ``width`` positions of a segment reach its terminator
+    # within a window: one ragged range per segment.
     key = pack_windows(codes, bits, width)[:m]
-    short = np.flatnonzero(reach[:m] < width)
-    cut = bits * (width - reach[short])
+    ends = starts[1:].astype(np.int64) - 1
+    span = np.minimum(ends - starts[:-1] + 1, width)
+    short = ragged_ranges(ends - span + 1, span)
+    reach = np.repeat(ends, span) - short
+    ids = np.repeat(np.arange(n_seg, dtype=np.int64), span)
+    inside = short < m
+    short, reach, ids = short[inside], reach[inside], ids[inside]
+    cut = bits * (width - reach)
     key[short] = (key[short] >> cut) << cut
     key <<= id_bits
-    if ids is not None:
-        key[short] |= ids[short]
-    del short, cut
+    key[short] |= ids
+    del short, reach, ids, cut
     sa = np.argsort(key).astype(np.int32)
     key = key[sa]
     split = np.zeros(m, dtype=np.int8)
@@ -211,7 +218,28 @@ def refine_text(text: np.ndarray) -> Refinement:
         raise ValueError("text values must be non-negative")
     symbols, codes = np.unique(text, return_inverse=True)
     codes = codes.reshape(m) + 1
-    return refine(codes, int(symbols.size).bit_length(), np.arange(m, -1, -1))
+    return refine(codes, int(symbols.size).bit_length(), np.array([0, m + 1]))
+
+
+def ragged_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + l)`` per (start, length) pair, in the
+    dtype of ``starts``.
+
+    The standard cumsum construction; zero-length segments contribute
+    nothing.  Both inputs are integer arrays of equal size.
+    """
+    total = int(lens.sum())
+    if total == 0:
+        return np.zeros(0, dtype=starts.dtype)
+    nz = lens > 0
+    if not nz.all():
+        starts, lens = starts[nz], lens[nz]
+    ends = np.cumsum(lens)
+    out = np.ones(total, dtype=starts.dtype)
+    out[0] = starts[0]
+    if lens.size > 1:
+        out[ends[:-1]] = starts[1:] - starts[:-1] - lens[:-1] + 1
+    return np.cumsum(out, out=out)
 
 
 def build_suffix_array(text: np.ndarray) -> SuffixArray:

@@ -74,12 +74,13 @@ def _ranges_by_rank_loop(gst, w):
     """Reference for ``sa_bucket_ranges``: one Python step per rank."""
     ranges = []
     for r in range(gst.n_suffix_positions):
-        p = int(gst.sa_struct.sa[r])
-        if int(gst.suffix_len[p]) < w:
+        p = int(gst.sa[r])
+        if int(gst.suffix_lengths(p)) < w:
             continue
+        s, off = int(gst.pos_string[p]), int(gst.offsets(p))
         key = 0
-        for c in gst.text[p : p + w].tolist():
-            key = 4 * key + c - gst.collection.n_strings
+        for c in gst.collection.string(s)[off : off + w].tolist():
+            key = 4 * key + c
         if ranges and ranges[-1][0] == key and ranges[-1][2] == r:
             ranges[-1] = (key, ranges[-1][1], r + 1)
         else:
@@ -122,11 +123,15 @@ class TestSaBucketRanges:
     @settings(max_examples=40, deadline=None)
     def test_window_fits_iff_suffix_is_long_enough(self, seqs, w):
         """``sa + w < end[sa]`` over a per-position end-of-string table —
-        what the pass used to build, 8 B/suffix — is ``suffix_len[sa] >= w``."""
+        what the pass used to build, 8 B/suffix — is ``suffix_lengths(sa) >= w``,
+        and is no terminator among the first ``w`` codes, what the pass reads."""
         gst = SuffixArrayGst.build(EstCollection.from_strings(seqs))
-        sa = gst.sa_struct.sa
+        sa = gst.sa
         end = np.repeat(gst.starts[1:], np.diff(gst.starts))
-        assert np.array_equal(sa + w < end[sa], gst.suffix_len[sa] >= w)
+        fits = sa + w < end[sa]
+        assert np.array_equal(fits, gst.suffix_lengths(sa) >= w)
+        window = gst.text.take(sa[:, None] + np.arange(w), mode="clip")
+        assert np.array_equal(fits, (window != 0).all(axis=1))
 
     @given(dna_lists, st.integers(0, 3))
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Tests for the GST facade layer (SuffixArrayGst / NaiveGst)."""
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,8 +38,36 @@ class TestSuffixArrayGst:
         gst = SuffixArrayGst.build(col)
         for p in range(gst.text.size):
             s = int(gst.pos_string[p])
-            off = int(gst.pos_offset[p])
-            assert gst.suffix_len[p] == col.length(s) - off
+            off = int(gst.offsets(p))
+            assert gst.suffix_lengths(p) == col.length(s) - off
+
+    @given(dna_lists)
+    @settings(max_examples=40, deadline=None)
+    def test_lookups_at_every_position(self, seqs):
+        """The derived lookups, gathered over all positions at once, equal
+        ``(string, offset)`` counted off the collection's own lengths:
+        ``length(s) - off`` characters to the terminator and the
+        collection's left-extension character, sentinels included."""
+        col = EstCollection.from_strings(seqs)
+        gst = SuffixArrayGst.build(col)
+        expect = [(s, off) for s in range(col.n_strings) for off in range(col.length(s) + 1)]
+        strings = np.array([s for s, _ in expect])
+        offs = np.array([off for _, off in expect])
+        p = np.arange(gst.text.size, dtype=np.int32)
+        assert np.array_equal(gst.pos_string, strings)
+        assert np.array_equal(gst.offsets(p), offs)
+        assert np.array_equal(gst.offsets(p, gst.pos_string), offs)
+        lengths = np.array([col.length(s) for s in range(col.n_strings)])
+        assert np.array_equal(gst.suffix_lengths(p), lengths[strings] - offs)
+        by_rank = (lengths[strings] - offs)[gst.sa]
+        ranges = [(0, p.size), (1, p.size // 2), (p.size // 2, p.size // 2), (2, p.size)]
+        assert gst.suffix_chars(ranges).tolist() == [by_rank[lo:hi].sum() for lo, hi in ranges]
+        left = [col.left_extension(s, off) for s, off in expect]
+        assert gst.left_chars(p).tolist() == left
+        assert [gst.suffix_info(r) for r in range(p.size)] == [
+            (int(s), int(o), c)
+            for s, o, c in zip(strings[gst.sa], offs[gst.sa], np.array(left)[gst.sa])
+        ]
 
     def test_every_suffix_has_a_rank(self):
         col = EstCollection.from_strings(["ACGT", "GT"])
@@ -71,14 +100,45 @@ class TestSuffixArrayGst:
         assert sorted(positions.tolist()) == list(range(gst.n_suffix_positions))
 
 
+    def test_suffix_chars_across_rank_blocks(self):
+        """Ranges that start, end or span the 2**16-rank blocks of the
+        one pass the simulator's setup charge makes."""
+        rng = np.random.default_rng(3)
+        col = EstCollection([rng.integers(0, 4, 250, dtype=np.uint8) for _ in range(300)])
+        gst = SuffixArrayGst.build(col)
+        m = gst.n_suffix_positions
+        assert m > 2 * 2**16
+        by_rank = gst.suffix_lengths(gst.sa).astype(np.int64)
+        ranges = [(0, m), (2**16 - 6, 2**16 + 9), (100, m - 100), (2**17 - 1, 2**17 + 1),
+                  (m - 1, m), (5, 5), (2**16, 2**17)]
+        assert gst.suffix_chars(ranges).tolist() == [by_rank[lo:hi].sum() for lo, hi in ranges]
+
     def test_arrays_are_as_narrow_as_their_values(self):
         gst = SuffixArrayGst.build(EstCollection.from_strings(["ACGTAC", "GT", "A"]))
-        tables = (gst.sa_struct.sa, gst.lcp, gst.pos_string, gst.pos_offset, gst.suffix_len)
-        assert {t.dtype for t in tables} == {np.dtype(np.int32)}
-        assert gst.left_char.dtype == np.int8
+        assert gst.text.dtype == np.uint8
+        assert {t.dtype for t in (gst.sa, gst.pos_string)} == {np.dtype(np.int32)}
+        assert gst.lcp.dtype == np.int16
+        assert gst.offsets(gst.sa).dtype == np.int32
+        assert gst.suffix_lengths(gst.sa).dtype == np.int32
+        assert gst.left_chars(gst.sa).dtype == np.int8
         for p in range(gst.text.size):  # sentinel positions included
-            s, off = int(gst.pos_string[p]), int(gst.pos_offset[p])
-            assert gst.left_char[p] == gst.collection.left_extension(s, off)
+            s, off = int(gst.pos_string[p]), int(gst.offsets(p))
+            assert gst.left_chars(p) == gst.collection.left_extension(s, off)
+
+    def test_index_keeps_four_per_position_arrays(self):
+        """``text`` (1 B), ``sa`` (4), ``lcp`` (2) and ``pos_string`` (4):
+        11 B per position, plus ``starts`` per string."""
+        col = EstCollection.from_strings(["ACGTACGTAC", "GTTAC", "AAC"])
+        gst = SuffixArrayGst.build(col)
+        m = gst.n_suffix_positions
+        arrays = {
+            f.name: getattr(gst, f.name)
+            for f in fields(gst)
+            if isinstance(getattr(gst, f.name), np.ndarray)
+        }
+        assert set(arrays) == {"text", "starts", "sa", "lcp", "pos_string"}
+        assert arrays.pop("starts").size == col.n_strings + 1
+        assert sum(a.nbytes for a in arrays.values()) == 11 * m
 
     def test_corpus_past_the_32_bit_index_is_refused(self):
         """2N + 2n is checked from the collection's sizes alone — a stand-in

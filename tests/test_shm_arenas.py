@@ -141,8 +141,9 @@ class TestAttachedGst:
         np.testing.assert_array_equal(starts_a, starts_b)
 
     @pytest.mark.parametrize("n_slaves", [1, 3])
-    def test_ten_segments_whatever_the_slave_count(self, gst, small_config, n_slaves):
-        # The index and nothing else is published.  Called the way
+    def test_seven_segments_whatever_the_slave_count(self, gst, small_config, n_slaves):
+        # The index and nothing else is published: the sequence arena and
+        # its offsets, text, starts, sa, lcp and pos_string.  Called the way
         # benchmarks/e2e/child.py calls it: the slaves' ranges and the two
         # keywords are accepted and ignored.
         plan = plan_shards(gst.bucket_ranges(small_config.w), n_slaves, 1)
@@ -151,9 +152,9 @@ class TestAttachedGst:
             gst, ranges_of, pair_engine="vector", psi=small_config.psi
         )
         try:
-            assert len(shared.bundle.arrays) == 10
-            assert shared.registry.n_segments == 10
-            assert len(leaked_segments()) == 10
+            assert len(shared.bundle.arrays) == 7
+            assert shared.registry.n_segments == 7
+            assert len(leaked_segments()) == 7
             assert shared.bundle.nbytes == sum(
                 d.nbytes for d in shared.bundle.arrays.values()
             )
@@ -179,6 +180,28 @@ class TestAttachedGst:
                 make_pair_generator(agst, config, ranges=ranges).pairs()
             )
             assert attached == local
+        finally:
+            reg.close()
+            shared.dispose()
+        assert leaked_segments() == []
+
+    def test_attached_lookups_match_local(self, gst):
+        # The derived lookups read the shared views of text, starts and
+        # pos_string and answer exactly as the master's own index does.
+        shared = GstArenas.create(gst)
+        reg = ArenaRegistry()
+        try:
+            agst = attach_gst(shared.bundle, reg)
+            p = np.arange(gst.n_suffix_positions, dtype=np.int32)
+            for name in ("offsets", "suffix_lengths", "left_chars"):
+                assert np.array_equal(getattr(agst, name)(p), getattr(gst, name)(p))
+            for name in ("text", "starts", "sa", "lcp", "pos_string"):
+                assert getattr(agst, name).dtype == getattr(gst, name).dtype
+            ranks = range(0, gst.n_suffix_positions, 97)
+            assert [agst.suffix_info(r) for r in ranks] == [gst.suffix_info(r) for r in ranks]
+            ranges = [(5, len(p) - 5), (0, 3)]
+            assert np.array_equal(agst.suffix_chars(ranges), gst.suffix_chars(ranges))
+            assert agst.bucket_ranges(4) == gst.bucket_ranges(4)
         finally:
             reg.close()
             shared.dispose()

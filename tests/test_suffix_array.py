@@ -1,13 +1,15 @@
 """Tests for suffix-array construction and LCP computation, including the
 hypothesis cross-checks against brute-force references."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sequence import EstCollection
-from repro.suffix import SuffixArrayGst, build_suffix_array
+from repro.suffix import SuffixArrayGst, build_flat_forest, build_suffix_array, sa_bucket_ranges
 from repro.suffix.lcp import lcp_first_mismatch, lcp_kasai, lcp_naive
 from repro.suffix.suffix_array import pack_windows, refine_text, suffix_array_naive
 
@@ -26,7 +28,7 @@ def _text_lcp(text, state):
     """The production LCP over text whose only terminator is past its end:
     the text is its own code sequence, each suffix reaches the end."""
     m = len(text)
-    return lcp_first_mismatch(text, m - np.arange(m), state.sa, state.split, state.width)
+    return lcp_first_mismatch(text, lambda p: m - p, state.sa, state.split, state.width)
 
 
 def _assert_index_matches_oracles(seqs):
@@ -38,7 +40,7 @@ def _assert_index_matches_oracles(seqs):
     expect_sa = suffix_array_naive(text)
     expect_lcp = lcp_kasai(text, expect_sa)
     gst = SuffixArrayGst.build(col)
-    assert np.array_equal(gst.sa_struct.sa, expect_sa)
+    assert np.array_equal(gst.sa, expect_sa)
     assert np.array_equal(gst.lcp, expect_lcp)
     state = refine_text(text)
     assert np.array_equal(state.sa, expect_sa)
@@ -165,7 +167,7 @@ class TestLcp:
         seqs = ["A" * 3000, "A" * 2999, "ACGT" * 400, "ACGT" * 399 + "ACG"]
         col = EstCollection.from_strings(seqs)
         gst = SuffixArrayGst.build(col)
-        assert np.array_equal(gst.lcp, lcp_kasai(gst.text, gst.sa_struct.sa))
+        assert np.array_equal(gst.lcp, lcp_kasai(col.sa_text()[0], gst.sa))
         assert int(gst.lcp.max()) == 2999
 
     def test_lcp_never_crosses_string_boundary(self):
@@ -220,11 +222,44 @@ class TestIndexAgainstOracles:
         ends = np.cumsum(lengths)
         ests = [bases[e - k : e] for e, k in zip(ends.tolist(), lengths.tolist())]
         ests[:3] = [np.tile(np.array([0, 1, 2, 3], dtype=np.uint8), 25)] * 3
-        gst = SuffixArrayGst.build(EstCollection(ests))
-        text, sa, lcp = gst.text, gst.sa_struct.sa, gst.lcp
+        col = EstCollection(ests)
+        gst = SuffixArrayGst.build(col)
+        text, sa, lcp = col.sa_text()[0], gst.sa, gst.lcp
         assert sorted(sa.tolist()) == list(range(text.size))
         assert int(lcp.max()) == 100
         # Kasai gives the true LCP of adjacent entries whatever their
         # order; the symbol behind each common prefix must then ascend.
         assert np.array_equal(lcp, lcp_kasai(text, sa))
         assert (text[sa[:-1] + lcp[1:]] < text[sa[1:] + lcp[1:]]).all()
+
+
+class TestLcpWidth:
+    """``lcp`` is int16 while the longest string is under 2**15 symbols —
+    no common prefix can then pass 32 767 — and int32 from there on.  The
+    string lengths are the only input: nothing else picks the width."""
+
+    @pytest.mark.parametrize("length, dtype", [(2**15 - 1, np.int16), (2**15, np.int32)])
+    def test_width_on_either_side_of_the_boundary(self, length, dtype):
+        read = np.random.default_rng(1).integers(0, 4, size=length, dtype=np.uint8)
+        col = EstCollection([read, read.copy(), read[:40].copy()])
+        gst = SuffixArrayGst.build(col)
+        assert gst.lcp.dtype == dtype
+        assert int(gst.lcp.max()) == length
+        assert np.array_equal(gst.lcp, lcp_kasai(col.sa_text()[0], gst.sa))
+
+    def test_consumers_read_both_widths_alike(self):
+        seqs = ["ACGTACGTTGCA" * 5, "ACGTACGTTG", "TTGCAACGTACG" * 3, "GCAACG"]
+        gst = SuffixArrayGst.build(EstCollection.from_strings(seqs))
+        assert gst.lcp.dtype == np.int16
+        wide = gst.lcp.astype(np.int32)
+        third = len(wide) // 3
+        for ranges in (None, [(0, third), (third, 2 * third), (2 * third, len(wide))]):
+            narrow_f = build_flat_forest(gst.lcp, min_depth=4, ranges=ranges)
+            wide_f = build_flat_forest(wide, min_depth=4, ranges=ranges)
+            assert narrow_f.n_nodes > 0
+            for f in fields(narrow_f):
+                assert np.array_equal(getattr(narrow_f, f.name), getattr(wide_f, f.name))
+        for w in (1, 4, 6, 8, 12):
+            assert sa_bucket_ranges(gst.sa, gst.text, gst.lcp, w) == sa_bucket_ranges(
+                gst.sa, gst.text, wide, w
+            )

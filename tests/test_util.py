@@ -1,10 +1,16 @@
-"""Tests for repro.util: RNG plumbing, timers, validation."""
+"""Tests for repro.util: RNG plumbing, timers, validation, heap release."""
 
+import gc
 import time
 
 import numpy as np
 import pytest
 
+import repro.core.pipeline as pipeline
+import repro.parallel.mp_backend as mp_backend
+import repro.parallel.sim_machine as sim_machine
+from repro.parallel import SimulatedMachine, cluster_multiprocessing
+from repro.suffix.gst import SuffixArrayGst
 from repro.util import (
     Stopwatch,
     TimingBreakdown,
@@ -14,6 +20,7 @@ from repro.util import (
     ensure_rng,
     spawn_rngs,
 )
+from repro.util.heap import release_free_heap
 
 
 class TestEnsureRng:
@@ -146,3 +153,34 @@ class TestValidation:
         check_in_range("r", 5, 0, 10)
         with pytest.raises(ValueError):
             check_in_range("r", 11, 0, 10)
+
+
+class TestReleaseFreeHeap:
+    """Each engine hands its freed heap back once its run's tables are
+    garbage: no index is alive when the release runs."""
+
+    def test_safe_to_call_repeatedly(self):
+        release_free_heap()
+        release_free_heap()
+
+    @pytest.mark.parametrize("engine", ["sequential", "simulated", "multiprocessing"])
+    def test_each_engine_releases_after_its_index_is_gone(
+        self, engine, small_benchmark, small_config, monkeypatch
+    ):
+        def live_indexes() -> int:
+            return sum(isinstance(o, SuffixArrayGst) for o in gc.get_objects())
+
+        before = live_indexes()
+        seen: list[int] = []
+        for module in (pipeline, sim_machine, mp_backend):
+            monkeypatch.setattr(
+                module, "release_free_heap", lambda: seen.append(live_indexes())
+            )
+        col = small_benchmark.collection
+        if engine == "sequential":
+            pipeline.PaceClusterer(small_config).cluster(col)
+        elif engine == "simulated":
+            SimulatedMachine(col, small_config, n_processors=3).run()
+        else:
+            cluster_multiprocessing(col, small_config, n_processors=2)
+        assert seen == [before]

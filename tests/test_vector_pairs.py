@@ -108,7 +108,7 @@ class TestCrossEngineEquivalence:
         rng = np.random.default_rng(seed)
         col = _random_overlapping_collection(rng, n)
         gst = SuffixArrayGst.build(col)
-        hi = len(gst.sa_struct.sa)
+        hi = len(gst.sa)
         cuts = sorted({int(c) for c in rng.integers(0, hi + 1, size=parts - 1)})
         bounds = [0, *cuts, hi]
         ranges = list(zip(bounds[:-1], bounds[1:]))
@@ -331,7 +331,7 @@ class TestBlockStream:
                 seqs += [col.est(i).copy(), (3 - col.est(i))[::-1].copy()]
             col = EstCollection(seqs)
         gst = SuffixArrayGst.build(col)
-        hi = len(gst.sa_struct.sa)
+        hi = len(gst.sa)
         cuts = sorted({int(c) for c in rng.integers(0, hi + 1, size=parts - 1)})
         bounds = [0, *cuts, hi]
         ranges = None if parts == 1 else list(zip(bounds[:-1], bounds[1:]))
@@ -420,7 +420,7 @@ REPEATED_CORPORA = {
 def _root_repeats_a_string(gst: SuffixArrayGst, psi: int) -> list[bool]:
     """Per forest root: does its interval hold two suffixes of one string?"""
     forest = gst.flat_forest(min_depth=psi)
-    strings = gst.pos_string[gst.sa_struct.sa]
+    strings = gst.pos_string[gst.sa]
     out = []
     for v in forest.roots().tolist():
         inside = strings[forest.lb[v] : forest.rb[v] + 1]
@@ -437,7 +437,7 @@ class TestRepeatedStrings:
     @pytest.mark.parametrize("name", sorted(REPEATED_CORPORA))
     def test_stream_and_stats_match_the_scalar_engine(self, name, psi):
         gst = SuffixArrayGst.build(EstCollection(REPEATED_CORPORA[name]))
-        n = len(gst.sa_struct.sa)
+        n = len(gst.sa)
         # An empty range among them: it is skipped, not an error.
         split = [(0, n // 3), (n // 3, n // 3), (n // 3, n - 7), (n - 7, n)]
         for ranges in (None, split):
@@ -524,12 +524,14 @@ class TestChunkedSweep:
 
     def test_index_build_stays_within_its_bytes_per_suffix(self):
         """tracemalloc live and peak bytes of ``SuffixArrayGst.build`` per
-        suffix on 300 short reads.  What it returns is text 4 + ``sa`` 4 +
-        ``lcp`` 4 + three int32 tables 12 + ``left_char`` 1 = 25.1 B/suffix
-        (52.1 when the tables were int64); the peak is 52.8 B/suffix — 83.6
-        while the sort kept a rank array per round for the LCP pass, 104.9
-        with int64 tables.  On 70 000 suffixes a third of it is the LCP
-        pass's fixed per-block scratch."""
+        suffix on 300 short reads.  What it returns is the one-byte text 1
+        + ``sa`` 4 + int16 ``lcp`` 2 + ``pos_string`` 4 = 11.05 B/suffix
+        (25.1 with an int32 text and offset, length and left-character
+        tables; 52.1 when the tables were int64); the peak is 42.7
+        B/suffix — 52.8 with those tables under the sort, 83.6 while the
+        sort kept a rank array per round for the LCP pass, 104.9 with
+        int64 tables.  On 70 000 suffixes a third of it is the LCP pass's
+        fixed per-block scratch."""
         reads = make_benchmark(
             replace(BenchmarkParams.small(100, 3), expression_skew=0.0), rng=0
         ).reads[:300]
@@ -541,10 +543,10 @@ class TestChunkedSweep:
             live, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        m = gst.text.size
-        assert gst.sa_struct.sa.size == m
-        assert live <= 26 * m
-        assert peak <= 58 * m
+        m = gst.n_suffix_positions
+        assert gst.lcp.size == m
+        assert live <= 12 * m
+        assert peak <= 46 * m
 
     def test_index_to_first_pair_peak_on_the_deep_corpus(self):
         """tracemalloc peak of build + generator construction + first pair
@@ -570,13 +572,14 @@ class TestChunkedSweep:
         """tracemalloc peak per suffix of each phase of a sequential run on
         full-length reads (80 genes × 2 reads of ~550 bp, 215 348
         suffixes), each over what is live when it starts: index build
-        39.1, forest build 41.4, pair drain 44.7 B/suffix — 65.6 / 61.8 /
-        54.2 while the sort kept rank levels and seed windows, the forest
-        searched int64 node keys and the drain counted classes in one
-        int32 table.  Each phase's peak sits close to the next one's, so
-        each is pinned, with about 10 % headroom: a regression in any
-        becomes the run's peak.  The drain's headroom is 4 %, because the
-        one int32 count table read 47.3 here."""
+        27.2, forest build 27.3, pair drain 30.7 B/suffix — 39.1 / 41.4 /
+        44.7 while the index kept an int32 text and offset, length and
+        left-character tables (25 B/suffix, and the sort read two of them),
+        65.6 / 61.8 / 54.2 while the sort kept rank levels and seed
+        windows, the forest searched int64 node keys and the drain counted
+        classes in one int32 table.  Each phase's peak sits close to the
+        next one's, so each is pinned, with under 10 % headroom: a
+        regression in any becomes the run's peak."""
         reads = make_benchmark(
             BenchmarkParams(n_genes=80, mean_ests_per_gene=2, expression_skew=0.0),
             rng=0,
@@ -597,8 +600,8 @@ class TestChunkedSweep:
             drain = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        m = gst.text.size
+        m = gst.n_suffix_positions
         assert m > 200_000
-        assert build <= 43 * m
-        assert forest <= 45.5 * m
-        assert drain <= 46.5 * m
+        assert build <= 29.5 * m
+        assert forest <= 30 * m
+        assert drain <= 33.5 * m
