@@ -34,6 +34,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -107,11 +108,10 @@ def run_cell(
     tel = Telemetry()
     report = simulate_clustering(
         collection,
-        config,
+        replace(config, dispatch_policy=policy),
         n_processors=n_processors,
         cost_model=cost_model,
         telemetry=tel,
-        dispatch_policy=policy,
     )
     lat = tel.latency
     cell = {

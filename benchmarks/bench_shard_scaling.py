@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from _common import bench_config, bench_env, dataset, dataset_gst, format_table, save_table
@@ -77,11 +78,10 @@ def run_sweep(args) -> tuple[list[dict], list[str], int]:
         for n_shards in shard_counts:
             rep = simulate_clustering(
                 col,
-                config,
+                replace(config, master_shards=n_shards),
                 n_processors=args.slaves + 1,
                 gst=gst,
                 cost_model=cost_model,
-                master_shards=n_shards,
             )
             clusters = sorted(tuple(sorted(c)) for c in rep.result.clusters)
             if base_clusters is None:

@@ -40,6 +40,7 @@ import json
 import pickle
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from _common import bench_config, bench_env, dataset, dataset_gst
@@ -310,7 +311,7 @@ def run_dispatch(args) -> int:
     # --- oracle: the paper policy is a refactoring, not a behaviour ------
     seq_clusters = PaceClusterer(config).cluster(col).clusters
     sim_paper = simulate_clustering(
-        col, config, n_processors=n_proc, gst=gst, dispatch_policy="paper"
+        col, replace(config, dispatch_policy="paper"), n_processors=n_proc, gst=gst
     )
     sim_ok = sim_paper.result.clusters == seq_clusters
     # config.dispatch_policy is "paper" by default; mp reads it from there.
@@ -322,7 +323,7 @@ def run_dispatch(args) -> int:
     cluster_drift = []
     for policy in ("jbsq:2",):
         rep = simulate_clustering(
-            col, config, n_processors=n_proc, gst=gst, dispatch_policy=policy
+            col, replace(config, dispatch_policy=policy), n_processors=n_proc, gst=gst
         )
         makespans[policy] = rep.total_time
         if rep.result.clusters != seq_clusters:
@@ -369,8 +370,6 @@ def run_dispatch(args) -> int:
 
 
 def run_shard(args) -> int:
-    from dataclasses import replace
-
     from repro.core import PaceClusterer
     from repro.parallel import (
         CostModel,
@@ -394,10 +393,10 @@ def run_shard(args) -> int:
     seq_clusters = PaceClusterer(config).cluster(col).clusters
     sim_cfg = replace(config, shard_sync_interval=1e-3)
     sim_single = simulate_clustering(
-        col, sim_cfg, n_processors=n_proc, gst=gst, master_shards=1
+        col, replace(sim_cfg, master_shards=1), n_processors=n_proc, gst=gst
     )
     sim_sharded = simulate_clustering(
-        col, sim_cfg, n_processors=n_proc, gst=gst, master_shards=args.shards
+        col, replace(sim_cfg, master_shards=args.shards), n_processors=n_proc, gst=gst
     )
     sim_single_ok = sim_single.result.clusters == seq_clusters
     sim_shard_ok = sim_sharded.result.clusters == seq_clusters
@@ -444,11 +443,10 @@ def run_shard(args) -> int:
     for n_shards in sorted({1, args.shards}):
         rep = simulate_clustering(
             col,
-            sim_cfg,
+            replace(sim_cfg, master_shards=n_shards),
             n_processors=n_proc,
             gst=gst,
             cost_model=master_bound,
-            master_shards=n_shards,
         )
         makespans[str(n_shards)] = rep.total_time
         if rep.result.clusters != seq_clusters:

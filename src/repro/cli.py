@@ -607,24 +607,30 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "evaluate":
-        return _cmd_evaluate(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    if args.command == "perfetto":
-        return _cmd_perfetto(args)
-    if args.command == "postmortem":
-        return _cmd_postmortem(args)
-    if args.command == "diff":
-        return _cmd_diff(args)
-    if args.command == "monitor":
-        return _cmd_monitor(args)
+    try:
+        if args.command == "cluster":
+            return _cmd_cluster(args)
+        if args.command == "simulate":
+            return _cmd_simulate(args)
+        if args.command == "evaluate":
+            return _cmd_evaluate(args)
+        if args.command == "report":
+            return _cmd_report(args)
+        if args.command == "analyze":
+            return _cmd_analyze(args)
+        if args.command == "perfetto":
+            return _cmd_perfetto(args)
+        if args.command == "postmortem":
+            return _cmd_postmortem(args)
+        if args.command == "diff":
+            return _cmd_diff(args)
+        if args.command == "monitor":
+            return _cmd_monitor(args)
+    except KeyboardInterrupt:
+        # The engines tear down their processes and segments on the way
+        # out; a traceback would only say where the run was.
+        print("pace-est: interrupted", file=sys.stderr)
+        return 130
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 

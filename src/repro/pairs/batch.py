@@ -284,16 +284,14 @@ class VectorPairGenerator:
             return
         sa = gst.sa
         # ---- node tables ------------------------------------------------
-        # Node ids are range-major (one owner, one forest): the scalar
-        # engine's (forest, node) order over its per-range forests.
+        # Node ids are range-major (one owner, one forest).
         depth = forest.depth
         lb = forest.lb
         end = forest.rb + 1
         parent = forest.parent
         n_leaves = np.diff(forest.leaves_offsets)
-        # Processing order: decreasing depth, stable on node id —
-        # bit-identical to the scalar engine's sorted (-depth, f, nid).
-        proc = np.argsort(-depth, kind="stable").astype(np.int32)
+        # Processing order: the forest's, which the scalar engine walks too.
+        proc = forest.nodes_by_decreasing_depth()
         pos = np.empty(n_nodes, dtype=np.int64)
         pos[proc] = np.arange(n_nodes)
         pos <<= 32

@@ -11,8 +11,9 @@ of explicit tree nodes.  The translation is exact:
   singleton ranks distinguished by their unique sentinels — the paper's
   separate ProcessLeaf rule (c_i < c_j or both λ) and the internal-node
   rule (different children, c_i ≠ c_j or both λ) coincide on this shape,
-  so a single uniform rule suffices (see tests/test_cross_backend.py for
-  the machine-checked equivalence with the paper-faithful backend).
+  so a single uniform rule suffices (``tests/test_pair_generation.py`` and
+  ``tests/conftest.py::tree_engine_run`` machine-check the equivalence
+  with the paper-faithful backend).
 
 Nodes are processed in decreasing string-depth order; at each node the
 children's lsets are traversed to drop duplicate string occurrences (the
@@ -36,7 +37,7 @@ from repro.sequence.alphabet import LAMBDA
 from repro.pairs.lsets import N_CLASSES
 from repro.pairs.pair import Pair, PairBlock, canonical_pair, flatten
 from repro.suffix.gst import LEFT_OF_CODE, SuffixArrayGst
-from repro.suffix.interval_tree import LcpForest
+from repro.suffix.interval_tree import FlatForest, build_lcp_forest
 from repro.telemetry import Telemetry
 
 __all__ = ["SaPairGenerator", "PairGenStats"]
@@ -72,10 +73,12 @@ class SaPairGenerator:
     ranges:
         Optional list of suffix-array rank ranges ``(lo, hi)`` — the
         buckets owned by one processor.  ``None`` means the whole array
-        (the sequential driver).  Nodes across all owned ranges are merged
-        into a single decreasing-depth order, matching the paper's
-        slave-local sort (§3.2 closing paragraph: the greedy order is
-        maintained per processor, not globally).
+        (the sequential driver).  The owner's one forest over all of them
+        (the reference stack builder's,
+        :func:`~repro.suffix.interval_tree.build_lcp_forest`) is walked in
+        a single decreasing-depth order, matching the paper's slave-local
+        sort (§3.2 closing paragraph: the greedy order is maintained per
+        processor, not globally).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry` session: the node and
         raw-product counts are flushed into the ``pairs.nodes`` /
@@ -98,13 +101,7 @@ class SaPairGenerator:
         self.stats = PairGenStats()
         self._telemetry = telemetry
         self._consumed = False
-        self._forests: list[LcpForest] = []
-        if ranges is None:
-            self._forests.append(gst.forest(min_depth=psi))
-        else:
-            for lo, hi in ranges:
-                if hi > lo:
-                    self._forests.append(gst.forest(min_depth=psi, lo=lo, hi=hi))
+        self._forest: FlatForest = build_lcp_forest(gst.lcp, min_depth=psi, ranges=ranges)
 
     # ------------------------------------------------------------------ #
 
@@ -112,7 +109,7 @@ class SaPairGenerator:
     def total_nodes(self) -> int:
         """Forest nodes this generator owns: ``stats.nodes_processed``
         over this is its resumable position (live ``gen_position``)."""
-        return sum(f.n_nodes for f in self._forests)
+        return self._forest.n_nodes
 
     def pairs(self) -> Iterator[Pair]:
         """Canonical pairs in decreasing maximal-substring length.
@@ -133,73 +130,59 @@ class SaPairGenerator:
         return self._generate()
 
     def _generate(self) -> Iterator[list[Pair]]:
+        try:
+            yield from self._sweep()
+        finally:
+            if self._telemetry is not None:
+                self._telemetry.count("pairs.nodes", self.stats.nodes_processed)
+                self._telemetry.count("pairs.raw", self.stats.raw_pairs)
+
+    def _sweep(self) -> Iterator[list[Pair]]:
+        """The pairs of each node that emits any, node by node.
+
+        A suffix's offset is ``p - starts[s]``; its left-extension class is
+        read off the symbol code before it (``text[-1]``, a terminator,
+        for position 0)."""
         gst = self.gst
+        forest = self._forest
         # Plain-list views: element access on Python lists is several times
         # faster than numpy scalar indexing, and this loop is pure Python.
         sa = gst.sa.tolist()
         pos_string = gst.pos_string.tolist()
         starts = gst.starts.tolist()
         text = gst.text.tolist()
+        left_of_code = LEFT_OF_CODE.tolist()
+        depths = forest.depth.tolist()
+        lbs = forest.lb.tolist()
+        parents = forest.parent.tolist()
+        kid_ids = forest.children_flat.tolist()
+        kid_at = forest.children_offsets.tolist()
+        leaf_ranks = forest.leaves_flat.tolist()
+        leaf_at = forest.leaves_offsets.tolist()
         stats = self.stats
-
-        # Global processing order: all nodes of all owned forests by
-        # decreasing depth (children always strictly deeper than parents,
-        # so bottom-up lset flow is respected within each forest).
-        order: list[tuple[int, int, int]] = []  # (-depth, forest_idx, node)
-        for f_idx, forest in enumerate(self._forests):
-            depths = forest.depth
-            for nid in range(forest.n_nodes):
-                order.append((-int(depths[nid]), f_idx, nid))
-        order.sort()
 
         # marks[string] = uid of the node currently deduplicating it.
         marks = [-1] * gst.collection.n_strings
-        # Stored lsets of processed nodes awaiting their parent:
-        # (forest_idx, node) -> list of N_CLASSES entry lists (entries are
-        # suffix-array ranks).
-        store: dict[tuple[int, int], list[list[int]]] = {}
+        # Stored lsets of processed nodes awaiting their parent: node ->
+        # list of N_CLASSES entry lists (entries are suffix-array ranks).
+        store: dict[int, list[list[int]]] = {}
 
-        try:
-            yield from self._sweep(order, sa, pos_string, starts, text, marks, store)
-        finally:
-            if self._telemetry is not None:
-                self._telemetry.count("pairs.nodes", stats.nodes_processed)
-                self._telemetry.count("pairs.raw", stats.raw_pairs)
-
-    def _sweep(
-        self,
-        order: list[tuple[int, int, int]],
-        sa: list[int],
-        pos_string: list[int],
-        starts: list[int],
-        text: list[int],
-        marks: list[int],
-        store: dict[tuple[int, int], list[list[int]]],
-    ) -> Iterator[list[Pair]]:
-        """The pairs of each node that emits any, node by node.
-
-        A suffix's offset is ``p - starts[s]``; its left-extension class is
-        read off the symbol code before it (``text[-1]``, a terminator,
-        for position 0)."""
-        stats = self.stats
-        left_of_code = LEFT_OF_CODE.tolist()
-        for uid, (neg_depth, f_idx, nid) in enumerate(order):
-            depth = -neg_depth
-            forest = self._forests[f_idx]
+        # Decreasing depth: children are strictly deeper than parents, so
+        # lsets flow bottom-up.
+        for uid, nid in enumerate(forest.nodes_by_decreasing_depth().tolist()):
+            depth = depths[nid]
             stats.nodes_processed += 1
             emitted: list[Pair] = []
 
             # Child slots in left-to-right (lb) order: child nodes
             # interleaved with directly-attached leaf ranks.
             slots: list[list[list[int]] | int] = []
-            kids = forest.children[nid]
-            leaves = forest.leaves[nid]
+            kids = kid_ids[kid_at[nid] : kid_at[nid + 1]]
+            leaves = leaf_ranks[leaf_at[nid] : leaf_at[nid + 1]]
             ki = li = 0
             while ki < len(kids) or li < len(leaves):
-                if li >= len(leaves) or (
-                    ki < len(kids) and forest.lb[kids[ki]] < leaves[li]
-                ):
-                    slots.append(store.pop((f_idx, kids[ki])))
+                if li >= len(leaves) or (ki < len(kids) and lbs[kids[ki]] < leaves[li]):
+                    slots.append(store.pop(kids[ki]))
                     ki += 1
                 else:
                     slots.append(leaves[li])
@@ -261,8 +244,8 @@ class SaPairGenerator:
             if stats._live_entries > stats.peak_lset_entries:
                 stats.peak_lset_entries = stats._live_entries
 
-            if forest.parent[nid] >= 0:
-                store[(f_idx, nid)] = accum
+            if parents[nid] >= 0:
+                store[nid] = accum
             else:
                 # Forest root: the parent's depth is below ψ, lsets die here.
                 stats._live_entries -= sum(len(c) for c in accum)

@@ -147,8 +147,15 @@ def _slave_worker(
     origin: float | None = None,
     traced: bool = False,
     sample_interval: float | None = None,
+    master_ends: tuple[Connection, ...] = (),
 ) -> None:
     """Slave process main: bootstrap, then request/response until stop.
+
+    ``master_ends`` are the master-side ends of this slave's pipe and of
+    every live peer's, which the fork copied into this process.  They are
+    closed first thing: EOF on its pipe is how a slave learns the master
+    is gone (it exited, was interrupted or killed), and a copy held open
+    here would keep that EOF from ever reaching this slave or its peers.
 
     ``source`` is either the legacy in-process :class:`SuffixArrayGst`
     (``shared_arenas=False``) or a :class:`GstBundle` of shared-memory
@@ -182,6 +189,8 @@ def _slave_worker(
     restart of a deterministic failure.
     """
     _start_on_own_cpu(slave_id)
+    for end in master_ends:
+        end.close()
     injector = FaultInjector(fault_plan, slave_id, incarnation)
     tel = Telemetry(enabled=traced, origin=origin, causal=config.causal_tracing)
     actor = f"slave{slave_id}"
@@ -429,6 +438,7 @@ def _run_master(
                     tel.origin,
                     tel.enabled,
                     core.monitor.interval if core.monitor is not None else None,
+                    (parent_conn, *(h.conn for h in live.values())),
                 ),
                 daemon=True,
             )

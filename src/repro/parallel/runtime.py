@@ -17,8 +17,6 @@ restart budget); recovery events land in ``result.faults``.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.core.config import ClusteringConfig
 from repro.core.results import ClusteringResult
 from repro.parallel.cost_model import CostModel
@@ -44,8 +42,6 @@ def simulate_clustering(
     tolerance: FaultTolerance | None = None,
     telemetry: Telemetry | None = None,
     monitor: RunMonitor | None = None,
-    dispatch_policy: str | None = None,
-    master_shards: int | None = None,
 ) -> SimulationReport:
     """Run one simulated parallel clustering and return its full report.
 
@@ -53,15 +49,9 @@ def simulate_clustering(
     sweep (construction is deterministic, so this does not change
     results — only saves host time).  ``telemetry`` records the run
     (virtual-time trace, metrics, phase accounting) onto
-    ``report.result.telemetry``.  ``dispatch_policy`` overrides the
-    config's work-allocation policy for this run (tournament sweeps share
-    one config across policies); ``master_shards`` likewise overrides the
-    shard count (shard-scaling sweeps share one config across counts).
+    ``report.result.telemetry``.  The dispatch policy and shard count
+    are the config's (``dataclasses.replace`` it to sweep them).
     """
-    if dispatch_policy is not None:
-        config = replace(config or ClusteringConfig(), dispatch_policy=dispatch_policy)
-    if master_shards is not None:
-        config = replace(config or ClusteringConfig(), master_shards=master_shards)
     machine = SimulatedMachine(
         collection,
         config,
@@ -87,20 +77,12 @@ def run_parallel(
     tolerance: FaultTolerance | None = None,
     telemetry: Telemetry | None = None,
     monitor: RunMonitor | None = None,
-    dispatch_policy: str | None = None,
-    master_shards: int | None = None,
 ) -> ClusteringResult:
     """Parallel clustering with either engine, returning the result object
     (for the simulated engine, timings are virtual seconds).  ``telemetry``
     instruments the run on either engine with the same span names and
     event schema (the sim-vs-mp parity tests hold the engines to this).
-    ``monitor`` attaches a live run monitor to either engine;
-    ``dispatch_policy`` overrides the config's work-allocation policy and
-    ``master_shards`` its shard count (both engines honour sharding)."""
-    if dispatch_policy is not None:
-        config = replace(config or ClusteringConfig(), dispatch_policy=dispatch_policy)
-    if master_shards is not None:
-        config = replace(config or ClusteringConfig(), master_shards=master_shards)
+    ``monitor`` attaches a live run monitor to either engine."""
     if machine == "simulated":
         return simulate_clustering(
             collection,

@@ -13,12 +13,7 @@ Two interchangeable backends expose the GST of the doubled string set S:
 from repro.suffix.buckets import enumerate_bucket_suffixes, sa_bucket_ranges, suffix_window_keys
 from repro.suffix.dfs_array import DfsArrayTree, from_trie
 from repro.suffix.gst import NaiveGst, SuffixArrayGst
-from repro.suffix.interval_tree import (
-    FlatForest,
-    LcpForest,
-    build_flat_forest,
-    build_lcp_forest,
-)
+from repro.suffix.interval_tree import FlatForest, build_flat_forest, build_lcp_forest
 from repro.suffix.lcp import lcp_kasai
 from repro.suffix.naive_tree import TrieNode, build_bucket_tree, build_gst_forest
 from repro.suffix.suffix_array import SuffixArray, build_suffix_array
@@ -33,7 +28,6 @@ __all__ = [
     "NaiveGst",
     "SuffixArrayGst",
     "FlatForest",
-    "LcpForest",
     "build_flat_forest",
     "build_lcp_forest",
     "lcp_kasai",

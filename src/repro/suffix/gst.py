@@ -33,12 +33,7 @@ from repro.sequence.alphabet import LAMBDA, SIGMA
 from repro.sequence.collection import EstCollection
 from repro.suffix.buckets import sa_bucket_ranges
 from repro.suffix.dfs_array import DfsArrayTree, from_trie
-from repro.suffix.interval_tree import (
-    FlatForest,
-    LcpForest,
-    build_flat_forest,
-    build_lcp_forest,
-)
+from repro.suffix.interval_tree import FlatForest, build_flat_forest
 from repro.suffix.lcp import lcp_first_mismatch
 from repro.suffix.naive_tree import build_gst_forest
 from repro.suffix.suffix_array import refine
@@ -179,18 +174,12 @@ class SuffixArrayGst:
 
     # -- forest construction ------------------------------------------------
 
-    def forest(self, min_depth: int, lo: int = 0, hi: int | None = None) -> LcpForest:
-        """LCP forest of nodes with string-depth ≥ ``min_depth`` over ranks
-        ``[lo, hi)`` (the full array by default)."""
-        return build_lcp_forest(self.lcp, min_depth=min_depth, lo=lo, hi=hi)
-
     def flat_forest(
         self, min_depth: int, ranges: list[tuple[int, int]] | None = None
     ) -> FlatForest:
         """The forest of an owner of rank ``ranges`` (all ranks by
-        default) in flat CSR arrays, built in one vectorised pass — the
-        input form of the vectorised pair engine.  Equals the per-range
-        :meth:`forest` results concatenated."""
+        default), built in one vectorised pass — the input form of the
+        vectorised pair engine."""
         return build_flat_forest(self.lcp, min_depth=min_depth, ranges=ranges)
 
     def bucket_ranges(self, w: int) -> list[tuple[int, int, int]]:

@@ -19,80 +19,36 @@ A bucket keyed on the first ``w`` characters is a contiguous suffix-array
 range, and with ψ ≥ w every qualifying node lies entirely inside one
 bucket, so an *owner* of buckets — a (simulated or real) slave processor;
 the sequential engine owns them all — needs only the forest over its own
-ranges.  :func:`build_flat_forest` builds that forest in one pass over
-all of an owner's ranges (``ranges=``): one set of int32 arrays per owner,
-node ids range-major, whatever the number of buckets.  :func:`build_lcp_forest`,
-the per-rank stack builder over one ``[lo, hi)`` range, is the reference
-the tests compare it against (and the scalar pair engine's input).
+ranges.  Both builders take the owner's ranges (``ranges=``) and return
+one :class:`FlatForest` of int32 arrays, node ids range-major, whatever
+the number of buckets.  :func:`build_flat_forest` is the vectorised one,
+the default (vector) pair engine's input; :func:`build_lcp_forest`, the
+per-rank stack builder, is the reference the tests compare it against
+array for array, and the scalar pair engine's input.  Neither calls the
+other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 __all__ = [
-    "LcpForest",
     "FlatForest",
     "build_lcp_forest",
     "build_flat_forest",
 ]
 
 
-def _validate_forest_arrays(
-    depth: np.ndarray,
-    lb: np.ndarray,
-    rb: np.ndarray,
-    parent: np.ndarray,
-    children_flat: np.ndarray,
-    children_offsets: np.ndarray,
-    leaves_offsets: np.ndarray,
-) -> None:
-    """Vectorised internal-consistency checks shared by both forest forms.
-
-    Whole-array sweeps instead of a per-node Python loop, so debug runs on
-    30k-EST-scale forests cost a few milliseconds.
-    """
-    n = len(depth)
-    if n == 0:
-        return
-    cf = children_flat
-    owner = np.repeat(np.arange(n), np.diff(children_offsets))
-    if cf.size:
-        bad = ~((lb[owner] <= lb[cf]) & (rb[cf] <= rb[owner]))
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise AssertionError(
-                f"child {int(cf[k])} not nested in node {int(owner[k])}"
-            )
-        bad = depth[cf] <= depth[owner]
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise AssertionError(
-                f"child {int(cf[k])} not deeper than parent {int(owner[k])}"
-            )
-        bad = parent[cf] != owner
-        if bad.any():
-            k = int(np.flatnonzero(bad)[0])
-            raise AssertionError(f"parent link mismatch for {int(cf[k])}")
-    covered = np.bincount(
-        owner, weights=(rb[cf] - lb[cf] + 1).astype(np.float64), minlength=n
-    ).astype(np.int64)
-    covered += np.diff(leaves_offsets)
-    bad = covered != rb - lb + 1
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise AssertionError(f"node {k} does not partition its interval")
-
-
 @dataclass
-class LcpForest:
-    """The qualifying suffix-tree nodes over one suffix-array range.
+class FlatForest:
+    """The qualifying suffix-tree nodes of one owner's rank ranges.
 
-    All per-node sequences are parallel, indexed by node id in *emission*
-    (bottom-up pop) order, which guarantees children precede parents.
+    All per-node arrays are parallel, indexed by node id in *emission*
+    (bottom-up pop) order, range-major over the owner's ranges, which
+    guarantees children precede parents.  Every array is int32.
 
     Attributes
     ----------
@@ -101,129 +57,16 @@ class LcpForest:
     parent:
         Parent node id, or -1 when the parent's depth is below the
         threshold (the node is a root of the forest).
-    children:
-        Child node ids, ordered left to right (by ``lb``).
-    leaves:
-        Suffix-array ranks directly attached to the node, i.e. ranks in
-        ``[lb, rb]`` not covered by any child interval.  Each corresponds to
-        a leaf of the suffix tree hanging immediately below this node.
+    children_flat, children_offsets:
+        Child node ids, left to right (by ``lb``), in CSR form: node
+        ``v`` owns ``children_flat[children_offsets[v]:children_offsets[v + 1]]``.
+    leaves_flat, leaves_offsets:
+        Suffix-array ranks directly attached to each node — ranks in
+        ``[lb, rb]`` not covered by any child interval, each a leaf of the
+        suffix tree hanging immediately below the node — ascending, in
+        the same CSR form.
     min_depth:
         The ψ threshold the forest was built with.
-    """
-
-    depth: np.ndarray
-    lb: np.ndarray
-    rb: np.ndarray
-    parent: np.ndarray
-    children: list[list[int]]
-    leaves: list[list[int]]
-    min_depth: int
-    #: Lazily-built CSR mirrors of ``children``/``leaves`` (see the flat
-    #: accessors below); ``None`` until first requested.
-    _flat: tuple[np.ndarray, ...] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.depth)
-
-    # -- flat (CSR) views ---------------------------------------------------
-    #
-    # The vectorised pair-generation engine and the vectorised validator
-    # traverse the forest as whole-array sweeps; per-node Python lists would
-    # force a Python loop per node.  These accessors expose the same
-    # structure as one concatenated value array plus per-node offsets:
-    # node ``v`` owns ``flat[offsets[v]:offsets[v + 1]]``, in the same
-    # left-to-right (lb) order as the lists.  Built once on first access.
-
-    def _flat_views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        if self._flat is None:
-            n = self.n_nodes
-            c_counts = np.fromiter(
-                map(len, self.children), dtype=np.int64, count=n
-            )
-            l_counts = np.fromiter(map(len, self.leaves), dtype=np.int64, count=n)
-            children_flat = np.fromiter(
-                chain.from_iterable(self.children),
-                dtype=np.int64,
-                count=int(c_counts.sum()),
-            )
-            leaves_flat = np.fromiter(
-                chain.from_iterable(self.leaves),
-                dtype=np.int64,
-                count=int(l_counts.sum()),
-            )
-            zero = np.zeros(1, dtype=np.int64)
-            self._flat = (
-                children_flat,
-                np.concatenate((zero, np.cumsum(c_counts))),
-                leaves_flat,
-                np.concatenate((zero, np.cumsum(l_counts))),
-            )
-        return self._flat
-
-    @property
-    def children_flat(self) -> np.ndarray:
-        """All child ids concatenated in node order (CSR values)."""
-        return self._flat_views()[0]
-
-    @property
-    def children_offsets(self) -> np.ndarray:
-        """``children_flat`` offsets per node (CSR indptr, length n+1)."""
-        return self._flat_views()[1]
-
-    @property
-    def leaves_flat(self) -> np.ndarray:
-        """All directly-attached leaf ranks concatenated in node order."""
-        return self._flat_views()[2]
-
-    @property
-    def leaves_offsets(self) -> np.ndarray:
-        """``leaves_flat`` offsets per node (CSR indptr, length n+1)."""
-        return self._flat_views()[3]
-
-    def roots(self) -> np.ndarray:
-        """Ids of forest roots (nodes whose parent is below threshold)."""
-        return np.flatnonzero(self.parent == -1)
-
-    def nodes_by_decreasing_depth(self) -> np.ndarray:
-        """Node ids sorted by decreasing string-depth (Algorithm 1 order).
-
-        A stable sort on negated depth keeps emission order inside equal
-        depths, making generation fully deterministic.
-        """
-        return np.argsort(-self.depth, kind="stable")
-
-    def validate(self) -> None:
-        """Internal-consistency checks (used by tests and debug runs).
-
-        Fully vectorised over the flat CSR views so debug runs on
-        30k-EST-scale forests cost a few array sweeps, not a Python loop
-        over every node.
-        """
-        _validate_forest_arrays(
-            self.depth,
-            self.lb,
-            self.rb,
-            self.parent,
-            self.children_flat,
-            self.children_offsets,
-            self.leaves_offsets,
-        )
-
-
-@dataclass
-class FlatForest:
-    """The same forest as :class:`LcpForest`, held entirely in flat arrays.
-
-    Node ids, depths, bounds, parents and the per-node ``children`` /
-    ``leaves`` sequences equal the list-based builder's value for value —
-    only the container differs: int32 throughout, children and leaves in
-    concatenated CSR arrays (node ``v`` owns ``flat[offsets[v]:offsets[v + 1]]``).
-    This is the native input of the vectorised pair-generation engine
-    (:class:`repro.pairs.batch.VectorPairGenerator`), which never walks
-    per-node Python lists.
     """
 
     depth: np.ndarray
@@ -245,20 +88,49 @@ class FlatForest:
         return np.flatnonzero(self.parent == -1)
 
     def nodes_by_decreasing_depth(self) -> np.ndarray:
-        """Node ids sorted by decreasing string-depth (Algorithm 1 order)."""
-        return np.argsort(-self.depth, kind="stable")
+        """Node ids sorted by decreasing string-depth (Algorithm 1 order).
+
+        A stable sort on negated depth keeps emission order inside equal
+        depths, so both pair engines walk the nodes in one order.
+        """
+        return np.argsort(-self.depth, kind="stable").astype(np.int32)
 
     def validate(self) -> None:
-        """Internal-consistency checks (used by tests and debug runs)."""
-        _validate_forest_arrays(
-            self.depth,
-            self.lb,
-            self.rb,
-            self.parent,
-            self.children_flat,
-            self.children_offsets,
-            self.leaves_offsets,
-        )
+        """Internal-consistency checks (used by tests and debug runs).
+
+        Whole-array sweeps instead of a per-node Python loop, so debug
+        runs on 30k-EST-scale forests cost a few milliseconds.
+        """
+        n = self.n_nodes
+        if n == 0:
+            return
+        depth, lb, rb, cf = self.depth, self.lb, self.rb, self.children_flat
+        owner = np.repeat(np.arange(n), np.diff(self.children_offsets))
+        if cf.size:
+            bad = ~((lb[owner] <= lb[cf]) & (rb[cf] <= rb[owner]))
+            if bad.any():
+                k = int(np.flatnonzero(bad)[0])
+                raise AssertionError(
+                    f"child {int(cf[k])} not nested in node {int(owner[k])}"
+                )
+            bad = depth[cf] <= depth[owner]
+            if bad.any():
+                k = int(np.flatnonzero(bad)[0])
+                raise AssertionError(
+                    f"child {int(cf[k])} not deeper than parent {int(owner[k])}"
+                )
+            bad = self.parent[cf] != owner
+            if bad.any():
+                k = int(np.flatnonzero(bad)[0])
+                raise AssertionError(f"parent link mismatch for {int(cf[k])}")
+        covered = np.bincount(
+            owner, weights=(rb[cf] - lb[cf] + 1).astype(np.float64), minlength=n
+        ).astype(np.int64)
+        covered += np.diff(self.leaves_offsets)
+        bad = covered != rb - lb + 1
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            raise AssertionError(f"node {k} does not partition its interval")
 
 
 def build_flat_forest(
@@ -425,10 +297,11 @@ def build_lcp_forest(
     lcp: np.ndarray,
     *,
     min_depth: int,
-    lo: int = 0,
-    hi: int | None = None,
-) -> LcpForest:
-    """Build the forest of LCP intervals with depth ≥ ``min_depth``.
+    ranges: list[tuple[int, int]] | None = None,
+) -> FlatForest:
+    """Build the forest of LCP intervals with depth ≥ ``min_depth`` by
+    one left-to-right stack scan per rank range — the reference
+    :func:`build_flat_forest` is checked against.
 
     Parameters
     ----------
@@ -438,18 +311,21 @@ def build_lcp_forest(
     min_depth:
         The ψ threshold; must be ≥ 1 (depth-0 "nodes" pair everything with
         everything and are meaningless here, as in the paper where ψ ≥ w).
-    lo, hi:
-        Restrict to suffix-array ranks ``[lo, hi)``; boundaries are treated
-        as depth-0 breaks, which is exact when the range is a full bucket
-        (adjacent buckets share < w < ψ characters).
+    ranges:
+        The suffix-array rank ranges ``[lo, hi)`` the caller owns
+        (``None``: the whole array), under :func:`build_flat_forest`'s
+        contract: scanned in the order given, each edge a depth-0 break
+        (exact when the range is a full bucket: adjacent buckets share
+        < w < ψ characters), empty ranges skipped, node ids range-major.
     """
     if min_depth < 1:
         raise ValueError(f"min_depth must be >= 1, got {min_depth}")
     lcp = np.asarray(lcp)
-    if hi is None:
-        hi = len(lcp)
-    if not 0 <= lo <= hi <= len(lcp):
-        raise ValueError(f"invalid range [{lo}, {hi}) for lcp of length {len(lcp)}")
+    if ranges is None:
+        ranges = [(0, len(lcp))]
+    for lo, hi in ranges:
+        if not 0 <= lo <= hi <= len(lcp):
+            raise ValueError(f"invalid range [{lo}, {hi}) for lcp of length {len(lcp)}")
 
     depths: list[int] = []
     lbs: list[int] = []
@@ -476,46 +352,50 @@ def build_lcp_forest(
         leaves.append(direct)
         return nid
 
-    # Stack of open intervals: [depth, lb, child_ids | None].
-    # child_ids is None for intervals below threshold (children of those
-    # become forest roots).  Depths on the stack are strictly increasing.
-    stack: list[list] = [[0, lo, None if min_depth > 0 else []]]
-    n = hi - lo
-    if n <= 0:
-        raise ValueError("empty suffix-array range")
-
-    for r in range(lo + 1, hi + 1):
-        v = int(lcp[r]) if r < hi else 0
-        lb = r - 1
-        held: int | None = None  # emitted node awaiting a parent push
-        while stack[-1][0] > v:
-            depth_i, lb_i, kids_i = stack.pop()
-            lb = lb_i
-            if kids_i is not None:
+    for lo, hi in ranges:
+        # Stack of open intervals: [depth, lb, child_ids | None].
+        # child_ids is None for intervals below threshold (children of
+        # those become forest roots).  Depths on the stack are strictly
+        # increasing.
+        stack: list[list] = [[0, lo, None]]
+        for r in range(lo + 1, hi + 1):
+            v = int(lcp[r]) if r < hi else 0
+            lb = r - 1
+            held: int | None = None  # emitted node awaiting a parent push
+            while stack[-1][0] > v:
+                depth_i, lb_i, kids_i = stack.pop()
+                lb = lb_i
+                if kids_i is None:
+                    continue
                 nid = emit(depth_i, lb_i, r - 1, kids_i)
-            else:
-                nid = None
-            # Attach to the node below if it remains an enclosing interval.
-            if nid is not None:
+                # Attach to the node below if it remains an enclosing interval.
                 if stack[-1][0] >= v and stack[-1][0] >= min_depth:
-                    # Parent is on the stack and qualifies.
-                    if stack[-1][2] is None:  # pragma: no cover - defensive
-                        stack[-1][2] = []
-                    stack[-1][2].append(nid)
+                    stack[-1][2].append(nid)  # parent is on the stack
                 elif stack[-1][0] < v:
                     held = nid  # parent is the interval about to be pushed
                 # else: parent below threshold -> forest root (parent -1).
-        if stack[-1][0] < v:
-            kids = [held] if (held is not None and v >= min_depth) else []
-            stack.append([v, lb, kids if v >= min_depth else None])
-        # stack[-1][0] == v: held (if any) was already attached above.
+            if stack[-1][0] < v:
+                kids = [held] if held is not None else []
+                stack.append([v, lb, kids if v >= min_depth else None])
+            # stack[-1][0] == v: held (if any) was already attached above.
 
-    return LcpForest(
-        depth=np.array(depths, dtype=np.int64),
-        lb=np.array(lbs, dtype=np.int64),
-        rb=np.array(rbs, dtype=np.int64),
-        parent=np.array(parents, dtype=np.int64),
-        children=children,
-        leaves=leaves,
+    def csr(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+        counts = np.fromiter(map(len, lists), dtype=np.int32, count=len(lists))
+        offsets = np.zeros(len(lists) + 1, dtype=np.int32)
+        np.cumsum(counts, out=offsets[1:])
+        flat = np.fromiter(chain.from_iterable(lists), dtype=np.int32, count=int(offsets[-1]))
+        return flat, offsets
+
+    children_flat, children_offsets = csr(children)
+    leaves_flat, leaves_offsets = csr(leaves)
+    return FlatForest(
+        depth=np.array(depths, dtype=np.int32),
+        lb=np.array(lbs, dtype=np.int32),
+        rb=np.array(rbs, dtype=np.int32),
+        parent=np.array(parents, dtype=np.int32),
+        children_flat=children_flat,
+        children_offsets=children_offsets,
+        leaves_flat=leaves_flat,
+        leaves_offsets=leaves_offsets,
         min_depth=min_depth,
     )

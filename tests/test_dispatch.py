@@ -3,6 +3,8 @@ policy interface, JBSQ behaviour, the slave-lost mirror-clearing
 regression, config/CLI plumbing, and cluster-oracle parity on both
 engines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -315,9 +317,8 @@ class TestEngineOracle:
         for policy in ("paper", "jbsq:2"):
             rep = simulate_clustering(
                 small_bench.collection,
-                small_config,
+                replace(small_config, dispatch_policy=policy),
                 n_processors=4,
-                dispatch_policy=policy,
             )
             assert rep.result.clusters == seq, policy
 

@@ -87,8 +87,8 @@ class TestSuffixArrayGst:
     def test_forest_respects_min_depth(self):
         col = EstCollection.from_strings(["ACGTACGTACGT", "ACGTACGTAC"])
         gst = SuffixArrayGst.build(col)
-        deep = gst.forest(min_depth=6)
-        shallow = gst.forest(min_depth=2)
+        deep = gst.flat_forest(min_depth=6)
+        shallow = gst.flat_forest(min_depth=2)
         assert deep.n_nodes <= shallow.n_nodes
         assert (deep.depth >= 6).all()
 

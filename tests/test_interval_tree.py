@@ -12,10 +12,10 @@ from repro.suffix.lcp import lcp_kasai
 dna_lists = st.lists(st.text(alphabet="ACGT", min_size=1, max_size=25), min_size=1, max_size=4)
 
 
-def _forest_for(seqs, min_depth=1, lo=0, hi=None):
+def _forest_for(seqs, min_depth=1):
     text, _ = EstCollection.from_strings(seqs).sa_text()
     sa = build_suffix_array(text)
-    return build_lcp_forest(lcp_kasai(text, sa.sa), min_depth=min_depth, lo=lo, hi=hi), sa
+    return build_lcp_forest(lcp_kasai(text, sa.sa), min_depth=min_depth), sa
 
 
 class TestForestStructure:
@@ -108,7 +108,7 @@ class TestForestRanges:
         collected = []
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             if hi > lo:
-                f = build_lcp_forest(lcp, min_depth=4, lo=lo, hi=hi)
+                f = build_lcp_forest(lcp, min_depth=4, ranges=[(lo, hi)])
                 collected.extend(
                     (int(f.depth[i]), int(f.lb[i]), int(f.rb[i]))
                     for i in range(f.n_nodes)
@@ -119,55 +119,29 @@ class TestForestRanges:
         ]
         assert sorted(collected) == sorted(expected)
 
-    def test_bad_args_rejected(self):
-        forest, sa = _forest_for(["ACGT"])
-        lcp = np.zeros(4)
-        with pytest.raises(ValueError):
-            build_lcp_forest(lcp, min_depth=0)
-        with pytest.raises(ValueError):
-            build_lcp_forest(lcp, min_depth=1, lo=3, hi=2)
-        with pytest.raises(ValueError):
-            build_lcp_forest(lcp, min_depth=1, lo=2, hi=9)
-
-
-class TestFlatViews:
-    """CSR mirrors of the per-node children/leaves lists."""
-
-    @given(dna_lists, st.integers(1, 5))
-    @settings(max_examples=40, deadline=None)
-    def test_flat_views_match_lists(self, seqs, min_depth):
-        forest, _ = _forest_for(seqs, min_depth)
-        co, lo = forest.children_offsets, forest.leaves_offsets
-        assert co[0] == 0 and lo[0] == 0
-        assert len(co) == len(lo) == forest.n_nodes + 1
-        for v in range(forest.n_nodes):
-            assert forest.children_flat[co[v] : co[v + 1]].tolist() == forest.children[v]
-            assert forest.leaves_flat[lo[v] : lo[v + 1]].tolist() == forest.leaves[v]
-
-    def test_flat_views_are_cached(self):
-        forest, _ = _forest_for(["ACGTACGT", "ACGTAC"], 2)
-        assert forest.children_flat is forest.children_flat
-        assert forest.leaves_offsets is forest.leaves_offsets
-
 
 class TestFlatBuilder:
     """`build_flat_forest` must reproduce the stack builder bit-for-bit:
     same node ids (emission order), parents, child and leaf ordering."""
 
-    @staticmethod
-    def _assert_same(list_forest, flat_forest):
-        assert np.array_equal(list_forest.depth, flat_forest.depth)
-        assert np.array_equal(list_forest.lb, flat_forest.lb)
-        assert np.array_equal(list_forest.rb, flat_forest.rb)
-        assert np.array_equal(list_forest.parent, flat_forest.parent)
-        assert np.array_equal(list_forest.children_flat, flat_forest.children_flat)
-        assert np.array_equal(
-            list_forest.children_offsets, flat_forest.children_offsets
-        )
-        assert np.array_equal(list_forest.leaves_flat, flat_forest.leaves_flat)
-        assert np.array_equal(
-            list_forest.leaves_offsets, flat_forest.leaves_offsets
-        )
+    FIELDS = (
+        "depth",
+        "lb",
+        "rb",
+        "parent",
+        "children_flat",
+        "children_offsets",
+        "leaves_flat",
+        "leaves_offsets",
+    )
+
+    @classmethod
+    def _assert_same(cls, stack_forest, flat_forest):
+        assert stack_forest.min_depth == flat_forest.min_depth
+        for name in cls.FIELDS:
+            expected, got = getattr(stack_forest, name), getattr(flat_forest, name)
+            assert expected.dtype == got.dtype == np.int32, name
+            assert np.array_equal(expected, got), name
 
     @given(dna_lists, st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
@@ -175,42 +149,16 @@ class TestFlatBuilder:
         text, _ = EstCollection.from_strings(seqs).sa_text()
         sa = build_suffix_array(text)
         lcp = lcp_kasai(text, sa.sa)
-        list_forest = build_lcp_forest(lcp, min_depth=min_depth)
+        stack_forest = build_lcp_forest(lcp, min_depth=min_depth)
         flat_forest = build_flat_forest(lcp, min_depth=min_depth)
-        self._assert_same(list_forest, flat_forest)
+        self._assert_same(stack_forest, flat_forest)
         flat_forest.validate()
-
-    @staticmethod
-    def _stack_oracle(lcp, min_depth, ranges):
-        """The per-range stack forests concatenated with node-id offsets:
-        what an owner of ``ranges`` held as a list of forests before."""
-        parts = [
-            build_lcp_forest(lcp, min_depth=min_depth, lo=lo, hi=hi)
-            for lo, hi in ranges
-            if hi > lo
-        ]
-        zero = np.zeros(1, dtype=np.int64)
-        out = {name: [zero] for name in ("children_offsets", "leaves_offsets")}
-        nodes = kids = leaves = 0
-        for f in parts:
-            for name in ("depth", "lb", "rb", "leaves_flat"):
-                out.setdefault(name, []).append(getattr(f, name))
-            out.setdefault("parent", []).append(
-                np.where(f.parent >= 0, f.parent + nodes, -1)
-            )
-            out.setdefault("children_flat", []).append(f.children_flat + nodes)
-            out["children_offsets"].append(f.children_offsets[1:] + kids)
-            out["leaves_offsets"].append(f.leaves_offsets[1:] + leaves)
-            nodes += f.n_nodes
-            kids += len(f.children_flat)
-            leaves += len(f.leaves_flat)
-        return {name: np.concatenate(arrays) for name, arrays in out.items()}
 
     @given(dna_lists, st.sampled_from([1, 3, 6]), st.data())
     @settings(max_examples=80, deadline=None)
     def test_matches_stack_builder_on_ranges(self, seqs, min_depth, data):
-        """One masked pass over an owner's ranges == the per-range stack
-        builds concatenated, all eight arrays (docs/ALGORITHMS.md §2.2)."""
+        """One masked pass over an owner's ranges == the stack scans of
+        the same ranges, all eight arrays (docs/ALGORITHMS.md §2.2)."""
         text, _ = EstCollection.from_strings(seqs).sa_text()
         sa = build_suffix_array(text)
         lcp = lcp_kasai(text, sa.sa)
@@ -226,10 +174,7 @@ class TestFlatBuilder:
         ranges = data.draw(st.permutations(ranges))
         flat = build_flat_forest(lcp, min_depth=min_depth, ranges=ranges)
         flat.validate()
-        for name, expected in self._stack_oracle(lcp, min_depth, ranges).items():
-            got = getattr(flat, name)
-            assert got.dtype == np.int32, name  # the oracle stays int64
-            assert np.array_equal(got, expected), name
+        self._assert_same(build_lcp_forest(lcp, min_depth=min_depth, ranges=ranges), flat)
 
     def test_indices_past_32_bit_products(self):
         """``PSV * (n + 1) + NSV`` leaves int32 from n = 46 341 on: the key
@@ -244,12 +189,8 @@ class TestFlatBuilder:
         owner = [(30_000, n), (0, 12_000), (12_000, 30_000)]
         for ranges in (None, owner):
             flat = build_flat_forest(lcp, min_depth=3, ranges=ranges)
-            oracle = self._stack_oracle(lcp, 3, ranges or [(0, n)])
             assert flat.n_nodes > 5_000
-            for name, expected in oracle.items():
-                got = getattr(flat, name)
-                assert got.dtype == np.int32, name
-                assert np.array_equal(got, expected), name
+            self._assert_same(build_lcp_forest(lcp, min_depth=3, ranges=ranges), flat)
 
     @pytest.mark.parametrize("seed", [None, 0, 1, 2])
     def test_matches_stack_builder_on_every_subrange(self, seed):
@@ -266,7 +207,7 @@ class TestFlatBuilder:
         for lo in range(len(lcp)):
             for hi in range(lo + 1, len(lcp) + 1):
                 self._assert_same(
-                    build_lcp_forest(lcp, min_depth=3, lo=lo, hi=hi),
+                    build_lcp_forest(lcp, min_depth=3, ranges=[(lo, hi)]),
                     build_flat_forest(lcp, min_depth=3, ranges=[(lo, hi)]),
                 )
 
@@ -277,16 +218,22 @@ class TestFlatBuilder:
         forest = build_flat_forest(lcp, min_depth=3, ranges=[(0, 3), (3, 10)])
         assert forest.n_nodes and forest.lb.flags.writeable
 
-    def test_bad_args_rejected(self):
-        lcp = np.zeros(4, dtype=np.int64)
-        with pytest.raises(ValueError, match="min_depth"):
-            build_flat_forest(lcp, min_depth=0)
-        with pytest.raises(ValueError, match=r"invalid range \[3, 9\)"):
-            build_flat_forest(lcp, min_depth=1, ranges=[(0, 2), (3, 9)])
-        with pytest.raises(ValueError, match="invalid range"):
-            build_flat_forest(lcp, min_depth=1, ranges=[(2, 1)])
-        with pytest.raises(ValueError, match="invalid range"):
-            build_flat_forest(lcp, min_depth=1, ranges=[(-1, 2)])
+    @pytest.mark.parametrize("build", [build_lcp_forest, build_flat_forest])
+    def test_bad_args_rejected(self, build):
+        """Both builders share one argument contract: the same messages,
+        and empty ranges skipped, not refused."""
+        lcp = np.array([0, 2, 2, 1], dtype=np.int64)
+        with pytest.raises(ValueError, match="min_depth must be >= 1, got 0"):
+            build(lcp, min_depth=0)
+        with pytest.raises(ValueError, match=r"invalid range \[3, 2\) for lcp of length 4"):
+            build(lcp, min_depth=1, ranges=[(3, 2)])
+        with pytest.raises(ValueError, match=r"invalid range \[2, 9\) for lcp of length 4"):
+            build(lcp, min_depth=1, ranges=[(0, 2), (2, 9)])
+        with pytest.raises(ValueError, match=r"invalid range \[-1, 2\) for lcp of length 4"):
+            build(lcp, min_depth=1, ranges=[(-1, 2)])
+        whole = build(lcp, min_depth=1)
+        assert whole.n_nodes == 2
+        self._assert_same(whole, build(lcp, min_depth=1, ranges=[(1, 1), (0, 4), (4, 4)]))
 
     def test_owner_of_nothing_gets_an_empty_forest(self):
         # Slaves outnumbering buckets own no range: no forest, no error.
@@ -297,6 +244,7 @@ class TestFlatBuilder:
             assert forest.children_offsets.tolist() == [0]
             assert forest.leaves_offsets.tolist() == [0]
             forest.validate()
+            self._assert_same(build_lcp_forest(lcp, min_depth=1, ranges=ranges), forest)
 
 
 class TestVectorisedValidate:
@@ -313,14 +261,11 @@ class TestVectorisedValidate:
 
     def test_detects_partition_violation(self):
         forest, _ = _forest_for(["ACGTACGT", "ACGTACG"], 2)
-        # Drop a leaf from some node that has one.
-        for v in range(forest.n_nodes):
-            if forest.leaves[v]:
-                forest.leaves[v] = forest.leaves[v][1:]
-                break
-        else:
-            pytest.skip("no directly-attached leaves in this forest")
-        with pytest.raises(AssertionError, match="does not partition"):
+        # Drop a leaf from the first node that has one: every later
+        # offset moves down by one.
+        v = int(np.flatnonzero(np.diff(forest.leaves_offsets))[0])
+        forest.leaves_offsets[v + 1 :] -= 1
+        with pytest.raises(AssertionError, match=f"node {v} does not partition"):
             forest.validate()
 
     def test_flat_forest_validate_detects_corruption(self):

@@ -241,9 +241,8 @@ class TestEngineIdentity:
     ):
         rep = simulate_clustering(
             small_benchmark.collection,
-            replace(small_config, shard_sync_interval=1e-4),
+            replace(small_config, shard_sync_interval=1e-4, master_shards=n_shards),
             n_processors=9,
-            master_shards=n_shards,
         )
         assert rep.result.clusters == sequential_clusters
         assert rep.n_shards == n_shards
@@ -291,9 +290,8 @@ class TestEngineIdentity:
         runs = [
             simulate_clustering(
                 small_benchmark.collection,
-                small_config,
+                replace(small_config, master_shards=3),
                 n_processors=9,
-                master_shards=3,
             )
             for _ in range(2)
         ]
@@ -338,9 +336,8 @@ class TestEngineIdentity:
         skipped although admission let it in."""
         rep = simulate_clustering(
             deep_collection,
-            replace(small_config, shard_sync_interval=1e-4),
+            replace(small_config, shard_sync_interval=1e-4, master_shards=4),
             n_processors=9,
-            master_shards=4,
         )
         c = rep.result.counters
         assert rep.pairs_pruned > 0, "no sync prune: the test exercises nothing"
