@@ -9,8 +9,8 @@ allocations per extension, it
 - slices both extensions of every pair out of the collection's shared
   ``int8`` arena (:meth:`~repro.sequence.collection.EstCollection.arena`) —
   no per-pair re-encoding;
-- sorts the extensions by shape so similarly-sized ones land in the same
-  group (padding waste stays low);
+- sorts the extensions by the rows the banded kernel sweeps for them, then
+  by shape, so extensions that stop on similar rows share a group;
 - runs each group through :func:`~repro.align.banded.extend_overlap_group`,
   one band-wide numpy sweep per DP row (a wave of one pair too), or, for
   ``engine="kdiff"``, :func:`~repro.align.kdiff.kdiff_extend_group`, one
@@ -69,9 +69,9 @@ class BatchPairAligner(PairAligner):
     """Vectorised batch aligner, result-identical to :class:`PairAligner`.
 
     ``group_size`` bounds how many banded extensions share one 2-D DP
-    sweep (kdiff groups are whole waves); the sweep is padded to the widest
-    member, so groups of shape-sorted extensions keep the padding overhead
-    small while amortising numpy dispatch over the whole group.
+    sweep (kdiff groups are whole waves); each member is swept only as far
+    as it can end, so groups of extensions sorted by that depth amortise
+    numpy dispatch over the whole group with few columns left idle.
     """
 
     def __init__(
@@ -156,11 +156,15 @@ class BatchPairAligner(PairAligner):
                 else:
                     jobs.append((len(ex), len(ey), slot, ex, ey, band))
 
-        # Shape-sort (descending) so same-sized extensions group together
-        # and the first — widest — group sets the workspace high-water
-        # mark, letting every later group reuse the buffers.  The slot
-        # makes keys unique before the (uncomparable) array elements.
-        jobs.sort(key=lambda job: (-job[0], -job[1], job[2]))
+        # Shape-sort (descending) by the rows the banded kernel sweeps,
+        # min(lx, ly + band), then by shape, so extensions that stop on the
+        # same row group together and the first — longest — group sets the
+        # workspace high-water mark, letting every later group reuse the
+        # buffers.  The slot makes keys unique before the (uncomparable)
+        # array elements.
+        jobs.sort(
+            key=lambda job: (-min(job[0], job[1] + job[5]), -job[0], -job[1], job[2])
+        )
         kdiff = self.engine == "kdiff"
         size = KDIFF_GROUP_MAX if kdiff else self.group_size
         reuses_before = self.workspace.reuses

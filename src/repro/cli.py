@@ -319,6 +319,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _bad_input(args.fasta, exc)
     try:
+        if args.parallel < 0 or args.parallel == 1:
+            raise ValueError(
+                f"--parallel {args.parallel}: use 0 for a sequential run, or "
+                "P >= 2 for a master and at least one slave"
+            )
         config = ClusteringConfig(
             w=args.w,
             psi=args.psi,

@@ -69,7 +69,9 @@ class ClusteringConfig:
     #: (:class:`repro.align.batch.BatchPairAligner`): pairs are chosen in
     #: conflict-free waves and their extensions aligned in vectorised
     #: groups of up to this many.  The size bounds the banded kernel, whose
-    #: state is padded to the group's longest extension; the kdiff kernel's
+    #: state is one band-wide column per extension, swept down to the last
+    #: row where that extension can end (docs/ALGORITHMS.md §4.1); the
+    #: kdiff kernel's
     #: state is (2E + 1) diagonals per edit level, independent of length,
     #: so it takes a whole wave as one group (measured on ``sparse``:
     #: whole waves 44 ms against 59 ms in 64-extension chunks) and sends

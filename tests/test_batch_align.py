@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.align.banded as banded_module
 import repro.align.batch as batch_module
 from repro.align import (
     BandedWorkspace,
@@ -92,7 +93,74 @@ def extension_group(draw):
     return xs, ys, bands
 
 
+@st.composite
+def swept_group(draw):
+    """``(xs, ys, bands)`` for the row bound and the live prefix: 8–48
+    members of 1–150 bases in shuffled order, so the kernel's longest-first
+    column order is not the caller's.  Lengths are spread over the whole
+    range, so members stop on many different rows and the live prefix
+    narrows several times, and a "dovetail" member has ``lx`` well past
+    ``ly + band``: ``y`` is a prefix of ``x`` with a few substitutions, and
+    the sweep stops long before ``x`` drains."""
+    g = draw(st.integers(8, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphabet = draw(st.sampled_from([2, 4]))
+    xs, ys, bands = [], [], []
+    for _ in range(g):
+        band = draw(st.sampled_from([0, 1, 3, 5, 8, 13, 30]))
+        relation = draw(st.sampled_from(["independent", "prefix", "dovetail"]))
+        lx = draw(st.integers(1, 150))
+        if relation == "dovetail":
+            lx = max(lx, 2 * band + 8)
+            ly = draw(st.integers(1, (lx - band) // 2))
+        else:
+            ly = draw(st.integers(1, 150))
+        x = rng.integers(0, alphabet, lx).astype(np.int8)
+        if relation == "independent":
+            y = rng.integers(0, alphabet, ly).astype(np.int8)
+        else:
+            y = np.resize(x, ly)
+            hits = rng.random(ly) < 0.05
+            y[hits] = (y[hits] + 1) % alphabet
+        xs.append(x)
+        ys.append(y)
+        bands.append(band)
+    return xs, ys, bands
+
+
 class TestGroupKernel:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        swept_group(),
+        st.sampled_from([FRACTIONAL, ScoringParams()]),
+        st.sampled_from([0, banded_module.COMPACT_CELLS]),
+    )
+    def test_row_bound_and_compaction_bit_identical(self, group, params, cells):
+        # COMPACT_CELLS = 0 narrows the planes at every quarter the live
+        # prefix loses, whatever the cells skipped.
+        xs, ys, bands = group
+        with mock.patch.object(banded_module, "COMPACT_CELLS", cells):
+            scores, cx, cy, dp = extend_overlap_group(xs, ys, bands, params)
+        for k in range(len(xs)):
+            got = (float(scores[k]), int(cx[k]), int(cy[k]), int(dp[k]))
+            assert got == tuple(extend_overlap(xs[k], ys[k], params, bands[k]))
+
+    def test_smaller_groups_reuse_the_first_groups_buffers(self):
+        rng = np.random.default_rng(5)
+        params = ScoringParams()
+        ws = BandedWorkspace()
+        xs = [rng.integers(0, 4, 120).astype(np.int8) for _ in range(32)]
+        ys = [rng.integers(0, 4, 120).astype(np.int8) for _ in range(32)]
+        extend_overlap_group(xs, ys, [8] * 32, params, workspace=ws)
+        assert ws.grows == 1
+        for _ in range(30):
+            g = int(rng.integers(1, 33))
+            sx = [x[: rng.integers(1, 121)] for x in xs[:g]]
+            sy = [y[: rng.integers(1, 121)] for y in ys[:g]]
+            bands = rng.integers(0, 9, g)
+            extend_overlap_group(sx, sy, bands, params, workspace=ws)
+        assert ws.grows == 1 and ws.reuses == 30
+
     @settings(deadline=None, max_examples=150)
     @given(extension_group(), st.sampled_from([FRACTIONAL, ScoringParams()]))
     def test_bit_identical_to_scalar_kernel(self, group, params):

@@ -142,6 +142,19 @@ class TestClusterBadInput:
         assert line.startswith(f"pace-est: error: {source}: ")
         assert cause in line and "Traceback" not in line
 
+    @pytest.mark.parametrize("machine", ["simulated", "multiprocessing"])
+    @pytest.mark.parametrize("processors", [1, -3])
+    def test_parallel_without_a_slave(self, tmp_path, capsys, processors, machine):
+        fa = tmp_path / "in.fa"
+        fa.write_text(_GOOD)
+        argv = ["cluster", str(fa), "--parallel", str(processors), "--machine", machine]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"pace-est: error: options: --parallel {processors}: ")
+        assert "P >= 2 for a master and at least one slave" in line
+
     def test_corpus_past_the_index_limit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("repro.suffix.gst.MAX_POSITIONS", 100)
         fa = tmp_path / "in.fa"
