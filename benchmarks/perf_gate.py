@@ -1,7 +1,6 @@
-"""Perf gates for the vectorised engines, arena startup, dispatch seam
-and the sharded master.
+"""Perf gates for the vectorised engines and arena startup.
 
-Five subcommands, each measuring a reference implementation against its
+Three subcommands, each measuring a reference implementation against its
 optimised counterpart on the 30k-scaled dataset, verifying the optimised
 output is *identical* (the oracle property), and writing the numbers as
 JSON.  ``align`` and ``pairs`` gate engine speedups; ``startup`` gates the
@@ -9,19 +8,9 @@ shared-memory arena spawn path: per-slave pickled payload must shrink by
 ``--min-payload-ratio`` versus the legacy whole-index handoff, attach+
 construct latency must stay under ``--max-startup-seconds``, clusters must
 match the sequential oracle under both clean and injected-fault parallel
-runs, and no shared-memory segment may survive either run.  ``dispatch``
-gates the dispatch-policy seam: the ``paper`` policy must reproduce the
-sequential oracle partition bit for bit on *both* parallel engines (the
-seam is refactoring, not behaviour), every policy must agree on the
-partition, and no policy may regress the 30k simulated makespan past
-``--max-makespan-ratio`` of the paper baseline.  ``shard`` gates the
-sharded-master seam: sequential, single-master and N-shard runs must
-produce the identical partition on *both* engines (including under
-injected slave crashes with shard-local recovery), and on a
-deliberately master-bound simulated workload N shards must beat the
-single master by ``--min-speedup``.  The committed ``BENCH_align.json``
-/ ``BENCH_pairs.json`` / ``BENCH_startup.json`` / ``BENCH_dispatch.json``
-/ ``BENCH_shard.json`` at the repo root record the reference
+runs, and no shared-memory segment may survive either run.  The
+committed ``BENCH_align.json`` / ``BENCH_pairs.json`` /
+``BENCH_startup.json`` at the repo root record the reference
 measurements.
 
 Usage::
@@ -29,8 +18,6 @@ Usage::
     python benchmarks/perf_gate.py align --out BENCH_align.json --min-speedup 8.0
     python benchmarks/perf_gate.py pairs --out BENCH_pairs.json --min-speedup 8.0
     python benchmarks/perf_gate.py startup --out BENCH_startup.json
-    python benchmarks/perf_gate.py dispatch --out BENCH_dispatch.json
-    python benchmarks/perf_gate.py shard --out BENCH_shard.json
 """
 
 from __future__ import annotations
@@ -40,7 +27,6 @@ import json
 import pickle
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from _common import bench_config, bench_env, dataset, dataset_gst
@@ -50,8 +36,6 @@ from repro.pairs import SaPairGenerator, VectorPairGenerator
 ALIGN_SCHEMA = "pace-align-gate/1"
 PAIRS_SCHEMA = "pace-pairs-gate/1"
 STARTUP_SCHEMA = "pace-startup-gate/1"
-DISPATCH_SCHEMA = "pace-dispatch-gate/1"
-SHARD_SCHEMA = "pace-shard-gate/1"
 
 
 def _measure(make_run, rounds: int) -> tuple[float, object]:
@@ -299,207 +283,6 @@ def run_startup(args) -> int:
     return 0
 
 
-def run_dispatch(args) -> int:
-    from repro.core import PaceClusterer
-    from repro.parallel import cluster_multiprocessing, simulate_clustering
-
-    config = bench_config()
-    col = dataset(30_000).collection
-    gst = dataset_gst(30_000)
-    n_proc = args.slaves + 1
-
-    # --- oracle: the paper policy is a refactoring, not a behaviour ------
-    seq_clusters = PaceClusterer(config).cluster(col).clusters
-    sim_paper = simulate_clustering(
-        col, replace(config, dispatch_policy="paper"), n_processors=n_proc, gst=gst
-    )
-    sim_ok = sim_paper.result.clusters == seq_clusters
-    # config.dispatch_policy is "paper" by default; mp reads it from there.
-    mp_paper = cluster_multiprocessing(col, config, n_processors=n_proc)
-    mp_ok = mp_paper.clusters == seq_clusters
-
-    # --- makespan: no policy may tank throughput for its tail gains ------
-    makespans = {"paper": sim_paper.total_time}
-    cluster_drift = []
-    for policy in ("jbsq:2",):
-        rep = simulate_clustering(
-            col, replace(config, dispatch_policy=policy), n_processors=n_proc, gst=gst
-        )
-        makespans[policy] = rep.total_time
-        if rep.result.clusters != seq_clusters:
-            cluster_drift.append(policy)
-    worst_ratio = max(t / makespans["paper"] for t in makespans.values())
-
-    record = {
-        "schema": DISPATCH_SCHEMA,
-        "dataset": 30_000,
-        "n_slaves": args.slaves,
-        "sim_paper_oracle": sim_ok,
-        "mp_paper_oracle": mp_ok,
-        "policies_cluster_identical": not cluster_drift,
-        "makespans": {k: round(v, 4) for k, v in makespans.items()},
-        "worst_makespan_ratio": round(worst_ratio, 3),
-        "max_makespan_ratio": args.max_makespan_ratio,
-        "env": bench_env(),
-    }
-    print(json.dumps(record, indent=2))
-    if args.out is not None:
-        args.out.write_text(json.dumps(record, indent=2) + "\n")
-
-    failures = []
-    if not sim_ok:
-        failures.append("paper-policy sim clusters differ from sequential oracle")
-    if not mp_ok:
-        failures.append("paper-policy mp clusters differ from sequential oracle")
-    for policy in cluster_drift:
-        failures.append(f"policy {policy!r} changed the partition")
-    if worst_ratio > args.max_makespan_ratio:
-        failures.append(
-            f"worst policy makespan {worst_ratio:.2f}x paper > "
-            f"{args.max_makespan_ratio:.2f}x"
-        )
-    if failures:
-        for f in failures:
-            print(f"perf gate FAILED: {f}", file=sys.stderr)
-        return 1
-    print(
-        f"perf gate passed: dispatch oracles hold, worst makespan ratio "
-        f"{worst_ratio:.2f}x"
-    )
-    return 0
-
-
-def run_shard(args) -> int:
-    from repro.core import PaceClusterer
-    from repro.parallel import (
-        CostModel,
-        FaultPlan,
-        FaultSpec,
-        FaultTolerance,
-        cluster_multiprocessing,
-        simulate_clustering,
-    )
-
-    config = bench_config()
-    col = dataset(30_000).collection
-    gst = dataset_gst(30_000)
-    n_proc = args.slaves + 1
-
-    # --- identity: sharding is a perf layer, never a behaviour -----------
-    # Sequential == single-master == N-shard on both engines, and the
-    # equality must survive injected slave crashes with shard-local
-    # recovery.  Sync cadence is tightened so exchanges actually happen
-    # inside the short gate runs.
-    seq_clusters = PaceClusterer(config).cluster(col).clusters
-    sim_cfg = replace(config, shard_sync_interval=1e-3)
-    sim_single = simulate_clustering(
-        col, replace(sim_cfg, master_shards=1), n_processors=n_proc, gst=gst
-    )
-    sim_sharded = simulate_clustering(
-        col, replace(sim_cfg, master_shards=args.shards), n_processors=n_proc, gst=gst
-    )
-    sim_single_ok = sim_single.result.clusters == seq_clusters
-    sim_shard_ok = sim_sharded.result.clusters == seq_clusters
-
-    mp_cfg = replace(
-        config, master_shards=args.shards, shard_sync_interval=0.05
-    )
-    mp_sharded = cluster_multiprocessing(col, mp_cfg, n_processors=n_proc)
-    mp_shard_ok = mp_sharded.clusters == seq_clusters
-
-    plan = FaultPlan.of(
-        FaultSpec(slave_id=0, kind="kill", at_message=1, incarnation=None),
-        FaultSpec(
-            slave_id=args.slaves - 1,
-            kind="kill_after_send",
-            at_message=0,
-            incarnation=None,
-        ),
-    )
-    tol = FaultTolerance(slave_timeout=30.0, poll_interval=0.05, max_restarts=0)
-    mp_faulted = cluster_multiprocessing(
-        col, mp_cfg, n_processors=n_proc, faults=plan, tolerance=tol
-    )
-    fault_ok = (
-        mp_faulted.clusters == seq_clusters
-        and mp_faulted.faults.slaves_lost >= 2
-    )
-
-    # --- makespan: sharding must relieve a master-bound run --------------
-    # The sim makespan gate uses a deliberately master-bound cost model
-    # (absorption, bookkeeping and message handling dominate; alignment is
-    # nearly free) — the regime ROADMAP 2 targets, where a single master
-    # serialises the run and splitting its WORKBUF/union-find across
-    # shards buys real wall-clock.
-    master_bound = CostModel(
-        master_msg_cost=200e-6,
-        master_pair_cost=30e-6,
-        master_result_cost=20e-6,
-        dp_cell_cost=0.002e-6,
-        align_overhead=2e-6,
-        pair_gen_cost=0.5e-6,
-    )
-    makespans: dict[str, float] = {}
-    for n_shards in sorted({1, args.shards}):
-        rep = simulate_clustering(
-            col,
-            replace(sim_cfg, master_shards=n_shards),
-            n_processors=n_proc,
-            gst=gst,
-            cost_model=master_bound,
-        )
-        makespans[str(n_shards)] = rep.total_time
-        if rep.result.clusters != seq_clusters:
-            sim_shard_ok = False
-    speedup = makespans["1"] / makespans[str(args.shards)]
-
-    record = {
-        "schema": SHARD_SCHEMA,
-        "dataset": 30_000,
-        "n_slaves": args.slaves,
-        "n_shards": args.shards,
-        "sim_single_oracle": sim_single_ok,
-        "sim_shard_oracle": sim_shard_ok,
-        "mp_shard_oracle": mp_shard_ok,
-        "mp_fault_oracle": fault_ok,
-        "sync_rounds": sim_sharded.sync_rounds,
-        "unions_exchanged": sim_sharded.unions_exchanged,
-        "master_bound_makespans": {
-            k: round(v, 4) for k, v in makespans.items()
-        },
-        "shard_speedup": round(speedup, 3),
-        "min_speedup": args.min_speedup,
-        "env": bench_env(),
-    }
-    print(json.dumps(record, indent=2))
-    if args.out is not None:
-        args.out.write_text(json.dumps(record, indent=2) + "\n")
-
-    failures = []
-    if not sim_single_ok:
-        failures.append("single-master sim clusters differ from sequential oracle")
-    if not sim_shard_ok:
-        failures.append("sharded sim clusters differ from sequential oracle")
-    if not mp_shard_ok:
-        failures.append("sharded mp clusters differ from sequential oracle")
-    if not fault_ok:
-        failures.append("sharded mp clusters under faults differ from oracle")
-    if speedup < args.min_speedup:
-        failures.append(
-            f"{args.shards}-shard master-bound speedup {speedup:.2f}x < "
-            f"{args.min_speedup:.2f}x"
-        )
-    if failures:
-        for f in failures:
-            print(f"perf gate FAILED: {f}", file=sys.stderr)
-        return 1
-    print(
-        f"perf gate passed: shard oracles hold, {args.shards}-shard "
-        f"master-bound speedup {speedup:.2f}x"
-    )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="gate", required=True)
@@ -545,38 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     p_start.add_argument("--rounds", type=int, default=3,
                          help="timing rounds, best-of (default 3)")
     p_start.set_defaults(func=run_startup)
-
-    p_disp = sub.add_parser(
-        "dispatch", help="dispatch-policy oracle identity + makespan bound"
-    )
-    p_disp.add_argument("--out", type=Path, default=None,
-                        help="write the measurement JSON here")
-    p_disp.add_argument("--max-makespan-ratio", type=float, default=1.1,
-                        help="fail when any policy's simulated makespan "
-                             "exceeds this multiple of the paper "
-                             "baseline (default 1.1)")
-    p_disp.add_argument("--slaves", type=int, default=4,
-                        help="slave count for the oracle/makespan runs "
-                             "(default 4)")
-    p_disp.set_defaults(func=run_dispatch)
-
-    p_shard = sub.add_parser(
-        "shard", help="sharded-master partition identity + makespan relief"
-    )
-    p_shard.add_argument("--out", type=Path, default=None,
-                         help="write the measurement JSON here")
-    p_shard.add_argument("--shards", type=int, default=4,
-                         help="shard count for the gated runs (default 4)")
-    p_shard.add_argument("--slaves", type=int, default=16,
-                         help="slave count (default 16; the master-bound "
-                              "makespan gate needs enough slaves that the "
-                              "master is the bottleneck)")
-    p_shard.add_argument("--min-speedup", type=float, default=2.0,
-                         help="fail when the N-shard makespan on the "
-                              "master-bound sim workload is not at least "
-                              "this factor below single-master "
-                              "(default 1.5)")
-    p_shard.set_defaults(func=run_shard)
 
     args = parser.parse_args(argv)
     return args.func(args)

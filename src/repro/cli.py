@@ -112,21 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use P processors (0 = sequential)")
     c.add_argument("--machine", choices=("simulated", "multiprocessing"),
                    default="multiprocessing")
-    c.add_argument("--dispatch-policy", default=dflt.dispatch_policy,
-                   metavar="POLICY",
-                   help="master work-allocation policy: 'paper' (the §3.3 "
-                        "formula, reproduction-faithful default) or 'jbsq' / "
-                        "'jbsq:<k>' (bound grants by in-flight batch depth)")
-    c.add_argument("--master-shards", type=int, default=dflt.master_shards,
-                   metavar="N",
-                   help="partition the master into N shards, each owning a "
-                        "disjoint slice of the bucket ranges and a subset "
-                        "of the slaves; shards exchange accepted-pair "
-                        "unions periodically (1 = classic single master)")
-    c.add_argument("--shard-sync-interval", type=float,
-                   default=dflt.shard_sync_interval, metavar="S",
-                   help="seconds between cross-shard union-log exchanges "
-                        "(virtual seconds on the simulated machine)")
     c.add_argument("--clusters-fasta-dir", type=Path,
                    help="also write one FASTA per cluster into this directory")
     c.add_argument("--representatives", type=Path, metavar="FASTA",
@@ -208,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser(
         "perfetto",
         help="export a telemetry JSONL trace as Chrome trace-event JSON "
-             "(load in Perfetto / chrome://tracing): one track per master "
-             "shard and slave, flow arrows from dispatch to absorb",
+             "(load in Perfetto / chrome://tracing): one track for the "
+             "master and one per slave, flow arrows from dispatch to absorb",
     )
     pf.add_argument("trace", type=Path, help="JSONL file from --telemetry-out")
     pf.add_argument("-o", "--output", type=Path, metavar="JSON",
@@ -331,9 +316,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             align_batch=args.align_batch,
             pair_engine=args.pair_engine,
             shared_arenas=not args.no_shared_arenas,
-            dispatch_policy=args.dispatch_policy,
-            master_shards=args.master_shards,
-            shard_sync_interval=args.shard_sync_interval,
+            monitor_port=args.monitor_port,
+            monitor_interval=args.monitor_interval,
             causal_tracing=args.causal_trace,
             flight_dir=str(args.flight_dir) if args.flight_dir is not None else None,
             acceptance=AcceptanceCriteria(
@@ -349,9 +333,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
         run_id = new_run_id()
         monitor = RunMonitor(
-            port=args.monitor_port,
+            port=config.monitor_port,
             live_out=args.live_out,
-            interval=args.monitor_interval,
+            interval=config.monitor_interval,
             run_id=run_id,
         )
         log = _log.bind(run=run_id)

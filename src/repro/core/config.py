@@ -10,41 +10,13 @@ abundant between true overlaps at 1–2% error).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.align.extend import BandPolicy
 from repro.align.scoring import AcceptanceCriteria, ScoringParams
-from repro.telemetry.causal import MAX_INCARNATION
-from repro.util.validation import check_positive
+from repro.util.validation import check_in_range, check_positive
 
-__all__ = ["ClusteringConfig", "POLICY_NAMES", "parse_policy"]
-
-#: Canonical dispatch-policy names (``jbsq`` also takes a ``jbsq:<k>`` form).
-POLICY_NAMES: tuple[str, ...] = ("paper", "jbsq")
-
-
-def parse_policy(spec: str) -> tuple[str, dict]:
-    """Split a dispatch-policy spec string into ``(name, kwargs)``.
-
-    ``"paper"`` / ``"jbsq"`` select defaults; ``"jbsq:3"`` sets the bound.
-    Raises ``ValueError`` on anything else.  The grammar lives here, with
-    the config field it validates, because :mod:`repro.parallel.dispatch`
-    (which instantiates the policies) may import this module but not the
-    other way round.
-    """
-    name, sep, arg = spec.partition(":")
-    if name not in POLICY_NAMES:
-        raise ValueError(
-            f"unknown dispatch policy {spec!r} (expected one of "
-            f"{POLICY_NAMES} or 'jbsq:<k>')"
-        )
-    if not sep:
-        return name, {}
-    if name != "jbsq" or not arg.isdigit() or int(arg) < 1:
-        raise ValueError(
-            f"bad dispatch policy argument in {spec!r}: only 'jbsq:<k>' "
-            f"with integer k >= 1 takes one"
-        )
-    return name, {"k": int(arg)}
+__all__ = ["ClusteringConfig"]
 
 
 @dataclass(frozen=True)
@@ -92,9 +64,9 @@ class ClusteringConfig:
     workbuf_capacity: int = 4096
     #: Capacity of each slave's PAIRBUF, in pairs (§3.3).
     pairbuf_capacity: int = 1024
-    #: Live run monitor HTTP port (``/metrics``, ``/healthz``, ``/state``).
-    #: ``None`` disables monitoring entirely (the hot paths stay untouched);
-    #: ``0`` binds an OS-assigned port.
+    #: Live run monitor HTTP port (``/metrics``, ``/healthz``, ``/state``),
+    #: 0–65535.  ``None`` disables monitoring entirely (the hot paths stay
+    #: untouched); ``0`` binds an OS-assigned port.
     monitor_port: int | None = None
     #: Live monitor sample interval in seconds (per-slave resource/progress
     #: samples and master status lines).  Ignored when monitoring is off.
@@ -106,20 +78,10 @@ class ClusteringConfig:
     #: multiprocessing backend consults this; ``False`` restores the legacy
     #: whole-object handoff.
     shared_arenas: bool = True
-    #: Master work-allocation policy (:mod:`repro.parallel.dispatch`):
-    #: "paper" (the §3.3 formula, reproduction-faithful default) or "jbsq"
-    #: / "jbsq:<k>" (join-bounded-shortest-queue over in-flight batches).
-    dispatch_policy: str = "paper"
-    #: Number of master shards (:mod:`repro.parallel.shards`).  ``1`` is
-    #: the paper's single master; ``N > 1`` partitions bucket ownership,
-    #: WORKBUF, dispatch and the union–find across N masters, each driving
-    #: a disjoint subset of slaves, with periodic cross-shard union
-    #: merging.  Must not exceed the slave count of the run.
-    master_shards: int = 1
-    #: Cross-shard merge cadence in seconds (virtual seconds under the
-    #: simulator, wall seconds under the multiprocessing backend).  A pure
-    #: latency/throughput knob: any cadence yields the same partition.
-    shard_sync_interval: float = 0.25
+    #: Not a field: ``benchmarks/e2e/child.py`` reads it to call
+    #: :func:`repro.parallel.shards.plan_shards`; delete both when ROADMAP
+    #: item 1 re-anchors that harness.
+    master_shards: ClassVar[int] = 1
     #: Causal work-unit tracing (:mod:`repro.telemetry.causal`): mint a
     #: work-unit id per generated pair batch and record its lifecycle
     #: (generated → dispatched → aligned → absorbed/requeued/pruned) into
@@ -142,10 +104,8 @@ class ClusteringConfig:
         check_positive("workbuf_capacity", self.workbuf_capacity)
         check_positive("pairbuf_capacity", self.pairbuf_capacity)
         if self.monitor_port is not None:
-            check_positive("monitor_port", self.monitor_port, strict=False)
+            check_in_range("monitor_port", self.monitor_port, 0, 65535)
         check_positive("monitor_interval", self.monitor_interval)
-        check_positive("master_shards", self.master_shards)
-        check_positive("shard_sync_interval", self.shard_sync_interval)
         if self.psi < self.w:
             raise ValueError(
                 f"psi ({self.psi}) must be >= w ({self.w}): buckets split the "
@@ -155,13 +115,6 @@ class ClusteringConfig:
             raise ValueError(f"unknown align_engine {self.align_engine!r}")
         if self.pair_engine not in ("scalar", "vector"):
             raise ValueError(f"unknown pair_engine {self.pair_engine!r}")
-        parse_policy(self.dispatch_policy)
-        if self.causal_tracing and self.master_shards > MAX_INCARNATION + 1:
-            raise ValueError(
-                f"causal tracing supports at most {MAX_INCARNATION + 1} master "
-                f"shards (a work-unit id has 8 bits for the shard), got "
-                f"{self.master_shards}"
-            )
 
     @classmethod
     def small_reads(cls, **overrides) -> "ClusteringConfig":

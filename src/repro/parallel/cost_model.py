@@ -50,11 +50,6 @@ class CostModel:
     master_pair_cost: float = 0.6e-6
     #: Master-side fixed cost per interaction (MPI unpack + dispatch).
     master_msg_cost: float = 5.0e-6
-    #: Per foreign accepted-pair edge applied during a cross-shard union
-    #: exchange (a seed_union is the same few dozen instructions as a
-    #: result incorporation); each sync round additionally charges every
-    #: shard ``master_msg_cost`` per peer for the exchange messages.
-    shard_union_cost: float = 0.5e-6
 
     # --- communication ---------------------------------------------------
     #: One-way message latency.

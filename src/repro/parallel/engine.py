@@ -8,7 +8,7 @@ charged from a cost model | the wall) and their *wire* (an event heap |
 OS pipes), and that is all each engine file keeps.  The rest is here:
 :func:`build_slave`, the slave factory the simulator calls in-process and
 the mp worker inside its fork, and :class:`EngineCore` — planning and the
-sharded master, the observed master step, the monitor publish, slave-loss
+master, the observed master step, the monitor publish, slave-loss
 recovery, the last-resort local drain and result assembly.  Whoever owns
 bucket ranges builds their interval forest, once, where it is used: a
 slave in :func:`build_slave`, the master only in :meth:`EngineCore
@@ -33,8 +33,8 @@ from repro.core.results import ClusteringResult, FaultCounters
 from repro.pairs.batch import make_pair_generator
 from repro.pairs.ondemand import OnDemandPairGenerator
 from repro.parallel.faults import reabsorb_ranges
-from repro.parallel.protocol import MasterMsg, SlaveLogic, SlaveMsg
-from repro.parallel.shards import ShardedMaster, plan_shards
+from repro.parallel.partition import assign_buckets
+from repro.parallel.protocol import MasterLogic, MasterMsg, SlaveLogic, SlaveMsg
 from repro.suffix.gst import SuffixArrayGst
 from repro.telemetry import Telemetry
 from repro.telemetry.causal import NULL_MINTER, UnitMinter
@@ -157,25 +157,22 @@ class EngineCore:
         self._aligner = None
 
     def plan(self, gst: SuffixArrayGst) -> None:
-        """Partition ``gst``'s w-prefix buckets over shards and slaves and
-        stand up the sharded master."""
+        """Partition ``gst``'s w-prefix buckets over the slaves and stand
+        up the master."""
         config = self.config
         self.gst = gst
-        self.shard_plan = plan_shards(
-            gst.bucket_ranges(config.w), self.n_slaves, config.master_shards
-        )
+        self.assignment = assign_buckets(gst.bucket_ranges(config.w), self.n_slaves)
         #: Suffix-array rank ranges ``(lo, hi)`` each slave owns.
         self.ranges_of = [
             [(lo, hi) for _key, lo, hi in owned]
-            for owned in self.shard_plan.slave_ranges
+            for owned in self.assignment.per_processor
         ]
-        self.master = ShardedMaster(
-            self.shard_plan,
-            n_ests=gst.collection.n_ests,
+        self.master = MasterLogic(
+            gst.collection.n_ests,
+            self.n_slaves,
             batchsize=config.batchsize,
             workbuf_capacity=config.workbuf_capacity,
             telemetry=self.tel,
-            policy=config.dispatch_policy,
         )
 
     def build_slave(self, slave_id: int, *, incarnation: int = 0) -> Slave:
@@ -191,29 +188,27 @@ class EngineCore:
     # ---- the master step ---------------------------------------------- #
 
     def on_message(self, msg: SlaveMsg, now: float) -> MasterMsg | None:
-        """Route one slave message to its shard at engine time ``now``;
+        """Hand one slave message to the master at engine time ``now``;
         returns the reply, or ``None`` when the slave was parked (wake it
-        later through the shard's ``drain_wait_queue``).  A message the
+        later through the master's ``drain_wait_queue``).  A message the
         wire stamped at send time reports its transit here."""
         if msg.sent_at >= 0:
             self.tel.latency.observe("transit", now - msg.sent_at)
         return self.master.on_message(msg, now=now)
 
-    def absorbed(self, slave_id: int, seconds: float) -> None:
-        """The engine's duration for the :meth:`on_message` just done on
-        ``slave_id``'s shard, observed with the WORKBUF depth it left."""
+    def absorbed(self, seconds: float) -> None:
+        """The engine's duration for the :meth:`on_message` just done,
+        observed with the WORKBUF depth it left."""
         self.tel.latency.observe("absorb", seconds)
         self.tel.observe(
-            "master.workbuf_depth",
-            self.master.shard_for(slave_id).logic.workbuf_depth,
-            DEFAULT_BUCKETS,
+            "master.workbuf_depth", self.master.workbuf_depth, DEFAULT_BUCKETS
         )
 
     def publish(self, ts: float) -> None:
         """Hand the live monitor the master's accounting at engine time
         ``ts`` as one ``live_state`` record: queue depth, message, merge
-        and dispatch counts, the non-zero fault counters, the per-shard
-        views (multi-shard runs), and the lost and stopped slaves."""
+        and dispatch counts, the non-zero fault counters, and the lost and
+        stopped slaves."""
         if self.monitor is None:
             return
         master = self.master
@@ -227,7 +222,6 @@ class EngineCore:
                 "merges": stats.merges,
                 "pairs_dispatched": stats.pairs_dispatched,
                 "faults": {k: v for k, v in self.faults.as_dict().items() if v},
-                **({"shards": master.shard_states()} if master.n_shards > 1 else {}),
                 "lost": sorted(master.lost),
                 "stopped": sorted(master.stopped),
             }
@@ -241,40 +235,37 @@ class EngineCore:
         Its unreported in-flight pairs are requeued.  With ``revive`` the
         id is re-admitted for the replacement the engine is about to
         start (which re-enters by a fresh bootstrap).  Otherwise the run
-        degrades: the slave's promising pairs are regenerated in its
-        owning shard — deterministic over its ranges, so nothing
-        unreported can be missed, and shard ownership of the dead
-        slave's buckets never moves to another shard — for the survivors
-        (or :meth:`drain_locally`) to align.  That is the one case in
-        which the master builds a forest: the lost slave's, in one pass.
+        degrades: the slave's promising pairs are regenerated in the
+        master — deterministic over its ranges, so nothing unreported
+        can be missed — for the survivors (or :meth:`drain_locally`) to
+        align.  That is the one case in which the master builds a
+        forest: the lost slave's, in one pass.
         """
-        logic = self.master.shard_for(slave_id).logic
-        requeued = logic.slave_lost(slave_id, now=now)
+        master = self.master
+        requeued = master.slave_lost(slave_id, now=now)
         self.faults.slaves_lost += 1
         self.faults.pairs_reassigned += requeued
         if revive:
-            logic.slave_revived(slave_id)
+            master.slave_revived(slave_id)
             self.faults.restarts += 1
             return Recovery(requeued)
         generator = make_pair_generator(
             self.gst, self.config, ranges=self.ranges_of[slave_id]
         )
-        produced, admitted = reabsorb_ranges(logic, generator, now=now)
+        produced, admitted = reabsorb_ranges(master, generator, now=now)
         self.regenerated += produced
         self.faults.pairs_reassigned += admitted
         return Recovery(requeued, produced, admitted)
 
-    def drain_locally(self, shard_id: int, now: float) -> tuple[int, int]:
-        """No slave of ``shard_id`` survives to be sent its WORKBUF: align
-        it in the master.  Returns ``(alignments, model DP cells)``."""
+    def drain_locally(self, now: float) -> tuple[int, int]:
+        """No slave survives to be sent WORKBUF: align it in the master.
+        Returns ``(alignments, model DP cells)``."""
         if self._aligner is None:
             self._aligner = make_aligner(
                 self.gst.collection, self.config, telemetry=self.sink
             )
         cells_before = self._aligner.model_cells_total
-        aligned = self.master.shards[shard_id].logic.align_locally(
-            self._aligner, now=now
-        )
+        aligned = self.master.align_locally(self._aligner, now=now)
         self.local_aligned += aligned
         return aligned, self._aligner.model_cells_total - cells_before
 
@@ -286,7 +277,6 @@ class EngineCore:
         *,
         incomplete_slaves: int,
         messages: int,
-        shard_busy: list[float],
         **meta,
     ) -> ClusteringResult:
         """Assemble the run's :class:`ClusteringResult`.
@@ -294,8 +284,7 @@ class EngineCore:
         ``slave_totals`` holds ``(pairs generated, alignments, DP cells)``
         per slave that reported; ``incomplete_slaves`` counts those that
         never did (so undercounts are flagged, not silent).  ``messages``
-        and ``shard_busy`` (seconds per master shard) are the engine's
-        own measurements; ``meta`` labels the telemetry snapshot
+        is the engine's own count; ``meta`` labels the telemetry snapshot
         (``engine``, ``n_processors``, ``clock``, ``total_time``).
         Timings are whatever phase seconds the session's registry holds.
         """
@@ -314,16 +303,8 @@ class EngineCore:
         if tel.enabled:
             tel.record_faults(self.faults)
             tel.count("messages.exchanged", messages)
-            if master.n_shards > 1:
-                # Per-shard serialisation metrics (single-shard runs keep
-                # the historical record stream bit-identical).
-                for j, busy in enumerate(shard_busy):
-                    tel.set_gauge(f"busy.shard{j}.seconds", busy)
-                tel.count("shard.sync_rounds", master.sync_rounds)
-                tel.count("shard.unions_exchanged", master.unions_exchanged)
-                tel.count("shard.pairs_pruned", master.pairs_pruned)
         snapshot = tel.snapshot(**meta) if self._snapshot else None
-        manager = master.combined()
+        manager = master.manager
         return ClusteringResult(
             n_ests=self.gst.collection.n_ests,
             clusters=manager.clusters(),

@@ -393,7 +393,6 @@ def _run_master(
     with tel.span("partitioning"):
         core.plan(gst)
     master = core.master
-    n_shards = master.n_shards
 
     # Publish the built index once; slaves attach by descriptor.  The
     # master owns every segment and unlinks them in the finally below.
@@ -409,9 +408,6 @@ def _run_master(
     live: dict[int, _SlaveHandle] = {}
     spawned: list[_SlaveHandle] = []  # every incarnation, for the teardown
     stats: dict[int, _SlaveStats] = {}
-    # Wall seconds the coordinator spent inside each shard's state machine
-    # (feeds busy.shard*.seconds).
-    shard_busy = [0.0] * n_shards
 
     flight: FlightRecorder | None = None
 
@@ -517,11 +513,10 @@ def _run_master(
         handle.expecting_since = None
         reply = core.on_message(msg, t_recv)
         t_done = tel.now()
-        core.absorbed(handle.slave_id, t_done - t_recv)
+        core.absorbed(t_done - t_recv)
         tel.trace(
             "compute", "master", t_recv, t_done, f"incorporate slave{handle.slave_id}"
         )
-        shard_busy[master.shard_of(handle.slave_id)] += t_done - t_recv
         if reply is not None and not send_reply(handle, reply):
             deaths.add(handle.slave_id)
         flush_wait_queue(deaths)
@@ -591,7 +586,6 @@ def _run_master(
         monitor = core.monitor
         master_sampler = ResourceSampler()
         last_master_sample = 0.0
-        last_sync = time.monotonic()
         try:
             for k in range(n_slaves):
                 live[k] = spawn(k, 0)
@@ -628,23 +622,6 @@ def _run_master(
                     )
                 )
             core.publish(ts)
-
-            # Cross-shard union exchange on a wall-clock cadence (a
-            # single shard never syncs; the cadence is a pure
-            # latency/throughput knob, never a correctness one).
-            if n_shards > 1 and wall - last_sync >= config.shard_sync_interval:
-                last_sync = wall
-                t_sync = tel.now()
-                per_shard = master.sync(now=t_sync)
-                t_done = tel.now()
-                tel.trace(
-                    "compute", "master", t_sync, t_done,
-                    f"shard sync: {sum(a for a, _ in per_shard)} unions, "
-                    f"{sum(p for _, p in per_shard)} pruned",
-                )
-                for j in range(n_shards):
-                    shard_busy[j] += (t_done - t_sync) / n_shards
-                flush_wait_queue(deaths)
 
             # Pipes first: a dying slave may have flushed final
             # messages (or a typed error report) before exiting.
@@ -691,8 +668,7 @@ def _run_master(
             # survived to align them, so the master finishes the
             # remaining alignments itself (last-resort degraded mode).
             t_drain = tel.now()
-            for j in range(n_shards):
-                core.drain_locally(j, t_drain)
+            core.drain_locally(t_drain)
             tel.trace(
                 "compute", "master", t_drain, tel.now(), "degraded: align locally"
             )
@@ -756,7 +732,6 @@ def _run_master(
         ((s.produced, s.alignments, s.dp_cells) for s in stats.values()),
         incomplete_slaves=n_slaves - len(stats),
         messages=master.stats.messages,
-        shard_busy=shard_busy,
         engine="multiprocessing",
         n_processors=n_processors,
         clock="wall",

@@ -74,8 +74,7 @@ from repro.cluster.manager import ClusterManager
 from repro.cluster.waves import DEFER, STALE, TAKE, Speculation, next_wave
 from repro.pairs.ondemand import OnDemandPairGenerator
 from repro.pairs.pair import EMPTY_BLOCK, Pair, PairBlock, as_block
-from repro.parallel.dispatch import DispatchPolicy, RequestContext, make_policy
-from repro.telemetry.causal import NO_UNIT, NULL_MINTER, UnitMinter
+from repro.telemetry.causal import NO_UNIT, NULL_MINTER, UnitMinter, format_unit
 from repro.telemetry.spans import Telemetry
 
 __all__ = ["SlaveMsg", "MasterMsg", "MasterLogic", "SlaveLogic", "Custody"]
@@ -181,7 +180,7 @@ class MasterStats:
     workbuf_peak: int = 0
     pairs_reassigned: int = 0  # in-flight pairs requeued from lost slaves
     #: Admitted pairs dropped from WORKBUF unaligned because their ESTs
-    #: came to share a cluster: after a cross-shard merge, or at dispatch.
+    #: came to share a cluster before their wave was chosen.
     pairs_pruned: int = 0
     #: Pairs looked at while choosing waves (WORKBUF candidates plus the
     #: in-flight pairs seeding the speculation): the master's dispatch
@@ -206,9 +205,6 @@ class MasterLogic:
         batchsize: int,
         workbuf_capacity: int,
         telemetry: Telemetry | None = None,
-        policy: DispatchPolicy | str = "paper",
-        causal_actor: str = "master",
-        causal_shard: int = 0,
     ) -> None:
         if n_slaves < 1:
             raise ValueError("need at least one slave")
@@ -235,22 +231,14 @@ class MasterLogic:
         #: ``rtt`` (dispatch → results absorbed, per non-empty grant),
         #: timed by the ``now=`` the engine passes on every call; under
         #: causal tracing it receives a lifecycle record at each custody
-        #: transfer, under ``causal_actor``, and unit ids go on the wire.
+        #: transfer, and unit ids go on the wire.
         #: The default, a disabled session, drops them all.
         if telemetry is None:
             telemetry = Telemetry(enabled=False)
         self.telemetry = telemetry
         self.latency = telemetry.latency
-        #: The work-allocation policy computing each reply's request size
-        #: (:mod:`repro.parallel.dispatch`).  The default reproduces the
-        #: paper's formula bit for bit.
-        self.policy = make_policy(policy)
-        self.causal_actor = causal_actor
-        # Units for regenerated pairs (absorb_pairs); the shard index
-        # rides the incarnation bits so shards can never collide.
-        self._recovery_mint = (
-            UnitMinter(-1, causal_shard) if telemetry.causal else NULL_MINTER
-        )
+        # Units for regenerated pairs (absorb_pairs).
+        self._recovery_mint = UnitMinter(-1, 0) if telemetry.causal else NULL_MINTER
         # What CLUSTERS would be if every in-flight pair were accepted
         # (see _next_wave), and the waves chosen since it was last rebuilt.
         self._speculation = Speculation(self.manager)
@@ -274,6 +262,36 @@ class MasterLogic:
     def finished(self) -> bool:
         return len(self.stopped | self.lost) == self.n_slaves
 
+    def custody(self) -> dict:
+        """What the master holds right now, for flight-recorder dumps:
+        queue depth, stopped slaves, the non-empty grants in flight per
+        slave with their pairs, and — under causal tracing — the work
+        units in flight per slave."""
+        batches: dict[str, int] = {}
+        pairs: dict[str, int] = {}
+        units: dict[str, list[str]] = {}
+        for sid, grants in self.in_flight.items():
+            sizes = [len(entries) for entries, _ in grants if entries]
+            if sizes:
+                batches[str(sid)], pairs[str(sid)] = len(sizes), sum(sizes)
+            names = sorted(
+                {
+                    format_unit(unit)
+                    for entries, _ in grants
+                    for unit in entries.units.tolist()
+                    if unit >= 0
+                }
+            )
+            if names:
+                units[str(sid)] = names
+        return {
+            "workbuf_depth": self.workbuf_depth,
+            "stopped": sorted(self.stopped),
+            "in_flight_batches": batches,
+            "in_flight_pairs": pairs,
+            "in_flight_units": units,
+        }
+
     def _record(
         self,
         event: str,
@@ -291,7 +309,7 @@ class MasterLogic:
         units = np.asarray(units).tolist()
         for u, n in Counter(u for u in units if u != NO_UNIT).items():
             tel.record_causal(
-                event, u, n, actor=self.causal_actor, ts=now, slave=slave, reason=reason
+                event, u, n, actor="master", ts=now, slave=slave, reason=reason
             )
 
     # ------------------------------------------------------------------ #
@@ -475,7 +493,7 @@ class MasterLogic:
         work = self._take_work(now)
 
         # E: how many pairs to request next time.
-        e = self._compute_request(slave_id, p, p_prime, now)
+        e = self._compute_request(slave_id, p, p_prime)
 
         if work or e > 0:
             return self._dispatch(slave_id, work, e, now)
@@ -505,40 +523,24 @@ class MasterLogic:
         self.stopped.add(slave_id)
         self.in_flight.pop(slave_id, None)
 
-    def queue_depth(self, slave_id: int) -> tuple[int, int]:
-        """Non-empty grants in flight at ``slave_id``, and their pairs."""
-        grants = self.in_flight.get(slave_id, ())
-        sizes = [len(entries) for entries, _ in grants if entries]
-        return len(sizes), sum(sizes)
+    def _compute_request(self, slave_id: int, p: int, p_prime: int) -> int:
+        """Grant size E for this reply: the paper's ``E = min(α·δ·batchsize,
+        nfree/p)`` with ``α = P/P′`` and ``δ = p / active_slaves``.
 
-    def _compute_request(
-        self, slave_id: int, p: int, p_prime: int, now: float = 0.0
-    ) -> int:
-        """Grant size E for this reply, delegated to the dispatch policy.
-
-        Passivity is a protocol invariant (a passive slave must never be
-        asked for pairs or termination deadlocks), so it is enforced here
-        rather than left to policies.
+        A passive slave is never asked for pairs, or termination would
+        deadlock.  An offer of nothing (bootstrap, or a zero request last
+        round) primes the flow with ``α = 1``; an offer of nothing new
+        (``P′ = 0``) pulls harder with ``α = p``.
         """
         if slave_id in self.passive:
             return 0
-        batches, pairs = self.queue_depth(slave_id)
-        ctx = RequestContext(
-            slave_id=slave_id,
-            p=p,
-            p_prime=p_prime,
-            batchsize=self.batchsize,
-            nfree=self.nfree,
-            workbuf_depth=len(self.workbuf),
-            workbuf_capacity=self.workbuf_capacity,
-            n_slaves=self.n_slaves,
-            active_slaves=self.active_slaves,
-            passive=False,
-            in_flight_batches=batches,
-            in_flight_pairs=pairs,
-            now=now,
-        )
-        return max(0, int(self.policy.request(ctx)))
+        delta = self.n_slaves / max(1, self.active_slaves)
+        if p > 0:
+            alpha = p / p_prime if p_prime > 0 else float(self.n_slaves)
+        else:
+            alpha = 1.0
+        e = min(alpha * delta * self.batchsize, self.nfree / self.n_slaves)
+        return max(0, int(e))
 
     def _all_done(self, slave_id: int) -> bool:
         """May this slave be stopped outright?"""
@@ -579,7 +581,7 @@ class MasterLogic:
                 work = self._take_work(now, exact=not self._reports_due())
             blocked = not work and bool(self.workbuf)
             pending = self.pending_results.get(slave_id, False)
-            request = 0 if work else self._compute_request(slave_id, 0, 0, now)
+            request = 0 if work else self._compute_request(slave_id, 0, 0)
             if work or request > 0:
                 # ``request > 0``: parked because WORKBUF was too full to
                 # ask for more and all of it deferred; there is room now.
@@ -654,29 +656,6 @@ class MasterLogic:
         self.pending_results.pop(slave_id, None)
         self.in_flight.pop(slave_id, None)
 
-    def prune_workbuf(self, *, now: float = 0.0) -> int:
-        """Drop WORKBUF pairs whose ESTs became co-clustered out-of-band
-        (foreign unions absorbed during a cross-shard merge).  Admission
-        already filters co-clustered pairs, but a merge learned from
-        another shard can retroactively make queued pairs redundant; they
-        would be dropped at dispatch anyway on the sequential-identity
-        argument, so pruning here only saves queue space and alignment
-        work.  Returns the number of pairs dropped."""
-        # The foreign unions reached CLUSTERS without passing _merge.
-        self._speculation_age = self.n_slaves
-        held = self.workbuf
-        if not held:
-            return 0
-        redundant = self.manager.co_clustered(held.block)
-        pruned = int(redundant.sum())
-        if not pruned:
-            return 0
-        self._record("pruned", held.units[redundant], now, reason="sync")
-        self.workbuf = held[~redundant]
-        self._parked -= int(redundant[: self._parked].sum())
-        self.stats.pairs_pruned += pruned
-        return pruned
-
     def align_locally(self, aligner: PairAligner, *, now: float = 0.0) -> int:
         """Align what is left in WORKBUF in the master itself, wave by
         wave — the last-resort degraded mode when no slave survives to be
@@ -717,7 +696,7 @@ class MasterLogic:
         pairs = as_block(pairs)
         unit = self._recovery_mint()
         self.telemetry.record_causal(
-            "generated", unit, len(pairs), actor=self.causal_actor, ts=now,
+            "generated", unit, len(pairs), actor="master", ts=now,
             reason="recovery",
         )
         self.stats.pairs_offered += len(pairs)

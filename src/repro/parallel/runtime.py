@@ -49,8 +49,7 @@ def simulate_clustering(
     sweep (construction is deterministic, so this does not change
     results — only saves host time).  ``telemetry`` records the run
     (virtual-time trace, metrics, phase accounting) onto
-    ``report.result.telemetry``.  The dispatch policy and shard count
-    are the config's (``dataclasses.replace`` it to sweep them).
+    ``report.result.telemetry``.
     """
     machine = SimulatedMachine(
         collection,

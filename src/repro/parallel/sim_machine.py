@@ -83,26 +83,10 @@ class SimulationReport:
     slave_busy_times: list[float]
     messages_exchanged: int
     load_imbalance: float
-    #: Shard topology of the run (1 = the paper's single master).
-    n_shards: int = 1
-    #: Virtual busy seconds per master shard (sums to master_busy_time).
-    shard_busy_times: list[float] = field(default_factory=list)
-    #: Cross-shard union-exchange accounting (0 for a single master).
-    sync_rounds: int = 0
-    unions_exchanged: int = 0
-    pairs_pruned: int = 0
 
     @property
     def master_busy_fraction(self) -> float:
         return self.master_busy_time / self.total_time if self.total_time else 0.0
-
-    @property
-    def max_shard_busy_fraction(self) -> float:
-        """Busy fraction of the hottest shard — the serialisation floor
-        sharding actually leaves on the critical path."""
-        if not self.total_time or not self.shard_busy_times:
-            return 0.0
-        return max(self.shard_busy_times) / self.total_time
 
 
 @dataclass(order=True)
@@ -176,21 +160,13 @@ class SimulatedMachine:
             return self._simulate(core)
 
     def _simulate(self, core: EngineCore) -> SimulationReport:
-        cfg = self.config
         costs = self.costs
         gst = core.gst
         master = core.master
-        plan = core.shard_plan
-        n_slaves = plan.n_slaves
-        n_shards = plan.n_shards
+        n_slaves = core.n_slaves
         tel = core.tel  # drops every event when telemetry is off
         trace = tel.trace
         monitor = core.monitor
-
-        def shard_actor(j: int) -> str:
-            # Single shard keeps the historical actor name so traces (and
-            # the committed reference traces) are unchanged.
-            return "master" if n_shards == 1 else f"shard{j}"
 
         # ---- setup phase: partition suffixes, build local GSTs ----------
         total_suffixes = sum(hi - lo for own in core.ranges_of for lo, hi in own)
@@ -238,10 +214,10 @@ class SimulatedMachine:
         def schedule(time: float, kind: str, slave_id: int = -1, msg=None) -> None:
             heapq.heappush(events, _Event(time, next(seq), kind, slave_id, msg))
 
-        # One virtual clock per master shard (index 0 is the paper's
-        # single master when n_shards == 1).
-        master_free_at = [0.0] * n_shards
-        master_busy = [0.0] * n_shards
+        # The master's virtual clock: when it is next free, and its
+        # busy seconds so far.
+        master_free_at = 0.0
+        master_busy = 0.0
         slave_busy = [0.0] * n_slaves
         # Time each slave finished aligning its NEXTWORK (send-side ready).
         align_done_at = [0.0] * n_slaves
@@ -294,10 +270,7 @@ class SimulatedMachine:
         def send_to_slave(k: int, msg: MasterMsg, t: float) -> None:
             nonlocal messages
             detail = "stop" if msg.stop else f"W={msg.n_pairs} E={msg.request}"
-            trace(
-                "send", shard_actor(master.shard_of(k)), t,
-                detail=f"to slave{k}: {detail}",
-            )
+            trace("send", "master", t, detail=f"to slave{k}: {detail}")
             latency = costs.message_time(msg.n_pairs, 0)
             schedule(t + latency, "to_slave", k, msg)
             messages += 1
@@ -347,155 +320,93 @@ class SimulatedMachine:
 
         end_time = max(setup_done) if setup_done else 0.0
 
-        # Periodic cross-shard union exchange (single shard: no sync
-        # events at all, so the historical event sequence is untouched).
-        if n_shards > 1:
-            schedule(cfg.shard_sync_interval, "shard_sync")
-
-        def charge(j: int, dur: float, at: float = 0.0) -> float:
-            """Shard ``j`` works for ``dur`` starting no earlier than
+        def charge(dur: float, at: float = 0.0) -> float:
+            """The master works for ``dur`` starting no earlier than
             ``at``; returns when it started."""
-            start = max(master_free_at[j], at)
-            master_free_at[j] = start + dur
-            master_busy[j] += dur
+            nonlocal master_free_at, master_busy
+            start = max(master_free_at, at)
+            master_free_at = start + dur
+            master_busy += dur
             return start
 
-        def charge_dispatch(j: int, examined_before: int) -> None:
-            """Bill shard ``j`` for the wave selection done since its
+        def charge_dispatch(examined_before: int) -> None:
+            """Bill the master for the wave selection done since its
             ``pairs_examined`` counter read ``examined_before``."""
-            examined = master.shards[j].logic.stats.pairs_examined - examined_before
-            charge(j, costs.dispatch_time(examined))
+            charge(costs.dispatch_time(master.stats.pairs_examined - examined_before))
 
-        def wake_waiters(j: int) -> None:
-            shard_logic = master.shards[j].logic
-            examined_before = shard_logic.stats.pairs_examined
-            woken = shard_logic.drain_wait_queue(now=master_free_at[j])
-            start = master_free_at[j]
-            charge_dispatch(j, examined_before)
-            if master_free_at[j] > start:
+        def wake_waiters() -> None:
+            examined_before = master.stats.pairs_examined
+            woken = master.drain_wait_queue(now=master_free_at)
+            start = master_free_at
+            charge_dispatch(examined_before)
+            if master_free_at > start:
                 trace(
-                    "compute", shard_actor(j), start, master_free_at[j],
+                    "compute", "master", start, master_free_at,
                     "choose waves for waiters",
                 )
             for waiter_id, waiter_reply in woken:
                 trace(
-                    "compute", shard_actor(j),
-                    master_free_at[j],
-                    master_free_at[j] + costs.master_msg_cost,
+                    "compute", "master",
+                    master_free_at,
+                    master_free_at + costs.master_msg_cost,
                     f"wake waiter slave{waiter_id}",
                 )
-                charge(j, costs.master_msg_cost)
-                send_to_slave(waiter_id, waiter_reply, master_free_at[j])
+                charge(costs.master_msg_cost)
+                send_to_slave(waiter_id, waiter_reply, master_free_at)
 
-        def master_finish_locally(j: int) -> None:
-            """No slave of shard ``j`` survives: align its remaining
-            WORKBUF in the master itself."""
-            aligned, model_cells = core.drain_locally(j, master_free_at[j])
+        def master_finish_locally() -> None:
+            """No slave survives: align the remaining WORKBUF in the
+            master itself."""
+            aligned, model_cells = core.drain_locally(master_free_at)
             dur = costs.alignment_time(model_cells, aligned)
             if aligned:
                 trace(
-                    "compute", shard_actor(j), master_free_at[j],
-                    master_free_at[j] + dur,
+                    "compute", "master", master_free_at,
+                    master_free_at + dur,
                     f"degraded: align {aligned} pairs locally",
                 )
-            charge(j, dur)
+            charge(dur)
 
         while events:
             ev = heapq.heappop(events)
-            if ev.kind == "shard_sync":
-                # Skip (without extending the makespan) once the protocol
-                # has finished; otherwise run one union-exchange round,
-                # charge each shard for it, and reschedule.
-                if master.finished():
-                    continue
-                end_time = max(end_time, ev.time)
-                per_shard = master.sync(now=ev.time)
-                for j, (applied, pruned) in enumerate(per_shard):
-                    cost = (
-                        costs.master_msg_cost * (n_shards - 1)
-                        + applied * costs.shard_union_cost
-                    )
-                    start = charge(j, cost, ev.time)
-                    trace(
-                        "compute", shard_actor(j), start, start + cost,
-                        f"shard sync: {applied} unions, {pruned} pruned",
-                    )
-                    end_time = max(end_time, master_free_at[j])
-                    # Pruning can empty a shard's WORKBUF, which may make
-                    # termination decidable for its parked slaves.
-                    wake_waiters(j)
-                if master.finished():
-                    continue
-                if all(e.kind == "shard_sync" for e in events):
-                    # Nothing but sync ticks left: no send can ever arrive,
-                    # so rescheduling would spin forever.  Raising beats
-                    # hiding a protocol deadlock behind an infinite loop.
-                    raise RuntimeError(
-                        "simulation stalled: only shard-sync events remain "
-                        f"but {n_slaves - len(master.stopped | master.lost)} "
-                        f"slaves are unstopped"
-                    )
-                # Back-pressure the cadence: the next round fires one
-                # interval after the *slowest shard finishes this one*,
-                # not on a fixed grid.  A fixed grid thrashes once the
-                # all-to-all cost (O(n_shards) per shard per round)
-                # exceeds the interval — sync ticks pile up faster than
-                # shards can absorb them and the masters do nothing else.
-                schedule(
-                    max(max(master_free_at), ev.time) + cfg.shard_sync_interval,
-                    "shard_sync",
-                )
-                continue
             end_time = max(end_time, ev.time)
             if ev.kind == "slave_dead":
                 k = ev.slave_id  # scheduled once, by the slave's one crash
-                j = master.shard_of(k)
-                start = max(master_free_at[j], ev.time)
-                trace(
-                    "fault", shard_actor(j), ev.time,
-                    detail=f"detected loss of slave{k}",
-                )
+                start = max(master_free_at, ev.time)
+                trace("fault", "master", ev.time, detail=f"detected loss of slave{k}")
                 # Restart is a policy of the real backend only: there is
                 # no process to fork here, so the run always degrades.
                 lost = core.slave_lost(k, start, revive=False)
-                charge(j, costs.generation_time(lost.produced), start)
-                end_time = max(end_time, master_free_at[j])
+                charge(costs.generation_time(lost.produced), start)
+                end_time = max(end_time, master_free_at)
                 trace(
-                    "fault", shard_actor(j), master_free_at[j],
+                    "fault", "master", master_free_at,
                     detail=f"recovered slave{k}: {lost.requeued} in-flight "
                     f"requeued, {lost.admitted}/{lost.produced} regenerated admitted",
                 )
-                wake_waiters(j)
-                if (
-                    crashed.issuperset(plan.shard_slaves[j])
-                    and not master.shards[j].logic.finished()
-                ):
-                    master_finish_locally(j)
-                    end_time = max(end_time, master_free_at[j])
+                wake_waiters()
+                if len(crashed) == n_slaves and not master.finished():
+                    master_finish_locally()
+                    end_time = max(end_time, master_free_at)
             elif ev.kind == "to_master":
                 msg: SlaveMsg = ev.msg
-                j = master.shard_of(msg.slave_id)
-                shard_logic = master.shards[j].logic
                 proc = costs.master_time(msg.n_results, msg.n_pairs)
-                start = charge(j, proc, ev.time)
-                # Reply is emitted when the shard finishes processing,
+                start = charge(proc, ev.time)
+                # Reply is emitted when the master finishes processing,
                 # so dispatch/rtt clocks read its free-at time.
-                examined_before = shard_logic.stats.pairs_examined
-                reply = core.on_message(msg, master_free_at[j])
-                charge_dispatch(j, examined_before)
+                examined_before = master.stats.pairs_examined
+                reply = core.on_message(msg, master_free_at)
+                charge_dispatch(examined_before)
+                trace("recv", "master", ev.time, detail=f"from slave{msg.slave_id}")
                 trace(
-                    "recv", shard_actor(j), ev.time,
-                    detail=f"from slave{msg.slave_id}",
-                )
-                trace(
-                    "compute", shard_actor(j), start, master_free_at[j],
+                    "compute", "master", start, master_free_at,
                     f"incorporate slave{msg.slave_id}",
                 )
-                core.absorbed(msg.slave_id, proc)
-                core.publish(master_free_at[j])
+                core.absorbed(proc)
+                core.publish(master_free_at)
                 if reply is not None:
-                    send_to_slave(msg.slave_id, reply, master_free_at[j])
-                wake_waiters(j)
+                    send_to_slave(msg.slave_id, reply, master_free_at)
+                wake_waiters()
             else:  # to_slave
                 k = ev.slave_id
                 if k in crashed:
@@ -540,15 +451,14 @@ class SimulatedMachine:
                 f"simulation drained its event queue with "
                 f"{n_slaves - len(master.stopped | master.lost)} slaves unstopped"
             )
-        for j in range(n_shards):
-            if master.shards[j].logic.workbuf:
-                # Only reachable under faults: pairs regenerated after the
-                # last consumer stopped.  These are re-offers of already
-                # aligned-and-rejected pairs, so aligning them cannot change
-                # the partition — but doing so keeps the no-pair-left-behind
-                # invariant unconditional.
-                master_finish_locally(j)
-                end_time = max(end_time, master_free_at[j])
+        if master.workbuf:
+            # Only reachable under faults: pairs regenerated after the
+            # last consumer stopped.  These are re-offers of already
+            # aligned-and-rejected pairs, so aligning them cannot change
+            # the partition — but doing so keeps the no-pair-left-behind
+            # invariant unconditional.
+            master_finish_locally()
+            end_time = max(end_time, master_free_at)
         core.publish(end_time)
 
         # ---- reporting ------------------------------------------------------
@@ -557,10 +467,10 @@ class SimulatedMachine:
         tel.add_phase("sort_nodes", max(sort_times) if sort_times else 0.0)
         setup_end = max(setup_done) if setup_done else 0.0
         tel.add_phase("alignment", max(0.0, end_time - setup_end))
-        total_master_busy = sum(master_busy)
+        imbalance = core.assignment.imbalance
         tel.set_gauge("machine.total_time.seconds", end_time)
-        tel.set_gauge("machine.master_busy.seconds", total_master_busy)
-        tel.set_gauge("machine.load_imbalance", plan.imbalance)
+        tel.set_gauge("machine.master_busy.seconds", master_busy)
+        tel.set_gauge("machine.load_imbalance", imbalance)
         for k, busy_k in enumerate(slave_busy):
             tel.set_gauge(f"busy.slave{k}.seconds", busy_k)
         result = core.finish(
@@ -572,7 +482,6 @@ class SimulatedMachine:
             ),
             incomplete_slaves=len(crashed),
             messages=messages,
-            shard_busy=master_busy,
             engine="simulated",
             n_processors=self.n_processors,
             clock="virtual",
@@ -582,14 +491,9 @@ class SimulatedMachine:
             result=result,
             n_processors=self.n_processors,
             total_time=end_time,
-            master_busy_time=total_master_busy,
+            master_busy_time=master_busy,
             slave_setup_times=setup_done,
             slave_busy_times=slave_busy,
             messages_exchanged=messages,
-            load_imbalance=plan.imbalance,
-            n_shards=n_shards,
-            shard_busy_times=list(master_busy),
-            sync_rounds=master.sync_rounds,
-            unions_exchanged=master.unions_exchanged,
-            pairs_pruned=master.pairs_pruned,
+            load_imbalance=imbalance,
         )

@@ -108,26 +108,6 @@ def _slave_busy(busy: dict[str, float]) -> dict[str, float]:
     return {a: s for a, s in busy.items() if a.startswith("slave")}
 
 
-def _shard_busy(busy: dict[str, float]) -> dict[str, float]:
-    """Busy seconds per master shard (``shard0``, ``shard1``, …).  Empty
-    for single-master runs, whose master actor stays ``master``."""
-    return {a: s for a, s in busy.items() if a.startswith("shard")}
-
-
-def _counter_totals(records: list[dict], *names: str) -> dict[str, float]:
-    """Final value of each named counter metric (counters are emitted as
-    monotonically-summed totals, so the last record wins)."""
-    totals: dict[str, float] = {}
-    for rec in records:
-        if (
-            rec.get("kind") == "metric"
-            and rec.get("metric") == "counter"
-            and rec.get("name") in names
-        ):
-            totals[rec["name"]] = float(rec["value"])
-    return totals
-
-
 def critical_path(table: dict[str, dict[str, float]]) -> tuple[str, float]:
     """The in-flight stage with the largest total seconds and its share
     of the in-flight total.  ``("", nan)`` when nothing was observed."""
@@ -219,34 +199,6 @@ def analyze_trace(records: list[dict]) -> str:
             f"master serialisation: absorb occupies {frac * 100:.1f}% of "
             f"the run (the Fig. 8 master-bottleneck axis)"
         )
-        shards = _shard_busy(busy)
-        if shards:
-            counters = _counter_totals(
-                records,
-                "shard.sync_rounds",
-                "shard.unions_exchanged",
-                "shard.pairs_pruned",
-            )
-            lines.append(
-                f"  sharded master: {len(shards)} shards, "
-                f"{int(counters.get('shard.sync_rounds', 0))} sync rounds, "
-                f"{int(counters.get('shard.unions_exchanged', 0))} unions "
-                f"exchanged, "
-                f"{int(counters.get('shard.pairs_pruned', 0))} pairs pruned"
-            )
-            hot = max(shards, key=lambda a: shards[a])
-            for actor in sorted(shards):
-                mark = "  <- hot shard" if actor == hot else ""
-                lines.append(
-                    f"    {actor:<10s} busy {shards[actor]:.4g} {unit} "
-                    f"({shards[actor] / total * 100:.1f}% of the run)"
-                    f"{mark}"
-                )
-            lines.append(
-                f"  residual serialisation rides the hot shard ({hot}) "
-                f"plus the merge exchanges; rebalance bucket ownership "
-                f"before adding shards if the hot share dominates"
-            )
 
     slaves = _slave_busy(busy)
     if len(slaves) >= 2:

@@ -4,8 +4,8 @@ The latency layer (PR 7) answers "how long do stages take in aggregate";
 this module answers "what happened to *that* batch".  Every generated
 pair batch is minted a compact integer **work-unit id** which rides the
 protocol messages (``SlaveMsg.pair_units`` / ``MasterMsg.work_units``,
-next to the ``sent_at`` stamps), survives fault requeues, shard routing
-and cross-shard pruning, and leaves a lifecycle event trail:
+next to the ``sent_at`` stamps), survives fault requeues and pruning,
+and leaves a lifecycle event trail:
 
 ``generated`` → ``admitted`` → ``dispatched`` → ``aligned`` →
 ``absorbed`` | ``requeued`` | ``pruned``
@@ -23,8 +23,8 @@ Unit ids pack ``(origin actor, incarnation, sequence)`` into one int so a
 replacement slave can never collide with its dead predecessor and the
 origin is recoverable from the id alone (:func:`unit_parts`); the
 incarnation has 8 bits (:data:`MAX_INCARNATION`).  The master mints its
-own units for degraded-recovery regeneration (origin ``-1``, the shard
-index as incarnation).  An untraced run takes the same code path with
+own units for degraded-recovery regeneration (origin ``-1``,
+incarnation 0).  An untraced run takes the same code path with
 :data:`NULL_MINTER`: every unit is :data:`NO_UNIT`, the session keeps no
 record and no id goes on the wire.
 
@@ -34,7 +34,7 @@ balanced, because a crashed slave cannot report what stayed in its
 PAIRBUF — that is exactly what the flight recorder captures instead.
 For every unit::
 
-    admitted + requeued == dispatched + pruned(sync) + workbuf leftover
+    admitted + requeued == dispatched + pruned(dispatch) + workbuf leftover
     dispatched          == absorbed + requeued + pruned(requeue) + in flight
 
 A completed run must balance with zero leftovers (degraded recovery
@@ -82,7 +82,7 @@ _INC_BITS = 8
 _INC_MASK = (1 << _INC_BITS) - 1
 _SEQ_MASK = (1 << _SEQ_BITS) - 1
 
-#: Largest incarnation: a slave's restart count, a recovery unit's shard.
+#: Largest incarnation: a slave's restart count.
 MAX_INCARNATION = _INC_MASK
 
 
@@ -169,7 +169,6 @@ class UnitLedger:
     requeued: int = 0  # pairs readmitted to WORKBUF from a dead slave
     pruned: int = 0  # all prune reasons below
     pruned_admission: int = 0
-    pruned_sync: int = 0
     pruned_dispatch: int = 0  # found co-clustered when a wave was chosen
     pruned_requeue: int = 0
     pruned_drain: int = 0
@@ -187,7 +186,6 @@ class UnitLedger:
             self.admitted
             + self.requeued
             - self.dispatched
-            - self.pruned_sync
             - self.pruned_dispatch
             - self.pruned_drain
             - self.absorbed_drain
@@ -303,8 +301,6 @@ def check_conservation(records: Iterable[dict]) -> ConservationReport:
             reason = rec.get("reason", "")
             if reason == "admission":
                 led.pruned_admission += n
-            elif reason == "sync":
-                led.pruned_sync += n
             elif reason == "dispatch":
                 led.pruned_dispatch += n
             elif reason == "requeue":
@@ -323,7 +319,7 @@ def check_conservation(records: Iterable[dict]) -> ConservationReport:
         total_admitted += led.admitted
         total_absorbed += led.absorbed + led.absorbed_drain
         total_pruned += (
-            led.pruned_sync + led.pruned_dispatch + led.pruned_requeue + led.pruned_drain
+            led.pruned_dispatch + led.pruned_requeue + led.pruned_drain
         )
         name = format_unit(unit)
         if led.dispatched > 0 and led.admitted + led.requeued == 0:
@@ -333,7 +329,7 @@ def check_conservation(records: Iterable[dict]) -> ConservationReport:
             orphans.append(
                 f"unit {name}: WORKBUF balance negative "
                 f"({led.dispatched} dispatched + "
-                f"{led.pruned_sync + led.pruned_dispatch + led.pruned_drain + led.absorbed_drain} "
+                f"{led.pruned_dispatch + led.pruned_drain + led.absorbed_drain} "
                 f"pruned/drained > {led.admitted} admitted + {led.requeued} requeued)"
             )
         if led.flight_leftover < 0:

@@ -6,8 +6,8 @@ work-unit lifecycle events, and the per-stage latency summaries — into
 one Chrome trace-event JSON object loadable in Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing``:
 
-- one named track per actor (master, each shard, each slave), ordered
-  master → shards → slaves;
+- one named track per actor (master, each slave), ordered master →
+  slaves;
 - ``compute``/``send``/``recv`` intervals as duration slices;
 - causal lifecycle events as 1 µs marker slices, with flow arrows
   linking each work unit's ``dispatched`` → ``aligned`` → ``absorbed``
@@ -36,20 +36,15 @@ _MARK_US = 1.0
 
 
 def _actor_sort_key(actor: str) -> tuple[int, int, str]:
-    """master first, then shards by index, then slaves by index."""
+    """master first, then slaves by index."""
     if actor == "master":
         return (0, 0, actor)
-    if actor.startswith("shard"):
+    if actor.startswith("slave"):
         try:
             return (1, int(actor[5:]), actor)
         except ValueError:
             return (1, 0, actor)
-    if actor.startswith("slave"):
-        try:
-            return (2, int(actor[5:]), actor)
-        except ValueError:
-            return (2, 0, actor)
-    return (3, 0, actor)
+    return (2, 0, actor)
 
 
 def _us(ts: float) -> float:
@@ -135,7 +130,7 @@ def chrome_trace(records: Iterable[dict]) -> dict:
         )
 
     # ---- causal lifecycle markers + flow arrows ----------------------- #
-    # One flow chain per dispatch round trip: dispatched (master/shard
+    # One flow chain per dispatch round trip: dispatched (master
     # track) → aligned (slave track) → absorbed (back at the master).
     flow_seq: dict[int, int] = {}  # unit -> dispatch round counter
     open_flows: dict[tuple[int, int], int] = {}  # (unit, slave) -> flow seq

@@ -26,8 +26,8 @@ A dump is a ``repro-telemetry/4`` JSONL file like any other stream: a
 
 then the tail records in run-clock order.  ``state`` is the output of an
 optional ``state_provider`` callable — the engines attach one returning
-protocol state (in-flight work units, dispatch-policy queue depths,
-message counts) so the dump names exactly what the process was holding
+protocol state (in-flight work units and grants, queue depth, stopped
+slaves) so the dump names exactly what the process was holding
 when it died.
 """
 

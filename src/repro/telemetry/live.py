@@ -13,8 +13,8 @@ fold over them:
   A multiprocessing slave sends the dict down its existing pipe as a
   low-priority message the master absorbs without a reply;
 - ``live_state`` records carry the master's own accounting (queue
-  depth, message/merge/dispatch counts, fault counters, per-shard views,
-  the lost and stopped slave ids); ``EngineCore.publish`` builds them;
+  depth, message/merge/dispatch counts, fault counters, the lost and
+  stopped slave ids); ``EngineCore.publish`` builds them;
 - :class:`LiveRunState` folds ``live``, ``live_state`` and trace
   ``fault`` records (:meth:`LiveRunState.fold`; nothing else changes it
   but :meth:`LiveRunState.finish`) into per-actor views, overall
@@ -220,9 +220,6 @@ class LiveRunState:
         self.messages = 0
         self.merges = 0
         self.pairs_dispatched = 0
-        #: Per-shard views (sharded masters only; [] on classic runs),
-        #: plain dicts from ``ShardedMaster.shard_states()``.
-        self.shards: list[dict] = []
         self.fault_counters: dict[str, int] = {}
         self.now = 0.0  # newest timestamp seen anywhere (run clock)
         self.finished = False
@@ -260,8 +257,6 @@ class LiveRunState:
                     setattr(self, key, rec[key])
             if "faults" in rec:
                 self.fault_counters = dict(rec["faults"])
-            if rec.get("shards"):
-                self.shards = [dict(s) for s in rec["shards"]]
             for flag in ("lost", "stopped"):
                 if flag in rec:
                     ids = {int(k) for k in rec[flag]}
@@ -339,7 +334,6 @@ class LiveRunState:
             "faults": dict(self.fault_counters),
             "lost": sorted(k for k, v in self.slaves.items() if v["lost"]),
             "stopped": sorted(k for k, v in self.slaves.items() if v["stopped"]),
-            **({"shards": [dict(s) for s in self.shards]} if self.shards else {}),
             "finished": self.finished,
         }
 
@@ -374,7 +368,6 @@ class LiveRunState:
             "merges": self.merges,
             "pairs_dispatched": self.pairs_dispatched,
             "stragglers": self.stragglers(),
-            "shards": [dict(s) for s in self.shards],
             "faults": dict(self.fault_counters),
             "master": self._served(-1, self.master),
             "slaves": [self._served(k, v) for k, v in sorted(self.slaves.items())],

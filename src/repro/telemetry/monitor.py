@@ -91,19 +91,6 @@ _SLAVE_FAMILIES = (
     ("pace_slave_straggler", "gauge", _get("straggler")),
 )
 
-#: Per-shard families, over ``ShardedMaster.shard_states()`` dicts.
-_SHARD_FAMILIES = (
-    ("pace_shard_slaves", "gauge", _get("slaves")),
-    ("pace_shard_busy_slaves", "gauge", _get("busy")),
-    ("pace_shard_lost_slaves", "gauge", _get("lost")),
-    ("pace_shard_workbuf_depth", "gauge", _get("workbuf_depth")),
-    ("pace_shard_pairs_dispatched_total", "counter", _get("pairs_dispatched")),
-    ("pace_shard_merges_total", "counter", _get("merges")),
-    ("pace_shard_pairs_pruned_total", "counter", _get("pruned")),
-    ("pace_shard_unions_absorbed_total", "counter", _get("unions_absorbed")),
-    ("pace_shard_sync_pruned_total", "counter", _get("sync_pruned")),
-)
-
 
 def render_prometheus(state: LiveRunState, histograms: dict | None = None) -> str:
     """The ``/metrics`` payload: Prometheus text exposition format,
@@ -144,10 +131,6 @@ def render_prometheus(state: LiveRunState, histograms: dict | None = None) -> st
             lines, "pace_master_cpu_seconds_total", "counter",
             [("", f"{master['cpu_seconds']:.3f}")],
         )
-
-    shards = [(f'{{shard="{s.get("shard_id", 0)}"}}', s) for s in snap["shards"]]
-    for name, mtype, get in _SHARD_FAMILIES:
-        _family(lines, name, mtype, ((lab, get(s)) for lab, s in shards))
 
     stragglers = set(snap["stragglers"])
     slaves = []
@@ -247,19 +230,6 @@ def render_progress_table(state: dict) -> str:
             ]
         )
     lines = [head, line2, "", *_table(headers, rows)]
-    shards = state.get("shards") or []
-    if shards:
-        # The columns are the shard metric families, in their order.
-        sh_headers = [
-            "shard", "slaves", "busy", "lost", "workbuf",
-            "dispatched", "merges", "pruned", "sync-in", "sync-pruned",
-        ]
-        sh_rows = [
-            [f"shard{s.get('shard_id', i)}"]
-            + [str(get(s)) for _, _, get in _SHARD_FAMILIES]
-            for i, s in enumerate(shards)
-        ]
-        lines += ["", *_table(sh_headers, sh_rows)]
     faults = state.get("faults") or {}
     if faults:
         lines.append("")

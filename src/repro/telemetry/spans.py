@@ -235,7 +235,7 @@ class Telemetry:
         detail: str = "",
     ) -> None:
         """A machine event: ``event`` ∈ send/recv/compute/fault by
-        ``actor`` ("master", "shard<j>" or "slave<k>") over ``[ts, end]``
+        ``actor`` ("master" or "slave<k>") over ``[ts, end]``
         (``end`` defaults to ``ts``, an instant).  ``fault`` events record
         slave crashes and the master's recovery actions."""
         if not self._recording:

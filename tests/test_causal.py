@@ -121,13 +121,6 @@ class TestUnitIds:
         with pytest.raises(ValueError, match="incarnation"):
             UnitMinter(0, MAX_INCARNATION + 1)
 
-    def test_config_rejects_traced_shards_past_the_unit_id(self):
-        # Recovery units carry the shard index as their incarnation.
-        ClusteringConfig(master_shards=MAX_INCARNATION + 1, causal_tracing=True)
-        ClusteringConfig(master_shards=300)  # untraced: no unit ids minted
-        with pytest.raises(ValueError, match="at most 256 master shards"):
-            ClusteringConfig(master_shards=300, causal_tracing=True)
-
     def test_tolerance_rejects_restarts_past_the_unit_id(self):
         # A replacement slave mints under its restart count.
         FaultTolerance(max_restarts=MAX_INCARNATION)
@@ -313,7 +306,7 @@ class TestEngineStreams:
         cons = check_conservation(records)
         assert cons.ok(), cons.lines()
         totals = event_totals(records)
-        # Without faults or shards an admitted pair leaves WORKBUF one of
+        # Without faults an admitted pair leaves WORKBUF one of
         # two ways: dispatched (then absorbed) or found co-clustered when
         # a wave is chosen.
         assert totals["pruned"] == (
@@ -639,21 +632,20 @@ class TestTolerantLoad:
 
 
 # --------------------------------------------------------------------- #
-# the acceptance scenario: faulted sharded mp run, end to end
+# the acceptance scenario: faulted mp run, end to end
 # --------------------------------------------------------------------- #
 
 
 @pytest.fixture(scope="module")
 def faulted_obs_run(request, tmp_path_factory):
-    """One faulted 4-slave 2-shard mp run with the full observability
-    stack armed: causal tracing, flight recorders, telemetry JSONL."""
+    """One faulted 4-slave mp run with the full observability stack
+    armed: causal tracing, flight recorders, telemetry JSONL."""
     benchmark = request.getfixturevalue("small_benchmark")
     obs_dir = tmp_path_factory.mktemp("obs")
     config = replace(
         request.getfixturevalue("small_config"),
         causal_tracing=True,
         flight_dir=str(obs_dir),
-        master_shards=2,
     )
     faults = FaultPlan.of(
         FaultSpec(slave_id=0, kind="kill_after_send", at_message=1),
@@ -673,7 +665,7 @@ def faulted_obs_run(request, tmp_path_factory):
     return benchmark, config, obs_dir, result
 
 
-class TestFaultedShardedRun:
+class TestFaultedMpRun:
     def test_clusters_match_sequential(self, faulted_obs_run):
         benchmark, config, _, result = faulted_obs_run
         seq = PaceClusterer(config).cluster(benchmark.collection)
@@ -715,13 +707,13 @@ class TestFaultedShardedRun:
         n = export_chrome_trace(records, out)
         payload = json.loads(out.read_text())
         assert len(payload["traceEvents"]) == n
-        # Shards render as their own tracks.
+        # The master and every slave render as their own tracks.
         named = {
             ev["args"]["name"]
             for ev in payload["traceEvents"]
             if ev["ph"] == "M" and ev["name"] == "thread_name"
         }
-        assert {"shard0", "shard1"} <= named
+        assert {"master", "slave0", "slave1", "slave2", "slave3"} <= named
 
     def test_postmortem_names_lost_slaves(self, faulted_obs_run):
         _, _, obs_dir, _ = faulted_obs_run
@@ -877,80 +869,3 @@ class TestObsOutFanout:
 
         with pytest.raises(SystemExit, match="telemetry"):
             main(["cluster", str(tmp_path / "x.fa"), "--causal-trace"])
-
-
-# --------------------------------------------------------------------- #
-# multi-shard metrics scrape
-# --------------------------------------------------------------------- #
-
-
-class TestShardMetrics:
-    def test_multi_shard_metrics_scraped_from_endpoint(
-        self, small_benchmark, small_config
-    ):
-        import urllib.request
-
-        from repro.telemetry import RunMonitor
-
-        monitor = RunMonitor(port=0, interval=0.05)
-        try:
-            with hard_deadline():
-                simulate_clustering(
-                    small_benchmark.collection,
-                    replace(small_config, master_shards=2),
-                    n_processors=4,
-                    monitor=monitor,
-                )
-            url = f"http://127.0.0.1:{monitor.port}/metrics"
-            with urllib.request.urlopen(url, timeout=5) as resp:
-                text = resp.read().decode()
-        finally:
-            monitor.close()
-        for gauge in (
-            "pace_shard_slaves", "pace_shard_busy_slaves",
-            "pace_shard_workbuf_depth", "pace_shard_pairs_dispatched_total",
-            "pace_shard_merges_total", "pace_shard_unions_absorbed_total",
-        ):
-            assert f'{gauge}{{shard="0"}}' in text
-            assert f'{gauge}{{shard="1"}}' in text
-        # Single-master runs must keep their metric surface unchanged.
-        monitor2 = RunMonitor(port=0, interval=0.05)
-        try:
-            simulate_clustering(
-                small_benchmark.collection, small_config,
-                n_processors=3, monitor=monitor2,
-            )
-            text2 = monitor2.metrics_text()
-        finally:
-            monitor2.close()
-        assert "pace_shard_" not in text2
-
-    def test_shard_rows_in_progress_table(self, small_benchmark, small_config):
-        import io
-
-        from repro.telemetry import (
-            RunMonitor,
-            render_progress_table,
-            replay_live_records,
-        )
-
-        buf = io.StringIO()
-        monitor = RunMonitor(live_out=buf, interval=0.05)
-        try:
-            simulate_clustering(
-                small_benchmark.collection,
-                replace(small_config, master_shards=2),
-                n_processors=4,
-                monitor=monitor,
-            )
-            table = render_progress_table(monitor.state.as_dict())
-        finally:
-            monitor.close()
-        assert "shard0" in table and "shard1" in table
-        assert "sync-in" in table
-        # The shard view replays from the live JSONL stream too.
-        records = [
-            json.loads(line) for line in buf.getvalue().splitlines()
-        ]
-        replayed = replay_live_records(records)
-        assert [s["shard_id"] for s in replayed.shards] == [0, 1]

@@ -122,13 +122,19 @@ class TestClusterBadInput:
             (_GOOD + ">b\n>c\nACGT\n", [], "EST 1 is empty"),
             ("", [], "at least one EST"),
             (_GOOD, ["--psi", "3", "--w", "8"], "psi (3) must be >= w (8)"),
-            # Refused before anything is written to the trace path.
-            (_GOOD, ["--master-shards", "300", "--causal-trace",
-                     "--telemetry-out", "never-written.jsonl"],
-             "at most 256 master shards"),
+            # Refused before a monitor binds or writes anything.
+            (_GOOD, ["--live-out", "never-written.jsonl", "--monitor-interval", "0"],
+             "monitor_interval must be > 0, got 0.0"),
+            (_GOOD, ["--monitor-port", "0", "--monitor-interval", "-1"],
+             "monitor_interval must be > 0, got -1.0"),
+            (_GOOD, ["--monitor-port", "70000"],
+             "monitor_port must be in [0, 65535], got 70000"),
+            (_GOOD, ["--monitor-port", "-5"],
+             "monitor_port must be in [0, 65535], got -5"),
         ],
         ids=["missing_file", "data_before_header", "empty_record", "empty_fasta",
-             "rejected_config", "traced_shards_past_unit_ids"],
+             "rejected_config", "monitor_interval_zero", "monitor_interval_negative",
+             "monitor_port_past_65535", "monitor_port_negative"],
     )
     def test_one_line_and_exit_2(self, tmp_path, capsys, content, extra, cause):
         fa = tmp_path / "in.fa"

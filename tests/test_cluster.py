@@ -172,6 +172,41 @@ class TestClusterManager:
         assert len(set(labels)) == mgr.n_clusters
 
 
+class TestBatchedFinds:
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=40
+        ),
+        queries=st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_find_many_matches_scalar_find(self, edges, queries):
+        uf = UnionFind(20)
+        for a, b in edges:
+            uf.union(a, b)
+        flat = [x for q in queries for x in q]
+        roots = uf.find_many(flat)
+        assert roots.tolist() == [uf.find(x) for x in flat]
+
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=30
+        ),
+        queries=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(8, 15)), max_size=20
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_cluster_batch_matches_scalar(self, edges, queries):
+        manager = ClusterManager(16)
+        for a, b in edges:
+            manager.seed_union(a, b)
+        pairs = [Pair(8, 2 * a, 0, 2 * b, 0) for a, b in queries]
+        assert manager.same_cluster_batch(pairs) == [
+            manager.same_cluster(a, b) for a, b in queries
+        ]
+
+
 class TestGreedyLoop:
     def _setup(self):
         col = EstCollection.from_strings(

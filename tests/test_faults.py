@@ -299,21 +299,18 @@ class TestEngineParityUnderFaults:
     def test_same_plan_same_accounting_on_both_engines(
         self, small_benchmark, small_config, sequential_clusters
     ):
-        """One FaultPlan, two shards, both engines: the recovery path is
-        the engine core's, so everything that does not depend on timing —
-        who was lost, who never reported, pair conservation, the
-        partition — must come out the same.  (A crashed slave's own
-        counts are left out by both: it never reports.)"""
-        import dataclasses
-
-        cfg = dataclasses.replace(small_config, master_shards=2)
+        """One FaultPlan, both engines: the recovery path is the engine
+        core's, so everything that does not depend on timing — who was
+        lost, who never reported, pair conservation, the partition —
+        must come out the same.  (A crashed slave's own counts are left
+        out by both: it never reports.)"""
         plan = FaultPlan.of(
             FaultSpec(slave_id=1, kind="kill", at_message=0, incarnation=None),
             FaultSpec(slave_id=2, kind="kill", at_message=0, incarnation=None),
         )
         sim = simulate_clustering(
             small_benchmark.collection,
-            cfg,
+            small_config,
             n_processors=5,
             faults=plan,
             tolerance=FaultTolerance(detection_delay=0.001),
@@ -321,7 +318,7 @@ class TestEngineParityUnderFaults:
         with hard_deadline():
             real = cluster_multiprocessing(
                 small_benchmark.collection,
-                cfg,
+                small_config,
                 n_processors=5,
                 faults=plan,
                 tolerance=_tolerance(max_restarts=0),

@@ -15,7 +15,6 @@ import threading
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
@@ -317,17 +316,9 @@ class TestPrometheusRendering:
 
     def test_each_family_is_one_group(self):
         """Every family has exactly one ``# TYPE`` line and its samples
-        follow it contiguously — with 2 slaves and 2 shards, where a
-        slave-major or shard-major loop splits the labelled families."""
+        follow it contiguously — with 2 slaves, where a slave-major loop
+        splits the labelled families."""
         st = _busy_state()
-        shard = {
-            "slaves": 1, "busy": 1, "lost": 0, "workbuf_depth": 3,
-            "pairs_dispatched": 9, "merges": 4, "pruned": 1,
-            "unions_absorbed": 2, "sync_pruned": 0,
-        }
-        st.fold(
-            _master(2.2, shards=[{"shard_id": j, **shard} for j in (0, 1)])
-        )
         current, typed, samples = None, [], {}
         for line in render_prometheus(st).splitlines():
             if line.startswith("# TYPE "):
@@ -339,8 +330,8 @@ class TestPrometheusRendering:
             samples[name] = samples.get(name, 0) + 1
         assert len(typed) == len(set(typed))
         assert set(typed) == set(samples)
-        labelled = [n for n in typed if n.startswith(("pace_slave_", "pace_shard_"))]
-        assert len(labelled) == 19
+        labelled = [n for n in typed if n.startswith("pace_slave_")]
+        assert len(labelled) == 10
         assert all(samples[n] == 2 for n in labelled)
 
 
@@ -517,24 +508,22 @@ class TestReplayEqualsLive:
         mon.close()
         self._assert_replay_equals_live(mon, buf.getvalue())
 
-    def test_simulated_two_shards(self, small_benchmark, small_config):
+    def test_simulated(self, small_benchmark, small_config):
         buf = io.StringIO()
         mon = RunMonitor(live_out=buf, interval=0.002)
         simulate_clustering(
-            small_benchmark.collection, replace(small_config, master_shards=2),
-            n_processors=4, monitor=mon,
+            small_benchmark.collection, small_config, n_processors=4, monitor=mon
         )
         mon.close()
         self._assert_replay_equals_live(mon, buf.getvalue())
         assert mon.state_dict()["pairs_dispatched"] > 0
 
-    def test_multiprocessing_two_shards(self, small_benchmark, small_config):
+    def test_multiprocessing(self, small_benchmark, small_config):
         buf = io.StringIO()
         mon = RunMonitor(live_out=buf, interval=0.01)
         with hard_deadline():
             cluster_multiprocessing(
-                small_benchmark.collection, replace(small_config, master_shards=2),
-                n_processors=3, monitor=mon,
+                small_benchmark.collection, small_config, n_processors=3, monitor=mon
             )
         mon.close()
         self._assert_replay_equals_live(mon, buf.getvalue())
@@ -547,8 +536,7 @@ class TestReplayEqualsLive:
         buf = io.StringIO()
         mon = RunMonitor(live_out=buf, interval=0.002)
         simulate_clustering(
-            small_benchmark.collection, replace(small_config, master_shards=2),
-            n_processors=4, monitor=mon,
+            small_benchmark.collection, small_config, n_processors=4, monitor=mon
         )
         mon.close()
         live = [
@@ -558,15 +546,15 @@ class TestReplayEqualsLive:
         final = mon.state_dict()
         del final["run_id"], final["origin"]
         metrics = sorted(mon.metrics_text().splitlines())
-        assert len(live) == 13
+        assert len(live) == 10
         assert _sha("\n".join(live)) == (
-            "bb07d1ef691199cf5bb7777c1c289fac9e0b353c12e9203e75683eaef74500ef"
+            "830100c706c08a696aa00e8104a1e0cf02a18c743a23b36a6884fc12f2d390a7"
         )
         assert _sha(json.dumps(final, sort_keys=True)) == (
-            "18b45ee78e902135b4df3dd37d7a6da12076404275c302a1c07c8b32f32cb4d1"
+            "c4f0c4850d964322c1ff368c263434962e1bdbff1113839d4cc6f70044064ffe"
         )
         assert _sha("\n".join(metrics)) == (
-            "9fa59ad9182bb82ac9e80bee8b358976747f6038117bb88ce4784aa9145d3b3c"
+            "0f670719e07de327e833683253866152da08fc079774b6c11d20ce43cf546b61"
         )
 
 

@@ -9,6 +9,8 @@ from repro.align import AcceptanceCriteria, PairAligner
 from repro.pairs import OnDemandPairGenerator, Pair, SaPairGenerator
 from repro.parallel import MasterLogic, MasterMsg, SlaveLogic, SlaveMsg, assign_buckets
 from repro.parallel.cost_model import CostModel
+from repro.parallel.partition import BucketAssignment
+from repro.parallel.shards import plan_shards
 from repro.sequence import EstCollection
 from repro.suffix import SuffixArrayGst
 
@@ -63,6 +65,27 @@ class TestAssignBuckets:
     def test_zero_processors_rejected(self):
         with pytest.raises(ValueError):
             assign_buckets([], 0)
+
+    def test_harness_plan_shards_is_the_one_master_placement(self):
+        ranges = [(i, 0, s) for i, s in enumerate([7, 3, 9, 1, 4, 4, 2])]
+        plan = plan_shards(ranges, 3, 1)
+        assert plan.slave_ranges == assign_buckets(ranges, 3).per_processor
+        with pytest.raises(ValueError, match="one master"):
+            plan_shards(ranges, 3, 2)
+
+
+class TestImbalanceConvention:
+    def test_empty_assignment_is_perfectly_balanced(self):
+        assert BucketAssignment(per_processor=[], loads=[]).imbalance == 1.0
+
+    def test_all_zero_loads_are_perfectly_balanced(self):
+        asg = assign_buckets([], 3)
+        assert asg.loads == [0, 0, 0]
+        assert asg.imbalance == 1.0
+
+    def test_uneven_loads(self):
+        asg = BucketAssignment(per_processor=[[], []], loads=[30, 10])
+        assert asg.imbalance == pytest.approx(1.5)
 
 
 def _mk_pair(i, j, length=12):

@@ -3,29 +3,31 @@ regenerate, record for record, by their recipes in ``tests/data/README.md``.
 
 The simulator's clock is virtual — every timestamp, latency and counter is
 a function of the code alone — so any difference from a committed file is
-a behaviour change in the protocol, the dispatch seam, the cost model, the
-engine core or the telemetry stream, never machine noise.  Only
-``meta.origin`` (the session's monotonic origin) differs between runs.
+a behaviour change in the protocol, the cost model, the engine core or
+the telemetry stream, never machine noise.  Only ``meta.origin`` (the
+session's monotonic origin) differs between runs.
 
 ``reference_trace.jsonl`` is a homogeneous 4-processor run with the banded
-aligner.  ``reference_dispatch_trace.jsonl`` is the dispatch tournament's
-``hetero`` cell: k-difference alignment on a fleet with one slave at half
-speed, so it reaches the deferral and parking paths the first one does not.
+aligner.  ``reference_hetero_trace.jsonl`` is k-difference alignment on a
+skewed corpus and a fleet with one slave at half speed, so it reaches the
+deferral and parking paths the first one does not.
 """
 
 from __future__ import annotations
 
-import argparse
-import importlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import ClusteringConfig
+from repro.parallel import CostModel, simulate_clustering
+from repro.simulate import BenchmarkParams, ReadParams, make_benchmark
+from repro.telemetry import Telemetry, export_jsonl
 
 DATA = Path(__file__).parent / "data"
-BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def _records(path: Path) -> list[dict]:
@@ -47,19 +49,31 @@ def _cluster_recipe(tmp_path: Path, monkeypatch) -> Path:
     return fresh
 
 
-def _tournament_recipe(tmp_path: Path, monkeypatch) -> Path:
-    # The tournament script imports its helpers from benchmarks/; calling
-    # run_tournament rather than main writes nothing but the trace.
-    monkeypatch.syspath_prepend(str(BENCHMARKS))
-    tournament = importlib.import_module("bench_dispatch_tournament")
+def _hetero_recipe(tmp_path: Path, monkeypatch) -> Path:
+    params = BenchmarkParams(
+        n_genes=24,
+        mean_ests_per_gene=10.0,
+        expression_skew=1.2,
+        read_params=ReadParams.short_reads(),
+        n_exons_range=(1, 3),
+        exon_len_range=(80, 200),
+    )
+    bench = make_benchmark(params, rng=np.random.default_rng(303))
+    report = simulate_clustering(
+        bench.collection,
+        ClusteringConfig.small_reads(batchsize=10, align_engine="kdiff"),
+        n_processors=5,
+        cost_model=CostModel(slave_speed_factors=(1.0, 1.0, 1.0, 2.0)),
+        telemetry=Telemetry(),
+    )
     fresh = tmp_path / "fresh.jsonl"
-    tournament.run_tournament(argparse.Namespace(processors=5, trace_out=fresh))
+    export_jsonl(report.result.telemetry, fresh)
     return fresh
 
 
 RECIPES = {
     "reference_trace.jsonl": _cluster_recipe,
-    "reference_dispatch_trace.jsonl": _tournament_recipe,
+    "reference_hetero_trace.jsonl": _hetero_recipe,
 }
 
 

@@ -24,12 +24,12 @@ from repro.parallel import (
     FaultSpec,
     FaultTolerance,
     GstArenas,
+    assign_buckets,
     attach_gst,
     cluster_multiprocessing,
     leaked_segments,
 )
 from repro.sequence import EstCollection
-from repro.parallel.shards import plan_shards
 from repro.suffix import SuffixArrayGst
 
 HARD_DEADLINE_S = 120
@@ -146,8 +146,8 @@ class TestAttachedGst:
         # its offsets, text, starts, sa, lcp and pos_string.  Called the way
         # benchmarks/e2e/child.py calls it: the slaves' ranges and the two
         # keywords are accepted and ignored.
-        plan = plan_shards(gst.bucket_ranges(small_config.w), n_slaves, 1)
-        ranges_of = [[(lo, hi) for _k, lo, hi in owned] for owned in plan.slave_ranges]
+        plan = assign_buckets(gst.bucket_ranges(small_config.w), n_slaves)
+        ranges_of = [[(lo, hi) for _k, lo, hi in owned] for owned in plan.per_processor]
         shared = GstArenas.create(
             gst, ranges_of, pair_engine="vector", psi=small_config.psi
         )

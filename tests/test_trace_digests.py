@@ -7,9 +7,8 @@ this file pins the rest of the path a paper figure takes:
   ``perfetto`` produce from both committed reference traces (Table 3's
   phase columns and Fig. 8's master-busy fraction are read back this
   way), and
-- the full record sequence of traced simulator runs with causal tracing
-  on — faulted, two master shards, JBSQ dispatch, and faults under two
-  shards — each of which must also stay clean under the strict
+- the full record sequence of a faulted, traced simulator run with
+  causal tracing on, which must also stay clean under the strict
   conservation check.
 
 Every input is deterministic (virtual clock, seeded corpus), so a digest
@@ -44,11 +43,11 @@ READER_DIGESTS = {
         "142e38cdb220bd4ba05012bf528285a6b071931f75b7b11045842e09db071b8b",
     ("reference_trace.jsonl", "perfetto"):
         "9c2731cc03c1f1d0b37eef83d8886bbb681f3cfbefa2a3d1bba7f9141727ed49",
-    ("reference_dispatch_trace.jsonl", "report"):
+    ("reference_hetero_trace.jsonl", "report"):
         "511635fe18a4dbdaae6983a66c42dc9a43b7ef42e10eec044064c5d08fe53c53",
-    ("reference_dispatch_trace.jsonl", "analyze"):
+    ("reference_hetero_trace.jsonl", "analyze"):
         "975391bbf0a4a9b2fcc0b8ab7c0996c0c7ebb6f4ff96113bed52bcc1e32f2c8c",
-    ("reference_dispatch_trace.jsonl", "perfetto"):
+    ("reference_hetero_trace.jsonl", "perfetto"):
         "4cc622345cc6c80bb75a2517feb0e36c0dda5e98527c2deb3876369a00fac424",
 }
 
@@ -78,37 +77,16 @@ SIM_DIGESTS = {
     "faulted": (
         "94278014fa21e196576ff9c8cc6d590fe48005542d53ab6d7fcd3478886f8cc0", 293, 115
     ),
-    "two_shards": (
-        "07efeccaf993e491b68dc4111e94d818ae3ca718715f82b8e03d5af190a98520", 335, 130
-    ),
-    "jbsq": (
-        "94cd1e25721e5258f4cd6285d3c8ed5cd2c0c959f1b175305a9f158b366776d1", 304, 132
-    ),
-    "faulted_two_shards": (
-        "6f59007410c6c154c6ce65713756be2a8fc13a728d6465dd20bf2eb4dc2f5109", 343, 133
-    ),
 }
 
 
-def _scenario(name: str, base: ClusteringConfig) -> tuple[ClusteringConfig, dict]:
-    if name == "faulted":
-        return base, dict(
-            n_processors=4,
-            faults=FaultPlan.of(
-                FaultSpec(slave_id=0, kind="kill_after_send", at_message=1)
-            ),
-            tolerance=FaultTolerance(max_restarts=1, detection_delay=0.1),
-        )
-    if name == "two_shards":
-        return replace(base, master_shards=2), dict(n_processors=5)
-    if name == "jbsq":
-        return replace(base, dispatch_policy="jbsq"), dict(n_processors=4)
-    assert name == "faulted_two_shards"
-    return replace(base, master_shards=2), dict(
-        n_processors=5,
-        faults=FaultPlan.of(FaultSpec(slave_id=2, kind="kill", at_message=2)),
-        tolerance=FaultTolerance(detection_delay=0.1),
-    )
+SCENARIOS = {
+    "faulted": dict(
+        n_processors=4,
+        faults=FaultPlan.of(FaultSpec(slave_id=0, kind="kill_after_send", at_message=1)),
+        tolerance=FaultTolerance(max_restarts=1, detection_delay=0.1),
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -119,9 +97,10 @@ def corpus():
 
 @pytest.mark.parametrize("name", sorted(SIM_DIGESTS))
 def test_traced_simulator_records_are_pinned(name, corpus):
-    base = replace(ClusteringConfig.small_reads(), causal_tracing=True)
-    config, kwargs = _scenario(name, base)
-    report = simulate_clustering(corpus, config, telemetry=Telemetry(), **kwargs)
+    config = replace(ClusteringConfig.small_reads(), causal_tracing=True)
+    report = simulate_clustering(
+        corpus, config, telemetry=Telemetry(), **SCENARIOS[name]
+    )
     records = snapshot_records(report.result.telemetry)
     records[0].pop("origin", None)
     lines, errors = conservation_section(records)
