@@ -277,7 +277,38 @@ def _read_trace(path: Path) -> list[dict]:
     return records
 
 
+def _check_sinks(args: argparse.Namespace) -> None:
+    """Raise ``ValueError`` naming the first output path the run could not
+    write: a file whose directory does not exist (or that is a directory),
+    or a directory below a regular file.  Checked before the input is read,
+    so a bad path costs no run."""
+    files = (
+        ("--output", args.output),
+        ("--representatives", args.representatives),
+        ("--telemetry-out", args.telemetry_out),
+        ("--live-out", args.live_out),
+    )
+    for flag, path in files:
+        if path is None:
+            continue
+        if path.is_dir():
+            raise ValueError(f"{flag} {path}: is a directory")
+        if not path.parent.is_dir():
+            raise ValueError(f"{flag} {path}: no directory {path.parent}")
+    for flag, path in (("--clusters-fasta-dir", args.clusters_fasta_dir),
+                       ("--obs-out", args.obs_out)):
+        if path is None:
+            continue
+        existing = next((p for p in (path, *path.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise ValueError(f"{flag} {path}: {existing} is not a directory")
+
+
 def _cmd_cluster(args: argparse.Namespace) -> int:
+    try:
+        _check_sinks(args)
+    except ValueError as exc:
+        return _bad_input("options", exc)
     if args.obs_out is not None:
         # One directory, one run id, every sink: the fan-out keeps the
         # individual flags composable (explicit flags win over defaults).

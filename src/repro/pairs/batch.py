@@ -31,14 +31,22 @@ This module computes the identical stream without ever storing an lset
   one sort of (string, rank) keys) gathers its own interval, drops the
   ranks with ``prev(r) >= lb_v`` and builds the same two structures over
   the survivors; both kinds feed one expansion;
+- a node pairs only if its interval holds a λ or two different
+  left-extension characters — its lset is a subset of the interval — and
+  a node that cannot pair has no descendant that can; one prefix sum of
+  class changes over the covered ranks finds the pairable nodes, only
+  they get slots, count rows and expansion, and a root that cannot pair
+  keeps its ranks out of the class index (the other nodes only count
+  towards ``PairGenStats``);
 - only (slot, class) groups that have partners are expanded, and the
   discard rules of Lemma 4 (same EST, complemented smaller id) are
   boolean masks over whole blocks;
-- nodes are taken in chunks of the scalar engine's processing order and
-  pairs leave as :class:`~repro.pairs.pair.PairBlock` columns of at most
-  ``block_size`` rows (``blocks()``), so the count tables stay small and
-  the stream is still a lazy generator with a suspended frame; ``pairs()``
-  is the same stream flattened into ``Pair`` records.
+- nodes are taken in chunks of the scalar engine's processing order,
+  pairable or not, and pairs leave as
+  :class:`~repro.pairs.pair.PairBlock` columns of at most ``block_size``
+  rows (``blocks()``), so the count tables stay small and the stream is
+  still a lazy generator with a suspended frame; ``pairs()`` is the same
+  stream flattened into ``Pair`` records.
 
 The engine is a pure performance layer: for any input it yields the exact
 pair sequence of the scalar generator — same multiset, same order within
@@ -144,29 +152,47 @@ def _count_rows(counts: tuple, x: np.ndarray) -> np.ndarray:
     return checkpoints.take(x >> _CKPT_BITS, axis=0) + within.take(x, axis=0)
 
 
+def _shift(r_lb: np.ndarray, r_size: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """Per node start ``lb``, what maps a rank under it to its position
+    when the roots ``[r_lb, r_lb + r_size)`` (sorted, disjoint) are laid
+    out root after root: position = rank − shift."""
+    r_first = np.cumsum(r_size, dtype=np.int32) - r_size
+    return (r_lb - r_first)[np.searchsorted(r_lb, lb, "right") - 1]
+
+
+def _pairable(cls: np.ndarray, first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Per node, positions ``[first, stop)`` of ``cls`` (at least two): do
+    they hold a λ, or two different left-extension classes?
+
+    A λ inside the span is its first position or follows a class change,
+    so one int32 prefix sum of class changes answers both.
+    """
+    change = np.zeros(cls.size, dtype=np.int32)
+    np.cumsum(cls[1:] != cls[:-1], dtype=np.int32, out=change[1:])
+    return (cls[first] == LAMBDA) | (change[stop - 1] > change[first])
+
+
 def _repeated_strings(
-    string_of: np.ndarray,
-    at: np.ndarray,
-    root_start: np.ndarray,
+    strings: np.ndarray,
+    root_size: np.ndarray,
     first: np.ndarray,
     stop: np.ndarray,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Where a forest holds some string twice: ``(prev, repeats)``.
 
     Positions are those of the ranks under the forest's roots, in rank
-    order; per position ``at`` is its suffix's text position (whose string
-    ``string_of`` gives) and ``root_start`` its root's first position.
-    ``prev[q]`` is the previous position holding a suffix of ``q``'s
-    string when that position lies under the same root, else -1 (a
-    position outside the root is below every node start the filter
-    compares it with); ``None`` when no root repeats a string.
-    ``repeats[v]`` marks the nodes, positions ``[first[v], stop[v])``,
-    with some ``prev[q] >= first[v]`` inside.
+    order, ``root_size`` consecutive positions per root; ``strings[q]`` is
+    the string of position ``q``'s suffix.  ``prev[q]`` is the previous
+    position holding a suffix of ``q``'s string when that position lies
+    under the same root, else -1 (a position outside the root is below
+    every node start the filter compares it with); ``None`` when no root
+    repeats a string.  ``repeats[v]`` marks the nodes, positions
+    ``[first[v], stop[v])``, with some ``prev[q] >= first[v]`` inside.
     """
     repeats = np.zeros(first.size, dtype=bool)
     # One sort of (string, position) keys: neighbours of equal string are
     # consecutive occurrences in rank order.
-    key = string_of[at].astype(np.int64)
+    key = strings.astype(np.int64)
     key <<= 32
     key |= np.arange(key.size, dtype=np.int32)
     key.sort()
@@ -174,7 +200,10 @@ def _repeated_strings(
     key >>= 32
     same = key[1:] == key[:-1]
     del key
+    root_start = np.cumsum(root_size, dtype=np.int32) - root_size
+    root_start = np.repeat(root_start, root_size)
     hit = np.flatnonzero(same & (at[:-1] >= root_start[at[1:]]))
+    del root_start, same
     if hit.size == 0:
         return None, repeats
     dup = at[hit + 1]
@@ -292,40 +321,56 @@ class VectorPairGenerator:
         n_leaves = np.diff(forest.leaves_offsets)
         # Processing order: the forest's, which the scalar engine walks too.
         proc = forest.nodes_by_decreasing_depth()
-        pos = np.empty(n_nodes, dtype=np.int64)
-        pos[proc] = np.arange(n_nodes)
-        pos <<= 32
-        # Child slots — the scalar engine's child/leaf interleave — as one
-        # sorted (owner position, first rank) key each; a slot ends where
-        # the next slot of its node starts.
-        kids = np.repeat(pos, np.diff(forest.children_offsets))
-        kids |= lb[forest.children_flat]
-        leaves = np.repeat(pos, n_leaves) | forest.leaves_flat
-        slots = np.sort(np.concatenate((kids, leaves)))
-        del kids, leaves, pos
         is_root = parent < 0
-        # ``cov``: the ranks some root covers, the only ones a node reads.
-        # A root's ranks are consecutive positions of it, so a rank under
-        # node ``v`` (its root's end included) sits at ``rank - shift[v]``.
+        # Covered positions: the ranks some root covers, the only ones a
+        # node reads, root after root.  A root's ranks are consecutive
+        # positions, so a rank under node ``v`` (its root's end included)
+        # sits at ``rank - shift[v]``.
         roots = np.flatnonzero(is_root)
         roots = roots[np.argsort(lb[roots])]
         r_lb = lb[roots]
         r_size = end[roots] - r_lb
-        r_first = np.cumsum(r_size, dtype=np.int32) - r_size
-        cov = ragged_ranges(r_lb, r_size)
-        shift = (r_lb - r_first)[np.searchsorted(r_lb, lb, "right") - 1]
-        root_start = np.repeat(r_first, r_size)
-        del roots, r_lb, r_size, r_first
-        at = sa[cov]
-        prev, repeats = _repeated_strings(
-            gst.pos_string, at, root_start, lb - shift, end - shift
-        )
-        del root_start
-        # The lset structures of every node that repeats no string: covered
-        # ranks by (class, rank), per-class prefix counts over positions.
-        order, counts, base = _class_index(gst.left_chars(at))
+        shift = _shift(r_lb, r_size, lb)
+        first, stop = lb - shift, end - shift
+        at = sa[ragged_ranges(r_lb, r_size)]
+        # Pairable nodes: a λ, or two different left characters, inside
+        # the interval.  The rest emit nothing (their lset is a subset of
+        # the interval and ``_ALLOWED`` is zero on one non-λ class), nor
+        # does anything below them, so they get no slots and a root that
+        # cannot pair keeps its ranks out of the class index.
+        pairable = _pairable(gst.left_chars(at), first, stop)
+        p_root = pairable[roots]
+        root_lb, p_size = r_lb[p_root], r_size[p_root]
+        strings = gst.pos_string[at]
+        del at, roots, r_lb, p_root
+        prev, repeats = _repeated_strings(strings, r_size, first, stop)
+        del strings, first, stop, r_size
+        # The lset structures of every clean node that can pair: ``cov``,
+        # the pairable roots' ranks, by (class, rank), and per-class prefix
+        # counts over its positions, which a node reaches by ``pshift``.
+        cov = ragged_ranges(root_lb, p_size)
+        order, counts, base = _class_index(gst.left_chars(sa[cov]))
         whole = cov[order], counts, base
-        del at, order, cov
+        del order, cov
+        # Pairable nodes in processing order, and per node the tables its
+        # slots read; slots — the scalar engine's child/leaf interleave —
+        # are one sorted (pairable position, first rank) key each, and a
+        # slot ends where the next slot of its node starts.
+        at_proc = np.flatnonzero(pairable[proc])
+        pnodes = proc[at_proc]
+        p_lb, p_end, p_depth = lb[pnodes], end[pnodes], depth[pnodes]
+        pshift = _shift(root_lb, p_size, p_lb)
+        del root_lb, p_size
+        pos = np.zeros(n_nodes, dtype=np.int64)
+        pos[pnodes] = np.arange(pnodes.size)
+        pos <<= 32
+        n_kids = np.diff(forest.children_offsets)
+        kids = np.repeat(pos, np.where(pairable, n_kids, 0))
+        kids |= lb[forest.children_flat[np.repeat(pairable, n_kids)]]
+        leaves = np.repeat(pos, np.where(pairable, n_leaves, 0))
+        leaves |= forest.leaves_flat[np.repeat(pairable, n_leaves)]
+        slots = np.sort(np.concatenate((kids, leaves)))
+        del kids, leaves, pos, n_kids
         # Entries the min-rank filter removed below each node (its
         # children's ``lost``), pushed up as repeating nodes are swept.
         lost_below = None if prev is None else np.zeros(n_nodes, dtype=np.int64)
@@ -341,50 +386,66 @@ class VectorPairGenerator:
         cut[1:n_nodes] |= np.diff(kind)
         cut[n_nodes] = True
         cuts = np.flatnonzero(cut)
-        slot_cuts = np.searchsorted(slots, cuts << 32)
-        live = 0
+        pcuts = np.searchsorted(at_proc, cuts)
+        slot_cuts = np.searchsorted(slots, pcuts << 32)
+        # -- lset space accounting (scalar-exact peak tracking) ----------
+        # Every directly attached leaf is born (+1); an entry dies (-1) at
+        # the node that first filters it; a root's whole lset dies after
+        # the node, i.e. after its own sample of ``live``.  ``live`` is
+        # that count after each node as if no entry were ever filtered, and
+        # ``carry`` what the filter has changed of it in earlier steps.
+        death = np.where(is_root, end - lb, 0)[proc]
+        live = np.cumsum(n_leaves[proc] - death, dtype=np.int32)
+        live += death
+        top = np.maximum.reduceat(live, cuts[:-1])
+        carry = 0
         for step in range(cuts.size - 1):
             p0, p1 = int(cuts[step]), int(cuts[step + 1])
-            nodes = proc[p0:p1]
-            key = slots[slot_cuts[step] : slot_cuts[step + 1]]
-            own = (key >> 32) - p0
-            a = key & _LOW32
-            n_lb, n_end = lb[nodes], end[nodes]
-            b = np.append(a[1:], 0)
-            b[np.cumsum(np.bincount(own, minlength=p1 - p0)) - 1] = n_end
-            size = n_end - n_lb
+            q0, q1 = int(pcuts[step]), int(pcuts[step + 1])  # its pairable nodes
             if kind[p0]:
                 # -- the min-rank filter over each node's own interval ---
+                nodes = proc[p0:p1]
+                n_lb = lb[nodes]
+                size = end[nodes] - n_lb
                 ranks = ragged_ranges(n_lb, size)
                 off = np.repeat(shift[nodes], size)  # ranks to positions
                 keep = prev[ranks - off] < np.repeat(n_lb, size) - off
-                kept = np.concatenate((_ZERO, np.cumsum(keep)))
                 first = np.cumsum(size) - size
-                lost = size - np.diff(kept[np.append(first, keep.size)])
-                rebase = (first - n_lb)[own]
-                bounds = kept[first[own]], kept[rebase + a], kept[rebase + b]
-                ranks = ranks[keep]
-                order, counts, base = _class_index(gst.left_chars(sa[ranks]))
-                index = ranks[order], counts, base
+                lost = size - np.add.reduceat(keep, first, dtype=np.int64)
                 inner = ~is_root[nodes]
                 np.add.at(lost_below, parent[nodes[inner]], lost[inner])
                 killed = lost - lost_below[nodes]
+                fall = np.where(is_root[nodes], lost, 0)  # not in the root's lset
+                change = np.cumsum(fall - killed)
+                step_top = int((live[p0:p1] + (carry + change - fall)).max())
+                carry += int(change[-1])
             else:
-                off = shift[nodes][own]
-                bounds = n_lb[own] - off, a - off, b - off
-                index = whole
-                lost = killed = 0
-            # -- lset space accounting (scalar-exact peak tracking) ------
-            # Every directly attached leaf is born (+1); an entry dies
-            # (-1) at the node that first filters it; a root's whole lset
-            # dies after the node, i.e. after its own sample of ``live``.
-            death = np.where(is_root[nodes], size - lost, 0)
-            live_seq = live + np.cumsum(n_leaves[nodes] - killed - death) + death
-            stats.peak_lset_entries = max(stats.peak_lset_entries, int(live_seq.max()))
-            live = int(live_seq[-1] - death[-1])
+                step_top = int(top[step]) + carry
+            stats.peak_lset_entries = max(stats.peak_lset_entries, step_top)
             stats.nodes_processed += p1 - p0
-            stats._live_entries = live
-            yield from self._expand(index, bounds, depth[nodes][own])
+            stats._live_entries = int(live[p1 - 1]) - int(death[p1 - 1]) + carry
+            if q1 == q0:
+                continue
+            key = slots[slot_cuts[step] : slot_cuts[step + 1]]
+            own = (key >> 32) - q0
+            a = key & _LOW32
+            b = np.append(a[1:], 0)
+            b[np.cumsum(np.bincount(own, minlength=q1 - q0)) - 1] = p_end[q0:q1]
+            if kind[p0]:
+                # The class index over what the pairable nodes keep.
+                keep &= np.repeat(pairable[nodes], size)
+                kept = np.concatenate((_ZERO, np.cumsum(keep)))
+                start = first[at_proc[q0:q1] - p0]
+                rebase = (start - p_lb[q0:q1])[own]
+                bounds = kept[start[own]], kept[rebase + a], kept[rebase + b]
+                ranks = ranks[keep]
+                order, counts, base = _class_index(gst.left_chars(sa[ranks]))
+                index = ranks[order], counts, base
+            else:
+                off = pshift[q0:q1][own]
+                bounds = p_lb[q0:q1][own] - off, a - off, b - off
+                index = whole
+            yield from self._expand(index, bounds, p_depth[q0:q1][own])
 
     def _expand(
         self,

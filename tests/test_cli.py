@@ -131,12 +131,28 @@ class TestClusterBadInput:
              "monitor_port must be in [0, 65535], got 70000"),
             (_GOOD, ["--monitor-port", "-5"],
              "monitor_port must be in [0, 65535], got -5"),
+            # Output paths are refused before the run, not after it.
+            (_GOOD, ["-o", "missing/x.tsv"], "--output missing/x.tsv: no directory missing"),
+            (_GOOD, ["--representatives", "missing/r.fa"],
+             "--representatives missing/r.fa: no directory missing"),
+            (_GOOD, ["--telemetry-out", "missing/t.jsonl"],
+             "--telemetry-out missing/t.jsonl: no directory missing"),
+            (_GOOD, ["--live-out", "missing/l.jsonl"],
+             "--live-out missing/l.jsonl: no directory missing"),
+            (_GOOD, ["--clusters-fasta-dir", "in.fa/sub"],
+             "--clusters-fasta-dir in.fa/sub: in.fa is not a directory"),
+            (_GOOD, ["--obs-out", "in.fa/obs"], "--obs-out in.fa/obs: in.fa is not a directory"),
+            (_GOOD, ["-o", "."], "--output .: is a directory"),
         ],
         ids=["missing_file", "data_before_header", "empty_record", "empty_fasta",
              "rejected_config", "monitor_interval_zero", "monitor_interval_negative",
-             "monitor_port_past_65535", "monitor_port_negative"],
+             "monitor_port_past_65535", "monitor_port_negative", "output_dir_missing",
+             "representatives_dir_missing", "telemetry_out_dir_missing",
+             "live_out_dir_missing", "clusters_fasta_dir_under_a_file",
+             "obs_out_under_a_file", "output_is_a_directory"],
     )
-    def test_one_line_and_exit_2(self, tmp_path, capsys, content, extra, cause):
+    def test_one_line_and_exit_2(self, tmp_path, capsys, monkeypatch, content, extra, cause):
+        monkeypatch.chdir(tmp_path)  # relative sinks land, if at all, in here
         fa = tmp_path / "in.fa"
         if content is not None:
             fa.write_text(content)
@@ -147,6 +163,7 @@ class TestClusterBadInput:
         source = "options" if extra else str(fa)
         assert line.startswith(f"pace-est: error: {source}: ")
         assert cause in line and "Traceback" not in line
+        assert [p.name for p in tmp_path.iterdir()] == ([] if content is None else ["in.fa"])
 
     @pytest.mark.parametrize("machine", ["simulated", "multiprocessing"])
     @pytest.mark.parametrize("processors", [1, -3])

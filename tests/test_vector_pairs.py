@@ -27,9 +27,10 @@ from repro.pairs import (
     VectorPairGenerator,
     make_pair_generator,
 )
-from repro.pairs.batch import CHUNK_NODES, PAIR_BLOCK_SIZE
-from repro.pairs.sa_generator import REITERATION_ERROR
+from repro.pairs.batch import CHUNK_NODES, PAIR_BLOCK_SIZE, _pairable
+from repro.pairs.sa_generator import REITERATION_ERROR, PairGenStats
 from repro.sequence import EstCollection
+from repro.sequence.alphabet import LAMBDA
 from repro.sequence.seq import reverse_complement
 from repro.simulate import BenchmarkParams, make_benchmark
 from repro.suffix import SuffixArrayGst
@@ -490,6 +491,99 @@ class TestRepeatedStrings:
         assert not any(_root_repeats_a_string(gst, cfg.psi))
 
 
+# --- nodes that can pair -------------------------------------------------
+
+_PRUNE_CORPORA = ["poly_a_tails", "tandem_repeat", "clean_and_repeated_roots"]
+
+
+class _RawPairNodes(PairGenStats):
+    """Scalar-engine stats that also note the processing index of every
+    node at which a raw pair is counted (``at``)."""
+
+    def __setattr__(self, name, value):
+        if name == "raw_pairs" and value:
+            self.__dict__.setdefault("at", set()).add(self.nodes_processed - 1)
+        super().__setattr__(name, value)
+
+
+def _node_kinds(gst: SuffixArrayGst, psi: int):
+    """Per node of the forest at ψ: can its interval pair (a λ, or two
+    different left characters, read off directly), does it hold a string
+    twice; and the nodes where the scalar engine counts a raw pair."""
+    scalar = SaPairGenerator(gst, psi)
+    scalar.stats = _RawPairNodes()
+    list(scalar.pairs())
+    forest = scalar._forest
+    cls = gst.left_chars(gst.sa)
+    strings = gst.pos_string[gst.sa]
+    spans = list(zip(forest.lb.tolist(), (forest.rb + 1).tolist()))
+    pairable = np.array([LAMBDA in cls[a:b] or np.unique(cls[a:b]).size > 1 for a, b in spans], dtype=bool)
+    repeats = np.array([np.unique(strings[a:b]).size < b - a for a, b in spans], dtype=bool)
+    at = np.array(sorted(scalar.stats.__dict__.get("at", ())), dtype=np.int64)
+    emitting = forest.nodes_by_decreasing_depth()[at]
+    return forest, pairable, repeats, emitting
+
+
+class TestPairableNodes:
+    """A node whose interval holds one non-λ left character emits no pair,
+    nor does any node below it (docs/ALGORITHMS.md §3.1): the sweep gives
+    such nodes no slots and keeps their roots out of the class index."""
+
+    @staticmethod
+    def _check_sound(gst: SuffixArrayGst, psi: int) -> None:
+        forest, pairable, _, emitting = _node_kinds(gst, psi)
+        assert (_pairable(gst.left_chars(gst.sa), forest.lb, forest.rb + 1) == pairable).all()
+        assert pairable[emitting].all()
+        inner = np.flatnonzero(forest.parent >= 0)
+        assert pairable[forest.parent[inner[pairable[inner]]]].all()  # upward closed
+
+    @given(seeds, st.integers(2, 8), st.sampled_from([1, 3, 15]))
+    @settings(max_examples=40, deadline=None)
+    def test_raw_pairs_only_at_pairable_nodes(self, seed, n, psi):
+        col = _random_overlapping_collection(np.random.default_rng(seed), n)
+        self._check_sound(SuffixArrayGst.build(col), psi)
+
+    @pytest.mark.parametrize("psi", [1, 3, 15])
+    @pytest.mark.parametrize("name", _PRUNE_CORPORA)
+    def test_raw_pairs_only_at_pairable_nodes_of_repeats(self, name, psi):
+        self._check_sound(SuffixArrayGst.build(EstCollection(REPEATED_CORPORA[name])), psi)
+
+    def test_the_corpora_hold_nodes_that_cannot_pair(self):
+        """Every corpus below has nodes that cannot pair — at one node per
+        step, each is a step with no pairable node — and the tandem repeat
+        has a node that repeats a string and cannot pair."""
+        for reads in [*(REPEATED_CORPORA[name] for name in _PRUNE_CORPORA), _CLEAN]:
+            gst = SuffixArrayGst.build(EstCollection(reads))
+            for psi in (3, 15):
+                _, pairable, _, _ = _node_kinds(gst, psi)
+                assert pairable.any() and not pairable.all()
+        gst = SuffixArrayGst.build(EstCollection(_CLEAN))
+        assert not _node_kinds(gst, 15)[2].any()
+        gst = SuffixArrayGst.build(EstCollection(REPEATED_CORPORA["tandem_repeat"]))
+        _, pairable, repeats, _ = _node_kinds(gst, 15)
+        assert (repeats & ~pairable).any() and (repeats & pairable).any()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    @pytest.mark.parametrize("name", [*_PRUNE_CORPORA, "clean"])
+    def test_any_step_size_matches_the_scalar_engine(self, monkeypatch, name, chunk):
+        """Stream and every ``PairGenStats`` field equal the scalar
+        engine's at any step size; at one node per step, also after every
+        block (the scalar engine yields one block per emitting node)."""
+        monkeypatch.setattr("repro.pairs.batch.CHUNK_NODES", chunk)
+        reads = _CLEAN if name == "clean" else REPEATED_CORPORA[name]
+        gst = SuffixArrayGst.build(EstCollection(reads))
+        for psi in (3, 15):
+            scalar = SaPairGenerator(gst, psi)
+            vector = VectorPairGenerator(gst, psi)
+            if chunk == 1:
+                for mine, theirs in zip(vector.blocks(), scalar.blocks(), strict=True):
+                    assert np.array_equal(mine.cols, theirs.cols)
+                    assert vector.stats == scalar.stats
+            else:
+                assert list(vector.pairs()) == list(scalar.pairs())
+            assert vector.stats == scalar.stats
+
+
 class TestChunkedSweep:
     def test_stream_is_lazy_and_blocks_stay_bounded(self):
         """One on-demand batch must not sweep the whole forest, and every
@@ -572,9 +666,11 @@ class TestChunkedSweep:
         """tracemalloc peak per suffix of each phase of a sequential run on
         full-length reads (80 genes × 2 reads of ~550 bp, 215 348
         suffixes), each over what is live when it starts: index build
-        27.2, forest build 27.3, pair drain 30.7 B/suffix — 39.1 / 41.4 /
-        44.7 while the index kept an int32 text and offset, length and
-        left-character tables (25 B/suffix, and the sort read two of them),
+        27.2, forest build 27.3, pair drain 26.7 B/suffix — a drain of
+        30.7 while every node got slots and the covered ranks and root
+        tables lived through the string sort; 39.1 / 41.4 / 44.7 while
+        the index kept an int32 text and offset, length and left-character
+        tables (25 B/suffix, and the sort read two of them),
         65.6 / 61.8 / 54.2 while the sort kept rank levels and seed
         windows, the forest searched int64 node keys and the drain counted
         classes in one int32 table.  Each phase's peak sits close to the
@@ -604,4 +700,4 @@ class TestChunkedSweep:
         assert m > 200_000
         assert build <= 29.5 * m
         assert forest <= 30 * m
-        assert drain <= 33.5 * m
+        assert drain <= 29 * m
