@@ -65,7 +65,9 @@ def test_lcp_kasai(benchmark, medium_text):
 def test_lcp_vectorised(benchmark, medium):
     """The LCP pass of ``SuffixArrayGst.build`` on its own inputs: the
     index's one-byte text (every sentinel 0), suffix lengths as the reach,
-    and the sort's separation rounds."""
+    and the sort's ``split`` — the exact LCP (``-split``) of each pair the
+    seed separated, the separation round of the rest, whose text windows
+    alone the pass compares."""
     gst = dataset_gst(30_000)
     state = refine(gst.text, SIGMA.bit_length(), gst.starts)
     lcp = benchmark(

@@ -15,9 +15,9 @@ measurements.
 
 Usage::
 
-    python benchmarks/perf_gate.py align --out BENCH_align.json --min-speedup 8.0
-    python benchmarks/perf_gate.py pairs --out BENCH_pairs.json --min-speedup 8.0
-    python benchmarks/perf_gate.py startup --out BENCH_startup.json
+    PYTHONPATH=src python benchmarks/perf_gate.py align --out BENCH_align.json --min-speedup 8.0
+    PYTHONPATH=src python benchmarks/perf_gate.py pairs --out BENCH_pairs.json --min-speedup 8.0
+    PYTHONPATH=src python benchmarks/perf_gate.py startup --out BENCH_startup.json
 """
 
 from __future__ import annotations

@@ -318,9 +318,6 @@ class VectorPairGenerator:
         lb = forest.lb
         end = forest.rb + 1
         parent = forest.parent
-        n_leaves = np.diff(forest.leaves_offsets)
-        # Processing order: the forest's, which the scalar engine walks too.
-        proc = forest.nodes_by_decreasing_depth()
         is_root = parent < 0
         # Covered positions: the ranks some root covers, the only ones a
         # node reads, root after root.  A root's ranks are consecutive
@@ -345,6 +342,9 @@ class VectorPairGenerator:
         del at, roots, r_lb, p_root
         prev, repeats = _repeated_strings(strings, r_size, first, stop)
         del strings, first, stop, r_size
+        n_leaves = np.diff(forest.leaves_offsets)
+        # Processing order: the forest's, which the scalar engine walks too.
+        proc = forest.nodes_by_decreasing_depth()
         # The lset structures of every clean node that can pair: ``cov``,
         # the pairable roots' ranks, by (class, rank), and per-class prefix
         # counts over its positions, which a node reaches by ``pshift``.

@@ -19,9 +19,10 @@ forest of its own ranges from the shared LCP view, where it is used
 (O(N/p) per slave, §3.1 of the paper; DESIGN.md §5c).
 
 The suffix sort's state (:class:`~repro.suffix.suffix_array.Refinement`:
-final ranks and the round that separated each adjacent pair, read once by
-the LCP pass) is gone by the time an index exists, so there is nothing
-else to share; the master's bucket ranges come from the shared LCP too.
+final ranks and each adjacent pair's ``split`` — its exact LCP where the
+seed separated it, else the round that did — read once by the LCP pass)
+is gone by the time an index exists, so there is nothing else to share;
+the master's bucket ranges come from the shared LCP too.
 """
 
 from __future__ import annotations

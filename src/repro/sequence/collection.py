@@ -217,8 +217,10 @@ class EstCollection:
         ``2N + 2n``: string ``k`` occupies ``starts[k] .. starts[k+1]-2``
         with nucleotide ``c`` stored as ``c + 1``, followed at
         ``starts[k+1]-1`` by its terminator, 0.  Terminators are told apart
-        by the string id ``k``, which the sort derives from ``starts``
-        (:func:`repro.suffix.suffix_array.refine`).
+        by the string id ``k``, which grows with the terminator's
+        position: the sort keys each suffix by its position below its
+        cut window, so position order decides between windows that end
+        at a terminator (:func:`repro.suffix.suffix_array.refine`).
         """
         starts = self._offsets + np.arange(2 * self._n + 1)
         codes = np.zeros(int(starts[-1]), dtype=np.uint8)

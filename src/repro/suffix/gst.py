@@ -14,8 +14,9 @@ backends package those facts differently:
   where they are read.  It materialises LCP forests on demand: one flat
   forest per owner of bucket ranges (the unit of distribution across
   processors), the whole array by default.  What the build holds besides
-  is the sort's final ranks and separation rounds — no per-round rank
-  copy and no packed seed window; bucket ranges are read off the LCP.
+  is the sort's final ranks and ``split`` (each seed-separated pair's
+  exact LCP, each other pair's separation round) — no per-round rank
+  copy and no sorted seed key; bucket ranges are read off the LCP.
 - :class:`NaiveGst` — the paper-faithful engine: explicit bucket trees in
   the DFS-array encoding.  Semantically identical output, used for tests,
   demonstrations, and small inputs.
@@ -98,7 +99,8 @@ class SuffixArrayGst:
     def build(cls, collection: EstCollection) -> "SuffixArrayGst":
         """Sort, then tabulate: the sort reads the one-byte text and
         ``starts`` alone, so ``pos_string`` is built once its scratch is
-        gone; the LCP pass reads it for each block's caps."""
+        gone; the LCP pass copies the seed's LCPs out of ``split`` and
+        reads ``pos_string`` for the caps of the pairs it compares."""
         check_index_size(collection)
         text, starts = collection.sa_codes()
         starts = starts.astype(np.int32)

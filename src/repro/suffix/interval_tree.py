@@ -41,6 +41,9 @@ __all__ = [
     "build_flat_forest",
 ]
 
+#: Positions per step of the in-place leaf-owner pass.
+_BLOCK = 1 << 16
+
 
 @dataclass
 class FlatForest:
@@ -90,10 +93,16 @@ class FlatForest:
     def nodes_by_decreasing_depth(self) -> np.ndarray:
         """Node ids sorted by decreasing string-depth (Algorithm 1 order).
 
-        A stable sort on negated depth keeps emission order inside equal
-        depths, so both pair engines walk the nodes in one order.
+        Emission order is kept inside equal depths, so both pair engines
+        walk the nodes in one order: the key is the negated depth above
+        the node id, sorted by value, and the ids are its low 32 bits.
         """
-        return np.argsort(-self.depth, kind="stable").astype(np.int32)
+        key = np.negative(self.depth, dtype=np.int64)
+        key <<= 32
+        key |= np.arange(self.depth.size)
+        key.sort()
+        key &= (1 << 32) - 1
+        return key.astype(np.int32)
 
     def validate(self) -> None:
         """Internal-consistency checks (used by tests and debug runs).
@@ -162,9 +171,9 @@ def build_flat_forest(
 
     PSV/NSV are computed by pointer doubling — ``O(log n)`` whole-array
     jump rounds instead of a sequential stack — and the stack builder's
-    emission (pop) order is recovered as a sort by ``(rb, -depth)``:
-    intervals are popped when the scan first passes their right bound,
-    deepest first.
+    emission (pop) order is recovered as a sort by ``(rb, -depth)``, one
+    ``argsort`` of an int64 key: intervals are popped when the scan first
+    passes their right bound, deepest first.
 
     ``ranges`` lists the suffix-array rank ranges ``[lo, hi)`` the caller
     owns (``None``: the whole array).  Their ranks are gathered in the
@@ -240,7 +249,12 @@ def build_flat_forest(
     del nodes
     depth_u = np.empty(m, dtype=np.int32)  # all positions of a node share it
     depth_u[inverse] = val[qual]
-    order = np.lexsort((-depth_u, nsv_u))  # the stack builder's pop order
+    # The stack builder's pop order, by (NSV, -depth): one key per node.
+    pop = nsv_u.astype(np.int64)
+    pop <<= 32
+    pop -= depth_u
+    order = np.argsort(pop)
+    del pop
     rank_of = np.empty(m, dtype=np.int32)
     rank_of[order] = np.arange(m, dtype=np.int32)
     node_at = np.full(n + 1, -1, dtype=np.int32)
@@ -268,9 +282,16 @@ def build_flat_forest(
     # Leaves: each rank attaches to the node of the deeper of its two
     # adjacent boundary positions (none when that one is below the
     # threshold); grouped by owner with the stable sort preserving
-    # ascending rank within a node.
-    owner = np.where(val[:-1] >= val[1:], node_at[:-1], node_at[1:])
-    del node_at
+    # ascending rank within a node.  The owners overwrite ``node_at`` a
+    # block at a time: block [lo, hi) reads ``node_at[hi]`` before the
+    # next block writes it.
+    owner = node_at[:n]
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        owner[lo:hi] = np.where(
+            val[lo:hi] >= val[lo + 1 : hi + 1], owner[lo:hi], node_at[lo + 1 : hi + 1]
+        )
+    del val, node_at
     attached = np.flatnonzero(owner >= 0)
     owner = owner[attached]
     leaves_flat = attached[np.argsort(owner, kind="stable")].astype(np.int32)

@@ -7,13 +7,14 @@ bijection with the internal nodes of the suffix tree, which is how the
 production pair-generation engine reuses the paper's Algorithm 1 unchanged.
 
 - :func:`lcp_first_mismatch` — the production path: the LCP array from
-  the suffix sort's separation rounds
+  the suffix sort's ``split``
   (:class:`repro.suffix.suffix_array.Refinement`) plus a first-mismatch
-  query over the symbol codes.  A pair the sort separated in round ``s``
-  shares ``width << (s - 1)`` symbols, so the query starts there (at 0
-  for a pair the seed separated) and compares eight symbols per word; it
-  runs a block of rank boundaries at a time and keeps no rank array of
-  any round.  The result is int16 when no string reaches 2**15 symbols
+  query over the symbol codes.  A pair the seed separated carries its
+  LCP as ``-split`` and is copied; a pair separated in round ``s > 0``
+  shares ``width << (s - 1)`` symbols, so the query starts there and
+  compares eight symbols per word.  It runs a block of rank boundaries
+  at a time and keeps no rank array of any round.  The result is int16
+  when no string reaches 2**15 symbols
   (:meth:`repro.suffix.gst.SuffixArrayGst.build` checks the longest),
   int32 otherwise.
 - :func:`lcp_kasai` — the linear-time Kasai et al. algorithm.  A tight
@@ -77,15 +78,17 @@ def lcp_first_mismatch(
     ``codes`` are the symbols the sort compared (non-negative; only their
     equality is read), ``reach(p)`` the symbols from each of an array of
     positions up to its terminator, and ``sa``, ``split`` and ``width`` the
-    sort's :class:`~repro.suffix.suffix_array.Refinement`.  No common
-    prefix passes the nearer terminator, so each result is capped at the
-    smaller ``reach`` of the pair, derived a block of rank boundaries at a
-    time: past it the codes may agree (every sentinel of the EST text is
-    code 0) without being the same symbol.  ``dtype`` must hold the
-    longest reach.
+    sort's :class:`~repro.suffix.suffix_array.Refinement`.  Where
+    ``split <= 0`` the LCP is ``-split``, already exact; only the pairs a
+    round separated are compared.  No common prefix passes the nearer
+    terminator, so each compared result is capped at the smaller
+    ``reach`` of the pair, derived a block of rank boundaries at a time:
+    past it the codes may agree (every sentinel of the EST text is code
+    0) without being the same symbol.  ``dtype`` must hold the longest
+    reach.
     """
     m = sa.size
-    lcp = np.zeros(m, dtype=dtype)
+    lcp = np.empty(m, dtype=dtype)
     # One copy of the codes at the narrowest unsigned width, padded so that
     # a window of ``_LATER`` bytes starts at every position up to ``m``.
     sym = np.min_scalar_type(int(codes.max(initial=0)))
@@ -95,15 +98,21 @@ def lcp_first_mismatch(
     first, later = (
         np.ndarray((m + 1,), f"V{b}", buf, strides=(size,)) for b in (_FIRST, _LATER)
     )
-    # Symbols a pair separated in round s shares: width << (s - 1), 0 at
-    # the seed.
+    # Symbols a pair separated in round s > 0 shares: width << (s - 1).
     shared = np.zeros(int(split.max(initial=0)) + 1, dtype=np.int64)
     shared[1:] = width << np.arange(shared.size - 1)
+    # A pair the seed separated carries its LCP as -split; the others'
+    # entries are overwritten below.
+    np.negative(split, out=lcp)
     for lo in range(1, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
-        i, j = sa[lo - 1 : hi - 1], sa[lo:hi]
+        s = split[lo:hi]
+        rounds = np.flatnonzero(s > 0)
+        if not rounds.size:
+            continue
+        i, j = sa[lo - 1 : hi - 1][rounds], sa[lo:hi][rounds]
         cap = np.minimum(reach(i), reach(j))
-        done = shared[split[lo:hi]]
+        done = shared[s[rounds]]
         run = _equal_run(first, i, j, done, size)
         done += run
         # Pairs equal over the whole first window and short of their cap go
@@ -114,7 +123,7 @@ def lcp_first_mismatch(
             run = _equal_run(later, i[todo], j[todo], done[todo], size)
             done[todo] += run
             todo = todo[(run == _LATER // size) & (done[todo] < cap[todo])]
-        lcp[lo:hi] = np.minimum(done, cap)
+        lcp[lo:hi][rounds] = np.minimum(done, cap)
     return lcp
 
 

@@ -11,14 +11,19 @@ Construction follows the paper's own shape (§3.1: bucket suffixes on a
 fixed-width prefix, then refine only inside buckets) rather than textbook
 Manber–Myers doubling, which re-sorts every suffix in every round:
 
-1. **Seed.**  Every suffix is keyed by as many leading symbols as one
-   int64 holds (:func:`refine`), and one sort on that key orders all
-   suffixes by their first ``width`` symbols.  Windows are cut after the
-   first terminator and tie-broken by that terminator's id, so the key
-   order is exactly the suffix order wherever a terminator is in reach:
-   terminators are unique and smaller than every symbol, hence two
-   windows that agree up to a terminator are told apart by its id and
-   nothing behind it can matter.
+1. **Seed.**  Every suffix is keyed by its first ``width`` symbols,
+   cut after the first terminator, shifted above its own position
+   (``window << pos_bits | p``, :func:`refine`), and the keys are sorted
+   by value in place: ``sa`` is their low bits, with no permutation and
+   no gather.  The key order is exactly the suffix order wherever a
+   terminator is in reach: terminators are unique and smaller than every
+   symbol, nothing behind one can matter, and two windows that agree up
+   to a terminator end at two terminators at one offset from their
+   positions, so position order is terminator-id order.  While the
+   sorted keys are alive, one pass reads each adjacent pair's common
+   prefix off them: the first unequal symbol (the highest set bit of the
+   two keys' XOR) or the later window's terminator, whichever comes
+   first.
 2. **Refine.**  Larsson–Sadakane doubling restricted to the *active set*:
    a suffix's rank is the index of its group's first member, and a round
    with step ``h`` gathers, sorts by ``(rank[p], rank[p + h])`` and
@@ -27,11 +32,12 @@ Manber–Myers doubling, which re-sorts every suffix in every round:
    need not be stable: tied members share a rank, so their relative
    order inside a round is unobservable, and the final order is total.
 3. **State for the LCP.**  Only the final rank and, per adjacent pair of
-   ranks, the round that separated it (:class:`Refinement`) outlive the
-   sort: no rank array of an earlier round and no seed window is kept.
-   :func:`repro.suffix.lcp.lcp_first_mismatch` turns the round into a
-   lower bound on the pair's common prefix and reads the rest off the
-   symbol codes themselves.
+   ranks, ``split`` (:class:`Refinement`) outlive the sort: the exact
+   common prefix of a pair the seed separated, or the round that
+   separated the rest.  No rank array of an earlier round and no seed key
+   is kept.  :func:`repro.suffix.lcp.lcp_first_mismatch` copies the
+   former and, for the latter, turns the round into a lower bound on the
+   pair's common prefix and reads the rest off the symbol codes.
 
 :func:`build_suffix_array` (arbitrary integer text, one terminator past
 its end) and :meth:`repro.suffix.gst.SuffixArrayGst.build` (the one-byte
@@ -57,8 +63,14 @@ __all__ = [
     "suffix_array_naive",
 ]
 
-#: Bits of an int64 sort key the seed may use.
-_KEY_BITS = 62
+#: Bits of an int64 sort key the seed may use: all but the sign.
+_KEY_BITS = 63
+
+#: ``Refinement.split`` of a pair no sort has told apart yet.
+_TIED = np.iinfo(np.int8).min
+
+#: Ranks per step of the pass over the sorted seed keys.
+_BLOCK = 1 << 15
 
 
 @dataclass
@@ -91,10 +103,11 @@ class Refinement:
     rank:
         Final rank per position (int32), the inverse of ``sa``.
     split:
-        ``split[r]`` is the round in which ranks ``r - 1`` and ``r`` were
-        told apart: 0 when the seed key separates them, ``s`` when round
-        ``s`` does — they then share their first ``width << (s - 1)``
-        symbols and differ within twice that.
+        int8 per rank; ``split[0]`` is 0.  ``split[r] <= 0``: the seed
+        separated ranks ``r - 1`` and ``r``, whose common prefix is
+        ``-split[r]`` symbols.  ``split[r] = s > 0``: round ``s`` did —
+        they then share their first ``width << (s - 1)`` symbols and
+        differ within twice that.
     width:
         Symbols per seed window.
     """
@@ -119,6 +132,7 @@ def pack_windows(codes: np.ndarray, bits: int, width: int) -> np.ndarray:
         tail = packed[span:] >> (bits * (span - take))
         packed <<= bits * take
         packed[: tail.size] |= tail
+        del tail  # before the next step's tail exists
         span += take
     return packed
 
@@ -136,49 +150,59 @@ def refine(codes: np.ndarray, bits: int, starts: np.ndarray) -> Refinement:
     starts:
         Segment bounds: segment ``k`` is ``starts[k] .. starts[k+1] - 1``
         and its last position is its terminator, of id ``k``; terminators
-        compare by id.  The last terminator may be one past the end of
-        ``codes`` (``starts[-1] == len(codes) + 1``), read as if it were
-        there.
+        compare by id, which is their position order.  The last
+        terminator may be one past the end of ``codes``
+        (``starts[-1] == len(codes) + 1``), read as if it were there.
+
+    Raises :class:`ValueError` when one symbol code and the bits of the
+    highest position do not fit a 63-bit key together.
     """
     m = codes.size
     if m >= 2**31:
         raise ValueError(f"text of {m} positions does not fit int32 ranks")
-    n_seg = starts.size - 1
-    id_bits = (n_seg - 1).bit_length()
-    width = (_KEY_BITS - id_bits) // bits
+    pos_bits = (m - 1).bit_length()
+    width = (_KEY_BITS - pos_bits) // bits
     if width < 1:
-        raise ValueError(f"{bits}-bit symbols and {id_bits}-bit ids exceed a sort key")
+        raise ValueError(
+            f"{bits}-bit symbols and {pos_bits}-bit positions exceed a sort key"
+        )
 
-    # Seed: cut each window after its first terminator, append the id —
-    # in place, so the packed windows are the sort key and die with it.
-    # Only the last ``width`` positions of a segment reach its terminator
-    # within a window: one ragged range per segment.
+    # Seed: cut each window after its first terminator and put the position
+    # below it — in place, so the packed windows are the sort key.  Only the
+    # last ``width`` positions of a segment reach its terminator within a
+    # window: one ragged range per segment.
     key = pack_windows(codes, bits, width)[:m]
     ends = starts[1:].astype(np.int64) - 1
     span = np.minimum(ends - starts[:-1] + 1, width)
     short = ragged_ranges(ends - span + 1, span)
     reach = np.repeat(ends, span) - short
-    ids = np.repeat(np.arange(n_seg, dtype=np.int64), span)
     inside = short < m
-    short, reach, ids = short[inside], reach[inside], ids[inside]
+    short, reach = short[inside], reach[inside]
     cut = bits * (width - reach)
     key[short] = (key[short] >> cut) << cut
-    key <<= id_bits
-    key[short] |= ids
-    del short, reach, ids, cut
-    sa = np.argsort(key).astype(np.int32)
-    key = key[sa]
-    split = np.zeros(m, dtype=np.int8)
-    split[1:][key[1:] == key[:-1]] = -1  # still tied
+    del short, reach, cut
+    key <<= pos_bits
+    for lo in range(0, m, _BLOCK):
+        key[lo : lo + _BLOCK] |= np.arange(lo, min(lo + _BLOCK, m))
+    key.sort()
+    sa, split = _seed_split(key, bits, width, pos_bits)
     del key
-    heads = np.flatnonzero(split == 0).astype(np.int32)
+    # A position's rank is its group's head: the last rank at or before
+    # its own that the seed separated from its predecessor.
     rank = np.empty(m + 1, dtype=np.int32)
-    rank[sa] = np.repeat(heads, np.diff(heads, append=m))
     rank[m] = -1
-    tied = split < 0
+    head = 0
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        first = np.arange(lo, hi, dtype=np.int32)
+        first[split[lo:hi] == _TIED] = head
+        np.maximum.accumulate(first, out=first)
+        rank[sa[lo:hi]] = first
+        head = int(first[-1])
+    tied = split == _TIED
     tied[:-1] |= tied[1:]
     act = np.flatnonzero(tied).astype(np.int32)
-    del heads, tied
+    del tied
 
     # Refine: only members of groups of size > 1, by the rank h further on.
     # Slot ``m`` of ``rank`` is the empty suffix past the end, which sorts
@@ -189,21 +213,77 @@ def refine(codes: np.ndarray, bits: int, starts: np.ndarray) -> Refinement:
     while act.size:
         rounds += 1
         pos = sa[act]
-        key = (rank[pos].astype(np.int64) << 32) + (rank[pos + h] + 1)
+        key = rank[pos].astype(np.int64)
+        key <<= 32
+        key += rank[pos + h] + 1
         order = np.argsort(key)
-        key = key[order]
+        key.sort()  # in place: ``key[order]`` would be a second key
         pos = pos[order]
+        del order
         sa[act] = pos
         head = np.ones(act.size + 1, dtype=bool)
         np.not_equal(key[1:], key[:-1], out=head[1:-1])
+        del key
         bounds = np.flatnonzero(head)
         first = act[bounds[:-1]]
         rank[pos] = np.repeat(first, np.diff(bounds))
-        fresh = first[split[first] < 0]
+        fresh = first[split[first] == _TIED]
         split[fresh] = rounds
         act = act[~(head[:-1] & head[1:])]
         h *= 2
     return Refinement(sa=sa, rank=rank[:m], split=split, width=width)
+
+
+def _seed_split(
+    key: np.ndarray, bits: int, width: int, pos_bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read the sorted seed keys a block of ranks at a time: ``sa``, each
+    key's low bits, and ``split``, per adjacent pair of ranks its common
+    prefix as ``-lcp`` — or ``_TIED`` where the windows agree and reach no
+    terminator, so only a refinement round can tell the pair apart.
+
+    The pair's prefix ends at the first unequal symbol of its windows or at
+    the first terminator of the later window, whichever comes first; past
+    a terminator every window is zero, so that one is where the later
+    window's trailing zero symbols start.  Both are bit indices: of the
+    highest set bit of the two keys' XOR (positions differ, so it has
+    one) and of the lowest set bit of the later window, with a guard bit
+    above it standing for a window of terminator alone.
+    """
+    m = key.size
+    sa = np.empty(m, dtype=np.int32)
+    split = np.zeros(m, dtype=np.int8)
+    mask = (1 << pos_bits) - 1
+    guard = 1 << (bits * width)
+    for lo in range(0, m, _BLOCK):
+        hi = min(lo + _BLOCK, m)
+        sa[lo:hi] = key[lo:hi] & mask
+        r = max(lo, 1)
+        if r == hi:
+            continue
+        differ = _highest_bit(key[r - 1 : hi - 1] ^ key[r:hi])
+        differ = (bits * width + pos_bits - 1 - differ) // bits
+        tail = key[r:hi] >> pos_bits
+        tail |= guard
+        ends = width - _lowest_bit(tail) // bits
+        lcp = np.minimum(differ, ends)
+        split[r:hi] = np.where(lcp == width, _TIED, -lcp)
+    return sa, split
+
+
+def _lowest_bit(x: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of each positive int64: ``x & -x`` is a
+    power of two, exact in float64."""
+    return np.frexp(x & -x)[1] - 1
+
+
+def _highest_bit(x: np.ndarray) -> np.ndarray:
+    """Index of the highest set bit of each positive int64.  Its float64
+    exponent is exact below 2**53 and one too large where rounding carried
+    into the next power of two, which ``x >> e == 0`` detects."""
+    e = np.frexp(x)[1] - 1
+    e -= (x >> e) == 0
+    return e
 
 
 def refine_text(text: np.ndarray) -> Refinement:

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sequence import EstCollection
+from repro.sequence.alphabet import SIGMA
 from repro.suffix import SuffixArrayGst, build_flat_forest, build_suffix_array, sa_bucket_ranges
 from repro.suffix.lcp import lcp_first_mismatch, lcp_kasai, lcp_naive
-from repro.suffix.suffix_array import pack_windows, refine_text, suffix_array_naive
+from repro.suffix.suffix_array import pack_windows, refine, refine_text, suffix_array_naive
 
 dna_lists = st.lists(st.text(alphabet="ACGT", min_size=1, max_size=25), min_size=1, max_size=4)
 #: Small alphabets, no sentinels: suffixes tie right up to the text end.
@@ -29,6 +30,21 @@ def _text_lcp(text, state):
     the text is its own code sequence, each suffix reaches the end."""
     m = len(text)
     return lcp_first_mismatch(text, lambda p: m - p, state.sa, state.split, state.width)
+
+
+def _assert_split_encodes_the_lcp(state, lcp):
+    """``split <= 0``: the seed separated the pair after ``-split``
+    symbols; ``s > 0``: round ``s`` did, so the pair shares
+    ``width << (s - 1)`` symbols and differs within twice that."""
+    assert state.split[0] == 0
+    split = state.split[1:].astype(np.int64)
+    lcp = np.asarray(lcp[1:], dtype=np.int64)
+    seed = split <= 0
+    assert np.array_equal(lcp[seed], -split[seed])
+    assert (lcp[seed] < state.width).all()
+    s = split[~seed]
+    assert ((state.width << (s - 1)) <= lcp[~seed]).all()
+    assert (lcp[~seed] < state.width << s).all()
 
 
 def _assert_index_matches_oracles(seqs):
@@ -102,16 +118,13 @@ class TestBuildSuffixArray:
     @given(int_texts)
     @settings(max_examples=60, deadline=None)
     def test_split_rounds_bound_the_lcp(self, vals):
-        # A pair separated in round s > 0 shares width << (s - 1) symbols
-        # and differs within twice that; one the seed separated, within
-        # the seed width.  The LCP pass starts from this bound.
+        # A pair the seed separated carries its exact LCP as -split; one
+        # separated in round s > 0 shares width << (s - 1) symbols and
+        # differs within twice that.  The LCP pass copies the first and
+        # starts from the bound for the rest.
         text = np.array(vals, dtype=np.int64)
         state = refine_text(text)
-        lcp = lcp_kasai(text, state.sa)[1:]
-        split = state.split[1:].astype(np.int64)
-        low = np.where(split > 0, (state.width << split) >> 1, 0)
-        assert (low <= lcp).all()
-        assert (lcp < np.maximum(state.width << split, state.width)).all()
+        _assert_split_encodes_the_lcp(state, lcp_kasai(text, state.sa))
 
     @given(
         st.lists(st.integers(0, 7), min_size=1, max_size=30),
@@ -193,6 +206,68 @@ class TestIndexAgainstOracles:
         state = refine_text(text)
         assert np.array_equal(state.sa, suffix_array_naive(text))
         assert np.array_equal(_text_lcp(text, state), lcp_kasai(text, state.sa))
+
+    @given(
+        st.lists(st.text(alphabet="ACGT", min_size=1, max_size=40), min_size=1, max_size=4),
+        st.lists(st.integers(0, 7), min_size=1, max_size=8),
+        st.lists(st.text(alphabet="ACGT", min_size=1, max_size=13), max_size=4),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_est_collections_with_duplicates_and_short_strings(
+        self, pool, picks, short, add_rc
+    ):
+        # Equal strings — an EST drawn twice, or one EST equal to the
+        # reverse complement the collection adds for another — tie through
+        # their terminators, and strings shorter than the seed window reach
+        # theirs inside it: the seed key tells such suffixes apart by
+        # position.
+        seqs = [pool[i % len(pool)] for i in picks] + short
+        if add_rc:
+            seqs.append(pool[0][::-1].translate(str.maketrans("ACGT", "TGCA")))
+        col = EstCollection.from_strings(seqs)
+        text = col.sa_text()[0]
+        expect_sa = suffix_array_naive(text)
+        expect_lcp = lcp_kasai(text, expect_sa)
+        gst = SuffixArrayGst.build(col)
+        assert np.array_equal(gst.sa, expect_sa)
+        assert np.array_equal(gst.lcp, expect_lcp)
+        codes, starts = col.sa_codes()
+        state = refine(codes, SIGMA.bit_length(), starts)
+        assert np.array_equal(state.sa, expect_sa)
+        _assert_split_encodes_the_lcp(state, expect_lcp)
+
+    @given(st.integers(1, 2), st.lists(st.integers(0, 1), min_size=1, max_size=120))
+    @settings(max_examples=100, deadline=None)
+    def test_one_and_two_symbol_texts_fill_the_key(self, sigma, vals):
+        # One or two bits per symbol leave 56 or more window bits in the
+        # key: the XOR of two keys can pass 2**53, where float64 rounds.
+        text = np.array(vals, dtype=np.int64) % sigma
+        state = refine_text(text)
+        expect_sa = suffix_array_naive(text)
+        expect_lcp = lcp_kasai(text, expect_sa)
+        assert np.array_equal(state.sa, expect_sa)
+        _assert_split_encodes_the_lcp(state, expect_lcp)
+        assert np.array_equal(_text_lcp(text, state), expect_lcp)
+
+    def test_complementary_windows_round_in_float64(self):
+        # "a b^30 ..." and "b a^40" sort next to each other and their two-bit
+        # windows (a = 01, b = 10) differ in every bit: the XOR of their keys
+        # is 2**63 - 2**7 plus position bits, which float64 rounds to 2**63.
+        text = np.array([1] + [0] * 30 + [1] * 30 + [0] * 40)
+        state = refine_text(text)
+        assert state.width == 28
+        expect_sa = suffix_array_naive(text)
+        expect_lcp = lcp_kasai(text, expect_sa)
+        assert np.array_equal(state.sa, expect_sa)
+        _assert_split_encodes_the_lcp(state, expect_lcp)
+
+    def test_symbols_and_positions_must_share_a_key(self):
+        # 62-bit symbols leave one bit for positions: two positions fit,
+        # three do not.
+        refine(np.array([1, 2], dtype=np.int64), 62, np.array([0, 3]))
+        with pytest.raises(ValueError, match="62-bit symbols and 2-bit positions"):
+            refine(np.array([1, 2, 3], dtype=np.int64), 62, np.array([0, 4]))
 
     @pytest.mark.parametrize(
         "seqs",

@@ -621,11 +621,12 @@ class TestChunkedSweep:
         suffix on 300 short reads.  What it returns is the one-byte text 1
         + ``sa`` 4 + int16 ``lcp`` 2 + ``pos_string`` 4 = 11.05 B/suffix
         (25.1 with an int32 text and offset, length and left-character
-        tables; 52.1 when the tables were int64); the peak is 42.7
-        B/suffix — 52.8 with those tables under the sort, 83.6 while the
-        sort kept a rank array per round for the LCP pass, 104.9 with
-        int64 tables.  On 70 000 suffixes a third of it is the LCP pass's
-        fixed per-block scratch."""
+        tables; 52.1 when the tables were int64); the peak is 41.0
+        B/suffix — 42.7 while the seed sort took an ``argsort`` of its
+        keys and a gather of them, 52.8 with those tables under the sort,
+        83.6 while the sort kept a rank array per round for the LCP pass,
+        104.9 with int64 tables.  On 70 000 suffixes much of it is the
+        fixed per-block scratch of the seed and LCP passes."""
         reads = make_benchmark(
             replace(BenchmarkParams.small(100, 3), expression_skew=0.0), rng=0
         ).reads[:300]
@@ -640,7 +641,7 @@ class TestChunkedSweep:
         m = gst.n_suffix_positions
         assert gst.lcp.size == m
         assert live <= 12 * m
-        assert peak <= 46 * m
+        assert peak <= 44 * m
 
     def test_index_to_first_pair_peak_on_the_deep_corpus(self):
         """tracemalloc peak of build + generator construction + first pair
@@ -666,12 +667,16 @@ class TestChunkedSweep:
         """tracemalloc peak per suffix of each phase of a sequential run on
         full-length reads (80 genes × 2 reads of ~550 bp, 215 348
         suffixes), each over what is live when it starts: index build
-        27.2, forest build 27.3, pair drain 26.7 B/suffix — a drain of
-        30.7 while every node got slots and the covered ranks and root
-        tables lived through the string sort; 39.1 / 41.4 / 44.7 while
-        the index kept an int32 text and offset, length and left-character
-        tables (25 B/suffix, and the sort read two of them),
-        65.6 / 61.8 / 54.2 while the sort kept rank levels and seed
+        22.3, forest build 25.9, pair drain 25.4 B/suffix.  They were
+        27.2 / 27.3 / 26.7 while the seed sort took an ``argsort`` of its
+        keys and packed them beside two shifted copies, the forest's leaf
+        owners were computed beside the labels they are read from, and
+        the drain held the processing order through the string sort; a
+        drain of 30.7 while every node got slots and the covered ranks and
+        root tables lived through the string sort; 39.1 / 41.4 / 44.7
+        while the index kept an int32 text and offset, length and
+        left-character tables (25 B/suffix, and the sort read two of
+        them), 65.6 / 61.8 / 54.2 while the sort kept rank levels and seed
         windows, the forest searched int64 node keys and the drain counted
         classes in one int32 table.  Each phase's peak sits close to the
         next one's, so each is pinned, with under 10 % headroom: a
@@ -698,6 +703,6 @@ class TestChunkedSweep:
             tracemalloc.stop()
         m = gst.n_suffix_positions
         assert m > 200_000
-        assert build <= 29.5 * m
-        assert forest <= 30 * m
-        assert drain <= 29 * m
+        assert build <= 24.5 * m
+        assert forest <= 28 * m
+        assert drain <= 27.5 * m
