@@ -191,12 +191,40 @@ def _children(pid: int) -> list[int]:
     return out
 
 
-def _alive(pid: int) -> bool:
+PF_EXITING = 0x4  # include/linux/sched.h: set as do_exit begins, never cleared
+
+
+def _proc_state(pid: int) -> tuple[str, int] | None:
+    """``(state, flags)`` of ``pid`` from ``/proc/<pid>/stat`` (fields 3
+    and 9), or ``None`` once it is reaped."""
     try:
-        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+        fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
     except OSError:
+        return None
+    return fields[0], int(fields[6])
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` can still run user code.
+
+    A zombie (``Z``) or dead (``X``) task cannot, and neither can one with
+    ``PF_EXITING`` set: it is inside ``do_exit``, which closes its files
+    (so a reader of its pipes sees EOF) before ``exit_notify`` makes it a
+    zombie.  The resource tracker inherits the CLI's stderr, so the test's
+    ``communicate()`` can return inside that window while the tracker
+    still reads ``R``; counting it as running raced the tracker's exit.
+    """
+    stat = _proc_state(pid)
+    if stat is None:
         return False
-    return state != "Z"  # an unreaped zombie runs nothing
+    state, flags = stat
+    return state not in ("Z", "X") and not flags & PF_EXITING
+
+
+def _describe(pid: int) -> str:
+    """``pid`` with its state and flags, for a failure message."""
+    stat = _proc_state(pid)
+    return f"{pid} reaped" if stat is None else f"{pid} state={stat[0]} flags={stat[1]:#x}"
 
 
 def _wait_until(done, seconds: float) -> bool:
@@ -280,5 +308,18 @@ class TestTeardown:
         # The run's own structured log lines aside, one line: no traceback.
         lines = [line for line in err.splitlines() if " actor=cli " not in line]
         assert lines == ["pace-est: interrupted"]
-        assert not any(map(_alive, children))
+        assert not any(map(_alive, children)), [_describe(pid) for pid in children]
         assert leaked_segments() == []
+
+    def test_alive_counts_a_sleeper_not_a_zombie_or_a_reaped_pid(self):
+        sleeper = subprocess.Popen(["sleep", "5"])
+        try:
+            assert _alive(sleeper.pid), _describe(sleeper.pid)
+        finally:
+            sleeper.kill()
+        # Wait for the zombie without reaping it.
+        os.waitid(os.P_PID, sleeper.pid, os.WEXITED | os.WNOWAIT)
+        assert _proc_state(sleeper.pid)[0] == "Z"
+        assert not _alive(sleeper.pid)
+        sleeper.wait()
+        assert not _alive(sleeper.pid)
