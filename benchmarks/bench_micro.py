@@ -1,7 +1,7 @@
 """Micro-benchmarks of the individual substrates.
 
 Not tied to a paper exhibit; these keep the per-component costs visible
-(suffix-array construction rate, LCP method comparison, pair-generation
+(suffix-array construction rate, the Kasai reference LCP, pair-generation
 throughput, alignment engines, union-find ops) so regressions in any
 layer show up before they distort the table/figure benches.
 """
@@ -21,10 +21,8 @@ from repro.align import (
 )
 from repro.cluster import UnionFind
 from repro.pairs import SaPairGenerator, VectorPairGenerator
-from repro.sequence.alphabet import SIGMA
 from repro.suffix import build_suffix_array
-from repro.suffix.lcp import lcp_first_mismatch, lcp_kasai
-from repro.suffix.suffix_array import refine
+from repro.suffix.lcp import lcp_kasai
 
 
 @pytest.fixture(scope="module")
@@ -60,26 +58,6 @@ def test_lcp_kasai(benchmark, medium_text):
     sa = build_suffix_array(medium_text)
     lcp = benchmark(lcp_kasai, medium_text, sa.sa)
     assert len(lcp) == len(medium_text)
-
-
-def test_lcp_vectorised(benchmark, medium):
-    """The LCP pass of ``SuffixArrayGst.build`` on its own inputs: the
-    index's one-byte text (every sentinel 0), suffix lengths as the reach,
-    and the sort's ``split`` — the exact LCP (``-split``) of each pair the
-    seed separated, the separation round of the rest, whose text windows
-    alone the pass compares."""
-    gst = dataset_gst(30_000)
-    state = refine(gst.text, SIGMA.bit_length(), gst.starts)
-    lcp = benchmark(
-        lcp_first_mismatch,
-        gst.text,
-        gst.suffix_lengths,
-        state.sa,
-        state.split,
-        state.width,
-        gst.lcp.dtype,
-    )
-    assert np.array_equal(lcp, gst.lcp)
 
 
 def test_pair_generation_throughput(benchmark, medium):

@@ -18,11 +18,9 @@ a slave, or the master reabsorbing a lost slave's — builds the interval
 forest of its own ranges from the shared LCP view, where it is used
 (O(N/p) per slave, §3.1 of the paper; DESIGN.md §5c).
 
-The suffix sort's state (:class:`~repro.suffix.suffix_array.Refinement`:
-final ranks and each adjacent pair's ``split`` — its exact LCP where the
-seed separated it, else the round that did — read once by the LCP pass)
-is gone by the time an index exists, so there is nothing else to share;
-the master's bucket ranges come from the shared LCP too.
+The suffix sort (:func:`~repro.suffix.suffix_array.refine`) emits ``sa``
+and ``lcp`` and keeps no state of its own, so there is nothing else to
+share; the master's bucket ranges come from the shared LCP too.
 """
 
 from __future__ import annotations

@@ -5,18 +5,18 @@ which string it belongs to, its offset in that string, and its
 left-extension character (λ when the suffix is the whole string).  The two
 backends package those facts differently:
 
-- :class:`SuffixArrayGst` — the production engine.  Builds the suffix array
-  and LCP array of the sentinel-terminated concatenation once (vectorised
-  numpy) and keeps four arrays per position — the one-byte text of symbol
-  codes, int32 ``sa``, int16 ``lcp`` (int32 once a string reaches 2**15
-  symbols) and int32 ``pos_string``, 11 B per suffix in all — from which
-  a suffix's offset, length and left-extension character are derived
-  where they are read.  It materialises LCP forests on demand: one flat
-  forest per owner of bucket ranges (the unit of distribution across
-  processors), the whole array by default.  What the build holds besides
-  is the sort's final ranks and ``split`` (each seed-separated pair's
-  exact LCP, each other pair's separation round) — no per-round rank
-  copy and no sorted seed key; bucket ranges are read off the LCP.
+- :class:`SuffixArrayGst` — the production engine.  One sort of the
+  sentinel-terminated concatenation (vectorised numpy) emits its suffix
+  array and LCP array together, and the index keeps four arrays per
+  position — the one-byte text of symbol codes, int32 ``sa``, int16
+  ``lcp`` (int32 once a string reaches 2**15 symbols) and int32
+  ``pos_string``, 11 B per suffix in all — from which a suffix's offset,
+  length and left-extension character are derived where they are read.
+  It materialises LCP forests on demand: one flat forest per owner of
+  bucket ranges (the unit of distribution across processors), the whole
+  array by default.  The sort's scratch — a packed copy of the text and
+  each round's keys — is gone when the build returns; bucket ranges are
+  read off the LCP.
 - :class:`NaiveGst` — the paper-faithful engine: explicit bucket trees in
   the DFS-array encoding.  Semantically identical output, used for tests,
   demonstrations, and small inputs.
@@ -35,7 +35,6 @@ from repro.sequence.collection import EstCollection
 from repro.suffix.buckets import sa_bucket_ranges
 from repro.suffix.dfs_array import DfsArrayTree, from_trie
 from repro.suffix.interval_tree import FlatForest, build_flat_forest
-from repro.suffix.lcp import lcp_first_mismatch
 from repro.suffix.naive_tree import build_gst_forest
 from repro.suffix.suffix_array import refine
 
@@ -98,26 +97,14 @@ class SuffixArrayGst:
     @classmethod
     def build(cls, collection: EstCollection) -> "SuffixArrayGst":
         """Sort, then tabulate: the sort reads the one-byte text and
-        ``starts`` alone, so ``pos_string`` is built once its scratch is
-        gone; the LCP pass copies the seed's LCPs out of ``split`` and
-        reads ``pos_string`` for the caps of the pairs it compares."""
+        ``starts`` alone and emits ``sa`` and ``lcp``, so ``pos_string``
+        is built once its scratch is gone."""
         check_index_size(collection)
         text, starts = collection.sa_codes()
         starts = starts.astype(np.int32)
-        state = refine(text, SIGMA.bit_length(), starts)
-        sa, split, width = state.sa, state.split, state.width
-        del state
-        spans = np.diff(starts)  # string length + its sentinel
-        pos_string = np.repeat(np.arange(collection.n_strings, dtype=np.int32), spans)
-        # One length check: every LCP is capped by the longest string.
-        longest = int(spans.max()) - 1
-        lcp = lcp_first_mismatch(
-            text,
-            lambda p: _suffix_lengths(starts, pos_string, p),
-            sa,
-            split,
-            width,
-            np.int16 if longest < 2**15 else np.int32,
+        sa, lcp = refine(text, SIGMA.bit_length(), starts)
+        pos_string = np.repeat(
+            np.arange(collection.n_strings, dtype=np.int32), np.diff(starts)
         )
         return cls(
             collection=collection,

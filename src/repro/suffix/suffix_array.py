@@ -1,4 +1,5 @@
-"""Suffix-array construction: one packed seed sort, then active-set refinement.
+"""Suffix-array construction: one packed seed sort, then partition refinement
+by the next text window.
 
 The paper builds a distributed generalized suffix tree in C.  A literal
 pure-Python suffix tree is far too slow at realistic input sizes, so the
@@ -8,36 +9,33 @@ nodes of the suffix tree as LCP intervals (see
 :mod:`repro.suffix.interval_tree`).
 
 Construction follows the paper's own shape (§3.1: bucket suffixes on a
-fixed-width prefix, then refine only inside buckets) rather than textbook
-Manber–Myers doubling, which re-sorts every suffix in every round:
+fixed-width prefix, then refine each bucket character by character from
+its own suffixes) and emits the LCP array as it sorts:
 
-1. **Seed.**  Every suffix is keyed by its first ``width`` symbols,
-   cut after the first terminator, shifted above its own position
-   (``window << pos_bits | p``, :func:`refine`), and the keys are sorted
-   by value in place: ``sa`` is their low bits, with no permutation and
-   no gather.  The key order is exactly the suffix order wherever a
-   terminator is in reach: terminators are unique and smaller than every
-   symbol, nothing behind one can matter, and two windows that agree up
-   to a terminator end at two terminators at one offset from their
-   positions, so position order is terminator-id order.  While the
-   sorted keys are alive, one pass reads each adjacent pair's common
-   prefix off them: the first unequal symbol (the highest set bit of the
-   two keys' XOR) or the later window's terminator, whichever comes
-   first.
-2. **Refine.**  Larsson–Sadakane doubling restricted to the *active set*:
-   a suffix's rank is the index of its group's first member, and a round
-   with step ``h`` gathers, sorts by ``(rank[p], rank[p + h])`` and
-   re-ranks only the members of groups of size > 1.  A group that has
-   become a singleton is final and is never touched again.  The sorts
-   need not be stable: tied members share a rank, so their relative
-   order inside a round is unobservable, and the final order is total.
-3. **State for the LCP.**  Only the final rank and, per adjacent pair of
-   ranks, ``split`` (:class:`Refinement`) outlive the sort: the exact
-   common prefix of a pair the seed separated, or the round that
-   separated the rest.  No rank array of an earlier round and no seed key
-   is kept.  :func:`repro.suffix.lcp.lcp_first_mismatch` copies the
-   former and, for the latter, turns the round into a lower bound on the
-   pair's common prefix and reads the rest off the symbol codes.
+1. **Seed.**  Every suffix is keyed by its first ``width`` symbols, read
+   from a packed copy of the text (:class:`PackedText`) and cut after
+   the first terminator, shifted above its own position
+   (``window << pos_bits | p``), and the keys are sorted by value in
+   place: ``sa`` is their low bits, with no permutation and no gather.
+   The key order is exactly the suffix order wherever a terminator is in
+   reach: terminators are unique and smaller than every symbol, nothing
+   behind one can matter, and two windows that agree up to a terminator
+   end at two terminators at one offset from their positions, so
+   position order is terminator-id order.
+2. **Rounds** (:func:`refine_groups`).  The suffixes still tied after
+   ``d`` symbols form groups of adjacent ranks, each in position order.
+   A round reads every member's next window, at ``p + d``, cut the same
+   way, and sorts the members by ``group << (bits·width) | window`` with
+   a stable ``argsort``: equal keys keep position order, which for
+   windows that agree through a terminator is terminator-id order.  A
+   round reads the text and its own members alone, so one bucket's
+   suffixes sort without any other bucket's.
+3. **LCP.**  Each pass over sorted keys — the seed's and every round's —
+   writes the exact common prefix of each adjacent pair it separates: the
+   depth before the window plus the first unequal symbol (the highest
+   set bit of the two windows' XOR) or the later window's terminator,
+   whichever comes first.  A pair still tied gets ``d + width``, the next
+   round's depth, which is how the round finds its groups.
 
 :func:`build_suffix_array` (arbitrary integer text, one terminator past
 its end) and :meth:`repro.suffix.gst.SuffixArrayGst.build` (the one-byte
@@ -54,9 +52,10 @@ import numpy as np
 
 __all__ = [
     "SuffixArray",
-    "Refinement",
+    "PackedText",
     "pack_windows",
     "refine",
+    "refine_groups",
     "refine_text",
     "ragged_ranges",
     "build_suffix_array",
@@ -66,11 +65,8 @@ __all__ = [
 #: Bits of an int64 sort key the seed may use: all but the sign.
 _KEY_BITS = 63
 
-#: ``Refinement.split`` of a pair no sort has told apart yet.
-_TIED = np.iinfo(np.int8).min
-
-#: Ranks per step of the pass over the sorted seed keys.
-_BLOCK = 1 << 15
+#: Ranks per step of the passes over keys.
+_BLOCK = 1 << 13
 
 
 @dataclass
@@ -92,30 +88,68 @@ class SuffixArray:
         return len(self.sa)
 
 
-@dataclass
-class Refinement:
-    """The state of a finished suffix sort.
+class PackedText:
+    """The symbol codes ``bits`` to a symbol and ``63 // bits`` to an int64
+    word, first symbol in the highest bits, zeros past the end.
 
-    Attributes
-    ----------
-    sa:
-        The suffix array (int32, length ``m``).
-    rank:
-        Final rank per position (int32), the inverse of ``sa``.
-    split:
-        int8 per rank; ``split[0]`` is 0.  ``split[r] <= 0``: the seed
-        separated ranks ``r - 1`` and ``r``, whose common prefix is
-        ``-split[r]`` symbols.  ``split[r] = s > 0``: round ``s`` did —
-        they then share their first ``width << (s - 1)`` symbols and
-        differ within twice that.
-    width:
-        Symbols per seed window.
+    ``width`` is the seed's window: the symbols that fit one sort key
+    beside a position (``pos_bits = (m - 1).bit_length()``).  Raises
+    :class:`ValueError` when not one symbol fits.
     """
 
-    sa: np.ndarray
-    rank: np.ndarray
-    split: np.ndarray
-    width: int
+    def __init__(self, codes: np.ndarray, bits: int):
+        m = codes.size
+        self.pos_bits = (m - 1).bit_length()
+        self.width = (_KEY_BITS - self.pos_bits) // bits
+        if self.width < 1:
+            raise ValueError(
+                f"{bits}-bit symbols and {self.pos_bits}-bit positions exceed a sort key"
+            )
+        self.bits = bits
+        self.per_word = _KEY_BITS // bits
+        # Two words past the last symbol: a window of up to ``per_word``
+        # symbols from any position up to ``m`` reads two whole words.
+        grid = np.zeros((m // self.per_word + 2, self.per_word), dtype=codes.dtype)
+        grid.reshape(-1)[:m] = codes
+        self.words = np.zeros(grid.shape[0], dtype=np.int64)
+        for j in range(self.per_word):
+            self.words <<= bits
+            self.words |= grid[:, j]
+
+    def windows(self, q: np.ndarray, width: int) -> np.ndarray:
+        """The ``width`` symbols from each position ``q`` (at most
+        ``per_word``; int64, first symbol highest), cut after the first
+        terminator (code 0): every symbol behind it reads 0.
+
+        A window spans two words: the first shifted up past the symbols
+        before ``q``, the second down into the space that leaves.  The
+        first terminator is the highest zero field: a field is non-zero
+        when its low bits plus all-ones-but-the-top carry into its top
+        bit or its top bit is set, which no carry between fields can
+        disturb."""
+        bits, per = self.bits, self.per_word
+        word = q // per
+        slot = q - word * per
+        slot *= bits
+        x = self.words[word] << slot
+        x &= (1 << (bits * per)) - 1
+        slot -= bits * per
+        np.negative(slot, out=slot)
+        word += 1
+        x |= self.words[word] >> slot
+        x >>= bits * (per - width)
+        top = sum(1 << (bits * j + bits - 1) for j in range(width))
+        low = top - sum(1 << (bits * j) for j in range(width))
+        zero = x & low
+        zero += low
+        zero |= x
+        zero &= top
+        zero ^= top
+        cut = np.flatnonzero(zero)
+        if cut.size:
+            shift = _highest_bit(zero[cut]) - (bits - 1)
+            x[cut] = (x[cut] >> shift) << shift
+        return x
 
 
 def pack_windows(codes: np.ndarray, bits: int, width: int) -> np.ndarray:
@@ -137,8 +171,10 @@ def pack_windows(codes: np.ndarray, bits: int, width: int) -> np.ndarray:
     return packed
 
 
-def refine(codes: np.ndarray, bits: int, starts: np.ndarray) -> Refinement:
-    """Sort the suffixes of a terminated symbol sequence.
+def refine(
+    codes: np.ndarray, bits: int, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort the suffixes of a terminated symbol sequence: ``(sa, lcp)``.
 
     Parameters
     ----------
@@ -154,18 +190,18 @@ def refine(codes: np.ndarray, bits: int, starts: np.ndarray) -> Refinement:
         terminator may be one past the end of ``codes``
         (``starts[-1] == len(codes) + 1``), read as if it were there.
 
-    Raises :class:`ValueError` when one symbol code and the bits of the
-    highest position do not fit a 63-bit key together.
+    ``sa`` is int32; ``lcp`` (``lcp[0] = 0``) is int16 when no segment
+    holds 2**15 symbols before its terminator — no common prefix can then
+    pass 32 767 — and int32 otherwise.  Raises :class:`ValueError` when
+    one symbol code and the bits of the highest position do not fit a
+    63-bit key together.
     """
     m = codes.size
     if m >= 2**31:
         raise ValueError(f"text of {m} positions does not fit int32 ranks")
-    pos_bits = (m - 1).bit_length()
-    width = (_KEY_BITS - pos_bits) // bits
-    if width < 1:
-        raise ValueError(
-            f"{bits}-bit symbols and {pos_bits}-bit positions exceed a sort key"
-        )
+    text = PackedText(codes, bits)
+    width, pos_bits = text.width, text.pos_bits
+    longest = int(np.diff(starts).max()) - 1
 
     # Seed: cut each window after its first terminator and put the position
     # below it — in place, so the packed windows are the sort key.  Only the
@@ -185,90 +221,95 @@ def refine(codes: np.ndarray, bits: int, starts: np.ndarray) -> Refinement:
     for lo in range(0, m, _BLOCK):
         key[lo : lo + _BLOCK] |= np.arange(lo, min(lo + _BLOCK, m))
     key.sort()
-    sa, split = _seed_split(key, bits, width, pos_bits)
-    del key
-    # A position's rank is its group's head: the last rank at or before
-    # its own that the seed separated from its predecessor.
-    rank = np.empty(m + 1, dtype=np.int32)
-    rank[m] = -1
-    head = 0
-    for lo in range(0, m, _BLOCK):
-        hi = min(lo + _BLOCK, m)
-        first = np.arange(lo, hi, dtype=np.int32)
-        first[split[lo:hi] == _TIED] = head
-        np.maximum.accumulate(first, out=first)
-        rank[sa[lo:hi]] = first
-        head = int(first[-1])
-    tied = split == _TIED
-    tied[:-1] |= tied[1:]
-    act = np.flatnonzero(tied).astype(np.int32)
-    del tied
-
-    # Refine: only members of groups of size > 1, by the rank h further on.
-    # Slot ``m`` of ``rank`` is the empty suffix past the end, which sorts
-    # before everything: where a tied suffix of unterminated text lands
-    # when it is advanced by its own length.
-    h = width
-    rounds = 0
-    while act.size:
-        rounds += 1
-        pos = sa[act]
-        key = rank[pos].astype(np.int64)
-        key <<= 32
-        key += rank[pos + h] + 1
-        order = np.argsort(key)
-        key.sort()  # in place: ``key[order]`` would be a second key
-        pos = pos[order]
-        del order
-        sa[act] = pos
-        head = np.ones(act.size + 1, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=head[1:-1])
-        del key
-        bounds = np.flatnonzero(head)
-        first = act[bounds[:-1]]
-        rank[pos] = np.repeat(first, np.diff(bounds))
-        fresh = first[split[first] == _TIED]
-        split[fresh] = rounds
-        act = act[~(head[:-1] & head[1:])]
-        h *= 2
-    return Refinement(sa=sa, rank=rank[:m], split=split, width=width)
-
-
-def _seed_split(
-    key: np.ndarray, bits: int, width: int, pos_bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read the sorted seed keys a block of ranks at a time: ``sa``, each
-    key's low bits, and ``split``, per adjacent pair of ranks its common
-    prefix as ``-lcp`` — or ``_TIED`` where the windows agree and reach no
-    terminator, so only a refinement round can tell the pair apart.
-
-    The pair's prefix ends at the first unequal symbol of its windows or at
-    the first terminator of the later window, whichever comes first; past
-    a terminator every window is zero, so that one is where the later
-    window's trailing zero symbols start.  Both are bit indices: of the
-    highest set bit of the two keys' XOR (positions differ, so it has
-    one) and of the lowest set bit of the later window, with a guard bit
-    above it standing for a window of terminator alone.
-    """
-    m = key.size
     sa = np.empty(m, dtype=np.int32)
-    split = np.zeros(m, dtype=np.int8)
+    lcp = np.empty(m, dtype=np.int16 if longest < 2**15 else np.int32)
+    lcp[0] = 0
     mask = (1 << pos_bits) - 1
-    guard = 1 << (bits * width)
     for lo in range(0, m, _BLOCK):
         hi = min(lo + _BLOCK, m)
         sa[lo:hi] = key[lo:hi] & mask
         r = max(lo, 1)
-        if r == hi:
-            continue
-        differ = _highest_bit(key[r - 1 : hi - 1] ^ key[r:hi])
-        differ = (bits * width + pos_bits - 1 - differ) // bits
-        tail = key[r:hi] >> pos_bits
-        tail |= guard
-        ends = width - _lowest_bit(tail) // bits
-        lcp = np.minimum(differ, ends)
-        split[r:hi] = np.where(lcp == width, _TIED, -lcp)
-    return sa, split
+        if r < hi:
+            later = key[r:hi] >> pos_bits
+            lcp[r:hi] = _shared(key[r - 1 : hi - 1] >> pos_bits ^ later, later, text)
+    del key
+    tied = lcp == width
+    member = tied.copy()
+    member[:-1] |= tied[1:]
+    del tied
+    act = np.flatnonzero(member).astype(np.int32)
+    del member
+    refine_groups(text, sa, lcp, act, width)
+    return sa, lcp
+
+
+def refine_groups(
+    text: PackedText, sa: np.ndarray, lcp: np.ndarray, act: np.ndarray, depth: int
+) -> None:
+    """Finish sorting the suffixes at ranks ``act`` of ``sa``, in place,
+    and write the ``lcp`` of every pair the rounds separate.
+
+    ``act`` ascends; ranks ``r - 1`` and ``r`` both in it are tied when
+    ``lcp[r] == depth``: they agree on their first ``depth`` symbols with
+    no terminator among them.  Each maximal run of tied ranks is a group,
+    in position order.  Round by round, every member is keyed by its
+    group and the ``width`` symbols at ``p + depth``, and the members are
+    sorted stably; pairs left tied stay for the next round.  Only ``sa``
+    and ``lcp`` at ranks ``act`` are read or written, so ``act`` may be a
+    whole bucket in position order with ``lcp[act] == depth == 0``.
+    """
+    bits, width = text.bits, text.width
+    span = bits * width
+    tied = lcp[act] == depth
+    tied[:1] = False
+    while act.size:
+        key = np.cumsum(~tied, dtype=np.int64)
+        del tied
+        key <<= span
+        for lo in range(0, act.size, _BLOCK):
+            pos = sa[act[lo : lo + _BLOCK]].astype(np.int64)
+            pos += depth
+            key[lo : lo + _BLOCK] |= text.windows(pos, width)
+        order = np.argsort(key, kind="stable").astype(np.int32)
+        pos = sa[act]
+        tied = np.zeros(act.size, dtype=bool)
+        for lo in range(0, act.size, _BLOCK):
+            hi = min(lo + _BLOCK, act.size)
+            sa[act[lo:hi]] = pos[order[lo:hi]]
+            r = max(lo, 1)
+            if r == hi:
+                continue
+            ranked = key[order[r - 1 : hi]]
+            xor = ranked[:-1] ^ ranked[1:]
+            same = xor < 1 << span
+            xor &= (1 << span) - 1
+            ranked &= (1 << span) - 1
+            shared = _shared(xor, ranked[1:], text)
+            lcp[act[r:hi][same]] = shared[same] + depth
+            tied[r:hi] = same & (shared == width)
+        del key, order, pos
+        member = tied.copy()
+        member[:-1] |= tied[1:]
+        act, tied = act[member], tied[member]
+        depth += width
+
+
+def _shared(xor: np.ndarray, later: np.ndarray, text: PackedText) -> np.ndarray:
+    """Symbols two sorted adjacent windows share, ``width`` at most:
+    up to the first unequal symbol — the highest set bit of their XOR,
+    ``width`` for none — or the later window's first terminator, where
+    its trailing zero symbols start — its lowest set bit, with a guard
+    bit above it for a window of terminator alone — whichever comes
+    first.  ``xor`` is used up."""
+    bits, width = text.bits, text.width
+    xor <<= 1
+    xor |= 1
+    differ = bits * width - _highest_bit(xor)
+    differ //= bits
+    ends = _lowest_bit(later | 1 << (bits * width))
+    ends //= bits
+    np.subtract(width, ends, out=ends)
+    return np.minimum(differ, ends)
 
 
 def _lowest_bit(x: np.ndarray) -> np.ndarray:
@@ -286,19 +327,38 @@ def _highest_bit(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def refine_text(text: np.ndarray) -> Refinement:
-    """:func:`refine` over arbitrary non-negative integer text: symbols are
-    compacted to ``1 .. sigma`` and the only terminator is the implicit one
-    past the end, so a suffix that is a prefix of another sorts first."""
+def refine_text(text: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`refine` over arbitrary non-negative integer text.
+
+    Symbols are compacted to ``1 .. sigma`` and the only terminator is the
+    implicit one past the end, so a suffix that is a prefix of another
+    sorts first.  A sentinel-terminated text — its symbols that occur once
+    are all below the repeated ones, rise with their position and end the
+    text, as in :meth:`repro.sequence.EstCollection.sa_text` — is sorted
+    with those as its terminators (code 0) and the repeated symbols
+    compacted to ``1 .. sigma - k``: no common prefix passes a symbol
+    that occurs once, and each compares below every repeated symbol and
+    by position with the others, as terminators do.
+    """
     text = np.asarray(text)
     m = text.size
     if m == 0:
         raise ValueError("cannot build a suffix array of empty text")
     if text.min() < 0:
         raise ValueError("text values must be non-negative")
-    symbols, codes = np.unique(text, return_inverse=True)
-    codes = codes.reshape(m) + 1
-    return refine(codes, int(symbols.size).bit_length(), np.array([0, m + 1]))
+    _, first, codes, counts = np.unique(
+        text, return_index=True, return_inverse=True, return_counts=True
+    )
+    codes = codes.reshape(m)
+    k = int(np.count_nonzero(counts == 1))
+    ends = first[:k]
+    if k and (counts[:k] == 1).all() and ends[-1] == m - 1 and (np.diff(ends) > 0).all():
+        codes -= k - 1
+        np.maximum(codes, 0, out=codes)
+        bits = max(counts.size - k, 1).bit_length()
+        return refine(codes, bits, np.append(0, ends + 1))
+    codes += 1
+    return refine(codes, counts.size.bit_length(), np.array([0, m + 1]))
 
 
 def ragged_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -325,7 +385,7 @@ def ragged_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 def build_suffix_array(text: np.ndarray) -> SuffixArray:
     """Build the suffix array of ``text`` (1-D, integer, non-negative;
     values need not be compact)."""
-    return SuffixArray(text=np.asarray(text), sa=refine_text(text).sa)
+    return SuffixArray(text=np.asarray(text), sa=refine_text(text)[0])
 
 
 def suffix_array_naive(text: np.ndarray) -> np.ndarray:

@@ -11,8 +11,15 @@ from hypothesis import strategies as st
 from repro.sequence import EstCollection
 from repro.sequence.alphabet import SIGMA
 from repro.suffix import SuffixArrayGst, build_flat_forest, build_suffix_array, sa_bucket_ranges
-from repro.suffix.lcp import lcp_first_mismatch, lcp_kasai, lcp_naive
-from repro.suffix.suffix_array import pack_windows, refine, refine_text, suffix_array_naive
+from repro.suffix.lcp import lcp_kasai, lcp_naive
+from repro.suffix.suffix_array import (
+    PackedText,
+    pack_windows,
+    refine,
+    refine_groups,
+    refine_text,
+    suffix_array_naive,
+)
 
 dna_lists = st.lists(st.text(alphabet="ACGT", min_size=1, max_size=25), min_size=1, max_size=4)
 #: Small alphabets, no sentinels: suffixes tie right up to the text end.
@@ -25,31 +32,9 @@ def _text_of(seqs):
     return EstCollection.from_strings(seqs).sa_text()[0]
 
 
-def _text_lcp(text, state):
-    """The production LCP over text whose only terminator is past its end:
-    the text is its own code sequence, each suffix reaches the end."""
-    m = len(text)
-    return lcp_first_mismatch(text, lambda p: m - p, state.sa, state.split, state.width)
-
-
-def _assert_split_encodes_the_lcp(state, lcp):
-    """``split <= 0``: the seed separated the pair after ``-split``
-    symbols; ``s > 0``: round ``s`` did, so the pair shares
-    ``width << (s - 1)`` symbols and differs within twice that."""
-    assert state.split[0] == 0
-    split = state.split[1:].astype(np.int64)
-    lcp = np.asarray(lcp[1:], dtype=np.int64)
-    seed = split <= 0
-    assert np.array_equal(lcp[seed], -split[seed])
-    assert (lcp[seed] < state.width).all()
-    s = split[~seed]
-    assert ((state.width << (s - 1)) <= lcp[~seed]).all()
-    assert (lcp[~seed] < state.width << s).all()
-
-
 def _assert_index_matches_oracles(seqs):
-    """Both seedings of the one refinement core — the EST seed of
-    ``SuffixArrayGst.build`` and the generic seed of ``refine_text`` —
+    """Both inputs of the one sort — the EST codes of
+    ``SuffixArrayGst.build`` and the integer text of ``refine_text`` —
     against the naive suffix sort and Kasai."""
     col = EstCollection.from_strings(seqs)
     text = col.sa_text()[0]
@@ -58,9 +43,9 @@ def _assert_index_matches_oracles(seqs):
     gst = SuffixArrayGst.build(col)
     assert np.array_equal(gst.sa, expect_sa)
     assert np.array_equal(gst.lcp, expect_lcp)
-    state = refine_text(text)
-    assert np.array_equal(state.sa, expect_sa)
-    assert np.array_equal(_text_lcp(text, state), expect_lcp)
+    sa, lcp = refine_text(text)
+    assert np.array_equal(sa, expect_sa)
+    assert np.array_equal(lcp, expect_lcp)
 
 
 class TestBuildSuffixArray:
@@ -92,10 +77,12 @@ class TestBuildSuffixArray:
     @settings(max_examples=30, deadline=None)
     def test_sa_is_permutation_and_rank_inverse(self, seqs):
         text = _text_of(seqs)
-        state = refine_text(text)
+        sa = refine_text(text)[0]
         m = len(text)
-        assert sorted(state.sa.tolist()) == list(range(m))
-        assert np.array_equal(state.rank[state.sa], np.arange(m))
+        assert sorted(sa.tolist()) == list(range(m))
+        rank = np.empty(m, dtype=np.int64)
+        rank[sa] = np.arange(m)
+        assert np.array_equal(sa[rank], np.arange(m))
 
     def test_single_character(self):
         sa = build_suffix_array(np.array([7]))
@@ -115,17 +102,6 @@ class TestBuildSuffixArray:
         with pytest.raises(ValueError):
             build_suffix_array(np.array([-1, 0]))
 
-    @given(int_texts)
-    @settings(max_examples=60, deadline=None)
-    def test_split_rounds_bound_the_lcp(self, vals):
-        # A pair the seed separated carries its exact LCP as -split; one
-        # separated in round s > 0 shares width << (s - 1) symbols and
-        # differs within twice that.  The LCP pass copies the first and
-        # starts from the bound for the rest.
-        text = np.array(vals, dtype=np.int64)
-        state = refine_text(text)
-        _assert_split_encodes_the_lcp(state, lcp_kasai(text, state.sa))
-
     @given(
         st.lists(st.integers(0, 7), min_size=1, max_size=30),
         st.integers(1, 20),
@@ -142,6 +118,25 @@ class TestBuildSuffixArray:
                 expect = (expect << 3) | c
             assert int(packed[p]) == expect
 
+    @given(
+        st.lists(st.integers(0, 7), min_size=1, max_size=30),
+        st.integers(1, 21),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_packed_text_reads_cut_windows(self, codes, width):
+        # Windows of up to a word's 21 three-bit symbols, from any position
+        # of any word: they span two words, pad past the end, and read 0
+        # after their first terminator.
+        got = PackedText(np.array(codes), 3).windows(np.arange(len(codes) + 1), width)
+        padded = codes + [0] * (width + 1)
+        for p in range(len(codes) + 1):
+            window = padded[p : p + width]
+            cut = window.index(0) if 0 in window else width
+            expect = 0
+            for c in window[:cut] + [0] * (width - cut):
+                expect = (expect << 3) | c
+            assert int(got[p]) == expect
+
 
 class TestLcp:
     @given(dna_lists)
@@ -154,9 +149,11 @@ class TestLcp:
     @given(dna_lists)
     @settings(max_examples=60, deadline=None)
     def test_first_mismatch_lcp_matches_kasai(self, seqs):
+        # The sort's LCP: each pair's first unequal symbol or terminator,
+        # read in the pass that separates it.
         text = _text_of(seqs)
-        state = refine_text(text)
-        assert np.array_equal(_text_lcp(text, state), lcp_kasai(text, state.sa))
+        sa, lcp = refine_text(text)
+        assert np.array_equal(lcp, lcp_kasai(text, sa))
 
     @given(
         st.sampled_from([300, 70_000, 2**40]),
@@ -165,18 +162,19 @@ class TestLcp:
     )
     @settings(max_examples=40, deadline=None)
     def test_alphabets_wider_than_a_byte(self, sigma, motif, seed):
-        # The codes are copied at the narrowest width that holds them —
-        # uint16, uint32, uint64 here — and compared a word at a time.
+        # Up to 34 distinct symbols compact to six-bit codes, nine to a
+        # window here, so a repeated motif takes several rounds.
         rng = np.random.default_rng(seed)
         symbols = rng.integers(0, sigma, size=4, dtype=np.int64)
         text = np.concatenate((symbols[motif], rng.integers(0, sigma, 30), symbols[motif]))
-        state = refine_text(text)
-        assert np.array_equal(state.sa, suffix_array_naive(text))
-        assert np.array_equal(_text_lcp(text, state), lcp_kasai(text, state.sa))
+        sa, lcp = refine_text(text)
+        assert np.array_equal(sa, suffix_array_naive(text))
+        assert np.array_equal(lcp, lcp_kasai(text, sa))
 
     def test_long_repeats_take_several_windows(self):
-        # Pairs sharing hundreds of symbols past their split bound go on a
-        # window at a time; the cap stops them at the shorter suffix.
+        # Pairs sharing thousands of symbols stay tied for hundreds of
+        # rounds; the terminator of the shorter suffix ends each common
+        # prefix.
         seqs = ["A" * 3000, "A" * 2999, "ACGT" * 400, "ACGT" * 399 + "ACG"]
         col = EstCollection.from_strings(seqs)
         gst = SuffixArrayGst.build(col)
@@ -190,8 +188,8 @@ class TestLcp:
 
 
 class TestIndexAgainstOracles:
-    """The production index (seed sort + active-set refinement + LCP from
-    the split rounds and a first-mismatch query) equals the naive suffix
+    """The production index (seed sort + refinement rounds, each pass
+    writing the LCP of the pairs it separates) equals the naive suffix
     sort and Kasai."""
 
     @given(dna_lists)
@@ -203,9 +201,9 @@ class TestIndexAgainstOracles:
     @settings(max_examples=100, deadline=None)
     def test_small_alphabet_ints_tie_at_the_text_end(self, vals):
         text = np.array(vals, dtype=np.int64)
-        state = refine_text(text)
-        assert np.array_equal(state.sa, suffix_array_naive(text))
-        assert np.array_equal(_text_lcp(text, state), lcp_kasai(text, state.sa))
+        sa, lcp = refine_text(text)
+        assert np.array_equal(sa, suffix_array_naive(text))
+        assert np.array_equal(lcp, lcp_kasai(text, sa))
 
     @given(
         st.lists(st.text(alphabet="ACGT", min_size=1, max_size=40), min_size=1, max_size=4),
@@ -233,9 +231,9 @@ class TestIndexAgainstOracles:
         assert np.array_equal(gst.sa, expect_sa)
         assert np.array_equal(gst.lcp, expect_lcp)
         codes, starts = col.sa_codes()
-        state = refine(codes, SIGMA.bit_length(), starts)
-        assert np.array_equal(state.sa, expect_sa)
-        _assert_split_encodes_the_lcp(state, expect_lcp)
+        sa, lcp = refine(codes, SIGMA.bit_length(), starts)
+        assert np.array_equal(sa, expect_sa)
+        assert np.array_equal(lcp, expect_lcp)
 
     @given(st.integers(1, 2), st.lists(st.integers(0, 1), min_size=1, max_size=120))
     @settings(max_examples=100, deadline=None)
@@ -243,24 +241,22 @@ class TestIndexAgainstOracles:
         # One or two bits per symbol leave 56 or more window bits in the
         # key: the XOR of two keys can pass 2**53, where float64 rounds.
         text = np.array(vals, dtype=np.int64) % sigma
-        state = refine_text(text)
+        sa, lcp = refine_text(text)
         expect_sa = suffix_array_naive(text)
-        expect_lcp = lcp_kasai(text, expect_sa)
-        assert np.array_equal(state.sa, expect_sa)
-        _assert_split_encodes_the_lcp(state, expect_lcp)
-        assert np.array_equal(_text_lcp(text, state), expect_lcp)
+        assert np.array_equal(sa, expect_sa)
+        assert np.array_equal(lcp, lcp_kasai(text, expect_sa))
 
     def test_complementary_windows_round_in_float64(self):
         # "a b^30 ..." and "b a^40" sort next to each other and their two-bit
-        # windows (a = 01, b = 10) differ in every bit: the XOR of their keys
-        # is 2**63 - 2**7 plus position bits, which float64 rounds to 2**63.
+        # windows (a = 01, b = 10) differ in every bit: the XOR of their
+        # windows with a low guard bit is 2**57 - 1, which float64 rounds
+        # to 2**57.
         text = np.array([1] + [0] * 30 + [1] * 30 + [0] * 40)
-        state = refine_text(text)
-        assert state.width == 28
+        assert PackedText(text, 2).width == 28
+        sa, lcp = refine_text(text)
         expect_sa = suffix_array_naive(text)
-        expect_lcp = lcp_kasai(text, expect_sa)
-        assert np.array_equal(state.sa, expect_sa)
-        _assert_split_encodes_the_lcp(state, expect_lcp)
+        assert np.array_equal(sa, expect_sa)
+        assert np.array_equal(lcp, lcp_kasai(text, expect_sa))
 
     def test_symbols_and_positions_must_share_a_key(self):
         # 62-bit symbols leave one bit for positions: two positions fit,
@@ -306,6 +302,53 @@ class TestIndexAgainstOracles:
         # order; the symbol behind each common prefix must then ascend.
         assert np.array_equal(lcp, lcp_kasai(text, sa))
         assert (text[sa[:-1] + lcp[1:]] < text[sa[1:] + lcp[1:]]).all()
+
+
+class TestRounds:
+    """A round reads only the packed codes and its own members: it keys
+    each by its group and next window, cut after the first terminator,
+    and sorts them stably."""
+
+    @given(
+        st.lists(st.text(alphabet="ACGT", min_size=1, max_size=60), min_size=1, max_size=5),
+        st.lists(st.integers(0, 4), max_size=4),
+        st.sampled_from([1, 4, 8]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_bucket_sorts_alone(self, pool, copies, w):
+        # Every w-prefix bucket, its members in position order as one group
+        # at depth 0, sorted by the rounds from the codes alone, is the
+        # global array's slice: no round reads another bucket.
+        seqs = pool + [pool[i % len(pool)] for i in copies]
+        col = EstCollection.from_strings(seqs)
+        gst = SuffixArrayGst.build(col)
+        text = PackedText(gst.text, SIGMA.bit_length())
+        for _key, lo, hi in gst.bucket_ranges(w):
+            sa = np.sort(gst.sa[lo:hi])
+            lcp = np.zeros(hi - lo, dtype=gst.lcp.dtype)
+            refine_groups(text, sa, lcp, np.arange(hi - lo, dtype=np.int32), 0)
+            assert np.array_equal(sa, gst.sa[lo:hi])
+            assert np.array_equal(lcp[1:], gst.lcp[lo + 1 : hi])
+
+    def test_terminator_ties_a_round_resolves(self):
+        # Forty copies of a 50-base EST (and of its reverse complement) agree
+        # through the 16-symbol seed and two rounds, so their ends meet in
+        # the third round.  Equal through their terminators, they must stay
+        # in position order — which a stable sort keeps — and what follows
+        # a terminator must not reorder them: the copies are followed by
+        # ESTs that sort in descending order.
+        est = "ACGTTGCAAGGCTTACCGATGCATGCAAGTCCGATTGACCATGGTACGAT"
+        followers = ["T" * 30, "GT" * 15, "CA" * 15, "A" * 30]
+        seqs = []
+        for i in range(40):
+            seqs += [est, followers[i % 4], est + "GATTACA"]
+        col = EstCollection.from_strings(seqs)
+        gst = SuffixArrayGst.build(col)
+        text = col.sa_text()[0]
+        assert PackedText(gst.text, SIGMA.bit_length()).width == 16
+        expect_sa = suffix_array_naive(text)
+        assert np.array_equal(gst.sa, expect_sa)
+        assert np.array_equal(gst.lcp, lcp_kasai(text, expect_sa))
 
 
 class TestLcpWidth:
